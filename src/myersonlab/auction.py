@@ -19,6 +19,7 @@ import numpy as np
 from .curves import NEG_INF, VirtualTable, virtual_table
 from .dist import ProductDist
 from .feasible import FeasibleSet
+from .learn import draw_samples
 
 IDENTITY_TOL = 1e-9
 
@@ -177,20 +178,12 @@ def expected_revenue_mc(
 ) -> tuple[float, float]:
     """Seeded Monte Carlo estimate of expected revenue: (mean, stderr).
 
-    Sampling is inverse-CDF per coordinate from one generator, so results
-    are deterministic given the seed.
+    Profiles come from draw_samples, so results are deterministic given the
+    seed.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random((trials, eval_dist.n))
-    cols = []
-    for j, d in enumerate(eval_dist):
-        cum = np.cumsum(d.probs)
-        idx = np.searchsorted(cum, u[:, j], side="left")
-        idx = np.minimum(idx, len(d.support) - 1)
-        cols.append(np.asarray(d.support)[idx])
-    samples = np.stack(cols, axis=1)
+    samples = draw_samples(eval_dist, trials, seed).values
     revs = np.fromiter(
         (revenue_on_profile(a, tuple(float(x) for x in row)) for row in samples),
         dtype=float,

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 
-from .dist import ValueDist, quantile_of_value
+from .dist import ValueDist
 
 
 @total_ordering
@@ -77,16 +77,10 @@ def revenue_curve(d: ValueDist) -> RevenueCurve:
     """Revenue curve of d: breakpoint (Pr[u >= v], v * Pr[u >= v]) per atom.
 
     Atoms are walked in descending value order so quantiles increase; the
-    leading breakpoint is (0, 0) and the final quantile is snapped to 1.
+    leading breakpoint is (0, 0) and the final quantile is exactly 1.
     """
-    bps = [(0.0, 0.0)]
-    acc = 0.0
-    m = len(d.support)
-    for j in range(m - 1, -1, -1):
-        acc += d.probs[j]
-        q = 1.0 if j == 0 else acc
-        bps.append((q, q * d.support[j]))
-    return RevenueCurve(tuple(bps))
+    tails = zip(reversed(d.support), reversed(d._above[:-1]))
+    return RevenueCurve(((0.0, 0.0),) + tuple((q, q * v) for v, q in tails))
 
 
 def iron(c: RevenueCurve) -> RevenueCurve:
@@ -106,23 +100,6 @@ def iron(c: RevenueCurve) -> RevenueCurve:
                 break
         hull.append((q, r))
     return RevenueCurve(tuple(hull))
-
-
-@lru_cache(maxsize=None)
-def _ironed(d: ValueDist) -> RevenueCurve:
-    return iron(revenue_curve(d))
-
-
-def ironed_virtual(d: ValueDist, v: float):
-    """Right derivative of the ironed revenue curve at the quantile of v.
-
-    Values strictly below the lowest atom sit at quantile 1 where no curve
-    mass follows; they get the NEG_INF sentinel. Values above the top atom
-    sit at quantile 0 and get the envelope's first slope.
-    """
-    if v < d.support[0]:
-        return NEG_INF
-    return _ironed(d).right_slope_at(quantile_of_value(d, v))
 
 
 @dataclass(frozen=True)
@@ -148,27 +125,53 @@ class VirtualTable:
         return NEG_INF if idx < 0 else self.slopes[idx]
 
 
-@lru_cache(maxsize=None)
 def virtual_table(d: ValueDist) -> VirtualTable:
-    return VirtualTable(d.support, tuple(ironed_virtual(d, s) for s in d.support))
+    """Envelope slope to the right of each support value's quantile, in one walk.
+
+    Support quantiles fall as values rise, so one pointer moves down the
+    envelope's segments while the atoms are taken in ascending order.
+    """
+    hull = iron(revenue_curve(d)).breakpoints
+    slopes = []
+    k = len(hull) - 2
+    for q in d._above[1:]:
+        while hull[k][0] > q:
+            k -= 1
+        (q0, r0), (q1, r1) = hull[k], hull[k + 1]
+        slopes.append((r1 - r0) / (q1 - q0))
+    return VirtualTable(d.support, tuple(slopes))
+
+
+def ironed_virtual(d: ValueDist, v: float):
+    """Right derivative of the ironed revenue curve at the quantile of v.
+
+    Values strictly below the lowest atom sit at quantile 1 where no curve
+    mass follows; they get the NEG_INF sentinel. Values above the top atom
+    sit at quantile 0 and get the envelope's first slope.
+    """
+    return virtual_table(d).at(v)
 
 
 def ironing_intervals(d: ValueDist) -> list[tuple[float, float]]:
     """Maximal quantile intervals where the envelope sits strictly above the curve.
 
     An envelope segment counts as ironed when some raw breakpoint strictly
-    inside it lies more than 1e-12 below the envelope.
+    inside it lies more than 1e-12 below the envelope. The envelope's
+    breakpoints are raw breakpoints, so one walk over the raw curve visits
+    each segment's interior points in turn.
     """
-    raw = revenue_curve(d)
-    hull = iron(raw)
+    curve = revenue_curve(d)
+    raw, hull = curve.breakpoints, iron(curve).breakpoints
     out = []
-    for (q0, r0), (q1, r1) in zip(hull.breakpoints, hull.breakpoints[1:]):
+    j = 0
+    for (q0, r0), (q1, r1) in zip(hull, hull[1:]):
         slope = (r1 - r0) / (q1 - q0)
         ironed_here = False
-        for q, r in raw.breakpoints:
-            if q0 < q < q1 and r0 + slope * (q - q0) - r > 1e-12:
+        while raw[j][0] < q1:
+            q, r = raw[j]
+            if q0 < q and r0 + slope * (q - q0) - r > 1e-12:
                 ironed_here = True
-                break
+            j += 1
         if ironed_here:
             out.append((q0, q1))
     return out
@@ -176,11 +179,5 @@ def ironing_intervals(d: ValueDist) -> list[tuple[float, float]]:
 
 def monopoly(d: ValueDist) -> tuple[float, float]:
     """Best take-it-or-leave-it price over the support, ties toward the larger price."""
-    best_price = best_rev = None
-    tail = 0.0
-    for j in range(len(d.support) - 1, -1, -1):
-        tail += d.probs[j]
-        rev = d.support[j] * tail
-        if best_rev is None or rev > best_rev:
-            best_price, best_rev = d.support[j], rev
-    return best_price, best_rev
+    revenue, price = max((v * q, v) for v, q in zip(d.support, d._above))
+    return price, revenue

@@ -2,13 +2,14 @@
 
 A distribution is a finite list of atoms. CDFs are right-continuous step
 functions, so suprema over values are attained at support points; the
-predicates below evaluate only there (plus left limits) and stay exact.
+predicates below evaluate only there and stay exact.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from math import sqrt
 
 MASS_TOL = 1e-12  # tolerance for probability-mass bookkeeping
@@ -17,17 +18,45 @@ CDF_TOL = 1e-12  # slack for CDF comparisons at checkpoints
 
 @dataclass(frozen=True)
 class ValueDist:
-    """Atoms of a discrete distribution: strictly increasing support, positive masses."""
+    """Atoms of a discrete distribution: strictly increasing support, positive masses.
+
+    Two running sums are derived once, when the object is built:
+    _below[k] is the mass of the k lowest atoms, summed left to right, and
+    _above[k] is the mass of atom k and every atom above it, summed top
+    down. Quantiles and revenue-curve breakpoints must agree bitwise, so
+    every quantile in the package is read from _above, whose full-mass
+    entry _above[0] is snapped to exactly 1. A lowest atom whose mass is
+    lost when the others are summed would get quantile 1 twice, so such a
+    distribution is rejected.
+    """
 
     support: tuple[float, ...]
     probs: tuple[float, ...]
+    _below: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _above: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        above = list(accumulate(reversed(self.probs), initial=0.0))[::-1]
+        if len(above) > 2 and above[1] >= 1.0:
+            raise ValueError(
+                f"the atoms above {self.support[0]!r} already carry mass {above[1]!r}, "
+                f"so its mass {self.probs[0]!r} is lost"
+            )
+        above[0] = 1.0
+        object.__setattr__(self, "_below", tuple(accumulate(self.probs, initial=0.0)))
+        object.__setattr__(self, "_above", tuple(above))
 
     def to_json(self) -> dict:
         return {"support": list(self.support), "probs": list(self.probs)}
 
     @staticmethod
     def from_json(obj: dict) -> "ValueDist":
-        return make_discrete(obj["support"], obj["probs"])
+        try:
+            return make_discrete(obj["support"], obj["probs"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f"a value distribution is an object with 'support' and 'probs' lists ({exc})"
+            ) from exc
 
 
 @dataclass(frozen=True)
@@ -58,6 +87,8 @@ class ProductDist:
 
     @staticmethod
     def from_json(obj: list) -> "ProductDist":
+        if not isinstance(obj, list):
+            raise ValueError("a product distribution is a list of value distributions")
         return ProductDist(tuple(ValueDist.from_json(o) for o in obj))
 
 
@@ -69,15 +100,15 @@ def make_discrete(values, probs) -> ValueDist:
     """Build a ValueDist from raw atoms.
 
     Duplicate values are merged (masses added), zero-mass atoms dropped and
-    the support sorted ascending. Masses must be nonnegative and sum to 1
-    within MASS_TOL; values must lie in [0, 1].
+    the support sorted ascending. Masses must be finite, nonnegative and sum
+    to 1 within MASS_TOL; values must lie in [0, 1], which rules out NaN.
     """
     values = [float(v) for v in values]
     probs = [float(p) for p in probs]
     if len(values) != len(probs):
         raise ValueError(f"{len(values)} values but {len(probs)} probabilities")
     total = sum(probs)
-    if abs(total - 1.0) > MASS_TOL:
+    if not abs(total - 1.0) <= MASS_TOL:  # also catches a NaN or infinite mass
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     merged: dict[float, float] = {}
     for v, p in zip(values, probs):
@@ -123,32 +154,17 @@ def discretize_uniform_with_atom(
 
 def cdf(d: ValueDist, v: float) -> float:
     """Pr[u <= v] for u drawn from d."""
-    return sum(d.probs[: bisect_right(d.support, v)])
+    return d._below[bisect_right(d.support, v)]
 
 
 def cdf_left(d: ValueDist, v: float) -> float:
     """Left limit Pr[u < v]."""
-    return sum(d.probs[: bisect_left(d.support, v)])
-
-
-def _tail(d: ValueDist, idx: int) -> float:
-    """Pr[u >= support[idx]], summed from the top.
-
-    Quantiles and revenue-curve breakpoints must agree bitwise, so both are
-    accumulated in the same top-down order, and the full-mass tail is
-    snapped to exactly 1 just as the curve's final breakpoint is.
-    """
-    if idx == 0:
-        return 1.0
-    q = 0.0
-    for j in range(len(d.probs) - 1, idx - 1, -1):
-        q += d.probs[j]
-    return q
+    return d._below[bisect_left(d.support, v)]
 
 
 def quantile_of_value(d: ValueDist, v: float) -> float:
     """Pr[u > v], the quantile of value v; nonincreasing in v."""
-    return _tail(d, bisect_right(d.support, v))
+    return d._above[bisect_right(d.support, v)]
 
 
 def value_of_quantile(d: ValueDist, q: float) -> float:
@@ -161,8 +177,8 @@ def value_of_quantile(d: ValueDist, q: float) -> float:
         raise ValueError(f"quantile {q!r} outside [0, 1]")
     if q >= 1.0:
         return 0.0
-    for j, v in enumerate(d.support):
-        if _tail(d, j + 1) <= q + MASS_TOL:
+    for v, tail in zip(d.support, d._above[1:]):
+        if tail <= q + MASS_TOL:
             return v
     return 0.0  # unreachable: the final tail is 0 <= q
 
@@ -174,31 +190,37 @@ def scale_values(d: ValueDist, factor: float) -> ValueDist:
     return make_discrete([v * factor for v in d.support], d.probs)
 
 
-def _merged_support(a: ValueDist, b: ValueDist) -> list[float]:
-    return sorted(set(a.support) | set(b.support))
+def _cdf_pairs(a: ProductDist, b: ProductDist) -> list[tuple[float, float]]:
+    """(cdf(a_i, v), cdf(b_i, v)) at every point v of each coordinate's merged support.
 
-
-def _checkpoint_pairs(a: ValueDist, b: ValueDist):
-    """CDF pairs of a and b at merged support points and their left limits."""
-    for v in _merged_support(a, b):
-        yield cdf(a, v), cdf(b, v)
-        yield cdf_left(a, v), cdf_left(b, v)
+    Both CDFs are constant between merged points and 0 below the lowest, so
+    every gap between them shows at one of these points: a left limit
+    repeats the pair at the previous point.
+    """
+    if a.n != b.n:
+        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
+    pairs = []
+    for ai, bi in zip(a, b):
+        sa, sb = ai.support, bi.support
+        i = j = 0
+        while i < len(sa) or j < len(sb):
+            if j == len(sb) or (i < len(sa) and sa[i] < sb[j]):
+                i += 1
+            elif i == len(sa) or sb[j] < sa[i]:
+                j += 1
+            else:
+                i += 1
+                j += 1
+            pairs.append((ai._below[i], bi._below[j]))
+    return pairs
 
 
 def dominates(big: ProductDist, small: ProductDist) -> bool:
     """First-order stochastic dominance: big's CDF pointwise below small's."""
-    if big.n != small.n:
-        raise ValueError(f"dimension mismatch: {big.n} vs {small.n}")
-    for bi, si in zip(big, small):
-        for v in _merged_support(bi, si):
-            if cdf(bi, v) > cdf(si, v) + CDF_TOL:
-                return False
-    return True
+    return not any(fb > fs + CDF_TOL for fb, fs in _cdf_pairs(big, small))
 
 
-def _check_close_args(a: ProductDist, b: ProductDist, eps: float, n: float, k: float):
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
+def _check_close_args(eps: float, n: float, k: float):
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps {eps!r} outside (0, 1]")
     if n < 1 or k < 1:
@@ -211,25 +233,20 @@ def is_close(a: ProductDist, b: ProductDist, eps: float, n: int, k: float) -> bo
     At every checkpoint the gap must stay within
     sqrt(min-variance * eps^2 / (4nk)) + eps^2 / (2nk).
     """
-    _check_close_args(a, b, eps, n, k)
-    for ai, bi in zip(a, b):
-        for fa, fb in _checkpoint_pairs(ai, bi):
-            var = max(0.0, min(fa * (1.0 - fa), fb * (1.0 - fb)))
-            bound = sqrt(var * eps * eps / (4.0 * n * k)) + eps * eps / (2.0 * n * k)
-            if abs(fa - fb) > bound + CDF_TOL:
-                return False
+    _check_close_args(eps, n, k)
+    for fa, fb in _cdf_pairs(a, b):
+        var = max(0.0, min(fa * (1.0 - fa), fb * (1.0 - fb)))
+        bound = sqrt(var * eps * eps / (4.0 * n * k)) + eps * eps / (2.0 * n * k)
+        if abs(fa - fb) > bound + CDF_TOL:
+            return False
     return True
 
 
 def is_close_uniform(a: ProductDist, b: ProductDist, eps: float, n: int, k: float) -> bool:
     """Uniform closeness: every CDF gap at most eps / sqrt(nk)."""
-    _check_close_args(a, b, eps, n, k)
+    _check_close_args(eps, n, k)
     bound = eps / sqrt(n * k)
-    for ai, bi in zip(a, b):
-        for fa, fb in _checkpoint_pairs(ai, bi):
-            if abs(fa - fb) > bound + CDF_TOL:
-                return False
-    return True
+    return not any(abs(fa - fb) > bound + CDF_TOL for fa, fb in _cdf_pairs(a, b))
 
 
 def min_closeness_eps(a: ProductDist, b: ProductDist, n: int, k: float) -> float:
@@ -238,28 +255,20 @@ def min_closeness_eps(a: ProductDist, b: ProductDist, n: int, k: float) -> float
     Solved per checkpoint from the closed-form bound (a quadratic in eps)
     and maximized; may exceed 1, in which case no valid eps exists.
     """
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     worst = 0.0
     qa = 1.0 / (2.0 * n * k)
-    for ai, bi in zip(a, b):
-        for fa, fb in _checkpoint_pairs(ai, bi):
-            gap = abs(fa - fb)
-            if gap <= CDF_TOL:
-                continue
-            var = max(0.0, min(fa * (1.0 - fa), fb * (1.0 - fb)))
-            qb = sqrt(var / (4.0 * n * k))
-            eps_pt = (-qb + sqrt(qb * qb + 4.0 * qa * gap)) / (2.0 * qa)
-            worst = max(worst, eps_pt)
+    for fa, fb in _cdf_pairs(a, b):
+        gap = abs(fa - fb)
+        if gap <= CDF_TOL:
+            continue
+        var = max(0.0, min(fa * (1.0 - fa), fb * (1.0 - fb)))
+        qb = sqrt(var / (4.0 * n * k))
+        eps_pt = (-qb + sqrt(qb * qb + 4.0 * qa * gap)) / (2.0 * qa)
+        worst = max(worst, eps_pt)
     return worst
 
 
 def min_uniform_closeness_eps(a: ProductDist, b: ProductDist, n: int, k: float) -> float:
     """Smallest eps at which is_close_uniform(a, b, eps, n, k) holds."""
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    worst = 0.0
-    for ai, bi in zip(a, b):
-        for fa, fb in _checkpoint_pairs(ai, bi):
-            worst = max(worst, abs(fa - fb))
+    worst = max((abs(fa - fb) for fa, fb in _cdf_pairs(a, b)), default=0.0)
     return worst * sqrt(n * k)

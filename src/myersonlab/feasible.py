@@ -168,34 +168,15 @@ def is_downward_closed(fs: FeasibleSet) -> bool:
 
 
 def is_matroid(fs: FeasibleSet) -> bool:
-    """Empty set present, downward closed, and the exchange property holds."""
+    """Empty set present, downward closed, and the exchange property holds.
+
+    In a downward-closed family a failed exchange between any two sizes
+    shrinks to one between sizes one apart, so find_exchange_violation
+    decides the exchange property.
+    """
     if fs.sets_view is None:
         raise ValueError("matroid check needs a binary set system")
-    view = fs.sets_view
-    if 0 not in view:
-        return False
-    if not is_downward_closed(fs):
-        return False
-    have = set(view)
-    by_size: dict[int, list[int]] = {}
-    for m in view:
-        by_size.setdefault(bin(m).count("1"), []).append(m)
-    sizes = sorted(by_size)
-    for small_sz in sizes:
-        for big_sz in sizes:
-            if big_sz <= small_sz:
-                continue
-            for sp in by_size[small_sz]:
-                for s in by_size[big_sz]:
-                    diff = s & ~sp
-                    ok = False
-                    for i in members(diff):
-                        if sp | (1 << i) in have:
-                            ok = True
-                            break
-                    if not ok:
-                        return False
-    return True
+    return 0 in fs.sets_view and is_downward_closed(fs) and find_exchange_violation(fs) is None
 
 
 def find_exchange_violation(
@@ -246,13 +227,18 @@ def demand_reduce(fs: FeasibleSet, d: float) -> FeasibleSet:
 
 
 def feasible_from_json(obj: dict) -> FeasibleSet:
+    if not isinstance(obj, dict):
+        raise ValueError("a feasible system is an object with a 'type' field")
     kind = obj.get("type")
-    if kind == "sets":
-        return from_independent_sets(obj["n"], obj["sets"])
-    if kind == "uniform_matroid":
-        return uniform_matroid(obj["n"], obj["k"])
-    if kind == "all_or_nothing":
-        return all_or_nothing(obj["n"], obj["k"])
-    if kind == "vertices":
-        return from_vertices(obj["vectors"])
+    try:
+        if kind == "sets":
+            return from_independent_sets(obj["n"], obj["sets"])
+        if kind == "uniform_matroid":
+            return uniform_matroid(obj["n"], obj["k"])
+        if kind == "all_or_nothing":
+            return all_or_nothing(obj["n"], obj["k"])
+        if kind == "vertices":
+            return from_vertices(obj["vectors"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {kind!r} feasible system ({exc})") from exc
     raise ValueError(f"unknown feasible-set type {kind!r}")

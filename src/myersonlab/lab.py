@@ -7,6 +7,8 @@ randomness is derived from (seed, trial index) so reports are reproducible.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from itertools import product as iproduct
@@ -40,7 +42,6 @@ from .feasible import (
     disjoint_union,
     find_exchange_violation,
     is_downward_closed,
-    is_matroid,
     minimum_non_matroid,
     uniform_matroid,
 )
@@ -84,11 +85,16 @@ class Report:
         return json.dumps(self.to_json(), sort_keys=True)
 
     def csv_rows(self) -> list[str]:
+        """One CSV line per metric: experiment, params, metric, value, verdict."""
         par = ";".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return [
-            f"{self.experiment},{par},{name},{value!r},{self.verdict}"
-            for name, value in sorted(self.metrics.items())
-        ]
+        rows = []
+        for name, value in sorted(self.metrics.items()):
+            line = io.StringIO()
+            csv.writer(line, lineterminator="").writerow(
+                [self.experiment, par, name, repr(value), self.verdict]
+            )
+            rows.append(line.getvalue())
+        return rows
 
 
 def _report(experiment, params, metrics, ok, seed=None) -> Report:
@@ -182,9 +188,10 @@ def embed_counterexample(fs: FeasibleSet, eps: float = 0.1) -> Report:
         raise PreconditionError("embedding limited to n <= 10")
     if not is_downward_closed(fs):
         raise PreconditionError("embedding needs a downward-closed system")
-    if is_matroid(fs):
+    witness = find_exchange_violation(fs)
+    if witness is None:
         raise PreconditionError("system is a matroid; nothing to embed")
-    s_big, s_small = find_exchange_violation(fs)
+    s_big, s_small = witness
     inter = set(s_big) & set(s_small)
     side_a = sorted(set(s_small) - set(s_big))
     side_bc = sorted(set(s_big) - set(s_small))
@@ -232,6 +239,16 @@ def embed_counterexample(fs: FeasibleSet, eps: float = 0.1) -> Report:
 # inequality checks
 
 
+def _require_dominated_close(dd, dtilde, eps, n, k, uniform) -> None:
+    """Raise PreconditionError unless dd dominates dtilde and is eps-close to it."""
+    if not dominates(dd, dtilde):
+        raise PreconditionError("dominance precondition fails")
+    close = is_close_uniform if uniform else is_close
+    if not close(dd, dtilde, eps, n, k):
+        kind = "uniform closeness" if uniform else "closeness"
+        raise PreconditionError(f"{kind} fails at eps={eps!r}")
+
+
 def check_approx_monotone(
     dd: ProductDist,
     dtilde: ProductDist,
@@ -243,16 +260,8 @@ def check_approx_monotone(
     if dd.n != fs.n or dtilde.n != fs.n:
         raise ValueError("distribution and system dimensions disagree")
     n, k = fs.n, fs.rank
-    if not dominates(dd, dtilde):
-        raise PreconditionError("dominance precondition fails")
-    if uniform:
-        if not is_close_uniform(dd, dtilde, eps, n, k):
-            raise PreconditionError(f"uniform closeness fails at eps={eps!r}")
-        slack = sqrt(n / k) * eps
-    else:
-        if not is_close(dd, dtilde, eps, n, k):
-            raise PreconditionError(f"closeness fails at eps={eps!r}")
-        slack = eps
+    _require_dominated_close(dd, dtilde, eps, n, k, uniform)
+    slack = sqrt(n / k) * eps if uniform else eps
     a = myerson(dtilde, fs)
     on_design = expected_revenue(a, dtilde)
     on_dominating = expected_revenue(a, dd)
@@ -270,13 +279,8 @@ def check_approx_monotone(
 
 def _quantile_segments(d: ValueDist) -> list[tuple[float, float, float]]:
     """Partition of [0, 1) into (q_lo, q_hi, value) runs of the quantile-to-value map."""
-    segs = []
-    acc = 0.0
-    for j in range(len(d.support) - 1, -1, -1):
-        hi = 1.0 if j == 0 else acc + d.probs[j]
-        segs.append((acc, hi, d.support[j]))
-        acc = hi
-    return segs
+    tails = d._above
+    return [(tails[j + 1], tails[j], d.support[j]) for j in range(len(d.support) - 1, -1, -1)]
 
 
 def check_single_bidder_bound(
@@ -297,15 +301,10 @@ def check_single_bidder_bound(
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta {theta!r} outside [0, 1]")
-    if not dominates(dd, dtilde):
-        raise PreconditionError("dominance precondition fails")
+    _require_dominated_close(dd, dtilde, eps, n, k, uniform)
     if uniform:
-        if not is_close_uniform(dd, dtilde, eps, n, k):
-            raise PreconditionError(f"uniform closeness fails at eps={eps!r}")
         slack = eps / sqrt(n * k)
     else:
-        if not is_close(dd, dtilde, eps, n, k):
-            raise PreconditionError(f"closeness fails at eps={eps!r}")
         slack = sqrt(theta * eps * eps / (4.0 * n * k)) + eps * eps / (2.0 * n * k)
     if ironing_intervals(dtilde[i]):
         raise PreconditionError("design prior coordinate is not regular")
@@ -418,6 +417,8 @@ def run_sample_complexity(
     the downward-closed formula when the system qualifies, else the general
     one.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     setting = (
         "downward_closed"
         if fs.sets_view is not None and is_downward_closed(fs)
@@ -469,6 +470,8 @@ def run_lb_family(
     """
     if eps > 0.01:
         raise ValueError("eps above 1/100")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if n < 2:
         raise ValueError("at least two bidders required")
     shift = 48.0 * eps / (n * k)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import csv
 import json
 
 import pytest
@@ -73,6 +74,14 @@ class TestEmbed:
         code, out, _ = run(capsys, ["embed", "--feasible", minnon_file])
         assert code == 0
         assert json.loads(out)["metrics"]["gap"] == pytest.approx(0.135, abs=1e-9)
+
+    def test_csv_rows_have_five_fields(self, capsys, minnon_file):
+        code, out, _ = run(capsys, ["embed", "--feasible", minnon_file, "--format", "csv"])
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert len(rows) == 7 and rows[0] == ["experiment", "params", "metric", "value", "verdict"]
+        assert all(len(row) == 5 for row in rows)
+        assert ["embed", "eps=0.1;n=3", "violating_set", "[1, 2]", "pass"] in rows
 
     def test_matroid_input_is_an_input_error(self, capsys, tmp_path):
         fs = write_json(tmp_path / "m.json", {"type": "uniform_matroid", "n": 3, "k": 2})
@@ -185,6 +194,57 @@ class TestErrors:
         code, _, err = run(capsys, ["curves", "--dist", str(bad)])
         assert code == 1
         assert err
+
+    @pytest.mark.parametrize(
+        "obj", [{"support": 5, "probs": [1]}, [{"support": [0.5], "probs": [1.0]}]]
+    )
+    def test_malformed_dist_shape(self, capsys, tmp_path, obj):
+        dist = write_json(tmp_path / "d.json", obj)
+        code, out, err = run(capsys, ["curves", "--dist", dist])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("subcommand", ["curves", "approx-monotone", "sample-complexity"])
+    def test_lowest_mass_lost_in_tail_sum(self, capsys, tmp_path, minnon_file, subcommand):
+        d = {"support": [0.1, 0.5, 0.9], "probs": [1e-20, 0.5, 0.5]}
+        one = write_json(tmp_path / "one.json", d)
+        dist = write_json(tmp_path / "d.json", [d, d, d])
+        argv = {
+            "curves": ["curves", "--dist", one],
+            "approx-monotone": ["approx-monotone", "--dd", dist, "--dtilde", dist,
+                                "--feasible", minnon_file, "--eps", "0.1"],
+            "sample-complexity": ["sample-complexity", "--dist", dist,
+                                  "--feasible", minnon_file, "--trials", "1"],
+        }[subcommand]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "lost" in err
+
+    @pytest.mark.parametrize(
+        "obj", [[{"type": "uniform_matroid", "n": 3, "k": 2}], {"type": "sets", "n": 3, "sets": 5}]
+    )
+    def test_malformed_feasible_shape(self, capsys, tmp_path, obj):
+        fs = write_json(tmp_path / "fs.json", obj)
+        code, _, err = run(capsys, ["embed", "--feasible", fs])
+        assert code == 1
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lb-family", "--n", "4", "--k", "2", "--eps", "0.01", "--budget", "1",
+             "--trials", "0"],
+            ["sample-complexity", "--trials", "0"],
+        ],
+    )
+    def test_zero_trials(self, capsys, tmp_path, minnon_file, argv):
+        if argv[0] == "sample-complexity":
+            d = {"support": [0.5], "probs": [1.0]}
+            dist = write_json(tmp_path / "d.json", [d, d, d])
+            argv = argv + ["--feasible", minnon_file, "--dist", dist]
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert err.startswith("error:") and "trials" in err
 
     def test_fail_verdict_exit_code(self, capsys, tmp_path):
         # starving the learner of samples makes every trial miss the optimum

@@ -1,5 +1,7 @@
 """Revenue curves, ironing, virtual values, and monopoly pricing."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,10 @@ from myersonlab.curves import (
     virtual_table,
     RevenueCurve,
 )
-from myersonlab.dist import make_discrete, point_mass
+from myersonlab.dist import ProductDist, discretize_uniform_with_atom, make_discrete, point_mass
+from myersonlab.learn import dominated_empirical, draw_samples
 
+import oracles
 from test_dist import TWO_POINT, value_dists
 
 
@@ -164,3 +168,39 @@ class TestMonopoly:
         price, rev = monopoly(make_discrete([1 / 3, 2 / 3, 1.0], [1 / 3, 1 / 3, 1 / 3]))
         assert price == pytest.approx(2 / 3)
         assert rev == pytest.approx(4 / 9)
+
+
+def learned_prior(step, count, seed):
+    prior = ProductDist((discretize_uniform_with_atom(0.55, 0.1, step),))
+    return dominated_empirical(draw_samples(prior, count, seed), 0.1)[0]
+
+
+class TestOneWalkOracle:
+    """The one-walk table and intervals equal the per-atom and per-segment scans exactly."""
+
+    @given(value_dists(8))
+    @settings(max_examples=200, deadline=None)
+    def test_random_distributions(self, d):
+        assert virtual_table(d).slopes == oracles.virtual_slopes(d)
+        assert ironing_intervals(d) == oracles.ironing_intervals(d)
+
+    def test_learned_prior(self):
+        d = learned_prior(0.001, 1726, 0)
+        assert len(d.support) > 700
+        assert virtual_table(d).slopes == oracles.virtual_slopes(d)
+        assert ironing_intervals(d) == oracles.ironing_intervals(d)
+
+
+def test_virtual_tables_of_fresh_priors_leave_memory_flat():
+    # a module-level memo would keep every learned prior and its table alive
+    learned_prior(0.01, 300, 0)
+    tracemalloc.start()
+    try:
+        virtual_table(learned_prior(0.01, 300, 1))
+        before = tracemalloc.get_traced_memory()[0]
+        for seed in range(2, 202):
+            virtual_table(learned_prior(0.01, 300, seed))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from myersonlab.dist import (
     ProductDist,
     ValueDist,
@@ -25,6 +26,8 @@ from myersonlab.dist import (
     uniform_grid,
     value_of_quantile,
 )
+from myersonlab.feasible import feasible_from_json
+from myersonlab.learn import dominated_empirical, draw_samples
 
 
 @st.composite
@@ -37,6 +40,31 @@ def value_dists(draw, max_atoms=5):
 
 
 TWO_POINT = make_discrete([0.1, 1.0], [0.9, 0.1])
+
+# JSON inputs for the parsers: well-formed documents, and arbitrary nestings
+# of the keys and scalars those documents use
+WELL_FORMED_JSON = st.one_of(
+    value_dists().map(ValueDist.to_json),
+    st.lists(value_dists().map(ValueDist.to_json), min_size=1, max_size=3),
+    st.builds(
+        lambda kind, n, k: {"type": kind, "n": n, "k": k},
+        st.sampled_from(["uniform_matroid", "all_or_nothing"]),
+        st.integers(1, 4),
+        st.integers(1, 4),
+    ),
+    st.sampled_from([
+        {"type": "sets", "n": 3, "sets": [[], [0], [1], [2], [1, 2]]},
+        {"type": "vertices", "vectors": [[0, 0], [0.5, 0.5]]},
+    ]),
+)
+JSON_KEYS = ["support", "probs", "type", "n", "k", "sets", "vectors"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-1.0, 2.0) | st.just(math.nan)
+    | st.sampled_from(["", "0.5", "sets", "uniform_matroid", "all_or_nothing", "vertices"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(JSON_KEYS), inner, max_size=4),
+    max_leaves=12,
+)
 
 
 class TestMakeDiscrete:
@@ -72,6 +100,28 @@ class TestMakeDiscrete:
     def test_negative_probability(self):
         with pytest.raises(ValueError, match="negative"):
             make_discrete([0.1, 0.2], [1.2, -0.2])
+
+    @pytest.mark.parametrize(
+        "values, probs",
+        [
+            ([0.2, 0.8], [0.5, math.nan]),
+            ([0.2, math.nan], [0.5, 0.5]),
+            ([0.2, 0.8], [math.inf, 0.5]),
+        ],
+    )
+    def test_non_finite(self, values, probs):
+        with pytest.raises(ValueError):
+            make_discrete(values, probs)
+
+    @pytest.mark.parametrize("probs", [[1e-20, 0.5, 0.5], [1e-13, 0.5 + 1e-13, 0.5]])
+    def test_lowest_mass_lost_in_tail_sum(self, probs):
+        # the upper atoms alone sum to 1 or more, so the lowest would sit at quantile 1 twice
+        with pytest.raises(ValueError, match="lost"):
+            make_discrete([0.1, 0.5, 0.9], probs)
+
+    def test_tiny_lowest_mass_kept_when_it_shows(self):
+        d = make_discrete([0.1, 0.5, 0.9], [3e-13, 0.5, 0.5 - 3e-13])
+        assert d._above[1] < 1.0 == d._above[0]
 
 
 class TestCdfAndQuantiles:
@@ -245,6 +295,34 @@ class TestJson:
         p = product_dist(TWO_POINT, point_mass(0.5))
         assert ProductDist.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize(
+        "obj",
+        [{"support": 5, "probs": [1]}, {"support": [[0.5]], "probs": [1]}, {"probs": [1]},
+         [TWO_POINT.to_json()], None],
+    )
+    def test_malformed_value_dist(self, obj):
+        with pytest.raises(ValueError):
+            ValueDist.from_json(obj)
+
+    @pytest.mark.parametrize("obj", [TWO_POINT.to_json(), 5, [5], [{"support": 5, "probs": [1]}]])
+    def test_malformed_product(self, obj):
+        with pytest.raises(ValueError):
+            ProductDist.from_json(obj)
+
+    @given(st.one_of(JSON_VALUES, WELL_FORMED_JSON))
+    @settings(max_examples=300, deadline=None)
+    def test_json_round_trips_or_raises_value_error(self, obj):
+        for parse, same in (
+            (ValueDist.from_json, lambda x, y: x == y),
+            (ProductDist.from_json, lambda x, y: x == y),
+            (feasible_from_json, lambda x, y: x.vertices == y.vertices),
+        ):
+            try:
+                parsed = parse(obj)
+            except ValueError:
+                continue
+            assert same(parse(parsed.to_json()), parsed)
+
 
 class TestHelpers:
     def test_uniform_grid(self):
@@ -257,3 +335,37 @@ class TestHelpers:
         assert 0.5 in d.support
         idx = d.support.index(0.5)
         assert d.probs[idx] >= 0.2
+
+
+@st.composite
+def product_pairs(draw):
+    n = draw(st.integers(1, 3))
+    return tuple(ProductDist(tuple(draw(value_dists(8)) for _ in range(n))) for _ in range(2))
+
+
+class TestCheckpointOracle:
+    """One merge walk over prefix sums gives the scalar point-by-point verdicts exactly."""
+
+    @staticmethod
+    def assert_agrees(a, b, n, k):
+        assert dominates(a, b) == oracles.dominates(a, b)
+        eps_close = min_closeness_eps(a, b, n, k)
+        eps_uniform = min_uniform_closeness_eps(a, b, n, k)
+        assert eps_close == oracles.min_closeness_eps(a, b, n, k)
+        assert eps_uniform == oracles.min_uniform_closeness_eps(a, b, n, k)
+        # at the smallest passing eps the comparison tolerance decides the verdict
+        for eps in {1.0, min(1.0, max(eps_close, 1e-3)), min(1.0, max(eps_uniform, 1e-3))}:
+            assert is_close(a, b, eps, n, k) == oracles.is_close(a, b, eps, n, k)
+            assert is_close_uniform(a, b, eps, n, k) == oracles.is_close_uniform(a, b, eps, n, k)
+
+    @given(product_pairs(), st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_random_pairs(self, pair, n, k):
+        self.assert_agrees(*pair, n, k)
+
+    def test_learned_prior(self):
+        prior = ProductDist(tuple(discretize_uniform_with_atom(v, 0.1, 0.01) for v in (0.55, 0.8)))
+        for seed in range(3):
+            learned = dominated_empirical(draw_samples(prior, 400, seed), 0.1)
+            self.assert_agrees(prior, learned, 2, 1)
+            self.assert_agrees(learned, prior, 2, 1)

@@ -20,6 +20,8 @@ from myersonlab.feasible import (
     uniform_matroid,
 )
 
+import oracles
+
 MINNON_SETS = [(), (0,), (1,), (2,), (1, 2)]
 
 
@@ -144,7 +146,9 @@ class TestExchangeViolation:
     def test_exhaustive_violation_iff_non_matroid(self, n):
         for fam in self._all_downward_closed(n):
             fs = from_independent_sets(n, [members(m) for m in fam])
-            assert (find_exchange_violation(fs) is None) == is_matroid(fs)
+            expected = oracles.is_matroid(fam)
+            assert (find_exchange_violation(fs) is None) == expected
+            assert is_matroid(fs) == expected
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_random_violation_iff_non_matroid(self, n):
@@ -163,7 +167,9 @@ class TestExchangeViolation:
                         fam.add(sum(1 << i for i in sub))
             fs = from_independent_sets(n, [members(m) for m in sorted(fam)])
             assert is_downward_closed(fs)
-            assert (find_exchange_violation(fs) is None) == is_matroid(fs)
+            expected = oracles.is_matroid(fam)
+            assert (find_exchange_violation(fs) is None) == expected
+            assert is_matroid(fs) == expected
 
 
 class TestDemandReduce:
@@ -219,3 +225,16 @@ class TestJson:
     def test_unknown_type(self):
         with pytest.raises(ValueError, match="unknown"):
             feasible_from_json({"type": "nope"})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [{"type": "uniform_matroid", "n": 3, "k": 2}],
+            {"type": "uniform_matroid", "n": 3},
+            {"type": "sets", "n": 3, "sets": [[0], 1]},
+            {"type": "vertices", "vectors": [0.5, 0.5]},
+        ],
+    )
+    def test_malformed_shape(self, obj):
+        with pytest.raises(ValueError):
+            feasible_from_json(obj)
