@@ -121,9 +121,6 @@ class VirtualTable:
         idx = self.segment(v)
         return NEG_INF if idx < 0 else self.slopes[idx]
 
-    def for_segment(self, idx: int):
-        return NEG_INF if idx < 0 else self.slopes[idx]
-
 
 def virtual_table(d: ValueDist) -> VirtualTable:
     """Envelope slope to the right of each support value's quantile, in one walk.

@@ -486,6 +486,8 @@ def run_lb_family(
         signs = list(iproduct((0, 1), repeat=n))
     else:
         signs = [tuple(int(b) for b in rng.integers(0, 2, size=n)) for _ in range(family_cap)]
+    profiles = [tuple(0.0 if j == i else 1.0 for j in range(n)) for i in range(n)]
+    wins: dict[ProductDist, list[bool]] = {}  # learned prior -> bidder i wins at profiles[i]
     total_regret = 0.0
     min_profile_prob = 1.0
     for mi, sign in enumerate(signs):
@@ -493,20 +495,20 @@ def run_lb_family(
         tables = [virtual_table(dj) for dj in member]
         phi_one = [t.at(1.0) for t in tables]
         phi_zero = [t.at(0.0) for t in tables]
+        vw_all = [
+            (k / n) * sum(phi_zero[j] if j == i else phi_one[j] for j in range(n))
+            for i in range(n)
+        ]
         dif_sums = [0.0] * n
         for t in range(trials):
             ss = np.random.SeedSequence(seed, spawn_key=(mi, t))
             samples = draw_samples(member, sample_budget, ss)
-            learned = myerson(dominated_empirical(samples, learner_delta), fs)
+            learned = dominated_empirical(samples, learner_delta)
+            if learned not in wins:
+                a = myerson(learned, fs)
+                wins[learned] = [allocate(a, p)[i] > 0.0 for i, p in enumerate(profiles)]
             for i in range(n):
-                profile = tuple(0.0 if j == i else 1.0 for j in range(n))
-                vw_all = (k / n) * sum(
-                    phi_zero[j] if j == i else phi_one[j] for j in range(n)
-                )
-                vw_best = max(0.0, vw_all)
-                chosen = allocate(learned, profile)
-                vw_alg = vw_all if chosen[i] > 0.0 else 0.0
-                dif_sums[i] += vw_best - vw_alg
+                dif_sums[i] += max(0.0, vw_all[i]) - (vw_all[i] if wins[learned][i] else 0.0)
         member_regret = 0.0
         for i in range(n):
             prob = 1.0

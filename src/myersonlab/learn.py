@@ -7,7 +7,7 @@ Natural logarithms throughout the sample-count and radius formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log, sqrt
+from math import ceil, inf, log, sqrt
 
 import numpy as np
 
@@ -114,8 +114,8 @@ def required_samples(
     downward_closed: C (nk / eps^2) ln(nk / (eps delta))
     general:         C (nk^2 / eps^2) ln(nk / eps) ln(nk / (eps delta))
     """
-    if min(n, k, eps, delta, C) <= 0 or eps >= 1 or delta >= 1:
-        raise ValueError("all parameters positive, eps and delta in (0, 1)")
+    if not (0 < eps < 1 and 0 < delta < 1 and all(0 < x < inf for x in (n, k, C))):
+        raise ValueError("n, k and C positive and finite, eps and delta in (0, 1)")
     if setting == "downward_closed":
         raw = C * (n * k / eps**2) * log(n * k / (eps * delta))
     elif setting == "general":

@@ -3,14 +3,18 @@
 Each function evaluates its definition directly, point by point, with
 quadratic cost: CDFs by a scalar left-to-right sum at every merged support
 point and at its left limit, virtual values by one envelope lookup per
-atom, ironed segments by a scan of the whole raw curve per segment, and
-the matroid exchange property over every pair of set sizes.
-The library must agree with them bit for bit.
+atom, ironed segments by a scan of the whole raw curve per segment, the
+matroid exchange property over every pair of set sizes, and the auction
+one profile at a time: a scalar welfare scan over the vertices, and a
+payment integral that re-runs it at each own-value breakpoint.
+The library must agree with them bit for bit, except that payments and
+revenue may differ in the last bits.
 """
 
+from itertools import product
 from math import sqrt
 
-from myersonlab.curves import iron, revenue_curve
+from myersonlab.curves import NEG_INF, iron, revenue_curve
 from myersonlab.dist import CDF_TOL, quantile_of_value
 from myersonlab.feasible import members
 
@@ -113,3 +117,62 @@ def is_matroid(view):
                     if not any(sp | (1 << i) in have for i in members(s & ~sp)):
                         return False
     return True
+
+
+def allocate(a, values):
+    """Vertex maximizing ironed virtual welfare, scanned in tie order.
+
+    Bidders below their prior's lowest atom get NEG_INF and sink: vertices
+    allocating to them are excluded while any other is left, and otherwise
+    every vertex is ranked by the welfare of its non-sunk part.
+    """
+    verts = a.feasible.vertices
+    phis = [t.at(v) for t, v in zip(a.virtual_tables, values)]
+    sunk = [i for i, p in enumerate(phis) if p is NEG_INF]
+    candidates = [j for j in a.tie_order if all(verts[j][i] <= 0.0 for i in sunk)]
+    if candidates:
+        eff = phis
+    else:
+        candidates = list(a.tie_order)
+        eff = [0.0 if p is NEG_INF else p for p in phis]
+    best = None
+    best_w = None
+    for j in candidates:
+        w = 0.0
+        for x, p in zip(verts[j], eff):
+            if x > 0.0:
+                w += x * p
+        if best_w is None or w > best_w:
+            best, best_w = j, w
+    return verts[best]
+
+
+def payments(a, values):
+    """p_i = v_i x_i minus the integral of x_i over own values in [0, v_i], for winners."""
+    values = tuple(float(v) for v in values)
+    x = allocate(a, values)
+    pays = [0.0] * a.feasible.n
+    for i, xi in enumerate(x):
+        if xi <= 0.0:
+            continue
+        vi = values[i]
+        starts = [0.0] + [s for s in a.prior[i].support if 0.0 < s <= vi]
+        integral = 0.0
+        for t0, t1 in zip(starts, starts[1:] + [vi]):
+            if t1 <= t0:
+                continue
+            xt = allocate(a, values[:i] + (t0,) + values[i + 1 :])[i]
+            integral += xt * (t1 - t0)
+        pays[i] = vi * xi - integral
+    return tuple(pays)
+
+
+def expected_revenue(a, eval_dist):
+    """Probability-weighted revenue over the full product of supports."""
+    total = 0.0
+    for combo in product(*[list(zip(d.support, d.probs)) for d in eval_dist]):
+        prob = 1.0
+        for _, p in combo:
+            prob *= p
+        total += prob * sum(payments(a, tuple(v for v, _ in combo)))
+    return total

@@ -1,11 +1,14 @@
 """Allocation rule, threshold payments, and revenue evaluation."""
 
+import tracemalloc
 from itertools import product as iproduct
 
 import numpy as np
 import pytest
 
+import oracles
 from myersonlab.auction import (
+    _BLOCK,
     CrossCheckError,
     EnumerationCapError,
     allocate,
@@ -25,6 +28,7 @@ from myersonlab.lab import (
     nonmonotone_gadget,
     random_feasible,
     random_product,
+    random_value_dist,
 )
 
 EPS = 0.1
@@ -217,3 +221,116 @@ class TestForcedAllocation:
         assert allocate(a, (0.1,)) == (1.0,)
         # the forced winner pays nothing: it never stops winning
         assert payments(a, (0.5,)) == pytest.approx((0.0,), abs=1e-12)
+
+
+ATOMS = [j / 8 for j in range(1, 9)]
+
+
+def random_system(rng, n):
+    """A uniform matroid, the minimum non-matroid, all-or-nothing, or fractional vertices."""
+    if rng.random() < 0.75:
+        return random_feasible(rng, n)
+    coords = np.array([0.0, 0.25, 0.5, 1.0])
+    verts = []  # none of them zero
+    while len(verts) < int(rng.integers(1, 6)):
+        v = coords[rng.integers(0, 4, size=n)]
+        if v.any():
+            verts.append(v.tolist())
+    return from_vertices(verts)
+
+
+def random_prior(rng, n):
+    return ProductDist(tuple(random_value_dist(rng, 4, ATOMS) for _ in range(n)))
+
+
+def probe_values(d):
+    """Values on the support atoms, between them, and below the lowest."""
+    s = d.support
+    return [0.0, s[0] / 2, *s, *((u + v) / 2 for u, v in zip(s, s[1:]))]
+
+
+class TestAgainstScalarReference:
+    """The array kernel against the one-profile-at-a-time allocator and payment loop."""
+
+    def check_profile(self, a, values):
+        assert allocate(a, values) == oracles.allocate(a, values)
+        assert payments(a, values) == pytest.approx(oracles.payments(a, values), abs=1e-12)
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(120):
+            n = int(rng.integers(1, 5))
+            prior = random_prior(rng, n)
+            a = myerson(prior, random_system(rng, n))
+            probes = [probe_values(d) for d in prior]
+            for _ in range(25):
+                values = tuple(float(rng.choice(p)) for p in probes)
+                self.check_profile(a, values)
+            other = random_prior(rng, n)
+            for dist in (prior, other):
+                assert expected_revenue(a, dist) == pytest.approx(
+                    oracles.expected_revenue(a, dist), abs=1e-12
+                )
+
+    def test_every_vertex_touches_a_cell_zero_bidder(self):
+        fs = from_vertices([[1.0, 0.5], [0.5, 1.0], [0.25, 0.25]])
+        prior = product_dist(
+            make_discrete([0.25, 1.0], [0.5, 0.5]), make_discrete([0.5, 0.75], [0.5, 0.5])
+        )
+        a = myerson(prior, fs)
+        for values in iproduct([0.0, 0.125, 0.25, 1.0], [0.0, 0.25, 0.5, 0.75]):
+            self.check_profile(a, values)
+
+    def test_loser_whose_allocation_falls_from_cell_zero_pays_nothing(self):
+        # bidder 1 sits below its lowest atom and both vertices allocate to
+        # it; bidder 0 wins in cell 0 (welfare 0 ties, first in tie order)
+        # and loses in cell 1, where its virtual value is -0.75
+        fs = from_vertices([[1.0, 1.0], [0.0, 1.0]])
+        prior = product_dist(
+            make_discrete([0.125, 1.0], [0.5, 0.5]), make_discrete([0.5, 1.0], [0.5, 0.5])
+        )
+        a = myerson(prior, fs)
+        assert allocate(a, (0.05, 0.25)) == (1.0, 1.0)
+        assert allocate(a, (0.125, 0.25)) == (0.0, 1.0)
+        assert payments(a, (0.125, 0.25)) == (0.0, 0.0)
+        self.check_profile(a, (0.125, 0.25))
+
+
+def test_payments_on_fresh_bids_leave_memory_flat():
+    prior = ProductDist(tuple(uniform_grid(np.linspace(0.01, 1.0, 40)) for _ in range(3)))
+    a = myerson(prior, uniform_matroid(3, 2))
+    bids = np.random.default_rng(3).random((2001, 3))
+    payments(a, tuple(bids[0]))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for row in bids[1:]:
+            payments(a, tuple(row))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
+
+
+def test_evaluation_memory_is_bounded_by_the_block():
+    # unblocked, each evaluation would hold over 10 * _BLOCK numbers at once:
+    # cell indices of its rows' own-value sweeps, or welfare scores per cell
+    many = ProductDist((make_discrete([0.5, 1.0], [0.5, 0.5]),) * 15)
+    wide = ProductDist(tuple(uniform_grid(np.linspace(0.01, 1.0, 60)) for _ in range(2)))
+    fractional = from_vertices([[p / 7, q / 7] for p in range(8) for q in range(8 - p)])
+    unanimous = myerson(many, all_or_nothing(15, 15))
+    item = myerson(wide, uniform_matroid(2, 1))
+    evaluations = {
+        "exact, 2^15 profiles": lambda: expected_revenue(unanimous, many),
+        "welfare, 36 vertices": lambda: expected_virtual_welfare(myerson(wide, fractional)),
+        "monte carlo": lambda: expected_revenue_mc(item, wide, 3000, 0),
+    }
+    peaks = {}
+    for name, evaluate in evaluations.items():
+        tracemalloc.start()
+        try:
+            evaluate()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 64 * _BLOCK, peaks

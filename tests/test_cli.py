@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import csv
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from myersonlab.cli import main
 
@@ -246,6 +250,15 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error:") and "trials" in err
 
+    @pytest.mark.parametrize("flag", [["--constant", "inf"], ["--eps", "nan"]])
+    def test_non_finite_sample_parameters(self, capsys, tmp_path, minnon_file, flag):
+        d = {"support": [0.5], "probs": [1.0]}
+        dist = write_json(tmp_path / "d.json", [d, d, d])
+        argv = ["sample-complexity", "--feasible", minnon_file, "--dist", dist, "--trials", "1"]
+        code, out, err = run(capsys, argv + flag)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
     def test_fail_verdict_exit_code(self, capsys, tmp_path):
         # starving the learner of samples makes every trial miss the optimum
         grid = {"support": [round(0.1 * j, 10) for j in range(1, 11)], "probs": [0.1] * 10}
@@ -266,3 +279,68 @@ class TestErrors:
         )
         assert code == 2
         assert json.loads(out)["verdict"] == "fail"
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def floats(*in_range):
+    """A few in-range values and the out-of-range and non-finite ones every flag must survive."""
+    return st.sampled_from([*in_range, "0", "-0.5", "nan", "inf", "-inf"])
+
+
+# in-range values and integer ranges small enough that no example builds 5^k
+# vertices or a large sample matrix
+FLAGS = {
+    "nonmonotone": {"eps": floats("0.1", "0.3")},
+    "copies": {"k": ints(2, 8), "trials": st.none() | ints(-2, 20), "seed": ints(0, 3)},
+    "embed": {"feasible": st.just("fs"), "eps": floats("0.1", "0.3")},
+    "approx-monotone": {
+        "dd": st.just("prior"), "dtilde": st.just("prior"), "feasible": st.just("fs"),
+        "eps": floats("0.2", "1.0"),
+    },
+    "lipschitz-lb": {"n": ints(1, 6), "k": ints(2, 8), "eps": floats("0.01", "0.5")},
+    "sample-complexity": {
+        "feasible": st.just("fs"), "dist": st.just("prior"), "eps": floats("0.2", "0.5"),
+        "delta": floats("0.2", "0.5"), "constant": floats("0.05", "0.5"),
+        "trials": ints(-2, 20), "seed": ints(0, 3),
+    },
+    "lb-family": {
+        "n": ints(1, 6), "k": ints(2, 8), "eps": floats("0.001", "0.01"),
+        "budget": ints(-2, 20), "trials": ints(-2, 20), "seed": ints(0, 3),
+    },
+    "curves": {"dist": st.just("one")},
+}
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    bc = {"support": [0.1, 1.0], "probs": [0.9, 0.1]}
+    minnon = {"type": "sets", "n": 3, "sets": [[], [0], [1], [2], [1, 2]]}
+    return {
+        "fs": write_json(root / "fs.json", minnon),
+        "prior": write_json(root / "prior.json", [{"support": [0.5], "probs": [1.0]}, bc, bc]),
+        "one": write_json(root / "one.json", bc),
+    }
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_invocation_exits_cleanly(input_files, data):
+    command = data.draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command, "--format", data.draw(st.sampled_from(["json", "csv"]))]
+    for flag, values in FLAGS[command].items():
+        value = data.draw(values, label=flag)
+        if value is not None:
+            # --flag=value, so that argparse does not read "-inf" as a flag
+            argv.append(f"--{flag}={input_files.get(value, value)}")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

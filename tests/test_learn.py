@@ -1,6 +1,6 @@
 """Sampling, learned priors, concentration radii, and Hellinger distances."""
 
-from math import ceil, log, sqrt
+from math import ceil, inf, log, nan, sqrt
 
 import numpy as np
 import pytest
@@ -212,6 +212,21 @@ class TestRequiredSamples:
     def test_unknown_setting(self):
         with pytest.raises(ValueError, match="setting"):
             required_samples("matroidal", 2, 1, 0.1, 0.1, 1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2, 1, 0.1, 0.1, inf),
+            (2, 1, nan, 0.1, 1),
+            (2, 1, 0.1, nan, 1),
+            (2, inf, 0.1, 0.1, 1),
+            (nan, 1, 0.1, 0.1, 1),
+            (2, 1, 0.1, 0.1, 0),
+        ],
+    )
+    def test_rejects_non_finite_and_non_positive(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            required_samples("downward_closed", *args)
 
     def test_demand_reduction_rescaling(self):
         # scaling allocations by 1/d maps (k, eps) to (k/d, eps/d); the
