@@ -4,14 +4,22 @@ The auction precomputes each bidder's ironed-virtual-value step function
 from the prior, picks the vertex maximizing ironed virtual welfare, and
 charges the threshold payments that make the allocation truthful. Both
 depend on values only through each bidder's cell: cell 0 lies below the
-prior's lowest atom and cell c > 0 is virtual-table segment c - 1. Every
-evaluation, exact or Monte Carlo, runs blocks of cell profiles through one
-kernel. Auction objects hold read-only arrays and no other state.
+prior's lowest atom and cell c > 0 is virtual-table segment c - 1.
+
+Payments and expectations are read off lines: a line fixes the cells of
+all bidders but one and runs that bidder's cell from 0 upward. One kernel
+call finds the winner at every point of a block of lines, and a running
+sum of threshold steps along each line gives the owner's payment at every
+point. Exact expectations run, per bidder, one line for each cell profile
+of the others, up to the bidder's highest occupied cell: sum_i
+(profiles / |occupied_i|) * top_i kernel rows in place of profiles * n *
+top. Auction objects hold read-only arrays and no other state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import inf, prod, sqrt
 
 import numpy as np
@@ -90,9 +98,9 @@ def _winners(a: Auction, cells: np.ndarray) -> np.ndarray:
     for start in range(0, len(cells), step):
         chunk = cells[start : start + step]
         welfare = np.zeros((len(chunk), len(verts)))
-        for i, phi in enumerate(a._phis):
-            welfare += phi[chunk[:, i], None] * verts[:, i]
-        sunk = (chunk == 0).astype(float) @ verts.T > 0.0
+        for phi, own, share in zip(a._phis, chunk.T, verts.T):
+            welfare += phi[own][:, None] * share
+        sunk = (chunk == 0) @ verts.T > 0.0
         best = np.where(sunk, -np.inf, welfare).argmax(axis=1)
         forced = sunk[np.arange(len(chunk)), best]  # every vertex allocates to a cell-0 bidder
         best[forced] = welfare[forced].argmax(axis=1)
@@ -100,31 +108,41 @@ def _winners(a: Auction, cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows_per_block(a: Auction) -> int:
-    """Rows whose own-cell sweeps hold at most _BLOCK cell indices, n per swept cell."""
-    return max(1, _BLOCK // (a._phis.size * len(a._phis)))
+def _sweep(
+    a: Auction, lines: np.ndarray, owner: np.ndarray, tops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Owner's allocation and threshold payment along each line of cells.
 
-
-def _outcomes(a: Auction, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Allocations and threshold payments at each row of a (rows, n) cell matrix.
-
-    The rows go through one kernel call together with every bidder's sweep
-    over its own cells, the others held fixed; callers pass at most
-    _rows_per_block rows. By the payment identity a winner pays
-    sum_k threshold[k-1] * (x_i[k] - x_i[k-1]) over k = 1..c_i, and a bidder
+    Row l of the (lines, n) matrix fixes every bidder but owner[l], whose
+    cell runs over 0..tops[l]-1; all rows of all lines go through one kernel
+    call. Returns (lines, max(tops)) arrays; entries at or past a line's top
+    are meaningless. By the payment identity a winner in cell c pays
+    sum_k threshold[k-1] * (x[k] - x[k-1]) over k = 1..c, and a bidder
     allocated nothing pays nothing.
     """
+    top = tops.max()
+    own = np.arange(top)
+    valid = own < tops[:, None]
+    rows = lines.repeat(tops, axis=0)
+    row_starts = np.arange(len(rows)) * rows.shape[1]  # flat index of each row's bidder 0
+    rows.reshape(-1)[row_starts + owner.repeat(tops)] = (valid * own)[valid]
+    wins = np.zeros(valid.shape, dtype=np.intp)
+    wins[valid] = _winners(a, rows)
+    x = a._verts[wins, owner[:, None]]
+    pay = np.zeros(x.shape)
+    ((x[:, 1:] - x[:, :-1]) * a._thresholds[owner, : top - 1]).cumsum(axis=1, out=pay[:, 1:])
+    return x, np.where(x > 0.0, pay, 0.0)
+
+
+def _payments(a: Auction, cells: np.ndarray) -> np.ndarray:
+    """Threshold payments at each row of a (rows, n) cell matrix.
+
+    Each bidder's line runs from its cell 0 up to its own cell in the row.
+    """
     rows, n = cells.shape
-    bidders = np.arange(n)
-    top = cells.max() + 1
-    # sweeps[r, i, k] is row r with bidder i's cell set to k
-    sweeps = np.repeat(cells[:, None, :], n * top, axis=1).reshape(rows, n, top, n)
-    sweeps[:, bidders, :, bidders] = np.arange(top)
-    wins = _winners(a, sweeps.reshape(-1, n)).reshape(rows, n, top)
-    x = a._verts[wins[np.arange(rows), 0, cells[:, 0]]]
-    steps = np.diff(a._verts[wins, bidders[:, None]], axis=2) * a._thresholds[:, : top - 1]
-    steps[np.arange(1, top) > cells[:, :, None]] = 0.0
-    return x, np.where(x > 0.0, steps.sum(axis=2), 0.0)
+    own = cells.reshape(-1)
+    _, pay = _sweep(a, cells.repeat(n, axis=0), np.tile(np.arange(n), rows), own + 1)
+    return pay[np.arange(rows * n), own].reshape(rows, n)
 
 
 def _cells(a: Auction, profiles) -> np.ndarray:
@@ -139,8 +157,7 @@ def allocate(a: Auction, values) -> tuple[float, ...]:
     Vertices giving positive allocation to a bidder below its prior's
     lowest atom are excluded while any alternative exists.
     """
-    x, _ = _outcomes(a, _cells(a, [values]))
-    return tuple(x[0].tolist())
+    return tuple(a._verts[_winners(a, _cells(a, [values]))[0]].tolist())
 
 
 def payments(a: Auction, values) -> tuple[float, ...]:
@@ -149,47 +166,67 @@ def payments(a: Auction, values) -> tuple[float, ...]:
     x_i as a function of own value is a step function whose breakpoints are
     the prior's support values, so the integral is an exact finite sum.
     """
-    _, pay = _outcomes(a, _cells(a, [values]))
-    return tuple(pay[0].tolist())
+    return tuple(_payments(a, _cells(a, [values]))[0].tolist())
 
 
 def revenue_on_profile(a: Auction, values) -> float:
     return sum(payments(a, values))
 
 
-def _expectation(a: Auction, dist: ProductDist, cap: float) -> np.ndarray:
+def _expectation(a: Auction, dist: ProductDist, cap: float) -> tuple[float, float]:
     """Expected revenue and expected ironed virtual welfare under dist.
 
-    Atoms of one bidder that fall into the same cell are merged, and the
-    distinct cell profiles are enumerated in blocks of rows.
+    Atoms of one bidder that fall into the same cell are merged. Bidder i's
+    terms are summed along its lines, one for each cell profile of the
+    others, weighted by that profile's probability and, at each own cell up
+    to i's highest occupied one, by that cell's mass. Blocks of lines, in
+    order of owner and then of the others' profile, share one sweep.
     """
     if dist.n != a.feasible.n:
         raise ValueError(f"evaluation distribution has {dist.n} bidders, need {a.feasible.n}")
-    axes = []
-    for t, d in zip(a.virtual_tables, dist):
-        mass = np.bincount(np.searchsorted(t.thresholds, d.support, side="right"), weights=d.probs)
-        occupied = np.flatnonzero(mass)
-        axes.append((occupied, mass[occupied]))
-    shape = tuple(len(c) for c, _ in axes)
-    count = prod(shape)
+    mass = np.zeros(a._phis.shape)
+    tops = []
+    for i, (t, d) in enumerate(zip(a.virtual_tables, dist)):
+        m = np.bincount(np.searchsorted(t.thresholds, d.support, side="right"), weights=d.probs)
+        mass[i, : len(m)] = m
+        tops.append(len(m))
+    held = mass > 0.0
+    sizes = held.sum(axis=1).tolist()
+    count = prod(sizes)
     if count > cap:
         raise EnumerationCapError(f"{count} cell profiles exceed cap {cap}")
-    bidders = np.arange(a.feasible.n)
-    total = np.zeros(2)
-    step = _rows_per_block(a)
-    for start in range(0, count, step):
-        idx = np.unravel_index(np.arange(start, min(start + step, count)), shape)
-        cells = np.column_stack([c[j] for (c, _), j in zip(axes, idx)])
-        probs = np.prod([p[j] for (_, p), j in zip(axes, idx)], axis=0)
-        x, pay = _outcomes(a, cells)
-        welfare = (x * a._phis[bidders, cells]).sum(axis=1)
-        total += probs @ np.column_stack([pay.sum(axis=1), welfare])
-    return total
+    bidders = np.arange(len(sizes))
+    cells = (~held).argsort(axis=1, kind="stable")  # each row's occupied cells first, in order
+    top = max(tops)
+    tops = np.array(tops)
+    mass = mass[:, :top]
+    mass_phi = mass * a._phis[:, :top]
+    # Profiles of occupied cells are numbered row-major, with strides[k]
+    # per step of bidder k. Bidder i's line j starts at the profile whose
+    # number, with i's own digit 0, is j + (j // strides[i]) * skips[i].
+    strides = np.array([prod(sizes[k + 1 :]) for k in range(len(sizes))])
+    skips = strides * (np.array(sizes) - 1)
+    starts = np.array(list(accumulate((count // z for z in sizes), initial=0)))
+    revenue = welfare = 0.0
+    step = max(1, _BLOCK // mass.size)
+    for first in range(0, starts[-1], step):
+        line = np.arange(first, min(first + step, starts[-1]))
+        owner = starts.searchsorted(line, side="right") - 1
+        j = line - starts[owner]
+        number = j + j // strides[owner] * skips[owner]
+        lines = cells[bidders, number[:, None] // strides % sizes]
+        weights = mass[bidders, lines]
+        weights[np.arange(len(line)), owner] = 1.0  # the owner's cell is swept, not fixed
+        weights = weights.prod(axis=1)
+        x, pay = _sweep(a, lines, owner, tops[owner])
+        revenue += weights @ (pay * mass[owner]).sum(axis=1)
+        welfare += weights @ (x * mass_phi[owner]).sum(axis=1)
+    return float(revenue), float(welfare)
 
 
 def expected_revenue(a: Auction, eval_dist: ProductDist, cap: int = 10_000_000) -> float:
     """Exact expected revenue under eval_dist, enumerating its distinct cell profiles."""
-    return float(_expectation(a, eval_dist, cap)[0])
+    return _expectation(a, eval_dist, cap)[0]
 
 
 def expected_virtual_welfare(a: Auction) -> float:
@@ -198,7 +235,7 @@ def expected_virtual_welfare(a: Auction) -> float:
     Equals expected revenue under the prior; under a foreign distribution
     the identity can break, so revenue there is always taken from payments.
     """
-    return float(_expectation(a, a.prior, inf)[1])
+    return _expectation(a, a.prior, inf)[1]
 
 
 def expected_revenue_mc(
@@ -213,9 +250,9 @@ def expected_revenue_mc(
         raise ValueError("trials must be at least 1")
     cells = _cells(a, draw_samples(eval_dist, trials, seed).values)
     distinct, which = np.unique(cells, axis=0, return_inverse=True)
-    step = _rows_per_block(a)
+    step = max(1, _BLOCK // (a._phis.size * len(a._phis)))  # n lines of at most one row per cell
     blocks = (distinct[r : r + step] for r in range(0, len(distinct), step))
-    revs = np.concatenate([_outcomes(a, b)[1].sum(axis=1) for b in blocks])[which.reshape(-1)]
+    revs = np.concatenate([_payments(a, b).sum(axis=1) for b in blocks])[which.reshape(-1)]
     mean = float(revs.mean())
     stderr = 0.0 if trials == 1 else float(revs.std(ddof=1) / sqrt(trials))
     return mean, stderr
@@ -227,7 +264,7 @@ def opt_revenue(d: ProductDist, fs: FeasibleSet, cap: int = 10_000_000) -> float
     Revenue from payments must match expected ironed virtual welfare; a
     divergence beyond 1e-9 signals an allocation or payment bug.
     """
-    rev, welfare = _expectation(myerson(d, fs), d, cap).tolist()
+    rev, welfare = _expectation(myerson(d, fs), d, cap)
     if abs(rev - welfare) > IDENTITY_TOL:
         raise CrossCheckError(
             f"revenue {rev!r} and ironed virtual welfare {welfare!r} diverge"

@@ -201,12 +201,13 @@ def find_exchange_violation(
     for sz, bigs in by_size.items():
         for s in bigs:
             for sp in by_size.get(sz - 1, []):
-                violated = True
-                for i in members(s & ~sp):
-                    if sp | (1 << i) in have:
-                        violated = False
+                rest = s & ~sp  # never empty, since |S| > |S'|
+                while rest:
+                    low = rest & -rest
+                    if sp | low in have:
                         break
-                if s & ~sp and violated:
+                    rest ^= low
+                else:
                     key = (-bin(s & sp).count("1"), members(s), members(sp))
                     if best_key is None or key < best_key:
                         best, best_key = (members(s), members(sp)), key

@@ -43,12 +43,10 @@ from .feasible import (
     find_exchange_violation,
     is_downward_closed,
     minimum_non_matroid,
-    uniform_matroid,
 )
 from .learn import dominated_empirical, draw_samples, hellinger_sq, required_samples
 
 VERDICT_TOL = 1e-9
-GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 class PreconditionError(ValueError):
@@ -534,61 +532,3 @@ def run_lb_family(
         (not informative) or avg_regret >= eps,
         seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# randomized instance generation for the fuzz suites
-
-
-def random_value_dist(rng: np.random.Generator, max_atoms: int = 4, grid=GRID) -> ValueDist:
-    m = int(rng.integers(1, max_atoms + 1))
-    support = [grid[i] for i in rng.choice(len(grid), size=m, replace=False)]
-    weights = rng.integers(1, 10, size=m).astype(float)
-    return make_discrete(support, weights / weights.sum())
-
-
-def random_product(rng: np.random.Generator, n: int, max_atoms: int = 4) -> ProductDist:
-    return ProductDist(tuple(random_value_dist(rng, max_atoms) for _ in range(n)))
-
-
-def shift_down(
-    rng: np.random.Generator, d: ValueDist, strength: float = 0.3, grid=GRID
-) -> ValueDist:
-    """Dominated copy of d: random mass fractions move to lower grid values."""
-    masses: dict[float, float] = {}
-    for v, p in zip(d.support, d.probs):
-        lower = [g for g in grid if g < v]
-        if lower and rng.random() < 0.8:
-            frac = strength * rng.random()
-            dest = lower[int(rng.integers(0, len(lower)))]
-            masses[dest] = masses.get(dest, 0.0) + p * frac
-            masses[v] = masses.get(v, 0.0) + p * (1.0 - frac)
-        else:
-            masses[v] = masses.get(v, 0.0) + p
-    return make_discrete(list(masses), list(masses.values()))
-
-
-def dominated_pair(
-    rng: np.random.Generator, n: int, strength: float = 0.3
-) -> tuple[ProductDist, ProductDist]:
-    big = random_product(rng, n)
-    small = ProductDist(tuple(shift_down(rng, dj, strength) for dj in big))
-    return big, small
-
-
-def random_feasible(
-    rng: np.random.Generator, n: int, families=("uniform", "minnon", "aon")
-) -> FeasibleSet:
-    options = []
-    if "uniform" in families:
-        options.append("uniform")
-    if "minnon" in families and n == 3:
-        options.append("minnon")
-    if "aon" in families:
-        options.append("aon")
-    pick = options[int(rng.integers(0, len(options)))]
-    if pick == "uniform":
-        return uniform_matroid(n, int(rng.integers(1, n + 1)))
-    if pick == "minnon":
-        return minimum_non_matroid()
-    return all_or_nothing(n, int(rng.integers(1, n + 1)))

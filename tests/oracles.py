@@ -4,11 +4,13 @@ Each function evaluates its definition directly, point by point, with
 quadratic cost: CDFs by a scalar left-to-right sum at every merged support
 point and at its left limit, virtual values by one envelope lookup per
 atom, ironed segments by a scan of the whole raw curve per segment, the
-matroid exchange property over every pair of set sizes, and the auction
-one profile at a time: a scalar welfare scan over the vertices, and a
-payment integral that re-runs it at each own-value breakpoint.
-The library must agree with them bit for bit, except that payments and
-revenue may differ in the last bits.
+matroid exchange property over every pair of set sizes, the exchange
+violation search over member tuples, and the auction one profile at a
+time: a scalar welfare scan over the vertices, a payment integral that
+re-runs it at each own-value breakpoint, and expectations over the full
+product of supports.
+The library must agree with them bit for bit, except that payments,
+revenue and welfare may differ in the last bits.
 """
 
 from itertools import product
@@ -119,6 +121,34 @@ def is_matroid(view):
     return True
 
 
+def find_exchange_violation(fs):
+    """Witness (S, S') of a failed exchange with |S| = |S'| + 1, or None.
+
+    Builds the member tuple of S minus S' for every pair and keeps the
+    violating pair with the largest intersection, then the lexicographically
+    first sorted member tuples.
+    """
+    have = set(fs.sets_view)
+    by_size = {}
+    for m in fs.sets_view:
+        by_size.setdefault(bin(m).count("1"), []).append(m)
+    best = None
+    best_key = None
+    for sz, bigs in by_size.items():
+        for s in bigs:
+            for sp in by_size.get(sz - 1, []):
+                violated = True
+                for i in members(s & ~sp):
+                    if sp | (1 << i) in have:
+                        violated = False
+                        break
+                if s & ~sp and violated:
+                    key = (-bin(s & sp).count("1"), members(s), members(sp))
+                    if best_key is None or key < best_key:
+                        best, best_key = (members(s), members(sp)), key
+    return best
+
+
 def allocate(a, values):
     """Vertex maximizing ironed virtual welfare, scanned in tie order.
 
@@ -175,4 +205,21 @@ def expected_revenue(a, eval_dist):
         for _, p in combo:
             prob *= p
         total += prob * sum(payments(a, tuple(v for v, _ in combo)))
+    return total
+
+
+def expected_virtual_welfare(a, eval_dist):
+    """Probability-weighted ironed virtual welfare over the full product of supports.
+
+    A bidder below its prior's lowest atom counts 0, as in the allocation rule.
+    """
+    total = 0.0
+    for combo in product(*[list(zip(d.support, d.probs)) for d in eval_dist]):
+        prob = 1.0
+        for _, p in combo:
+            prob *= p
+        values = tuple(v for v, _ in combo)
+        phis = [t.at(v) for t, v in zip(a.virtual_tables, values)]
+        x = allocate(a, values)
+        total += prob * sum(xi * p for xi, p in zip(x, phis) if p is not NEG_INF)
     return total

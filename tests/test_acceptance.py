@@ -30,9 +30,6 @@ from myersonlab.dist import (
 )
 from myersonlab.feasible import all_or_nothing, uniform_matroid
 from myersonlab.lab import (
-    dominated_pair,
-    random_feasible,
-    random_product,
     run_copies,
     run_lipschitz_lb,
     run_nonmonotone,
@@ -46,6 +43,8 @@ from myersonlab.learn import (
     hellinger_sq_product,
     required_samples,
 )
+
+from fuzz import dominated_pair, random_feasible, random_product
 
 GRID10 = [round(0.1 * j, 10) for j in range(1, 11)]
 

@@ -1,7 +1,9 @@
 """Allocation rule, threshold payments, and revenue evaluation."""
 
 import tracemalloc
+from itertools import combinations
 from itertools import product as iproduct
+from math import inf
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from myersonlab.auction import (
     _BLOCK,
     CrossCheckError,
     EnumerationCapError,
+    _expectation,
     allocate,
     expected_revenue,
     expected_revenue_mc,
@@ -21,17 +24,20 @@ from myersonlab.auction import (
     revenue_on_profile,
 )
 from myersonlab.dist import ProductDist, make_discrete, point_mass, product_dist, uniform_grid
-from myersonlab.feasible import all_or_nothing, from_vertices, uniform_matroid
-from myersonlab.lab import (
-    dominated_pair,
-    lipschitz_pair,
-    nonmonotone_gadget,
-    random_feasible,
-    random_product,
-    random_value_dist,
+from myersonlab.feasible import (
+    all_or_nothing,
+    find_exchange_violation,
+    from_independent_sets,
+    from_vertices,
+    minimum_non_matroid,
+    uniform_matroid,
 )
+from myersonlab.lab import embed_counterexample, lipschitz_pair, nonmonotone_gadget
+
+from fuzz import dominated_pair, random_feasible, random_product, random_value_dist
 
 EPS = 0.1
+MINNON_SETS = [(), (0,), (1,), (2,), (1, 2)]
 GADGET_PRIOR, GADGET_BIG, GADGET_FS = nonmonotone_gadget(EPS)
 
 
@@ -266,11 +272,64 @@ class TestAgainstScalarReference:
             for _ in range(25):
                 values = tuple(float(rng.choice(p)) for p in probes)
                 self.check_profile(a, values)
-            other = random_prior(rng, n)
-            for dist in (prior, other):
-                assert expected_revenue(a, dist) == pytest.approx(
-                    oracles.expected_revenue(a, dist), abs=1e-12
-                )
+            assert expected_virtual_welfare(a) == pytest.approx(
+                oracles.expected_virtual_welfare(a, prior), abs=1e-12
+            )
+            for dist in (prior, random_prior(rng, n)):
+                self.check_expectations(a, dist)
+
+    def check_expectations(self, a, dist):
+        revenue, welfare = _expectation(a, dist, inf)
+        assert revenue == expected_revenue(a, dist)
+        assert revenue == pytest.approx(oracles.expected_revenue(a, dist), abs=1e-12)
+        assert welfare == pytest.approx(oracles.expected_virtual_welfare(a, dist), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "prior,dist,fs",
+        [
+            pytest.param(  # atoms below the prior's lowest one fall in cell 0
+                product_dist(make_discrete([0.5, 1.0], [0.5, 0.5]), uniform_grid([0.25, 0.75])),
+                product_dist(make_discrete([0.125, 0.5, 1.0], [0.25, 0.25, 0.5]),
+                             make_discrete([0.0, 0.5], [0.5, 0.5])),
+                uniform_matroid(2, 1),
+                id="cell-0-occupied",
+            ),
+            pytest.param(  # only the first and last of five cells above 0 carry mass
+                ProductDist((uniform_grid([0.125, 0.25, 0.5, 0.625, 1.0]),) * 3),
+                ProductDist((make_discrete([0.125, 1.0], [0.75, 0.25]),) * 3),
+                minimum_non_matroid(),
+                id="interior-cells-empty",
+            ),
+            pytest.param(
+                product_dist(make_discrete([0.25, 0.5, 1.0], [0.5, 0.25, 0.25])),
+                product_dist(make_discrete([0.125, 0.375, 1.0], [0.25, 0.25, 0.5])),
+                uniform_matroid(1, 1),
+                id="single-bidder",
+            ),
+        ],
+    )
+    def test_line_sweep_edge_distributions(self, prior, dist, fs):
+        a = myerson(prior, fs)
+        for d in (prior, dist):
+            self.check_expectations(a, d)
+
+    def test_ten_bidder_embed_gadget(self):
+        # the minimum non-matroid on bidders 0-2 next to a rank-2 uniform
+        # matroid on bidders 3-9; embed pins A = 0, B = 1, C = 2 with
+        # bidders 3 and 4 in both sets of the violating pair
+        extra = [c for r in range(3) for c in combinations(range(3, 10), r)]
+        fs = from_independent_sets(10, [g + u for g in MINNON_SETS for u in extra])
+        assert find_exchange_violation(fs) == ((1, 2, 3, 4), (0, 3, 4))
+        bc = make_discrete([0.1 * 0.1, 0.1], [0.9, 0.1])
+        design = (point_mass(0.05), bc, bc, point_mass(1.0), point_mass(1.0))
+        design = ProductDist(design + (point_mass(0.0),) * 5)
+        dominating = ProductDist(design.dists[:1] + (point_mass(0.1),) * 2 + design.dists[3:])
+        a = myerson(design, fs)
+        report = embed_counterexample(fs)
+        assert report.metrics["revenue_on_design_prior"] == expected_revenue(a, design)
+        assert report.metrics["revenue_on_dominating"] == expected_revenue(a, dominating)
+        for d in (design, dominating):
+            self.check_expectations(a, d)
 
     def test_every_vertex_touches_a_cell_zero_bidder(self):
         fs = from_vertices([[1.0, 0.5], [0.5, 1.0], [0.25, 0.25]])

@@ -150,6 +150,11 @@ class TestExchangeViolation:
             assert (find_exchange_violation(fs) is None) == expected
             assert is_matroid(fs) == expected
 
+    def test_exhaustive_witness_matches_member_tuple_search(self):
+        for fam in self._all_downward_closed(4):
+            fs = from_independent_sets(4, [members(m) for m in fam])
+            assert find_exchange_violation(fs) == oracles.find_exchange_violation(fs)
+
     @pytest.mark.parametrize("n", [5, 6])
     def test_random_violation_iff_non_matroid(self, n):
         rng = np.random.default_rng(n)
@@ -170,6 +175,7 @@ class TestExchangeViolation:
             expected = oracles.is_matroid(fam)
             assert (find_exchange_violation(fs) is None) == expected
             assert is_matroid(fs) == expected
+            assert find_exchange_violation(fs) == oracles.find_exchange_violation(fs)
 
 
 class TestDemandReduce:

@@ -25,19 +25,17 @@ from myersonlab.lab import (
     Report,
     check_approx_monotone,
     check_single_bidder_bound,
-    dominated_pair,
     embed_counterexample,
     lipschitz_eps_for,
     nonmonotone_gadget,
-    random_feasible,
-    random_product,
     run_copies,
     run_lb_family,
     run_lipschitz_lb,
     run_nonmonotone,
     run_sample_complexity,
-    shift_down,
 )
+
+from fuzz import dominated_pair, random_feasible, random_product, shift_down
 
 MINNON_SETS = [(), (0,), (1,), (2,), (1, 2)]
 
