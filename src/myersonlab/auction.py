@@ -219,8 +219,9 @@ def _expectation(a: Auction, dist: ProductDist, cap: float) -> tuple[float, floa
         weights[np.arange(len(line)), owner] = 1.0  # the owner's cell is swept, not fixed
         weights = weights.prod(axis=1)
         x, pay = _sweep(a, lines, owner, tops[owner])
-        revenue += weights @ (pay * mass[owner]).sum(axis=1)
-        welfare += weights @ (x * mass_phi[owner]).sum(axis=1)
+        width = x.shape[1]  # the block's highest top, which may fall short of top
+        revenue += weights @ (pay * mass[owner, :width]).sum(axis=1)
+        welfare += weights @ (x * mass_phi[owner, :width]).sum(axis=1)
     return float(revenue), float(welfare)
 
 

@@ -2,7 +2,7 @@
 
 Each subcommand runs one experiment and writes its report as JSON (default)
 or CSV rows. Exit status: 0 for a pass verdict, 2 for fail, 1 for input
-errors including precondition violations.
+errors including usage errors and precondition violations.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _cmd_nonmonotone(args) -> int:
 
 
 def _cmd_copies(args) -> int:
-    return _finish(lab.run_copies(args.k, args.trials, args.seed), args)
+    return _finish(lab.run_copies(args.k), args)
 
 
 def _cmd_embed(args) -> int:
@@ -103,8 +103,19 @@ def _cmd_curves(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other input error; 2 is the fail verdict.
+
+    add_subparsers builds the subcommand parsers from this class too.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="myersonlab", description=__doc__)
+    p = _Parser(prog="myersonlab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("nonmonotone", help="rank-2 counterexample revenues")
@@ -114,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("copies", help="gadget copies with additive gap")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
     _add_common(sp)
     sp.set_defaults(func=_cmd_copies)
 
@@ -176,7 +185,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -223,7 +223,7 @@ def dominates(big: ProductDist, small: ProductDist) -> bool:
 def _check_close_args(eps: float, n: float, k: float):
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps {eps!r} outside (0, 1]")
-    if n < 1 or k < 1:
+    if not (n >= 1 and k >= 1):
         raise ValueError(f"n and k must be at least 1, got n={n!r} k={k!r}")
 
 

@@ -10,7 +10,7 @@ meant for n up to about 20.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -121,28 +121,6 @@ def all_or_nothing(n: int, k: int) -> FeasibleSet:
     if k == n:
         view = (0, _mask(range(n)))
     return FeasibleSet(n, (zero, full), view, float(k))
-
-
-def disjoint_union(parts: list[FeasibleSet]) -> FeasibleSet:
-    """Independent copies side by side; feasible sets are unions of per-part sets."""
-    if any(p.sets_view is None for p in parts):
-        raise ValueError("disjoint union needs binary systems")
-    n = sum(p.n for p in parts)
-    masks = []
-    offsets = []
-    off = 0
-    for p in parts:
-        offsets.append(off)
-        off += p.n
-    for combo in product(*[p.sets_view for p in parts]):
-        m = 0
-        for part_mask, shift in zip(combo, offsets):
-            m |= part_mask << shift
-        masks.append(m)
-    view = tuple(sorted(set(masks)))
-    vertices = tuple(_indicator(n, m) for m in view)
-    rank = sum(p.rank for p in parts)
-    return FeasibleSet(n, vertices, view, rank)
 
 
 def is_downward_closed(fs: FeasibleSet) -> bool:

@@ -5,10 +5,18 @@ distributions and systems, so the acceptance checks see the same
 instances from run to run.
 """
 
+from itertools import combinations
+
 import numpy as np
 
 from myersonlab.dist import ProductDist, ValueDist, make_discrete
-from myersonlab.feasible import FeasibleSet, all_or_nothing, minimum_non_matroid, uniform_matroid
+from myersonlab.feasible import (
+    FeasibleSet,
+    all_or_nothing,
+    from_independent_sets,
+    minimum_non_matroid,
+    uniform_matroid,
+)
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -65,3 +73,12 @@ def random_feasible(
     if pick == "minnon":
         return minimum_non_matroid()
     return all_or_nothing(n, int(rng.integers(1, n + 1)))
+
+
+def random_downward_closed(rng: np.random.Generator, n: int) -> FeasibleSet:
+    """Downward closure of one to three random bidder subsets; always holds the empty set."""
+    sets = set()
+    for _ in range(int(rng.integers(1, 4))):
+        top = [i for i in range(n) if rng.random() < 0.6]
+        sets.update(c for r in range(len(top) + 1) for c in combinations(top, r))
+    return from_independent_sets(n, sets)

@@ -5,7 +5,8 @@ quadratic cost: CDFs by a scalar left-to-right sum at every merged support
 point and at its left limit, virtual values by one envelope lookup per
 atom, ironed segments by a scan of the whole raw curve per segment, the
 matroid exchange property over every pair of set sizes, the exchange
-violation search over member tuples, and the auction one profile at a
+violation search over member tuples, the disjoint union of set systems
+over the full product of their sets, and the auction one profile at a
 time: a scalar welfare scan over the vertices, a payment integral that
 re-runs it at each own-value breakpoint, and expectations over the full
 product of supports.
@@ -18,7 +19,7 @@ from math import sqrt
 
 from myersonlab.curves import NEG_INF, iron, revenue_curve
 from myersonlab.dist import CDF_TOL, quantile_of_value
-from myersonlab.feasible import members
+from myersonlab.feasible import from_independent_sets, members
 
 
 def virtual_slopes(d):
@@ -147,6 +148,18 @@ def find_exchange_violation(fs):
                     if best_key is None or key < best_key:
                         best, best_key = (members(s), members(sp)), key
     return best
+
+
+def disjoint_union(parts):
+    """Binary systems side by side: one feasible set per choice of a set from each part."""
+    if any(p.sets_view is None for p in parts):
+        raise ValueError("disjoint union needs binary systems")
+    offsets = [sum(p.n for p in parts[:j]) for j in range(len(parts))]
+    sets = [
+        [i + off for m, off in zip(combo, offsets) for i in members(m)]
+        for combo in product(*[p.sets_view for p in parts])
+    ]
+    return from_independent_sets(sum(p.n for p in parts), sets)
 
 
 def allocate(a, values):

@@ -322,7 +322,8 @@ class TestAgainstScalarReference:
         assert find_exchange_violation(fs) == ((1, 2, 3, 4), (0, 3, 4))
         bc = make_discrete([0.1 * 0.1, 0.1], [0.9, 0.1])
         design = (point_mass(0.05), bc, bc, point_mass(1.0), point_mass(1.0))
-        design = ProductDist(design + (point_mass(0.0),) * 5)
+        outsider = make_discrete([0.0, 0.1 * 0.1 * 0.1], [0.99, 0.01])
+        design = ProductDist(design + (outsider,) * 5)
         dominating = ProductDist(design.dists[:1] + (point_mass(0.1),) * 2 + design.dists[3:])
         a = myerson(design, fs)
         report = embed_counterexample(fs)
@@ -330,6 +331,14 @@ class TestAgainstScalarReference:
         assert report.metrics["revenue_on_dominating"] == expected_revenue(a, dominating)
         for d in (design, dominating):
             self.check_expectations(a, d)
+
+    def test_block_narrower_than_the_widest_line(self, monkeypatch):
+        # at this block size each block holds one line, so some blocks hold
+        # only a line of bidder 1, whose highest occupied cell lies below bidder 0's
+        monkeypatch.setattr("myersonlab.auction._BLOCK", 12)
+        prior = product_dist(uniform_grid([0.2, 0.4, 0.6, 0.8, 1.0]), uniform_grid([0.5, 1.0]))
+        a = myerson(prior, uniform_matroid(2, 1))
+        self.check_expectations(a, prior)
 
     def test_every_vertex_touches_a_cell_zero_bidder(self):
         fs = from_vertices([[1.0, 0.5], [0.5, 1.0], [0.25, 0.25]])

@@ -240,6 +240,10 @@ class TestCloseness:
             is_close(p, p, 0.0, 1, 1)
         with pytest.raises(ValueError):
             is_close_uniform(p, p, 1.5, 1, 1)
+        for close in (is_close, is_close_uniform):
+            for n, k in ((math.nan, 1), (2, math.nan)):
+                with pytest.raises(ValueError, match="at least 1"):
+                    close(p, p, 0.1, n, k)
 
     @given(value_dists(), value_dists(), st.floats(0.01, 1.0), st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=150, deadline=None)

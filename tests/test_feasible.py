@@ -8,7 +8,6 @@ import pytest
 from myersonlab.feasible import (
     all_or_nothing,
     demand_reduce,
-    disjoint_union,
     feasible_from_json,
     find_exchange_violation,
     from_independent_sets,
@@ -205,7 +204,7 @@ class TestDemandReduce:
 
 class TestDisjointUnion:
     def test_two_single_item_copies(self):
-        fs = disjoint_union([uniform_matroid(1, 1), uniform_matroid(1, 1)])
+        fs = oracles.disjoint_union([uniform_matroid(1, 1), uniform_matroid(1, 1)])
         assert fs.n == 2
         assert fs.rank == 2
         assert len(fs.sets_view) == 4

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from myersonlab.auction import EnumerationCapError, expected_revenue, myerson
+from myersonlab.auction import expected_revenue, myerson
 from myersonlab.dist import (
     ProductDist,
     make_discrete,
@@ -17,6 +17,8 @@ from myersonlab.dist import (
 from myersonlab.feasible import (
     all_or_nothing,
     from_independent_sets,
+    is_matroid,
+    members,
     minimum_non_matroid,
     uniform_matroid,
 )
@@ -35,9 +37,32 @@ from myersonlab.lab import (
     run_sample_complexity,
 )
 
-from fuzz import dominated_pair, random_feasible, random_product, shift_down
+import oracles
+from fuzz import (
+    dominated_pair,
+    random_downward_closed,
+    random_feasible,
+    random_product,
+    shift_down,
+)
 
 MINNON_SETS = [(), (0,), (1,), (2,), (1, 2)]
+
+
+def downward_closed_families(n):
+    """Every family of subsets of range(n), as bitmasks, that is closed under removal."""
+    subsets = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
+
+    def grow(i, family):
+        if i == len(subsets):
+            yield family
+            return
+        yield from grow(i + 1, family)
+        s = subsets[i]
+        if all(s & ~(1 << j) in family for j in members(s)):
+            yield from grow(i + 1, family | {s})
+
+    return grow(0, frozenset())
 
 
 class TestReport:
@@ -87,15 +112,41 @@ class TestCopies:
         with pytest.raises(ValueError):
             run_copies(1)
 
-    def test_exact_mode_cap(self):
-        with pytest.raises(EnumerationCapError):
-            run_copies(10)
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_matches_the_materialized_union(self, k):
+        copies = k // 2
+        dtilde, d, fs = nonmonotone_gadget(0.1)
+        big_dtilde = ProductDist(dtilde.dists * copies)
+        a = myerson(big_dtilde, oracles.disjoint_union([fs] * copies))
+        on_design = expected_revenue(a, big_dtilde)
+        on_dominating = expected_revenue(a, ProductDist(d.dists * copies))
+        m = run_copies(k).metrics
+        assert m["copies"] == copies
+        assert m["revenue_on_design_prior"] == pytest.approx(on_design, abs=1e-12)
+        assert m["revenue_on_dominating"] == pytest.approx(on_dominating, abs=1e-12)
+        assert m["gap"] == pytest.approx(on_design - on_dominating, abs=1e-12)
 
-    def test_monte_carlo_agrees_with_exact(self):
-        exact = run_copies(4)
-        mc = run_copies(4, trials=4000, seed=3)
-        se = mc.metrics["stderr_design"] + mc.metrics["stderr_dominating"]
-        assert abs(mc.metrics["gap"] - exact.metrics["gap"]) <= 4 * se
+    @pytest.mark.parametrize("k", [10, 20, 40])
+    def test_exact_gap_past_four_copies(self, k):
+        r = run_copies(k)
+        assert r.metrics["gap"] == pytest.approx(0.405 * (k // 2), abs=1e-9)
+        assert r.passed
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_union_revenue_is_the_sum_of_the_parts(self, seed):
+        rng = np.random.default_rng(seed)
+        parts = [random_downward_closed(rng, int(rng.integers(1, 4))) for _ in range(2)]
+        pairs = [dominated_pair(rng, p.n) for p in parts]  # (dominating, design) per part
+        whole = myerson(
+            ProductDist(sum((design.dists for _, design in pairs), ())),
+            oracles.disjoint_union(parts),
+        )
+        for side in (0, 1):
+            split = sum(
+                expected_revenue(myerson(pair[1], p), pair[side]) for p, pair in zip(parts, pairs)
+            )
+            joint = ProductDist(sum((pair[side].dists for pair in pairs), ()))
+            assert expected_revenue(whole, joint) == pytest.approx(split, abs=1e-12)
 
 
 class TestEmbed:
@@ -129,6 +180,17 @@ class TestEmbed:
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
     def test_stable_across_eps(self, eps):
         assert embed_counterexample(minimum_non_matroid(), eps).passed
+
+    def test_every_four_bidder_non_matroid(self):
+        # outsiders tie with B and C at virtual value 0 unless their own is
+        # negative; with point masses at 0, 33 of these 99 systems failed
+        families = [fam for fam in downward_closed_families(4) if fam]
+        assert len(families) == 167
+        systems = [from_independent_sets(4, [members(m) for m in fam]) for fam in families]
+        non_matroids = [fs for fs in systems if not is_matroid(fs)]
+        assert len(non_matroids) == 99
+        for fs in non_matroids:
+            assert embed_counterexample(fs).metrics["gap"] > 0.09, fs.sets_view
 
 
 class TestApproxMonotone:
