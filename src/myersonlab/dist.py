@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from math import sqrt
 
+import numpy as np
+
 MASS_TOL = 1e-12  # tolerance for probability-mass bookkeeping
 CDF_TOL = 1e-12  # slack for CDF comparisons at checkpoints
 
@@ -20,19 +22,19 @@ CDF_TOL = 1e-12  # slack for CDF comparisons at checkpoints
 class ValueDist:
     """Atoms of a discrete distribution: strictly increasing support, positive masses.
 
-    Two running sums are derived once, when the object is built:
-    _below[k] is the mass of the k lowest atoms, summed left to right, and
-    _above[k] is the mass of atom k and every atom above it, summed top
-    down. Quantiles and revenue-curve breakpoints must agree bitwise, so
-    every quantile in the package is read from _above, whose full-mass
-    entry _above[0] is snapped to exactly 1. A lowest atom whose mass is
-    lost when the others are summed would get quantile 1 twice, so such a
-    distribution is rejected.
+    Two running sums are derived once, when the object is built: the
+    read-only array _below[k] is the mass of the k lowest atoms, summed left
+    to right, and _above[k] is the mass of atom k and every atom above it,
+    summed top down. Quantiles and revenue-curve breakpoints must agree
+    bitwise, so every quantile in the package is read from _above, whose
+    full-mass entry _above[0] is snapped to exactly 1. A lowest atom whose
+    mass is lost when the others are summed would get quantile 1 twice, so
+    such a distribution is rejected.
     """
 
     support: tuple[float, ...]
     probs: tuple[float, ...]
-    _below: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _below: np.ndarray = field(init=False, repr=False, compare=False)
     _above: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -43,7 +45,9 @@ class ValueDist:
                 f"so its mass {self.probs[0]!r} is lost"
             )
         above[0] = 1.0
-        object.__setattr__(self, "_below", tuple(accumulate(self.probs, initial=0.0)))
+        below = np.fromiter(accumulate(self.probs, initial=0.0), float, len(self.probs) + 1)
+        below.setflags(write=False)
+        object.__setattr__(self, "_below", below)
         object.__setattr__(self, "_above", tuple(above))
 
     def to_json(self) -> dict:
@@ -99,29 +103,35 @@ def product_dist(*dists: ValueDist) -> ProductDist:
 def make_discrete(values, probs) -> ValueDist:
     """Build a ValueDist from raw atoms.
 
-    Duplicate values are merged (masses added), zero-mass atoms dropped and
-    the support sorted ascending. Masses must be finite, nonnegative and sum
-    to 1 within MASS_TOL; values must lie in [0, 1], which rules out NaN.
+    Duplicate values are merged, zero-mass atoms dropped and the support
+    sorted ascending: a stable sort and an in-order bincount add the masses
+    of equal values left to right, and the first of them (0.0 or -0.0) is
+    kept. Masses must be finite, nonnegative and sum to 1 within MASS_TOL;
+    values must lie in [0, 1], which rules out NaN.
     """
-    values = [float(v) for v in values]
-    probs = [float(p) for p in probs]
-    if len(values) != len(probs):
-        raise ValueError(f"{len(values)} values but {len(probs)} probabilities")
-    total = sum(probs)
+    values = np.asarray(values, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    if values.ndim != 1 or values.shape != probs.shape:
+        raise ValueError(
+            f"values {values.shape} and probabilities {probs.shape}: need flat lists of one length"
+        )
+    total = sum(probs.tolist())
     if not abs(total - 1.0) <= MASS_TOL:  # also catches a NaN or infinite mass
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-    merged: dict[float, float] = {}
-    for v, p in zip(values, probs):
-        if p < -MASS_TOL:
-            raise ValueError(f"negative probability {p!r}")
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"value {v!r} outside [0, 1]")
-        merged[v] = merged.get(v, 0.0) + p
-    atoms = [(v, p) for v, p in sorted(merged.items()) if p > 0.0]
-    if not atoms:
+    bad = (probs < -MASS_TOL) | ~((values >= 0.0) & (values <= 1.0))
+    if bad.any():  # the first bad atom, its mass checked before its value
+        v, p = float(values[bad][0]), float(probs[bad][0])
+        msg = f"negative probability {p!r}" if p < -MASS_TOL else f"value {v!r} outside [0, 1]"
+        raise ValueError(msg)
+    order = values.argsort(kind="stable")
+    values, probs = values[order], probs[order]
+    first = np.concatenate(([True], values[1:] != values[:-1]))
+    masses = np.bincount(first.cumsum() - 1, weights=probs)
+    keep = masses > 0.0
+    support = tuple(values[first][keep].tolist())
+    if not support:
         raise ValueError("no atoms with positive probability")
-    support, probs = zip(*atoms)
-    return ValueDist(support, probs)
+    return ValueDist(support, tuple(masses[keep].tolist()))
 
 
 def point_mass(v: float) -> ValueDist:
@@ -144,22 +154,18 @@ def discretize_uniform_with_atom(
     the atom keeps its exact value.
     """
     cells = round(1.0 / step)
-    cell_mass = (1.0 - atom_mass) / cells
     values = [(j + 0.5) * step for j in range(cells)]
-    probs = [cell_mass] * cells
-    values.append(atom_value)
-    probs.append(atom_mass)
-    return make_discrete(values, probs)
+    return make_discrete(values + [atom_value], [(1.0 - atom_mass) / cells] * cells + [atom_mass])
 
 
 def cdf(d: ValueDist, v: float) -> float:
     """Pr[u <= v] for u drawn from d."""
-    return d._below[bisect_right(d.support, v)]
+    return float(d._below[bisect_right(d.support, v)])
 
 
 def cdf_left(d: ValueDist, v: float) -> float:
     """Left limit Pr[u < v]."""
-    return d._below[bisect_left(d.support, v)]
+    return float(d._below[bisect_left(d.support, v)])
 
 
 def quantile_of_value(d: ValueDist, v: float) -> float:
@@ -190,34 +196,32 @@ def scale_values(d: ValueDist, factor: float) -> ValueDist:
     return make_discrete([v * factor for v in d.support], d.probs)
 
 
-def _cdf_pairs(a: ProductDist, b: ProductDist) -> list[tuple[float, float]]:
-    """(cdf(a_i, v), cdf(b_i, v)) at every point v of each coordinate's merged support.
+def _cdf_pairs(a: ProductDist, b: ProductDist) -> tuple[np.ndarray, np.ndarray]:
+    """cdf(a_i, v) and cdf(b_i, v) at every support point v of a_i or b_i, coordinate by coordinate.
 
-    Both CDFs are constant between merged points and 0 below the lowest, so
-    every gap between them shows at one of these points: a left limit
-    repeats the pair at the previous point.
+    Both CDFs are constant between these points and 0 below the lowest, so
+    every gap between them shows at one of them: a left limit repeats the
+    pair at the previous point. A point in both supports appears twice.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    pairs = []
+    fa, fb = [], []
     for ai, bi in zip(a, b):
-        sa, sb = ai.support, bi.support
-        i = j = 0
-        while i < len(sa) or j < len(sb):
-            if j == len(sb) or (i < len(sa) and sa[i] < sb[j]):
-                i += 1
-            elif i == len(sa) or sb[j] < sa[i]:
-                j += 1
-            else:
-                i += 1
-                j += 1
-            pairs.append((ai._below[i], bi._below[j]))
-    return pairs
+        sa, sb = np.asarray(ai.support), np.asarray(bi.support)
+        fa += [ai._below[1:], ai._below[np.searchsorted(sa, sb, "right")]]
+        fb += [bi._below[np.searchsorted(sb, sa, "right")], bi._below[1:]]
+    return np.concatenate(fa), np.concatenate(fb)
+
+
+def _min_variance(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """The smaller Bernoulli variance F(1 - F) of the two CDFs, floored at 0."""
+    return np.maximum(0.0, np.minimum(fa * (1.0 - fa), fb * (1.0 - fb)))
 
 
 def dominates(big: ProductDist, small: ProductDist) -> bool:
     """First-order stochastic dominance: big's CDF pointwise below small's."""
-    return not any(fb > fs + CDF_TOL for fb, fs in _cdf_pairs(big, small))
+    fb, fs = _cdf_pairs(big, small)
+    return not np.any(fb > fs + CDF_TOL)
 
 
 def _check_close_args(eps: float, n: float, k: float):
@@ -234,19 +238,16 @@ def is_close(a: ProductDist, b: ProductDist, eps: float, n: int, k: float) -> bo
     sqrt(min-variance * eps^2 / (4nk)) + eps^2 / (2nk).
     """
     _check_close_args(eps, n, k)
-    for fa, fb in _cdf_pairs(a, b):
-        var = max(0.0, min(fa * (1.0 - fa), fb * (1.0 - fb)))
-        bound = sqrt(var * eps * eps / (4.0 * n * k)) + eps * eps / (2.0 * n * k)
-        if abs(fa - fb) > bound + CDF_TOL:
-            return False
-    return True
+    fa, fb = _cdf_pairs(a, b)
+    bound = np.sqrt(_min_variance(fa, fb) * eps * eps / (4.0 * n * k)) + eps * eps / (2.0 * n * k)
+    return not np.any(np.abs(fa - fb) > bound + CDF_TOL)
 
 
 def is_close_uniform(a: ProductDist, b: ProductDist, eps: float, n: int, k: float) -> bool:
     """Uniform closeness: every CDF gap at most eps / sqrt(nk)."""
     _check_close_args(eps, n, k)
-    bound = eps / sqrt(n * k)
-    return not any(abs(fa - fb) > bound + CDF_TOL for fa, fb in _cdf_pairs(a, b))
+    fa, fb = _cdf_pairs(a, b)
+    return not np.any(np.abs(fa - fb) > eps / sqrt(n * k) + CDF_TOL)
 
 
 def min_closeness_eps(a: ProductDist, b: ProductDist, n: int, k: float) -> float:
@@ -255,20 +256,16 @@ def min_closeness_eps(a: ProductDist, b: ProductDist, n: int, k: float) -> float
     Solved per checkpoint from the closed-form bound (a quadratic in eps)
     and maximized; may exceed 1, in which case no valid eps exists.
     """
-    worst = 0.0
+    fa, fb = _cdf_pairs(a, b)
+    gap = np.abs(fa - fb)
+    far = gap > CDF_TOL
     qa = 1.0 / (2.0 * n * k)
-    for fa, fb in _cdf_pairs(a, b):
-        gap = abs(fa - fb)
-        if gap <= CDF_TOL:
-            continue
-        var = max(0.0, min(fa * (1.0 - fa), fb * (1.0 - fb)))
-        qb = sqrt(var / (4.0 * n * k))
-        eps_pt = (-qb + sqrt(qb * qb + 4.0 * qa * gap)) / (2.0 * qa)
-        worst = max(worst, eps_pt)
-    return worst
+    qb = np.sqrt(_min_variance(fa[far], fb[far]) / (4.0 * n * k))
+    eps_pts = (-qb + np.sqrt(qb * qb + 4.0 * qa * gap[far])) / (2.0 * qa)
+    return float(eps_pts.max(initial=0.0))
 
 
 def min_uniform_closeness_eps(a: ProductDist, b: ProductDist, n: int, k: float) -> float:
     """Smallest eps at which is_close_uniform(a, b, eps, n, k) holds."""
-    worst = max((abs(fa - fb) for fa, fb in _cdf_pairs(a, b)), default=0.0)
-    return worst * sqrt(n * k)
+    fa, fb = _cdf_pairs(a, b)
+    return float(np.abs(fa - fb).max(initial=0.0)) * sqrt(n * k)

@@ -475,7 +475,7 @@ def run_lb_family(
     else:
         signs = [tuple(int(b) for b in rng.integers(0, 2, size=n)) for _ in range(family_cap)]
     profiles = [tuple(0.0 if j == i else 1.0 for j in range(n)) for i in range(n)]
-    wins: dict[ProductDist, list[bool]] = {}  # learned prior -> bidder i wins at profiles[i]
+    wins: dict[bytes, list[bool]] = {}  # sorted sample columns -> bidder i wins at profiles[i]
     total_regret = 0.0
     min_profile_prob = 1.0
     for mi, sign in enumerate(signs):
@@ -491,12 +491,12 @@ def run_lb_family(
         for t in range(trials):
             ss = np.random.SeedSequence(seed, spawn_key=(mi, t))
             samples = draw_samples(member, sample_budget, ss)
-            learned = dominated_empirical(samples, learner_delta)
-            if learned not in wins:
-                a = myerson(learned, fs)
-                wins[learned] = [allocate(a, p)[i] > 0.0 for i, p in enumerate(profiles)]
+            key = np.sort(samples.values, axis=0).tobytes()
+            if key not in wins:
+                a = myerson(dominated_empirical(samples, learner_delta), fs)
+                wins[key] = [allocate(a, p)[i] > 0.0 for i, p in enumerate(profiles)]
             for i in range(n):
-                dif_sums[i] += max(0.0, vw_all[i]) - (vw_all[i] if wins[learned][i] else 0.0)
+                dif_sums[i] += max(0.0, vw_all[i]) - (vw_all[i] if wins[key][i] else 0.0)
         member_regret = 0.0
         for i in range(n):
             prob = 1.0

@@ -43,20 +43,26 @@ def draw_samples(d: ProductDist, count: int, seed) -> SampleMatrix:
     u = rng.random((count, d.n))
     cols = []
     for j, dj in enumerate(d):
-        cum = np.cumsum(dj.probs)
-        idx = np.minimum(np.searchsorted(cum, u[:, j], side="left"), len(dj.support) - 1)
+        idx = np.minimum(np.searchsorted(dj._below[1:], u[:, j], side="left"), len(dj.support) - 1)
         cols.append(np.asarray(dj.support)[idx])
     values = np.stack(cols, axis=1)
     values.setflags(write=False)
     return SampleMatrix(d.n, count, values, seed if isinstance(seed, int) else None)
 
 
+def _column_runs(s: SampleMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per column, its distinct sample values ascending and how many samples are at most each."""
+    srt = np.sort(s.values, axis=0)
+    starts = np.concatenate((np.ones((1, s.n), dtype=bool), srt[1:] != srt[:-1]))
+    ends = np.concatenate((starts[1:], starts[:1]))  # a run ends on the row before the next starts
+    return [(srt[starts[:, j], j], np.flatnonzero(ends[:, j]) + 1) for j in range(s.n)]
+
+
 def empirical(s: SampleMatrix) -> ProductDist:
     """Product of per-coordinate uniform distributions over the samples."""
     dists = []
-    for j in range(s.n):
-        vals, counts = np.unique(s.values[:, j], return_counts=True)
-        dists.append(make_discrete(vals, counts / s.count))
+    for vals, at_most in _column_runs(s):
+        dists.append(make_discrete(vals, np.diff(at_most, prepend=0) / s.count))
     return ProductDist(tuple(dists))
 
 
@@ -68,25 +74,22 @@ def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
     cumulative max. The inflated CDF is positive below the lowest sample,
     so that mass is realized as an atom at value 0; pushing it to the
     bottom is what keeps dominance implied by the CDF inequality alone.
+    The inflation depends only on how many samples are at most a value.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta {delta!r} outside (0, 1)")
     n, count = s.n, s.count
     coef = log(2.0 * n * count / delta)
+    emp = np.arange(1, count + 1) / count
+    inflated = np.minimum(
+        1.0,
+        emp + np.sqrt(2.0 * emp * (1.0 - emp) * coef / count) + 4.0 * coef / count,
+    )
+    bottom = min(1.0, 4.0 * coef / count)
     dists = []
-    for j in range(n):
-        vals, counts = np.unique(s.values[:, j], return_counts=True)
-        emp = np.cumsum(counts) / count
-        inflated = np.minimum(
-            1.0,
-            emp + np.sqrt(2.0 * emp * (1.0 - emp) * coef / count) + 4.0 * coef / count,
-        )
-        inflated = np.maximum.accumulate(inflated)
-        bottom = min(1.0, 4.0 * coef / count)
-        masses = np.diff(inflated, prepend=bottom)
-        dists.append(
-            make_discrete([0.0] + [float(v) for v in vals], [bottom] + [float(m) for m in masses])
-        )
+    for vals, at_most in _column_runs(s):
+        cum = np.concatenate(([0.0, bottom], np.maximum.accumulate(inflated[at_most - 1])))
+        dists.append(make_discrete(np.concatenate(([0.0], vals)), cum[1:] - cum[:-1]))
     return ProductDist(tuple(dists))
 
 

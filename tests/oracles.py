@@ -9,17 +9,70 @@ violation search over member tuples, the disjoint union of set systems
 over the full product of their sets, and the auction one profile at a
 time: a scalar welfare scan over the vertices, a payment integral that
 re-runs it at each own-value breakpoint, and expectations over the full
-product of supports.
+product of supports. Distributions are built by merging atoms one at a
+time in a dict, and learned priors column by column through np.unique.
 The library must agree with them bit for bit, except that payments,
 revenue and welfare may differ in the last bits.
 """
 
 from itertools import product
-from math import sqrt
+from math import log, sqrt
+
+import numpy as np
 
 from myersonlab.curves import NEG_INF, iron, revenue_curve
-from myersonlab.dist import CDF_TOL, quantile_of_value
+from myersonlab.dist import CDF_TOL, MASS_TOL, ProductDist, ValueDist, quantile_of_value
 from myersonlab.feasible import from_independent_sets, members
+
+
+def make_discrete(values, probs):
+    """Atoms merged one at a time in input order: the first of equal values is the key."""
+    values = [float(v) for v in values]
+    probs = [float(p) for p in probs]
+    if len(values) != len(probs):
+        raise ValueError(f"{len(values)} values but {len(probs)} probabilities")
+    total = sum(probs)
+    if not abs(total - 1.0) <= MASS_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    merged = {}
+    for v, p in zip(values, probs):
+        if p < -MASS_TOL:
+            raise ValueError(f"negative probability {p!r}")
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"value {v!r} outside [0, 1]")
+        merged[v] = merged.get(v, 0.0) + p
+    atoms = [(v, p) for v, p in sorted(merged.items()) if p > 0.0]
+    if not atoms:
+        raise ValueError("no atoms with positive probability")
+    support, probs = zip(*atoms)
+    return ValueDist(support, probs)
+
+
+def empirical(s):
+    dists = []
+    for j in range(s.n):
+        vals, counts = np.unique(s.values[:, j], return_counts=True)
+        dists.append(make_discrete(vals, counts / s.count))
+    return ProductDist(tuple(dists))
+
+
+def dominated_empirical(s, delta):
+    """Each column's empirical CDF at its distinct values, inflated and cumulative-maxed alone."""
+    n, count = s.n, s.count
+    coef = log(2.0 * n * count / delta)
+    dists = []
+    for j in range(n):
+        vals, counts = np.unique(s.values[:, j], return_counts=True)
+        emp = np.cumsum(counts) / count
+        inflated = np.minimum(
+            1.0,
+            emp + np.sqrt(2.0 * emp * (1.0 - emp) * coef / count) + 4.0 * coef / count,
+        )
+        inflated = np.maximum.accumulate(inflated)
+        bottom = min(1.0, 4.0 * coef / count)
+        masses = np.diff(inflated, prepend=bottom)
+        dists.append(make_discrete([0.0] + list(vals), [bottom] + list(masses)))
+    return ProductDist(tuple(dists))
 
 
 def virtual_slopes(d):

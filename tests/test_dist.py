@@ -124,6 +124,63 @@ class TestMakeDiscrete:
         assert d._above[1] < 1.0 == d._above[0]
 
 
+def bits(d):
+    """Exact bit patterns of a distribution's atoms; tells 0.0 from -0.0."""
+    return tuple(map(float.hex, d.support)), tuple(map(float.hex, d.probs))
+
+
+def outcome(build, values, probs):
+    try:
+        return bits(build(values, probs))
+    except ValueError as exc:
+        return str(exc)
+
+
+POOL = [0.0, -0.0, 0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0]
+# atoms that break a check: a value outside [0, 1] or NaN, or a mass below
+# -MASS_TOL, which raw_atoms offsets so the masses still sum to 1
+BAD_ATOMS = [(1.5, 0.0), (-0.25, 0.0), (math.nan, 0.0), (0.5, -0.1), (0.5, -1e-13), (1.5, -0.1)]
+
+
+@st.composite
+def raw_atoms(draw):
+    """Unsorted values with duplicates, heavy repeats, signed zeros and zero masses."""
+    values = draw(st.lists(st.sampled_from(POOL) | st.floats(0.0, 1.0), min_size=1, max_size=20))
+    if draw(st.booleans()):
+        values += [draw(st.sampled_from(POOL))] * draw(st.integers(9, 14))
+    weights = draw(st.lists(st.integers(0, 1000), min_size=len(values), max_size=len(values)))
+    weights[0] = max(weights[0], 1)
+    probs = [w / sum(weights) for w in weights]
+    for v, p in draw(st.lists(st.sampled_from(BAD_ATOMS), max_size=2)):
+        values += [v, draw(st.sampled_from(POOL))]
+        probs += [p, -p]
+    order = draw(st.permutations(range(len(values))))
+    return [values[i] for i in order], [probs[i] for i in order]
+
+
+class TestMakeDiscreteOracle:
+    """The sort-and-bincount merge builds what a dict merge in input order builds, bit for bit."""
+
+    @given(raw_atoms())
+    @settings(max_examples=300, deadline=None)
+    def test_random_atoms(self, atoms):
+        assert outcome(make_discrete, *atoms) == outcome(oracles.make_discrete, *atoms)
+
+    def test_ten_copies_sum_left_to_right(self):
+        # a pairwise sum of ten 0.1 masses rounds to 1.0; left to right it does not
+        got = make_discrete([0.3] * 10, [0.1] * 10)
+        assert bits(got) == bits(oracles.make_discrete([0.3] * 10, [0.1] * 10))
+        assert got.probs == (sum([0.1] * 10),) != (1.0,)
+
+    @pytest.mark.parametrize("values", [[-0.0, 0.5, 0.0], [0.0, 0.5, -0.0], [0.5, -0.0, 0.0]])
+    def test_signed_zeros_keep_the_first(self, values):
+        probs = [0.25, 0.5, 0.25]
+        got = make_discrete(values, probs)
+        assert bits(got) == bits(oracles.make_discrete(values, probs))
+        first_zero = next(v for v in values if v == 0.0)
+        assert math.copysign(1.0, got.support[0]) == math.copysign(1.0, first_zero)
+
+
 class TestCdfAndQuantiles:
     def test_cdf_examples(self):
         assert cdf(TWO_POINT, 0.1) == pytest.approx(0.9, abs=1e-12)
@@ -366,6 +423,14 @@ class TestCheckpointOracle:
     @settings(max_examples=150, deadline=None)
     def test_random_pairs(self, pair, n, k):
         self.assert_agrees(*pair, n, k)
+
+    def test_gaps_within_tolerance(self):
+        # CDFs apart by rounding only need no eps at all
+        a = make_discrete([0.1, 0.2, 0.3], [0.1, 0.2, 0.7])
+        b = make_discrete([0.1, 0.2, 0.3], [0.1 + 1e-13, 0.2 - 1e-13, 0.7])
+        for x, y in ((a, b), (b, a)):
+            self.assert_agrees(product_dist(x), product_dist(y), 2, 1)
+            assert min_closeness_eps(product_dist(x), product_dist(y), 2, 1) == 0.0
 
     def test_learned_prior(self):
         prior = ProductDist(tuple(discretize_uniform_with_atom(v, 0.1, 0.01) for v in (0.55, 0.8)))

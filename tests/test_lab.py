@@ -1,9 +1,12 @@
 """Experiment harness: reports, counterexamples, inequality checks, trials."""
 
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from myersonlab.auction import expected_revenue, myerson
 from myersonlab.dist import (
@@ -47,6 +50,16 @@ from fuzz import (
 )
 
 MINNON_SETS = [(), (0,), (1,), (2,), (1, 2)]
+
+
+@st.composite
+def random_closures(draw):
+    """Downward closure of two to four random bidder sets, on 5 to 10 bidders."""
+    n = draw(st.integers(5, 10))
+    bidder_sets = st.frozensets(st.integers(0, n - 1), min_size=2, max_size=6)
+    tops = draw(st.lists(bidder_sets, min_size=2, max_size=4))
+    sets = {c for top in tops for r in range(len(top) + 1) for c in combinations(sorted(top), r)}
+    return from_independent_sets(n, sets)
 
 
 def downward_closed_families(n):
@@ -191,6 +204,17 @@ class TestEmbed:
         assert len(non_matroids) == 99
         for fs in non_matroids:
             assert embed_counterexample(fs).metrics["gap"] > 0.09, fs.sets_view
+
+    @given(random_closures())
+    @settings(max_examples=300, deadline=None)
+    def test_random_closures(self, fs):
+        event("matroid" if is_matroid(fs) else "non-matroid")
+        if is_matroid(fs):
+            with pytest.raises(PreconditionError, match="matroid"):
+                embed_counterexample(fs)
+        else:
+            r = embed_counterexample(fs)
+            assert r.passed and r.metrics["gap"] > 0.0, fs.sets_view
 
 
 class TestApproxMonotone:
@@ -383,6 +407,18 @@ class TestLbFamily:
     def test_large_n_subsamples_family(self):
         r = run_lb_family(9, 4, 0.005, sample_budget=2, trials=2, seed=1, family_cap=8)
         assert r.metrics["family_size"] == 8
+
+    @pytest.mark.parametrize(
+        "args, regret",
+        [
+            ((3, 1, 0.01, 40, 20, 5), "0x1.abe8c804cf138p-4"),
+            ((2, 1, 0.01, 60, 20, 2), "0x1.5460aa64c2f85p-4"),
+        ],
+    )
+    def test_regret_as_learned_per_trial(self, args, regret):
+        # frozen from learning and auctioning every trial's samples afresh; reusing
+        # an auction for a sample matrix that differs in any column changes it
+        assert run_lb_family(*args).metrics["avg_regret"] == float.fromhex(regret)
 
 
 class TestOptRevenueLipschitzFuzz:

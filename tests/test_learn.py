@@ -4,10 +4,15 @@ from math import ceil, inf, log, nan, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from myersonlab.dist import (
     ProductDist,
     cdf,
+    discretize_uniform_with_atom,
     dominates,
     is_close,
     make_discrete,
@@ -55,6 +60,22 @@ class TestDrawSamples:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             draw_samples(grid_prior(), 0, 1)
+
+    def test_inverse_cdf_of_the_summed_masses(self):
+        # the CDF running sum each ValueDist keeps is np.cumsum of its masses, bit for bit
+        rng = np.random.default_rng(11)
+        priors = [discretize_uniform_with_atom(0.55, 0.1, 0.001)]
+        for _ in range(30):
+            m = int(rng.integers(1, 40))
+            values = rng.choice(1000, size=m, replace=False) / 999
+            weights = rng.integers(1, 1000, size=m)
+            priors.append(make_discrete(values, weights / weights.sum()))
+        for seed, dj in enumerate(priors):
+            s = draw_samples(ProductDist((dj,)), 300, seed)
+            u = np.random.default_rng(seed).random((300, 1))[:, 0]
+            idx = np.searchsorted(np.cumsum(dj.probs), u, side="left")
+            idx = np.minimum(idx, len(dj.support) - 1)
+            assert np.array_equal(s.values[:, 0], np.asarray(dj.support)[idx])
 
     def test_bernstein_coverage(self):
         # column mean within the radius around the true mean in >= 1-delta of runs
@@ -162,6 +183,52 @@ class TestDominatedEmpirical:
             hits += dominates(d, et) and is_close(d, et, eps, 2, 1)
         sigma = sqrt(delta * (1 - delta) / runs)
         assert hits / runs >= 1 - delta - 3 * sigma
+
+
+def bits(p):
+    """Exact bit patterns of every coordinate's atoms."""
+    return [(tuple(map(float.hex, d.support)), tuple(map(float.hex, d.probs))) for d in p]
+
+
+@st.composite
+def sample_matrices(draw):
+    """Columns that are constant, drawn from a few values including both zeros, or spread out."""
+    n, count = draw(st.integers(1, 3)), draw(st.integers(1, 80))
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["constant", "few", "spread"]))
+        if kind == "constant":
+            col = [draw(st.sampled_from([0.0, 0.4, 1.0]))] * count
+        else:
+            pool = st.sampled_from([0.0, -0.0, 0.2, 0.5, 1.0]) if kind == "few" else st.floats(0, 1)
+            col = draw(st.lists(pool, min_size=count, max_size=count))
+        cols.append(col)
+    return SampleMatrix(n, count, np.array(cols).T, None)
+
+
+class TestLearnerOracle:
+    """One sort of the sample matrix gives the per-column np.unique learners' priors bit for bit."""
+
+    @given(sample_matrices(), st.sampled_from([0.01, 0.1, 0.5, 0.9]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_samples(self, s, delta):
+        assert bits(dominated_empirical(s, delta)) == bits(oracles.dominated_empirical(s, delta))
+        assert bits(empirical(s)) == bits(oracles.empirical(s))
+
+    @pytest.mark.parametrize("count", [1, 2, 30, 400])
+    def test_samples_at_zero_merge_with_bottom_atom(self, count):
+        vals = np.array([[0.0, 0.7]] * (count // 2) + [[0.6, 0.0]] * (count - count // 2))
+        s = SampleMatrix(2, count, vals, None)
+        learned = dominated_empirical(s, 0.1)
+        assert bits(learned) == bits(oracles.dominated_empirical(s, 0.1))
+        assert all(d.support.count(0.0) == 1 and d.support[0] == 0.0 for d in learned)
+
+    def test_learned_priors_from_draws(self):
+        d = grid_prior(3)
+        for seed in range(20):
+            s = draw_samples(d, 150, seed)
+            assert bits(dominated_empirical(s, 0.1)) == bits(oracles.dominated_empirical(s, 0.1))
+            assert bits(empirical(s)) == bits(oracles.empirical(s))
 
 
 class TestBernsteinRadius:
