@@ -6,20 +6,27 @@ charges the threshold payments that make the allocation truthful. Both
 depend on values only through each bidder's cell: cell 0 lies below the
 prior's lowest atom and cell c > 0 is virtual-table segment c - 1.
 
-Payments and expectations are read off lines: a line fixes the cells of
-all bidders but one and runs that bidder's cell from 0 upward. One kernel
-call finds the winner at every point of a block of lines, and a running
-sum of threshold steps along each line gives the owner's payment at every
-point. Exact expectations run, per bidder, one line for each cell profile
-of the others, up to the bidder's highest occupied cell: sum_i
-(profiles / |occupied_i|) * top_i kernel rows in place of profiles * n *
-top. Auction objects hold read-only arrays and no other state.
+One kernel call finds the winning vertex at every point of n per-bidder
+cell arrays that broadcast to one shape: one row of cells, lines, or a
+whole grid. Payments are read off lines: along a line one bidder's cell
+runs from 0 upward while the others stay fixed, and a running sum of
+threshold steps gives that bidder's payment at every point.
+
+Exact expectations need bidder i's cells 0..top_i - 1, up to its highest
+occupied one. With top the largest top_i, when the grid of every bidder's
+cells 0..top - 1 fits one block (top^n times (vertices + bidders) at most
+_BLOCK), one kernel call scores it whole, and each bidder's payments are a
+running sum along its own axis: 1,331 kernel rows for three bidders with
+ten atoms each. Cells past a bidder's top_i carry no mass. Larger grids,
+such as ten bidders of three cells, run lines instead: for each bidder,
+one line per profile of the others' occupied cells, sum_i (profiles /
+|occupied_i|) * top_i rows in blocks. Auction objects hold read-only
+arrays and no other state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 from math import inf, prod, sqrt
 
 import numpy as np
@@ -84,71 +91,72 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     return Auction(prior, fs, tables, order, verts, phis, thresholds)
 
 
-def _winners(a: Auction, cells: np.ndarray) -> np.ndarray:
-    """Rank in tie_order of the winning vertex at each row of a (rows, n) cell matrix.
+def _winners(a: Auction, cells) -> np.ndarray:
+    """Rank in tie_order of the winning vertex at each point of n per-bidder cell arrays.
 
-    Vertices are scanned in tie order, and one replaces the incumbent only
-    when strictly better: first on giving nothing to bidders in cell 0,
-    then on ironed virtual welfare summed over bidders left to right, with
-    cell 0 counting as 0.
+    cells[i] holds bidder i's cells; the n arrays broadcast to one shape,
+    which is the shape of the result. Points beyond a block are scored in
+    flat chunks of rows. Vertices are scanned in tie order, and one
+    replaces the incumbent only when strictly better: first on giving
+    nothing to bidders in cell 0, then on ironed virtual welfare summed
+    over bidders left to right, with cell 0 counting as 0.
     """
     verts = a._verts
-    step = max(1, _BLOCK // (len(verts) + cells.shape[1]))
-    out = np.empty(len(cells), dtype=np.intp)
-    for start in range(0, len(cells), step):
-        chunk = cells[start : start + step]
-        welfare = np.zeros((len(chunk), len(verts)))
-        for phi, own, share in zip(a._phis, chunk.T, verts.T):
-            welfare += phi[own][:, None] * share
-        sunk = (chunk == 0) @ verts.T > 0.0
-        best = np.where(sunk, -np.inf, welfare).argmax(axis=1)
-        forced = sunk[np.arange(len(chunk)), best]  # every vertex allocates to a cell-0 bidder
-        best[forced] = welfare[forced].argmax(axis=1)
-        out[start : start + step] = best
-    return out
+    shape = np.broadcast_shapes(*(np.shape(c) for c in cells))
+    step = max(1, _BLOCK // (len(verts) + len(cells)))
+    if prod(shape) > step:
+        flat = [np.broadcast_to(c, shape).reshape(-1) for c in cells]
+        chunks = [_winners(a, [c[r : r + step] for c in flat]) for r in range(0, prod(shape), step)]
+        return np.concatenate(chunks).reshape(shape)
+    welfare = np.zeros(shape + (len(verts),))
+    zero = np.empty(shape + (len(cells),), dtype=bool)
+    for i, (phi, own, share) in enumerate(zip(a._phis, cells, verts.T)):
+        welfare += phi[own][..., None] * share
+        zero[..., i] = own == 0
+    sunk = zero @ verts.T > 0.0
+    best = np.where(sunk, -np.inf, welfare).argmax(axis=-1)
+    if verts[-1].any():  # the zero vertex, last in tie order, would never be sunk
+        forced = np.take_along_axis(sunk, best[..., None], -1)[..., 0]
+        best[forced] = welfare[forced].argmax(axis=-1)
+    return best
 
 
-def _sweep(
-    a: Auction, lines: np.ndarray, owner: np.ndarray, tops: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Owner's allocation and threshold payment along each line of cells.
+def _pay(x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Threshold payments of a bidder whose cell runs from 0 upward along the first axis of x.
 
-    Row l of the (lines, n) matrix fixes every bidder but owner[l], whose
-    cell runs over 0..tops[l]-1; all rows of all lines go through one kernel
-    call. Returns (lines, max(tops)) arrays; entries at or past a line's top
-    are meaningless. By the payment identity a winner in cell c pays
-    sum_k threshold[k-1] * (x[k] - x[k-1]) over k = 1..c, and a bidder
+    x is its allocation and thresholds[k - 1] the lowest value of its cell
+    k, broadcast against x[k]. By the payment identity a winner in cell c
+    pays sum_k threshold[k-1] * (x[k] - x[k-1]) over k = 1..c, and a bidder
     allocated nothing pays nothing.
     """
-    top = tops.max()
-    own = np.arange(top)
-    valid = own < tops[:, None]
-    rows = lines.repeat(tops, axis=0)
-    row_starts = np.arange(len(rows)) * rows.shape[1]  # flat index of each row's bidder 0
-    rows.reshape(-1)[row_starts + owner.repeat(tops)] = (valid * own)[valid]
-    wins = np.zeros(valid.shape, dtype=np.intp)
-    wins[valid] = _winners(a, rows)
-    x = a._verts[wins, owner[:, None]]
     pay = np.zeros(x.shape)
-    ((x[:, 1:] - x[:, :-1]) * a._thresholds[owner, : top - 1]).cumsum(axis=1, out=pay[:, 1:])
-    return x, np.where(x > 0.0, pay, 0.0)
+    ((x[1:] - x[:-1]) * thresholds).cumsum(axis=0, out=pay[1:])
+    return np.where(x > 0.0, pay, 0.0)
 
 
 def _payments(a: Auction, cells: np.ndarray) -> np.ndarray:
     """Threshold payments at each row of a (rows, n) cell matrix.
 
-    Each bidder's line runs from its cell 0 up to its own cell in the row.
+    Bidder i's line runs its cell from 0 up to the highest cell in the
+    rows against the others' cells in the row. One kernel call scores the
+    lines of every bidder and row, on axes (own cell, whose line, row).
     """
-    rows, n = cells.shape
-    own = cells.reshape(-1)
-    _, pay = _sweep(a, cells.repeat(n, axis=0), np.tile(np.arange(n), rows), own + 1)
-    return pay[np.arange(rows * n), own].reshape(rows, n)
+    whose = np.arange(cells.shape[1])[:, None]
+    own = np.arange(cells.max() + 1)[:, None, None]
+    wins = _winners(a, [np.where(whose == k, own, c) for k, c in enumerate(cells.T)])
+    pay = _pay(a._verts[wins, whose], a._thresholds[:, : len(own) - 1].T[:, :, None])
+    return np.take_along_axis(pay, cells.T[None], axis=0)[0].T
 
 
 def _cells(a: Auction, profiles) -> np.ndarray:
-    """Cells of a (rows, n) matrix of value profiles."""
-    values = zip(a.virtual_tables, np.asarray(profiles, dtype=float).T, strict=True)
-    return np.column_stack([np.searchsorted(t.thresholds, v, side="right") for t, v in values])
+    """Cells of a (rows, n) matrix of value profiles, which must not hold NaN."""
+    profiles = np.asarray(profiles, dtype=float)
+    if np.isnan(profiles).any():
+        raise ValueError("a value profile holds NaN")
+    rows = zip(a._thresholds, a.virtual_tables, profiles.T, strict=True)
+    return np.column_stack(
+        [np.searchsorted(th[: len(t.thresholds)], v, side="right") for th, t, v in rows]
+    )
 
 
 def allocate(a: Auction, values) -> tuple[float, ...]:
@@ -157,7 +165,7 @@ def allocate(a: Auction, values) -> tuple[float, ...]:
     Vertices giving positive allocation to a bidder below its prior's
     lowest atom are excluded while any alternative exists.
     """
-    return tuple(a._verts[_winners(a, _cells(a, [values]))[0]].tolist())
+    return tuple(a._verts[_winners(a, _cells(a, [values]).T)[0]].tolist())
 
 
 def payments(a: Auction, values) -> tuple[float, ...]:
@@ -173,21 +181,34 @@ def revenue_on_profile(a: Auction, values) -> float:
     return sum(payments(a, values))
 
 
+def _terms(
+    weights: np.ndarray, x: np.ndarray, thresholds: np.ndarray, phis: np.ndarray
+) -> tuple[float, float]:
+    """Expected payment and virtual welfare of bidders whose cell runs from 0 along axis 0.
+
+    x is their allocation and weights the mass at each point; thresholds
+    and phis hold their cells' lowest values and virtual values, broadcast
+    against x.
+    """
+    return np.vdot(weights, _pay(x, thresholds)), np.vdot(weights, x * phis)
+
+
 def _expectation(a: Auction, dist: ProductDist, cap: float) -> tuple[float, float]:
     """Expected revenue and expected ironed virtual welfare under dist.
 
-    Atoms of one bidder that fall into the same cell are merged. Bidder i's
-    terms are summed along its lines, one for each cell profile of the
-    others, weighted by that profile's probability and, at each own cell up
-    to i's highest occupied one, by that cell's mass. Blocks of lines, in
-    order of owner and then of the others' profile, share one sweep.
+    Atoms of one bidder that fall into the same cell are merged, and bidder
+    i's cells run up to top_i - 1, its highest occupied one. If the grid of
+    cells 0..max(top_i) - 1 of every bidder fits one block, one kernel call
+    scores it whole. Otherwise bidder i runs one line over its cells for
+    each profile of the others' occupied cells, in chunks that fit a block.
+    Each point is weighted by the mass of its cells.
     """
     if dist.n != a.feasible.n:
         raise ValueError(f"evaluation distribution has {dist.n} bidders, need {a.feasible.n}")
     mass = np.zeros(a._phis.shape)
     tops = []
-    for i, (t, d) in enumerate(zip(a.virtual_tables, dist)):
-        m = np.bincount(np.searchsorted(t.thresholds, d.support, side="right"), weights=d.probs)
+    for i, (th, t, d) in enumerate(zip(a._thresholds, a.virtual_tables, dist)):
+        m = np.bincount(np.searchsorted(th[: len(t.thresholds)], d._support, "right"), d.probs)
         mass[i, : len(m)] = m
         tops.append(len(m))
     held = mass > 0.0
@@ -195,33 +216,35 @@ def _expectation(a: Auction, dist: ProductDist, cap: float) -> tuple[float, floa
     count = prod(sizes)
     if count > cap:
         raise EnumerationCapError(f"{count} cell profiles exceed cap {cap}")
-    bidders = np.arange(len(sizes))
-    cells = (~held).argsort(axis=1, kind="stable")  # each row's occupied cells first, in order
-    top = max(tops)
-    tops = np.array(tops)
-    mass = mass[:, :top]
-    mass_phi = mass * a._phis[:, :top]
-    # Profiles of occupied cells are numbered row-major, with strides[k]
-    # per step of bidder k. Bidder i's line j starts at the profile whose
-    # number, with i's own digit 0, is j + (j // strides[i]) * skips[i].
-    strides = np.array([prod(sizes[k + 1 :]) for k in range(len(sizes))])
-    skips = strides * (np.array(sizes) - 1)
-    starts = np.array(list(accumulate((count // z for z in sizes), initial=0)))
+    n, top, width = len(tops), max(tops), len(a._verts) + len(tops)
+    if top**n * width <= _BLOCK:  # cells 0..top-1 of bidder i along axis i
+        cube = [np.arange(top).reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n)]
+        wins = _winners(a, cube)
+        weights = prod(m[:top].reshape(c.shape) for m, c in zip(mass, cube))
+        # one slice per bidder along axis 1, each with the bidder's own axis first
+        x = np.stack([a._verts[wins, i].swapaxes(0, i) for i in range(n)], axis=1)
+        w = np.stack([weights.swapaxes(0, i) for i in range(n)], axis=1)
+        along = (-1, n) + (1,) * (n - 1)
+        tables = a._thresholds[:, : top - 1].T.reshape(along), a._phis[:, :top].T.reshape(along)
+        return tuple(float(v) for v in _terms(w, x, *tables))
     revenue = welfare = 0.0
-    step = max(1, _BLOCK // mass.size)
-    for first in range(0, starts[-1], step):
-        line = np.arange(first, min(first + step, starts[-1]))
-        owner = starts.searchsorted(line, side="right") - 1
-        j = line - starts[owner]
-        number = j + j // strides[owner] * skips[owner]
-        lines = cells[bidders, number[:, None] // strides % sizes]
-        weights = mass[bidders, lines]
-        weights[np.arange(len(line)), owner] = 1.0  # the owner's cell is swept, not fixed
-        weights = weights.prod(axis=1)
-        x, pay = _sweep(a, lines, owner, tops[owner])
-        width = x.shape[1]  # the block's highest top, which may fall short of top
-        revenue += weights @ (pay * mass[owner, :width]).sum(axis=1)
-        welfare += weights @ (x * mass_phi[owner, :width]).sum(axis=1)
+    bidders = np.arange(n)
+    occupied = (~held).argsort(axis=1, kind="stable")  # each row's occupied cells first, in order
+    for i, t in enumerate(tops):
+        others = sizes.copy()
+        others[i] = 1  # profiles of the others' occupied cells, numbered row-major
+        lines, step = count // sizes[i], max(1, _BLOCK // (t * width))
+        for first in range(0, lines, step):
+            digits = np.unravel_index(np.arange(first, min(first + step, lines)), others)
+            cells = occupied[bidders, np.transpose(digits)]
+            weights = mass[bidders, cells]
+            weights[:, i] = 1.0  # i's own cell runs along the line
+            cells = list(cells.T)
+            cells[i] = np.arange(t)[:, None]
+            x = a._verts[:, i][_winners(a, cells)]
+            weights = weights.prod(axis=1) * mass[i, :t, None]
+            rev, wel = _terms(weights, x, a._thresholds[i, : t - 1, None], a._phis[i, :t, None])
+            revenue, welfare = revenue + rev, welfare + wel
     return float(revenue), float(welfare)
 
 

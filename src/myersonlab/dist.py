@@ -22,18 +22,19 @@ CDF_TOL = 1e-12  # slack for CDF comparisons at checkpoints
 class ValueDist:
     """Atoms of a discrete distribution: strictly increasing support, positive masses.
 
-    Two running sums are derived once, when the object is built: the
-    read-only array _below[k] is the mass of the k lowest atoms, summed left
-    to right, and _above[k] is the mass of atom k and every atom above it,
-    summed top down. Quantiles and revenue-curve breakpoints must agree
-    bitwise, so every quantile in the package is read from _above, whose
-    full-mass entry _above[0] is snapped to exactly 1. A lowest atom whose
-    mass is lost when the others are summed would get quantile 1 twice, so
-    such a distribution is rejected.
+    Derived once, when the object is built: the read-only array _support
+    holds the support, the read-only array _below[k] is the mass of the k
+    lowest atoms, summed left to right, and _above[k] is the mass of atom k
+    and every atom above it, summed top down. Quantiles and revenue-curve
+    breakpoints must agree bitwise, so every quantile in the package is
+    read from _above, whose full-mass entry _above[0] is snapped to exactly
+    1. A lowest atom whose mass is lost when the others are summed would get
+    quantile 1 twice, so such a distribution is rejected.
     """
 
     support: tuple[float, ...]
     probs: tuple[float, ...]
+    _support: np.ndarray = field(init=False, repr=False, compare=False)
     _below: np.ndarray = field(init=False, repr=False, compare=False)
     _above: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
@@ -45,9 +46,11 @@ class ValueDist:
                 f"so its mass {self.probs[0]!r} is lost"
             )
         above[0] = 1.0
+        support = np.array(self.support, dtype=float)
         below = np.fromiter(accumulate(self.probs, initial=0.0), float, len(self.probs) + 1)
-        below.setflags(write=False)
-        object.__setattr__(self, "_below", below)
+        for name, arr in (("_support", support), ("_below", below)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "_above", tuple(above))
 
     def to_json(self) -> dict:
@@ -207,7 +210,7 @@ def _cdf_pairs(a: ProductDist, b: ProductDist) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     fa, fb = [], []
     for ai, bi in zip(a, b):
-        sa, sb = np.asarray(ai.support), np.asarray(bi.support)
+        sa, sb = ai._support, bi._support
         fa += [ai._below[1:], ai._below[np.searchsorted(sa, sb, "right")]]
         fb += [bi._below[np.searchsorted(sb, sa, "right")], bi._below[1:]]
     return np.concatenate(fa), np.concatenate(fb)

@@ -186,9 +186,11 @@ def find_exchange_violation(
                         break
                     rest ^= low
                 else:
-                    key = (-bin(s & sp).count("1"), members(s), members(sp))
-                    if best_key is None or key < best_key:
-                        best, best_key = (members(s), members(sp)), key
+                    common = -bin(s & sp).count("1")
+                    if best_key is None or common <= best_key[0]:  # spare members() otherwise
+                        key = (common, members(s), members(sp))
+                        if best_key is None or key < best_key:
+                            best, best_key = key[1:], key
     return best
 
 

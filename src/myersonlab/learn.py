@@ -44,7 +44,7 @@ def draw_samples(d: ProductDist, count: int, seed) -> SampleMatrix:
     cols = []
     for j, dj in enumerate(d):
         idx = np.minimum(np.searchsorted(dj._below[1:], u[:, j], side="left"), len(dj.support) - 1)
-        cols.append(np.asarray(dj.support)[idx])
+        cols.append(dj._support[idx])
     values = np.stack(cols, axis=1)
     values.setflags(write=False)
     return SampleMatrix(d.n, count, values, seed if isinstance(seed, int) else None)
@@ -69,12 +69,14 @@ def empirical(s: SampleMatrix) -> ProductDist:
 def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
     """Empirical distribution inflated so the true prior dominates it w.h.p.
 
-    Per coordinate the empirical CDF is inflated by a Bernstein-style
-    radius at each support point, clamped to 1 and made nondecreasing by a
-    cumulative max. The inflated CDF is positive below the lowest sample,
-    so that mass is realized as an atom at value 0; pushing it to the
-    bottom is what keeps dominance implied by the CDF inequality alone.
-    The inflation depends only on how many samples are at most a value.
+    Per coordinate the empirical CDF e is inflated by a Bernstein-style
+    radius at each support point and clamped to 1. The result is
+    nondecreasing: f(e) = e + sqrt(2e(1-e)c/N) + 4c/N is concave with
+    f(1) > 1, so it falls only where it is already clamped. The inflated
+    CDF is positive below the lowest sample, so that mass is realized as
+    an atom at value 0; pushing it to the bottom is what keeps dominance
+    implied by the CDF inequality alone. The inflation depends only on how
+    many samples are at most a value.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta {delta!r} outside (0, 1)")
@@ -88,7 +90,7 @@ def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
     bottom = min(1.0, 4.0 * coef / count)
     dists = []
     for vals, at_most in _column_runs(s):
-        cum = np.concatenate(([0.0, bottom], np.maximum.accumulate(inflated[at_most - 1])))
+        cum = np.concatenate(([0.0, bottom], inflated[at_most - 1]))
         dists.append(make_discrete(np.concatenate(([0.0], vals)), cum[1:] - cum[:-1]))
     return ProductDist(tuple(dists))
 

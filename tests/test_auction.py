@@ -3,11 +3,12 @@
 import tracemalloc
 from itertools import combinations
 from itertools import product as iproduct
-from math import inf
+from math import inf, nan, prod
 
 import numpy as np
 import pytest
 
+import myersonlab.auction
 import oracles
 from myersonlab.auction import (
     _BLOCK,
@@ -255,6 +256,24 @@ def probe_values(d):
     return [0.0, s[0] / 2, *s, *((u + v) / 2 for u, v in zip(s, s[1:]))]
 
 
+def record_kernel_calls(monkeypatch):
+    """Spy on the kernel: the broadcast shape of each call, in order."""
+    shapes = []
+    kernel = myersonlab.auction._winners
+
+    def spy(a, cells):
+        shapes.append(np.broadcast_shapes(*(np.shape(c) for c in cells)))
+        return kernel(a, cells)
+
+    monkeypatch.setattr(myersonlab.auction, "_winners", spy)
+    return shapes
+
+
+def scored_on_grid(shapes, n):
+    """One kernel call over an n-axis grid; lines take (cells, profiles) calls per bidder."""
+    return len(shapes) == 1 and len(shapes[0]) == n
+
+
 class TestAgainstScalarReference:
     """The array kernel against the one-profile-at-a-time allocator and payment loop."""
 
@@ -308,10 +327,70 @@ class TestAgainstScalarReference:
             ),
         ],
     )
-    def test_line_sweep_edge_distributions(self, prior, dist, fs):
+    def test_line_sweep_edge_distributions(self, monkeypatch, prior, dist, fs):
         a = myerson(prior, fs)
+        monkeypatch.setattr("myersonlab.auction._BLOCK", 8)  # too small for any grid here
         for d in (prior, dist):
             self.check_expectations(a, d)
+
+    @pytest.mark.parametrize(
+        "prior,dist,fs",
+        [
+            pytest.param(  # no zero vertex: a point with a bidder in cell 0 falls back to welfare
+                product_dist(make_discrete([0.25, 1.0], [0.5, 0.5]),
+                             make_discrete([0.5, 0.75], [0.5, 0.5])),
+                product_dist(make_discrete([0.125, 0.25, 1.0], [0.25, 0.25, 0.5]),
+                             make_discrete([0.25, 0.5, 0.75], [0.5, 0.25, 0.25])),
+                from_vertices([[1.0, 0.5], [0.5, 1.0], [0.25, 0.25]]),
+                id="forced-fallback",
+            ),
+            pytest.param(  # atoms below each prior's lowest one fall in cell 0
+                product_dist(make_discrete([0.5, 1.0], [0.5, 0.5]), uniform_grid([0.25, 0.75]),
+                             uniform_grid([0.25, 0.5, 1.0])),
+                product_dist(make_discrete([0.0, 0.5, 1.0], [0.25, 0.25, 0.5]),
+                             make_discrete([0.125, 0.25, 0.75], [0.5, 0.25, 0.25]),
+                             uniform_grid([0.0, 0.25, 0.5, 1.0])),
+                uniform_matroid(3, 2),
+                id="cell-0-occupied",
+            ),
+            pytest.param(  # bidder 0's cells 2 and 3 carry no mass
+                product_dist(uniform_grid([0.25, 0.5, 0.75, 1.0]), uniform_grid([0.25, 0.5, 1.0])),
+                product_dist(make_discrete([0.25, 1.0], [0.5, 0.5]),
+                             uniform_grid([0.25, 0.5, 1.0])),
+                uniform_matroid(2, 1),
+                id="interior-cells-empty",
+            ),
+        ],
+    )
+    def test_grid_edge_distributions(self, monkeypatch, prior, dist, fs):
+        a = myerson(prior, fs)
+        shapes = record_kernel_calls(monkeypatch)
+        on_grid = _expectation(a, dist, inf)
+        assert scored_on_grid(shapes, dist.n), shapes
+        self.check_expectations(a, dist)
+        monkeypatch.setattr("myersonlab.auction._BLOCK", 8)  # too small for the grid
+        shapes.clear()
+        assert _expectation(a, dist, inf) == pytest.approx(on_grid, abs=1e-12)
+        assert not scored_on_grid(shapes, dist.n), shapes
+
+    def test_grid_and_lines_agree(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        shapes = record_kernel_calls(monkeypatch)
+        grids = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 4))
+            prior = random_prior(rng, n)
+            a = myerson(prior, random_system(rng, n))
+            for dist in (prior, random_prior(rng, n)):
+                monkeypatch.setattr("myersonlab.auction._BLOCK", 1 << 14)
+                shapes.clear()
+                first = _expectation(a, dist, inf)
+                grids += scored_on_grid(shapes, n)
+                monkeypatch.setattr("myersonlab.auction._BLOCK", 1)  # no grid fits
+                shapes.clear()
+                assert _expectation(a, dist, inf) == pytest.approx(first, abs=1e-12)
+                assert not scored_on_grid(shapes, n)
+        assert grids >= 200  # most of the 300 evaluations took the grid
 
     def test_ten_bidder_embed_gadget(self):
         # the minimum non-matroid on bidders 0-2 next to a rank-2 uniform
@@ -362,6 +441,28 @@ class TestAgainstScalarReference:
         assert allocate(a, (0.125, 0.25)) == (0.0, 1.0)
         assert payments(a, (0.125, 0.25)) == (0.0, 0.0)
         self.check_profile(a, (0.125, 0.25))
+
+
+def test_three_bidder_ten_atom_evaluation_scores_one_grid(monkeypatch):
+    # cells 0-10 of each bidder: 11^3 = 1,331 points, where lines over
+    # each bidder's cells for every profile of the others take 3,300
+    prior = ProductDist((uniform_grid(np.linspace(0.1, 1.0, 10)),) * 3)
+    a = myerson(prior, uniform_matroid(3, 2))
+    shapes = record_kernel_calls(monkeypatch)
+    expected_revenue(a, prior)
+    assert shapes == [(11, 11, 11)]
+    assert sum(prod(s) for s in shapes) <= 1331
+
+
+class TestNanBids:
+    # NaN sorts above the top atom, so unchecked it bids like the highest value
+    @pytest.mark.parametrize("bids", [(nan, 0.5), (0.5, nan)])
+    def test_refused(self, bids):
+        prior = ProductDist((make_discrete([0.2, 0.8], [0.5, 0.5]),) * 2)
+        a = myerson(prior, uniform_matroid(2, 1))
+        for evaluate in (allocate, payments, revenue_on_profile):
+            with pytest.raises(ValueError, match="NaN"):
+                evaluate(a, bids)
 
 
 def test_payments_on_fresh_bids_leave_memory_flat():

@@ -155,6 +155,21 @@ class TestDominatedEmpirical:
                     assert cdf(et[j], v) >= cdf(e[j], v) - 1e-12
                 assert cdf(et[j], 1.0) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("count", [1, 2, 9, 60, 700, 5000])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("delta", [0.001, 0.1, 0.9])
+    def test_inflated_cdf_rises_until_it_reaches_one(self, count, n, delta):
+        # distinct samples: one atom per sample value below the clamp, in
+        # order, so a rank where the inflated CDF fell would lose its atom
+        # (or make the learned prior's masses negative)
+        values = np.arange(1, count + 1) / (count + 1)
+        s = SampleMatrix(n, count, np.repeat(values[:, None], n, axis=1), None)
+        for d in dominated_empirical(s, delta):
+            kept = len(d.support) - 1
+            assert d.support == (0.0,) + tuple(values[:kept].tolist())
+            assert min(d.probs) > 0.0
+            assert cdf(d, values[kept - 1] if kept else 0.0) == pytest.approx(1.0, abs=1e-12)
+
     def test_delta_validation(self):
         s = SampleMatrix(1, 2, np.array([[0.1], [0.2]]), None)
         with pytest.raises(ValueError):
