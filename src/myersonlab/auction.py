@@ -4,7 +4,8 @@ The auction precomputes each bidder's ironed-virtual-value step function
 from the prior, picks the vertex maximizing ironed virtual welfare, and
 charges the threshold payments that make the allocation truthful. Both
 depend on values only through each bidder's cell: cell 0 lies below the
-prior's lowest atom and cell c > 0 is virtual-table segment c - 1.
+prior's lowest atom, and cell c > 0 is the c-th run of adjacent atoms
+with equal ironed virtual value, such as the atoms of one ironed interval.
 
 One kernel call finds the winning vertex at every point of n per-bidder
 cell arrays that broadcast to one shape: one row of cells, lines, or a
@@ -16,12 +17,10 @@ Exact expectations need bidder i's cells 0..top_i - 1, up to its highest
 occupied one. With top the largest top_i, when the grid of every bidder's
 cells 0..top - 1 fits one block (top^n times (vertices + bidders) at most
 _BLOCK), one kernel call scores it whole, and each bidder's payments are a
-running sum along its own axis: 1,331 kernel rows for three bidders with
-ten atoms each. Cells past a bidder's top_i carry no mass. Larger grids,
-such as ten bidders of three cells, run lines instead: for each bidder,
-one line per profile of the others' occupied cells, sum_i (profiles /
-|occupied_i|) * top_i rows in blocks. Auction objects hold read-only
-arrays and no other state.
+running sum along its own axis: for three bidders of ten atoms, 1,331
+kernel rows without ironing and 64 with three runs each. Larger grids run
+lines: for each bidder, one line per profile of the others' occupied
+cells, in blocks. Auction objects hold read-only arrays and no other state.
 """
 
 from __future__ import annotations
@@ -54,10 +53,10 @@ class CrossCheckError(RuntimeError):
 class Auction:
     """The optimal auction and the read-only arrays myerson derives from it once.
 
-    _verts holds the vertices ranked in tie_order, one per row. For bidder
-    i, _phis[i, c] is the ironed virtual value in cell c (0 in cell 0) and
-    _thresholds[i, c - 1] the lowest value in cell c > 0; both rows are
-    padded with zeros to the longest support.
+    _verts holds the vertices ranked in tie_order, one per row. Bidder i has
+    _runs[i] cells above 0, one per run of equal ironed virtual value;
+    _phis[i, c] is that value in cell c (0 in cell 0) and _thresholds[i, c - 1]
+    the value of the run's first atom. Both rows are padded with zeros.
     """
 
     prior: ProductDist
@@ -67,6 +66,7 @@ class Auction:
     _verts: np.ndarray = field(repr=False)
     _phis: np.ndarray = field(repr=False)
     _thresholds: np.ndarray = field(repr=False)
+    _runs: tuple[int, ...] = field(repr=False)
 
 
 def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
@@ -83,12 +83,15 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
         sorted(range(len(fs.vertices)), key=lambda j: (-sum(fs.vertices[j]), fs.vertices[j]))
     )
     verts = np.array([fs.vertices[j] for j in order], order="F")
-    width = max(len(t.slopes) for t in tables)
-    phis = np.array([(0.0,) + t.slopes + (0.0,) * (width - len(t.slopes)) for t in tables])
-    thresholds = np.array([t.thresholds + (0.0,) * (width - len(t.thresholds)) for t in tables])
+    # one cell per run of atoms with equal slopes; a hull segment gives all its atoms one slope
+    runs = [[j for j, s in enumerate(t.slopes) if j == 0 or s != t.slopes[j - 1]] for t in tables]
+    phis, thresholds = np.zeros((2, len(runs), max(map(len, runs)) + 1))
+    for i, (t, starts) in enumerate(zip(tables, runs)):
+        phis[i, 1 : len(starts) + 1] = [t.slopes[j] for j in starts]
+        thresholds[i, : len(starts)] = [t.thresholds[j] for j in starts]
     for arr in (verts, phis, thresholds):
         arr.setflags(write=False)
-    return Auction(prior, fs, tables, order, verts, phis, thresholds)
+    return Auction(prior, fs, tables, order, verts, phis, thresholds, tuple(map(len, runs)))
 
 
 def _winners(a: Auction, cells) -> np.ndarray:
@@ -137,8 +140,8 @@ def _pay(x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 def _payments(a: Auction, cells: np.ndarray) -> np.ndarray:
     """Threshold payments at each row of a (rows, n) cell matrix.
 
-    Bidder i's line runs its cell from 0 up to the highest cell in the
-    rows against the others' cells in the row. One kernel call scores the
+    Bidder i's line steps its cell over runs, from 0 to the rows' highest
+    cell, against the others' cells in the row. One kernel call scores the
     lines of every bidder and row, on axes (own cell, whose line, row).
     """
     whose = np.arange(cells.shape[1])[:, None]
@@ -153,10 +156,8 @@ def _cells(a: Auction, profiles) -> np.ndarray:
     profiles = np.asarray(profiles, dtype=float)
     if np.isnan(profiles).any():
         raise ValueError("a value profile holds NaN")
-    rows = zip(a._thresholds, a.virtual_tables, profiles.T, strict=True)
-    return np.column_stack(
-        [np.searchsorted(th[: len(t.thresholds)], v, side="right") for th, t, v in rows]
-    )
+    rows = zip(a._thresholds, a._runs, profiles.T, strict=True)
+    return np.column_stack([np.searchsorted(th[:m], v, side="right") for th, m, v in rows])
 
 
 def allocate(a: Auction, values) -> tuple[float, ...]:
@@ -196,7 +197,8 @@ def _terms(
 def _expectation(a: Auction, dist: ProductDist, cap: float) -> tuple[float, float]:
     """Expected revenue and expected ironed virtual welfare under dist.
 
-    Atoms of one bidder that fall into the same cell are merged, and bidder
+    Atoms of one bidder that fall into the same cell, a run of the prior,
+    are merged, and cap bounds the distinct occupied run profiles. Bidder
     i's cells run up to top_i - 1, its highest occupied one. If the grid of
     cells 0..max(top_i) - 1 of every bidder fits one block, one kernel call
     scores it whole. Otherwise bidder i runs one line over its cells for
@@ -207,8 +209,8 @@ def _expectation(a: Auction, dist: ProductDist, cap: float) -> tuple[float, floa
         raise ValueError(f"evaluation distribution has {dist.n} bidders, need {a.feasible.n}")
     mass = np.zeros(a._phis.shape)
     tops = []
-    for i, (th, t, d) in enumerate(zip(a._thresholds, a.virtual_tables, dist)):
-        m = np.bincount(np.searchsorted(th[: len(t.thresholds)], d._support, "right"), d.probs)
+    for i, (th, runs, d) in enumerate(zip(a._thresholds, a._runs, dist)):
+        m = np.bincount(np.searchsorted(th[:runs], d._support, "right"), d.probs)
         mass[i, : len(m)] = m
         tops.append(len(m))
     held = mass > 0.0

@@ -1,8 +1,8 @@
 """Command-line harness around the experiment suite.
 
 Each subcommand runs one experiment and writes its report as JSON (default)
-or CSV rows. Exit status: 0 for a pass verdict, 2 for fail, 1 for input
-errors including usage errors and precondition violations.
+or CSV rows (curves: JSON only). Exit status: 0 for a pass verdict, 2 for
+fail, 1 for input errors including usage errors and precondition violations.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("curves", help="dump revenue and ironed curves of a distribution")
     sp.add_argument("--dist", required=True, metavar="FILE")
     sp.add_argument("--dump-curves", metavar="PATH", default=None)
-    _add_common(sp)
+    sp.add_argument("--out", metavar="PATH", default=None)  # JSON only: no --format
     sp.set_defaults(func=_cmd_curves)
 
     return p

@@ -9,17 +9,21 @@ violation search over member tuples, the disjoint union of set systems
 over the full product of their sets, and the auction one profile at a
 time: a scalar welfare scan over the vertices, a payment integral that
 re-runs it at each own-value breakpoint, and expectations over the full
-product of supports. Distributions are built by merging atoms one at a
-time in a dict, and learned priors column by column through np.unique.
-The library must agree with them bit for bit, except that payments,
-revenue and welfare may differ in the last bits.
+product of supports. The per-atom auction keeps one cell per atom where
+the library keeps one per run of equal ironed virtual value.
+Distributions are built by merging atoms one at a time in a dict, and
+learned priors column by column through np.unique. The library must
+agree with them bit for bit, except that payments, revenue and welfare
+may differ in the last bits.
 """
 
+from dataclasses import replace
 from itertools import product
 from math import log, sqrt
 
 import numpy as np
 
+from myersonlab.auction import myerson
 from myersonlab.curves import NEG_INF, iron, revenue_curve
 from myersonlab.dist import CDF_TOL, MASS_TOL, ProductDist, ValueDist, quantile_of_value
 from myersonlab.feasible import from_independent_sets, members
@@ -213,6 +217,17 @@ def disjoint_union(parts):
         for combo in product(*[p.sets_view for p in parts])
     ]
     return from_independent_sets(sum(p.n for p in parts), sets)
+
+
+def per_atom_auction(prior, fs):
+    """myerson's auction with one cell per atom: cell c > 0 is atom c - 1 of the bidder's table."""
+    a = myerson(prior, fs)
+    tables = a.virtual_tables
+    width = max(len(t.slopes) for t in tables)
+    phis = np.array([(0.0,) + t.slopes + (0.0,) * (width - len(t.slopes)) for t in tables])
+    thresholds = np.array([t.thresholds + (0.0,) * (width - len(t.thresholds)) for t in tables])
+    atoms = tuple(len(t.thresholds) for t in tables)
+    return replace(a, _phis=phis, _thresholds=thresholds, _runs=atoms)
 
 
 def allocate(a, values):

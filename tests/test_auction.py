@@ -24,7 +24,14 @@ from myersonlab.auction import (
     payments,
     revenue_on_profile,
 )
-from myersonlab.dist import ProductDist, make_discrete, point_mass, product_dist, uniform_grid
+from myersonlab.dist import (
+    ProductDist,
+    discretize_uniform_with_atom,
+    make_discrete,
+    point_mass,
+    product_dist,
+    uniform_grid,
+)
 from myersonlab.feasible import (
     all_or_nothing,
     find_exchange_violation,
@@ -34,6 +41,7 @@ from myersonlab.feasible import (
     uniform_matroid,
 )
 from myersonlab.lab import embed_counterexample, lipschitz_pair, nonmonotone_gadget
+from myersonlab.learn import dominated_empirical, draw_samples
 
 from fuzz import dominated_pair, random_feasible, random_product, random_value_dist
 
@@ -452,6 +460,128 @@ def test_three_bidder_ten_atom_evaluation_scores_one_grid(monkeypatch):
     expected_revenue(a, prior)
     assert shapes == [(11, 11, 11)]
     assert sum(prod(s) for s in shapes) <= 1331
+
+
+# ten atoms in three ironed runs: virtual values -0.61 on atoms 1-4, 0.16 on atoms 5-9, 1 on the top
+IRONED_TEN = make_discrete(
+    np.linspace(0.1, 1.0, 10), [0.3, 0.02, 0.02, 0.02, 0.3, 0.02, 0.02, 0.02, 0.02, 0.26]
+)
+# two atoms an ulp apart whose virtual values, 0.5 -+ 2^-53, straddle a rival's 0.5
+NEAR_TIE = make_discrete([0.5, 0.5 + 2.0**-53], [0.5, 0.5])
+
+
+def ironed_dist(rng, m):
+    """m atoms on a 1/1000 grid with spiky masses, so most of them lie in long ironed runs."""
+    support = np.sort(rng.choice(np.arange(1, 1000), size=m, replace=False)) / 1000
+    return make_discrete(support, rng.dirichlet(np.full(m, 0.3)))
+
+
+def learned_prior(seed):
+    """A dominated empirical prior of about 740 atoms per bidder, learned as in dense-learn."""
+    prior = ProductDist(tuple(discretize_uniform_with_atom(v, 0.1, 0.001) for v in (0.55, 0.8)))
+    return dominated_empirical(draw_samples(prior, 1726, seed), 0.1)
+
+
+class TestRunsAgainstPerAtomCells:
+    """One cell per ironed run against the per-atom auction of oracles.per_atom_auction.
+
+    Inside a run every kernel input is the same, so allocations and
+    payments must be bit-equal; expectations merge masses per run, so only
+    their summation order moves.
+    """
+
+    def check(self, prior, fs, dists, rng, sweep=None):
+        """Sweep each bidder's bid over its probes, or over sweep of them, the others at random."""
+        a, ref = myerson(prior, fs), oracles.per_atom_auction(prior, fs)
+        probes = [probe_values(d) for d in prior]  # atoms, run boundaries, between atoms, cell 0
+        for i, own in enumerate(probes):
+            for v in own if sweep is None else rng.choice(own, sweep, replace=False):
+                values = [float(rng.choice(p)) for p in probes]
+                values[i] = v
+                assert allocate(a, values) == allocate(ref, values), values
+                assert payments(a, values) == payments(ref, values), values
+        for dist in dists:
+            assert _expectation(a, dist, inf) == pytest.approx(
+                _expectation(ref, dist, inf), abs=1e-12, rel=0
+            )
+            mc = expected_revenue_mc(a, dist, 300, 7)
+            assert mc == pytest.approx(expected_revenue_mc(ref, dist, 300, 7), abs=1e-12, rel=0)
+        return a
+
+    def test_random_ironed_priors(self):
+        rng = np.random.default_rng(10)
+        atoms = runs = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            prior = ProductDist(tuple(ironed_dist(rng, int(rng.integers(3, 13))) for _ in range(n)))
+            below = ProductDist(tuple(ironed_dist(rng, 6) for _ in range(n)))  # cell 0 occupied
+            a = self.check(prior, random_system(rng, n), (prior, below), rng)
+            atoms, runs = atoms + sum(len(d.support) for d in prior), runs + sum(a._runs)
+        assert runs < 0.7 * atoms  # the priors are mostly ironed
+
+    @pytest.mark.parametrize(
+        "prior,fs",
+        [
+            pytest.param(GADGET_PRIOR, GADGET_FS, id="gadget-cell-1-virtual-value-0"),
+            pytest.param(ProductDist((IRONED_TEN,) * 3), uniform_matroid(3, 2), id="ironed-ten"),
+            pytest.param(  # no zero vertex, fractional vertices
+                ProductDist((IRONED_TEN, make_discrete([0.2, 0.3, 0.9], [0.6, 0.1, 0.3]))),
+                from_vertices([[1.0, 0.5], [0.5, 1.0], [0.25, 0.25]]),
+                id="no-zero-vertex",
+            ),
+            pytest.param(product_dist(NEAR_TIE, point_mass(0.5)), uniform_matroid(2, 1),
+                         id="near-tie"),
+        ],
+    )
+    def test_edge_priors(self, prior, fs):
+        rng = np.random.default_rng(3)
+        # a quarter of each bidder's mass moved to 0, in cell 0
+        below = [
+            make_discrete((0.0, *d.support), (0.25, *np.multiply(0.75, d.probs))) for d in prior
+        ]
+        self.check(prior, fs, (prior, ProductDist(tuple(below))), rng)
+
+    def test_learned_prior(self):
+        prior = learned_prior(5)
+        self.check(prior, uniform_matroid(2, 1), (), np.random.default_rng(4), sweep=200)
+
+    def test_gadget_cell_1_is_not_cell_0(self, gadget_auction):
+        # B's and C's lowest atom has virtual value exactly 0.0, as cell 0 has,
+        # but only a bidder below it is kept from winning
+        assert gadget_auction._phis[1, :2].tolist() == [0.0, 0.0]
+        assert allocate(gadget_auction, (0.5, 0.1, 0.1)) == (1.0, 0.0, 0.0)
+        assert allocate(gadget_auction, (0.5, 1.0, 0.1)) == (0.0, 1.0, 1.0)
+        assert allocate(gadget_auction, (0.5, 1.0, 0.05)) == (0.0, 1.0, 0.0)
+
+    def test_virtual_values_apart_by_an_ulp_are_apart(self):
+        a = myerson(product_dist(NEAR_TIE, point_mass(0.5)), uniform_matroid(2, 1))
+        assert a._runs == (2, 1)
+        assert allocate(a, (0.5, 0.5)) == (0.0, 1.0)
+        assert allocate(a, (0.5 + 2.0**-53, 0.5)) == (1.0, 0.0)
+        assert payments(a, (0.5 + 2.0**-53, 0.5)) == (0.5 + 2.0**-53, 0.0)
+
+
+def test_ironed_three_bidder_ten_atom_evaluation_scores_a_grid_of_runs(monkeypatch):
+    # three runs and cell 0 per bidder: 4^3 = 64 points, where atoms would take 11^3
+    prior = ProductDist((IRONED_TEN,) * 3)
+    a = myerson(prior, uniform_matroid(3, 2))
+    assert a._runs == (3, 3, 3)
+    shapes = record_kernel_calls(monkeypatch)
+    revenue = expected_revenue(a, prior)
+    assert shapes == [(4, 4, 4)]
+    assert revenue == pytest.approx(oracles.expected_revenue(a, prior), abs=1e-12)
+
+
+def test_payments_on_a_learned_prior_score_runs_not_atoms(monkeypatch):
+    prior = learned_prior(5)
+    a = myerson(prior, uniform_matroid(2, 1))
+    runs = max(a._runs)
+    assert min(len(d.support) for d in prior) > 700 and runs < 100
+    shapes = record_kernel_calls(monkeypatch)
+    for bids in np.random.default_rng(6).random((20, 2)):
+        shapes.clear()
+        payments(a, tuple(bids))
+        assert sum(prod(s) for s in shapes) <= 2 * (runs + 1), shapes
 
 
 class TestNanBids:

@@ -197,6 +197,23 @@ class TestCurves:
         assert json.loads(target.read_text())["ironed_curve"] == [[0.0, 0.0], [1.0, 0.5]]
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_format_flag_is_a_usage_error(self, capsys, tmp_path, fmt):
+        dist = write_json(tmp_path / "d.json", {"support": [0.5], "probs": [1.0]})
+        with pytest.raises(SystemExit) as exc:
+            main(["curves", "--dist", dist, "--format", fmt])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert "unrecognized arguments: --format" in err
+
+    def test_out_flag_writes_file(self, capsys, tmp_path):
+        dist = write_json(tmp_path / "d.json", {"support": [0.5], "probs": [1.0]})
+        target = tmp_path / "report.json"
+        code, out, _ = run(capsys, ["curves", "--dist", dist, "--out", str(target)])
+        assert (code, out) == (0, "")
+        assert json.loads(target.read_text())["monopoly"] == {"price": 0.5, "revenue": 0.5}
+
+
 class TestErrors:
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -352,7 +369,9 @@ def input_files(tmp_path_factory):
 @settings(max_examples=100, deadline=None)
 def test_every_invocation_exits_cleanly(input_files, data):
     command = data.draw(st.sampled_from(sorted(FLAGS)))
-    argv = [command, "--format", data.draw(st.sampled_from(["json", "csv"]))]
+    argv = [command]
+    if command != "curves":  # curves writes JSON only
+        argv += ["--format", data.draw(st.sampled_from(["json", "csv"]))]
     for flag, values in FLAGS[command].items():
         value = data.draw(values, label=flag)
         if value is not None:
