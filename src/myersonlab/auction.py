@@ -8,19 +8,17 @@ prior's lowest atom, and cell c > 0 is the c-th run of adjacent atoms
 with equal ironed virtual value, such as the atoms of one ironed interval.
 
 One kernel call finds the winning vertex at every point of n per-bidder
-cell arrays that broadcast to one shape: one row of cells, lines, or a
-whole grid. Payments are read off lines: along a line one bidder's cell
+cell arrays that broadcast to one shape. Along a line one bidder's cell
 runs from 0 upward while the others stay fixed, and a running sum of
-threshold steps gives that bidder's payment at every point.
-
-Exact expectations need bidder i's cells 0..top_i - 1, up to its highest
-occupied one. With top the largest top_i, when the grid of every bidder's
-cells 0..top - 1 fits one block (top^n times (vertices + bidders) at most
-_BLOCK), one kernel call scores it whole, and each bidder's payments are a
-running sum along its own axis: for three bidders of ten atoms, 1,331
-kernel rows without ironing and 64 with three runs each. Larger grids run
-lines: for each bidder, one line per profile of the others' occupied
-cells, in blocks. Auction objects hold read-only arrays and no other state.
+threshold steps gives that bidder's payment at every point. When the
+grid of every bidder's cells fits one block (top^n times (vertices +
+bidders) at most _BLOCK, where top is the most cells of any bidder),
+myerson scores it once and keeps outcome tables over its cell profiles,
+64 of them for three bidders whose ten atoms form three runs each.
+allocate, payments and Monte Carlo look outcomes up there, and exact
+expectations contract the tables with the bidders' cell masses. Other
+auctions run lines: for each bidder, one line per profile of the others'
+occupied cells, in blocks. Auctions hold read-only arrays and no other state.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from math import inf, prod, sqrt
 
 import numpy as np
 
-from .curves import VirtualTable, virtual_table
+from .curves import virtual_table
 from .dist import ProductDist
 from .feasible import FeasibleSet
 from .learn import draw_samples
@@ -56,17 +54,21 @@ class Auction:
     _verts holds the vertices ranked in tie_order, one per row. Bidder i has
     _runs[i] cells above 0, one per run of equal ironed virtual value;
     _phis[i, c] is that value in cell c (0 in cell 0) and _thresholds[i, c - 1]
-    the value of the run's first atom. Both rows are padded with zeros.
+    the value of the run's first atom. Both rows are padded with zeros. The
+    outcome tables, None when the grid does not fit, are indexed by a cell
+    profile: _ranks holds the winner's rank in tie_order, _outcomes[..., i]
+    bidder i's payment and _outcomes[..., n] the ironed virtual welfare.
     """
 
     prior: ProductDist
     feasible: FeasibleSet
-    virtual_tables: tuple[VirtualTable, ...]
     tie_order: tuple[int, ...]
     _verts: np.ndarray = field(repr=False)
     _phis: np.ndarray = field(repr=False)
     _thresholds: np.ndarray = field(repr=False)
     _runs: tuple[int, ...] = field(repr=False)
+    _ranks: np.ndarray | None = field(default=None, repr=False)
+    _outcomes: np.ndarray | None = field(default=None, repr=False)
 
 
 def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
@@ -74,7 +76,9 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
 
     Welfare ties between vertices are broken by a fixed value-independent
     order: descending total allocation, then ascending lexicographic. Any
-    fixed order keeps the per-bidder allocation monotone in own value.
+    fixed order keeps the per-bidder allocation monotone in own value. When
+    the grid of every bidder's cells fits a block, its outcome tables are
+    scored here, in one kernel call.
     """
     if prior.n != fs.n:
         raise ValueError(f"prior has {prior.n} bidders, system has {fs.n}")
@@ -91,7 +95,22 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
         thresholds[i, : len(starts)] = [t.thresholds[j] for j in starts]
     for arr in (verts, phis, thresholds):
         arr.setflags(write=False)
-    return Auction(prior, fs, tables, order, verts, phis, thresholds, tuple(map(len, runs)))
+    fields = prior, fs, order, verts, phis, thresholds, tuple(map(len, runs))
+    n, top = phis.shape
+    if top**n * (len(verts) + n) > _BLOCK:
+        return Auction(*fields)
+    # bidder i's cells 0..runs_i along axis i; swapaxes(0, i) puts them first
+    grid = [np.arange(len(r) + 1).reshape((-1,) + (1,) * (n - 1 - i)) for i, r in enumerate(runs)]
+    ranks = _winners(Auction(*fields), grid)
+    x = verts[ranks]
+    outcomes, along = np.empty(ranks.shape + (n + 1,)), (-1,) + (1,) * (n - 1)
+    for i, (c, th) in enumerate(zip(grid, thresholds)):
+        own, pay = x[..., i].swapaxes(0, i), outcomes[..., i].swapaxes(0, i)
+        _pay(own, th[: len(c) - 1].reshape(along), pay)
+    outcomes[..., n] = sum(x[..., i] * phi[c] for i, (phi, c) in enumerate(zip(phis, grid)))
+    for arr in (ranks, outcomes):
+        arr.setflags(write=False)
+    return Auction(*fields, ranks, outcomes)
 
 
 def _winners(a: Auction, cells) -> np.ndarray:
@@ -124,26 +143,31 @@ def _winners(a: Auction, cells) -> np.ndarray:
     return best
 
 
-def _pay(x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+def _pay(x: np.ndarray, thresholds: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Threshold payments of a bidder whose cell runs from 0 upward along the first axis of x.
 
     x is its allocation and thresholds[k - 1] the lowest value of its cell
     k, broadcast against x[k]. By the payment identity a winner in cell c
     pays sum_k threshold[k-1] * (x[k] - x[k-1]) over k = 1..c, and a bidder
-    allocated nothing pays nothing.
+    allocated nothing pays nothing. The payments go to out, if given.
     """
-    pay = np.zeros(x.shape)
+    pay = np.empty(x.shape) if out is None else out
+    pay[0] = 0.0
     ((x[1:] - x[:-1]) * thresholds).cumsum(axis=0, out=pay[1:])
-    return np.where(x > 0.0, pay, 0.0)
+    pay[x <= 0.0] = 0.0
+    return pay
 
 
 def _payments(a: Auction, cells: np.ndarray) -> np.ndarray:
-    """Threshold payments at each row of a (rows, n) cell matrix.
+    """Threshold payments at each row of a (rows, n) cell matrix, read off the tables if any.
 
-    Bidder i's line steps its cell over runs, from 0 to the rows' highest
-    cell, against the others' cells in the row. One kernel call scores the
-    lines of every bidder and row, on axes (own cell, whose line, row).
+    Otherwise bidder i's line steps its cell over runs, from 0 to the rows'
+    highest cell, against the others' cells in the row. One kernel call
+    scores the lines of every bidder and row, on axes (own cell, whose
+    line, row).
     """
+    if a._outcomes is not None:
+        return a._outcomes[tuple(cells.T)][:, :-1]
     whose = np.arange(cells.shape[1])[:, None]
     own = np.arange(cells.max() + 1)[:, None, None]
     wins = _winners(a, [np.where(whose == k, own, c) for k, c in enumerate(cells.T)])
@@ -166,7 +190,9 @@ def allocate(a: Auction, values) -> tuple[float, ...]:
     Vertices giving positive allocation to a bidder below its prior's
     lowest atom are excluded while any alternative exists.
     """
-    return tuple(a._verts[_winners(a, _cells(a, [values]).T)[0]].tolist())
+    cells = _cells(a, [values])
+    ranks = _winners(a, cells.T) if a._ranks is None else a._ranks[tuple(cells.T)]
+    return tuple(a._verts[ranks[0]].tolist())
 
 
 def payments(a: Auction, values) -> tuple[float, ...]:
@@ -182,28 +208,16 @@ def revenue_on_profile(a: Auction, values) -> float:
     return sum(payments(a, values))
 
 
-def _terms(
-    weights: np.ndarray, x: np.ndarray, thresholds: np.ndarray, phis: np.ndarray
-) -> tuple[float, float]:
-    """Expected payment and virtual welfare of bidders whose cell runs from 0 along axis 0.
-
-    x is their allocation and weights the mass at each point; thresholds
-    and phis hold their cells' lowest values and virtual values, broadcast
-    against x.
-    """
-    return np.vdot(weights, _pay(x, thresholds)), np.vdot(weights, x * phis)
-
-
 def _expectation(a: Auction, dist: ProductDist, cap: float) -> tuple[float, float]:
     """Expected revenue and expected ironed virtual welfare under dist.
 
     Atoms of one bidder that fall into the same cell, a run of the prior,
-    are merged, and cap bounds the distinct occupied run profiles. Bidder
-    i's cells run up to top_i - 1, its highest occupied one. If the grid of
-    cells 0..max(top_i) - 1 of every bidder fits one block, one kernel call
-    scores it whole. Otherwise bidder i runs one line over its cells for
-    each profile of the others' occupied cells, in chunks that fit a block.
-    Each point is weighted by the mass of its cells.
+    are merged, and cap bounds the distinct occupied run profiles. An
+    auction with tables contracts its payment and welfare tables with each
+    bidder's cell masses, one axis at a time. Otherwise bidder i, whose
+    highest occupied cell is top_i - 1, runs one line over its cells for
+    each profile of the others' occupied cells, in chunks that fit a block,
+    and each point is weighted by the mass of its cells.
     """
     if dist.n != a.feasible.n:
         raise ValueError(f"evaluation distribution has {dist.n} bidders, need {a.feasible.n}")
@@ -218,17 +232,12 @@ def _expectation(a: Auction, dist: ProductDist, cap: float) -> tuple[float, floa
     count = prod(sizes)
     if count > cap:
         raise EnumerationCapError(f"{count} cell profiles exceed cap {cap}")
-    n, top, width = len(tops), max(tops), len(a._verts) + len(tops)
-    if top**n * width <= _BLOCK:  # cells 0..top-1 of bidder i along axis i
-        cube = [np.arange(top).reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n)]
-        wins = _winners(a, cube)
-        weights = prod(m[:top].reshape(c.shape) for m, c in zip(mass, cube))
-        # one slice per bidder along axis 1, each with the bidder's own axis first
-        x = np.stack([a._verts[wins, i].swapaxes(0, i) for i in range(n)], axis=1)
-        w = np.stack([weights.swapaxes(0, i) for i in range(n)], axis=1)
-        along = (-1, n) + (1,) * (n - 1)
-        tables = a._thresholds[:, : top - 1].T.reshape(along), a._phis[:, :top].T.reshape(along)
-        return tuple(float(v) for v in _terms(w, x, *tables))
+    if a._outcomes is not None:
+        table = a._outcomes
+        for m, t in zip(mass, table.shape):  # contract the leading axis, one bidder's cells
+            table = m[:t] @ table.reshape(t, -1)
+        return float(table[:-1].sum()), float(table[-1])
+    n, width = len(tops), len(a._verts) + len(tops)
     revenue = welfare = 0.0
     bidders = np.arange(n)
     occupied = (~held).argsort(axis=1, kind="stable")  # each row's occupied cells first, in order
@@ -245,8 +254,8 @@ def _expectation(a: Auction, dist: ProductDist, cap: float) -> tuple[float, floa
             cells[i] = np.arange(t)[:, None]
             x = a._verts[:, i][_winners(a, cells)]
             weights = weights.prod(axis=1) * mass[i, :t, None]
-            rev, wel = _terms(weights, x, a._thresholds[i, : t - 1, None], a._phis[i, :t, None])
-            revenue, welfare = revenue + rev, welfare + wel
+            revenue += np.vdot(weights, _pay(x, a._thresholds[i, : t - 1, None]))
+            welfare += np.vdot(weights, x * a._phis[i, :t, None])
     return float(revenue), float(welfare)
 
 

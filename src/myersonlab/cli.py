@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import lab
-from .curves import iron, ironing_intervals, monopoly, revenue_curve
+from .curves import _intervals, iron, monopoly, revenue_curve
 from .dist import ProductDist, ValueDist
 from .feasible import feasible_from_json
 
@@ -89,11 +89,12 @@ def _cmd_lb_family(args) -> int:
 def _cmd_curves(args) -> int:
     d = ValueDist.from_json(_load_json(args.dist))
     raw = revenue_curve(d)
+    hull = iron(raw)
     price, revenue = monopoly(d)
     payload = {
         "revenue_curve": raw.to_json(),
-        "ironed_curve": iron(raw).to_json(),
-        "ironing_intervals": [list(iv) for iv in ironing_intervals(d)],
+        "ironed_curve": hull.to_json(),
+        "ironing_intervals": [list(iv) for iv in _intervals(raw, hull)],
         "monopoly": {"price": price, "revenue": revenue},
     }
     text = json.dumps(payload, sort_keys=True, indent=2)

@@ -158,7 +158,12 @@ def ironing_intervals(d: ValueDist) -> list[tuple[float, float]]:
     each segment's interior points in turn.
     """
     curve = revenue_curve(d)
-    raw, hull = curve.breakpoints, iron(curve).breakpoints
+    return _intervals(curve, iron(curve))
+
+
+def _intervals(curve: RevenueCurve, ironed: RevenueCurve) -> list[tuple[float, float]]:
+    """ironing_intervals of a revenue curve and its ironed envelope."""
+    raw, hull = curve.breakpoints, ironed.breakpoints
     out = []
     j = 0
     for (q0, r0), (q1, r1) in zip(hull, hull[1:]):

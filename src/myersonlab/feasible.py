@@ -154,7 +154,7 @@ def is_matroid(fs: FeasibleSet) -> bool:
     """
     if fs.sets_view is None:
         raise ValueError("matroid check needs a binary set system")
-    return 0 in fs.sets_view and is_downward_closed(fs) and find_exchange_violation(fs) is None
+    return 0 in fs.sets_view and is_downward_closed(fs) and _exchange_violation(fs) is None
 
 
 def find_exchange_violation(
@@ -170,6 +170,11 @@ def find_exchange_violation(
         raise ValueError("exchange check needs a binary set system")
     if not is_downward_closed(fs):
         raise ValueError("exchange check needs a downward-closed system")
+    return _exchange_violation(fs)
+
+
+def _exchange_violation(fs: FeasibleSet) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """find_exchange_violation on a binary system already known to be downward closed."""
     have = set(fs.sets_view)
     by_size: dict[int, list[int]] = {}
     for m in fs.sets_view:

@@ -12,7 +12,7 @@ import io
 import json
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import log, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .dist import (
 )
 from .feasible import (
     FeasibleSet,
+    _exchange_violation,
     all_or_nothing,
-    find_exchange_violation,
     is_downward_closed,
     minimum_non_matroid,
 )
@@ -91,6 +91,12 @@ def _report(experiment, params, metrics, ok, seed=None) -> Report:
     return Report(experiment, params, metrics, "pass" if ok else "fail", seed)
 
 
+def _revenues(dtilde: ProductDist, d: ProductDist, fs: FeasibleSet) -> tuple[float, float]:
+    """Exact revenue of the design-prior auction on the design prior and on d."""
+    a = myerson(dtilde, fs)
+    return expected_revenue(a, dtilde), expected_revenue(a, d)
+
+
 # ---------------------------------------------------------------------------
 # counterexample constructions
 
@@ -112,10 +118,7 @@ def nonmonotone_gadget(eps: float) -> tuple[ProductDist, ProductDist, FeasibleSe
 
 def run_nonmonotone(eps: float = 0.1) -> Report:
     """Exact revenues of the design-prior auction on both priors."""
-    dtilde, d, fs = nonmonotone_gadget(eps)
-    a = myerson(dtilde, fs)
-    on_design = expected_revenue(a, dtilde)
-    on_dominating = expected_revenue(a, d)
+    on_design, on_dominating = _revenues(*nonmonotone_gadget(eps))
     return _report(
         "nonmonotone",
         {"eps": eps},
@@ -142,10 +145,7 @@ def run_copies(k: int) -> Report:
         raise ValueError("k must be at least 2")
     copies = k // 2
     eps = 0.1
-    dtilde, d, fs = nonmonotone_gadget(eps)
-    a = myerson(dtilde, fs)
-    on_design = expected_revenue(a, dtilde)
-    on_dominating = expected_revenue(a, d)
+    on_design, on_dominating = _revenues(*nonmonotone_gadget(eps))
     gap = on_design - on_dominating
     return _report(
         "copies",
@@ -175,7 +175,7 @@ def embed_counterexample(fs: FeasibleSet, eps: float = 0.1) -> Report:
         raise PreconditionError("embedding limited to n <= 10")
     if not is_downward_closed(fs):
         raise PreconditionError("embedding needs a downward-closed system")
-    witness = find_exchange_violation(fs)
+    witness = _exchange_violation(fs)
     if witness is None:
         raise PreconditionError("system is a matroid; nothing to embed")
     s_big, s_small = witness
@@ -205,9 +205,7 @@ def embed_counterexample(fs: FeasibleSet, eps: float = 0.1) -> Report:
         big_parts.append(hi)
     dtilde = ProductDist(tuple(tilde_parts))
     d = ProductDist(tuple(big_parts))
-    auc = myerson(dtilde, fs)
-    on_design = expected_revenue(auc, dtilde)
-    on_dominating = expected_revenue(auc, d)
+    on_design, on_dominating = _revenues(dtilde, d, fs)
     return _report(
         "embed",
         {"eps": eps, "n": n},
@@ -250,9 +248,7 @@ def check_approx_monotone(
     n, k = fs.n, fs.rank
     _require_dominated_close(dd, dtilde, eps, n, k, uniform)
     slack = sqrt(n / k) * eps if uniform else eps
-    a = myerson(dtilde, fs)
-    on_design = expected_revenue(a, dtilde)
-    on_dominating = expected_revenue(a, dd)
+    on_design, on_dominating = _revenues(dtilde, dd, fs)
     return _report(
         "approx-monotone",
         {"eps": eps, "n": n, "k": k, "uniform": uniform},
@@ -358,31 +354,6 @@ def run_lipschitz_lb(n: int, k: int, eps: float) -> Report:
         },
         diff >= bound - 1e-12 and close_ok,
     )
-
-
-def lipschitz_eps_for(eps_prime: float, n: int, k: float, c: float) -> float | None:
-    """Smallest eps whose Lipschitz closeness threshold covers eps_prime.
-
-    Solves c * eps / sqrt(k * ln(nk / eps)) >= eps_prime; the left side is
-    increasing in eps whenever nk >= 2. Returns None if eps = 1 is not
-    enough.
-    """
-
-    def threshold(eps: float) -> float:
-        return c * eps / sqrt(k * log(n * k / eps))
-
-    if threshold(1.0) < eps_prime:
-        return None
-    lo, hi = min(eps_prime, 1.0), 1.0
-    if threshold(lo) >= eps_prime:
-        return lo
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if threshold(mid) >= eps_prime:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from math import ceil, inf, log, sqrt
 
 import numpy as np
 
-from .dist import ProductDist, ValueDist, make_discrete
+from .dist import ProductDist, ValueDist
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,11 +58,17 @@ def _column_runs(s: SampleMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(srt[starts[:, j], j], np.flatnonzero(ends[:, j]) + 1) for j in range(s.n)]
 
 
+def _atoms(values: np.ndarray, masses: np.ndarray) -> ValueDist:
+    """ValueDist of strictly increasing values, dropping those of zero mass."""
+    keep = masses > 0.0
+    return ValueDist(tuple(values[keep].tolist()), tuple(masses[keep].tolist()))
+
+
 def empirical(s: SampleMatrix) -> ProductDist:
     """Product of per-coordinate uniform distributions over the samples."""
     dists = []
     for vals, at_most in _column_runs(s):
-        dists.append(make_discrete(vals, np.diff(at_most, prepend=0) / s.count))
+        dists.append(_atoms(vals, np.diff(at_most, prepend=0) / s.count))
     return ProductDist(tuple(dists))
 
 
@@ -91,7 +97,10 @@ def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
     dists = []
     for vals, at_most in _column_runs(s):
         cum = np.concatenate(([0.0, bottom], inflated[at_most - 1]))
-        dists.append(make_discrete(np.concatenate(([0.0], vals)), cum[1:] - cum[:-1]))
+        masses = cum[1:] - cum[:-1]
+        if vals[0] == 0.0:  # samples at 0 (or -0.0) join the bottom atom, which keeps the value 0.0
+            vals, masses = vals[1:], np.concatenate(([masses[0] + masses[1]], masses[2:]))
+        dists.append(_atoms(np.concatenate(([0.0], vals)), masses))
     return ProductDist(tuple(dists))
 
 

@@ -24,7 +24,7 @@ from math import log, sqrt
 import numpy as np
 
 from myersonlab.auction import myerson
-from myersonlab.curves import NEG_INF, iron, revenue_curve
+from myersonlab.curves import NEG_INF, iron, revenue_curve, virtual_table
 from myersonlab.dist import CDF_TOL, MASS_TOL, ProductDist, ValueDist, quantile_of_value
 from myersonlab.feasible import from_independent_sets, members
 
@@ -220,14 +220,17 @@ def disjoint_union(parts):
 
 
 def per_atom_auction(prior, fs):
-    """myerson's auction with one cell per atom: cell c > 0 is atom c - 1 of the bidder's table."""
+    """myerson's auction with one cell per atom: cell c > 0 is atom c - 1 of the bidder's table.
+
+    It holds no outcome tables, so every evaluation runs the kernel on lines of atoms.
+    """
     a = myerson(prior, fs)
-    tables = a.virtual_tables
+    tables = [virtual_table(d) for d in prior]
     width = max(len(t.slopes) for t in tables)
     phis = np.array([(0.0,) + t.slopes + (0.0,) * (width - len(t.slopes)) for t in tables])
     thresholds = np.array([t.thresholds + (0.0,) * (width - len(t.thresholds)) for t in tables])
     atoms = tuple(len(t.thresholds) for t in tables)
-    return replace(a, _phis=phis, _thresholds=thresholds, _runs=atoms)
+    return replace(a, _phis=phis, _thresholds=thresholds, _runs=atoms, _ranks=None, _outcomes=None)
 
 
 def allocate(a, values):
@@ -238,7 +241,7 @@ def allocate(a, values):
     every vertex is ranked by the welfare of its non-sunk part.
     """
     verts = a.feasible.vertices
-    phis = [t.at(v) for t, v in zip(a.virtual_tables, values)]
+    phis = [virtual_table(d).at(v) for d, v in zip(a.prior, values)]
     sunk = [i for i, p in enumerate(phis) if p is NEG_INF]
     candidates = [j for j in a.tie_order if all(verts[j][i] <= 0.0 for i in sunk)]
     if candidates:
@@ -300,7 +303,7 @@ def expected_virtual_welfare(a, eval_dist):
         for _, p in combo:
             prob *= p
         values = tuple(v for v, _ in combo)
-        phis = [t.at(v) for t, v in zip(a.virtual_tables, values)]
+        phis = [virtual_table(d).at(v) for d, v in zip(a.prior, values)]
         x = allocate(a, values)
         total += prob * sum(xi * p for xi, p in zip(x, phis) if p is not NEG_INF)
     return total

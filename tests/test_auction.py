@@ -336,8 +336,8 @@ class TestAgainstScalarReference:
         ],
     )
     def test_line_sweep_edge_distributions(self, monkeypatch, prior, dist, fs):
-        a = myerson(prior, fs)
         monkeypatch.setattr("myersonlab.auction._BLOCK", 8)  # too small for any grid here
+        a = myerson(prior, fs)
         for d in (prior, dist):
             self.check_expectations(a, d)
 
@@ -371,14 +371,14 @@ class TestAgainstScalarReference:
         ],
     )
     def test_grid_edge_distributions(self, monkeypatch, prior, dist, fs):
-        a = myerson(prior, fs)
         shapes = record_kernel_calls(monkeypatch)
+        a = myerson(prior, fs)
         on_grid = _expectation(a, dist, inf)
         assert scored_on_grid(shapes, dist.n), shapes
         self.check_expectations(a, dist)
         monkeypatch.setattr("myersonlab.auction._BLOCK", 8)  # too small for the grid
         shapes.clear()
-        assert _expectation(a, dist, inf) == pytest.approx(on_grid, abs=1e-12)
+        assert _expectation(myerson(prior, fs), dist, inf) == pytest.approx(on_grid, abs=1e-12)
         assert not scored_on_grid(shapes, dist.n), shapes
 
     def test_grid_and_lines_agree(self, monkeypatch):
@@ -388,15 +388,16 @@ class TestAgainstScalarReference:
         for _ in range(150):
             n = int(rng.integers(1, 4))
             prior = random_prior(rng, n)
-            a = myerson(prior, random_system(rng, n))
+            fs = random_system(rng, n)
             for dist in (prior, random_prior(rng, n)):
                 monkeypatch.setattr("myersonlab.auction._BLOCK", 1 << 14)
                 shapes.clear()
-                first = _expectation(a, dist, inf)
+                first = _expectation(myerson(prior, fs), dist, inf)
                 grids += scored_on_grid(shapes, n)
                 monkeypatch.setattr("myersonlab.auction._BLOCK", 1)  # no grid fits
                 shapes.clear()
-                assert _expectation(a, dist, inf) == pytest.approx(first, abs=1e-12)
+                lines = myerson(prior, fs)
+                assert _expectation(lines, dist, inf) == pytest.approx(first, abs=1e-12)
                 assert not scored_on_grid(shapes, n)
         assert grids >= 200  # most of the 300 evaluations took the grid
 
@@ -413,6 +414,7 @@ class TestAgainstScalarReference:
         design = ProductDist(design + (outsider,) * 5)
         dominating = ProductDist(design.dists[:1] + (point_mass(0.1),) * 2 + design.dists[3:])
         a = myerson(design, fs)
+        assert a._ranks is a._outcomes is None  # 3^10 cells do not fit a block
         report = embed_counterexample(fs)
         assert report.metrics["revenue_on_design_prior"] == expected_revenue(a, design)
         assert report.metrics["revenue_on_dominating"] == expected_revenue(a, dominating)
@@ -452,12 +454,11 @@ class TestAgainstScalarReference:
 
 
 def test_three_bidder_ten_atom_evaluation_scores_one_grid(monkeypatch):
-    # cells 0-10 of each bidder: 11^3 = 1,331 points, where lines over
-    # each bidder's cells for every profile of the others take 3,300
+    # cells 0-10 of each bidder: 11^3 = 1,331 points, scored once by myerson,
+    # where lines over each bidder's cells for every profile of the others take 3,300
     prior = ProductDist((uniform_grid(np.linspace(0.1, 1.0, 10)),) * 3)
-    a = myerson(prior, uniform_matroid(3, 2))
     shapes = record_kernel_calls(monkeypatch)
-    expected_revenue(a, prior)
+    expected_revenue(myerson(prior, uniform_matroid(3, 2)), prior)
     assert shapes == [(11, 11, 11)]
     assert sum(prod(s) for s in shapes) <= 1331
 
@@ -564,9 +565,9 @@ class TestRunsAgainstPerAtomCells:
 def test_ironed_three_bidder_ten_atom_evaluation_scores_a_grid_of_runs(monkeypatch):
     # three runs and cell 0 per bidder: 4^3 = 64 points, where atoms would take 11^3
     prior = ProductDist((IRONED_TEN,) * 3)
+    shapes = record_kernel_calls(monkeypatch)
     a = myerson(prior, uniform_matroid(3, 2))
     assert a._runs == (3, 3, 3)
-    shapes = record_kernel_calls(monkeypatch)
     revenue = expected_revenue(a, prior)
     assert shapes == [(4, 4, 4)]
     assert revenue == pytest.approx(oracles.expected_revenue(a, prior), abs=1e-12)
@@ -574,7 +575,9 @@ def test_ironed_three_bidder_ten_atom_evaluation_scores_a_grid_of_runs(monkeypat
 
 def test_payments_on_a_learned_prior_score_runs_not_atoms(monkeypatch):
     prior = learned_prior(5)
+    monkeypatch.setattr("myersonlab.auction._BLOCK", 1 << 12)  # lines, not tables
     a = myerson(prior, uniform_matroid(2, 1))
+    assert a._outcomes is None
     runs = max(a._runs)
     assert min(len(d.support) for d in prior) > 700 and runs < 100
     shapes = record_kernel_calls(monkeypatch)
@@ -582,6 +585,51 @@ def test_payments_on_a_learned_prior_score_runs_not_atoms(monkeypatch):
         shapes.clear()
         payments(a, tuple(bids))
         assert sum(prod(s) for s in shapes) <= 2 * (runs + 1), shapes
+
+
+class TestOutcomeTables:
+    """Auctions whose cell grid fits a block read their outcomes off tables built by myerson."""
+
+    def test_tables_and_lines_agree(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            prior = ProductDist(tuple(ironed_dist(rng, int(rng.integers(3, 11))) for _ in range(n)))
+            fs = random_system(rng, n)
+            a = myerson(prior, fs)
+            monkeypatch.setattr("myersonlab.auction._BLOCK", 1)  # no grid fits
+            lines = myerson(prior, fs)
+            monkeypatch.setattr("myersonlab.auction._BLOCK", _BLOCK)
+            assert a._outcomes is not None and lines._outcomes is None
+            probes = [probe_values(d) for d in prior]
+            for _ in range(30):
+                values = [float(rng.choice(p)) for p in probes]
+                assert allocate(a, values) == allocate(lines, values), values
+                assert payments(a, values) == payments(lines, values), values
+            below = ProductDist(tuple(ironed_dist(rng, 6) for _ in range(n)))  # cell 0 occupied
+            for dist in (prior, below):
+                assert _expectation(a, dist, inf) == pytest.approx(
+                    _expectation(lines, dist, inf), abs=1e-12, rel=0
+                )
+                mc = expected_revenue_mc(a, dist, 300, 5)
+                assert mc == expected_revenue_mc(lines, dist, 300, 5)
+
+    def test_tables_are_read_only(self):
+        a = myerson(ProductDist((IRONED_TEN,) * 3), uniform_matroid(3, 2))
+        assert a._ranks.shape == (4, 4, 4) and a._outcomes.shape == (4, 4, 4, 4)
+        for table in (a._ranks, a._outcomes):
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 1
+
+    def test_three_bidder_ten_atom_priors_hold_tables(self):
+        # ten runs per bidder, the most ten atoms can form, fit a block as 11^3
+        # cells; the 10-bidder embed gadget and the 15-bidder unanimity auction,
+        # pinned where they are tested, hold no tables
+        uniform = ProductDist((uniform_grid(np.linspace(0.1, 1.0, 10)),) * 3)
+        for fs in (uniform_matroid(3, 1), uniform_matroid(3, 2), minimum_non_matroid(),
+                   all_or_nothing(3, 2)):
+            a = myerson(uniform, fs)
+            assert a._runs == (10, 10, 10) and a._outcomes is not None
 
 
 class TestNanBids:
@@ -619,10 +667,15 @@ def test_evaluation_memory_is_bounded_by_the_block():
     fractional = from_vertices([[p / 7, q / 7] for p in range(8) for q in range(8 - p)])
     unanimous = myerson(many, all_or_nothing(15, 15))
     item = myerson(wide, uniform_matroid(2, 1))
+    # the widest table that fits: 57^2 cells times 3 vertices and 2 bidders
+    fits = ProductDist(tuple(uniform_grid(np.linspace(0.01, 1.0, 56)) for _ in range(2)))
+    assert myerson(fits, uniform_matroid(2, 1))._outcomes is not None
+    assert unanimous._outcomes is None and item._outcomes is None  # 2^15 and 61^2 cells do not fit
     evaluations = {
         "exact, 2^15 profiles": lambda: expected_revenue(unanimous, many),
         "welfare, 36 vertices": lambda: expected_virtual_welfare(myerson(wide, fractional)),
         "monte carlo": lambda: expected_revenue_mc(item, wide, 3000, 0),
+        "myerson, 57^2 cells": lambda: myerson(fits, uniform_matroid(2, 1)),
     }
     peaks = {}
     for name, evaluate in evaluations.items():

@@ -2,6 +2,7 @@
 
 import json
 from itertools import combinations
+from math import log, sqrt
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from myersonlab.lab import (
     check_approx_monotone,
     check_single_bidder_bound,
     embed_counterexample,
-    lipschitz_eps_for,
     nonmonotone_gadget,
     run_copies,
     run_lb_family,
@@ -333,6 +333,31 @@ class TestLipschitzLowerBound:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             run_lipschitz_lb(2, 3, 0.01)
+
+
+def lipschitz_eps_for(eps_prime: float, n: int, k: float, c: float) -> float | None:
+    """Smallest eps whose Lipschitz closeness threshold covers eps_prime.
+
+    Solves c * eps / sqrt(k * ln(nk / eps)) >= eps_prime; the left side is
+    increasing in eps whenever nk >= 2. Returns None if eps = 1 is not
+    enough.
+    """
+
+    def threshold(eps: float) -> float:
+        return c * eps / sqrt(k * log(n * k / eps))
+
+    if threshold(1.0) < eps_prime:
+        return None
+    lo, hi = min(eps_prime, 1.0), 1.0
+    if threshold(lo) >= eps_prime:
+        return lo
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if threshold(mid) >= eps_prime:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class TestLipschitzUpperFuzz:
