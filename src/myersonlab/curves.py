@@ -4,6 +4,12 @@ The revenue curve of a discrete distribution is piecewise linear with one
 breakpoint per atom; ironing replaces it by its upper concave envelope.
 The ironed virtual value of a value v is the envelope's right derivative
 at the quantile of v.
+
+Ironing is one monotone-chain sweep. A curve of more than _GATE points is
+first thinned by array passes, each dropping every point on or below the
+chord of its two current neighbours (in exact arithmetic never a vertex),
+until at most _GATE points remain or a pass drops under a quarter of them;
+a long curve then costs one Python step per hull vertex, not per atom.
 """
 
 from __future__ import annotations
@@ -11,8 +17,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import chain
 
-from .dist import ValueDist
+import numpy as np
+
+from .dist import ValueDist, _rank
 
 
 @total_ordering
@@ -43,10 +52,6 @@ class RevenueCurve:
 
     breakpoints: tuple[tuple[float, float], ...]
 
-    @property
-    def quantiles(self) -> tuple[float, ...]:
-        return tuple(q for q, _ in self.breakpoints)
-
     def value_at(self, q: float) -> float:
         """Linear interpolation between breakpoints."""
         if not 0.0 <= q <= 1.0:
@@ -59,15 +64,6 @@ class RevenueCurve:
         if q == q0:
             return r0
         return r0 + (r1 - r0) * (q - q0) / (q1 - q0)
-
-    def right_slope_at(self, q: float) -> float:
-        """Slope of the segment to the right of q; undefined at q = 1."""
-        if not 0.0 <= q < 1.0:
-            raise ValueError(f"no right derivative at quantile {q!r}")
-        bps = self.breakpoints
-        idx = bisect_right([p[0] for p in bps], q) - 1
-        (q0, r0), (q1, r1) = bps[idx], bps[idx + 1]
-        return (r1 - r0) / (q1 - q0)
 
     def to_json(self) -> list:
         return [[q, r] for q, r in self.breakpoints]
@@ -84,13 +80,34 @@ def revenue_curve(d: ValueDist) -> RevenueCurve:
 
 
 def iron(c: RevenueCurve) -> RevenueCurve:
-    """Upper concave envelope of the curve over its breakpoints.
+    """Upper concave envelope of the curve over its breakpoints (see _hull).
 
-    Single monotone-chain sweep; the output breakpoints are a subset of the
-    input breakpoints (collinear interior points are dropped).
+    The output breakpoints are a subset of the input breakpoints (collinear
+    interior points are dropped).
     """
+    return RevenueCurve(tuple(_hull(c.breakpoints)))
+
+
+# Longest curve the chain takes unthinned; the array path breaks even near 125 atoms.
+_GATE = 128
+
+
+def _hull(points) -> list[tuple[float, float]]:
+    """Upper concave envelope of (q, r) points in increasing q: thinning, then the chain."""
+    if len(points) > _GATE:
+        if not isinstance(points, np.ndarray):
+            points = np.fromiter(chain.from_iterable(points), float, 2 * len(points)).reshape(-1, 2)
+        q, r = points.T
+        while len(q) > _GATE:
+            q0, q1, q2, r0, r1, r2 = q[:-2], q[1:-1], q[2:], r[:-2], r[1:-1], r[2:]
+            low = (q1 - q0) * (r2 - r0) - (r1 - r0) * (q2 - q0) >= 0.0
+            keep = np.concatenate(([True], ~low, [True]))
+            q, r = q[keep], r[keep]
+            if 4 * np.count_nonzero(low) < len(keep):
+                break
+        points = zip(q.tolist(), r.tolist())
     hull: list[tuple[float, float]] = []
-    for q, r in c.breakpoints:
+    for q, r in points:
         while len(hull) >= 2:
             (q0, r0), (q1, r1) = hull[-2], hull[-1]
             # pop the middle point when it is on or below the chord
@@ -99,7 +116,7 @@ def iron(c: RevenueCurve) -> RevenueCurve:
             else:
                 break
         hull.append((q, r))
-    return RevenueCurve(tuple(hull))
+    return hull
 
 
 @dataclass(frozen=True)
@@ -115,7 +132,7 @@ class VirtualTable:
     slopes: tuple[float, ...]
 
     def segment(self, v: float) -> int:
-        return bisect_right(self.thresholds, v) - 1
+        return _rank(self.thresholds, v) - 1
 
     def at(self, v: float):
         idx = self.segment(v)
@@ -123,11 +140,18 @@ class VirtualTable:
 
 
 def virtual_table(d: ValueDist) -> VirtualTable:
-    """Envelope slope to the right of each support value's quantile, in one walk.
+    """Envelope slope to the right of each support value's quantile.
 
     Support quantiles fall as values rise, so one pointer moves down the
-    envelope's segments while the atoms are taken in ascending order.
+    envelope's segments while the atoms are taken in ascending order. A
+    curve of more than _GATE points is built as arrays instead, and one
+    searchsorted over the hull's quantiles finds each atom's segment.
     """
+    if len(d._above) > _GATE:
+        q = np.array(d._above[::-1])
+        hq, hr = np.array(_hull(np.column_stack((q, q * np.append(0.0, d._support[::-1]))))).T
+        k = np.searchsorted(hq, q[-2::-1], side="right") - 1
+        return VirtualTable(d.support, tuple((np.diff(hr) / np.diff(hq))[k].tolist()))
     hull = iron(revenue_curve(d)).breakpoints
     slopes = []
     k = len(hull) - 2

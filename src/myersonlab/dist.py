@@ -161,19 +161,26 @@ def discretize_uniform_with_atom(
     return make_discrete(values + [atom_value], [(1.0 - atom_mass) / cells] * cells + [atom_mass])
 
 
+def _rank(support, v: float, bisect=bisect_right) -> int:
+    """Position of v in a sorted support; NaN, which no order places, raises ValueError."""
+    if v != v:
+        raise ValueError("value is NaN")
+    return bisect(support, v)
+
+
 def cdf(d: ValueDist, v: float) -> float:
     """Pr[u <= v] for u drawn from d."""
-    return float(d._below[bisect_right(d.support, v)])
+    return float(d._below[_rank(d.support, v)])
 
 
 def cdf_left(d: ValueDist, v: float) -> float:
     """Left limit Pr[u < v]."""
-    return float(d._below[bisect_left(d.support, v)])
+    return float(d._below[_rank(d.support, v, bisect_left)])
 
 
 def quantile_of_value(d: ValueDist, v: float) -> float:
     """Pr[u > v], the quantile of value v; nonincreasing in v."""
-    return d._above[bisect_right(d.support, v)]
+    return d._above[_rank(d.support, v)]
 
 
 def value_of_quantile(d: ValueDist, q: float) -> float:

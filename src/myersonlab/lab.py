@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product as iproduct
 from math import sqrt
 
@@ -63,13 +63,7 @@ class Report:
         return self.verdict == "pass"
 
     def to_json(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": self.params,
-            "metrics": self.metrics,
-            "verdict": self.verdict,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)

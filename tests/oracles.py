@@ -2,10 +2,12 @@
 
 Each function evaluates its definition directly, point by point, with
 quadratic cost: CDFs by a scalar left-to-right sum at every merged support
-point and at its left limit, virtual values by one envelope lookup per
-atom, ironed segments by a scan of the whole raw curve per segment, the
-matroid exchange property over every pair of set sizes, the exchange
-violation search over member tuples, the disjoint union of set systems
+point and at its left limit, the envelope by the monotone chain over every
+breakpoint with no thinning, virtual tables by a pointer walk down that
+envelope, virtual values by one envelope lookup per atom, ironed segments
+by a scan of the whole raw curve per segment, the matroid exchange
+property over every pair of set sizes, the exchange violation search
+over member tuples, the disjoint union of set systems
 over the full product of their sets, and the auction one profile at a
 time: a scalar welfare scan over the vertices, a payment integral that
 re-runs it at each own-value breakpoint, and expectations over the full
@@ -17,6 +19,7 @@ agree with them bit for bit, except that payments, revenue and welfare
 may differ in the last bits.
 """
 
+from bisect import bisect_right
 from dataclasses import replace
 from itertools import product
 from math import log, sqrt
@@ -24,7 +27,7 @@ from math import log, sqrt
 import numpy as np
 
 from myersonlab.auction import myerson
-from myersonlab.curves import NEG_INF, iron, revenue_curve, virtual_table
+from myersonlab.curves import NEG_INF, RevenueCurve, VirtualTable, revenue_curve
 from myersonlab.dist import CDF_TOL, MASS_TOL, ProductDist, ValueDist, quantile_of_value
 from myersonlab.feasible import from_independent_sets, members
 
@@ -79,10 +82,48 @@ def dominated_empirical(s, delta):
     return ProductDist(tuple(dists))
 
 
+def iron(c):
+    """Upper concave envelope by one monotone-chain sweep over every breakpoint."""
+    hull = []
+    for q, r in c.breakpoints:
+        while len(hull) >= 2:
+            (q0, r0), (q1, r1) = hull[-2], hull[-1]
+            # pop the middle point when it is on or below the chord
+            if (q1 - q0) * (r - r0) - (r1 - r0) * (q - q0) >= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append((q, r))
+    return RevenueCurve(tuple(hull))
+
+
+def virtual_table(d):
+    """Envelope slopes of the support values, one pointer walking down the full chain's hull."""
+    hull = iron(revenue_curve(d)).breakpoints
+    slopes = []
+    k = len(hull) - 2
+    for q in d._above[1:]:
+        while hull[k][0] > q:
+            k -= 1
+        (q0, r0), (q1, r1) = hull[k], hull[k + 1]
+        slopes.append((r1 - r0) / (q1 - q0))
+    return VirtualTable(d.support, tuple(slopes))
+
+
+def right_slope_at(c, q):
+    """Slope of the curve's segment to the right of quantile q in [0, 1)."""
+    if not 0.0 <= q < 1.0:
+        raise ValueError(f"no right derivative at quantile {q!r}")
+    bps = c.breakpoints
+    idx = bisect_right([p[0] for p in bps], q) - 1
+    (q0, r0), (q1, r1) = bps[idx], bps[idx + 1]
+    return (r1 - r0) / (q1 - q0)
+
+
 def virtual_slopes(d):
     """Right slope of the ironed revenue curve at the quantile of each support value."""
     hull = iron(revenue_curve(d))
-    return tuple(hull.right_slope_at(quantile_of_value(d, v)) for v in d.support)
+    return tuple(right_slope_at(hull, quantile_of_value(d, v)) for v in d.support)
 
 
 def ironing_intervals(d):

@@ -5,11 +5,15 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from myersonlab.cli import main
+from myersonlab.curves import revenue_curve
+from myersonlab.dist import make_discrete
 
 
 def write_json(path, obj):
@@ -212,6 +216,20 @@ class TestCurves:
         code, out, _ = run(capsys, ["curves", "--dist", dist, "--out", str(target)])
         assert (code, out) == (0, "")
         assert json.loads(target.read_text())["monopoly"] == {"price": 0.5, "revenue": 0.5}
+
+    def test_long_prior_matches_the_full_chain(self, capsys, tmp_path):
+        # 2,000 atoms, so iron thins the curve on arrays before the chain
+        rng = np.random.default_rng(0)
+        values = np.sort(rng.choice(np.arange(1, 100_000), size=2000, replace=False)) / 100_000
+        weights = rng.integers(1, 10, size=2000)
+        d = make_discrete(values, weights / weights.sum())
+        dist = write_json(tmp_path / "d.json", d.to_json())
+        code, out, _ = run(capsys, ["curves", "--dist", dist])
+        obj = json.loads(out)
+        assert code == 0
+        assert obj["ironed_curve"] == [list(p) for p in oracles.iron(revenue_curve(d)).breakpoints]
+        assert obj["ironing_intervals"] == [list(iv) for iv in oracles.ironing_intervals(d)]
+        assert obj["ironing_intervals"]
 
 
 class TestErrors:

@@ -2,11 +2,13 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from myersonlab.curves import (
+    _GATE,
     NEG_INF,
     iron,
     ironed_virtual,
@@ -16,7 +18,13 @@ from myersonlab.curves import (
     virtual_table,
     RevenueCurve,
 )
-from myersonlab.dist import ProductDist, discretize_uniform_with_atom, make_discrete, point_mass
+from myersonlab.dist import (
+    ProductDist,
+    discretize_uniform_with_atom,
+    make_discrete,
+    point_mass,
+    uniform_grid,
+)
 from myersonlab.learn import dominated_empirical, draw_samples
 
 import oracles
@@ -141,7 +149,7 @@ class TestIronedVirtual:
 
         for v in d.support:
             q = quantile_of_value(d, v)
-            assert ironed_virtual(d, v) == pytest.approx(raw.right_slope_at(q), abs=1e-12)
+            assert ironed_virtual(d, v) == pytest.approx(oracles.right_slope_at(raw, q), abs=1e-12)
 
 
 class TestIroningIntervals:
@@ -183,6 +191,7 @@ class TestOneWalkOracle:
     def test_random_distributions(self, d):
         assert virtual_table(d).slopes == oracles.virtual_slopes(d)
         assert ironing_intervals(d) == oracles.ironing_intervals(d)
+        assert hull_bits(d) == oracle_hull_bits(d)
 
     def test_learned_prior(self):
         d = learned_prior(0.001, 1726, 0)
@@ -191,16 +200,103 @@ class TestOneWalkOracle:
         assert ironing_intervals(d) == oracles.ironing_intervals(d)
 
 
+def hull_bits(d):
+    """Bit patterns of iron's breakpoints and of the table's slopes."""
+    return (
+        [tuple(map(float.hex, p)) for p in iron(revenue_curve(d)).breakpoints],
+        list(map(float.hex, virtual_table(d).slopes)),
+    )
+
+
+def oracle_hull_bits(d):
+    return (
+        [tuple(map(float.hex, p)) for p in oracles.iron(revenue_curve(d)).breakpoints],
+        list(map(float.hex, oracles.virtual_table(d).slopes)),
+    )
+
+
+def equal_revenue(m):
+    """Pr[u >= k/m] = 1/k on the values k/m, k = 1..m."""
+    tail = [1.0 / k for k in range(1, m + 1)]
+    masses = [a - b for a, b in zip(tail, tail[1:])] + [tail[-1]]
+    return make_discrete([k / m for k in range(1, m + 1)], masses)
+
+
+def first_pass_drops(d):
+    """Breakpoints on or below their neighbours' chord, which one thinning pass drops."""
+    bps = revenue_curve(d).breakpoints
+    return sum(
+        (q1 - q0) * (r2 - r0) - (r1 - r0) * (q2 - q0) >= 0.0
+        for (q0, r0), (q1, r1), (q2, r2) in zip(bps, bps[1:], bps[2:])
+    )
+
+
+class TestHullOracle:
+    """The thinned hull and the array table equal the full chain and its walk bit for bit."""
+
+    @given(value_dists(300))
+    @settings(max_examples=60, deadline=None)
+    def test_long_random_distributions(self, d):
+        assert hull_bits(d) == oracle_hull_bits(d)
+
+    @pytest.mark.parametrize("step", [0.1, 0.01, 0.001])
+    @pytest.mark.parametrize("count", [30, 100, 300, 1000, 3000])
+    def test_learned_priors(self, step, count):
+        for seed in range(3):
+            d = learned_prior(step, count, seed)
+            assert hull_bits(d) == oracle_hull_bits(d)
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 50, 127, 128, 129, 200, 300])
+    def test_equal_revenue_and_uniform_grids(self, m):
+        for d in (equal_revenue(m), uniform_grid([k / m for k in range(1, m + 1)])):
+            assert len(d.support) == m
+            assert hull_bits(d) == oracle_hull_bits(d)
+
+    @pytest.mark.parametrize("m", [_GATE - 1, _GATE, _GATE + 1])
+    def test_supports_at_the_gate(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            values = rng.choice(1001, size=m, replace=False) / 1000
+            weights = rng.integers(1, 10, size=m)
+            d = make_discrete(values, weights / weights.sum())
+            assert hull_bits(d) == oracle_hull_bits(d)
+
+    def test_thinning_stops_after_a_pass_that_drops_few(self):
+        # a concave curve of 300 breakpoints with every sixth atom's mass
+        # tripled: the first pass drops some points, but fewer than a quarter
+        m = 300
+        weights = [3.0 if k % 6 == 0 else 1.0 for k in range(m)]
+        d = make_discrete([(k + 1) / m for k in range(m)], [w / sum(weights) for w in weights])
+        drops = first_pass_drops(d)
+        assert len(d.support) + 1 > _GATE and 0 < 4 * drops < m + 1
+        assert hull_bits(d) == oracle_hull_bits(d)
+
+
+class TestNanQueries:
+    D = make_discrete([0.2, 0.5, 0.9], [0.3, 0.3, 0.4])
+
+    def test_ironed_virtual(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ironed_virtual(self.D, float("nan"))
+
+    def test_virtual_table_at(self):
+        with pytest.raises(ValueError, match="NaN"):
+            virtual_table(self.D).at(float("nan"))
+
+
 def test_virtual_tables_of_fresh_priors_leave_memory_flat():
-    # a module-level memo would keep every learned prior and its table alive
-    learned_prior(0.01, 300, 0)
-    tracemalloc.start()
-    try:
-        virtual_table(learned_prior(0.01, 300, 1))
-        before = tracemalloc.get_traced_memory()[0]
-        for seed in range(2, 202):
-            virtual_table(learned_prior(0.01, 300, seed))
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert grown < 64 * 1024
+    # a module-level memo would keep every learned prior and its table alive;
+    # 300 samples at step 0.01 give about 100 atoms, below the gate, and
+    # 1,000 at step 0.001 about 550, so both table paths are covered
+    for step, count in ((0.01, 300), (0.001, 1000)):
+        learned_prior(step, count, 0)
+        tracemalloc.start()
+        try:
+            virtual_table(learned_prior(step, count, 1))
+            before = tracemalloc.get_traced_memory()[0]
+            for seed in range(2, 202):
+                virtual_table(learned_prior(step, count, seed))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024, (step, count)

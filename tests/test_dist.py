@@ -201,6 +201,21 @@ class TestCdfAndQuantiles:
         with pytest.raises(ValueError):
             value_of_quantile(TWO_POINT, 1.5)
 
+    # NaN is placed by no order; bisecting for it would read the top or bottom atom
+    NAN_CASE = make_discrete([0.2, 0.5, 0.9], [0.3, 0.3, 0.4])
+
+    def test_cdf_of_nan_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            cdf(self.NAN_CASE, float("nan"))
+
+    def test_cdf_left_of_nan_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            cdf_left(self.NAN_CASE, float("nan"))
+
+    def test_quantile_of_nan_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            quantile_of_value(self.NAN_CASE, float("nan"))
+
     @given(value_dists(), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_quantile_complements_cdf(self, d, v):
