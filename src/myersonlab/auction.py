@@ -11,9 +11,9 @@ One kernel call finds the winning vertex at every point of n per-bidder
 cell arrays that broadcast to one shape. Along a line one bidder's cell
 runs from 0 upward while the others stay fixed, and a running sum of
 threshold steps gives that bidder's payment at every point. When the
-grid of every bidder's cells fits one block (top^n times (vertices +
-bidders) at most _BLOCK, where top is the most cells of any bidder),
-myerson scores it once and keeps outcome tables over its cell profiles,
+grid of every bidder's cells fits one block (the product over bidders of
+runs_i + 1 cells, times vertices + bidders, at most _BLOCK), myerson
+scores it once and keeps outcome tables over its cell profiles,
 64 of them for three bidders whose ten atoms form three runs each.
 allocate, payments and Monte Carlo look outcomes up there, and exact
 expectations contract the tables with the bidders' cell masses. Other
@@ -96,8 +96,8 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     for arr in (verts, phis, thresholds):
         arr.setflags(write=False)
     fields = prior, fs, order, verts, phis, thresholds, tuple(map(len, runs))
-    n, top = phis.shape
-    if top**n * (len(verts) + n) > _BLOCK:
+    n = len(runs)
+    if prod(len(r) + 1 for r in runs) * (len(verts) + n) > _BLOCK:
         return Auction(*fields)
     # bidder i's cells 0..runs_i along axis i; swapaxes(0, i) puts them first
     grid = [np.arange(len(r) + 1).reshape((-1,) + (1,) * (n - 1 - i)) for i, r in enumerate(runs)]

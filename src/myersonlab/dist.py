@@ -22,14 +22,16 @@ CDF_TOL = 1e-12  # slack for CDF comparisons at checkpoints
 class ValueDist:
     """Atoms of a discrete distribution: strictly increasing support, positive masses.
 
-    Derived once, when the object is built: the read-only array _support
-    holds the support, the read-only array _below[k] is the mass of the k
-    lowest atoms, summed left to right, and _above[k] is the mass of atom k
-    and every atom above it, summed top down. Quantiles and revenue-curve
-    breakpoints must agree bitwise, so every quantile in the package is
-    read from _above, whose full-mass entry _above[0] is snapped to exactly
-    1. A lowest atom whose mass is lost when the others are summed would get
-    quantile 1 twice, so such a distribution is rejected.
+    The support lies in [0, 1] and the masses sum to 1 within MASS_TOL;
+    anything else is rejected. Derived once, when the object is built: the
+    read-only array _support holds the support, the read-only array
+    _below[k] is the mass of the k lowest atoms, summed left to right, and
+    _above[k] is the mass of atom k and every atom above it, summed top
+    down. Quantiles and revenue-curve breakpoints must agree bitwise, so
+    every quantile in the package is read from _above, whose full-mass
+    entry _above[0] is snapped to exactly 1. A lowest atom whose mass is
+    lost when the others are summed would get quantile 1 twice, so such a
+    distribution is rejected.
     """
 
     support: tuple[float, ...]
@@ -39,6 +41,18 @@ class ValueDist:
     _above: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.support) != len(self.probs):
+            raise ValueError(f"{len(self.support)} values but {len(self.probs)} probabilities")
+        below = np.fromiter(accumulate(self.probs, initial=0.0), float, len(self.probs) + 1)
+        total = float(below[-1])
+        if not abs(total - 1.0) <= MASS_TOL:  # also catches a NaN or infinite mass
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        if not min(self.probs) > 0.0:
+            raise ValueError(f"nonpositive probability {min(self.probs)!r}")
+        support = np.array(self.support, dtype=float)
+        rising = (support[1:] > support[:-1]).all()  # False at a NaN
+        if not (0.0 <= self.support[0] and self.support[-1] <= 1.0 and rising):
+            raise ValueError("support values must lie in [0, 1] and increase strictly")
         above = list(accumulate(reversed(self.probs), initial=0.0))[::-1]
         if len(above) > 2 and above[1] >= 1.0:
             raise ValueError(
@@ -46,8 +60,6 @@ class ValueDist:
                 f"so its mass {self.probs[0]!r} is lost"
             )
         above[0] = 1.0
-        support = np.array(self.support, dtype=float)
-        below = np.fromiter(accumulate(self.probs, initial=0.0), float, len(self.probs) + 1)
         for name, arr in (("_support", support), ("_below", below)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -1,31 +1,51 @@
 """Feasible allocation systems: set systems, matroid checks, fractional vertex sets.
 
-A feasible system is stored by the vertices of its allocation polytope.
-For linear objectives (virtual welfare) randomization never beats a
-vertex, so the auction optimizes over vertices only. Binary systems keep
-a parallel set-system view encoded as bitmasks; explicit families are
-meant for n up to about 20.
+A feasible system is stored by the vertices of its allocation polytope
+and its rank. For linear objectives (virtual welfare) randomization never
+beats a vertex, so the auction optimizes over vertices only. When every
+vertex is 0/1, the system also gets a set-system view as bitmasks,
+derived from the vertices when it is built; explicit families are meant
+for n up to about 20.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Vertices of the allocation polytope, with an optional set-system view.
+    """Vertices of the allocation polytope in [0, 1]^n, and its rank.
 
-    sets_view holds bidder subsets as bitmasks and is present exactly when
-    every vertex is 0/1. rank is the maximum l1 norm over vertices, carried
-    explicitly so constructors can keep it exact.
+    rank is the maximum l1 norm over vertices. It is passed explicitly,
+    because summing a vertex is not exact: the vertices of
+    all_or_nothing(10, 3) sum to 2.9999999999999996. Derived once, when the
+    object is built: n, the common length of the vertices, and sets_view,
+    the distinct vertices as ascending bidder bitmasks, present exactly
+    when every coordinate is 0 or 1.
     """
 
-    n: int
     vertices: tuple[tuple[float, ...], ...]
-    sets_view: tuple[int, ...] | None
     rank: float
+    n: int = field(init=False, repr=False, compare=False)
+    sets_view: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.vertices:
+            raise ValueError("at least one vertex is required")
+        n = len(self.vertices[0])
+        for v in self.vertices:
+            if len(v) != n:
+                raise ValueError("vertices of mixed dimension")
+            for x in v:
+                if not 0.0 <= x <= 1.0:
+                    raise ValueError(f"allocation coordinate {x!r} outside [0, 1]")
+        view = None
+        if all(v.count(0.0) + v.count(1.0) == n for v in self.vertices):
+            view = tuple(sorted({_mask(i for i, x in enumerate(v) if x) for v in self.vertices}))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sets_view", view)
 
     def to_json(self) -> dict:
         if self.sets_view is not None:
@@ -55,10 +75,6 @@ def _mask(subset) -> int:
     return m
 
 
-def _indicator(n: int, mask: int) -> tuple[float, ...]:
-    return tuple(1.0 if mask >> i & 1 else 0.0 for i in range(n))
-
-
 def from_independent_sets(n: int, sets) -> FeasibleSet:
     """Binary system from an explicit list of allocatable bidder subsets."""
     sets = list(sets)
@@ -71,31 +87,17 @@ def from_independent_sets(n: int, sets) -> FeasibleSet:
             if not 0 <= i < n:
                 raise ValueError(f"bidder index {i} out of range for n={n}")
         masks.add(_mask(s))
-    view = tuple(sorted(masks))
-    vertices = tuple(_indicator(n, m) for m in view)
-    rank = max(bin(m).count("1") for m in view)
-    return FeasibleSet(n, vertices, view, float(rank))
+    vertices = tuple(tuple(float(m >> i & 1) for i in range(n)) for m in sorted(masks))
+    return FeasibleSet(vertices, float(max(m.bit_count() for m in masks)))
 
 
 def from_vertices(vectors) -> FeasibleSet:
-    """System from explicit allocation vectors in [0, 1]^n."""
+    """System from explicit allocation vectors in [0, 1]^n; 0/1 vectors give a set system."""
     vertices = tuple(tuple(float(x) for x in v) for v in vectors)
-    if not vertices:
-        raise ValueError("at least one vertex is required")
-    n = len(vertices[0])
-    for v in vertices:
-        if len(v) != n:
-            raise ValueError("vertices of mixed dimension")
-        for x in v:
-            if not 0.0 <= x <= 1.0:
-                raise ValueError(f"allocation coordinate {x!r} outside [0, 1]")
-    binary = all(x in (0.0, 1.0) for v in vertices for x in v)
-    view = None
-    if binary:
-        view = tuple(sorted({_mask(i for i, x in enumerate(v) if x > 0) for v in vertices}))
-        vertices = tuple(_indicator(n, m) for m in view)
-    rank = max(sum(v) for v in vertices)
-    return FeasibleSet(n, vertices, view, rank)
+    fs = FeasibleSet(vertices, max((sum(v) for v in vertices), default=0.0))
+    if fs.sets_view is None:
+        return fs
+    return from_independent_sets(fs.n, map(members, fs.sets_view))
 
 
 def uniform_matroid(n: int, k: int) -> FeasibleSet:
@@ -115,12 +117,7 @@ def all_or_nothing(n: int, k: int) -> FeasibleSet:
     """Two vertices: the zero vector and the constant k/n vector."""
     if not 1 <= k <= n:
         raise ValueError(f"rank k={k} outside 1..{n}")
-    zero = (0.0,) * n
-    full = (k / n,) * n
-    view = None
-    if k == n:
-        view = (0, _mask(range(n)))
-    return FeasibleSet(n, (zero, full), view, float(k))
+    return FeasibleSet(((0.0,) * n, (k / n,) * n), float(k))
 
 
 def is_downward_closed(fs: FeasibleSet) -> bool:
@@ -174,24 +171,24 @@ def find_exchange_violation(
 
 
 def _exchange_violation(fs: FeasibleSet) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """find_exchange_violation on a binary system already known to be downward closed."""
-    have = set(fs.sets_view)
+    """find_exchange_violation on a binary system already known to be downward closed.
+
+    ext[S'] holds the bidders x outside S' for which S' + x is feasible, so
+    (S, S') violates exchange exactly when S & ext[S'] is empty.
+    """
+    ext = dict.fromkeys(fs.sets_view, 0)
     by_size: dict[int, list[int]] = {}
     for m in fs.sets_view:
-        by_size.setdefault(bin(m).count("1"), []).append(m)
+        by_size.setdefault(m.bit_count(), []).append(m)
+        for i in members(m):
+            ext[m & ~(1 << i)] |= 1 << i  # in the view, since the system is downward closed
     best = None
     best_key = None
     for sz, bigs in by_size.items():
         for s in bigs:
             for sp in by_size.get(sz - 1, []):
-                rest = s & ~sp  # never empty, since |S| > |S'|
-                while rest:
-                    low = rest & -rest
-                    if sp | low in have:
-                        break
-                    rest ^= low
-                else:
-                    common = -bin(s & sp).count("1")
+                if not s & ext[sp]:
+                    common = -(s & sp).bit_count()
                     if best_key is None or common <= best_key[0]:  # spare members() otherwise
                         key = (common, members(s), members(sp))
                         if best_key is None or key < best_key:
@@ -206,10 +203,7 @@ def demand_reduce(fs: FeasibleSet, d: float) -> FeasibleSet:
         raise ValueError(f"demand {d!r} smaller than coordinate {top!r}")
     if d == 1.0:
         return fs
-    vertices = tuple(tuple(x / d for x in v) for v in fs.vertices)
-    binary = all(x in (0.0, 1.0) for v in vertices for x in v)
-    view = fs.sets_view if binary else None
-    return FeasibleSet(fs.n, vertices, view, fs.rank / d)
+    return FeasibleSet(tuple(tuple(x / d for x in v) for v in fs.vertices), fs.rank / d)
 
 
 def feasible_from_json(obj: dict) -> FeasibleSet:

@@ -431,6 +431,8 @@ def run_lb_family(
     base = 1.0 / n
     dplus = make_discrete([0.0, 1.0], [base - shift, 1.0 - base + shift])
     dminus = make_discrete([0.0, 1.0], [base + shift, 1.0 - base - shift])
+    priors = (dminus, dplus)  # by sign; each has atoms at 0 and at 1
+    phis = [(t.at(0.0), t.at(1.0)) for t in map(virtual_table, priors)]
     h2 = hellinger_sq(dplus, dminus)
     budget_product = sample_budget * h2
     fs = all_or_nothing(n, k)
@@ -444,14 +446,8 @@ def run_lb_family(
     total_regret = 0.0
     min_profile_prob = 1.0
     for mi, sign in enumerate(signs):
-        member = ProductDist(tuple(dplus if b else dminus for b in sign))
-        tables = [virtual_table(dj) for dj in member]
-        phi_one = [t.at(1.0) for t in tables]
-        phi_zero = [t.at(0.0) for t in tables]
-        vw_all = [
-            (k / n) * sum(phi_zero[j] if j == i else phi_one[j] for j in range(n))
-            for i in range(n)
-        ]
+        member = ProductDist(tuple(priors[b] for b in sign))
+        vw_all = [(k / n) * sum(phis[b][j != i] for j, b in enumerate(sign)) for i in range(n)]
         dif_sums = [0.0] * n
         for t in range(trials):
             ss = np.random.SeedSequence(seed, spawn_key=(mi, t))
@@ -465,9 +461,8 @@ def run_lb_family(
         member_regret = 0.0
         for i in range(n):
             prob = 1.0
-            for j in range(n):
-                pj = dict(zip(member[j].support, member[j].probs))
-                prob *= pj.get(0.0, 0.0) if j == i else pj.get(1.0, 0.0)
+            for j, b in enumerate(sign):
+                prob *= priors[b].probs[j != i]
             min_profile_prob = min(min_profile_prob, prob)
             member_regret += prob * dif_sums[i] / trials
         total_regret += member_regret

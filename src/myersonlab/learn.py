@@ -16,12 +16,17 @@ from .dist import ProductDist, ValueDist
 
 @dataclass(frozen=True, eq=False)
 class SampleMatrix:
-    """count x n matrix of values in [0, 1]; column i is i.i.d. from coordinate i."""
+    """count x n matrix of values in [0, 1], read off its shape; column i is i.i.d. from coordinate i."""
 
-    n: int
-    count: int
     values: np.ndarray
-    seed: int | None
+
+    @property
+    def count(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -47,12 +52,14 @@ def draw_samples(d: ProductDist, count: int, seed) -> SampleMatrix:
         cols.append(dj._support[idx])
     values = np.stack(cols, axis=1)
     values.setflags(write=False)
-    return SampleMatrix(d.n, count, values, seed if isinstance(seed, int) else None)
+    return SampleMatrix(values)
 
 
 def _column_runs(s: SampleMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per column, its distinct sample values ascending and how many samples are at most each."""
     srt = np.sort(s.values, axis=0)
+    if not (srt[0].min() >= 0.0 and srt[-1].max() <= 1.0):  # NaN sorts last
+        raise ValueError("sample values must lie in [0, 1]")
     starts = np.concatenate((np.ones((1, s.n), dtype=bool), srt[1:] != srt[:-1]))
     ends = np.concatenate((starts[1:], starts[:1]))  # a run ends on the row before the next starts
     return [(srt[starts[:, j], j], np.flatnonzero(ends[:, j]) + 1) for j in range(s.n)]

@@ -14,6 +14,7 @@ from myersonlab.feasible import (
     FeasibleSet,
     all_or_nothing,
     from_independent_sets,
+    members,
     minimum_non_matroid,
     uniform_matroid,
 )
@@ -82,3 +83,22 @@ def random_downward_closed(rng: np.random.Generator, n: int) -> FeasibleSet:
         top = [i for i in range(n) if rng.random() < 0.6]
         sets.update(c for r in range(len(top) + 1) for c in combinations(top, r))
     return from_independent_sets(n, sets)
+
+
+def downward_closed_families(n):
+    """Every family of subsets of range(n), as bitmasks, that is closed under removal.
+
+    The empty family comes first; every other family holds the empty set.
+    """
+    subsets = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
+
+    def grow(i, family):
+        if i == len(subsets):
+            yield family
+            return
+        yield from grow(i + 1, family)
+        s = subsets[i]
+        if all(s & ~(1 << j) in family for j in members(s)):
+            yield from grow(i + 1, family | {s})
+
+    return grow(0, frozenset())

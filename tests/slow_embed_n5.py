@@ -17,24 +17,10 @@ import time
 from myersonlab.feasible import from_independent_sets, is_matroid, members
 from myersonlab.lab import embed_counterexample
 
+from fuzz import downward_closed_families
+
 BIDDERS = 5
 FAMILIES = 7581
-
-
-def downward_closed_families(n):
-    """Every family of subsets of range(n), as bitmasks, that is closed under removal."""
-    subsets = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
-
-    def grow(i, family):
-        if i == len(subsets):
-            yield family
-            return
-        yield from grow(i + 1, family)
-        s = subsets[i]
-        if all(s & ~(1 << j) in family for j in members(s)):
-            yield from grow(i + 1, family | {s})
-
-    return grow(0, frozenset())
 
 
 def main() -> int:

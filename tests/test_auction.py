@@ -631,6 +631,19 @@ class TestOutcomeTables:
             a = myerson(uniform, fs)
             assert a._runs == (10, 10, 10) and a._outcomes is not None
 
+    def test_grid_is_the_product_of_each_bidders_cells(self, monkeypatch):
+        # 61 x 2 cells fit a block, though a cube over the most cells, 61^2, would not
+        prior = ProductDist((uniform_grid(np.linspace(1 / 60, 1.0, 60)), point_mass(0.5)))
+        fs = uniform_matroid(2, 1)
+        a = myerson(prior, fs)
+        assert a._runs == (60, 1) and 61**2 * (len(fs.vertices) + 2) > _BLOCK
+        assert a._outcomes.shape == (61, 2, 3)
+        monkeypatch.setattr("myersonlab.auction._BLOCK", 1)  # no grid fits
+        lines = myerson(prior, fs)
+        for values in iproduct(*map(probe_values, prior)):
+            assert allocate(a, values) == allocate(lines, values), values
+            assert payments(a, values) == payments(lines, values), values
+
 
 class TestNanBids:
     # NaN sorts above the top atom, so unchecked it bids like the highest value

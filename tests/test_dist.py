@@ -124,6 +124,34 @@ class TestMakeDiscrete:
         assert d._above[1] < 1.0 == d._above[0]
 
 
+class TestValueDistChecks:
+    """A ValueDist built directly is held to what make_discrete would accept."""
+
+    @pytest.mark.parametrize(
+        "support, probs, match",
+        [
+            ((0.2, 0.8), (1.0,), "2 values but 1 probabilities"),
+            ((0.5, 0.2), (0.5, 0.5), "increase strictly"),
+            ((0.5, 0.5), (0.5, 0.5), "increase strictly"),
+            ((0.2, 1.5), (0.5, 0.5), "in \\[0, 1\\]"),
+            ((-0.1, 0.5), (0.5, 0.5), "in \\[0, 1\\]"),
+            ((0.2, math.nan, 0.8), (0.25, 0.25, 0.5), "in \\[0, 1\\]"),
+            ((math.nan,), (1.0,), "in \\[0, 1\\]"),
+            ((0.2, 0.5, 0.8), (0.6, 0.0, 0.4), "nonpositive"),
+            ((0.2, 0.8), (1.2, -0.2), "nonpositive"),
+            ((0.5, 0.2), (0.3, 0.3), "sum to 0.6"),
+            ((0.2, 0.8), (0.5, math.nan), "sum to nan"),
+            ((), (), "sum to 0.0"),
+        ],
+    )
+    def test_rejected(self, support, probs, match):
+        with pytest.raises(ValueError, match=match):
+            ValueDist(support, probs)
+
+    def test_mass_within_tolerance_is_accepted(self):
+        assert ValueDist((0.2, 0.8), (0.5, 0.5 + 1e-13)).support == (0.2, 0.8)
+
+
 def bits(d):
     """Exact bit patterns of a distribution's atoms; tells 0.0 from -0.0."""
     return tuple(map(float.hex, d.support)), tuple(map(float.hex, d.probs))

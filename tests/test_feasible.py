@@ -1,11 +1,13 @@
 """Allocation systems: constructors, matroid checks, exchange violations."""
 
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from myersonlab.feasible import (
+    FeasibleSet,
     all_or_nothing,
     demand_reduce,
     feasible_from_json,
@@ -20,6 +22,7 @@ from myersonlab.feasible import (
 )
 
 import oracles
+from fuzz import downward_closed_families, random_downward_closed
 
 MINNON_SETS = [(), (0,), (1,), (2,), (1, 2)]
 
@@ -76,6 +79,28 @@ class TestConstructors:
         with pytest.raises(ValueError, match="outside"):
             from_vertices([[1.5, 0.0]])
 
+    def test_view_and_n_are_derived_from_the_vertices(self):
+        # the view comes from the vertices alone, so a matroid's vertices make a matroid
+        fs = FeasibleSet(uniform_matroid(3, 2).vertices, 2.0)
+        assert fs.n == 3 and fs.sets_view == uniform_matroid(3, 2).sets_view
+        assert is_matroid(fs)
+        assert FeasibleSet(((0.0, 1.0), (1.0, 0.0), (0.0, 1.0)), 1.0).sets_view == (1, 2)
+        assert FeasibleSet(((0.0, 0.5),), 0.5).sets_view is None
+
+    @pytest.mark.parametrize(
+        "vertices, match",
+        [
+            ((), "at least one vertex"),
+            (((0.0, 1.0), (1.0,)), "mixed dimension"),
+            (((0.0, 1.5),), "outside"),
+            (((-0.5, 1.0),), "outside"),
+            (((math.nan, 1.0),), "outside"),
+        ],
+    )
+    def test_direct_construction_checks_the_vertices(self, vertices, match):
+        with pytest.raises(ValueError, match=match):
+            FeasibleSet(vertices, 1.0)
+
 
 class TestDownwardClosed:
     def test_examples(self):
@@ -129,30 +154,32 @@ class TestExchangeViolation:
         with pytest.raises(ValueError, match="binary"):
             find_exchange_violation(all_or_nothing(2, 1))
 
-    def _all_downward_closed(self, n):
-        universe = list(range(1 << n))
-        for bits in range(1, 1 << (1 << n)):
-            fam = [m for m in universe if bits >> m & 1]
-            if 0 not in fam:
-                continue
-            closed = all(
-                (m & ~(1 << i)) in fam for m in fam for i in members(m)
-            )
-            if closed:
-                yield fam
-
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exhaustive_violation_iff_non_matroid(self, n):
-        for fam in self._all_downward_closed(n):
+        for fam in downward_closed_families(n):
+            if not fam:
+                continue
             fs = from_independent_sets(n, [members(m) for m in fam])
             expected = oracles.is_matroid(fam)
             assert (find_exchange_violation(fs) is None) == expected
             assert is_matroid(fs) == expected
 
     def test_exhaustive_witness_matches_member_tuple_search(self):
-        for fam in self._all_downward_closed(4):
+        for fam in downward_closed_families(4):
+            if not fam:
+                continue
             fs = from_independent_sets(4, [members(m) for m in fam])
             assert find_exchange_violation(fs) == oracles.find_exchange_violation(fs)
+
+    def test_witness_matches_member_tuple_search_at_embed_size(self):
+        rng = np.random.default_rng(10)
+        found = 0
+        for _ in range(50):
+            fs = random_downward_closed(rng, 10)
+            witness = find_exchange_violation(fs)
+            assert witness == oracles.find_exchange_violation(fs), fs.sets_view
+            found += witness is not None
+        assert found == 31  # the draws hold matroids and non-matroids
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_random_violation_iff_non_matroid(self, n):
@@ -191,6 +218,10 @@ class TestDemandReduce:
         fs = demand_reduce(uniform_matroid(2, 1), 2.0)
         assert (0.5, 0.0) in fs.vertices
         assert fs.sets_view is None
+
+    def test_halved_vertices_that_turn_binary_get_a_view(self):
+        fs = demand_reduce(from_vertices([[0.0, 0.0], [0.5, 0.0]]), 0.5)
+        assert fs.sets_view == (0, 1) and is_matroid(fs)
 
     def test_rank_scales_exactly(self):
         for d in (2.0, 3.0, 7.0):

@@ -43,6 +43,7 @@ from myersonlab.lab import (
 import oracles
 from fuzz import (
     dominated_pair,
+    downward_closed_families,
     random_downward_closed,
     random_feasible,
     random_product,
@@ -60,22 +61,6 @@ def random_closures(draw):
     tops = draw(st.lists(bidder_sets, min_size=2, max_size=4))
     sets = {c for top in tops for r in range(len(top) + 1) for c in combinations(sorted(top), r)}
     return from_independent_sets(n, sets)
-
-
-def downward_closed_families(n):
-    """Every family of subsets of range(n), as bitmasks, that is closed under removal."""
-    subsets = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
-
-    def grow(i, family):
-        if i == len(subsets):
-            yield family
-            return
-        yield from grow(i + 1, family)
-        s = subsets[i]
-        if all(s & ~(1 << j) in family for j in members(s)):
-            yield from grow(i + 1, family | {s})
-
-    return grow(0, frozenset())
 
 
 class TestReport:
@@ -215,6 +200,40 @@ class TestEmbed:
         else:
             r = embed_counterexample(fs)
             assert r.passed and r.metrics["gap"] > 0.0, fs.sets_view
+
+
+class TestMatroidHalf:
+    """Every matroid keeps its design-prior auction's revenue when the prior is dominated."""
+
+    @staticmethod
+    def gadget_pairs(n, eps=0.1):
+        """(dominating, design) priors shaped as embed builds them, on every triple (A, {B, C})."""
+        scale = 1.0 / n
+        bc_tilde = make_discrete([eps * scale, scale], [1.0 - eps, eps])
+        outsider = make_discrete([0.0, 0.1 * eps * scale], [0.99, 0.01])
+        pairs = []
+        for a_bidder in range(n):
+            for b, c in combinations([i for i in range(n) if i != a_bidder], 2):
+                big, design = [outsider] * n, [outsider] * n
+                big[a_bidder] = design[a_bidder] = point_mass(0.5 * scale)
+                big[b] = big[c] = point_mass(scale)
+                design[b] = design[c] = bc_tilde
+                pairs.append((ProductDist(tuple(big)), ProductDist(tuple(design))))
+        return pairs
+
+    @pytest.mark.parametrize("n, matroids, random_pairs", [(3, 16, 40), (4, 68, 20)])
+    def test_every_matroid_on_few_bidders(self, n, matroids, random_pairs):
+        systems = [from_independent_sets(n, map(members, fam)) for fam in downward_closed_families(n)
+                   if fam]
+        systems = [fs for fs in systems if is_matroid(fs)]
+        assert len(systems) == matroids
+        rng = np.random.default_rng(n)
+        gadgets = self.gadget_pairs(n)
+        for fs in systems:
+            for big, design in [dominated_pair(rng, n) for _ in range(random_pairs)] + gadgets:
+                a = myerson(design, fs)
+                drop = expected_revenue(a, big) - expected_revenue(a, design)
+                assert drop >= -1e-9, (fs.sets_view, big, design)
 
 
 class TestApproxMonotone:

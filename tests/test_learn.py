@@ -95,13 +95,13 @@ class TestDrawSamples:
 
 class TestEmpirical:
     def test_two_samples(self):
-        s = SampleMatrix(1, 2, np.array([[0.3], [0.7]]), None)
+        s = SampleMatrix(np.array([[0.3], [0.7]]))
         e = empirical(s)
         assert e[0].support == (0.3, 0.7)
         assert e[0].probs == pytest.approx((0.5, 0.5))
 
     def test_constant_column(self):
-        s = SampleMatrix(1, 4, np.array([[0.2]] * 4), None)
+        s = SampleMatrix(np.array([[0.2]] * 4))
         assert empirical(s)[0] == point_mass(0.2)
 
     def test_sup_cdf_gap_bound(self):
@@ -125,14 +125,14 @@ class TestEmpirical:
 
 class TestDominatedEmpirical:
     def test_top_of_support_clamps_to_one(self):
-        s = SampleMatrix(1, 10, np.array([[0.4]] * 10), None)
+        s = SampleMatrix(np.array([[0.4]] * 10))
         et = dominated_empirical(s, 0.1)
         assert cdf(et[0], 0.4) == pytest.approx(1.0, abs=1e-12)
 
     def test_inflation_formula(self):
         # empirical CDF 0.5 at v=0.3 from 100 samples, one bidder, delta 0.1
         vals = np.array([[0.3]] * 50 + [[0.7]] * 50)
-        et = dominated_empirical(SampleMatrix(1, 100, vals, None), 0.1)
+        et = dominated_empirical(SampleMatrix(vals), 0.1)
         coef = log(2 * 1 * 100 / 0.1)
         expected = min(1.0, 0.5 + sqrt(2 * 0.25 * coef / 100) + 4 * coef / 100)
         assert cdf(et[0], 0.3) == pytest.approx(expected, abs=1e-12)
@@ -140,7 +140,7 @@ class TestDominatedEmpirical:
 
     def test_bottom_mass_sits_at_zero(self):
         vals = np.array([[0.5]] * 40)
-        et = dominated_empirical(SampleMatrix(1, 40, vals, None), 0.2)
+        et = dominated_empirical(SampleMatrix(vals), 0.2)
         assert et[0].support[0] == 0.0
         coef = log(2 * 1 * 40 / 0.2)
         assert et[0].probs[0] == pytest.approx(min(1.0, 4 * coef / 40), abs=1e-12)
@@ -163,15 +163,26 @@ class TestDominatedEmpirical:
         # order, so a rank where the inflated CDF fell would lose its atom
         # (or make the learned prior's masses negative)
         values = np.arange(1, count + 1) / (count + 1)
-        s = SampleMatrix(n, count, np.repeat(values[:, None], n, axis=1), None)
+        s = SampleMatrix(np.repeat(values[:, None], n, axis=1))
         for d in dominated_empirical(s, delta):
             kept = len(d.support) - 1
             assert d.support == (0.0,) + tuple(values[:kept].tolist())
             assert min(d.probs) > 0.0
             assert cdf(d, values[kept - 1] if kept else 0.0) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.2, np.nan])
+    def test_out_of_range_samples_give_no_prior(self, bad):
+        s = SampleMatrix(np.array([[0.3], [0.7], [bad]]))
+        for learn in (empirical, lambda s: dominated_empirical(s, 0.1)):
+            with pytest.raises(ValueError, match="in \\[0, 1\\]"):
+                learn(s)
+
+    def test_shape_gives_count_and_n(self):
+        s = SampleMatrix(np.zeros((400, 3)))
+        assert (s.count, s.n) == (400, 3)
+
     def test_delta_validation(self):
-        s = SampleMatrix(1, 2, np.array([[0.1], [0.2]]), None)
+        s = SampleMatrix(np.array([[0.1], [0.2]]))
         with pytest.raises(ValueError):
             dominated_empirical(s, 0.0)
         with pytest.raises(ValueError):
@@ -218,7 +229,7 @@ def sample_matrices(draw):
             pool = st.sampled_from([0.0, -0.0, 0.2, 0.5, 1.0]) if kind == "few" else st.floats(0, 1)
             col = draw(st.lists(pool, min_size=count, max_size=count))
         cols.append(col)
-    return SampleMatrix(n, count, np.array(cols).T, None)
+    return SampleMatrix(np.array(cols).T)
 
 
 class TestLearnerOracle:
@@ -233,7 +244,7 @@ class TestLearnerOracle:
     @pytest.mark.parametrize("count", [1, 2, 30, 400])
     def test_samples_at_zero_merge_with_bottom_atom(self, count):
         vals = np.array([[0.0, 0.7]] * (count // 2) + [[0.6, 0.0]] * (count - count // 2))
-        s = SampleMatrix(2, count, vals, None)
+        s = SampleMatrix(vals)
         learned = dominated_empirical(s, 0.1)
         assert bits(learned) == bits(oracles.dominated_empirical(s, 0.1))
         assert all(d.support.count(0.0) == 1 and d.support[0] == 0.0 for d in learned)
