@@ -97,10 +97,7 @@ def _cmd_curves(args) -> int:
         "ironing_intervals": [list(iv) for iv in _intervals(raw, hull)],
         "monopoly": {"price": price, "revenue": revenue},
     }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if args.dump_curves:
-        _emit(text, args.dump_curves)
-    _emit(text, args.out)
+    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
     return 0
 
 
@@ -174,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("curves", help="dump revenue and ironed curves of a distribution")
     sp.add_argument("--dist", required=True, metavar="FILE")
-    sp.add_argument("--dump-curves", metavar="PATH", default=None)
     sp.add_argument("--out", metavar="PATH", default=None)  # JSON only: no --format
     sp.set_defaults(func=_cmd_curves)
 

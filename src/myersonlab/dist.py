@@ -7,7 +7,7 @@ predicates below evaluate only there and stay exact.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import sqrt
@@ -173,21 +173,16 @@ def discretize_uniform_with_atom(
     return make_discrete(values + [atom_value], [(1.0 - atom_mass) / cells] * cells + [atom_mass])
 
 
-def _rank(support, v: float, bisect=bisect_right) -> int:
+def _rank(support, v: float) -> int:
     """Position of v in a sorted support; NaN, which no order places, raises ValueError."""
     if v != v:
         raise ValueError("value is NaN")
-    return bisect(support, v)
+    return bisect_right(support, v)
 
 
 def cdf(d: ValueDist, v: float) -> float:
     """Pr[u <= v] for u drawn from d."""
     return float(d._below[_rank(d.support, v)])
-
-
-def cdf_left(d: ValueDist, v: float) -> float:
-    """Left limit Pr[u < v]."""
-    return float(d._below[_rank(d.support, v, bisect_left)])
 
 
 def quantile_of_value(d: ValueDist, v: float) -> float:
@@ -285,9 +280,3 @@ def min_closeness_eps(a: ProductDist, b: ProductDist, n: int, k: float) -> float
     qb = np.sqrt(_min_variance(fa[far], fb[far]) / (4.0 * n * k))
     eps_pts = (-qb + np.sqrt(qb * qb + 4.0 * qa * gap[far])) / (2.0 * qa)
     return float(eps_pts.max(initial=0.0))
-
-
-def min_uniform_closeness_eps(a: ProductDist, b: ProductDist, n: int, k: float) -> float:
-    """Smallest eps at which is_close_uniform(a, b, eps, n, k) holds."""
-    fa, fb = _cdf_pairs(a, b)
-    return float(np.abs(fa - fb).max(initial=0.0)) * sqrt(n * k)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import asdict, dataclass
 from itertools import product as iproduct
 from math import sqrt
@@ -17,7 +16,7 @@ from math import sqrt
 import numpy as np
 
 from .auction import allocate, expected_revenue, myerson, opt_revenue
-from .curves import NEG_INF, ironing_intervals, revenue_curve, virtual_table
+from .curves import virtual_table
 from .dist import (
     ProductDist,
     ValueDist,
@@ -27,7 +26,6 @@ from .dist import (
     make_discrete,
     point_mass,
     product_dist,
-    value_of_quantile,
 )
 from .feasible import (
     FeasibleSet,
@@ -39,6 +37,8 @@ from .feasible import (
 from .learn import dominated_empirical, draw_samples, hellinger_sq, required_samples
 
 VERDICT_TOL = 1e-9
+_LEARNER_DELTA = 0.1  # delta of the dominated-empirical learner in lb-family
+_FAMILY_CAP = 32  # lb-family members drawn at random past n = 8
 
 
 class PreconditionError(ValueError):
@@ -64,9 +64,6 @@ class Report:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    def json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
     def csv_rows(self) -> list[str]:
         """One CSV line per metric: experiment, params, metric, value, verdict."""
@@ -163,6 +160,8 @@ def embed_counterexample(fs: FeasibleSet, eps: float = 0.1) -> Report:
     1% atom at eps/(10n), which makes their ironed virtual value at 0
     negative, so they never tie with the low values of B and C.
     """
+    if not 0.0 < eps < 1.0:  # also catches NaN
+        raise ValueError(f"eps {eps!r} outside (0, 1)")
     if fs.sets_view is None:
         raise PreconditionError("embedding needs a binary set system")
     if fs.n > 10:
@@ -252,59 +251,6 @@ def check_approx_monotone(
             "slack": slack,
         },
         on_dominating >= on_design - slack - VERDICT_TOL,
-    )
-
-
-def _quantile_segments(d: ValueDist) -> list[tuple[float, float, float]]:
-    """Partition of [0, 1) into (q_lo, q_hi, value) runs of the quantile-to-value map."""
-    tails = d._above
-    return [(tails[j + 1], tails[j], d.support[j]) for j in range(len(d.support) - 1, -1, -1)]
-
-
-def check_single_bidder_bound(
-    dd: ProductDist,
-    dtilde: ProductDist,
-    eps: float,
-    n: int,
-    k: float,
-    i: int,
-    theta: float,
-    uniform: bool = False,
-) -> Report:
-    """One bidder's virtual-value integral against its revenue-curve bound.
-
-    Integrates the design prior's virtual value along the dominating
-    prior's quantile axis up to theta; both sides are exact because the
-    integrand is a step function in the quantile.
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta {theta!r} outside [0, 1]")
-    _require_dominated_close(dd, dtilde, eps, n, k, uniform)
-    if uniform:
-        slack = eps / sqrt(n * k)
-    else:
-        slack = sqrt(theta * eps * eps / (4.0 * n * k)) + eps * eps / (2.0 * n * k)
-    if ironing_intervals(dtilde[i]):
-        raise PreconditionError("design prior coordinate is not regular")
-    table = virtual_table(dtilde[i])
-    phi_at_theta = table.at(value_of_quantile(dd[i], theta))
-    if phi_at_theta is NEG_INF or phi_at_theta < 0.0:
-        raise PreconditionError("virtual value at the threshold quantile is negative")
-    lhs = 0.0
-    for q_lo, q_hi, value in _quantile_segments(dd[i]):
-        width = min(theta, q_hi) - q_lo
-        if width <= 0.0:
-            continue
-        phi = table.at(value)
-        if phi is NEG_INF:
-            raise PreconditionError("virtual value sentinel inside the integration range")
-        lhs += phi * width
-    rhs = revenue_curve(dd[i]).value_at(theta) + slack
-    return _report(
-        "single-bidder-bound",
-        {"eps": eps, "n": n, "k": k, "bidder": i, "theta": theta, "uniform": uniform},
-        {"lhs": lhs, "rhs": rhs},
-        lhs <= rhs + VERDICT_TOL,
     )
 
 
@@ -410,8 +356,6 @@ def run_lb_family(
     sample_budget: int,
     trials: int,
     seed: int,
-    learner_delta: float = 0.1,
-    family_cap: int = 32,
 ) -> Report:
     """Indistinguishable prior family on the all-or-nothing system.
 
@@ -421,8 +365,8 @@ def run_lb_family(
     it asks that a budget small enough to be uninformative (N * H^2 at most
     0.01) indeed leaves average regret of at least eps.
     """
-    if eps > 0.01:
-        raise ValueError("eps above 1/100")
+    if not 0.0 <= eps <= 0.01:  # also catches NaN
+        raise ValueError(f"eps {eps!r} outside [0, 1/100]")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if n < 2:
@@ -440,7 +384,7 @@ def run_lb_family(
     if n <= 8:
         signs = list(iproduct((0, 1), repeat=n))
     else:
-        signs = [tuple(int(b) for b in rng.integers(0, 2, size=n)) for _ in range(family_cap)]
+        signs = [tuple(int(b) for b in rng.integers(0, 2, size=n)) for _ in range(_FAMILY_CAP)]
     profiles = [tuple(0.0 if j == i else 1.0 for j in range(n)) for i in range(n)]
     wins: dict[bytes, list[bool]] = {}  # sorted sample columns -> bidder i wins at profiles[i]
     total_regret = 0.0
@@ -454,7 +398,7 @@ def run_lb_family(
             samples = draw_samples(member, sample_budget, ss)
             key = np.sort(samples.values, axis=0).tobytes()
             if key not in wins:
-                a = myerson(dominated_empirical(samples, learner_delta), fs)
+                a = myerson(dominated_empirical(samples, _LEARNER_DELTA), fs)
                 wins[key] = [allocate(a, p)[i] > 0.0 for i, p in enumerate(profiles)]
             for i in range(n):
                 dif_sums[i] += max(0.0, vw_all[i]) - (vw_all[i] if wins[key][i] else 0.0)

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from myersonlab.dist import ProductDist, ValueDist, make_discrete
+from myersonlab.dist import ProductDist, ValueDist, make_discrete, point_mass
 from myersonlab.feasible import (
     FeasibleSet,
     all_or_nothing,
@@ -56,6 +56,22 @@ def dominated_pair(
     big = random_product(rng, n)
     small = ProductDist(tuple(shift_down(rng, dj, strength) for dj in big))
     return big, small
+
+
+def gadget_pairs(n, eps=0.1):
+    """(dominating, design) priors shaped as embed builds them, on every triple (A, {B, C})."""
+    scale = 1.0 / n
+    bc_tilde = make_discrete([eps * scale, scale], [1.0 - eps, eps])
+    outsider = make_discrete([0.0, 0.1 * eps * scale], [0.99, 0.01])
+    pairs = []
+    for a_bidder in range(n):
+        for b, c in combinations([i for i in range(n) if i != a_bidder], 2):
+            big, design = [outsider] * n, [outsider] * n
+            big[a_bidder] = design[a_bidder] = point_mass(0.5 * scale)
+            big[b] = big[c] = point_mass(scale)
+            design[b] = design[c] = bc_tilde
+            pairs.append((ProductDist(tuple(big)), ProductDist(tuple(design))))
+    return pairs
 
 
 def random_feasible(

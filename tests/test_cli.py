@@ -193,14 +193,6 @@ class TestCurves:
         assert obj["ironing_intervals"] == []
         assert obj["monopoly"]["price"] == 1.0
 
-    def test_dump_curves_flag_writes_file(self, capsys, tmp_path):
-        dist = write_json(tmp_path / "d.json", {"support": [0.5], "probs": [1.0]})
-        target = tmp_path / "curves.json"
-        code, _, _ = run(capsys, ["curves", "--dist", dist, "--dump-curves", str(target)])
-        assert code == 0
-        assert json.loads(target.read_text())["ironed_curve"] == [[0.0, 0.0], [1.0, 0.5]]
-
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_format_flag_is_a_usage_error(self, capsys, tmp_path, fmt):
         dist = write_json(tmp_path / "d.json", {"support": [0.5], "probs": [1.0]})
@@ -291,6 +283,21 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error:") and "trials" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["embed", "--eps", eps] for eps in ("0", "1", "1.5", "-0.5", "inf", "nan")]
+        + [
+            ["lb-family", "--n", "3", "--k", "1", "--budget", "1", "--trials", "2", "--eps", eps]
+            for eps in ("-0.01", "nan")
+        ],
+    )
+    def test_eps_out_of_range(self, capsys, minnon_file, argv):
+        if argv[0] == "embed":
+            argv = argv + ["--feasible", minnon_file]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: eps {float(argv[argv.index('--eps') + 1])!r} outside")
+
     @pytest.mark.parametrize("flag", [["--constant", "inf"], ["--eps", "nan"]])
     def test_non_finite_sample_parameters(self, capsys, tmp_path, minnon_file, flag):
         d = {"support": [0.5], "probs": [1.0]}
@@ -307,6 +314,7 @@ class TestErrors:
             ["copies", "--k", "abc"],
             ["copies", "--k", "4", "--format", "xml"],
             ["copies", "--k", "14", "--trials", "200"],
+            ["curves", "--dist", "d.json", "--dump-curves", "c.json"],
         ],
     )
     def test_usage_errors_exit_1(self, capsys, argv):

@@ -11,14 +11,12 @@ from myersonlab.dist import (
     ProductDist,
     ValueDist,
     cdf,
-    cdf_left,
     discretize_uniform_with_atom,
     dominates,
     is_close,
     is_close_uniform,
     make_discrete,
     min_closeness_eps,
-    min_uniform_closeness_eps,
     point_mass,
     product_dist,
     quantile_of_value,
@@ -236,10 +234,6 @@ class TestCdfAndQuantiles:
         with pytest.raises(ValueError, match="NaN"):
             cdf(self.NAN_CASE, float("nan"))
 
-    def test_cdf_left_of_nan_raises(self):
-        with pytest.raises(ValueError, match="NaN"):
-            cdf_left(self.NAN_CASE, float("nan"))
-
     def test_quantile_of_nan_raises(self):
         with pytest.raises(ValueError, match="NaN"):
             quantile_of_value(self.NAN_CASE, float("nan"))
@@ -257,7 +251,6 @@ class TestCdfAndQuantiles:
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
         for v in d.support:
             assert cdf(d, v + 1e-9) == pytest.approx(cdf(d, v), abs=1e-12)
-            assert cdf_left(d, v) == pytest.approx(cdf(d, v) - d.probs[d.support.index(v)], abs=1e-12)
 
     @given(value_dists())
     @settings(max_examples=60, deadline=None)
@@ -361,7 +354,7 @@ class TestCloseness:
             assert is_close(a, b, min(1.0, eps * (1 + 1e-9) + 1e-12), n, k)
         if 0.005 < eps and eps * 0.9 <= 1.0:
             assert not is_close(a, b, eps * 0.9, n, k)
-        eps_u = min_uniform_closeness_eps(a, b, n, k)
+        eps_u = oracles.min_uniform_closeness_eps(a, b, n, k)
         if 0.0 < eps_u <= 1.0:
             assert is_close_uniform(a, b, min(1.0, eps_u * (1 + 1e-9) + 1e-12), n, k)
 
@@ -454,9 +447,8 @@ class TestCheckpointOracle:
     def assert_agrees(a, b, n, k):
         assert dominates(a, b) == oracles.dominates(a, b)
         eps_close = min_closeness_eps(a, b, n, k)
-        eps_uniform = min_uniform_closeness_eps(a, b, n, k)
+        eps_uniform = oracles.min_uniform_closeness_eps(a, b, n, k)
         assert eps_close == oracles.min_closeness_eps(a, b, n, k)
-        assert eps_uniform == oracles.min_uniform_closeness_eps(a, b, n, k)
         # at the smallest passing eps the comparison tolerance decides the verdict
         for eps in {1.0, min(1.0, max(eps_close, 1e-3)), min(1.0, max(eps_uniform, 1e-3))}:
             assert is_close(a, b, eps, n, k) == oracles.is_close(a, b, eps, n, k)

@@ -6,17 +6,20 @@ from math import log, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, given, settings, target
 from hypothesis import strategies as st
 
 from myersonlab.auction import expected_revenue, myerson
+from myersonlab.curves import NEG_INF, ironing_intervals, revenue_curve, virtual_table
 from myersonlab.dist import (
     ProductDist,
+    ValueDist,
     make_discrete,
     min_closeness_eps,
     point_mass,
     product_dist,
     uniform_grid,
+    value_of_quantile,
 )
 from myersonlab.feasible import (
     all_or_nothing,
@@ -27,10 +30,12 @@ from myersonlab.feasible import (
     uniform_matroid,
 )
 from myersonlab.lab import (
+    VERDICT_TOL,
     PreconditionError,
     Report,
+    _report,
+    _require_dominated_close,
     check_approx_monotone,
-    check_single_bidder_bound,
     embed_counterexample,
     nonmonotone_gadget,
     run_copies,
@@ -44,6 +49,7 @@ import oracles
 from fuzz import (
     dominated_pair,
     downward_closed_families,
+    gadget_pairs,
     random_downward_closed,
     random_feasible,
     random_product,
@@ -63,13 +69,50 @@ def random_closures(draw):
     return from_independent_sets(n, sets)
 
 
+SMALL_MATROIDS = [
+    fs
+    for fs in (
+        from_independent_sets(n, map(members, fam))
+        for n in (3, 4)
+        for fam in downward_closed_families(n)
+        if fam
+    )
+    if is_matroid(fs)
+]
+EIGHTHS = [j / 8 for j in range(1, 9)]
+
+
+@st.composite
+def matroid_instances(draw):
+    """A matroid on 3 or 4 bidders with (dominating, design) priors on the grid of eighths.
+
+    Each design atom moves a random share of its mass to a random grid value
+    at or above it, so the dominating prior dominates the design prior.
+    """
+    fs = draw(st.sampled_from(SMALL_MATROIDS))
+    big, design = [], []
+    for _ in range(fs.n):
+        atoms = draw(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(atoms), max_size=len(atoms)))
+        total = sum(weights)
+        moved = dict.fromkeys(atoms, 0)
+        for j, w in zip(atoms, weights):
+            up = draw(st.integers(j, 7))
+            share = draw(st.integers(0, w))
+            moved[j] += w - share
+            moved[up] = moved.get(up, 0) + share
+        design.append(make_discrete([EIGHTHS[j] for j in atoms], [w / total for w in weights]))
+        big.append(make_discrete([EIGHTHS[j] for j in moved], [w / total for w in moved.values()]))
+    return fs, ProductDist(tuple(big)), ProductDist(tuple(design))
+
+
 class TestReport:
     def test_json_shape_and_reproducibility(self):
         r = run_nonmonotone(0.1)
         obj = r.to_json()
         assert set(obj) == {"experiment", "params", "metrics", "verdict", "seed"}
         assert obj["verdict"] in ("pass", "fail")
-        assert r.json_str() == run_nonmonotone(0.1).json_str()
+        assert obj == run_nonmonotone(0.1).to_json()
 
     def test_csv_rows(self):
         r = run_nonmonotone(0.1)
@@ -179,6 +222,20 @@ class TestEmbed:
     def test_stable_across_eps(self, eps):
         assert embed_counterexample(minimum_non_matroid(), eps).passed
 
+    @pytest.mark.parametrize(
+        "eps, gap", [(0.5, 0.041666666666666685), (0.9, 0.0016666666666667052)]
+    )
+    def test_gap_past_the_gadget_range(self, eps, gap):
+        # the gadget itself needs eps < 1/2; the embedded one keeps a gap up to 1
+        r = embed_counterexample(minimum_non_matroid(), eps)
+        assert r.passed and r.metrics["gap"] == gap
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, -0.5, float("inf"), float("nan")])
+    def test_eps_outside_the_open_unit_interval(self, eps):
+        # at 0 or 1 the gap is 0, which would read as a refuted claim
+        with pytest.raises(ValueError, match=r"eps .* outside \(0, 1\)"):
+            embed_counterexample(minimum_non_matroid(), eps)
+
     def test_every_four_bidder_non_matroid(self):
         # outsiders tie with B and C at virtual value 0 unless their own is
         # negative; with point masses at 0, 33 of these 99 systems failed
@@ -205,35 +262,26 @@ class TestEmbed:
 class TestMatroidHalf:
     """Every matroid keeps its design-prior auction's revenue when the prior is dominated."""
 
-    @staticmethod
-    def gadget_pairs(n, eps=0.1):
-        """(dominating, design) priors shaped as embed builds them, on every triple (A, {B, C})."""
-        scale = 1.0 / n
-        bc_tilde = make_discrete([eps * scale, scale], [1.0 - eps, eps])
-        outsider = make_discrete([0.0, 0.1 * eps * scale], [0.99, 0.01])
-        pairs = []
-        for a_bidder in range(n):
-            for b, c in combinations([i for i in range(n) if i != a_bidder], 2):
-                big, design = [outsider] * n, [outsider] * n
-                big[a_bidder] = design[a_bidder] = point_mass(0.5 * scale)
-                big[b] = big[c] = point_mass(scale)
-                design[b] = design[c] = bc_tilde
-                pairs.append((ProductDist(tuple(big)), ProductDist(tuple(design))))
-        return pairs
-
     @pytest.mark.parametrize("n, matroids, random_pairs", [(3, 16, 40), (4, 68, 20)])
     def test_every_matroid_on_few_bidders(self, n, matroids, random_pairs):
-        systems = [from_independent_sets(n, map(members, fam)) for fam in downward_closed_families(n)
-                   if fam]
-        systems = [fs for fs in systems if is_matroid(fs)]
+        systems = [fs for fs in SMALL_MATROIDS if fs.n == n]
         assert len(systems) == matroids
         rng = np.random.default_rng(n)
-        gadgets = self.gadget_pairs(n)
+        gadgets = gadget_pairs(n)
         for fs in systems:
             for big, design in [dominated_pair(rng, n) for _ in range(random_pairs)] + gadgets:
                 a = myerson(design, fs)
                 drop = expected_revenue(a, big) - expected_revenue(a, design)
                 assert drop >= -1e-9, (fs.sets_view, big, design)
+
+    @given(matroid_instances())
+    @settings(max_examples=400, deadline=None)
+    def test_targeted_search_for_a_drop(self, instance):
+        fs, big, design = instance
+        a = myerson(design, fs)
+        drop = expected_revenue(a, big) - expected_revenue(a, design)
+        target(-drop)  # steer the search toward the largest revenue loss
+        assert drop >= -1e-9, (fs.sets_view, big, design)
 
 
 class TestApproxMonotone:
@@ -260,9 +308,7 @@ class TestApproxMonotone:
             big, small = dominated_pair(rng, n, strength=0.25)
             fs = random_feasible(rng, n)
             if uniform:
-                from myersonlab.dist import min_uniform_closeness_eps
-
-                eps = min_uniform_closeness_eps(big, small, n, fs.rank)
+                eps = oracles.min_uniform_closeness_eps(big, small, n, fs.rank)
             else:
                 eps = min_closeness_eps(big, small, n, fs.rank)
             eps = eps * (1 + 1e-9) + 1e-12
@@ -279,6 +325,63 @@ class TestApproxMonotone:
         self._fuzz(uniform=True, count=80, seed=102)
 
 
+# The paper's single-bidder lemma, checked exactly on finite priors. Only
+# the tests below call it, so it lives here rather than in the library.
+
+
+def _quantile_segments(d: ValueDist) -> list[tuple[float, float, float]]:
+    """Partition of [0, 1) into (q_lo, q_hi, value) runs of the quantile-to-value map."""
+    tails = d._above
+    return [(tails[j + 1], tails[j], d.support[j]) for j in range(len(d.support) - 1, -1, -1)]
+
+
+def check_single_bidder_bound(
+    dd: ProductDist,
+    dtilde: ProductDist,
+    eps: float,
+    n: int,
+    k: float,
+    i: int,
+    theta: float,
+    uniform: bool = False,
+) -> Report:
+    """One bidder's virtual-value integral against its revenue-curve bound.
+
+    Integrates the design prior's virtual value along the dominating
+    prior's quantile axis up to theta; both sides are exact because the
+    integrand is a step function in the quantile.
+    """
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta {theta!r} outside [0, 1]")
+    _require_dominated_close(dd, dtilde, eps, n, k, uniform)
+    if uniform:
+        slack = eps / sqrt(n * k)
+    else:
+        slack = sqrt(theta * eps * eps / (4.0 * n * k)) + eps * eps / (2.0 * n * k)
+    if ironing_intervals(dtilde[i]):
+        raise PreconditionError("design prior coordinate is not regular")
+    table = virtual_table(dtilde[i])
+    phi_at_theta = table.at(value_of_quantile(dd[i], theta))
+    if phi_at_theta is NEG_INF or phi_at_theta < 0.0:
+        raise PreconditionError("virtual value at the threshold quantile is negative")
+    lhs = 0.0
+    for q_lo, q_hi, value in _quantile_segments(dd[i]):
+        width = min(theta, q_hi) - q_lo
+        if width <= 0.0:
+            continue
+        phi = table.at(value)
+        if phi is NEG_INF:
+            raise PreconditionError("virtual value sentinel inside the integration range")
+        lhs += phi * width
+    rhs = revenue_curve(dd[i]).value_at(theta) + slack
+    return _report(
+        "single-bidder-bound",
+        {"eps": eps, "n": n, "k": k, "bidder": i, "theta": theta, "uniform": uniform},
+        {"lhs": lhs, "rhs": rhs},
+        lhs <= rhs + VERDICT_TOL,
+    )
+
+
 class TestSingleBidderBound:
     def test_theta_zero(self):
         d = product_dist(point_mass(0.5))
@@ -289,8 +392,6 @@ class TestSingleBidderBound:
     def test_identity_on_concave_pair(self):
         d0 = make_discrete([0.25, 0.75], [0.5, 0.5])
         p = product_dist(d0)
-        from myersonlab.curves import revenue_curve
-
         r = check_single_bidder_bound(p, p, 0.5, 1, 1, 0, 0.4)
         assert r.metrics["lhs"] == pytest.approx(revenue_curve(d0).value_at(0.4), abs=1e-12)
         assert r.passed
@@ -302,8 +403,6 @@ class TestSingleBidderBound:
             check_single_bidder_bound(p, p, 0.5, 1, 1, 0, 0.4)
 
     def test_fuzz_regular_pairs(self):
-        from myersonlab.curves import ironing_intervals
-
         rng = np.random.default_rng(17)
         done = 0
         worst = 1.0
@@ -426,7 +525,7 @@ class TestSampleComplexity:
         fs = uniform_matroid(1, 1)
         a = run_sample_complexity(fs, d, 0.2, 0.2, 1.0, 30, 4)
         b = run_sample_complexity(fs, d, 0.2, 0.2, 1.0, 30, 4)
-        assert a.json_str() == b.json_str()
+        assert a.to_json() == b.to_json()
 
 
 class TestLbFamily:
@@ -448,8 +547,18 @@ class TestLbFamily:
         with pytest.raises(ValueError, match="1/100"):
             run_lb_family(4, 2, 0.02, 10, 5, 0)
 
-    def test_large_n_subsamples_family(self):
-        r = run_lb_family(9, 4, 0.005, sample_budget=2, trials=2, seed=1, family_cap=8)
+    @pytest.mark.parametrize("eps", [-0.01, float("nan")])
+    def test_negative_or_nan_eps(self, eps):
+        # a negative shift swaps the two priors and the verdict reads pass
+        with pytest.raises(ValueError, match="1/100"):
+            run_lb_family(3, 1, eps, 1, 2, 0)
+
+    def test_zero_eps_gives_one_prior(self):
+        assert run_lb_family(3, 1, 0.0, 1, 2, 0).metrics["hellinger_sq"] == 0.0
+
+    def test_large_n_subsamples_family(self, monkeypatch):
+        monkeypatch.setattr("myersonlab.lab._FAMILY_CAP", 8)
+        r = run_lb_family(9, 4, 0.005, sample_budget=2, trials=2, seed=1)
         assert r.metrics["family_size"] == 8
 
     @pytest.mark.parametrize(
