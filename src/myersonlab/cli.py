@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, OverflowError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -61,8 +61,6 @@ class RevenueCurve:
         if idx >= len(bps) - 1:
             return bps[-1][1]
         (q0, r0), (q1, r1) = bps[idx], bps[idx + 1]
-        if q == q0:
-            return r0
         return r0 + (r1 - r0) * (q - q0) / (q1 - q0)
 
     def to_json(self) -> list:

@@ -78,41 +78,31 @@ class ValueDist:
             ) from exc
 
 
-@dataclass(frozen=True)
-class ProductDist:
-    """Independent per-bidder value distributions."""
+class ProductDist(tuple):
+    """Independent per-bidder value distributions: the tuple of its coordinates."""
 
-    dists: tuple[ValueDist, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.dists) < 1:
+    def __new__(cls, dists):
+        self = super().__new__(cls, dists)
+        if not self:
             raise ValueError("a product distribution needs at least one coordinate")
+        return self
 
-    @property
-    def n(self) -> int:
-        return len(self.dists)
-
-    def __iter__(self):
-        return iter(self.dists)
-
-    def __getitem__(self, i: int) -> ValueDist:
-        return self.dists[i]
-
-    def __len__(self) -> int:
-        return len(self.dists)
+    n = property(len)  # the number of bidders
 
     def to_json(self) -> list:
-        return [d.to_json() for d in self.dists]
+        return [d.to_json() for d in self]
 
     @staticmethod
     def from_json(obj: list) -> "ProductDist":
         if not isinstance(obj, list):
             raise ValueError("a product distribution is a list of value distributions")
-        return ProductDist(tuple(ValueDist.from_json(o) for o in obj))
+        return ProductDist(ValueDist.from_json(o) for o in obj)
 
 
 def product_dist(*dists: ValueDist) -> ProductDist:
-    return ProductDist(tuple(dists))
+    return ProductDist(dists)
 
 
 def make_discrete(values, probs) -> ValueDist:
@@ -143,10 +133,7 @@ def make_discrete(values, probs) -> ValueDist:
     first = np.concatenate(([True], values[1:] != values[:-1]))
     masses = np.bincount(first.cumsum() - 1, weights=probs)
     keep = masses > 0.0
-    support = tuple(values[first][keep].tolist())
-    if not support:
-        raise ValueError("no atoms with positive probability")
-    return ValueDist(support, tuple(masses[keep].tolist()))
+    return ValueDist(tuple(values[first][keep].tolist()), tuple(masses[keep].tolist()))
 
 
 def point_mass(v: float) -> ValueDist:

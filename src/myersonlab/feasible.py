@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
+
+_MAX_SETS = 2**18  # most sets uniform_matroid lists: (18, 9) has 155,382, (20, 10) 616,666
 
 
 @dataclass(frozen=True)
@@ -101,9 +104,12 @@ def from_vertices(vectors) -> FeasibleSet:
 
 
 def uniform_matroid(n: int, k: int) -> FeasibleSet:
-    """All bidder subsets of size at most k."""
+    """All bidder subsets of size at most k, refused when there are more than _MAX_SETS."""
     if not 1 <= k <= n:
         raise ValueError(f"rank k={k} outside 1..{n}")
+    count = sum(comb(n, r) for r in range(k + 1))
+    if count > _MAX_SETS:
+        raise ValueError(f"uniform matroid n={n} k={k} has {count} sets, more than {_MAX_SETS}")
     sets = [c for r in range(k + 1) for c in combinations(range(n), r)]
     return from_independent_sets(n, sets)
 
@@ -121,23 +127,13 @@ def all_or_nothing(n: int, k: int) -> FeasibleSet:
 
 
 def is_downward_closed(fs: FeasibleSet) -> bool:
-    """Whether shrinking any feasible allocation stays feasible.
-
-    Binary systems get the exact subset check. Fractional systems are
-    checked on the vertex list: zeroing any positive coordinate of any
-    vertex must give another vertex.
-    """
-    if fs.sets_view is not None:
-        have = set(fs.sets_view)
-        for m in fs.sets_view:
-            for i in members(m):
-                if m & ~(1 << i) not in have:
-                    return False
-        return True
-    have_v = set(fs.vertices)
-    for v in fs.vertices:
-        for i, x in enumerate(v):
-            if x > 0.0 and v[:i] + (0.0,) + v[i + 1 :] not in have_v:
+    """Whether every subset of a feasible set is feasible; binary set systems only."""
+    if fs.sets_view is None:
+        raise ValueError("downward-closure check needs a binary set system")
+    have = set(fs.sets_view)
+    for m in fs.sets_view:
+        for i in members(m):
+            if m & ~(1 << i) not in have:
                 return False
     return True
 
@@ -149,9 +145,7 @@ def is_matroid(fs: FeasibleSet) -> bool:
     shrinks to one between sizes one apart, so find_exchange_violation
     decides the exchange property.
     """
-    if fs.sets_view is None:
-        raise ValueError("matroid check needs a binary set system")
-    return 0 in fs.sets_view and is_downward_closed(fs) and _exchange_violation(fs) is None
+    return is_downward_closed(fs) and 0 in fs.sets_view and _exchange_violation(fs) is None
 
 
 def find_exchange_violation(
@@ -163,8 +157,6 @@ def find_exchange_violation(
     lexicographically on the sorted member tuples. Requires a
     downward-closed binary system; on a matroid returns None.
     """
-    if fs.sets_view is None:
-        raise ValueError("exchange check needs a binary set system")
     if not is_downward_closed(fs):
         raise ValueError("exchange check needs a downward-closed system")
     return _exchange_violation(fs)
@@ -201,8 +193,6 @@ def demand_reduce(fs: FeasibleSet, d: float) -> FeasibleSet:
     top = max(x for v in fs.vertices for x in v)
     if d < top:
         raise ValueError(f"demand {d!r} smaller than coordinate {top!r}")
-    if d == 1.0:
-        return fs
     return FeasibleSet(tuple(tuple(x / d for x in v) for v in fs.vertices), fs.rank / d)
 
 

@@ -50,7 +50,7 @@ def make_discrete(values, probs):
         merged[v] = merged.get(v, 0.0) + p
     atoms = [(v, p) for v, p in sorted(merged.items()) if p > 0.0]
     if not atoms:
-        raise ValueError("no atoms with positive probability")
+        raise ValueError("the merged atoms carry no positive mass")
     support, probs = zip(*atoms)
     return ValueDist(support, probs)
 

@@ -412,7 +412,7 @@ class TestAgainstScalarReference:
         design = (point_mass(0.05), bc, bc, point_mass(1.0), point_mass(1.0))
         outsider = make_discrete([0.0, 0.1 * 0.1 * 0.1], [0.99, 0.01])
         design = ProductDist(design + (outsider,) * 5)
-        dominating = ProductDist(design.dists[:1] + (point_mass(0.1),) * 2 + design.dists[3:])
+        dominating = ProductDist(design[:1] + (point_mass(0.1),) * 2 + design[3:])
         a = myerson(design, fs)
         assert a._ranks is a._outcomes is None  # 3^10 cells do not fit a block
         report = embed_counterexample(fs)

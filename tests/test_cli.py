@@ -324,6 +324,22 @@ class TestErrors:
         assert exc.value.code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_sample_matrix_too_large_to_allocate(self, capsys, tmp_path):
+        # the sample count asks numpy for 15.1 PiB, more than any address space can map
+        d = {"support": [0.2, 0.5, 0.9], "probs": [0.3, 0.3, 0.4]}
+        dist = write_json(tmp_path / "d.json", [d, d])
+        fs = write_json(tmp_path / "item.json", {"type": "uniform_matroid", "n": 2, "k": 1})
+        argv = ["sample-complexity", "--feasible", fs, "--dist", dist, "--trials", "2"]
+        code, out, err = run(capsys, argv + ["--constant", "1e12"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Unable to allocate")
+
+    def test_uniform_matroid_too_large_to_list(self, capsys, tmp_path):
+        fs = write_json(tmp_path / "fs.json", {"type": "uniform_matroid", "n": 24, "k": 12})
+        code, out, err = run(capsys, ["embed", "--feasible", fs])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: uniform matroid n=24 k=12 has 9740686 sets")
+
     def test_fail_verdict_exit_code(self, capsys, tmp_path):
         # starving the learner of samples makes every trial miss the optimum
         grid = {"support": [round(0.1 * j, 10) for j in range(1, 11)], "probs": [0.1] * 10}

@@ -77,6 +77,8 @@ class TestRevenueCurve:
         assert c.breakpoints[0] == (0.0, 0.0)
         assert qs[-1] == 1.0
         assert all(a < b for a, b in zip(qs, qs[1:]))
+        for curve in (c, iron(c)):
+            assert all(curve.value_at(q) == r for q, r in curve.breakpoints)
 
     @given(value_dists())
     @settings(max_examples=80, deadline=None)

@@ -390,7 +390,9 @@ class TestJson:
 
     def test_product_round_trip(self):
         p = product_dist(TWO_POINT, point_mass(0.5))
-        assert ProductDist.from_json(p.to_json()) == p
+        assert p.to_json() == [TWO_POINT.to_json(), {"support": [0.5], "probs": [1.0]}]
+        q = ProductDist.from_json(p.to_json())
+        assert type(q) is ProductDist and q == p
 
     @pytest.mark.parametrize(
         "obj",
@@ -419,6 +421,30 @@ class TestJson:
             except ValueError:
                 continue
             assert same(parse(parsed.to_json()), parsed)
+
+
+class TestProductDist:
+    def test_built_from_a_generator(self):
+        p = ProductDist(point_mass(v) for v in (0.25, 0.5))
+        assert p.n == len(p) == 2 and p[1] == point_mass(0.5)
+
+    @pytest.mark.parametrize(
+        "build", [lambda: ProductDist(()), lambda: ProductDist.from_json([])], ids=["tuple", "json"]
+    )
+    def test_needs_a_coordinate(self, build):
+        with pytest.raises(ValueError, match="a product distribution needs at least one coordinate"):
+            build()
+
+    def test_slices_are_the_coordinates(self):
+        p = product_dist(TWO_POINT, point_mass(0.5), point_mass(1.0))
+        assert p[1:] == (point_mass(0.5), point_mass(1.0))
+        assert list(p) == [TWO_POINT, point_mass(0.5), point_mass(1.0)]
+
+    def test_equal_priors_are_one_key(self):
+        a = product_dist(TWO_POINT, point_mass(0.5))
+        b = ProductDist.from_json(a.to_json())
+        assert a is not b and a == b
+        assert len({a: 0, b: 1}) == 1
 
 
 class TestHelpers:

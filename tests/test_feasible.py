@@ -59,12 +59,16 @@ class TestConstructors:
         with pytest.raises(ValueError):
             uniform_matroid(3, 4)
 
+    def test_uniform_matroid_counts_its_sets_before_listing_them(self):
+        with pytest.raises(ValueError, match="n=40 k=20 has 618679078298 sets, more than 262144"):
+            uniform_matroid(40, 20)
+        assert len(uniform_matroid(18, 9).sets_view) == 155_382  # the largest balanced family
+
     def test_all_or_nothing(self):
         fs = all_or_nothing(2, 1)
         assert fs.vertices == ((0.0, 0.0), (0.5, 0.5))
         assert fs.sets_view is None
         assert fs.rank == 1
-        assert not is_downward_closed(fs)
         with pytest.raises(ValueError):
             all_or_nothing(2, 3)
 
@@ -109,8 +113,11 @@ class TestDownwardClosed:
         assert not is_downward_closed(from_independent_sets(2, [(), (0, 1)]))
 
     def test_fractional_vertex_check(self):
-        assert not is_downward_closed(all_or_nothing(3, 2))
-        assert is_downward_closed(from_vertices([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]]))
+        # the polytope x1 <= 0.6, x1 + x2 <= 1 is downward closed, and still refused
+        polytope = from_vertices([[0, 0], [0.6, 0], [0.6, 0.4], [0, 1]])
+        for fs in (all_or_nothing(3, 2), polytope):
+            with pytest.raises(ValueError, match="binary set system"):
+                is_downward_closed(fs)
 
 
 class TestMatroid:
@@ -207,7 +214,7 @@ class TestExchangeViolation:
 class TestDemandReduce:
     def test_identity(self):
         fs = uniform_matroid(2, 1)
-        assert demand_reduce(fs, 1.0) is fs
+        assert demand_reduce(fs, 1.0) == fs
 
     def test_halving(self):
         fs = demand_reduce(all_or_nothing(2, 2), 2.0)

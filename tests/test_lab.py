@@ -157,10 +157,10 @@ class TestCopies:
     def test_matches_the_materialized_union(self, k):
         copies = k // 2
         dtilde, d, fs = nonmonotone_gadget(0.1)
-        big_dtilde = ProductDist(dtilde.dists * copies)
+        big_dtilde = ProductDist(dtilde * copies)
         a = myerson(big_dtilde, oracles.disjoint_union([fs] * copies))
         on_design = expected_revenue(a, big_dtilde)
-        on_dominating = expected_revenue(a, ProductDist(d.dists * copies))
+        on_dominating = expected_revenue(a, ProductDist(d * copies))
         m = run_copies(k).metrics
         assert m["copies"] == copies
         assert m["revenue_on_design_prior"] == pytest.approx(on_design, abs=1e-12)
@@ -179,14 +179,14 @@ class TestCopies:
         parts = [random_downward_closed(rng, int(rng.integers(1, 4))) for _ in range(2)]
         pairs = [dominated_pair(rng, p.n) for p in parts]  # (dominating, design) per part
         whole = myerson(
-            ProductDist(sum((design.dists for _, design in pairs), ())),
+            ProductDist(sum((design for _, design in pairs), ())),
             oracles.disjoint_union(parts),
         )
         for side in (0, 1):
             split = sum(
                 expected_revenue(myerson(pair[1], p), pair[side]) for p, pair in zip(parts, pairs)
             )
-            joint = ProductDist(sum((pair[side].dists for pair in pairs), ()))
+            joint = ProductDist(sum((pair[side] for pair in pairs), ()))
             assert expected_revenue(whole, joint) == pytest.approx(split, abs=1e-12)
 
 
