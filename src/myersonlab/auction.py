@@ -1,11 +1,12 @@
 """Myerson's optimal auction for a design prior over a feasible system.
 
-The auction precomputes each bidder's ironed-virtual-value step function
-from the prior, picks the vertex maximizing ironed virtual welfare, and
-charges the threshold payments that make the allocation truthful. Both
-depend on values only through each bidder's cell: cell 0 lies below the
-prior's lowest atom, and cell c > 0 is the c-th run of adjacent atoms
-with equal ironed virtual value, such as the atoms of one ironed interval.
+The auction reads each bidder's ironed virtual values off the prior, which
+derived them when it was built, picks the vertex maximizing ironed virtual
+welfare, and charges the threshold payments that make the allocation
+truthful. Both depend on values only through each bidder's cell: cell 0
+lies below the prior's lowest atom, and cell c > 0 is the c-th run of
+adjacent atoms with equal ironed virtual value, such as the atoms of one
+ironed interval.
 
 One kernel call finds the winning vertex at every point of n per-bidder
 cell arrays that broadcast to one shape. Along a line one bidder's cell
@@ -28,7 +29,6 @@ from math import inf, prod, sqrt
 
 import numpy as np
 
-from .curves import virtual_table
 from .dist import ProductDist
 from .feasible import FeasibleSet
 from .learn import draw_samples
@@ -51,8 +51,8 @@ class CrossCheckError(RuntimeError):
 class Auction:
     """The optimal auction and the read-only arrays myerson derives from it once.
 
-    _verts holds the vertices ranked in tie_order, one per row. Bidder i has
-    _runs[i] cells above 0, one per run of equal ironed virtual value;
+    The vertices, ranked in tie_order, are the rows of feasible._ranked. Bidder
+    i has _runs[i] cells above 0, one per run of equal ironed virtual value;
     _phis[i, c] is that value in cell c (0 in cell 0) and _thresholds[i, c - 1]
     the value of the run's first atom. Both rows are padded with zeros. The
     outcome tables, None when the grid does not fit, are indexed by a cell
@@ -63,7 +63,6 @@ class Auction:
     prior: ProductDist
     feasible: FeasibleSet
     tie_order: tuple[int, ...]
-    _verts: np.ndarray = field(repr=False)
     _phis: np.ndarray = field(repr=False)
     _thresholds: np.ndarray = field(repr=False)
     _runs: tuple[int, ...] = field(repr=False)
@@ -74,35 +73,30 @@ class Auction:
 def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     """Build the optimal auction for the prior over the feasible system.
 
-    Welfare ties between vertices are broken by a fixed value-independent
-    order: descending total allocation, then ascending lexicographic. Any
-    fixed order keeps the per-bidder allocation monotone in own value. When
-    the grid of every bidder's cells fits a block, its outcome tables are
-    scored here, in one kernel call.
+    Welfare ties between vertices are broken by the system's tie_order, a
+    fixed value-independent order: descending total allocation, then
+    ascending lexicographic. Any fixed order keeps the per-bidder
+    allocation monotone in own value. When the grid of every bidder's cells
+    fits a block, its outcome tables are scored here, in one kernel call.
     """
     if prior.n != fs.n:
         raise ValueError(f"prior has {prior.n} bidders, system has {fs.n}")
-    tables = tuple(virtual_table(d) for d in prior)
-    order = tuple(
-        sorted(range(len(fs.vertices)), key=lambda j: (-sum(fs.vertices[j]), fs.vertices[j]))
-    )
-    verts = np.array([fs.vertices[j] for j in order], order="F")
     # one cell per run of atoms with equal slopes; a hull segment gives all its atoms one slope
-    runs = [[j for j, s in enumerate(t.slopes) if j == 0 or s != t.slopes[j - 1]] for t in tables]
+    runs = [[j for j, s in enumerate(d._slopes) if j == 0 or s != d._slopes[j - 1]] for d in prior]
     phis, thresholds = np.zeros((2, len(runs), max(map(len, runs)) + 1))
-    for i, (t, starts) in enumerate(zip(tables, runs)):
-        phis[i, 1 : len(starts) + 1] = [t.slopes[j] for j in starts]
-        thresholds[i, : len(starts)] = [t.thresholds[j] for j in starts]
-    for arr in (verts, phis, thresholds):
+    for i, (d, starts) in enumerate(zip(prior, runs)):
+        phis[i, 1 : len(starts) + 1] = [d._slopes[j] for j in starts]
+        thresholds[i, : len(starts)] = [d.support[j] for j in starts]
+    for arr in (phis, thresholds):
         arr.setflags(write=False)
-    fields = prior, fs, order, verts, phis, thresholds, tuple(map(len, runs))
+    fields = prior, fs, fs.tie_order, phis, thresholds, tuple(map(len, runs))
     n = len(runs)
-    if prod(len(r) + 1 for r in runs) * (len(verts) + n) > _BLOCK:
+    if prod(len(r) + 1 for r in runs) * (len(fs.vertices) + n) > _BLOCK:
         return Auction(*fields)
     # bidder i's cells 0..runs_i along axis i; swapaxes(0, i) puts them first
     grid = [np.arange(len(r) + 1).reshape((-1,) + (1,) * (n - 1 - i)) for i, r in enumerate(runs)]
     ranks = _winners(Auction(*fields), grid)
-    x = verts[ranks]
+    x = fs._ranked[ranks]
     outcomes, along = np.empty(ranks.shape + (n + 1,)), (-1,) + (1,) * (n - 1)
     for i, (c, th) in enumerate(zip(grid, thresholds)):
         own, pay = x[..., i].swapaxes(0, i), outcomes[..., i].swapaxes(0, i)
@@ -123,7 +117,7 @@ def _winners(a: Auction, cells) -> np.ndarray:
     nothing to bidders in cell 0, then on ironed virtual welfare summed
     over bidders left to right, with cell 0 counting as 0.
     """
-    verts = a._verts
+    verts = a.feasible._ranked
     shape = np.broadcast_shapes(*(np.shape(c) for c in cells))
     step = max(1, _BLOCK // (len(verts) + len(cells)))
     if prod(shape) > step:
@@ -171,7 +165,7 @@ def _payments(a: Auction, cells: np.ndarray) -> np.ndarray:
     whose = np.arange(cells.shape[1])[:, None]
     own = np.arange(cells.max() + 1)[:, None, None]
     wins = _winners(a, [np.where(whose == k, own, c) for k, c in enumerate(cells.T)])
-    pay = _pay(a._verts[wins, whose], a._thresholds[:, : len(own) - 1].T[:, :, None])
+    pay = _pay(a.feasible._ranked[wins, whose], a._thresholds[:, : len(own) - 1].T[:, :, None])
     return np.take_along_axis(pay, cells.T[None], axis=0)[0].T
 
 
@@ -192,7 +186,7 @@ def allocate(a: Auction, values) -> tuple[float, ...]:
     """
     cells = _cells(a, [values])
     ranks = _winners(a, cells.T) if a._ranks is None else a._ranks[tuple(cells.T)]
-    return tuple(a._verts[ranks[0]].tolist())
+    return tuple(a.feasible._ranked[ranks[0]].tolist())
 
 
 def payments(a: Auction, values) -> tuple[float, ...]:
@@ -237,7 +231,7 @@ def _expectation(a: Auction, dist: ProductDist, cap: float) -> tuple[float, floa
         for m, t in zip(mass, table.shape):  # contract the leading axis, one bidder's cells
             table = m[:t] @ table.reshape(t, -1)
         return float(table[:-1].sum()), float(table[-1])
-    n, width = len(tops), len(a._verts) + len(tops)
+    n, width = len(tops), len(a.feasible.vertices) + len(tops)
     revenue = welfare = 0.0
     bidders = np.arange(n)
     occupied = (~held).argsort(axis=1, kind="stable")  # each row's occupied cells first, in order
@@ -252,7 +246,7 @@ def _expectation(a: Auction, dist: ProductDist, cap: float) -> tuple[float, floa
             weights[:, i] = 1.0  # i's own cell runs along the line
             cells = list(cells.T)
             cells[i] = np.arange(t)[:, None]
-            x = a._verts[:, i][_winners(a, cells)]
+            x = a.feasible._ranked[:, i][_winners(a, cells)]
             weights = weights.prod(axis=1) * mass[i, :t, None]
             revenue += np.vdot(weights, _pay(x, a._thresholds[i, : t - 1, None]))
             welfare += np.vdot(weights, x * a._phis[i, :t, None])

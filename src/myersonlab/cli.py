@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 
 from . import lab
 from .curves import _intervals, iron, monopoly, revenue_curve
@@ -53,7 +54,12 @@ def _cmd_copies(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    fs = feasible_from_json(_load_json(args.feasible))
+    obj = _load_json(args.feasible)
+    with suppress(KeyError, TypeError, IndexError):  # a malformed count falls through
+        n = len(obj["vectors"][0]) if obj["type"] == "vertices" else obj["n"]
+        if type(n) is int and n > lab.EMBED_MAX_N:  # refuse before building the family
+            raise lab.PreconditionError(f"embedding limited to n <= {lab.EMBED_MAX_N}")
+    fs = feasible_from_json(obj)
     return _finish(lab.embed_counterexample(fs, args.eps), args)
 
 

@@ -3,13 +3,9 @@
 The revenue curve of a discrete distribution is piecewise linear with one
 breakpoint per atom; ironing replaces it by its upper concave envelope.
 The ironed virtual value of a value v is the envelope's right derivative
-at the quantile of v.
-
-Ironing is one monotone-chain sweep. A curve of more than _GATE points is
-first thinned by array passes, each dropping every point on or below the
-chord of its two current neighbours (in exact arithmetic never a vertex),
-until at most _GATE points remain or a pass drops under a quarter of them;
-a long curve then costs one Python step per hull vertex, not per atom.
+at the quantile of v. A ValueDist derives its atoms' ironed virtual values
+once, when it is built, with the envelope routine of the dist module; the
+virtual table here reads them.
 """
 
 from __future__ import annotations
@@ -17,11 +13,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import total_ordering
-from itertools import chain
 
-import numpy as np
-
-from .dist import ValueDist, _rank
+from .dist import ValueDist, _hull, _rank, _revenue_points
 
 
 @total_ordering
@@ -73,48 +66,16 @@ def revenue_curve(d: ValueDist) -> RevenueCurve:
     Atoms are walked in descending value order so quantiles increase; the
     leading breakpoint is (0, 0) and the final quantile is exactly 1.
     """
-    tails = zip(reversed(d.support), reversed(d._above[:-1]))
-    return RevenueCurve(((0.0, 0.0),) + tuple((q, q * v) for v, q in tails))
+    return RevenueCurve(_revenue_points(d))
 
 
 def iron(c: RevenueCurve) -> RevenueCurve:
-    """Upper concave envelope of the curve over its breakpoints (see _hull).
+    """Upper concave envelope of the curve over its breakpoints (see dist._hull).
 
     The output breakpoints are a subset of the input breakpoints (collinear
     interior points are dropped).
     """
     return RevenueCurve(tuple(_hull(c.breakpoints)))
-
-
-# Longest curve the chain takes unthinned; the array path breaks even near 125 atoms.
-_GATE = 128
-
-
-def _hull(points) -> list[tuple[float, float]]:
-    """Upper concave envelope of (q, r) points in increasing q: thinning, then the chain."""
-    if len(points) > _GATE:
-        if not isinstance(points, np.ndarray):
-            points = np.fromiter(chain.from_iterable(points), float, 2 * len(points)).reshape(-1, 2)
-        q, r = points.T
-        while len(q) > _GATE:
-            q0, q1, q2, r0, r1, r2 = q[:-2], q[1:-1], q[2:], r[:-2], r[1:-1], r[2:]
-            low = (q1 - q0) * (r2 - r0) - (r1 - r0) * (q2 - q0) >= 0.0
-            keep = np.concatenate(([True], ~low, [True]))
-            q, r = q[keep], r[keep]
-            if 4 * np.count_nonzero(low) < len(keep):
-                break
-        points = zip(q.tolist(), r.tolist())
-    hull: list[tuple[float, float]] = []
-    for q, r in points:
-        while len(hull) >= 2:
-            (q0, r0), (q1, r1) = hull[-2], hull[-1]
-            # pop the middle point when it is on or below the chord
-            if (q1 - q0) * (r - r0) - (r1 - r0) * (q - q0) >= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append((q, r))
-    return hull
 
 
 @dataclass(frozen=True)
@@ -138,27 +99,8 @@ class VirtualTable:
 
 
 def virtual_table(d: ValueDist) -> VirtualTable:
-    """Envelope slope to the right of each support value's quantile.
-
-    Support quantiles fall as values rise, so one pointer moves down the
-    envelope's segments while the atoms are taken in ascending order. A
-    curve of more than _GATE points is built as arrays instead, and one
-    searchsorted over the hull's quantiles finds each atom's segment.
-    """
-    if len(d._above) > _GATE:
-        q = np.array(d._above[::-1])
-        hq, hr = np.array(_hull(np.column_stack((q, q * np.append(0.0, d._support[::-1]))))).T
-        k = np.searchsorted(hq, q[-2::-1], side="right") - 1
-        return VirtualTable(d.support, tuple((np.diff(hr) / np.diff(hq))[k].tolist()))
-    hull = iron(revenue_curve(d)).breakpoints
-    slopes = []
-    k = len(hull) - 2
-    for q in d._above[1:]:
-        while hull[k][0] > q:
-            k -= 1
-        (q0, r0), (q1, r1) = hull[k], hull[k + 1]
-        slopes.append((r1 - r0) / (q1 - q0))
-    return VirtualTable(d.support, tuple(slopes))
+    """The ironed virtual value of each support value, which d derived when it was built."""
+    return VirtualTable(d.support, d._slopes)
 
 
 def ironed_virtual(d: ValueDist, v: float):

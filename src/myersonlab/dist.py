@@ -2,14 +2,17 @@
 
 A distribution is a finite list of atoms. CDFs are right-continuous step
 functions, so suprema over values are attained at support points; the
-predicates below evaluate only there and stay exact.
+predicates below evaluate only there and stay exact. A distribution is
+ironed once, when it is built (_ironed_slopes): one monotone-chain sweep,
+after array passes that thin a curve of more than _GATE points by dropping
+the points on or below their neighbours' chord, never a hull vertex.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import sqrt
 
 import numpy as np
@@ -25,13 +28,13 @@ class ValueDist:
     The support lies in [0, 1] and the masses sum to 1 within MASS_TOL;
     anything else is rejected. Derived once, when the object is built: the
     read-only array _support holds the support, the read-only array
-    _below[k] is the mass of the k lowest atoms, summed left to right, and
+    _below[k] is the mass of the k lowest atoms, summed left to right,
     _above[k] is the mass of atom k and every atom above it, summed top
-    down. Quantiles and revenue-curve breakpoints must agree bitwise, so
-    every quantile in the package is read from _above, whose full-mass
-    entry _above[0] is snapped to exactly 1. A lowest atom whose mass is
-    lost when the others are summed would get quantile 1 twice, so such a
-    distribution is rejected.
+    down, and _slopes[k] is atom k's ironed virtual value. Quantiles and
+    revenue-curve breakpoints must agree bitwise, so every quantile in the
+    package is read from _above, whose full-mass entry _above[0] is snapped
+    to exactly 1. A lowest atom whose mass is lost when the others are
+    summed would get quantile 1 twice, so such a distribution is rejected.
     """
 
     support: tuple[float, ...]
@@ -39,6 +42,7 @@ class ValueDist:
     _support: np.ndarray = field(init=False, repr=False, compare=False)
     _below: np.ndarray = field(init=False, repr=False, compare=False)
     _above: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.support) != len(self.probs):
@@ -64,6 +68,7 @@ class ValueDist:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_above", tuple(above))
+        object.__setattr__(self, "_slopes", _ironed_slopes(self))
 
     def to_json(self) -> dict:
         return {"support": list(self.support), "probs": list(self.probs)}
@@ -76,6 +81,67 @@ class ValueDist:
             raise ValueError(
                 f"a value distribution is an object with 'support' and 'probs' lists ({exc})"
             ) from exc
+
+
+# Longest curve the chain takes unthinned; the array path breaks even near 125 atoms.
+_GATE = 128
+
+
+def _hull(points) -> list[tuple[float, float]]:
+    """Upper concave envelope of (q, r) points in increasing q: thinning, then the chain."""
+    if len(points) > _GATE:
+        if not isinstance(points, np.ndarray):
+            points = np.fromiter(chain.from_iterable(points), float, 2 * len(points)).reshape(-1, 2)
+        q, r = points.T
+        while len(q) > _GATE:
+            q0, q1, q2, r0, r1, r2 = q[:-2], q[1:-1], q[2:], r[:-2], r[1:-1], r[2:]
+            low = (q1 - q0) * (r2 - r0) - (r1 - r0) * (q2 - q0) >= 0.0
+            keep = np.concatenate(([True], ~low, [True]))
+            q, r = q[keep], r[keep]
+            if 4 * np.count_nonzero(low) < len(keep):
+                break
+        points = zip(q.tolist(), r.tolist())
+    hull: list[tuple[float, float]] = []
+    for q, r in points:
+        while len(hull) >= 2:
+            (q0, r0), (q1, r1) = hull[-2], hull[-1]
+            # pop the middle point when it is on or below the chord
+            if (q1 - q0) * (r - r0) - (r1 - r0) * (q - q0) >= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append((q, r))
+    return hull
+
+
+def _revenue_points(d: ValueDist) -> tuple[tuple[float, float], ...]:
+    """(0, 0), then (Pr[u >= v], v * Pr[u >= v]) per atom in descending value order."""
+    tails = zip(reversed(d.support), reversed(d._above[:-1]))
+    return ((0.0, 0.0),) + tuple((q, q * v) for v, q in tails)
+
+
+def _ironed_slopes(d: ValueDist) -> tuple[float, ...]:
+    """Envelope slope of d's revenue curve to the right of each support value's quantile.
+
+    Support quantiles fall as values rise, so one pointer moves down the
+    envelope's segments while the atoms are taken in ascending order. A
+    curve of more than _GATE points is built as arrays instead, and one
+    searchsorted over the hull's quantiles finds each atom's segment.
+    """
+    if len(d._above) > _GATE:
+        q = np.array(d._above[::-1])
+        hq, hr = np.array(_hull(np.column_stack((q, q * np.append(0.0, d._support[::-1]))))).T
+        k = np.searchsorted(hq, q[-2::-1], side="right") - 1
+        return tuple((np.diff(hr) / np.diff(hq))[k].tolist())
+    hull = _hull(_revenue_points(d))
+    slopes = []
+    k = len(hull) - 2
+    for q in d._above[1:]:
+        while hull[k][0] > q:
+            k -= 1
+        (q0, r0), (q1, r1) = hull[k], hull[k + 1]
+        slopes.append((r1 - r0) / (q1 - q0))
+    return tuple(slopes)
 
 
 class ProductDist(tuple):

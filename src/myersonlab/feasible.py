@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 _MAX_SETS = 2**18  # most sets uniform_matroid lists: (18, 9) has 155,382, (20, 10) 616,666
 
 
@@ -24,15 +26,18 @@ class FeasibleSet:
     rank is the maximum l1 norm over vertices. It is passed explicitly,
     because summing a vertex is not exact: the vertices of
     all_or_nothing(10, 3) sum to 2.9999999999999996. Derived once, when the
-    object is built: n, the common length of the vertices, and sets_view,
-    the distinct vertices as ascending bidder bitmasks, present exactly
-    when every coordinate is 0 or 1.
+    object is built: n, the common length of the vertices; sets_view, the
+    distinct vertices as ascending bidder bitmasks, present exactly when
+    every coordinate is 0 or 1; tie_order, the vertex indices in the order
+    of myerson's tie rule; and _ranked, the read-only matrix of those rows.
     """
 
     vertices: tuple[tuple[float, ...], ...]
     rank: float
     n: int = field(init=False, repr=False, compare=False)
     sets_view: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
+    tie_order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _ranked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.vertices:
@@ -47,8 +52,12 @@ class FeasibleSet:
         view = None
         if all(v.count(0.0) + v.count(1.0) == n for v in self.vertices):
             view = tuple(sorted({_mask(i for i, x in enumerate(v) if x) for v in self.vertices}))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "sets_view", view)
+        vs = self.vertices
+        order = tuple(sorted(range(len(vs)), key=lambda j: (-sum(vs[j]), vs[j])))
+        ranked = np.array([vs[j] for j in order], order="F")
+        ranked.setflags(write=False)
+        for name, value in (("n", n), ("sets_view", view), ("tie_order", order), ("_ranked", ranked)):
+            object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
         if self.sets_view is not None:

@@ -39,6 +39,7 @@ from .learn import dominated_empirical, draw_samples, hellinger_sq, required_sam
 VERDICT_TOL = 1e-9
 _LEARNER_DELTA = 0.1  # delta of the dominated-empirical learner in lb-family
 _FAMILY_CAP = 32  # lb-family members drawn at random past n = 8
+EMBED_MAX_N = 10  # most bidders embed_counterexample takes
 
 
 class PreconditionError(ValueError):
@@ -164,8 +165,8 @@ def embed_counterexample(fs: FeasibleSet, eps: float = 0.1) -> Report:
         raise ValueError(f"eps {eps!r} outside (0, 1)")
     if fs.sets_view is None:
         raise PreconditionError("embedding needs a binary set system")
-    if fs.n > 10:
-        raise PreconditionError("embedding limited to n <= 10")
+    if fs.n > EMBED_MAX_N:
+        raise PreconditionError(f"embedding limited to n <= {EMBED_MAX_N}")
     if not is_downward_closed(fs):
         raise PreconditionError("embedding needs a downward-closed system")
     witness = _exchange_violation(fs)

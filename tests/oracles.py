@@ -8,7 +8,8 @@ envelope, virtual values by one envelope lookup per atom, ironed segments
 by a scan of the whole raw curve per segment, the matroid exchange
 property over every pair of set sizes, the exchange violation search
 over member tuples, the disjoint union of set systems
-over the full product of their sets, and the auction one profile at a
+over the full product of their sets, the tie order by counting the
+vertices ranked ahead of each, and the auction one profile at a
 time: a scalar welfare scan over the vertices, a payment integral that
 re-runs it at each own-value breakpoint, and expectations over the full
 product of supports. The per-atom auction keeps one cell per atom where
@@ -246,6 +247,19 @@ def find_exchange_violation(fs):
                     if best_key is None or key < best_key:
                         best, best_key = (members(s), members(sp)), key
     return best
+
+
+def tie_order(vertices):
+    """Vertex indices in tie order, each placed by counting the vertices ranked ahead of it.
+
+    Vertex i is ahead of j when its total allocation is larger, or equal with
+    a lexicographically smaller vector, or the same vector at a lower index.
+    """
+    keys = [(-sum(v), v, j) for j, v in enumerate(vertices)]
+    order = [None] * len(keys)
+    for j, key in enumerate(keys):
+        order[sum(other < key for other in keys)] = j
+    return tuple(order)
 
 
 def disjoint_union(parts):

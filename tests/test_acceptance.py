@@ -7,6 +7,7 @@ lines on passing runs too).
 import time
 from itertools import product as iproduct
 from math import log, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,3 +254,10 @@ def test_c11_hellinger_machinery():
         coord_sum = sum(hellinger_sq(a, b) for a, b in zip(ps, qs))
         ok &= hellinger_sq_product(p, q) <= coord_sum + 1e-12
     assert verdict("C11 hellinger machinery", ok)
+
+
+def test_source_stays_within_the_line_budget():
+    # the package's line budget for this round; counted as `wc -l src/myersonlab/*.py` counts
+    src = Path(__file__).resolve().parents[1] / "src" / "myersonlab"
+    lines = sum(p.read_bytes().count(b"\n") for p in src.glob("*.py"))
+    assert lines <= 1920, f"src/myersonlab has {lines} lines, over the budget of 1,920"

@@ -103,6 +103,33 @@ class TestEmbed:
         assert code == 1
         assert "matroid" in err
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"type": "uniform_matroid", "n": 16, "k": 8},
+            {"type": "sets", "n": 11, "sets": [[]]},
+            {"type": "all_or_nothing", "n": 12, "k": 3},
+            {"type": "vertices", "vectors": [[0.0] * 11]},
+        ],
+    )
+    def test_too_many_bidders_refused_before_the_family_is_built(
+        self, capsys, tmp_path, monkeypatch, obj
+    ):
+        def unbuilt(*args):
+            raise AssertionError("the family was built")
+
+        for name in ("uniform_matroid", "from_independent_sets", "all_or_nothing", "from_vertices"):
+            monkeypatch.setattr(f"myersonlab.feasible.{name}", unbuilt)
+        code, out, err = run(capsys, ["embed", "--feasible", write_json(tmp_path / "fs.json", obj)])
+        assert (code, out, err) == (1, "", "error: embedding limited to n <= 10\n")
+
+    @pytest.mark.parametrize("n", ["16", 16.0, None])
+    def test_malformed_bidder_count_falls_through(self, capsys, tmp_path, n):
+        fs = write_json(tmp_path / "fs.json", {"type": "uniform_matroid", "n": n, "k": 1})
+        code, _, err = run(capsys, ["embed", "--feasible", fs])
+        assert code == 1
+        assert err.startswith("error: malformed 'uniform_matroid' feasible system")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["embed", "--feasible", "/nonexistent.json"])
         assert code == 1
@@ -335,8 +362,11 @@ class TestErrors:
         assert err.startswith("error: Unable to allocate")
 
     def test_uniform_matroid_too_large_to_list(self, capsys, tmp_path):
+        # sample-complexity builds the system before it reads the prior; embed
+        # refuses more than ten bidders before building anything
         fs = write_json(tmp_path / "fs.json", {"type": "uniform_matroid", "n": 24, "k": 12})
-        code, out, err = run(capsys, ["embed", "--feasible", fs])
+        dist = write_json(tmp_path / "d.json", [{"support": [0.5], "probs": [1.0]}])
+        code, out, err = run(capsys, ["sample-complexity", "--feasible", fs, "--dist", dist])
         assert (code, out) == (1, "")
         assert err.startswith("error: uniform matroid n=24 k=12 has 9740686 sets")
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from myersonlab.auction import myerson
 from myersonlab.curves import (
-    _GATE,
     NEG_INF,
     iron,
     ironed_virtual,
@@ -19,13 +19,17 @@ from myersonlab.curves import (
     RevenueCurve,
 )
 from myersonlab.dist import (
+    _GATE,
     ProductDist,
+    ValueDist,
     discretize_uniform_with_atom,
     make_discrete,
     point_mass,
+    scale_values,
     uniform_grid,
 )
-from myersonlab.learn import dominated_empirical, draw_samples
+from myersonlab.feasible import uniform_matroid
+from myersonlab.learn import SampleMatrix, dominated_empirical, draw_samples, empirical
 
 import oracles
 from test_dist import TWO_POINT, value_dists
@@ -263,6 +267,38 @@ class TestHullOracle:
             d = make_discrete(values, weights / weights.sum())
             assert hull_bits(d) == oracle_hull_bits(d)
 
+    @pytest.mark.parametrize("m", [1, _GATE - 1, _GATE, _GATE + 1, 750])
+    def test_priors_of_every_constructor(self, m):
+        rng = np.random.default_rng(m)
+        values = np.sort(rng.choice(1000, size=m, replace=False) + 1) / 1000
+        weights = rng.integers(1, 10, size=m)
+        d = make_discrete(values, weights / weights.sum())
+        samples = SampleMatrix(np.repeat(values, weights)[:, None])
+        sized = [
+            d,
+            uniform_grid(values),
+            discretize_uniform_with_atom(1.0, 0.1, 1 / (m - 1)) if m > 1 else point_mass(values[0]),
+            scale_values(d, 0.5),
+            ValueDist(d.support, d.probs),
+            ValueDist.from_json(d.to_json()),
+            empirical(samples)[0],
+        ]
+        assert [len(p.support) for p in sized] == [m] * len(sized)
+        for p in sized + [dominated_empirical(samples, 0.1)[0]]:
+            assert hull_bits(p) == oracle_hull_bits(p)
+
+    @pytest.mark.parametrize(
+        "probs, slopes",
+        [
+            ((0.5, 1e-20, 0.5), (-0.7, -0.7, 0.9)),
+            ((1e-15, 0.5, 0.5 - 1e-15), (-400319966877376.9, 0.10000000000000075, 0.9)),
+        ],
+    )
+    def test_tiny_masses_that_repeat_a_quantile(self, probs, slopes):
+        for d in (ValueDist((0.1, 0.5, 0.9), probs), make_discrete((0.1, 0.5, 0.9), probs)):
+            assert virtual_table(d).slopes == slopes
+            assert hull_bits(d) == oracle_hull_bits(d)
+
     def test_thinning_stops_after_a_pass_that_drops_few(self):
         # a concave curve of 300 breakpoints with every sixth atom's mass
         # tripled: the first pass drops some points, but fewer than a quarter
@@ -286,10 +322,28 @@ class TestNanQueries:
             virtual_table(self.D).at(float("nan"))
 
 
+def test_tables_and_auctions_read_the_slopes_the_prior_derived(monkeypatch):
+    short, long = uniform_grid([0.2, 0.4, 0.6, 0.8]), learned_prior(0.001, 1000, 0)
+    assert len(short.support) < _GATE < len(long.support)
+    derived = [d._slopes for d in (short, long)]
+
+    def hull(points):
+        raise AssertionError("a built prior was ironed again")
+
+    monkeypatch.setattr("myersonlab.dist._hull", hull)
+    monkeypatch.setattr("myersonlab.curves._hull", hull)
+    for d, slopes in zip((short, long), derived):
+        assert virtual_table(d).slopes == slopes
+        assert ironed_virtual(d, d.support[0]) == slopes[0]
+        a = myerson(ProductDist((d, d)), uniform_matroid(2, 1))
+        assert a._phis[0, 1] == a._phis[1, 1] == slopes[0]
+
+
 def test_virtual_tables_of_fresh_priors_leave_memory_flat():
-    # a module-level memo would keep every learned prior and its table alive;
+    # each prior holds its own slopes, so a table must die with its prior: a
+    # module-level memo would keep every learned prior and its table alive;
     # 300 samples at step 0.01 give about 100 atoms, below the gate, and
-    # 1,000 at step 0.001 about 550, so both table paths are covered
+    # 1,000 at step 0.001 about 550, so both ironing paths are covered
     for step, count in ((0.01, 300), (0.001, 1000)):
         learned_prior(step, count, 0)
         tracemalloc.start()

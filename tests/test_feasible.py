@@ -90,6 +90,19 @@ class TestConstructors:
         assert is_matroid(fs)
         assert FeasibleSet(((0.0, 1.0), (1.0, 0.0), (0.0, 1.0)), 1.0).sets_view == (1, 2)
         assert FeasibleSet(((0.0, 0.5),), 0.5).sets_view is None
+        # the tie order ranks the vertices as the counting oracle does, and the
+        # read-only matrix holds them in that order
+        for system in (
+            fs,
+            minimum_non_matroid(),
+            uniform_matroid(4, 2),
+            all_or_nothing(10, 3),
+            FeasibleSet(((0.0, 1.0), (1.0, 0.0), (0.0, 1.0)), 1.0),
+            from_vertices([[0.0, 0.0], [0.6, 0.0], [0.6, 0.4], [0.0, 1.0], [0.5, 0.5]]),
+        ):
+            assert system.tie_order == oracles.tie_order(system.vertices)
+            assert system._ranked.tolist() == [list(system.vertices[j]) for j in system.tie_order]
+            assert not system._ranked.flags.writeable
 
     @pytest.mark.parametrize(
         "vertices, match",
