@@ -183,9 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = build_parser()  # parse_args leaves it unchanged and returns a fresh Namespace
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, OverflowError, MemoryError) as exc:

@@ -52,10 +52,12 @@ class FeasibleSet:
         view = None
         if all(v.count(0.0) + v.count(1.0) == n for v in self.vertices):
             view = tuple(sorted({_mask(i for i, x in enumerate(v) if x) for v in self.vertices}))
-        vs = self.vertices
-        order = tuple(sorted(range(len(vs)), key=lambda j: (-sum(vs[j]), vs[j])))
-        ranked = np.array([vs[j] for j in order], order="F")
+        ranked = np.array(self.vertices, order="F")
+        order = np.lexsort((*ranked.T[::-1], [-sum(v) for v in self.vertices]))  # stable
+        for col in ranked.T:  # in place, so that one matrix is held at a time
+            col[:] = col[order]
         ranked.setflags(write=False)
+        order = tuple(order.tolist())
         for name, value in (("n", n), ("sets_view", view), ("tie_order", order), ("_ranked", ranked)):
             object.__setattr__(self, name, value)
 
@@ -71,12 +73,10 @@ class FeasibleSet:
 
 def members(mask: int) -> tuple[int, ...]:
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask  # the lowest set bit
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

@@ -44,13 +44,11 @@ def draw_samples(d: ProductDist, count: int, seed) -> SampleMatrix:
     """Inverse-CDF sampling per coordinate; deterministic given the seed."""
     if count < 1:
         raise ValueError("sample count must be at least 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random((count, d.n))
-    cols = []
+    u = np.random.default_rng(seed).random((count, d.n))
+    values = np.empty_like(u)
     for j, dj in enumerate(d):
-        idx = np.minimum(np.searchsorted(dj._below[1:], u[:, j], side="left"), len(dj.support) - 1)
-        cols.append(dj._support[idx])
-    values = np.stack(cols, axis=1)
+        # without the last partial sum, the top atom takes every u past the others' mass
+        values[:, j] = dj._support[dj._below[1:-1].searchsorted(u[:, j])]
     values.setflags(write=False)
     return SampleMatrix(values)
 

@@ -14,10 +14,12 @@ time: a scalar welfare scan over the vertices, a payment integral that
 re-runs it at each own-value breakpoint, and expectations over the full
 product of supports. The per-atom auction keeps one cell per atom where
 the library keeps one per run of equal ironed virtual value.
-Distributions are built by merging atoms one at a time in a dict, and
-learned priors column by column through np.unique. The library must
-agree with them bit for bit, except that payments, revenue and welfare
-may differ in the last bits.
+Distributions are built by merging atoms one at a time in a dict,
+samples drawn column by column with the top index clipped, learned
+priors column by column through np.unique, and set members by a shift
+loop over every bit position. The library must agree with them bit for
+bit, except that payments, revenue and welfare may differ in the last
+bits.
 """
 
 from bisect import bisect_right
@@ -30,7 +32,8 @@ import numpy as np
 from myersonlab.auction import myerson
 from myersonlab.curves import NEG_INF, RevenueCurve, VirtualTable, revenue_curve
 from myersonlab.dist import CDF_TOL, MASS_TOL, ProductDist, ValueDist, quantile_of_value
-from myersonlab.feasible import from_independent_sets, members
+from myersonlab.feasible import from_independent_sets
+from myersonlab.learn import SampleMatrix
 
 
 def make_discrete(values, probs):
@@ -54,6 +57,16 @@ def make_discrete(values, probs):
         raise ValueError("the merged atoms carry no positive mass")
     support, probs = zip(*atoms)
     return ValueDist(support, probs)
+
+
+def draw_samples(d, count, seed):
+    """Inverse-CDF columns searched over every partial sum, the index clipped to the top atom."""
+    u = np.random.default_rng(seed).random((count, d.n))
+    cols = []
+    for j, dj in enumerate(d):
+        idx = np.minimum(np.searchsorted(dj._below[1:], u[:, j], side="left"), len(dj.support) - 1)
+        cols.append(dj._support[idx])
+    return SampleMatrix(np.stack(cols, axis=1))
 
 
 def empirical(s):
@@ -247,6 +260,18 @@ def find_exchange_violation(fs):
                     if best_key is None or key < best_key:
                         best, best_key = (members(s), members(sp)), key
     return best
+
+
+def members(mask):
+    """Ascending positions of the set bits, testing every position up to the highest."""
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
 
 
 def tie_order(vertices):

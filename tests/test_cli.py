@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from myersonlab.cli import main
+from myersonlab import cli
+from myersonlab.cli import build_parser, main
 from myersonlab.curves import revenue_curve
 from myersonlab.dist import make_discrete
 
@@ -249,6 +250,54 @@ class TestCurves:
         assert obj["ironed_curve"] == [list(p) for p in oracles.iron(revenue_curve(d)).breakpoints]
         assert obj["ironing_intervals"] == [list(iv) for iv in oracles.ironing_intervals(d)]
         assert obj["ironing_intervals"]
+
+
+def parser_state(parser):
+    """Help text, defaults and actions of the parser and of each subcommand's parser."""
+    subs = parser._subparsers._group_actions[0].choices
+    return [
+        (p.format_help(), p._defaults, [(a.dest, a.default, a.required) for a in p._actions])
+        for p in (parser, *subs.values())
+    ]
+
+
+class TestParserReuse:
+    def test_reused_parser_leaks_nothing(self, capsys, monkeypatch, tmp_path, minnon_file):
+        # main parses with one parser per process: each call in a row must print
+        # what the same call prints through a freshly built parser
+        d = {"support": [0.2, 0.5, 0.9], "probs": [0.3, 0.3, 0.4]}
+        dist = write_json(tmp_path / "d.json", [d, d, d])
+        sc = ["sample-complexity", "--feasible", minnon_file, "--dist", dist, "--trials", "4"]
+        calls = [
+            ["nonmonotone", "--eps", "0.2"],
+            ["copies", "--format", "csv"],  # usage error: --k is missing
+            sc + ["--seed", "5"],
+            sc,
+            sc + ["--format", "csv"],
+            sc,
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        shared_parser = cli._PARSER
+        shared = [outcome(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_PARSER", build_parser())
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 1, 0, 0, 0, 0]
+        assert "error: the following arguments are required: --k" in shared[1][2]
+        assert [json.loads(shared[j][1])["seed"] for j in (2, 3, 5)] == [5, 0, 0]
+        assert shared[4][1].startswith("experiment,params,metric,value,verdict\n")
+        assert shared_parser.format_help() == build_parser().format_help()
+        assert parser_state(shared_parser) == parser_state(build_parser())
 
 
 class TestErrors:

@@ -104,6 +104,32 @@ class TestConstructors:
             assert system._ranked.tolist() == [list(system.vertices[j]) for j in system.tie_order]
             assert not system._ranked.flags.writeable
 
+    def test_tie_order_of_many_tied_systems_matches_the_counting_oracle(self):
+        # repeated vertices, equal totals, fractional and -0.0 coordinates, and no bidders
+        rng = np.random.default_rng(17)
+        levels = [(0.0, 1.0), (0.0, 0.5, 1.0), (0.1, 0.2, 0.3, 0.7), (0.0, -0.0, 1.0, 1 / 3, 2 / 3)]
+        systems = [
+            FeasibleSet(((), ()), 0.0),
+            FeasibleSet(((0.5, 0.5), (0.0, 1.0), (1.0, -0.0), (0.5, 0.5), (-0.0, 1.0)), 1.0),
+            uniform_matroid(7, 3),
+        ]
+        for _ in range(200):
+            n, count = int(rng.integers(1, 8)), int(rng.integers(1, 31))
+            level = levels[int(rng.integers(len(levels)))]
+            systems.append(FeasibleSet(tuple(map(tuple, rng.choice(level, size=(count, n)).tolist())), 1.0))
+        for system in systems:
+            assert system.tie_order == oracles.tie_order(system.vertices)
+            assert all(type(j) is int for j in system.tie_order)
+            assert system._ranked.shape == (len(system.vertices), system.n)
+            assert system._ranked.tolist() == [list(system.vertices[j]) for j in system.tie_order]
+            assert system._ranked.flags.f_contiguous and not system._ranked.flags.writeable
+
+    def test_members_match_the_shift_loop(self):
+        for mask in range(2**12):
+            assert members(mask) == oracles.members(mask)
+        for mask in (1 << 61, 1 << 63 | 1, (1 << 64) - 1, 1 << 100 | 1 << 61 | 1 << 3 | 1, 0xF0F << 55):
+            assert members(mask) == oracles.members(mask)
+
     @pytest.mark.parametrize(
         "vertices, match",
         [

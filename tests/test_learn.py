@@ -77,6 +77,28 @@ class TestDrawSamples:
             idx = np.minimum(idx, len(dj.support) - 1)
             assert np.array_equal(s.values[:, 0], np.asarray(dj.support)[idx])
 
+    @pytest.mark.parametrize("count", [1, 2, 1060, 1726])
+    def test_one_pass_matches_the_clipped_column_oracle(self, count):
+        # a 1-atom, a binary, a 3-atom, a 40-atom and the 1,001-atom coordinate in one
+        # product; the 3-atom masses sum to 0.9999999999999999 left to right
+        rng = np.random.default_rng(40)
+        weights = rng.integers(1, 1000, size=40)
+        d = product_dist(
+            point_mass(0.3),
+            make_discrete([0.2, 0.9], [0.6, 0.4]),
+            make_discrete([0.1, 0.5, 0.8], [0.7, 0.2, 0.1]),
+            make_discrete(rng.choice(1000, size=40, replace=False) / 999, weights / weights.sum()),
+            discretize_uniform_with_atom(0.55, 0.1, 0.001),
+        )
+        seeds = [0, 7, 2**40] + [np.random.SeedSequence(909, spawn_key=(t,)) for t in range(3)]
+        for seed in seeds:
+            s, want = draw_samples(d, count, seed), oracles.draw_samples(d, count, seed)
+            assert s.values.dtype == want.values.dtype and s.values.shape == (count, 5)
+            assert s.values.tobytes() == want.values.tobytes()
+            assert not s.values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                s.values[0, 0] = 0.5
+
     def test_bernstein_coverage(self):
         # column mean within the radius around the true mean in >= 1-delta of runs
         d = grid_prior()
