@@ -1,12 +1,13 @@
 """Myerson's optimal auction for a design prior over a feasible system.
 
-The auction reads each bidder's ironed virtual values off the prior, which
-derived them when it was built, picks the vertex maximizing ironed virtual
-welfare, and charges the threshold payments that make the allocation
-truthful. Both depend on values only through each bidder's cell: cell 0
-lies below the prior's lowest atom, and cell c > 0 is the c-th run of
-adjacent atoms with equal ironed virtual value, such as the atoms of one
-ironed interval.
+The auction reads each bidder's ironed virtual values and run starts off
+the prior, which derived them when it was built, picks the vertex
+maximizing ironed virtual welfare, and charges the threshold payments
+that make the allocation truthful. Both depend on values only through
+each bidder's cell: cell 0 lies below the prior's lowest atom, and cell
+c > 0 is the c-th run of adjacent atoms with equal ironed virtual value,
+such as the atoms of one ironed interval. A matrix of value profiles maps
+to cells by one searchsorted per bidder over its run thresholds.
 
 One kernel call finds the winning vertex at every point of n per-bidder
 cell arrays that broadcast to one shape. Along a line one bidder's cell
@@ -81,8 +82,7 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     """
     if prior.n != fs.n:
         raise ValueError(f"prior has {prior.n} bidders, system has {fs.n}")
-    # one cell per run of atoms with equal slopes; a hull segment gives all its atoms one slope
-    runs = [[j for j, s in enumerate(d._slopes) if j == 0 or s != d._slopes[j - 1]] for d in prior]
+    runs = [d._runs for d in prior]  # one cell per run of atoms with equal slopes
     phis, thresholds = np.zeros((2, len(runs), max(map(len, runs)) + 1))
     for i, (d, starts) in enumerate(zip(prior, runs)):
         phis[i, 1 : len(starts) + 1] = [d._slopes[j] for j in starts]
@@ -172,10 +172,14 @@ def _payments(a: Auction, cells: np.ndarray) -> np.ndarray:
 def _cells(a: Auction, profiles) -> np.ndarray:
     """Cells of a (rows, n) matrix of value profiles, which must not hold NaN."""
     profiles = np.asarray(profiles, dtype=float)
+    if profiles.ndim != 2 or profiles.shape[1] != len(a._runs):
+        raise ValueError(f"a value profile of shape {profiles.shape[1:]} for {len(a._runs)} bidders")
     if np.isnan(profiles).any():
         raise ValueError("a value profile holds NaN")
-    rows = zip(a._thresholds, a._runs, profiles.T, strict=True)
-    return np.column_stack([np.searchsorted(th[:m], v, side="right") for th, m, v in rows])
+    cells = np.empty(profiles.shape, dtype=np.intp)
+    for i, (th, m) in enumerate(zip(a._thresholds, a._runs)):
+        cells[:, i] = th[:m].searchsorted(profiles[:, i], side="right")
+    return cells
 
 
 def allocate(a: Auction, values) -> tuple[float, ...]:

@@ -30,7 +30,9 @@ class ValueDist:
     read-only array _support holds the support, the read-only array
     _below[k] is the mass of the k lowest atoms, summed left to right,
     _above[k] is the mass of atom k and every atom above it, summed top
-    down, and _slopes[k] is atom k's ironed virtual value. Quantiles and
+    down, _slopes[k] is atom k's ironed virtual value, and _runs holds the
+    index of the first atom of each run of adjacent atoms with equal
+    _slopes, such as the atoms of one ironed interval. Quantiles and
     revenue-curve breakpoints must agree bitwise, so every quantile in the
     package is read from _above, whose full-mass entry _above[0] is snapped
     to exactly 1. A lowest atom whose mass is lost when the others are
@@ -43,6 +45,7 @@ class ValueDist:
     _below: np.ndarray = field(init=False, repr=False, compare=False)
     _above: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _runs: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.support) != len(self.probs):
@@ -68,7 +71,9 @@ class ValueDist:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_above", tuple(above))
-        object.__setattr__(self, "_slopes", _ironed_slopes(self))
+        slopes, runs = _ironed_slopes(self)
+        object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "_runs", runs)
 
     def to_json(self) -> dict:
         return {"support": list(self.support), "probs": list(self.probs)}
@@ -120,8 +125,9 @@ def _revenue_points(d: ValueDist) -> tuple[tuple[float, float], ...]:
     return ((0.0, 0.0),) + tuple((q, q * v) for v, q in tails)
 
 
-def _ironed_slopes(d: ValueDist) -> tuple[float, ...]:
-    """Envelope slope of d's revenue curve to the right of each support value's quantile.
+def _ironed_slopes(d: ValueDist) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Envelope slope of d's revenue curve to the right of each support value's quantile,
+    and the index of the first atom of each run of equal slopes.
 
     Support quantiles fall as values rise, so one pointer moves down the
     envelope's segments while the atoms are taken in ascending order. A
@@ -132,16 +138,22 @@ def _ironed_slopes(d: ValueDist) -> tuple[float, ...]:
         q = np.array(d._above[::-1])
         hq, hr = np.array(_hull(np.column_stack((q, q * np.append(0.0, d._support[::-1]))))).T
         k = np.searchsorted(hq, q[-2::-1], side="right") - 1
-        return tuple((np.diff(hr) / np.diff(hq))[k].tolist())
+        slopes = (np.diff(hr) / np.diff(hq))[k]
+        starts = np.flatnonzero(slopes[1:] != slopes[:-1]) + 1
+        return tuple(slopes.tolist()), (0, *starts.tolist())
     hull = _hull(_revenue_points(d))
-    slopes = []
+    slopes, starts, last = [], [], None
     k = len(hull) - 2
     for q in d._above[1:]:
         while hull[k][0] > q:
             k -= 1
         (q0, r0), (q1, r1) = hull[k], hull[k + 1]
-        slopes.append((r1 - r0) / (q1 - q0))
-    return tuple(slopes)
+        slope = (r1 - r0) / (q1 - q0)
+        if slope != last:  # the first atom of a run; last is None before the first atom
+            starts.append(len(slopes))
+        slopes.append(slope)
+        last = slope
+    return tuple(slopes), tuple(starts)
 
 
 class ProductDist(tuple):

@@ -11,7 +11,7 @@ from math import ceil, inf, log, sqrt
 
 import numpy as np
 
-from .dist import ProductDist, ValueDist
+from .dist import _GATE, ProductDist, ValueDist
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,14 +41,25 @@ class Radius:
 
 
 def draw_samples(d: ProductDist, count: int, seed) -> SampleMatrix:
-    """Inverse-CDF sampling per coordinate; deterministic given the seed."""
+    """Inverse-CDF sampling per coordinate; deterministic given the seed.
+
+    A column whose prior has more than _GATE atoms searches its uniforms in
+    sorted order and scatters the values back: sorted keys take nearly the
+    same path down a search over so many partial sums, where random keys
+    mispredict at every step. The values are those of a direct search.
+    """
     if count < 1:
         raise ValueError("sample count must be at least 1")
     u = np.random.default_rng(seed).random((count, d.n))
     values = np.empty_like(u)
     for j, dj in enumerate(d):
         # without the last partial sum, the top atom takes every u past the others' mass
-        values[:, j] = dj._support[dj._below[1:-1].searchsorted(u[:, j])]
+        sums = dj._below[1:-1]
+        if len(dj.support) <= _GATE:
+            values[:, j] = dj._support[sums.searchsorted(u[:, j])]
+        else:
+            order = u[:, j].argsort()
+            values[order, j] = dj._support[sums.searchsorted(u[order, j])]
     values.setflags(write=False)
     return SampleMatrix(values)
 
@@ -58,9 +69,13 @@ def _column_runs(s: SampleMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
     srt = np.sort(s.values, axis=0)
     if not (srt[0].min() >= 0.0 and srt[-1].max() <= 1.0):  # NaN sorts last
         raise ValueError("sample values must lie in [0, 1]")
-    starts = np.concatenate((np.ones((1, s.n), dtype=bool), srt[1:] != srt[:-1]))
-    ends = np.concatenate((starts[1:], starts[:1]))  # a run ends on the row before the next starts
-    return [(srt[starts[:, j], j], np.flatnonzero(ends[:, j]) + 1) for j in range(s.n)]
+    ends = srt[1:] != srt[:-1]  # row r ends a run when the next row differs
+    runs = []
+    for j in range(s.n):
+        at_most = np.append(np.flatnonzero(ends[:, j]) + 1, s.count)
+        # a run of 0.0 and -0.0, in whatever order the sort left them, takes 0.0 (-0.0 + 0.0)
+        runs.append((srt[at_most - 1, j] + 0.0, at_most))
+    return runs
 
 
 def _atoms(values: np.ndarray, masses: np.ndarray) -> ValueDist:
@@ -93,17 +108,14 @@ def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
         raise ValueError(f"delta {delta!r} outside (0, 1)")
     n, count = s.n, s.count
     coef = log(2.0 * n * count / delta)
-    emp = np.arange(1, count + 1) / count
-    inflated = np.minimum(
-        1.0,
-        emp + np.sqrt(2.0 * emp * (1.0 - emp) * coef / count) + 4.0 * coef / count,
-    )
     bottom = min(1.0, 4.0 * coef / count)
     dists = []
     for vals, at_most in _column_runs(s):
-        cum = np.concatenate(([0.0, bottom], inflated[at_most - 1]))
+        emp = at_most / count
+        inflated = emp + np.sqrt(2.0 * emp * (1.0 - emp) * coef / count) + 4.0 * coef / count
+        cum = np.concatenate(([0.0, bottom], np.minimum(1.0, inflated)))
         masses = cum[1:] - cum[:-1]
-        if vals[0] == 0.0:  # samples at 0 (or -0.0) join the bottom atom, which keeps the value 0.0
+        if vals[0] == 0.0:  # samples at 0 join the bottom atom
             vals, masses = vals[1:], np.concatenate(([masses[0] + masses[1]], masses[2:]))
         dists.append(_atoms(np.concatenate(([0.0], vals)), masses))
     return ProductDist(tuple(dists))

@@ -4,8 +4,9 @@ Each function evaluates its definition directly, point by point, with
 quadratic cost: CDFs by a scalar left-to-right sum at every merged support
 point and at its left limit, the envelope by the monotone chain over every
 breakpoint with no thinning, virtual tables by a pointer walk down that
-envelope, virtual values by one envelope lookup per atom, ironed segments
-by a scan of the whole raw curve per segment, the matroid exchange
+envelope, virtual values by one envelope lookup per atom, the starts of
+runs of equal virtual values by a scan of them, ironed segments by a scan
+of the whole raw curve per segment, the matroid exchange
 property over every pair of set sizes, the exchange violation search
 over member tuples, the disjoint union of set systems
 over the full product of their sets, the tie order by counting the
@@ -70,10 +71,11 @@ def draw_samples(d, count, seed):
 
 
 def empirical(s):
+    """Each column's distinct values through np.unique; a value equal to 0 is taken as 0.0."""
     dists = []
     for j in range(s.n):
         vals, counts = np.unique(s.values[:, j], return_counts=True)
-        dists.append(make_discrete(vals, counts / s.count))
+        dists.append(make_discrete([0.0 if v == 0.0 else v for v in vals], counts / s.count))
     return ProductDist(tuple(dists))
 
 
@@ -138,6 +140,12 @@ def virtual_slopes(d):
     """Right slope of the ironed revenue curve at the quantile of each support value."""
     hull = iron(revenue_curve(d))
     return tuple(right_slope_at(hull, quantile_of_value(d, v)) for v in d.support)
+
+
+def run_starts(d):
+    """Index of each atom whose ironed virtual value differs from the previous atom's, by a scan."""
+    slopes = virtual_slopes(d)
+    return tuple(j for j, s in enumerate(slopes) if j == 0 or s != slopes[j - 1])
 
 
 def ironing_intervals(d):

@@ -1,5 +1,6 @@
 """Allocation rule, threshold payments, and revenue evaluation."""
 
+import re
 import tracemalloc
 from itertools import combinations
 from itertools import product as iproduct
@@ -653,6 +654,20 @@ class TestNanBids:
         a = myerson(prior, uniform_matroid(2, 1))
         for evaluate in (allocate, payments, revenue_on_profile):
             with pytest.raises(ValueError, match="NaN"):
+                evaluate(a, bids)
+
+
+class TestProfileWidth:
+    # the message names the profile's shape and the auction's bidder count
+    @pytest.mark.parametrize("bids", [(0.5,), (0.5, 0.2, 0.8), 0.5])
+    def test_refused_with_both_counts(self, bids, monkeypatch):
+        prior = ProductDist((make_discrete([0.2, 0.8], [0.5, 0.5]),) * 2)
+        tables = myerson(prior, uniform_matroid(2, 1))
+        monkeypatch.setattr("myersonlab.auction._BLOCK", 1)  # no grid fits
+        lines = myerson(prior, uniform_matroid(2, 1))
+        assert tables._outcomes is not None and lines._outcomes is None
+        for a, evaluate in iproduct((tables, lines), (allocate, payments, revenue_on_profile)):
+            with pytest.raises(ValueError, match=re.escape(f"shape {np.shape(bids)} for 2 bidders")):
                 evaluate(a, bids)
 
 

@@ -198,12 +198,14 @@ class TestOneWalkOracle:
         assert virtual_table(d).slopes == oracles.virtual_slopes(d)
         assert ironing_intervals(d) == oracles.ironing_intervals(d)
         assert hull_bits(d) == oracle_hull_bits(d)
+        assert d._runs == oracles.run_starts(d)
 
     def test_learned_prior(self):
         d = learned_prior(0.001, 1726, 0)
         assert len(d.support) > 700
         assert virtual_table(d).slopes == oracles.virtual_slopes(d)
         assert ironing_intervals(d) == oracles.ironing_intervals(d)
+        assert d._runs == oracles.run_starts(d)
 
 
 def hull_bits(d):
@@ -286,6 +288,7 @@ class TestHullOracle:
         assert [len(p.support) for p in sized] == [m] * len(sized)
         for p in sized + [dominated_empirical(samples, 0.1)[0]]:
             assert hull_bits(p) == oracle_hull_bits(p)
+            assert p._runs == oracles.run_starts(p)
 
     @pytest.mark.parametrize(
         "probs, slopes",
@@ -337,6 +340,11 @@ def test_tables_and_auctions_read_the_slopes_the_prior_derived(monkeypatch):
         assert ironed_virtual(d, d.support[0]) == slopes[0]
         a = myerson(ProductDist((d, d)), uniform_matroid(2, 1))
         assert a._phis[0, 1] == a._phis[1, 1] == slopes[0]
+        runs = len(d._runs)
+        assert a._runs == (runs, runs)
+        for phis, thresholds in zip(a._phis, a._thresholds):
+            assert phis[1 : runs + 1].tolist() == [slopes[j] for j in d._runs]
+            assert thresholds[:runs].tolist() == [d.support[j] for j in d._runs]
 
 
 def test_virtual_tables_of_fresh_priors_leave_memory_flat():

@@ -1,5 +1,6 @@
 """Sampling, learned priors, concentration radii, and Hellinger distances."""
 
+from itertools import permutations
 from math import ceil, inf, log, nan, sqrt
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 
 from myersonlab.dist import (
+    _GATE,
     ProductDist,
     cdf,
     discretize_uniform_with_atom,
@@ -79,21 +81,29 @@ class TestDrawSamples:
 
     @pytest.mark.parametrize("count", [1, 2, 1060, 1726])
     def test_one_pass_matches_the_clipped_column_oracle(self, count):
-        # a 1-atom, a binary, a 3-atom, a 40-atom and the 1,001-atom coordinate in one
-        # product; the 3-atom masses sum to 0.9999999999999999 left to right
+        # a 1-atom, a binary, a 3-atom, a 40-atom, a 128-atom, a 129-atom and the
+        # 1,001-atom coordinate in one product, so columns on both sides of the
+        # sampling gate; the 3-atom masses sum to 0.9999999999999999 left to right
         rng = np.random.default_rng(40)
-        weights = rng.integers(1, 1000, size=40)
+
+        def spread(m):
+            weights = rng.integers(1, 1000, size=m)
+            return make_discrete(rng.choice(1000, size=m, replace=False) / 999, weights / weights.sum())
+
         d = product_dist(
             point_mass(0.3),
             make_discrete([0.2, 0.9], [0.6, 0.4]),
             make_discrete([0.1, 0.5, 0.8], [0.7, 0.2, 0.1]),
-            make_discrete(rng.choice(1000, size=40, replace=False) / 999, weights / weights.sum()),
+            spread(40),
+            spread(_GATE),
+            spread(_GATE + 1),
             discretize_uniform_with_atom(0.55, 0.1, 0.001),
         )
+        assert [len(dj.support) for dj in d] == [1, 2, 3, 40, 128, 129, 1001]
         seeds = [0, 7, 2**40] + [np.random.SeedSequence(909, spawn_key=(t,)) for t in range(3)]
         for seed in seeds:
             s, want = draw_samples(d, count, seed), oracles.draw_samples(d, count, seed)
-            assert s.values.dtype == want.values.dtype and s.values.shape == (count, 5)
+            assert s.values.dtype == want.values.dtype and s.values.shape == (count, 7)
             assert s.values.tobytes() == want.values.tobytes()
             assert not s.values.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -270,6 +280,21 @@ class TestLearnerOracle:
         learned = dominated_empirical(s, 0.1)
         assert bits(learned) == bits(oracles.dominated_empirical(s, 0.1))
         assert all(d.support.count(0.0) == 1 and d.support[0] == 0.0 for d in learned)
+
+    def test_signed_zeros_in_any_order(self):
+        # the sort may leave 0.0 and -0.0 in any order, and the learned zero
+        # must not depend on which sample comes first
+        rng = np.random.default_rng(3)
+        long = [0.0] * 20 + [-0.0] * 20 + [0.5] * 5
+        for orders in (permutations([0.0, -0.0, 0.5]), (rng.permutation(long) for _ in range(6))):
+            learned = []
+            for col in orders:
+                s = SampleMatrix(np.array(col)[:, None])
+                learned.append(bits(empirical(s)))
+                assert learned[-1] == bits(oracles.empirical(s))
+                assert bits(dominated_empirical(s, 0.1)) == bits(oracles.dominated_empirical(s, 0.1))
+            assert learned[0][0][0][0] == (0.0).hex()
+            assert all(b == learned[0] for b in learned)
 
     def test_learned_priors_from_draws(self):
         d = grid_prior(3)
