@@ -52,7 +52,7 @@ class CrossCheckError(RuntimeError):
 class Auction:
     """The optimal auction and the read-only arrays myerson derives from it once.
 
-    The vertices, ranked in tie_order, are the rows of feasible._ranked. Bidder
+    The vertices, in feasible.tie_order, are the rows of feasible._ranked. Bidder
     i has _runs[i] cells above 0, one per run of equal ironed virtual value;
     _phis[i, c] is that value in cell c (0 in cell 0) and _thresholds[i, c - 1]
     the value of the run's first atom. Both rows are padded with zeros. The
@@ -63,7 +63,6 @@ class Auction:
 
     prior: ProductDist
     feasible: FeasibleSet
-    tie_order: tuple[int, ...]
     _phis: np.ndarray = field(repr=False)
     _thresholds: np.ndarray = field(repr=False)
     _runs: tuple[int, ...] = field(repr=False)
@@ -89,7 +88,7 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
         thresholds[i, : len(starts)] = [d.support[j] for j in starts]
     for arr in (phis, thresholds):
         arr.setflags(write=False)
-    fields = prior, fs, fs.tie_order, phis, thresholds, tuple(map(len, runs))
+    fields = prior, fs, phis, thresholds, tuple(map(len, runs))
     n = len(runs)
     if prod(len(r) + 1 for r in runs) * (len(fs.vertices) + n) > _BLOCK:
         return Auction(*fields)

@@ -189,8 +189,9 @@ def make_discrete(values, probs) -> ValueDist:
     Duplicate values are merged, zero-mass atoms dropped and the support
     sorted ascending: a stable sort and an in-order bincount add the masses
     of equal values left to right, and the first of them (0.0 or -0.0) is
-    kept. Masses must be finite, nonnegative and sum to 1 within MASS_TOL;
-    values must lie in [0, 1], which rules out NaN.
+    kept. Checked here, as the merge would hide them: each atom's value in
+    [0, 1] and mass not below -MASS_TOL. ValueDist checks the merged atoms,
+    the sum included; a NaN mass survives the merge, to be refused there.
     """
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -198,9 +199,6 @@ def make_discrete(values, probs) -> ValueDist:
         raise ValueError(
             f"values {values.shape} and probabilities {probs.shape}: need flat lists of one length"
         )
-    total = sum(probs.tolist())
-    if not abs(total - 1.0) <= MASS_TOL:  # also catches a NaN or infinite mass
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
     bad = (probs < -MASS_TOL) | ~((values >= 0.0) & (values <= 1.0))
     if bad.any():  # the first bad atom, its mass checked before its value
         v, p = float(values[bad][0]), float(probs[bad][0])
@@ -208,14 +206,14 @@ def make_discrete(values, probs) -> ValueDist:
         raise ValueError(msg)
     order = values.argsort(kind="stable")
     values, probs = values[order], probs[order]
-    first = np.concatenate(([True], values[1:] != values[:-1]))
+    first = np.concatenate(([True], values[1:] != values[:-1]))[: len(values)]  # [] for no atoms
     masses = np.bincount(first.cumsum() - 1, weights=probs)
-    keep = masses > 0.0
+    keep = ~(masses <= 0.0)
     return ValueDist(tuple(values[first][keep].tolist()), tuple(masses[keep].tolist()))
 
 
 def point_mass(v: float) -> ValueDist:
-    return make_discrete([v], [1.0])
+    return ValueDist((float(v),), (1.0,))
 
 
 def uniform_grid(values) -> ValueDist:
@@ -306,11 +304,15 @@ def dominates(big: ProductDist, small: ProductDist) -> bool:
     return not np.any(fb > fs + CDF_TOL)
 
 
+def _check_nk(n: float, k: float):
+    if not (n >= 1 and k >= 1):  # also catches NaN
+        raise ValueError(f"n and k must be at least 1, got n={n!r} k={k!r}")
+
+
 def _check_close_args(eps: float, n: float, k: float):
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps {eps!r} outside (0, 1]")
-    if not (n >= 1 and k >= 1):
-        raise ValueError(f"n and k must be at least 1, got n={n!r} k={k!r}")
+    _check_nk(n, k)
 
 
 def is_close(a: ProductDist, b: ProductDist, eps: float, n: int, k: float) -> bool:
@@ -338,6 +340,7 @@ def min_closeness_eps(a: ProductDist, b: ProductDist, n: int, k: float) -> float
     Solved per checkpoint from the closed-form bound (a quadratic in eps)
     and maximized; may exceed 1, in which case no valid eps exists.
     """
+    _check_nk(n, k)
     fa, fb = _cdf_pairs(a, b)
     gap = np.abs(fa - fb)
     far = gap > CDF_TOL

@@ -89,9 +89,6 @@ def _mask(subset) -> int:
 
 def from_independent_sets(n: int, sets) -> FeasibleSet:
     """Binary system from an explicit list of allocatable bidder subsets."""
-    sets = list(sets)
-    if not sets:
-        raise ValueError("at least one feasible subset is required")
     masks = set()
     for s in sets:
         s = tuple(s)
@@ -100,7 +97,7 @@ def from_independent_sets(n: int, sets) -> FeasibleSet:
                 raise ValueError(f"bidder index {i} out of range for n={n}")
         masks.add(_mask(s))
     vertices = tuple(tuple(float(m >> i & 1) for i in range(n)) for m in sorted(masks))
-    return FeasibleSet(vertices, float(max(m.bit_count() for m in masks)))
+    return FeasibleSet(vertices, float(max((m.bit_count() for m in masks), default=0)))
 
 
 def from_vertices(vectors) -> FeasibleSet:
@@ -202,6 +199,8 @@ def demand_reduce(fs: FeasibleSet, d: float) -> FeasibleSet:
     top = max(x for v in fs.vertices for x in v)
     if d < top:
         raise ValueError(f"demand {d!r} smaller than coordinate {top!r}")
+    if not d > 0.0:  # reached only when every coordinate is 0, or at a NaN
+        raise ValueError(f"demand {d!r} must be positive")
     return FeasibleSet(tuple(tuple(x / d for x in v) for v in fs.vertices), fs.rank / d)
 
 

@@ -257,21 +257,19 @@ def check_approx_monotone(
 
 def lipschitz_pair(n: int, k: int, eps: float) -> tuple[ProductDist, ProductDist]:
     """Binary i.i.d. priors whose optimal revenues split by about eps sqrt(k)/8."""
-    lo = 1.0 / (2.0 * n)
-    shift = eps / (4.0 * n * sqrt(k))
-    d = ProductDist(tuple(make_discrete([0.0, 1.0], [lo, 1.0 - lo]) for _ in range(n)))
-    dtilde = ProductDist(
-        tuple(make_discrete([0.0, 1.0], [lo - shift, 1.0 - lo + shift]) for _ in range(n))
-    )
-    return d, dtilde
-
-
-def run_lipschitz_lb(n: int, k: int, eps: float) -> Report:
-    """Close pair without dominance whose optimal revenues differ by eps sqrt(k)/8."""
     if not 1 <= k <= n:
         raise ValueError(f"rank k={k} outside 1..{n}")
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps {eps!r} outside [0, 1]")
+    lo = 1.0 / (2.0 * n)
+    shift = eps / (4.0 * n * sqrt(k))
+    d = make_discrete([0.0, 1.0], [lo, 1.0 - lo])
+    dtilde = make_discrete([0.0, 1.0], [lo - shift, 1.0 - lo + shift])
+    return ProductDist((d,) * n), ProductDist((dtilde,) * n)
+
+
+def run_lipschitz_lb(n: int, k: int, eps: float) -> Report:
+    """Close pair without dominance whose optimal revenues differ by eps sqrt(k)/8."""
     d, dtilde = lipschitz_pair(n, k, eps)
     fs = all_or_nothing(n, k)
     opt_d = opt_revenue(d, fs)

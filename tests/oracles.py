@@ -331,11 +331,11 @@ def allocate(a, values):
     verts = a.feasible.vertices
     phis = [virtual_table(d).at(v) for d, v in zip(a.prior, values)]
     sunk = [i for i, p in enumerate(phis) if p is NEG_INF]
-    candidates = [j for j in a.tie_order if all(verts[j][i] <= 0.0 for i in sunk)]
+    candidates = [j for j in a.feasible.tie_order if all(verts[j][i] <= 0.0 for i in sunk)]
     if candidates:
         eff = phis
     else:
-        candidates = list(a.tie_order)
+        candidates = list(a.feasible.tie_order)
         eff = [0.0 if p is NEG_INF else p for p in phis]
     best = None
     best_w = None

@@ -111,6 +111,22 @@ class TestMakeDiscrete:
         with pytest.raises(ValueError):
             make_discrete(values, probs)
 
+    @pytest.mark.parametrize(
+        "values, probs, match",
+        [
+            ([], [], "sum to 0.0"),
+            ([0.2, 0.8], [1.0, math.nan], "sum to nan"),  # not a point mass at 0.2
+        ],
+    )
+    def test_sum_is_checked_on_the_merged_atoms(self, values, probs, match):
+        with pytest.raises(ValueError, match=match):
+            make_discrete(values, probs)
+
+    @pytest.mark.parametrize("v", [1.5, -0.25, math.nan])
+    def test_point_mass_out_of_range(self, v):
+        with pytest.raises(ValueError, match="in \\[0, 1\\]"):
+            point_mass(v)
+
     @pytest.mark.parametrize("probs", [[1e-20, 0.5, 0.5], [1e-13, 0.5 + 1e-13, 0.5]])
     def test_lowest_mass_lost_in_tail_sum(self, probs):
         # the upper atoms alone sum to 1 or more, so the lowest would sit at quantile 1 twice
@@ -334,9 +350,13 @@ class TestCloseness:
         with pytest.raises(ValueError):
             is_close_uniform(p, p, 1.5, 1, 1)
         for close in (is_close, is_close_uniform):
-            for n, k in ((math.nan, 1), (2, math.nan)):
+            for n, k in ((math.nan, 1), (2, math.nan), (0, 1), (-1, 1), (1, 0)):
                 with pytest.raises(ValueError, match="at least 1"):
                     close(p, p, 0.1, n, k)
+        q = product_dist(point_mass(0.3))
+        for n, k in ((0, 1), (-1, 1), (math.nan, 1), (1, 0)):
+            with pytest.raises(ValueError, match="at least 1"):
+                min_closeness_eps(p, q, n, k)
 
     @given(value_dists(), value_dists(), st.floats(0.01, 1.0), st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=150, deadline=None)

@@ -278,6 +278,12 @@ class TestDemandReduce:
         with pytest.raises(ValueError, match="smaller"):
             demand_reduce(uniform_matroid(2, 1), 0.5)
 
+    @pytest.mark.parametrize("d", [0.0, -0.0, math.nan])
+    def test_nonpositive_demand_on_the_empty_system(self, d):
+        # every coordinate is 0, so no coordinate exceeds d
+        with pytest.raises(ValueError, match=f"demand {d!r} must be positive"):
+            demand_reduce(from_independent_sets(2, [()]), d)
+
 
 class TestDisjointUnion:
     def test_two_single_item_copies(self):

@@ -2,7 +2,7 @@
 
 import json
 from itertools import combinations
-from math import log, sqrt
+from math import log, nan, sqrt
 
 import numpy as np
 import pytest
@@ -37,6 +37,7 @@ from myersonlab.lab import (
     _require_dominated_close,
     check_approx_monotone,
     embed_counterexample,
+    lipschitz_pair,
     nonmonotone_gadget,
     run_copies,
     run_lb_family,
@@ -451,6 +452,14 @@ class TestLipschitzLowerBound:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             run_lipschitz_lb(2, 3, 0.01)
+
+    @pytest.mark.parametrize(
+        "k, eps, match",
+        [(0, 0.1, "rank k=0"), (3, 0.1, "rank k=3"), (1, 1.5, "eps 1.5"), (1, nan, "eps nan")],
+    )
+    def test_pair_checks_its_arguments(self, k, eps, match):
+        with pytest.raises(ValueError, match=match):
+            lipschitz_pair(2, k, eps)
 
 
 def lipschitz_eps_for(eps_prime: float, n: int, k: float, c: float) -> float | None:
