@@ -58,7 +58,6 @@ from .feasible import (
 )
 from .lab import PreconditionError, Report
 from .learn import (
-    Radius,
     SampleMatrix,
     bernstein_radius,
     dominated_empirical,

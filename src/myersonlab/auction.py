@@ -26,7 +26,7 @@ occupied cells, in blocks. Auctions hold read-only arrays and no other state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, prod, sqrt
+from math import prod, sqrt
 
 import numpy as np
 
@@ -38,10 +38,11 @@ IDENTITY_TOL = 1e-9
 # Numbers held at once per block of cell profiles and per kernel chunk;
 # bounds the working memory of every evaluation.
 _BLOCK = 1 << 14
+_CAP = 10_000_000  # most distinct cell profiles an exact expectation enumerates
 
 
 class EnumerationCapError(ValueError):
-    """Exact enumeration would exceed the configured profile cap."""
+    """Exact enumeration would exceed _CAP distinct cell profiles."""
 
 
 class CrossCheckError(RuntimeError):
@@ -52,12 +53,12 @@ class CrossCheckError(RuntimeError):
 class Auction:
     """The optimal auction and the read-only arrays myerson derives from it once.
 
-    The vertices, in feasible.tie_order, are the rows of feasible._ranked. Bidder
+    The rows of feasible._ranked are the vertices in myerson's tie order. Bidder
     i has _runs[i] cells above 0, one per run of equal ironed virtual value;
     _phis[i, c] is that value in cell c (0 in cell 0) and _thresholds[i, c - 1]
     the value of the run's first atom. Both rows are padded with zeros. The
     outcome tables, None when the grid does not fit, are indexed by a cell
-    profile: _ranks holds the winner's rank in tie_order, _outcomes[..., i]
+    profile: _ranks holds the winner's row of _ranked, _outcomes[..., i]
     bidder i's payment and _outcomes[..., n] the ironed virtual welfare.
     """
 
@@ -73,9 +74,9 @@ class Auction:
 def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     """Build the optimal auction for the prior over the feasible system.
 
-    Welfare ties between vertices are broken by the system's tie_order, a
-    fixed value-independent order: descending total allocation, then
-    ascending lexicographic. Any fixed order keeps the per-bidder
+    Welfare ties between vertices are broken by the order of the rows of
+    fs._ranked, a fixed value-independent order: descending total allocation,
+    then ascending lexicographic. Any fixed order keeps the per-bidder
     allocation monotone in own value. When the grid of every bidder's cells
     fits a block, its outcome tables are scored here, in one kernel call.
     """
@@ -107,7 +108,7 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
 
 
 def _winners(a: Auction, cells) -> np.ndarray:
-    """Rank in tie_order of the winning vertex at each point of n per-bidder cell arrays.
+    """Row of feasible._ranked that wins at each point of n per-bidder cell arrays.
 
     cells[i] holds bidder i's cells; the n arrays broadcast to one shape,
     which is the shape of the result. Points beyond a block are scored in
@@ -205,11 +206,11 @@ def revenue_on_profile(a: Auction, values) -> float:
     return sum(payments(a, values))
 
 
-def _expectation(a: Auction, dist: ProductDist, cap: float) -> tuple[float, float]:
+def _expectation(a: Auction, dist: ProductDist) -> tuple[float, float]:
     """Expected revenue and expected ironed virtual welfare under dist.
 
     Atoms of one bidder that fall into the same cell, a run of the prior,
-    are merged, and cap bounds the distinct occupied run profiles. An
+    are merged, and _CAP bounds the distinct occupied run profiles. An
     auction with tables contracts its payment and welfare tables with each
     bidder's cell masses, one axis at a time. Otherwise bidder i, whose
     highest occupied cell is top_i - 1, runs one line over its cells for
@@ -227,8 +228,8 @@ def _expectation(a: Auction, dist: ProductDist, cap: float) -> tuple[float, floa
     held = mass > 0.0
     sizes = held.sum(axis=1).tolist()
     count = prod(sizes)
-    if count > cap:
-        raise EnumerationCapError(f"{count} cell profiles exceed cap {cap}")
+    if count > _CAP:
+        raise EnumerationCapError(f"{count} cell profiles exceed cap {_CAP}")
     if a._outcomes is not None:
         table = a._outcomes
         for m, t in zip(mass, table.shape):  # contract the leading axis, one bidder's cells
@@ -256,9 +257,9 @@ def _expectation(a: Auction, dist: ProductDist, cap: float) -> tuple[float, floa
     return float(revenue), float(welfare)
 
 
-def expected_revenue(a: Auction, eval_dist: ProductDist, cap: int = 10_000_000) -> float:
-    """Exact expected revenue under eval_dist, enumerating its distinct cell profiles."""
-    return _expectation(a, eval_dist, cap)[0]
+def expected_revenue(a: Auction, eval_dist: ProductDist) -> float:
+    """Exact expected revenue under eval_dist, enumerating at most _CAP distinct cell profiles."""
+    return _expectation(a, eval_dist)[0]
 
 
 def expected_virtual_welfare(a: Auction) -> float:
@@ -266,8 +267,9 @@ def expected_virtual_welfare(a: Auction) -> float:
 
     Equals expected revenue under the prior; under a foreign distribution
     the identity can break, so revenue there is always taken from payments.
+    Past _CAP distinct cell profiles it raises EnumerationCapError.
     """
-    return _expectation(a, a.prior, inf)[1]
+    return _expectation(a, a.prior)[1]
 
 
 def expected_revenue_mc(
@@ -290,13 +292,13 @@ def expected_revenue_mc(
     return mean, stderr
 
 
-def opt_revenue(d: ProductDist, fs: FeasibleSet, cap: int = 10_000_000) -> float:
+def opt_revenue(d: ProductDist, fs: FeasibleSet) -> float:
     """Optimal expected revenue for prior d, with an internal identity check.
 
     Revenue from payments must match expected ironed virtual welfare; a
     divergence beyond 1e-9 signals an allocation or payment bug.
     """
-    rev, welfare = _expectation(myerson(d, fs), d, cap)
+    rev, welfare = _expectation(myerson(d, fs), d)
     if abs(rev - welfare) > IDENTITY_TOL:
         raise CrossCheckError(
             f"revenue {rev!r} and ironed virtual welfare {welfare!r} diverge"

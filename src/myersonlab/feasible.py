@@ -28,15 +28,14 @@ class FeasibleSet:
     all_or_nothing(10, 3) sum to 2.9999999999999996. Derived once, when the
     object is built: n, the common length of the vertices; sets_view, the
     distinct vertices as ascending bidder bitmasks, present exactly when
-    every coordinate is 0 or 1; tie_order, the vertex indices in the order
-    of myerson's tie rule; and _ranked, the read-only matrix of those rows.
+    every coordinate is 0 or 1; and _ranked, the read-only matrix of the
+    vertices in the order of myerson's tie rule.
     """
 
     vertices: tuple[tuple[float, ...], ...]
     rank: float
     n: int = field(init=False, repr=False, compare=False)
     sets_view: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
-    tie_order: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _ranked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -57,8 +56,7 @@ class FeasibleSet:
         for col in ranked.T:  # in place, so that one matrix is held at a time
             col[:] = col[order]
         ranked.setflags(write=False)
-        order = tuple(order.tolist())
-        for name, value in (("n", n), ("sets_view", view), ("tie_order", order), ("_ranked", ranked)):
+        for name, value in (("n", n), ("sets_view", view), ("_ranked", ranked)):
             object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
@@ -89,6 +87,8 @@ def _mask(subset) -> int:
 
 def from_independent_sets(n: int, sets) -> FeasibleSet:
     """Binary system from an explicit list of allocatable bidder subsets."""
+    if n < 0:
+        raise ValueError(f"bidder count n={n} is negative")
     masks = set()
     for s in sets:
         s = tuple(s)

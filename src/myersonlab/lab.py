@@ -370,6 +370,7 @@ def run_lb_family(
         raise ValueError("trials must be at least 1")
     if n < 2:
         raise ValueError("at least two bidders required")
+    fs = all_or_nothing(n, k)
     shift = 48.0 * eps / (n * k)
     base = 1.0 / n
     dplus = make_discrete([0.0, 1.0], [base - shift, 1.0 - base + shift])
@@ -378,7 +379,6 @@ def run_lb_family(
     phis = [(t.at(0.0), t.at(1.0)) for t in map(virtual_table, priors)]
     h2 = hellinger_sq(dplus, dminus)
     budget_product = sample_budget * h2
-    fs = all_or_nothing(n, k)
     rng = np.random.default_rng(seed)
     if n <= 8:
         signs = list(iproduct((0, 1), repeat=n))

@@ -29,17 +29,6 @@ class SampleMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class Radius:
-    """Probability-scale confidence radius."""
-
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError("radius must be nonnegative")
-
-
 def draw_samples(d: ProductDist, count: int, seed) -> SampleMatrix:
     """Inverse-CDF sampling per coordinate; deterministic given the seed.
 
@@ -121,8 +110,8 @@ def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
     return ProductDist(tuple(dists))
 
 
-def bernstein_radius(mean: float, count: int, delta: float) -> Radius:
-    """Two-sided confidence radius for the mean of [0, 1] samples.
+def bernstein_radius(mean: float, count: int, delta: float) -> float:
+    """Two-sided confidence radius for the mean of [0, 1] samples, on the probability scale.
 
     t = sqrt(2 m (1-m) ln(2/delta) / N) + ln(2/delta) / N, which satisfies
     t^2 >= (2 m (1-m) + (2/3) t) ln(2/delta) / N.
@@ -134,7 +123,7 @@ def bernstein_radius(mean: float, count: int, delta: float) -> Radius:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta {delta!r} outside (0, 1)")
     coef = log(2.0 / delta)
-    return Radius(sqrt(2.0 * mean * (1.0 - mean) * coef / count) + coef / count)
+    return sqrt(2.0 * mean * (1.0 - mean) * coef / count) + coef / count
 
 
 def required_samples(

@@ -38,14 +38,16 @@ from myersonlab.learn import SampleMatrix
 
 
 def make_discrete(values, probs):
-    """Atoms merged one at a time in input order: the first of equal values is the key."""
+    """Atoms merged one at a time in input order: the first of equal values is the key.
+
+    Each raw atom is checked first, its mass and then its value. The merged
+    atoms of positive or NaN mass are kept, and their masses summed left to
+    right in value order must be 1.
+    """
     values = [float(v) for v in values]
     probs = [float(p) for p in probs]
     if len(values) != len(probs):
         raise ValueError(f"{len(values)} values but {len(probs)} probabilities")
-    total = sum(probs)
-    if not abs(total - 1.0) <= MASS_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
     merged = {}
     for v, p in zip(values, probs):
         if p < -MASS_TOL:
@@ -53,9 +55,12 @@ def make_discrete(values, probs):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"value {v!r} outside [0, 1]")
         merged[v] = merged.get(v, 0.0) + p
-    atoms = [(v, p) for v, p in sorted(merged.items()) if p > 0.0]
-    if not atoms:
-        raise ValueError("the merged atoms carry no positive mass")
+    atoms = [(v, p) for v, p in sorted(merged.items()) if not p <= 0.0]
+    total = 0.0
+    for _, p in atoms:
+        total += p
+    if not abs(total - 1.0) <= MASS_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
     support, probs = zip(*atoms)
     return ValueDist(support, probs)
 
@@ -329,13 +334,14 @@ def allocate(a, values):
     every vertex is ranked by the welfare of its non-sunk part.
     """
     verts = a.feasible.vertices
+    order = tie_order(verts)
     phis = [virtual_table(d).at(v) for d, v in zip(a.prior, values)]
     sunk = [i for i, p in enumerate(phis) if p is NEG_INF]
-    candidates = [j for j in a.feasible.tie_order if all(verts[j][i] <= 0.0 for i in sunk)]
+    candidates = [j for j in order if all(verts[j][i] <= 0.0 for i in sunk)]
     if candidates:
         eff = phis
     else:
-        candidates = list(a.feasible.tie_order)
+        candidates = list(order)
         eff = [0.0 if p is NEG_INF else p for p in phis]
     best = None
     best_w = None

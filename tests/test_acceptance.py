@@ -180,7 +180,7 @@ def test_c08_bernstein_quadratic_condition():
     for mean in np.linspace(0.0, 1.0, 10):
         for count in (10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000, 300000):
             for delta in np.linspace(0.005, 0.5, 10):
-                t = bernstein_radius(float(mean), count, float(delta)).value
+                t = bernstein_radius(float(mean), count, float(delta))
                 rhs = (2 * mean * (1 - mean) + (2 / 3) * t) * log(2 / delta) / count
                 if t * t < rhs:
                     violations += 1

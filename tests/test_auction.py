@@ -4,7 +4,7 @@ import re
 import tracemalloc
 from itertools import combinations
 from itertools import product as iproduct
-from math import inf, nan, prod
+from math import nan, prod
 
 import numpy as np
 import pytest
@@ -105,9 +105,18 @@ class TestExpectedRevenue:
             myerson(product_dist(point_mass(0.5)), GADGET_FS)
 
     def test_enumeration_cap(self):
-        a = myerson(GADGET_PRIOR, GADGET_FS)
-        with pytest.raises(EnumerationCapError):
-            expected_revenue(a, GADGET_PRIOR, cap=3)
+        # eight bidders whose eight atoms are eight runs: 8^8 = 16,777,216 cell
+        # profiles, past the cap of 1e7, refused before any is enumerated
+        prior = ProductDist((uniform_grid([j / 8 for j in range(1, 9)]),) * 8)
+        fs = uniform_matroid(8, 1)
+        a = myerson(prior, fs)
+        for evaluate in (
+            lambda: expected_revenue(a, prior),
+            lambda: expected_virtual_welfare(a),
+            lambda: opt_revenue(prior, fs),
+        ):
+            with pytest.raises(EnumerationCapError, match="^16777216 cell profiles exceed cap"):
+                evaluate()
 
     def test_point_mass_prior_constant_allocation(self):
         prior = product_dist(point_mass(0.3), point_mass(0.7))
@@ -307,7 +316,7 @@ class TestAgainstScalarReference:
                 self.check_expectations(a, dist)
 
     def check_expectations(self, a, dist):
-        revenue, welfare = _expectation(a, dist, inf)
+        revenue, welfare = _expectation(a, dist)
         assert revenue == expected_revenue(a, dist)
         assert revenue == pytest.approx(oracles.expected_revenue(a, dist), abs=1e-12)
         assert welfare == pytest.approx(oracles.expected_virtual_welfare(a, dist), abs=1e-12)
@@ -374,12 +383,12 @@ class TestAgainstScalarReference:
     def test_grid_edge_distributions(self, monkeypatch, prior, dist, fs):
         shapes = record_kernel_calls(monkeypatch)
         a = myerson(prior, fs)
-        on_grid = _expectation(a, dist, inf)
+        on_grid = _expectation(a, dist)
         assert scored_on_grid(shapes, dist.n), shapes
         self.check_expectations(a, dist)
         monkeypatch.setattr("myersonlab.auction._BLOCK", 8)  # too small for the grid
         shapes.clear()
-        assert _expectation(myerson(prior, fs), dist, inf) == pytest.approx(on_grid, abs=1e-12)
+        assert _expectation(myerson(prior, fs), dist) == pytest.approx(on_grid, abs=1e-12)
         assert not scored_on_grid(shapes, dist.n), shapes
 
     def test_grid_and_lines_agree(self, monkeypatch):
@@ -393,12 +402,12 @@ class TestAgainstScalarReference:
             for dist in (prior, random_prior(rng, n)):
                 monkeypatch.setattr("myersonlab.auction._BLOCK", 1 << 14)
                 shapes.clear()
-                first = _expectation(myerson(prior, fs), dist, inf)
+                first = _expectation(myerson(prior, fs), dist)
                 grids += scored_on_grid(shapes, n)
                 monkeypatch.setattr("myersonlab.auction._BLOCK", 1)  # no grid fits
                 shapes.clear()
                 lines = myerson(prior, fs)
-                assert _expectation(lines, dist, inf) == pytest.approx(first, abs=1e-12)
+                assert _expectation(lines, dist) == pytest.approx(first, abs=1e-12)
                 assert not scored_on_grid(shapes, n)
         assert grids >= 200  # most of the 300 evaluations took the grid
 
@@ -503,8 +512,8 @@ class TestRunsAgainstPerAtomCells:
                 assert allocate(a, values) == allocate(ref, values), values
                 assert payments(a, values) == payments(ref, values), values
         for dist in dists:
-            assert _expectation(a, dist, inf) == pytest.approx(
-                _expectation(ref, dist, inf), abs=1e-12, rel=0
+            assert _expectation(a, dist) == pytest.approx(
+                _expectation(ref, dist), abs=1e-12, rel=0
             )
             mc = expected_revenue_mc(a, dist, 300, 7)
             assert mc == pytest.approx(expected_revenue_mc(ref, dist, 300, 7), abs=1e-12, rel=0)
@@ -609,8 +618,8 @@ class TestOutcomeTables:
                 assert payments(a, values) == payments(lines, values), values
             below = ProductDist(tuple(ironed_dist(rng, 6) for _ in range(n)))  # cell 0 occupied
             for dist in (prior, below):
-                assert _expectation(a, dist, inf) == pytest.approx(
-                    _expectation(lines, dist, inf), abs=1e-12, rel=0
+                assert _expectation(a, dist) == pytest.approx(
+                    _expectation(lines, dist), abs=1e-12, rel=0
                 )
                 mc = expected_revenue_mc(a, dist, 300, 5)
                 assert mc == expected_revenue_mc(lines, dist, 300, 5)

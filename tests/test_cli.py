@@ -124,6 +124,11 @@ class TestEmbed:
         code, out, err = run(capsys, ["embed", "--feasible", write_json(tmp_path / "fs.json", obj)])
         assert (code, out, err) == (1, "", "error: embedding limited to n <= 10\n")
 
+    def test_negative_bidder_count(self, capsys, tmp_path):
+        fs = write_json(tmp_path / "fs.json", {"type": "sets", "n": -1, "sets": [[]]})
+        code, out, err = run(capsys, ["embed", "--feasible", fs])
+        assert (code, out, err) == (1, "", "error: bidder count n=-1 is negative\n")
+
     @pytest.mark.parametrize("n", ["16", 16.0, None])
     def test_malformed_bidder_count_falls_through(self, capsys, tmp_path, n):
         fs = write_json(tmp_path / "fs.json", {"type": "uniform_matroid", "n": n, "k": 1})
@@ -374,6 +379,12 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: eps {float(argv[argv.index('--eps') + 1])!r} outside")
 
+    def test_lb_family_rank_zero(self, capsys):
+        # the system refuses k = 0 before anything divides by n * k
+        argv = ["lb-family", "--n", "4", "--k", "0", "--eps", "0.01", "--budget", "1"]
+        code, out, err = run(capsys, argv + ["--trials", "2"])
+        assert (code, out, err) == (1, "", "error: rank k=0 outside 1..4\n")
+
     @pytest.mark.parametrize("flag", [["--constant", "inf"], ["--eps", "nan"]])
     def test_non_finite_sample_parameters(self, capsys, tmp_path, minnon_file, flag):
         d = {"support": [0.5], "probs": [1.0]}
@@ -460,14 +471,14 @@ FLAGS = {
         "dd": st.just("prior"), "dtilde": st.just("prior"), "feasible": st.just("fs"),
         "eps": floats("0.2", "1.0"),
     },
-    "lipschitz-lb": {"n": ints(1, 6), "k": ints(2, 8), "eps": floats("0.01", "0.5")},
+    "lipschitz-lb": {"n": ints(1, 6), "k": ints(-2, 8), "eps": floats("0.01", "0.5")},
     "sample-complexity": {
         "feasible": st.just("fs"), "dist": st.just("prior"), "eps": floats("0.2", "0.5"),
         "delta": floats("0.2", "0.5"), "constant": floats("0.05", "0.5"),
         "trials": ints(-2, 20), "seed": ints(0, 3),
     },
     "lb-family": {
-        "n": ints(1, 6), "k": ints(2, 8), "eps": floats("0.001", "0.01"),
+        "n": ints(1, 6), "k": ints(-2, 8), "eps": floats("0.001", "0.01"),
         "budget": ints(-2, 20), "trials": ints(-2, 20), "seed": ints(0, 3),
     },
     "curves": {"dist": st.just("one")},

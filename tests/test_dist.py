@@ -53,6 +53,8 @@ WELL_FORMED_JSON = st.one_of(
     st.sampled_from([
         {"type": "sets", "n": 3, "sets": [[], [0], [1], [2], [1, 2]]},
         {"type": "vertices", "vectors": [[0, 0], [0.5, 0.5]]},
+        # binary vectors, repeated and out of order: from_vertices rebuilds them as sets
+        {"type": "vertices", "vectors": [[0, 1], [1, 0], [0, 0], [0, 1]]},
     ]),
 )
 JSON_KEYS = ["support", "probs", "type", "n", "k", "sets", "vectors"]
@@ -207,6 +209,22 @@ class TestMakeDiscreteOracle:
     @settings(max_examples=300, deadline=None)
     def test_random_atoms(self, atoms):
         assert outcome(make_discrete, *atoms) == outcome(oracles.make_discrete, *atoms)
+
+    @pytest.mark.parametrize(
+        "values, probs",
+        [
+            ([1.5], [0.5]),  # a bad atom is named before a bad sum
+            ([0.2, 0.5, 0.8], [1.0, -9e-13, -9e-13]),  # tolerated negatives dropped in the merge
+            ([0.2, 0.8], [1.0, math.nan]),
+            ([0.2, 0.8], [-math.inf, 0.5]),
+            ([], []),
+            ([0.3, 0.1, 0.3], [0.25] * 3),
+        ],
+    )
+    def test_check_order(self, values, probs):
+        assert outcome(make_discrete, values, probs) == outcome(
+            oracles.make_discrete, values, probs
+        )
 
     def test_ten_copies_sum_left_to_right(self):
         # a pairwise sum of ten 0.1 masses rounds to 1.0; left to right it does not

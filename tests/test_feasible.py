@@ -27,6 +27,12 @@ from fuzz import downward_closed_families, random_downward_closed
 MINNON_SETS = [(), (0,), (1,), (2,), (1, 2)]
 
 
+def in_tie_order(system):
+    """Whether _ranked holds the vertices in the counting oracle's tie order, bit for bit."""
+    rows = np.array([system.vertices[j] for j in oracles.tie_order(system.vertices)], dtype=float)
+    return system._ranked.shape == rows.shape and system._ranked.tobytes() == rows.tobytes()
+
+
 class TestConstructors:
     def test_minimum_non_matroid(self):
         fs = minimum_non_matroid()
@@ -50,6 +56,12 @@ class TestConstructors:
             from_independent_sets(2, [(2,)])
         with pytest.raises(ValueError, match="at least one"):
             from_independent_sets(2, [])
+
+    def test_negative_bidder_count(self):
+        for sets in ([[]], [[0]], []):
+            with pytest.raises(ValueError, match=r"^bidder count n=-1 is negative$"):
+                from_independent_sets(-1, sets)
+        assert from_independent_sets(0, [[]]).vertices == ((),)  # no bidders stays allowed
 
     def test_uniform_matroid_counts(self):
         assert len(uniform_matroid(3, 1).sets_view) == 4
@@ -90,8 +102,7 @@ class TestConstructors:
         assert is_matroid(fs)
         assert FeasibleSet(((0.0, 1.0), (1.0, 0.0), (0.0, 1.0)), 1.0).sets_view == (1, 2)
         assert FeasibleSet(((0.0, 0.5),), 0.5).sets_view is None
-        # the tie order ranks the vertices as the counting oracle does, and the
-        # read-only matrix holds them in that order
+        # the read-only matrix holds the vertices in the counting oracle's tie order
         for system in (
             fs,
             minimum_non_matroid(),
@@ -100,8 +111,7 @@ class TestConstructors:
             FeasibleSet(((0.0, 1.0), (1.0, 0.0), (0.0, 1.0)), 1.0),
             from_vertices([[0.0, 0.0], [0.6, 0.0], [0.6, 0.4], [0.0, 1.0], [0.5, 0.5]]),
         ):
-            assert system.tie_order == oracles.tie_order(system.vertices)
-            assert system._ranked.tolist() == [list(system.vertices[j]) for j in system.tie_order]
+            assert in_tie_order(system)
             assert not system._ranked.flags.writeable
 
     def test_tie_order_of_many_tied_systems_matches_the_counting_oracle(self):
@@ -118,10 +128,8 @@ class TestConstructors:
             level = levels[int(rng.integers(len(levels)))]
             systems.append(FeasibleSet(tuple(map(tuple, rng.choice(level, size=(count, n)).tolist())), 1.0))
         for system in systems:
-            assert system.tie_order == oracles.tie_order(system.vertices)
-            assert all(type(j) is int for j in system.tie_order)
             assert system._ranked.shape == (len(system.vertices), system.n)
-            assert system._ranked.tolist() == [list(system.vertices[j]) for j in system.tie_order]
+            assert in_tie_order(system)
             assert system._ranked.flags.f_contiguous and not system._ranked.flags.writeable
 
     def test_members_match_the_shift_loop(self):
