@@ -17,8 +17,8 @@ grid of every bidder's cells fits one block (the product over bidders of
 runs_i + 1 cells, times vertices + bidders, at most _BLOCK), myerson
 scores it once and keeps outcome tables over its cell profiles,
 64 of them for three bidders whose ten atoms form three runs each.
-allocate, payments and Monte Carlo look outcomes up there, and exact
-expectations contract the tables with the bidders' cell masses. Other
+allocate and payments look outcomes up there, and exact expectations
+contract the tables with the bidders' cell masses. Other
 auctions run lines: for each bidder, one line per profile of the others'
 occupied cells, in blocks. Auctions hold read-only arrays and no other state.
 """
@@ -26,13 +26,12 @@ occupied cells, in blocks. Auctions hold read-only arrays and no other state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod, sqrt
+from math import prod
 
 import numpy as np
 
 from .dist import ProductDist
 from .feasible import FeasibleSet
-from .learn import draw_samples
 
 IDENTITY_TOL = 1e-9
 # Numbers held at once per block of cell profiles and per kernel chunk;
@@ -202,10 +201,6 @@ def payments(a: Auction, values) -> tuple[float, ...]:
     return tuple(_payments(a, _cells(a, [values]))[0].tolist())
 
 
-def revenue_on_profile(a: Auction, values) -> float:
-    return sum(payments(a, values))
-
-
 def _expectation(a: Auction, dist: ProductDist) -> tuple[float, float]:
     """Expected revenue and expected ironed virtual welfare under dist.
 
@@ -270,26 +265,6 @@ def expected_virtual_welfare(a: Auction) -> float:
     Past _CAP distinct cell profiles it raises EnumerationCapError.
     """
     return _expectation(a, a.prior)[1]
-
-
-def expected_revenue_mc(
-    a: Auction, eval_dist: ProductDist, trials: int, seed
-) -> tuple[float, float]:
-    """Seeded Monte Carlo estimate of expected revenue: (mean, stderr).
-
-    Profiles come from draw_samples, so results are deterministic given the
-    seed. Each distinct cell profile among the samples is evaluated once.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    cells = _cells(a, draw_samples(eval_dist, trials, seed).values)
-    distinct, which = np.unique(cells, axis=0, return_inverse=True)
-    step = max(1, _BLOCK // (a._phis.size * len(a._phis)))  # n lines of at most one row per cell
-    blocks = (distinct[r : r + step] for r in range(0, len(distinct), step))
-    revs = np.concatenate([_payments(a, b).sum(axis=1) for b in blocks])[which.reshape(-1)]
-    mean = float(revs.mean())
-    stderr = 0.0 if trials == 1 else float(revs.std(ddof=1) / sqrt(trials))
-    return mean, stderr
 
 
 def opt_revenue(d: ProductDist, fs: FeasibleSet) -> float:

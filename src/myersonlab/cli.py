@@ -13,14 +13,31 @@ import sys
 from contextlib import suppress
 
 from . import lab
-from .curves import _intervals, iron, monopoly, revenue_curve
-from .dist import ProductDist, ValueDist
-from .feasible import feasible_from_json
+from .dist import ProductDist, ValueDist, _revenue_points, ironing_intervals, monopoly
+from .feasible import FeasibleSet, feasible_from_json
 
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _declared_n(obj) -> int | None:
+    """The bidder count a feasible-system document declares, peeked before the system is built."""
+    with suppress(KeyError, TypeError, IndexError):  # a malformed count is left to the parser
+        n = len(obj["vectors"][0]) if obj["type"] == "vertices" else obj["n"]
+        if type(n) is int:
+            return n
+    return None
+
+
+def _load_system(path: str, n: int) -> FeasibleSet:
+    """The feasible system in a JSON file, refused unbuilt when it declares other than n bidders."""
+    obj = _load_json(path)
+    declared = _declared_n(obj)
+    if declared is not None and declared != n:
+        raise ValueError(f"prior has {n} bidders, system has {declared}")
+    return feasible_from_json(obj)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -55,10 +72,8 @@ def _cmd_copies(args) -> int:
 
 def _cmd_embed(args) -> int:
     obj = _load_json(args.feasible)
-    with suppress(KeyError, TypeError, IndexError):  # a malformed count falls through
-        n = len(obj["vectors"][0]) if obj["type"] == "vertices" else obj["n"]
-        if type(n) is int and n > lab.EMBED_MAX_N:  # refuse before building the family
-            raise lab.PreconditionError(f"embedding limited to n <= {lab.EMBED_MAX_N}")
+    if (_declared_n(obj) or 0) > lab.EMBED_MAX_N:  # refuse before building the family
+        raise lab.PreconditionError(f"embedding limited to n <= {lab.EMBED_MAX_N}")
     fs = feasible_from_json(obj)
     return _finish(lab.embed_counterexample(fs, args.eps), args)
 
@@ -66,7 +81,7 @@ def _cmd_embed(args) -> int:
 def _cmd_approx_monotone(args) -> int:
     dd = ProductDist.from_json(_load_json(args.dd))
     dtilde = ProductDist.from_json(_load_json(args.dtilde))
-    fs = feasible_from_json(_load_json(args.feasible))
+    fs = _load_system(args.feasible, dd.n)
     return _finish(lab.check_approx_monotone(dd, dtilde, args.eps, fs, args.uniform), args)
 
 
@@ -75,8 +90,8 @@ def _cmd_lipschitz_lb(args) -> int:
 
 
 def _cmd_sample_complexity(args) -> int:
-    fs = feasible_from_json(_load_json(args.feasible))
     d = ProductDist.from_json(_load_json(args.dist))
+    fs = _load_system(args.feasible, d.n)
     return _finish(
         lab.run_sample_complexity(
             fs, d, args.eps, args.delta, args.constant, args.trials, args.seed
@@ -94,13 +109,11 @@ def _cmd_lb_family(args) -> int:
 
 def _cmd_curves(args) -> int:
     d = ValueDist.from_json(_load_json(args.dist))
-    raw = revenue_curve(d)
-    hull = iron(raw)
     price, revenue = monopoly(d)
     payload = {
-        "revenue_curve": raw.to_json(),
-        "ironed_curve": hull.to_json(),
-        "ironing_intervals": [list(iv) for iv in _intervals(raw, hull)],
+        "revenue_curve": [list(p) for p in _revenue_points(d)],
+        "ironed_curve": [list(p) for p in d._hull],
+        "ironing_intervals": [list(iv) for iv in ironing_intervals(d)],
         "monopoly": {"price": price, "revenue": revenue},
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
@@ -191,7 +204,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, OverflowError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -1,19 +1,24 @@
-"""Finite value distributions on [0, 1].
+"""Finite value distributions on [0, 1], their revenue curves, and ironing.
 
 A distribution is a finite list of atoms. CDFs are right-continuous step
 functions, so suprema over values are attained at support points; the
-predicates below evaluate only there and stay exact. A distribution is
-ironed once, when it is built (_ironed_slopes): one monotone-chain sweep,
-after array passes that thin a curve of more than _GATE points by dropping
-the points on or below their neighbours' chord, never a hull vertex.
+predicates below evaluate only there and stay exact. The revenue curve of
+a distribution is piecewise linear in quantile space with one breakpoint
+per atom; ironing replaces it by its upper concave envelope, the hull, and
+the ironed virtual value of a value v is the hull's right derivative at
+the quantile of v. A distribution is ironed once, when it is built
+(_iron): one monotone-chain sweep, after array passes that thin a curve of
+more than _GATE points by dropping the points on or below their
+neighbours' chord, never a hull vertex. It keeps the hull and each atom's
+ironed virtual value, so nothing irons it again.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +35,10 @@ class ValueDist:
     read-only array _support holds the support, the read-only array
     _below[k] is the mass of the k lowest atoms, summed left to right,
     _above[k] is the mass of atom k and every atom above it, summed top
-    down, _slopes[k] is atom k's ironed virtual value, and _runs holds the
-    index of the first atom of each run of adjacent atoms with equal
-    _slopes, such as the atoms of one ironed interval. Quantiles and
+    down, _hull holds the breakpoints of the ironed revenue curve,
+    _slopes[k] is atom k's ironed virtual value, and _runs holds the index
+    of the first atom of each run of adjacent atoms with equal _slopes,
+    such as the atoms of one ironed interval. Quantiles and
     revenue-curve breakpoints must agree bitwise, so every quantile in the
     package is read from _above, whose full-mass entry _above[0] is snapped
     to exactly 1. A lowest atom whose mass is lost when the others are
@@ -44,6 +50,7 @@ class ValueDist:
     _support: np.ndarray = field(init=False, repr=False, compare=False)
     _below: np.ndarray = field(init=False, repr=False, compare=False)
     _above: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _hull: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _runs: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -71,7 +78,8 @@ class ValueDist:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_above", tuple(above))
-        slopes, runs = _ironed_slopes(self)
+        hull, slopes, runs = _iron(self)
+        object.__setattr__(self, "_hull", hull)
         object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_runs", runs)
 
@@ -92,11 +100,12 @@ class ValueDist:
 _GATE = 128
 
 
-def _hull(points) -> list[tuple[float, float]]:
-    """Upper concave envelope of (q, r) points in increasing q: thinning, then the chain."""
+def _envelope(points) -> list[tuple[float, float]]:
+    """Upper concave envelope of (q, r) points in increasing q: thinning, then the chain.
+
+    A curve of more than _GATE points comes as an (m, 2) array.
+    """
     if len(points) > _GATE:
-        if not isinstance(points, np.ndarray):
-            points = np.fromiter(chain.from_iterable(points), float, 2 * len(points)).reshape(-1, 2)
         q, r = points.T
         while len(q) > _GATE:
             q0, q1, q2, r0, r1, r2 = q[:-2], q[1:-1], q[2:], r[:-2], r[1:-1], r[2:]
@@ -120,28 +129,30 @@ def _hull(points) -> list[tuple[float, float]]:
 
 
 def _revenue_points(d: ValueDist) -> tuple[tuple[float, float], ...]:
-    """(0, 0), then (Pr[u >= v], v * Pr[u >= v]) per atom in descending value order."""
+    """The revenue curve: (0, 0), then (Pr[u >= v], v * Pr[u >= v]) per atom in descending
+    value order, so quantiles increase to exactly 1."""
     tails = zip(reversed(d.support), reversed(d._above[:-1]))
     return ((0.0, 0.0),) + tuple((q, q * v) for v, q in tails)
 
 
-def _ironed_slopes(d: ValueDist) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Envelope slope of d's revenue curve to the right of each support value's quantile,
-    and the index of the first atom of each run of equal slopes.
+def _iron(d: ValueDist):
+    """The hull of d's revenue curve, the hull's slope to the right of each support
+    value's quantile, and the index of the first atom of each run of equal slopes.
 
     Support quantiles fall as values rise, so one pointer moves down the
-    envelope's segments while the atoms are taken in ascending order. A
-    curve of more than _GATE points is built as arrays instead, and one
+    hull's segments while the atoms are taken in ascending order. A curve
+    of more than _GATE points is built as arrays instead, and one
     searchsorted over the hull's quantiles finds each atom's segment.
     """
     if len(d._above) > _GATE:
         q = np.array(d._above[::-1])
-        hq, hr = np.array(_hull(np.column_stack((q, q * np.append(0.0, d._support[::-1]))))).T
+        hull = _envelope(np.column_stack((q, q * np.append(0.0, d._support[::-1]))))
+        hq, hr = np.array(hull).T
         k = np.searchsorted(hq, q[-2::-1], side="right") - 1
         slopes = (np.diff(hr) / np.diff(hq))[k]
         starts = np.flatnonzero(slopes[1:] != slopes[:-1]) + 1
-        return tuple(slopes.tolist()), (0, *starts.tolist())
-    hull = _hull(_revenue_points(d))
+        return tuple(hull), tuple(slopes.tolist()), (0, *starts.tolist())
+    hull = _envelope(_revenue_points(d))
     slopes, starts, last = [], [], None
     k = len(hull) - 2
     for q in d._above[1:]:
@@ -153,7 +164,53 @@ def _ironed_slopes(d: ValueDist) -> tuple[tuple[float, ...], tuple[int, ...]]:
             starts.append(len(slopes))
         slopes.append(slope)
         last = slope
-    return tuple(slopes), tuple(starts)
+    return tuple(hull), tuple(slopes), tuple(starts)
+
+
+class VirtualTable(NamedTuple):
+    """Ironed virtual values as a right-continuous step function of value.
+
+    Segment j covers [thresholds[j], thresholds[j+1]); the last segment
+    extends past the top atom.
+    """
+
+    thresholds: tuple[float, ...]
+    slopes: tuple[float, ...]
+
+
+def virtual_table(d: ValueDist) -> VirtualTable:
+    """The ironed virtual value of each support value, which d derived when it was built."""
+    return VirtualTable(d.support, d._slopes)
+
+
+def ironing_intervals(d: ValueDist) -> list[tuple[float, float]]:
+    """Maximal quantile intervals where the hull sits strictly above the revenue curve.
+
+    A hull segment counts as ironed when some raw breakpoint strictly
+    inside it lies more than 1e-12 below the hull. The hull's breakpoints
+    are raw breakpoints, so one walk over the raw curve visits each
+    segment's interior points in turn.
+    """
+    raw, hull = _revenue_points(d), d._hull
+    out = []
+    j = 0
+    for (q0, r0), (q1, r1) in zip(hull, hull[1:]):
+        slope = (r1 - r0) / (q1 - q0)
+        ironed_here = False
+        while raw[j][0] < q1:
+            q, r = raw[j]
+            if q0 < q and r0 + slope * (q - q0) - r > 1e-12:
+                ironed_here = True
+            j += 1
+        if ironed_here:
+            out.append((q0, q1))
+    return out
+
+
+def monopoly(d: ValueDist) -> tuple[float, float]:
+    """Best take-it-or-leave-it price over the support, ties toward the larger price."""
+    revenue, price = max((v * q, v) for v, q in zip(d.support, d._above))
+    return price, revenue
 
 
 class ProductDist(tuple):
@@ -216,12 +273,6 @@ def point_mass(v: float) -> ValueDist:
     return ValueDist((float(v),), (1.0,))
 
 
-def uniform_grid(values) -> ValueDist:
-    """Uniform distribution over the given values."""
-    values = list(values)
-    return make_discrete(values, [1.0 / len(values)] * len(values))
-
-
 def discretize_uniform_with_atom(
     atom_value: float, atom_mass: float, step: float
 ) -> ValueDist:
@@ -234,46 +285,6 @@ def discretize_uniform_with_atom(
     cells = round(1.0 / step)
     values = [(j + 0.5) * step for j in range(cells)]
     return make_discrete(values + [atom_value], [(1.0 - atom_mass) / cells] * cells + [atom_mass])
-
-
-def _rank(support, v: float) -> int:
-    """Position of v in a sorted support; NaN, which no order places, raises ValueError."""
-    if v != v:
-        raise ValueError("value is NaN")
-    return bisect_right(support, v)
-
-
-def cdf(d: ValueDist, v: float) -> float:
-    """Pr[u <= v] for u drawn from d."""
-    return float(d._below[_rank(d.support, v)])
-
-
-def quantile_of_value(d: ValueDist, v: float) -> float:
-    """Pr[u > v], the quantile of value v; nonincreasing in v."""
-    return d._above[_rank(d.support, v)]
-
-
-def value_of_quantile(d: ValueDist, q: float) -> float:
-    """Smallest value whose quantile is at most q.
-
-    Evaluates to a support value, or to 0 at q = 1 where the infimum runs
-    over the whole half-line.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile {q!r} outside [0, 1]")
-    if q >= 1.0:
-        return 0.0
-    for v, tail in zip(d.support, d._above[1:]):
-        if tail <= q + MASS_TOL:
-            return v
-    return 0.0  # unreachable: the final tail is 0 <= q
-
-
-def scale_values(d: ValueDist, factor: float) -> ValueDist:
-    """Multiply every support value by factor in (0, 1]; masses unchanged."""
-    if not 0.0 < factor <= 1.0:
-        raise ValueError(f"scale factor {factor!r} outside (0, 1]")
-    return make_discrete([v * factor for v in d.support], d.probs)
 
 
 def _cdf_pairs(a: ProductDist, b: ProductDist) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Feasible allocation systems: set systems, matroid checks, fractional vertex sets.
+"""Feasible allocation systems: set systems, the exchange check, fractional vertex sets.
 
 A feasible system is stored by the vertices of its allocation polytope
 and its rank. For linear objectives (virtual welfare) randomization never
@@ -144,33 +144,14 @@ def is_downward_closed(fs: FeasibleSet) -> bool:
     return True
 
 
-def is_matroid(fs: FeasibleSet) -> bool:
-    """Empty set present, downward closed, and the exchange property holds.
-
-    In a downward-closed family a failed exchange between any two sizes
-    shrinks to one between sizes one apart, so find_exchange_violation
-    decides the exchange property.
-    """
-    return is_downward_closed(fs) and 0 in fs.sets_view and _exchange_violation(fs) is None
-
-
-def find_exchange_violation(
-    fs: FeasibleSet,
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+def _exchange_violation(fs: FeasibleSet) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Witness (S, S') of a failed exchange with |S| = |S'| + 1, or None.
 
-    Among violating pairs, returns one maximizing |S & S'|, breaking ties
-    lexicographically on the sorted member tuples. Requires a
-    downward-closed binary system; on a matroid returns None.
-    """
-    if not is_downward_closed(fs):
-        raise ValueError("exchange check needs a downward-closed system")
-    return _exchange_violation(fs)
-
-
-def _exchange_violation(fs: FeasibleSet) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """find_exchange_violation on a binary system already known to be downward closed.
-
+    fs must be a binary system already known to be downward closed. Among
+    violating pairs, returns one maximizing |S & S'|, breaking ties
+    lexicographically on the sorted member tuples. A failed exchange
+    between any two sizes shrinks to one between sizes one apart, so a
+    family that holds the empty set is a matroid exactly when this is None.
     ext[S'] holds the bidders x outside S' for which S' + x is feasible, so
     (S, S') violates exchange exactly when S & ext[S'] is empty.
     """
@@ -192,16 +173,6 @@ def _exchange_violation(fs: FeasibleSet) -> tuple[tuple[int, ...], tuple[int, ..
                         if best_key is None or key < best_key:
                             best, best_key = key[1:], key
     return best
-
-
-def demand_reduce(fs: FeasibleSet, d: float) -> FeasibleSet:
-    """Scale every allocation by 1/d; rank scales exactly by 1/d."""
-    top = max(x for v in fs.vertices for x in v)
-    if d < top:
-        raise ValueError(f"demand {d!r} smaller than coordinate {top!r}")
-    if not d > 0.0:  # reached only when every coordinate is 0, or at a NaN
-        raise ValueError(f"demand {d!r} must be positive")
-    return FeasibleSet(tuple(tuple(x / d for x in v) for v in fs.vertices), fs.rank / d)
 
 
 def feasible_from_json(obj: dict) -> FeasibleSet:

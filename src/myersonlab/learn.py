@@ -1,7 +1,7 @@
 """Sampling and learned priors: empirical and dominated empirical distributions,
-concentration radii, sample-count formulas, and Hellinger distances.
+sample-count formulas, and the Hellinger distance.
 
-Natural logarithms throughout the sample-count and radius formulas.
+Natural logarithms throughout the sample-count and inflation formulas.
 """
 
 from __future__ import annotations
@@ -110,22 +110,6 @@ def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
     return ProductDist(tuple(dists))
 
 
-def bernstein_radius(mean: float, count: int, delta: float) -> float:
-    """Two-sided confidence radius for the mean of [0, 1] samples, on the probability scale.
-
-    t = sqrt(2 m (1-m) ln(2/delta) / N) + ln(2/delta) / N, which satisfies
-    t^2 >= (2 m (1-m) + (2/3) t) ln(2/delta) / N.
-    """
-    if not 0.0 <= mean <= 1.0:
-        raise ValueError(f"mean {mean!r} outside [0, 1]")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta {delta!r} outside (0, 1)")
-    coef = log(2.0 / delta)
-    return sqrt(2.0 * mean * (1.0 - mean) * coef / count) + coef / count
-
-
 def required_samples(
     setting: str, n: int, k: float, eps: float, delta: float, C: float
 ) -> int:
@@ -153,16 +137,3 @@ def hellinger_sq(p: ValueDist, q: ValueDist) -> float:
     for v in set(pm) | set(qm):
         total += (sqrt(pm.get(v, 0.0)) - sqrt(qm.get(v, 0.0))) ** 2
     return 0.5 * total
-
-
-def hellinger_sq_product(ps: ProductDist, qs: ProductDist) -> float:
-    """Exact squared Hellinger distance of products: 1 - prod(1 - H_i^2).
-
-    Always at most the coordinate sum of squared distances.
-    """
-    if ps.n != qs.n:
-        raise ValueError(f"dimension mismatch: {ps.n} vs {qs.n}")
-    compl = 1.0
-    for pi, qi in zip(ps, qs):
-        compl *= 1.0 - hellinger_sq(pi, qi)
-    return 1.0 - compl

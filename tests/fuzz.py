@@ -1,4 +1,4 @@
-"""Seeded random instances for the fuzz suites.
+"""Seeded random instances for the fuzz suites, and two prior builders the suites share.
 
 The draws are fixed: a given generator state always yields the same
 distributions and systems, so the acceptance checks see the same
@@ -20,6 +20,19 @@ from myersonlab.feasible import (
 )
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def uniform_grid(values) -> ValueDist:
+    """Uniform distribution over the given values."""
+    values = list(values)
+    return make_discrete(values, [1.0 / len(values)] * len(values))
+
+
+def scale_values(d: ValueDist, factor: float) -> ValueDist:
+    """Multiply every support value by factor in (0, 1]; masses unchanged."""
+    if not 0.0 < factor <= 1.0:
+        raise ValueError(f"scale factor {factor!r} outside (0, 1]")
+    return make_discrete([v * factor for v in d.support], d.probs)
 
 
 def random_value_dist(rng: np.random.Generator, max_atoms: int = 4, grid=GRID) -> ValueDist:

@@ -2,9 +2,10 @@
 
 Each function evaluates its definition directly, point by point, with
 quadratic cost: CDFs by a scalar left-to-right sum at every merged support
-point and at its left limit, the envelope by the monotone chain over every
-breakpoint with no thinning, virtual tables by a pointer walk down that
-envelope, virtual values by one envelope lookup per atom, the starts of
+point and at its left limit, revenue-curve quantiles by a scalar sum of
+masses from the top atom down, the envelope by the monotone chain over
+every breakpoint with no thinning, virtual tables by a pointer walk down
+that envelope, virtual values by one envelope lookup per atom, the starts of
 runs of equal virtual values by a scan of them, ironed segments by a scan
 of the whole raw curve per segment, the matroid exchange
 property over every pair of set sizes, the exchange violation search
@@ -31,8 +32,7 @@ from math import log, sqrt
 import numpy as np
 
 from myersonlab.auction import myerson
-from myersonlab.curves import NEG_INF, RevenueCurve, VirtualTable, revenue_curve
-from myersonlab.dist import CDF_TOL, MASS_TOL, ProductDist, ValueDist, quantile_of_value
+from myersonlab.dist import CDF_TOL, MASS_TOL, ProductDist, ValueDist
 from myersonlab.feasible import from_independent_sets
 from myersonlab.learn import SampleMatrix
 
@@ -103,10 +103,23 @@ def dominated_empirical(s, delta):
     return ProductDist(tuple(dists))
 
 
-def iron(c):
+def revenue_curve(d):
+    """Breakpoints (0, 0), then (Pr[u >= v], Pr[u >= v] * v) per atom from the top down.
+
+    Each tail is the scalar sum of the masses from the top atom down to v,
+    except at the lowest atom, where it is the full mass 1, not its sum.
+    """
+    points, tail = [(0.0, 0.0)], 0.0
+    for j in reversed(range(len(d.support))):
+        tail = 1.0 if j == 0 else tail + d.probs[j]
+        points.append((tail, tail * d.support[j]))
+    return tuple(points)
+
+
+def iron(breakpoints):
     """Upper concave envelope by one monotone-chain sweep over every breakpoint."""
     hull = []
-    for q, r in c.breakpoints:
+    for q, r in breakpoints:
         while len(hull) >= 2:
             (q0, r0), (q1, r1) = hull[-2], hull[-1]
             # pop the middle point when it is on or below the chord
@@ -115,36 +128,48 @@ def iron(c):
             else:
                 break
         hull.append((q, r))
-    return RevenueCurve(tuple(hull))
+    return tuple(hull)
 
 
-def virtual_table(d):
+def walk_slopes(d):
     """Envelope slopes of the support values, one pointer walking down the full chain's hull."""
-    hull = iron(revenue_curve(d)).breakpoints
+    curve = revenue_curve(d)
+    hull = iron(curve)
     slopes = []
     k = len(hull) - 2
-    for q in d._above[1:]:
+    for q, _ in reversed(curve[:-1]):  # Pr[u > v] of each atom v, in ascending order of v
         while hull[k][0] > q:
             k -= 1
         (q0, r0), (q1, r1) = hull[k], hull[k + 1]
         slopes.append((r1 - r0) / (q1 - q0))
-    return VirtualTable(d.support, tuple(slopes))
+    return tuple(slopes)
 
 
-def right_slope_at(c, q):
-    """Slope of the curve's segment to the right of quantile q in [0, 1)."""
+def virtual_value(d, v):
+    """The walked slope of the highest atom at most v; None, which sinks, below the lowest atom."""
+    idx = bisect_right(d.support, v) - 1
+    return None if idx < 0 else walk_slopes(d)[idx]
+
+
+def right_slope_at(bps, q):
+    """Slope of the segment of the curve through breakpoints bps to the right of quantile q < 1."""
     if not 0.0 <= q < 1.0:
         raise ValueError(f"no right derivative at quantile {q!r}")
-    bps = c.breakpoints
     idx = bisect_right([p[0] for p in bps], q) - 1
     (q0, r0), (q1, r1) = bps[idx], bps[idx + 1]
     return (r1 - r0) / (q1 - q0)
 
 
 def virtual_slopes(d):
-    """Right slope of the ironed revenue curve at the quantile of each support value."""
-    hull = iron(revenue_curve(d))
-    return tuple(right_slope_at(hull, quantile_of_value(d, v)) for v in d.support)
+    """Right slope of the ironed revenue curve at Pr[u > v] of each support value v.
+
+    Pr[u > v] of an atom is Pr[u >= v] of the next atom up, a quantile of
+    the curve, and 0 for the top atom.
+    """
+    curve = revenue_curve(d)
+    hull = iron(curve)
+    m = len(d.support)
+    return tuple(right_slope_at(hull, curve[m - 1 - j][0]) for j in range(m))
 
 
 def run_starts(d):
@@ -156,11 +181,11 @@ def run_starts(d):
 def ironing_intervals(d):
     """Envelope segments with a raw breakpoint strictly inside and 1e-12 below."""
     raw = revenue_curve(d)
-    hull = iron(raw).breakpoints
+    hull = iron(raw)
     out = []
     for (q0, r0), (q1, r1) in zip(hull, hull[1:]):
         slope = (r1 - r0) / (q1 - q0)
-        if any(q0 < q < q1 and r0 + slope * (q - q0) - r > 1e-12 for q, r in raw.breakpoints):
+        if any(q0 < q < q1 and r0 + slope * (q - q0) - r > 1e-12 for q, r in raw):
             out.append((q0, q1))
     return out
 
@@ -318,31 +343,31 @@ def per_atom_auction(prior, fs):
     It holds no outcome tables, so every evaluation runs the kernel on lines of atoms.
     """
     a = myerson(prior, fs)
-    tables = [virtual_table(d) for d in prior]
-    width = max(len(t.slopes) for t in tables)
-    phis = np.array([(0.0,) + t.slopes + (0.0,) * (width - len(t.slopes)) for t in tables])
-    thresholds = np.array([t.thresholds + (0.0,) * (width - len(t.thresholds)) for t in tables])
-    atoms = tuple(len(t.thresholds) for t in tables)
+    width = max(len(d.support) for d in prior)
+    pad = [(0.0,) * (width - len(d.support)) for d in prior]
+    phis = np.array([(0.0,) + walk_slopes(d) + z for d, z in zip(prior, pad)])
+    thresholds = np.array([d.support + z for d, z in zip(prior, pad)])
+    atoms = tuple(len(d.support) for d in prior)
     return replace(a, _phis=phis, _thresholds=thresholds, _runs=atoms, _ranks=None, _outcomes=None)
 
 
 def allocate(a, values):
     """Vertex maximizing ironed virtual welfare, scanned in tie order.
 
-    Bidders below their prior's lowest atom get NEG_INF and sink: vertices
+    Bidders below their prior's lowest atom get None and sink: vertices
     allocating to them are excluded while any other is left, and otherwise
     every vertex is ranked by the welfare of its non-sunk part.
     """
     verts = a.feasible.vertices
     order = tie_order(verts)
-    phis = [virtual_table(d).at(v) for d, v in zip(a.prior, values)]
-    sunk = [i for i, p in enumerate(phis) if p is NEG_INF]
+    phis = [virtual_value(d, v) for d, v in zip(a.prior, values)]
+    sunk = [i for i, p in enumerate(phis) if p is None]
     candidates = [j for j in order if all(verts[j][i] <= 0.0 for i in sunk)]
     if candidates:
         eff = phis
     else:
         candidates = list(order)
-        eff = [0.0 if p is NEG_INF else p for p in phis]
+        eff = [0.0 if p is None else p for p in phis]
     best = None
     best_w = None
     for j in candidates:
@@ -397,7 +422,7 @@ def expected_virtual_welfare(a, eval_dist):
         for _, p in combo:
             prob *= p
         values = tuple(v for v, _ in combo)
-        phis = [virtual_table(d).at(v) for d, v in zip(a.prior, values)]
+        phis = [virtual_value(d, v) for d, v in zip(a.prior, values)]
         x = allocate(a, values)
-        total += prob * sum(xi * p for xi, p in zip(x, phis) if p is not NEG_INF)
+        total += prob * sum(xi * p for xi, p in zip(x, phis) if p is not None)
     return total

@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v` (add -s to see the verdict
 lines on passing runs too).
 """
 
+import ast
+import re
 import time
 from itertools import product as iproduct
 from math import log, sqrt
@@ -24,10 +26,10 @@ from myersonlab.dist import (
     ProductDist,
     discretize_uniform_with_atom,
     dominates,
+    ironing_intervals,
     is_close,
     make_discrete,
     min_closeness_eps,
-    uniform_grid,
 )
 from myersonlab.feasible import all_or_nothing, uniform_matroid
 from myersonlab.lab import (
@@ -36,16 +38,10 @@ from myersonlab.lab import (
     run_nonmonotone,
     run_sample_complexity,
 )
-from myersonlab.learn import (
-    bernstein_radius,
-    dominated_empirical,
-    draw_samples,
-    hellinger_sq,
-    hellinger_sq_product,
-    required_samples,
-)
+from myersonlab.learn import dominated_empirical, draw_samples, hellinger_sq, required_samples
 
-from fuzz import dominated_pair, random_feasible, random_product
+from fuzz import dominated_pair, random_feasible, random_product, uniform_grid
+from test_learn import bernstein_radius, hellinger_sq_product
 
 GRID10 = [round(0.1 * j, 10) for j in range(1, 11)]
 
@@ -81,8 +77,6 @@ def test_c02_copies_corollary():
 
 
 def test_c03_ironing_golden_case():
-    from myersonlab.curves import ironing_intervals
-
     d = discretize_uniform_with_atom(0.5, 0.2, 1e-3)
     intervals = ironing_intervals(d)
     lo_target, hi_target = (3 - sqrt(3)) / 5, 3 / 5
@@ -261,3 +255,22 @@ def test_source_stays_within_the_line_budget():
     src = Path(__file__).resolve().parents[1] / "src" / "myersonlab"
     lines = sum(p.read_bytes().count(b"\n") for p in src.glob("*.py"))
     assert lines <= 1920, f"src/myersonlab has {lines} lines, over the budget of 1,920"
+
+
+def test_every_export_has_a_reader():
+    # a name the package exports must be read by the benchmark or by another
+    # module of the package: one that only tests read belongs with the tests
+    root = Path(__file__).resolve().parents[1]
+    src = root / "src" / "myersonlab"
+    bench = "".join(p.read_text(encoding="utf-8") for p in (root / "bench").glob("*.py"))
+    unread = []
+    for node in ast.parse((src / "__init__.py").read_text(encoding="utf-8")).body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        others = [p for p in src.glob("*.py") if p.name not in ("__init__.py", f"{node.module}.py")]
+        texts = [bench] + [p.read_text(encoding="utf-8") for p in others]
+        for alias in node.names:
+            word = re.compile(rf"\b{re.escape(alias.name)}\b")
+            if not any(word.search(text) for text in texts):
+                unread.append(f"{node.module}.{alias.name}")
+    assert not unread, f"exported, but read by neither bench/ nor another module: {unread}"

@@ -4,7 +4,7 @@ import re
 import tracemalloc
 from itertools import combinations
 from itertools import product as iproduct
-from math import nan, prod
+from math import nan, prod, sqrt
 
 import numpy as np
 import pytest
@@ -15,15 +15,15 @@ from myersonlab.auction import (
     _BLOCK,
     CrossCheckError,
     EnumerationCapError,
+    _cells,
     _expectation,
+    _payments,
     allocate,
     expected_revenue,
-    expected_revenue_mc,
     expected_virtual_welfare,
     myerson,
     opt_revenue,
     payments,
-    revenue_on_profile,
 )
 from myersonlab.dist import (
     ProductDist,
@@ -31,11 +31,10 @@ from myersonlab.dist import (
     make_discrete,
     point_mass,
     product_dist,
-    uniform_grid,
 )
 from myersonlab.feasible import (
+    _exchange_violation,
     all_or_nothing,
-    find_exchange_violation,
     from_independent_sets,
     from_vertices,
     minimum_non_matroid,
@@ -44,11 +43,20 @@ from myersonlab.feasible import (
 from myersonlab.lab import embed_counterexample, lipschitz_pair, nonmonotone_gadget
 from myersonlab.learn import dominated_empirical, draw_samples
 
-from fuzz import dominated_pair, random_feasible, random_product, random_value_dist
+from fuzz import dominated_pair, random_feasible, random_product, random_value_dist, uniform_grid
 
 EPS = 0.1
 MINNON_SETS = [(), (0,), (1,), (2,), (1, 2)]
 GADGET_PRIOR, GADGET_BIG, GADGET_FS = nonmonotone_gadget(EPS)
+
+
+def expected_revenue_mc(a, eval_dist, trials, seed):
+    """Seeded Monte Carlo estimate of expected revenue, (mean, stderr), priced in one batch."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    revs = _payments(a, _cells(a, draw_samples(eval_dist, trials, seed).values)).sum(axis=1)
+    stderr = 0.0 if trials == 1 else float(revs.std(ddof=1) / sqrt(trials))
+    return float(revs.mean()), stderr
 
 
 @pytest.fixture(scope="module")
@@ -73,9 +81,9 @@ class TestGadgetCaseTable:
         assert payments(gadget_auction, profile) == pytest.approx(pays, abs=1e-12)
 
     def test_profile_revenues(self, gadget_auction):
-        assert revenue_on_profile(gadget_auction, (0.5, 1.0, 1.0)) == pytest.approx(0.2)
-        assert revenue_on_profile(gadget_auction, (0.5, 1.0, EPS)) == pytest.approx(1.1)
-        assert revenue_on_profile(gadget_auction, (0.5, EPS, EPS)) == pytest.approx(0.5)
+        assert sum(payments(gadget_auction, (0.5, 1.0, 1.0))) == pytest.approx(0.2)
+        assert sum(payments(gadget_auction, (0.5, 1.0, EPS))) == pytest.approx(1.1)
+        assert sum(payments(gadget_auction, (0.5, EPS, EPS))) == pytest.approx(0.5)
 
     def test_sentinel_bidders_never_win_with_alternative(self, gadget_auction):
         # B and C below the prior's lowest atom are excluded outright
@@ -417,7 +425,7 @@ class TestAgainstScalarReference:
         # bidders 3 and 4 in both sets of the violating pair
         extra = [c for r in range(3) for c in combinations(range(3, 10), r)]
         fs = from_independent_sets(10, [g + u for g in MINNON_SETS for u in extra])
-        assert find_exchange_violation(fs) == ((1, 2, 3, 4), (0, 3, 4))
+        assert _exchange_violation(fs) == ((1, 2, 3, 4), (0, 3, 4))
         bc = make_discrete([0.1 * 0.1, 0.1], [0.9, 0.1])
         design = (point_mass(0.05), bc, bc, point_mass(1.0), point_mass(1.0))
         outsider = make_discrete([0.0, 0.1 * 0.1 * 0.1], [0.99, 0.01])
@@ -661,7 +669,7 @@ class TestNanBids:
     def test_refused(self, bids):
         prior = ProductDist((make_discrete([0.2, 0.8], [0.5, 0.5]),) * 2)
         a = myerson(prior, uniform_matroid(2, 1))
-        for evaluate in (allocate, payments, revenue_on_profile):
+        for evaluate in (allocate, payments):
             with pytest.raises(ValueError, match="NaN"):
                 evaluate(a, bids)
 
@@ -675,7 +683,7 @@ class TestProfileWidth:
         monkeypatch.setattr("myersonlab.auction._BLOCK", 1)  # no grid fits
         lines = myerson(prior, uniform_matroid(2, 1))
         assert tables._outcomes is not None and lines._outcomes is None
-        for a, evaluate in iproduct((tables, lines), (allocate, payments, revenue_on_profile)):
+        for a, evaluate in iproduct((tables, lines), (allocate, payments)):
             with pytest.raises(ValueError, match=re.escape(f"shape {np.shape(bids)} for 2 bidders")):
                 evaluate(a, bids)
 
@@ -698,20 +706,18 @@ def test_payments_on_fresh_bids_leave_memory_flat():
 
 def test_evaluation_memory_is_bounded_by_the_block():
     # unblocked, each evaluation would hold over 10 * _BLOCK numbers at once:
-    # cell indices of its rows' own-value sweeps, or welfare scores per cell
+    # the points of its lines, or welfare scores per cell
     many = ProductDist((make_discrete([0.5, 1.0], [0.5, 0.5]),) * 15)
     wide = ProductDist(tuple(uniform_grid(np.linspace(0.01, 1.0, 60)) for _ in range(2)))
     fractional = from_vertices([[p / 7, q / 7] for p in range(8) for q in range(8 - p)])
     unanimous = myerson(many, all_or_nothing(15, 15))
-    item = myerson(wide, uniform_matroid(2, 1))
     # the widest table that fits: 57^2 cells times 3 vertices and 2 bidders
     fits = ProductDist(tuple(uniform_grid(np.linspace(0.01, 1.0, 56)) for _ in range(2)))
     assert myerson(fits, uniform_matroid(2, 1))._outcomes is not None
-    assert unanimous._outcomes is None and item._outcomes is None  # 2^15 and 61^2 cells do not fit
+    assert unanimous._outcomes is None  # 2^15 cells do not fit
     evaluations = {
         "exact, 2^15 profiles": lambda: expected_revenue(unanimous, many),
         "welfare, 36 vertices": lambda: expected_virtual_welfare(myerson(wide, fractional)),
-        "monte carlo": lambda: expected_revenue_mc(item, wide, 3000, 0),
         "myerson, 57^2 cells": lambda: myerson(fits, uniform_matroid(2, 1)),
     }
     peaks = {}

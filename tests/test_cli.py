@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 import oracles
 from myersonlab import cli
 from myersonlab.cli import build_parser, main
-from myersonlab.curves import revenue_curve
 from myersonlab.dist import make_discrete
 
 
@@ -216,7 +216,62 @@ class TestLbFamily:
         assert obj["metrics"]["hellinger_sq"] <= obj["metrics"]["hellinger_sq_bound"]
 
 
+# the curves report of make_discrete([0.4, 0.5, 1.0], [0.8, 0.1, 0.1]), byte for byte
+IRONED_THREE_ATOMS = """\
+{
+  "ironed_curve": [
+    [
+      0.0,
+      0.0
+    ],
+    [
+      0.1,
+      0.1
+    ],
+    [
+      1.0,
+      0.4
+    ]
+  ],
+  "ironing_intervals": [
+    [
+      0.1,
+      1.0
+    ]
+  ],
+  "monopoly": {
+    "price": 0.4,
+    "revenue": 0.4
+  },
+  "revenue_curve": [
+    [
+      0.0,
+      0.0
+    ],
+    [
+      0.1,
+      0.1
+    ],
+    [
+      0.2,
+      0.1
+    ],
+    [
+      1.0,
+      0.4
+    ]
+  ]
+}
+"""
+
+
 class TestCurves:
+    def test_report_bytes(self, capsys, tmp_path):
+        # sorted keys, indent 2 and each float's shortest repr; the breakpoint
+        # (0.2, 0.1) lies below the hull, which irons (0.1, 1.0)
+        dist = write_json(tmp_path / "d.json", {"support": [0.4, 0.5, 1.0], "probs": [0.8, 0.1, 0.1]})
+        assert run(capsys, ["curves", "--dist", dist]) == (0, IRONED_THREE_ATOMS, "")
+
     def test_dump(self, capsys, tmp_path):
         dist = write_json(tmp_path / "d.json", {"support": [0.1, 1.0], "probs": [0.9, 0.1]})
         code, out, _ = run(capsys, ["curves", "--dist", dist])
@@ -252,7 +307,11 @@ class TestCurves:
         code, out, _ = run(capsys, ["curves", "--dist", dist])
         obj = json.loads(out)
         assert code == 0
-        assert obj["ironed_curve"] == [list(p) for p in oracles.iron(revenue_curve(d)).breakpoints]
+        raw = oracles.revenue_curve(d)
+        hull = oracles.iron(raw)
+        assert [tuple(map(float.hex, p)) for p in d._hull] == [tuple(map(float.hex, p)) for p in hull]
+        assert obj["revenue_curve"] == [list(p) for p in raw]
+        assert obj["ironed_curve"] == [list(p) for p in hull]
         assert obj["ironing_intervals"] == [list(iv) for iv in oracles.ironing_intervals(d)]
         assert obj["ironing_intervals"]
 
@@ -411,6 +470,34 @@ class TestErrors:
         assert exc.value.code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["sample-complexity", "approx-monotone"])
+    def test_system_of_other_bidders_refused_before_it_is_built(
+        self, capsys, tmp_path, monkeypatch, subcommand
+    ):
+        # a million-bidder system would take seconds and gigabytes to build
+        def unbuilt(*args):
+            raise AssertionError("the system was built")
+
+        monkeypatch.setattr("myersonlab.feasible.all_or_nothing", unbuilt)
+        d = {"support": [0.2, 0.5, 0.9], "probs": [0.3, 0.3, 0.4]}
+        dist = write_json(tmp_path / "d.json", [d, d])
+        fs = write_json(tmp_path / "fs.json", {"type": "all_or_nothing", "n": 1_000_000, "k": 1})
+        argv = {
+            "sample-complexity": ["sample-complexity", "--dist", dist, "--trials", "1"],
+            "approx-monotone": ["approx-monotone", "--dd", dist, "--dtilde", dist, "--eps", "0.1"],
+        }[subcommand]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv + ["--feasible", fs])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", "error: prior has 2 bidders, system has 1000000\n")
+
+    def test_error_without_a_message_names_its_type(self, capsys, monkeypatch):
+        def exhausted(eps):
+            raise MemoryError
+
+        monkeypatch.setattr("myersonlab.lab.run_nonmonotone", exhausted)
+        assert run(capsys, ["nonmonotone"]) == (1, "", "error: MemoryError\n")
+
     def test_sample_matrix_too_large_to_allocate(self, capsys, tmp_path):
         # the sample count asks numpy for 15.1 PiB, more than any address space can map
         d = {"support": [0.2, 0.5, 0.9], "probs": [0.3, 0.3, 0.4]}
@@ -422,10 +509,10 @@ class TestErrors:
         assert err.startswith("error: Unable to allocate")
 
     def test_uniform_matroid_too_large_to_list(self, capsys, tmp_path):
-        # sample-complexity builds the system before it reads the prior; embed
-        # refuses more than ten bidders before building anything
+        # the prior's 24 bidders match the system's, so the system itself refuses;
+        # embed refuses more than ten bidders before building anything
         fs = write_json(tmp_path / "fs.json", {"type": "uniform_matroid", "n": 24, "k": 12})
-        dist = write_json(tmp_path / "d.json", [{"support": [0.5], "probs": [1.0]}])
+        dist = write_json(tmp_path / "d.json", [{"support": [0.5], "probs": [1.0]}] * 24)
         code, out, err = run(capsys, ["sample-complexity", "--feasible", fs, "--dist", dist])
         assert (code, out) == (1, "")
         assert err.startswith("error: uniform matroid n=24 k=12 has 9740686 sets")

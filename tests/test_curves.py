@@ -5,116 +5,84 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from myersonlab.auction import myerson
-from myersonlab.curves import (
-    NEG_INF,
-    iron,
-    ironed_virtual,
-    ironing_intervals,
-    monopoly,
-    revenue_curve,
-    virtual_table,
-    RevenueCurve,
-)
+from myersonlab.auction import _cells, myerson
 from myersonlab.dist import (
     _GATE,
     ProductDist,
     ValueDist,
+    _envelope,
+    _revenue_points,
     discretize_uniform_with_atom,
+    ironing_intervals,
     make_discrete,
+    monopoly,
     point_mass,
-    scale_values,
-    uniform_grid,
+    virtual_table,
 )
 from myersonlab.feasible import uniform_matroid
 from myersonlab.learn import SampleMatrix, dominated_empirical, draw_samples, empirical
 
 import oracles
+from fuzz import scale_values, uniform_grid
 from test_dist import TWO_POINT, value_dists
 
 
-class TestNegInfSentinel:
-    def test_ordering(self):
-        assert NEG_INF < -1e300
-        assert NEG_INF <= NEG_INF
-        assert not NEG_INF < NEG_INF
-        assert not (-1e300 < NEG_INF)
-        assert NEG_INF == NEG_INF
-        assert NEG_INF != 0.0
-
-    def test_arithmetic_forbidden(self):
-        with pytest.raises(TypeError):
-            NEG_INF + 1.0
-        with pytest.raises(TypeError):
-            0.0 * NEG_INF
+def ironed_virtual(d, v):
+    """d's ironed virtual value at bid v as the auction reads it; None below every atom (cell 0)."""
+    a = myerson(ProductDist((d,)), uniform_matroid(1, 1))
+    cell = _cells(a, [[v]])[0, 0]
+    return None if cell == 0 else float(a._phis[0, cell])
 
 
 class TestRevenueCurve:
     def test_two_point(self):
-        c = revenue_curve(TWO_POINT)
-        assert c.breakpoints == ((0.0, 0.0), (0.1, 0.1), (1.0, 0.1))
+        assert _revenue_points(TWO_POINT) == ((0.0, 0.0), (0.1, 0.1), (1.0, 0.1))
 
     def test_point_mass(self):
-        assert revenue_curve(point_mass(0.5)).breakpoints == ((0.0, 0.0), (1.0, 0.5))
+        assert _revenue_points(point_mass(0.5)) == ((0.0, 0.0), (1.0, 0.5))
 
     def test_uniform_thirds(self):
-        c = revenue_curve(make_discrete([1 / 3, 2 / 3, 1.0], [1 / 3, 1 / 3, 1 / 3]))
-        qs = [q for q, _ in c.breakpoints]
-        rs = [r for _, r in c.breakpoints]
+        c = _revenue_points(make_discrete([1 / 3, 2 / 3, 1.0], [1 / 3, 1 / 3, 1 / 3]))
+        qs = [q for q, _ in c]
+        rs = [r for _, r in c]
         assert qs == pytest.approx([0.0, 1 / 3, 2 / 3, 1.0], abs=1e-12)
         assert rs == pytest.approx([0.0, 1 / 3, 4 / 9, 1 / 3], abs=1e-12)
-
-    def test_value_at_interpolates(self):
-        c = revenue_curve(TWO_POINT)
-        assert c.value_at(0.05) == pytest.approx(0.05, abs=1e-12)
-        assert c.value_at(0.55) == pytest.approx(0.1, abs=1e-12)
-        with pytest.raises(ValueError):
-            c.value_at(1.0001)
 
     @given(value_dists())
     @settings(max_examples=80, deadline=None)
     def test_shape(self, d):
-        c = revenue_curve(d)
-        qs = [q for q, _ in c.breakpoints]
-        assert c.breakpoints[0] == (0.0, 0.0)
-        assert qs[-1] == 1.0
-        assert all(a < b for a, b in zip(qs, qs[1:]))
-        for curve in (c, iron(c)):
-            assert all(curve.value_at(q) == r for q, r in curve.breakpoints)
+        for curve in (_revenue_points(d), d._hull):
+            qs = [q for q, _ in curve]
+            assert curve[0] == (0.0, 0.0)
+            assert qs[-1] == 1.0
+            assert all(a < b for a, b in zip(qs, qs[1:]))
 
     @given(value_dists())
     @settings(max_examples=80, deadline=None)
     def test_peak_is_monopoly_revenue(self, d):
-        c = revenue_curve(d)
         _, rev = monopoly(d)
-        assert max(r for _, r in c.breakpoints) == pytest.approx(rev, abs=1e-12)
+        assert max(r for _, r in _revenue_points(d)) == pytest.approx(rev, abs=1e-12)
 
 
 class TestIron:
     def test_concave_input_unchanged(self):
-        c = revenue_curve(TWO_POINT)
-        assert iron(c).breakpoints == c.breakpoints
+        assert TWO_POINT._hull == _revenue_points(TWO_POINT)
 
     def test_v_shape_hull(self):
-        c = RevenueCurve(((0.0, 0.0), (0.5, 0.1), (1.0, 0.4)))
-        assert iron(c).breakpoints == ((0.0, 0.0), (1.0, 0.4))
+        assert _envelope(((0.0, 0.0), (0.5, 0.1), (1.0, 0.4))) == [(0.0, 0.0), (1.0, 0.4)]
 
     @given(value_dists())
     @settings(max_examples=100, deadline=None)
     def test_envelope_properties(self, d):
-        c = revenue_curve(d)
-        h = iron(c)
-        assert set(h.breakpoints) <= set(c.breakpoints)
-        for q, r in c.breakpoints:
-            assert h.value_at(q) >= r - 1e-12
-        slopes = [
-            (r1 - r0) / (q1 - q0)
-            for (q0, r0), (q1, r1) in zip(h.breakpoints, h.breakpoints[1:])
-        ]
+        raw, h = _revenue_points(d), d._hull
+        assert set(h) <= set(raw)
+        hq, hr = np.array(h).T
+        for q, r in raw:
+            assert np.interp(q, hq, hr) >= r - 1e-12
+        slopes = [(r1 - r0) / (q1 - q0) for (q0, r0), (q1, r1) in zip(h, h[1:])]
         assert all(a >= b - 1e-12 for a, b in zip(slopes, slopes[1:]))
-        assert iron(h).breakpoints == h.breakpoints
+        assert tuple(_envelope(h)) == h
 
 
 class TestIronedVirtual:
@@ -122,7 +90,7 @@ class TestIronedVirtual:
         assert ironed_virtual(TWO_POINT, 1.0) == pytest.approx(1.0, abs=1e-12)
         assert ironed_virtual(TWO_POINT, 0.5) == pytest.approx(0.0, abs=1e-12)
         assert ironed_virtual(TWO_POINT, 0.1) == pytest.approx(0.0, abs=1e-12)
-        assert ironed_virtual(TWO_POINT, 0.05) is NEG_INF
+        assert ironed_virtual(TWO_POINT, 0.05) is None
 
     def test_point_masses(self):
         assert ironed_virtual(point_mass(0.5), 0.5) == pytest.approx(0.5)
@@ -132,14 +100,15 @@ class TestIronedVirtual:
     @given(value_dists())
     @settings(max_examples=80, deadline=None)
     def test_step_function_shape(self, d):
-        # nondecreasing in value, constant between consecutive support values
+        # None below the lowest atom, then nondecreasing in value and
+        # constant between consecutive support values
         grid = sorted(set(list(d.support) + [v + 1e-6 for v in d.support] + [0.0, 1.0]))
-        vals = [ironed_virtual(d, v) for v in grid if 0 <= v <= 1]
+        assert all(ironed_virtual(d, v) is None for v in grid if v < d.support[0])
+        vals = [ironed_virtual(d, v) for v in grid if d.support[0] <= v <= 1]
         for a, b in zip(vals, vals[1:]):
             assert a <= b or a == pytest.approx(b, abs=1e-12)
-        table = virtual_table(d)
-        for v in d.support:
-            assert table.at(v) == ironed_virtual(d, v)
+        for v, slope in zip(d.support, virtual_table(d).slopes):
+            assert slope == ironed_virtual(d, v)
         for lo, hi in zip(d.support, d.support[1:]):
             mid = 0.5 * (lo + hi)
             if mid < hi:
@@ -150,11 +119,10 @@ class TestIronedVirtual:
     def test_regular_matches_raw_right_derivative(self, d):
         if ironing_intervals(d):
             return
-        raw = revenue_curve(d)
-        from myersonlab.dist import quantile_of_value
-
-        for v in d.support:
-            q = quantile_of_value(d, v)
+        raw = oracles.revenue_curve(d)
+        m = len(d.support)
+        for j, v in enumerate(d.support):
+            q = raw[m - 1 - j][0]  # Pr[u > v], the quantile of the next atom up
             assert ironed_virtual(d, v) == pytest.approx(oracles.right_slope_at(raw, q), abs=1e-12)
 
 
@@ -209,17 +177,17 @@ class TestOneWalkOracle:
 
 
 def hull_bits(d):
-    """Bit patterns of iron's breakpoints and of the table's slopes."""
+    """Bit patterns of the hull the prior kept and of its table's slopes."""
     return (
-        [tuple(map(float.hex, p)) for p in iron(revenue_curve(d)).breakpoints],
+        [tuple(map(float.hex, p)) for p in d._hull],
         list(map(float.hex, virtual_table(d).slopes)),
     )
 
 
 def oracle_hull_bits(d):
     return (
-        [tuple(map(float.hex, p)) for p in oracles.iron(revenue_curve(d)).breakpoints],
-        list(map(float.hex, oracles.virtual_table(d).slopes)),
+        [tuple(map(float.hex, p)) for p in oracles.iron(oracles.revenue_curve(d))],
+        list(map(float.hex, oracles.walk_slopes(d))),
     )
 
 
@@ -232,7 +200,7 @@ def equal_revenue(m):
 
 def first_pass_drops(d):
     """Breakpoints on or below their neighbours' chord, which one thinning pass drops."""
-    bps = revenue_curve(d).breakpoints
+    bps = _revenue_points(d)
     return sum(
         (q1 - q0) * (r2 - r0) - (r1 - r0) * (q2 - q0) >= 0.0
         for (q0, r0), (q1, r1), (q2, r2) in zip(bps, bps[1:], bps[2:])
@@ -320,10 +288,6 @@ class TestNanQueries:
         with pytest.raises(ValueError, match="NaN"):
             ironed_virtual(self.D, float("nan"))
 
-    def test_virtual_table_at(self):
-        with pytest.raises(ValueError, match="NaN"):
-            virtual_table(self.D).at(float("nan"))
-
 
 def test_tables_and_auctions_read_the_slopes_the_prior_derived(monkeypatch):
     short, long = uniform_grid([0.2, 0.4, 0.6, 0.8]), learned_prior(0.001, 1000, 0)
@@ -333,10 +297,10 @@ def test_tables_and_auctions_read_the_slopes_the_prior_derived(monkeypatch):
     def hull(points):
         raise AssertionError("a built prior was ironed again")
 
-    monkeypatch.setattr("myersonlab.dist._hull", hull)
-    monkeypatch.setattr("myersonlab.curves._hull", hull)
+    monkeypatch.setattr("myersonlab.dist._envelope", hull)
     for d, slopes in zip((short, long), derived):
         assert virtual_table(d).slopes == slopes
+        ironing_intervals(d)  # the curves report's walk reads the kept hull
         assert ironed_virtual(d, d.support[0]) == slopes[0]
         a = myerson(ProductDist((d, d)), uniform_matroid(2, 1))
         assert a._phis[0, 1] == a._phis[1, 1] == slopes[0]

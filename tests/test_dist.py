@@ -1,6 +1,7 @@
 """Distribution construction, quantile transforms, dominance, and closeness."""
 
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 import oracles
 from myersonlab.dist import (
+    MASS_TOL,
     ProductDist,
     ValueDist,
-    cdf,
     discretize_uniform_with_atom,
     dominates,
     is_close,
@@ -19,13 +20,11 @@ from myersonlab.dist import (
     min_closeness_eps,
     point_mass,
     product_dist,
-    quantile_of_value,
-    scale_values,
-    uniform_grid,
-    value_of_quantile,
 )
 from myersonlab.feasible import feasible_from_json
 from myersonlab.learn import dominated_empirical, draw_samples
+
+from fuzz import scale_values, uniform_grid
 
 
 @st.composite
@@ -241,7 +240,35 @@ class TestMakeDiscreteOracle:
         assert math.copysign(1.0, got.support[0]) == math.copysign(1.0, first_zero)
 
 
+def _rank(support, v: float) -> int:
+    """Position of v in a sorted support; NaN, which no order places, raises ValueError."""
+    if v != v:
+        raise ValueError("value is NaN")
+    return bisect_right(support, v)
+
+
+def cdf(d, v: float) -> float:
+    """Pr[u <= v] for u drawn from d, read off the partial sums d._below."""
+    return float(d._below[_rank(d.support, v)])
+
+
+def quantile_of_value(d, v: float) -> float:
+    """Pr[u > v], the quantile of value v, read off the tail sums d._above."""
+    return d._above[_rank(d.support, v)]
+
+
+def value_of_quantile(d, q: float) -> float:
+    """Smallest value whose quantile is at most q: a support value, or 0 at q = 1."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile {q!r} outside [0, 1]")
+    if q >= 1.0:
+        return 0.0
+    return next(v for v, tail in zip(d.support, d._above[1:]) if tail <= q + MASS_TOL)
+
+
 class TestCdfAndQuantiles:
+    """The partial and tail sums a distribution derives, through the readers above."""
+
     def test_cdf_examples(self):
         assert cdf(TWO_POINT, 0.1) == pytest.approx(0.9, abs=1e-12)
         assert cdf(TWO_POINT, 0.05) == 0.0

@@ -8,18 +8,18 @@ import pytest
 
 from myersonlab.feasible import (
     FeasibleSet,
+    _exchange_violation,
     all_or_nothing,
-    demand_reduce,
     feasible_from_json,
-    find_exchange_violation,
     from_independent_sets,
     from_vertices,
     is_downward_closed,
-    is_matroid,
     members,
     minimum_non_matroid,
     uniform_matroid,
 )
+
+from myersonlab.lab import PreconditionError, embed_counterexample
 
 import oracles
 from fuzz import downward_closed_families, random_downward_closed
@@ -41,7 +41,7 @@ class TestConstructors:
         assert len(fs.vertices) == 5
         assert (0.0, 1.0, 1.0) in fs.vertices
         assert is_downward_closed(fs)
-        assert not is_matroid(fs)
+        assert _exchange_violation(fs) is not None
 
     def test_from_independent_sets_single_item(self):
         fs = from_independent_sets(2, [(), (0,), (1,)])
@@ -99,7 +99,7 @@ class TestConstructors:
         # the view comes from the vertices alone, so a matroid's vertices make a matroid
         fs = FeasibleSet(uniform_matroid(3, 2).vertices, 2.0)
         assert fs.n == 3 and fs.sets_view == uniform_matroid(3, 2).sets_view
-        assert is_matroid(fs)
+        assert is_downward_closed(fs) and _exchange_violation(fs) is None
         assert FeasibleSet(((0.0, 1.0), (1.0, 0.0), (0.0, 1.0)), 1.0).sets_view == (1, 2)
         assert FeasibleSet(((0.0, 0.5),), 0.5).sets_view is None
         # the read-only matrix holds the vertices in the counting oracle's tie order
@@ -168,27 +168,30 @@ class TestDownwardClosed:
 
 
 class TestMatroid:
+    """A downward-closed family with the empty set is a matroid when no exchange fails."""
+
     def test_uniform_is_matroid(self):
-        assert is_matroid(uniform_matroid(4, 2))
+        assert _exchange_violation(uniform_matroid(4, 2)) is None
 
     def test_minimum_non_matroid(self):
-        assert not is_matroid(minimum_non_matroid())
+        assert _exchange_violation(minimum_non_matroid()) is not None
 
     def test_exchange_failure(self):
         fs = from_independent_sets(3, [(), (0,), (1,), (0, 1), (2,)])
-        assert not is_matroid(fs)
+        assert _exchange_violation(fs) is not None
 
     def test_fractional_raises(self):
+        # downward closure, which the exchange search assumes, is defined for set systems only
         with pytest.raises(ValueError, match="binary"):
-            is_matroid(all_or_nothing(2, 1))
+            is_downward_closed(all_or_nothing(2, 1))
 
 
 class TestExchangeViolation:
     def test_minimum_non_matroid_pair(self):
-        assert find_exchange_violation(minimum_non_matroid()) == ((1, 2), (0,))
+        assert _exchange_violation(minimum_non_matroid()) == ((1, 2), (0,))
 
     def test_matroid_has_none(self):
-        assert find_exchange_violation(uniform_matroid(3, 2)) is None
+        assert _exchange_violation(uniform_matroid(3, 2)) is None
 
     def test_padded_with_two_dummies_maximizes_intersection(self):
         sets = [
@@ -197,16 +200,17 @@ class TestExchangeViolation:
             for t in [(), (3,), (4,), (3, 4)]
         ]
         fs = from_independent_sets(5, sets)
-        s_big, s_small = find_exchange_violation(fs)
+        s_big, s_small = _exchange_violation(fs)
         assert len(set(s_big) & set(s_small)) == 2
         assert set(s_big) - set(s_small) == {1, 2}
         assert set(s_small) - set(s_big) == {0}
 
     def test_requires_downward_closed(self):
-        with pytest.raises(ValueError, match="downward-closed"):
-            find_exchange_violation(from_independent_sets(2, [(), (0, 1)]))
-        with pytest.raises(ValueError, match="binary"):
-            find_exchange_violation(all_or_nothing(2, 1))
+        # embed checks what the search assumes before it searches
+        with pytest.raises(PreconditionError, match="downward-closed"):
+            embed_counterexample(from_independent_sets(2, [(), (0, 1)]))
+        with pytest.raises(PreconditionError, match="binary"):
+            embed_counterexample(all_or_nothing(2, 1))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exhaustive_violation_iff_non_matroid(self, n):
@@ -215,22 +219,21 @@ class TestExchangeViolation:
                 continue
             fs = from_independent_sets(n, [members(m) for m in fam])
             expected = oracles.is_matroid(fam)
-            assert (find_exchange_violation(fs) is None) == expected
-            assert is_matroid(fs) == expected
+            assert (_exchange_violation(fs) is None) == expected
 
     def test_exhaustive_witness_matches_member_tuple_search(self):
         for fam in downward_closed_families(4):
             if not fam:
                 continue
             fs = from_independent_sets(4, [members(m) for m in fam])
-            assert find_exchange_violation(fs) == oracles.find_exchange_violation(fs)
+            assert _exchange_violation(fs) == oracles.find_exchange_violation(fs)
 
     def test_witness_matches_member_tuple_search_at_embed_size(self):
         rng = np.random.default_rng(10)
         found = 0
         for _ in range(50):
             fs = random_downward_closed(rng, 10)
-            witness = find_exchange_violation(fs)
+            witness = _exchange_violation(fs)
             assert witness == oracles.find_exchange_violation(fs), fs.sets_view
             found += witness is not None
         assert found == 31  # the draws hold matroids and non-matroids
@@ -253,9 +256,18 @@ class TestExchangeViolation:
             fs = from_independent_sets(n, [members(m) for m in sorted(fam)])
             assert is_downward_closed(fs)
             expected = oracles.is_matroid(fam)
-            assert (find_exchange_violation(fs) is None) == expected
-            assert is_matroid(fs) == expected
-            assert find_exchange_violation(fs) == oracles.find_exchange_violation(fs)
+            assert (_exchange_violation(fs) is None) == expected
+            assert _exchange_violation(fs) == oracles.find_exchange_violation(fs)
+
+
+def demand_reduce(fs: FeasibleSet, d: float) -> FeasibleSet:
+    """Scale every allocation by 1/d; rank scales exactly by 1/d."""
+    top = max(x for v in fs.vertices for x in v)
+    if d < top:
+        raise ValueError(f"demand {d!r} smaller than coordinate {top!r}")
+    if not d > 0.0:  # reached only when every coordinate is 0, or at a NaN
+        raise ValueError(f"demand {d!r} must be positive")
+    return FeasibleSet(tuple(tuple(x / d for x in v) for v in fs.vertices), fs.rank / d)
 
 
 class TestDemandReduce:
@@ -275,7 +287,7 @@ class TestDemandReduce:
 
     def test_halved_vertices_that_turn_binary_get_a_view(self):
         fs = demand_reduce(from_vertices([[0.0, 0.0], [0.5, 0.0]]), 0.5)
-        assert fs.sets_view == (0, 1) and is_matroid(fs)
+        assert fs.sets_view == (0, 1) and _exchange_violation(fs) is None
 
     def test_rank_scales_exactly(self):
         for d in (2.0, 3.0, 7.0):

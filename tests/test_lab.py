@@ -1,6 +1,7 @@
 """Experiment harness: reports, counterexamples, inequality checks, trials."""
 
 import json
+from bisect import bisect_right
 from itertools import combinations
 from math import log, nan, sqrt
 
@@ -10,21 +11,21 @@ from hypothesis import event, given, settings, target
 from hypothesis import strategies as st
 
 from myersonlab.auction import expected_revenue, myerson
-from myersonlab.curves import NEG_INF, ironing_intervals, revenue_curve, virtual_table
 from myersonlab.dist import (
     ProductDist,
     ValueDist,
+    _revenue_points,
+    ironing_intervals,
     make_discrete,
     min_closeness_eps,
     point_mass,
     product_dist,
-    uniform_grid,
-    value_of_quantile,
+    virtual_table,
 )
 from myersonlab.feasible import (
+    _exchange_violation,
     all_or_nothing,
     from_independent_sets,
-    is_matroid,
     members,
     minimum_non_matroid,
     uniform_matroid,
@@ -55,7 +56,9 @@ from fuzz import (
     random_feasible,
     random_product,
     shift_down,
+    uniform_grid,
 )
+from test_dist import value_of_quantile
 
 MINNON_SETS = [(), (0,), (1,), (2,), (1, 2)]
 
@@ -78,7 +81,7 @@ SMALL_MATROIDS = [
         for fam in downward_closed_families(n)
         if fam
     )
-    if is_matroid(fs)
+    if _exchange_violation(fs) is None  # downward closed with the empty set: exchange decides
 ]
 EIGHTHS = [j / 8 for j in range(1, 9)]
 
@@ -243,7 +246,7 @@ class TestEmbed:
         families = [fam for fam in downward_closed_families(4) if fam]
         assert len(families) == 167
         systems = [from_independent_sets(4, [members(m) for m in fam]) for fam in families]
-        non_matroids = [fs for fs in systems if not is_matroid(fs)]
+        non_matroids = [fs for fs in systems if _exchange_violation(fs) is not None]
         assert len(non_matroids) == 99
         for fs in non_matroids:
             assert embed_counterexample(fs).metrics["gap"] > 0.09, fs.sets_view
@@ -251,8 +254,9 @@ class TestEmbed:
     @given(random_closures())
     @settings(max_examples=300, deadline=None)
     def test_random_closures(self, fs):
-        event("matroid" if is_matroid(fs) else "non-matroid")
-        if is_matroid(fs):
+        matroid = _exchange_violation(fs) is None
+        event("matroid" if matroid else "non-matroid")
+        if matroid:
             with pytest.raises(PreconditionError, match="matroid"):
                 embed_counterexample(fs)
         else:
@@ -336,6 +340,12 @@ def _quantile_segments(d: ValueDist) -> list[tuple[float, float, float]]:
     return [(tails[j + 1], tails[j], d.support[j]) for j in range(len(d.support) - 1, -1, -1)]
 
 
+def revenue_at(d: ValueDist, q: float) -> float:
+    """d's revenue curve at quantile q, interpolated between its breakpoints."""
+    qs, rs = zip(*_revenue_points(d))
+    return float(np.interp(q, qs, rs))
+
+
 def check_single_bidder_bound(
     dd: ProductDist,
     dtilde: ProductDist,
@@ -361,20 +371,25 @@ def check_single_bidder_bound(
         slack = sqrt(theta * eps * eps / (4.0 * n * k)) + eps * eps / (2.0 * n * k)
     if ironing_intervals(dtilde[i]):
         raise PreconditionError("design prior coordinate is not regular")
-    table = virtual_table(dtilde[i])
-    phi_at_theta = table.at(value_of_quantile(dd[i], theta))
-    if phi_at_theta is NEG_INF or phi_at_theta < 0.0:
+    slopes = virtual_table(dtilde[i]).slopes
+
+    def phi(v):
+        """The design prior's ironed virtual value at v; None below its lowest atom."""
+        k = bisect_right(dtilde[i].support, v) - 1
+        return None if k < 0 else slopes[k]
+
+    phi_at_theta = phi(value_of_quantile(dd[i], theta))
+    if phi_at_theta is None or phi_at_theta < 0.0:
         raise PreconditionError("virtual value at the threshold quantile is negative")
     lhs = 0.0
     for q_lo, q_hi, value in _quantile_segments(dd[i]):
         width = min(theta, q_hi) - q_lo
         if width <= 0.0:
             continue
-        phi = table.at(value)
-        if phi is NEG_INF:
-            raise PreconditionError("virtual value sentinel inside the integration range")
-        lhs += phi * width
-    rhs = revenue_curve(dd[i]).value_at(theta) + slack
+        if phi(value) is None:
+            raise PreconditionError("a value below the design prior inside the integration range")
+        lhs += phi(value) * width
+    rhs = revenue_at(dd[i], theta) + slack
     return _report(
         "single-bidder-bound",
         {"eps": eps, "n": n, "k": k, "bidder": i, "theta": theta, "uniform": uniform},
@@ -394,7 +409,7 @@ class TestSingleBidderBound:
         d0 = make_discrete([0.25, 0.75], [0.5, 0.5])
         p = product_dist(d0)
         r = check_single_bidder_bound(p, p, 0.5, 1, 1, 0, 0.4)
-        assert r.metrics["lhs"] == pytest.approx(revenue_curve(d0).value_at(0.4), abs=1e-12)
+        assert r.metrics["lhs"] == pytest.approx(revenue_at(d0, 0.4), abs=1e-12)
         assert r.passed
 
     def test_irregular_design_prior_rejected(self):

@@ -13,27 +13,55 @@ import oracles
 from myersonlab.dist import (
     _GATE,
     ProductDist,
-    cdf,
     discretize_uniform_with_atom,
     dominates,
     is_close,
     make_discrete,
     point_mass,
     product_dist,
-    uniform_grid,
 )
 from myersonlab.learn import (
     SampleMatrix,
-    bernstein_radius,
     dominated_empirical,
     draw_samples,
     empirical,
     hellinger_sq,
-    hellinger_sq_product,
     required_samples,
 )
 
+from fuzz import uniform_grid
+
 GRID10 = [round(0.1 * j, 10) for j in range(1, 11)]
+cdf = oracles.scalar_cdf  # Pr[u <= v], summed left to right
+
+
+def bernstein_radius(mean: float, count: int, delta: float) -> float:
+    """Two-sided confidence radius for the mean of [0, 1] samples, on the probability scale.
+
+    t = sqrt(2 m (1-m) ln(2/delta) / N) + ln(2/delta) / N, which satisfies
+    t^2 >= (2 m (1-m) + (2/3) t) ln(2/delta) / N.
+    """
+    if not 0.0 <= mean <= 1.0:
+        raise ValueError(f"mean {mean!r} outside [0, 1]")
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta {delta!r} outside (0, 1)")
+    coef = log(2.0 / delta)
+    return sqrt(2.0 * mean * (1.0 - mean) * coef / count) + coef / count
+
+
+def hellinger_sq_product(ps: ProductDist, qs: ProductDist) -> float:
+    """Exact squared Hellinger distance of products: 1 - prod(1 - H_i^2).
+
+    Always at most the coordinate sum of squared distances.
+    """
+    if ps.n != qs.n:
+        raise ValueError(f"dimension mismatch: {ps.n} vs {qs.n}")
+    compl = 1.0
+    for pi, qi in zip(ps, qs):
+        compl *= 1.0 - hellinger_sq(pi, qi)
+    return 1.0 - compl
 
 
 def grid_prior(n=2):
