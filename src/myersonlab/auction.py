@@ -9,18 +9,25 @@ c > 0 is the c-th run of adjacent atoms with equal ironed virtual value,
 such as the atoms of one ironed interval. A matrix of value profiles maps
 to cells by one searchsorted per bidder over its run thresholds.
 
-One kernel call finds the winning vertex at every point of n per-bidder
-cell arrays that broadcast to one shape. Along a line one bidder's cell
-runs from 0 upward while the others stay fixed, and a running sum of
+Each bidder's term table has a row per cell and a column per vertex,
+phi_i[c] * x_vi, but -inf in cell 0 wherever the vertex gives bidder i
+anything. With the terms summed over bidders left to right from +0.0,
+the first argmax over the vertices, which are in tie order, reproduces
+the rule: a vertex giving nothing to bidders in cell 0 first, then
+ironed virtual welfare, ties to the earlier row. A point with every
+vertex at -inf, possible only without a zero vertex, is decided again on
+plain welfare, cell 0 counting as 0. Along a line one bidder's cell runs
+from 0 upward while the others stay fixed, and a running sum of
 threshold steps gives that bidder's payment at every point. When the
 grid of every bidder's cells fits one block (the product over bidders of
 runs_i + 1 cells, times vertices + bidders, at most _BLOCK), myerson
-scores it once and keeps outcome tables over its cell profiles,
-64 of them for three bidders whose ten atoms form three runs each.
-allocate and payments look outcomes up there, and exact expectations
-contract the tables with the bidders' cell masses. Other
-auctions run lines: for each bidder, one line per profile of the others'
-occupied cells, in blocks. Auctions hold read-only arrays and no other state.
+scores it once and keeps outcome tables over its cell profiles, 64 of
+them for three bidders whose ten atoms form three runs each, with the
+scorer's welfare as the welfare column. allocate and payments look
+outcomes up there, and exact expectations contract the tables with the
+bidders' cell masses. Other auctions run lines: for each bidder, one
+line per profile of the others' occupied cells, in blocks. Auctions hold
+read-only arrays and no other state.
 """
 
 from __future__ import annotations
@@ -77,7 +84,8 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     fs._ranked, a fixed value-independent order: descending total allocation,
     then ascending lexicographic. Any fixed order keeps the per-bidder
     allocation monotone in own value. When the grid of every bidder's cells
-    fits a block, its outcome tables are scored here, in one kernel call.
+    fits a block, one _score call over each bidder's term table, laid along
+    its own axis, fills the outcome tables' ranks and welfare column.
     """
     if prior.n != fs.n:
         raise ValueError(f"prior has {prior.n} bidders, system has {fs.n}")
@@ -92,48 +100,68 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     n = len(runs)
     if prod(len(r) + 1 for r in runs) * (len(fs.vertices) + n) > _BLOCK:
         return Auction(*fields)
-    # bidder i's cells 0..runs_i along axis i; swapaxes(0, i) puts them first
-    grid = [np.arange(len(r) + 1).reshape((-1,) + (1,) * (n - 1 - i)) for i, r in enumerate(runs)]
-    ranks = _winners(Auction(*fields), grid)
+    # bidder i's term rows for cells 0..runs_i along grid axis i
+    terms, along = _terms(phis, fs._ranked), (-1,) + (1,) * (n - 1)
+    ranks, welfare = _score([
+        t[: len(r) + 1].reshape((1,) * i + along[: n - i] + t.shape[-1:])
+        for i, (t, r) in enumerate(zip(terms, runs))
+    ])
+    outcomes = np.empty(ranks.shape + (n + 1,))
+    outcomes[..., n] = welfare
+    del welfare  # not held through the payment loop, where the build's memory peaks
     x = fs._ranked[ranks]
-    outcomes, along = np.empty(ranks.shape + (n + 1,)), (-1,) + (1,) * (n - 1)
-    for i, (c, th) in enumerate(zip(grid, thresholds)):
+    for i, (r, th) in enumerate(zip(runs, thresholds)):
         own, pay = x[..., i].swapaxes(0, i), outcomes[..., i].swapaxes(0, i)
-        _pay(own, th[: len(c) - 1].reshape(along), pay)
-    outcomes[..., n] = sum(x[..., i] * phi[c] for i, (phi, c) in enumerate(zip(phis, grid)))
+        _pay(own, th[: len(r)].reshape(along), pay)
     for arr in (ranks, outcomes):
         arr.setflags(write=False)
     return Auction(*fields, ranks, outcomes)
+
+
+def _terms(phis: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """Each bidder's term table: [i, c, v] is phis[i, c] * verts[v, i], -inf in cell 0 if verts[v, i] > 0."""
+    terms = phis[:, :, None] * verts.T[:, None, :]
+    terms[:, 0][verts.T > 0.0] = -np.inf
+    return terms
+
+
+def _score(terms) -> tuple[np.ndarray, np.ndarray]:
+    """Winning row of the tie order and its welfare at each point of n term arrays.
+
+    terms[i] holds bidder i's term rows, vertices last; the arrays broadcast
+    to one shape. Where every vertex sums to -inf, the -inf terms count as 0.
+    """
+    score = sum(terms, 0.0)
+    best = score.argmax(axis=-1)
+    welfare = score.reshape(-1)[best + np.arange(0, score.size, score.shape[-1]).reshape(best.shape)]
+    forced = welfare == -np.inf
+    if forced.any():
+        plain = sum((np.where(t == -np.inf, 0.0, t) for t in terms), 0.0)[forced]
+        best[forced] = plain.argmax(axis=-1)
+        welfare[forced] = plain.max(axis=-1)
+    return best, welfare
 
 
 def _winners(a: Auction, cells) -> np.ndarray:
     """Row of feasible._ranked that wins at each point of n per-bidder cell arrays.
 
     cells[i] holds bidder i's cells; the n arrays broadcast to one shape,
-    which is the shape of the result. Points beyond a block are scored in
-    flat chunks of rows. Vertices are scanned in tie order, and one
-    replaces the incumbent only when strictly better: first on giving
-    nothing to bidders in cell 0, then on ironed virtual welfare summed
-    over bidders left to right, with cell 0 counting as 0.
+    which is the shape of the result. Each bidder's term table is indexed
+    by its own cell array, and _score picks the winner, falling back to
+    plain welfare where no vertex spares the bidders in cell 0. Points
+    beyond a block are scored in flat chunks of rows.
     """
-    verts = a.feasible._ranked
-    shape = np.broadcast_shapes(*(np.shape(c) for c in cells))
-    step = max(1, _BLOCK // (len(verts) + len(cells)))
-    if prod(shape) > step:
-        flat = [np.broadcast_to(c, shape).reshape(-1) for c in cells]
-        chunks = [_winners(a, [c[r : r + step] for c in flat]) for r in range(0, prod(shape), step)]
-        return np.concatenate(chunks).reshape(shape)
-    welfare = np.zeros(shape + (len(verts),))
-    zero = np.empty(shape + (len(cells),), dtype=bool)
-    for i, (phi, own, share) in enumerate(zip(a._phis, cells, verts.T)):
-        welfare += phi[own][..., None] * share
-        zero[..., i] = own == 0
-    sunk = zero @ verts.T > 0.0
-    best = np.where(sunk, -np.inf, welfare).argmax(axis=-1)
-    if verts[-1].any():  # the zero vertex, last in tie order, would never be sunk
-        forced = np.take_along_axis(sunk, best[..., None], -1)[..., 0]
-        best[forced] = welfare[forced].argmax(axis=-1)
-    return best
+    terms = _terms(a._phis, a.feasible._ranked)
+    # a list, not a generator: unpacking a generator builds the argument tuple by resizing,
+    # and each one freed then stays on CPython's tuple free list, which tracemalloc counts
+    shape = np.broadcast_shapes(*[np.shape(c) for c in cells])
+    step = max(1, _BLOCK // (terms.shape[-1] + len(cells)))
+    if prod(shape) <= step:
+        return _score([t[c] for t, c in zip(terms, cells)])[0]
+    flat = [np.broadcast_to(c, shape).reshape(-1) for c in cells]
+    rows = range(0, prod(shape), step)
+    chunks = [_score([t[c[r : r + step]] for t, c in zip(terms, flat)])[0] for r in rows]
+    return np.concatenate(chunks).reshape(shape)
 
 
 def _pay(x: np.ndarray, thresholds: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -18,6 +18,7 @@ from myersonlab.auction import (
     _cells,
     _expectation,
     _payments,
+    _winners,
     allocate,
     expected_revenue,
     expected_virtual_welfare,
@@ -283,20 +284,20 @@ def probe_values(d):
 
 
 def record_kernel_calls(monkeypatch):
-    """Spy on the kernel: the broadcast shape of each call, in order."""
+    """Spy on the scorer: the broadcast shape of each call's points, in order."""
     shapes = []
-    kernel = myersonlab.auction._winners
+    kernel = myersonlab.auction._score
 
-    def spy(a, cells):
-        shapes.append(np.broadcast_shapes(*(np.shape(c) for c in cells)))
-        return kernel(a, cells)
+    def spy(terms):
+        shapes.append(np.broadcast_shapes(*(np.shape(t) for t in terms))[:-1])
+        return kernel(terms)
 
-    monkeypatch.setattr(myersonlab.auction, "_winners", spy)
+    monkeypatch.setattr(myersonlab.auction, "_score", spy)
     return shapes
 
 
 def scored_on_grid(shapes, n):
-    """One kernel call over an n-axis grid; lines take (cells, profiles) calls per bidder."""
+    """One scorer call over an n-axis grid; lines take (cells, profiles) calls per bidder."""
     return len(shapes) == 1 and len(shapes[0]) == n
 
 
@@ -631,6 +632,33 @@ class TestOutcomeTables:
                 )
                 mc = expected_revenue_mc(a, dist, 300, 5)
                 assert mc == expected_revenue_mc(lines, dist, 300, 5)
+
+    def test_grid_scorer_and_kernel_agree_bit_for_bit(self):
+        # myerson scores its grid in one call and _winners gathers term rows
+        # per profile; the welfare column sums x_i * phi_i[c_i] from +0.0, so
+        # the -0.0 terms of losers with negative phi leave no -0.0 behind
+        rng = np.random.default_rng(23)
+        cases = [(random_prior(rng, n), random_system(rng, n)) for n in rng.integers(1, 4, size=80)]
+        cases.append((  # no zero vertex: a bidder in cell 0 forces the plain-welfare fallback
+            product_dist(make_discrete([0.25, 1.0], [0.5, 0.5]), make_discrete([0.5, 0.75], [0.5, 0.5])),
+            from_vertices([[1.0, 0.5], [0.5, 1.0], [0.25, 0.25]]),
+        ))
+        negative_zeros = 0
+        for prior, fs in cases:
+            a = myerson(prior, fs)
+            assert a._ranks is not None
+            cells = np.indices(a._ranks.shape).reshape(prior.n, -1)
+            ranks = a._ranks.reshape(-1)
+            assert _winners(a, list(cells)).tolist() == ranks.tolist()
+            welfare = a._outcomes[..., prior.n].reshape(-1).tolist()
+            for profile, rank, w in zip(cells.T.tolist(), ranks.tolist(), welfare):
+                terms = [x * phi[c] for x, phi, c in zip(fs._ranked[rank].tolist(), a._phis.tolist(), profile)]
+                total = 0.0
+                for t in terms:
+                    total += t
+                assert w.hex() == total.hex(), (profile, terms)
+                negative_zeros += all(t.hex() == (-0.0).hex() for t in terms)
+        assert negative_zeros > 0  # a sum started from the first term would keep -0.0 there
 
     def test_tables_are_read_only(self):
         a = myerson(ProductDist((IRONED_TEN,) * 3), uniform_matroid(3, 2))
