@@ -6,28 +6,29 @@ maximizing ironed virtual welfare, and charges the threshold payments
 that make the allocation truthful. Both depend on values only through
 each bidder's cell: cell 0 lies below the prior's lowest atom, and cell
 c > 0 is the c-th run of adjacent atoms with equal ironed virtual value,
-such as the atoms of one ironed interval. A matrix of value profiles maps
-to cells by one searchsorted per bidder over its run thresholds.
+such as the atoms of one ironed interval. A value profile maps to cells
+by one searchsorted per bidder over its run thresholds.
 
-Each bidder's term table has a row per cell and a column per vertex,
-phi_i[c] * x_vi, but -inf in cell 0 wherever the vertex gives bidder i
-anything. With the terms summed over bidders left to right from +0.0,
-the first argmax over the vertices, which are in tie order, reproduces
-the rule: a vertex giving nothing to bidders in cell 0 first, then
-ironed virtual welfare, ties to the earlier row. A point with every
-vertex at -inf, possible only without a zero vertex, is decided again on
-plain welfare, cell 0 counting as 0. Along a line one bidder's cell runs
-from 0 upward while the others stay fixed, and a running sum of
-threshold steps gives that bidder's payment at every point. When the
-grid of every bidder's cells fits one block (the product over bidders of
-runs_i + 1 cells, times vertices + bidders, at most _BLOCK), myerson
-scores it once and keeps outcome tables over its cell profiles, 64 of
-them for three bidders whose ten atoms form three runs each, with the
-scorer's welfare as the welfare column. allocate and payments look
+myerson builds each bidder's term table, which the auction keeps: a row
+per cell and a column per vertex, phi_i[c] * x_vi, but -inf in cell 0
+wherever the vertex gives bidder i anything. With the terms summed over
+bidders left to right from +0.0, the first argmax over the vertices,
+which are in tie order, reproduces the rule: a vertex giving nothing to
+bidders in cell 0 first, then ironed virtual welfare, ties to the
+earlier row. A point with every vertex at -inf, possible only without a
+zero vertex, is decided again on plain welfare, cell 0 counting as 0.
+Along a line one bidder's cell runs up from 0, the others' stay fixed,
+and a running sum of threshold steps gives its payment at every point.
+When the grid of every bidder's cells fits one block (the product over
+bidders of runs_i + 1 cells, times vertices + bidders, at most _BLOCK),
+myerson scores it once and keeps outcome tables over its cell profiles,
+64 of them for three bidders whose ten atoms form three runs each, with
+the scorer's welfare as the welfare column. allocate and payments look
 outcomes up there, and exact expectations contract the tables with the
-bidders' cell masses. Other auctions run lines: for each bidder, one
-line per profile of the others' occupied cells, in blocks. Auctions hold
-read-only arrays and no other state.
+bidders' cell masses. Other auctions run lines: a payment each bidder's
+up to its own cell, an expectation one per profile of the others'
+occupied cells, in blocks. Auctions hold read-only arrays and no other
+state; an evaluation works in one block or one line on top of them.
 """
 
 from __future__ import annotations
@@ -41,9 +42,7 @@ from .dist import ProductDist
 from .feasible import FeasibleSet
 
 IDENTITY_TOL = 1e-9
-# Numbers held at once per block of cell profiles and per kernel chunk;
-# bounds the working memory of every evaluation.
-_BLOCK = 1 << 14
+_BLOCK = 1 << 14  # most numbers a block of cell profiles holds at once
 _CAP = 10_000_000  # most distinct cell profiles an exact expectation enumerates
 
 
@@ -61,17 +60,18 @@ class Auction:
 
     The rows of feasible._ranked are the vertices in myerson's tie order. Bidder
     i has _runs[i] cells above 0, one per run of equal ironed virtual value;
-    _phis[i, c] is that value in cell c (0 in cell 0) and _thresholds[i, c - 1]
-    the value of the run's first atom. Both rows are padded with zeros. The
-    outcome tables, None when the grid does not fit, are indexed by a cell
-    profile: _ranks holds the winner's row of _ranked, _outcomes[..., i]
-    bidder i's payment and _outcomes[..., n] the ironed virtual welfare.
+    _phis[i, c] is that value in cell c (0 in cell 0), _thresholds[i, c - 1]
+    the value of the run's first atom and _terms[i] bidder i's term table, all
+    padded with zeros. The outcome tables, None when the grid does not fit,
+    are indexed by a cell profile: _ranks holds the winner's row of _ranked,
+    _outcomes[..., i] bidder i's payment and _outcomes[..., n] the welfare.
     """
 
     prior: ProductDist
     feasible: FeasibleSet
     _phis: np.ndarray = field(repr=False)
     _thresholds: np.ndarray = field(repr=False)
+    _terms: np.ndarray = field(repr=False)
     _runs: tuple[int, ...] = field(repr=False)
     _ranks: np.ndarray | None = field(default=None, repr=False)
     _outcomes: np.ndarray | None = field(default=None, repr=False)
@@ -84,8 +84,8 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     fs._ranked, a fixed value-independent order: descending total allocation,
     then ascending lexicographic. Any fixed order keeps the per-bidder
     allocation monotone in own value. When the grid of every bidder's cells
-    fits a block, one _score call over each bidder's term table, laid along
-    its own axis, fills the outcome tables' ranks and welfare column.
+    fits a block, one _score call over the kept term tables, each laid along
+    its bidder's own axis, fills the outcome tables' ranks and welfare column.
     """
     if prior.n != fs.n:
         raise ValueError(f"prior has {prior.n} bidders, system has {fs.n}")
@@ -94,14 +94,14 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     for i, (d, starts) in enumerate(zip(prior, runs)):
         phis[i, 1 : len(starts) + 1] = [d._slopes[j] for j in starts]
         thresholds[i, : len(starts)] = [d.support[j] for j in starts]
-    for arr in (phis, thresholds):
+    terms = _terms(phis, fs._ranked)
+    for arr in (phis, thresholds, terms):
         arr.setflags(write=False)
-    fields = prior, fs, phis, thresholds, tuple(map(len, runs))
+    fields = prior, fs, phis, thresholds, terms, tuple(map(len, runs))
     n = len(runs)
     if prod(len(r) + 1 for r in runs) * (len(fs.vertices) + n) > _BLOCK:
         return Auction(*fields)
-    # bidder i's term rows for cells 0..runs_i along grid axis i
-    terms, along = _terms(phis, fs._ranked), (-1,) + (1,) * (n - 1)
+    along = (-1,) + (1,) * (n - 1)  # bidder i's term rows for cells 0..runs_i along grid axis i
     ranks, welfare = _score([
         t[: len(r) + 1].reshape((1,) * i + along[: n - i] + t.shape[-1:])
         for i, (t, r) in enumerate(zip(terms, runs))
@@ -145,23 +145,11 @@ def _score(terms) -> tuple[np.ndarray, np.ndarray]:
 def _winners(a: Auction, cells) -> np.ndarray:
     """Row of feasible._ranked that wins at each point of n per-bidder cell arrays.
 
-    cells[i] holds bidder i's cells; the n arrays broadcast to one shape,
-    which is the shape of the result. Each bidder's term table is indexed
-    by its own cell array, and _score picks the winner, falling back to
-    plain welfare where no vertex spares the bidders in cell 0. Points
-    beyond a block are scored in flat chunks of rows.
+    cells[i] holds bidder i's cells; the n arrays broadcast to one shape, not
+    0-d, which is the shape of the result. _score picks the winner from each
+    bidder's term rows at its cells. Callers bound the points: a block or a line.
     """
-    terms = _terms(a._phis, a.feasible._ranked)
-    # a list, not a generator: unpacking a generator builds the argument tuple by resizing,
-    # and each one freed then stays on CPython's tuple free list, which tracemalloc counts
-    shape = np.broadcast_shapes(*[np.shape(c) for c in cells])
-    step = max(1, _BLOCK // (terms.shape[-1] + len(cells)))
-    if prod(shape) <= step:
-        return _score([t[c] for t, c in zip(terms, cells)])[0]
-    flat = [np.broadcast_to(c, shape).reshape(-1) for c in cells]
-    rows = range(0, prod(shape), step)
-    chunks = [_score([t[c[r : r + step]] for t, c in zip(terms, flat)])[0] for r in rows]
-    return np.concatenate(chunks).reshape(shape)
+    return _score([t[c] for t, c in zip(a._terms, cells)])[0]
 
 
 def _pay(x: np.ndarray, thresholds: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -179,34 +167,27 @@ def _pay(x: np.ndarray, thresholds: np.ndarray, out: np.ndarray | None = None) -
     return pay
 
 
-def _payments(a: Auction, cells: np.ndarray) -> np.ndarray:
-    """Threshold payments at each row of a (rows, n) cell matrix, read off the tables if any.
+def _line(a: Auction, i: int, cells: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bidder i's allocation and payments at its cells 0..top-1, on axes (own cell, row).
 
-    Otherwise bidder i's line steps its cell over runs, from 0 to the rows'
-    highest cell, against the others' cells in the row. One kernel call
-    scores the lines of every bidder and row, on axes (own cell, whose
-    line, row).
+    Each row of the (rows, n) cell matrix fixes the others' cells of one
+    line; its entry for bidder i is not read.
     """
-    if a._outcomes is not None:
-        return a._outcomes[tuple(cells.T)][:, :-1]
-    whose = np.arange(cells.shape[1])[:, None]
-    own = np.arange(cells.max() + 1)[:, None, None]
-    wins = _winners(a, [np.where(whose == k, own, c) for k, c in enumerate(cells.T)])
-    pay = _pay(a.feasible._ranked[wins, whose], a._thresholds[:, : len(own) - 1].T[:, :, None])
-    return np.take_along_axis(pay, cells.T[None], axis=0)[0].T
+    cells = list(cells.T)
+    cells[i] = np.arange(top)[:, None]
+    x = a.feasible._ranked[:, i][_winners(a, cells)]
+    return x, _pay(x, a._thresholds[i, : top - 1, None])
 
 
-def _cells(a: Auction, profiles) -> np.ndarray:
-    """Cells of a (rows, n) matrix of value profiles, which must not hold NaN."""
-    profiles = np.asarray(profiles, dtype=float)
-    if profiles.ndim != 2 or profiles.shape[1] != len(a._runs):
-        raise ValueError(f"a value profile of shape {profiles.shape[1:]} for {len(a._runs)} bidders")
-    if np.isnan(profiles).any():
+def _cells(a: Auction, values) -> np.ndarray:
+    """Each bidder's cell at one value profile, which must have a value per bidder and no NaN."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(a._runs),):
+        raise ValueError(f"a value profile of shape {values.shape} for {len(a._runs)} bidders")
+    if np.isnan(values).any():
         raise ValueError("a value profile holds NaN")
-    cells = np.empty(profiles.shape, dtype=np.intp)
-    for i, (th, m) in enumerate(zip(a._thresholds, a._runs)):
-        cells[:, i] = th[:m].searchsorted(profiles[:, i], side="right")
-    return cells
+    bidders = zip(a._thresholds, a._runs, values)
+    return np.array([th[:m].searchsorted(v, side="right") for th, m, v in bidders])
 
 
 def allocate(a: Auction, values) -> tuple[float, ...]:
@@ -215,9 +196,9 @@ def allocate(a: Auction, values) -> tuple[float, ...]:
     Vertices giving positive allocation to a bidder below its prior's
     lowest atom are excluded while any alternative exists.
     """
-    cells = _cells(a, [values])
-    ranks = _winners(a, cells.T) if a._ranks is None else a._ranks[tuple(cells.T)]
-    return tuple(a.feasible._ranked[ranks[0]].tolist())
+    cells = _cells(a, values)
+    rank = _winners(a, cells[:, None])[0] if a._ranks is None else a._ranks[tuple(cells)]
+    return tuple(a.feasible._ranked[rank].tolist())
 
 
 def payments(a: Auction, values) -> tuple[float, ...]:
@@ -225,8 +206,14 @@ def payments(a: Auction, values) -> tuple[float, ...]:
 
     x_i as a function of own value is a step function whose breakpoints are
     the prior's support values, so the integral is an exact finite sum.
+    Without tables, bidder i's line runs from cell 0 up to its own cell.
     """
-    return tuple(_payments(a, _cells(a, [values]))[0].tolist())
+    cells = _cells(a, values)
+    if a._outcomes is not None:
+        return tuple(a._outcomes[tuple(cells)][:-1].tolist())
+    # a list: tuple() of a generator frees a resized tuple to a free list tracemalloc counts
+    pays = [float(_line(a, i, cells[None], c + 1)[1][-1, 0]) for i, c in enumerate(cells.tolist())]
+    return tuple(pays)
 
 
 def _expectation(a: Auction, dist: ProductDist) -> tuple[float, float]:
@@ -235,10 +222,10 @@ def _expectation(a: Auction, dist: ProductDist) -> tuple[float, float]:
     Atoms of one bidder that fall into the same cell, a run of the prior,
     are merged, and _CAP bounds the distinct occupied run profiles. An
     auction with tables contracts its payment and welfare tables with each
-    bidder's cell masses, one axis at a time. Otherwise bidder i, whose
-    highest occupied cell is top_i - 1, runs one line over its cells for
-    each profile of the others' occupied cells, in chunks that fit a block,
-    and each point is weighted by the mass of its cells.
+    bidder's cell masses, one axis at a time. Otherwise bidder i runs a
+    _line up to its highest occupied cell, top_i - 1, for each profile of
+    the others' occupied cells, a block of lines per call, and each point
+    is weighted by the mass of its cells.
     """
     if dist.n != a.feasible.n:
         raise ValueError(f"evaluation distribution has {dist.n} bidders, need {a.feasible.n}")
@@ -271,11 +258,9 @@ def _expectation(a: Auction, dist: ProductDist) -> tuple[float, float]:
             cells = occupied[bidders, np.transpose(digits)]
             weights = mass[bidders, cells]
             weights[:, i] = 1.0  # i's own cell runs along the line
-            cells = list(cells.T)
-            cells[i] = np.arange(t)[:, None]
-            x = a.feasible._ranked[:, i][_winners(a, cells)]
+            x, pay = _line(a, i, cells, t)
             weights = weights.prod(axis=1) * mass[i, :t, None]
-            revenue += np.vdot(weights, _pay(x, a._thresholds[i, : t - 1, None]))
+            revenue += np.vdot(weights, pay)
             welfare += np.vdot(weights, x * a._phis[i, :t, None])
     return float(revenue), float(welfare)
 

@@ -31,7 +31,7 @@ from math import log, sqrt
 
 import numpy as np
 
-from myersonlab.auction import myerson
+from myersonlab.auction import _terms, myerson
 from myersonlab.dist import CDF_TOL, MASS_TOL, ProductDist, ValueDist
 from myersonlab.feasible import from_independent_sets
 from myersonlab.learn import SampleMatrix
@@ -340,7 +340,8 @@ def disjoint_union(parts):
 def per_atom_auction(prior, fs):
     """myerson's auction with one cell per atom: cell c > 0 is atom c - 1 of the bidder's table.
 
-    It holds no outcome tables, so every evaluation runs the kernel on lines of atoms.
+    It holds no outcome tables, so every evaluation runs the kernel on lines of atoms, over
+    term tables built from its per-atom _phis.
     """
     a = myerson(prior, fs)
     width = max(len(d.support) for d in prior)
@@ -348,7 +349,9 @@ def per_atom_auction(prior, fs):
     phis = np.array([(0.0,) + walk_slopes(d) + z for d, z in zip(prior, pad)])
     thresholds = np.array([d.support + z for d, z in zip(prior, pad)])
     atoms = tuple(len(d.support) for d in prior)
-    return replace(a, _phis=phis, _thresholds=thresholds, _runs=atoms, _ranks=None, _outcomes=None)
+    terms = _terms(phis, fs._ranked)
+    return replace(a, _phis=phis, _thresholds=thresholds, _terms=terms, _runs=atoms, _ranks=None,
+                   _outcomes=None)
 
 
 def allocate(a, values):

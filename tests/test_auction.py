@@ -15,9 +15,7 @@ from myersonlab.auction import (
     _BLOCK,
     CrossCheckError,
     EnumerationCapError,
-    _cells,
     _expectation,
-    _payments,
     _winners,
     allocate,
     expected_revenue,
@@ -52,10 +50,11 @@ GADGET_PRIOR, GADGET_BIG, GADGET_FS = nonmonotone_gadget(EPS)
 
 
 def expected_revenue_mc(a, eval_dist, trials, seed):
-    """Seeded Monte Carlo estimate of expected revenue, (mean, stderr), priced in one batch."""
+    """Seeded Monte Carlo estimate of expected revenue, (mean, stderr), priced row by row."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    revs = _payments(a, _cells(a, draw_samples(eval_dist, trials, seed).values)).sum(axis=1)
+    samples = draw_samples(eval_dist, trials, seed).values
+    revs = np.array([payments(a, row) for row in samples]).sum(axis=1)
     stderr = 0.0 if trials == 1 else float(revs.std(ddof=1) / sqrt(trials))
     return float(revs.mean()), stderr
 
@@ -284,7 +283,10 @@ def probe_values(d):
 
 
 def record_kernel_calls(monkeypatch):
-    """Spy on the scorer: the broadcast shape of each call's points, in order."""
+    """Spy on the scorer: the broadcast shape of each call's points, in order.
+
+    A line payment is one scorer call per bidder, over (own cell + 1, 1) points.
+    """
     shapes = []
     kernel = myersonlab.auction._score
 
@@ -297,7 +299,11 @@ def record_kernel_calls(monkeypatch):
 
 
 def scored_on_grid(shapes, n):
-    """One scorer call over an n-axis grid; lines take (cells, profiles) calls per bidder."""
+    """One scorer call over an n-axis grid.
+
+    Lines take one (cells, profiles) call per block of a bidder's lines in an
+    expectation, and one (own cell + 1, 1) call per bidder in a payment.
+    """
     return len(shapes) == 1 and len(shapes[0]) == n
 
 
@@ -633,10 +639,11 @@ class TestOutcomeTables:
                 mc = expected_revenue_mc(a, dist, 300, 5)
                 assert mc == expected_revenue_mc(lines, dist, 300, 5)
 
-    def test_grid_scorer_and_kernel_agree_bit_for_bit(self):
+    def test_grid_scorer_and_kernel_agree_bit_for_bit(self, monkeypatch):
         # myerson scores its grid in one call and _winners gathers term rows
         # per profile; the welfare column sums x_i * phi_i[c_i] from +0.0, so
-        # the -0.0 terms of losers with negative phi leave no -0.0 behind
+        # the -0.0 terms of losers with negative phi leave no -0.0 behind.
+        # A twin without tables runs lines at a value in each cell profile.
         rng = np.random.default_rng(23)
         cases = [(random_prior(rng, n), random_system(rng, n)) for n in rng.integers(1, 4, size=80)]
         cases.append((  # no zero vertex: a bidder in cell 0 forces the plain-welfare fallback
@@ -646,12 +653,21 @@ class TestOutcomeTables:
         negative_zeros = 0
         for prior, fs in cases:
             a = myerson(prior, fs)
-            assert a._ranks is not None
+            monkeypatch.setattr("myersonlab.auction._BLOCK", 1)  # no grid fits
+            lines = myerson(prior, fs)
+            monkeypatch.setattr("myersonlab.auction._BLOCK", _BLOCK)
+            assert a._ranks is not None and lines._ranks is None
             cells = np.indices(a._ranks.shape).reshape(prior.n, -1)
             ranks = a._ranks.reshape(-1)
             assert _winners(a, list(cells)).tolist() == ranks.tolist()
             welfare = a._outcomes[..., prior.n].reshape(-1).tolist()
+            # cell 0 below the lowest atom, cell c > 0 at its run's first atom
+            bids = [(th[0] - 1.0, *th[:m]) for th, m in zip(a._thresholds.tolist(), a._runs)]
             for profile, rank, w in zip(cells.T.tolist(), ranks.tolist(), welfare):
+                values = [b[c] for b, c in zip(bids, profile)]
+                assert allocate(lines, values) == tuple(fs._ranked[rank].tolist()), profile
+                pays = a._outcomes[tuple(profile)][:-1].tolist()
+                assert [p.hex() for p in payments(lines, values)] == [p.hex() for p in pays]
                 terms = [x * phi[c] for x, phi, c in zip(fs._ranked[rank].tolist(), a._phis.tolist(), profile)]
                 total = 0.0
                 for t in terms:
@@ -704,7 +720,7 @@ class TestNanBids:
 
 class TestProfileWidth:
     # the message names the profile's shape and the auction's bidder count
-    @pytest.mark.parametrize("bids", [(0.5,), (0.5, 0.2, 0.8), 0.5])
+    @pytest.mark.parametrize("bids", [(0.5,), (0.5, 0.2, 0.8), 0.5, [[0.5, 0.2]]])
     def test_refused_with_both_counts(self, bids, monkeypatch):
         prior = ProductDist((make_discrete([0.2, 0.8], [0.5, 0.5]),) * 2)
         tables = myerson(prior, uniform_matroid(2, 1))
@@ -730,6 +746,27 @@ def test_payments_on_fresh_bids_leave_memory_flat():
     finally:
         tracemalloc.stop()
     assert grown < 64 * 1024
+
+
+def test_line_evaluations_keep_no_second_copy_of_the_term_tables():
+    # 2,510 vertices and four cells per bidder hold no outcome tables; the
+    # auction's term tables, 12 x 4 x 2,510 numbers, outweigh one line evaluation
+    prior = ProductDist((make_discrete([0.2, 0.5, 0.9], [0.3, 0.4, 0.3]),) * 12)
+    fs = uniform_matroid(12, 6)
+    a = myerson(prior, fs)
+    assert a._outcomes is None
+    tables = len(a._runs) * (max(a._runs) + 1) * len(fs.vertices) * 8
+    assert a._terms.nbytes == tables
+    values = (0.9, 0.5, 0.2, 0.1) * 3
+    for evaluate in (allocate, payments):
+        evaluate(a, values)
+        tracemalloc.start()
+        try:
+            evaluate(a, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tables, (evaluate.__name__, peak)
 
 
 def test_evaluation_memory_is_bounded_by_the_block():

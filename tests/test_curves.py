@@ -31,7 +31,7 @@ from test_dist import TWO_POINT, value_dists
 def ironed_virtual(d, v):
     """d's ironed virtual value at bid v as the auction reads it; None below every atom (cell 0)."""
     a = myerson(ProductDist((d,)), uniform_matroid(1, 1))
-    cell = _cells(a, [[v]])[0, 0]
+    cell = _cells(a, [v])[0]
     return None if cell == 0 else float(a._phis[0, cell])
 
 
