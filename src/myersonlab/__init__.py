@@ -40,7 +40,6 @@ from .lab import PreconditionError, Report
 from .learn import (
     dominated_empirical,
     draw_samples,
-    empirical,
     hellinger_sq,
     required_samples,
 )

@@ -239,7 +239,9 @@ def _expectation(a: Auction, dist: ProductDist) -> tuple[float, float]:
     sizes = held.sum(axis=1).tolist()
     count = prod(sizes)
     if count > _CAP:
-        raise EnumerationCapError(f"{count} cell profiles exceed cap {_CAP}")
+        # a longer count would swamp the message, and past 4,300 digits str() refuses it
+        shown = count if count <= 10**18 else "more than 10^18"
+        raise EnumerationCapError(f"{shown} cell profiles exceed cap {_CAP}")
     if a._outcomes is not None:
         table = a._outcomes
         for m, t in zip(mass, table.shape):  # contract the leading axis, one bidder's cells

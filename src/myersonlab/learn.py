@@ -1,4 +1,4 @@
-"""Sampling and learned priors: empirical and dominated empirical distributions,
+"""Sampling and the learned prior: the dominated empirical distribution,
 sample-count formulas, and the Hellinger distance.
 
 Natural logarithms throughout the sample-count and inflation formulas.
@@ -53,34 +53,6 @@ def draw_samples(d: ProductDist, count: int, seed) -> SampleMatrix:
     return SampleMatrix(values)
 
 
-def _column_runs(s: SampleMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per column, its distinct sample values ascending and how many samples are at most each."""
-    srt = np.sort(s.values, axis=0)
-    if not (srt[0].min() >= 0.0 and srt[-1].max() <= 1.0):  # NaN sorts last
-        raise ValueError("sample values must lie in [0, 1]")
-    ends = srt[1:] != srt[:-1]  # row r ends a run when the next row differs
-    runs = []
-    for j in range(s.n):
-        at_most = np.append(np.flatnonzero(ends[:, j]) + 1, s.count)
-        # a run of 0.0 and -0.0, in whatever order the sort left them, takes 0.0 (-0.0 + 0.0)
-        runs.append((srt[at_most - 1, j] + 0.0, at_most))
-    return runs
-
-
-def _atoms(values: np.ndarray, masses: np.ndarray) -> ValueDist:
-    """ValueDist of strictly increasing values, dropping those of zero mass."""
-    keep = masses > 0.0
-    return ValueDist(tuple(values[keep].tolist()), tuple(masses[keep].tolist()))
-
-
-def empirical(s: SampleMatrix) -> ProductDist:
-    """Product of per-coordinate uniform distributions over the samples."""
-    dists = []
-    for vals, at_most in _column_runs(s):
-        dists.append(_atoms(vals, np.diff(at_most, prepend=0) / s.count))
-    return ProductDist(tuple(dists))
-
-
 def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
     """Empirical distribution inflated so the true prior dominates it w.h.p.
 
@@ -95,18 +67,28 @@ def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta {delta!r} outside (0, 1)")
+    srt = np.sort(s.values, axis=0)
+    if not (srt[0].min() >= 0.0 and srt[-1].max() <= 1.0):  # NaN sorts last
+        raise ValueError("sample values must lie in [0, 1]")
     n, count = s.n, s.count
     coef = log(2.0 * n * count / delta)
     bottom = min(1.0, 4.0 * coef / count)
+    ends = srt[1:] != srt[:-1]  # row r ends a run when the next row differs
     dists = []
-    for vals, at_most in _column_runs(s):
+    for j in range(n):
+        at_most = np.append(np.flatnonzero(ends[:, j]) + 1, count)
+        vals = srt[at_most - 1, j]
         emp = at_most / count
         inflated = emp + np.sqrt(2.0 * emp * (1.0 - emp) * coef / count) + 4.0 * coef / count
         cum = np.concatenate(([0.0, bottom], np.minimum(1.0, inflated)))
         masses = cum[1:] - cum[:-1]
-        if vals[0] == 0.0:  # samples at 0 join the bottom atom
+        # samples at 0, a run of 0.0 and -0.0 in whatever order the sort left
+        # them, join the bottom atom, which takes the value 0.0
+        if vals[0] == 0.0:
             vals, masses = vals[1:], np.concatenate(([masses[0] + masses[1]], masses[2:]))
-        dists.append(_atoms(np.concatenate(([0.0], vals)), masses))
+        keep = masses > 0.0  # values past the clamp get no mass
+        vals = np.concatenate(([0.0], vals))[keep]
+        dists.append(ValueDist(tuple(vals.tolist()), tuple(masses[keep].tolist())))
     return ProductDist(tuple(dists))
 
 

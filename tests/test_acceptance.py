@@ -5,7 +5,6 @@ lines on passing runs too).
 """
 
 import ast
-import re
 import time
 from itertools import product as iproduct
 from math import log, sqrt
@@ -257,20 +256,73 @@ def test_source_stays_within_the_line_budget():
     assert lines <= 1920, f"src/myersonlab has {lines} lines, over the budget of 1,920"
 
 
+def _code_reads(statements) -> set[str]:
+    """Names the statements read as code: loaded names, attribute names and
+    names imported with `from`; docstrings, comments and other strings do not count."""
+    names = set()
+    for node in (n for s in statements for n in ast.walk(s)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _package_readers():
+    """Each module of the package by name with its parsed body, and the names bench/ reads."""
+    root = Path(__file__).resolve().parents[1]
+    modules = {
+        p.stem: ast.parse(p.read_text(encoding="utf-8")).body
+        for p in (root / "src" / "myersonlab").glob("*.py")
+    }
+    bench = _code_reads(
+        ast.parse(p.read_text(encoding="utf-8")) for p in (root / "bench").glob("*.py")
+    )
+    return modules, bench
+
+
+def _read_outside(module, modules, bench) -> set[str]:
+    """Names read by bench/ or by a module other than this one and __init__."""
+    others = [body for m, body in modules.items() if m not in ("__init__", module)]
+    return bench | _code_reads(s for body in others for s in body)
+
+
 def test_every_export_has_a_reader():
     # a name the package exports must be read by the benchmark or by another
     # module of the package: one that only tests read belongs with the tests
-    root = Path(__file__).resolve().parents[1]
-    src = root / "src" / "myersonlab"
-    bench = "".join(p.read_text(encoding="utf-8") for p in (root / "bench").glob("*.py"))
+    modules, bench = _package_readers()
     unread = []
-    for node in ast.parse((src / "__init__.py").read_text(encoding="utf-8")).body:
+    for node in modules["__init__"]:
         if not isinstance(node, ast.ImportFrom):
             continue
-        others = [p for p in src.glob("*.py") if p.name not in ("__init__.py", f"{node.module}.py")]
-        texts = [bench] + [p.read_text(encoding="utf-8") for p in others]
-        for alias in node.names:
-            word = re.compile(rf"\b{re.escape(alias.name)}\b")
-            if not any(word.search(text) for text in texts):
-                unread.append(f"{node.module}.{alias.name}")
+        outside = _read_outside(node.module, modules, bench)
+        unread += [f"{node.module}.{a.name}" for a in node.names if a.name not in outside]
     assert not unread, f"exported, but read by neither bench/ nor another module: {unread}"
+
+
+def test_every_module_level_name_has_a_reader():
+    # each module-level function, class and assigned name is read by the
+    # code of its own module beyond its definition, of another module, or of bench/
+    modules, bench = _package_readers()
+    unread = []
+    for module, body in modules.items():
+        if module == "__init__":
+            continue
+        outside = _read_outside(module, modules, bench)
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = _code_reads(s for s in body if s is not stmt)
+            unread += [
+                f"{module}.{name}"
+                for name in defined
+                if not (name.startswith("__") and name.endswith("__")) and name not in outside | own
+            ]
+    assert not unread, f"defined, but read by no code outside its definition: {unread}"

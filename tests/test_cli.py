@@ -438,6 +438,15 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: eps {float(argv[argv.index('--eps') + 1])!r} outside")
 
+    def test_enumeration_cap_names_the_cap_in_a_short_line(self, capsys):
+        # the instance has a cell-profile count of thousands of digits, past
+        # what Python prints as a decimal by default
+        argv = ["lipschitz-lb", "--n", "20000", "--k", "1", "--eps", "0.01"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 200 and "exceed cap 10000000" in lines[0]
+
     def test_lb_family_rank_zero(self, capsys):
         # the system refuses k = 0 before anything divides by n * k
         argv = ["lb-family", "--n", "4", "--k", "0", "--eps", "0.01", "--budget", "1"]

@@ -21,7 +21,7 @@ from myersonlab.dist import (
     virtual_table,
 )
 from myersonlab.feasible import uniform_matroid
-from myersonlab.learn import SampleMatrix, dominated_empirical, draw_samples, empirical
+from myersonlab.learn import SampleMatrix, dominated_empirical, draw_samples
 
 import oracles
 from fuzz import scale_values, uniform_grid
@@ -251,7 +251,7 @@ class TestHullOracle:
             scale_values(d, 0.5),
             ValueDist(d.support, d.probs),
             ValueDist.from_json(d.to_json()),
-            empirical(samples)[0],
+            oracles.empirical(samples)[0],
         ]
         assert [len(p.support) for p in sized] == [m] * len(sized)
         for p in sized + [dominated_empirical(samples, 0.1)[0]]:

@@ -24,7 +24,6 @@ from myersonlab.learn import (
     SampleMatrix,
     dominated_empirical,
     draw_samples,
-    empirical,
     hellinger_sq,
     required_samples,
 )
@@ -156,13 +155,13 @@ class TestDrawSamples:
 class TestEmpirical:
     def test_two_samples(self):
         s = SampleMatrix(np.array([[0.3], [0.7]]))
-        e = empirical(s)
+        e = oracles.empirical(s)
         assert e[0].support == (0.3, 0.7)
         assert e[0].probs == pytest.approx((0.5, 0.5))
 
     def test_constant_column(self):
         s = SampleMatrix(np.array([[0.2]] * 4))
-        assert empirical(s)[0] == point_mass(0.2)
+        assert oracles.empirical(s)[0] == point_mass(0.2)
 
     def test_sup_cdf_gap_bound(self):
         # per-point Bernstein bound on |D - E| holds in >= 1-delta of runs
@@ -172,7 +171,7 @@ class TestEmpirical:
         hits = 0
         for t in range(runs):
             s = draw_samples(d, count, np.random.SeedSequence(2, spawn_key=(t,)))
-            e = empirical(s)
+            e = oracles.empirical(s)
             ok = True
             for j in range(d.n):
                 for v in d[j].support:
@@ -209,7 +208,7 @@ class TestDominatedEmpirical:
         d = grid_prior()
         for t in range(30):
             s = draw_samples(d, 60, np.random.SeedSequence(5, spawn_key=(t,)))
-            e, et = empirical(s), dominated_empirical(s, 0.1)
+            e, et = oracles.empirical(s), dominated_empirical(s, 0.1)
             for j in range(d.n):
                 for v in GRID10 + [0.0]:
                     assert cdf(et[j], v) >= cdf(e[j], v) - 1e-12
@@ -233,9 +232,8 @@ class TestDominatedEmpirical:
     @pytest.mark.parametrize("bad", [1.5, -0.2, np.nan])
     def test_out_of_range_samples_give_no_prior(self, bad):
         s = SampleMatrix(np.array([[0.3], [0.7], [bad]]))
-        for learn in (empirical, lambda s: dominated_empirical(s, 0.1)):
-            with pytest.raises(ValueError, match="in \\[0, 1\\]"):
-                learn(s)
+        with pytest.raises(ValueError, match="in \\[0, 1\\]"):
+            dominated_empirical(s, 0.1)
 
     def test_shape_gives_count_and_n(self):
         s = SampleMatrix(np.zeros((400, 3)))
@@ -293,13 +291,12 @@ def sample_matrices(draw):
 
 
 class TestLearnerOracle:
-    """One sort of the sample matrix gives the per-column np.unique learners' priors bit for bit."""
+    """One sort of the sample matrix gives the per-column np.unique learner's prior bit for bit."""
 
     @given(sample_matrices(), st.sampled_from([0.01, 0.1, 0.5, 0.9]))
     @settings(max_examples=200, deadline=None)
     def test_random_samples(self, s, delta):
         assert bits(dominated_empirical(s, delta)) == bits(oracles.dominated_empirical(s, delta))
-        assert bits(empirical(s)) == bits(oracles.empirical(s))
 
     @pytest.mark.parametrize("count", [1, 2, 30, 400])
     def test_samples_at_zero_merge_with_bottom_atom(self, count):
@@ -318,9 +315,8 @@ class TestLearnerOracle:
             learned = []
             for col in orders:
                 s = SampleMatrix(np.array(col)[:, None])
-                learned.append(bits(empirical(s)))
-                assert learned[-1] == bits(oracles.empirical(s))
-                assert bits(dominated_empirical(s, 0.1)) == bits(oracles.dominated_empirical(s, 0.1))
+                learned.append(bits(dominated_empirical(s, 0.1)))
+                assert learned[-1] == bits(oracles.dominated_empirical(s, 0.1))
             assert learned[0][0][0][0] == (0.0).hex()
             assert all(b == learned[0] for b in learned)
 
@@ -329,7 +325,6 @@ class TestLearnerOracle:
         for seed in range(20):
             s = draw_samples(d, 150, seed)
             assert bits(dominated_empirical(s, 0.1)) == bits(oracles.dominated_empirical(s, 0.1))
-            assert bits(empirical(s)) == bits(oracles.empirical(s))
 
 
 class TestBernsteinRadius:
