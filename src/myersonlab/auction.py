@@ -92,8 +92,8 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     runs = [d._runs for d in prior]  # one cell per run of atoms with equal slopes
     phis, thresholds = np.zeros((2, len(runs), max(map(len, runs)) + 1))
     for i, (d, starts) in enumerate(zip(prior, runs)):
-        phis[i, 1 : len(starts) + 1] = [d._slopes[j] for j in starts]
-        thresholds[i, : len(starts)] = [d.support[j] for j in starts]
+        phis[i, 1 : len(starts) + 1] = d._slopes[starts]
+        thresholds[i, : len(starts)] = d._support[starts]
     terms = _terms(phis, fs._ranked)
     for arr in (phis, thresholds, terms):
         arr.setflags(write=False)

@@ -112,7 +112,7 @@ def _cmd_curves(args) -> int:
     price, revenue = monopoly(d)
     payload = {
         "revenue_curve": [list(p) for p in _revenue_points(d)],
-        "ironed_curve": [list(p) for p in d._hull],
+        "ironed_curve": d._hull.tolist(),
         "ironing_intervals": [list(iv) for iv in ironing_intervals(d)],
         "monopoly": {"price": price, "revenue": revenue},
     }

@@ -6,11 +6,11 @@ predicates below evaluate only there and stay exact. The revenue curve of
 a distribution is piecewise linear in quantile space with one breakpoint
 per atom; ironing replaces it by its upper concave envelope, the hull, and
 the ironed virtual value of a value v is the hull's right derivative at
-the quantile of v. A distribution is ironed once, when it is built
-(_iron): one monotone-chain sweep, after array passes that thin a curve of
-more than _GATE points by dropping the points on or below their
-neighbours' chord, never a hull vertex. It keeps the hull and each atom's
-ironed virtual value, so nothing irons it again.
+the quantile of v. A distribution derives its running sums, its hull and
+each atom's ironed virtual value once, when it is built, and keeps them as
+read-only arrays, so nothing irons it again. _GATE selects the derivation:
+up to _GATE atoms it runs in Python and its results are wrapped in arrays;
+beyond, it runs on arrays end to end (_iron). Both give the same bits.
 """
 
 from __future__ import annotations
@@ -31,14 +31,17 @@ class ValueDist:
     """Atoms of a discrete distribution: strictly increasing support, positive masses.
 
     The support lies in [0, 1] and the masses sum to 1 within MASS_TOL;
-    anything else is rejected. Derived once, when the object is built: the
-    read-only array _support holds the support, the read-only array
-    _below[k] is the mass of the k lowest atoms, summed left to right,
-    _above[k] is the mass of atom k and every atom above it, summed top
-    down, _hull holds the breakpoints of the ironed revenue curve,
-    _slopes[k] is atom k's ironed virtual value, and _runs holds the index
-    of the first atom of each run of adjacent atoms with equal _slopes,
-    such as the atoms of one ironed interval. Quantiles and
+    anything else is rejected. support and probs may be given as sequences
+    or arrays; they are kept as tuples of floats, which equality, hashing
+    and to_json read. Derived once, when the object is built, as read-only
+    arrays: _support (float, m atoms) holds the support, _below[k] (float,
+    m + 1) is the mass of the k lowest atoms, summed left to right,
+    _above[k] (float, m + 1) is the mass of atom k and every atom above it,
+    summed top down, _hull (float, (h, 2)) holds the breakpoints (q, r) of
+    the ironed revenue curve, _slopes[k] (float, m) is atom k's ironed
+    virtual value, and _runs (intp) holds the index of the first atom of
+    each run of adjacent atoms with equal _slopes, such as the atoms of one
+    ironed interval. Quantiles and
     revenue-curve breakpoints must agree bitwise, so every quantile in the
     package is read from _above, whose full-mass entry _above[0] is snapped
     to exactly 1. A lowest atom whose mass is lost when the others are
@@ -49,39 +52,45 @@ class ValueDist:
     probs: tuple[float, ...]
     _support: np.ndarray = field(init=False, repr=False, compare=False)
     _below: np.ndarray = field(init=False, repr=False, compare=False)
-    _above: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _hull: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
-    _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _runs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _above: np.ndarray = field(init=False, repr=False, compare=False)
+    _hull: np.ndarray = field(init=False, repr=False, compare=False)
+    _slopes: np.ndarray = field(init=False, repr=False, compare=False)
+    _runs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.support) != len(self.probs):
             raise ValueError(f"{len(self.support)} values but {len(self.probs)} probabilities")
-        below = np.fromiter(accumulate(self.probs, initial=0.0), float, len(self.probs) + 1)
+        probs = np.array(self.probs, dtype=float)
+        object.__setattr__(self, "probs", tuple(probs.tolist()))
+        long = len(probs) > _GATE
+        if long:  # cumsum adds left to right, as accumulate does
+            below = np.cumsum(np.append(0.0, probs))
+            above = np.cumsum(np.append(0.0, probs[::-1]))[::-1]
+        else:
+            below = np.fromiter(accumulate(self.probs, initial=0.0), float, len(probs) + 1)
+            above = list(accumulate(reversed(self.probs), initial=0.0))[::-1]
         total = float(below[-1])
         if not abs(total - 1.0) <= MASS_TOL:  # also catches a NaN or infinite mass
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        if not min(self.probs) > 0.0:
+        if not (probs.min() if long else min(self.probs)) > 0.0:
             raise ValueError(f"nonpositive probability {min(self.probs)!r}")
         support = np.array(self.support, dtype=float)
         rising = (support[1:] > support[:-1]).all()  # False at a NaN
-        if not (0.0 <= self.support[0] and self.support[-1] <= 1.0 and rising):
+        if not (0.0 <= support[0] and support[-1] <= 1.0 and rising):
             raise ValueError("support values must lie in [0, 1] and increase strictly")
-        above = list(accumulate(reversed(self.probs), initial=0.0))[::-1]
+        object.__setattr__(self, "support", tuple(support.tolist()))
         if len(above) > 2 and above[1] >= 1.0:
             raise ValueError(
-                f"the atoms above {self.support[0]!r} already carry mass {above[1]!r}, "
+                f"the atoms above {self.support[0]!r} already carry mass {float(above[1])!r}, "
                 f"so its mass {self.probs[0]!r} is lost"
             )
         above[0] = 1.0
-        for name, arr in (("_support", support), ("_below", below)):
+        hull, slopes, runs = _iron(support, above)
+        above = np.asarray(above, dtype=float)
+        for name, arr in (("_support", support), ("_below", below), ("_above", above),
+                          ("_hull", hull), ("_slopes", slopes), ("_runs", runs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_above", tuple(above))
-        hull, slopes, runs = _iron(self)
-        object.__setattr__(self, "_hull", hull)
-        object.__setattr__(self, "_slopes", slopes)
-        object.__setattr__(self, "_runs", runs)
 
     def to_json(self) -> dict:
         return {"support": list(self.support), "probs": list(self.probs)}
@@ -96,25 +105,12 @@ class ValueDist:
             ) from exc
 
 
-# Longest curve the chain takes unthinned; the array path breaks even near 125 atoms.
+# Most atoms a prior derives in Python; beyond, arrays win (they break even near 100-130 atoms).
 _GATE = 128
 
 
 def _envelope(points) -> list[tuple[float, float]]:
-    """Upper concave envelope of (q, r) points in increasing q: thinning, then the chain.
-
-    A curve of more than _GATE points comes as an (m, 2) array.
-    """
-    if len(points) > _GATE:
-        q, r = points.T
-        while len(q) > _GATE:
-            q0, q1, q2, r0, r1, r2 = q[:-2], q[1:-1], q[2:], r[:-2], r[1:-1], r[2:]
-            low = (q1 - q0) * (r2 - r0) - (r1 - r0) * (q2 - q0) >= 0.0
-            keep = np.concatenate(([True], ~low, [True]))
-            q, r = q[keep], r[keep]
-            if 4 * np.count_nonzero(low) < len(keep):
-                break
-        points = zip(q.tolist(), r.tolist())
+    """Upper concave envelope of (q, r) points in increasing q by one monotone-chain sweep."""
     hull: list[tuple[float, float]] = []
     for q, r in points:
         while len(hull) >= 2:
@@ -128,34 +124,52 @@ def _envelope(points) -> list[tuple[float, float]]:
     return hull
 
 
+def _curve(support: np.ndarray, above: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The revenue curve's quantiles and revenues: (0, 0), then (Pr[u >= v], v * Pr[u >= v])
+    per atom in descending value order, so quantiles increase to exactly 1."""
+    q = above[::-1]
+    return q, q * np.append(0.0, support[::-1])
+
+
 def _revenue_points(d: ValueDist) -> tuple[tuple[float, float], ...]:
-    """The revenue curve: (0, 0), then (Pr[u >= v], v * Pr[u >= v]) per atom in descending
-    value order, so quantiles increase to exactly 1."""
-    tails = zip(reversed(d.support), reversed(d._above[:-1]))
-    return ((0.0, 0.0),) + tuple((q, q * v) for v, q in tails)
+    """The revenue curve as (q, r) pairs of floats."""
+    return tuple(zip(*(a.tolist() for a in _curve(d._support, d._above))))
 
 
-def _iron(d: ValueDist):
-    """The hull of d's revenue curve, the hull's slope to the right of each support
-    value's quantile, and the index of the first atom of each run of equal slopes.
+def _iron(support: np.ndarray, above):
+    """The hull of the revenue curve of the atoms at support with tail sums
+    above, the hull's slope to the right of each support value's quantile,
+    and the index of the first atom of each run of equal slopes, as arrays.
 
-    Support quantiles fall as values rise, so one pointer moves down the
-    hull's segments while the atoms are taken in ascending order. A curve
-    of more than _GATE points is built as arrays instead, and one
-    searchsorted over the hull's quantiles finds each atom's segment.
+    Up to _GATE atoms, above is a list and the derivation runs in Python:
+    the chain over every breakpoint, then one pointer down the hull's
+    segments while the atoms are taken in ascending order, as their
+    quantiles fall. Beyond, above is an array and so is every step: the
+    breakpoints, stacked as one (2, m + 1) array, are thinned by passes
+    that drop every point on or below the chord of its two current
+    neighbours, the chain's own test, until at most _GATE points remain or
+    a pass drops fewer than a quarter of them; a dropped point is never a
+    hull vertex. The chain runs on what remains, and one searchsorted over
+    the hull's quantiles finds each atom's segment.
     """
-    if len(d._above) > _GATE:
-        q = np.array(d._above[::-1])
-        hull = _envelope(np.column_stack((q, q * np.append(0.0, d._support[::-1]))))
-        hq, hr = np.array(hull).T
-        k = np.searchsorted(hq, q[-2::-1], side="right") - 1
+    if len(support) > _GATE:
+        points = np.stack(_curve(support, above))
+        while points.shape[1] > _GATE:
+            step, span = points[:, 1:-1] - points[:, :-2], points[:, 2:] - points[:, :-2]
+            low = step[0] * span[1] - step[1] * span[0] >= 0.0
+            points = points[:, np.concatenate(([True], ~low, [True]))]
+            if 4 * np.count_nonzero(low) < len(low) + 2:
+                break
+        hull = np.array(_envelope(zip(*points.tolist())))
+        hq, hr = hull.T
+        k = np.searchsorted(hq, above[1:], side="right") - 1
         slopes = (np.diff(hr) / np.diff(hq))[k]
-        starts = np.flatnonzero(slopes[1:] != slopes[:-1]) + 1
-        return tuple(hull), tuple(slopes.tolist()), (0, *starts.tolist())
-    hull = _envelope(_revenue_points(d))
+        return hull, slopes, np.flatnonzero(np.append(True, slopes[1:] != slopes[:-1]))
+    tails = zip(reversed(support.tolist()), reversed(above[:-1]))
+    hull = _envelope(((0.0, 0.0),) + tuple((q, q * v) for v, q in tails))
     slopes, starts, last = [], [], None
     k = len(hull) - 2
-    for q in d._above[1:]:
+    for q in above[1:]:
         while hull[k][0] > q:
             k -= 1
         (q0, r0), (q1, r1) = hull[k], hull[k + 1]
@@ -164,23 +178,23 @@ def _iron(d: ValueDist):
             starts.append(len(slopes))
         slopes.append(slope)
         last = slope
-    return tuple(hull), tuple(slopes), tuple(starts)
+    return np.array(hull), np.array(slopes), np.array(starts, dtype=np.intp)
 
 
 class VirtualTable(NamedTuple):
     """Ironed virtual values as a right-continuous step function of value.
 
     Segment j covers [thresholds[j], thresholds[j+1]); the last segment
-    extends past the top atom.
+    extends past the top atom. Both are the prior's read-only float arrays.
     """
 
-    thresholds: tuple[float, ...]
-    slopes: tuple[float, ...]
+    thresholds: np.ndarray
+    slopes: np.ndarray
 
 
 def virtual_table(d: ValueDist) -> VirtualTable:
     """The ironed virtual value of each support value, which d derived when it was built."""
-    return VirtualTable(d.support, d._slopes)
+    return VirtualTable(d._support, d._slopes)
 
 
 def ironing_intervals(d: ValueDist) -> list[tuple[float, float]]:
@@ -188,28 +202,21 @@ def ironing_intervals(d: ValueDist) -> list[tuple[float, float]]:
 
     A hull segment counts as ironed when some raw breakpoint strictly
     inside it lies more than 1e-12 below the hull. The hull's breakpoints
-    are raw breakpoints, so one walk over the raw curve visits each
-    segment's interior points in turn.
+    are raw breakpoints, so one searchsorted of the raw quantiles below 1
+    over the hull's gives each raw breakpoint the segment it lies in.
     """
-    raw, hull = _revenue_points(d), d._hull
-    out = []
-    j = 0
-    for (q0, r0), (q1, r1) in zip(hull, hull[1:]):
-        slope = (r1 - r0) / (q1 - q0)
-        ironed_here = False
-        while raw[j][0] < q1:
-            q, r = raw[j]
-            if q0 < q and r0 + slope * (q - q0) - r > 1e-12:
-                ironed_here = True
-            j += 1
-        if ironed_here:
-            out.append((q0, q1))
-    return out
+    q, r = (a[:-1] for a in _curve(d._support, d._above))
+    hq, hr = d._hull.T
+    k = np.searchsorted(hq, q, side="right") - 1
+    q0, r0, slope = hq[k], hr[k], (np.diff(hr) / np.diff(hq))[k]
+    ironed = np.zeros(len(hq) - 1, dtype=bool)
+    ironed[k[(q0 < q) & (r0 + slope * (q - q0) - r > 1e-12)]] = True
+    return list(zip(hq[:-1][ironed].tolist(), hq[1:][ironed].tolist()))
 
 
 def monopoly(d: ValueDist) -> tuple[float, float]:
     """Best take-it-or-leave-it price over the support, ties toward the larger price."""
-    revenue, price = max((v * q, v) for v, q in zip(d.support, d._above))
+    revenue, price = max((v * q, v) for v, q in zip(d.support, d._above.tolist()))
     return price, revenue
 
 
@@ -247,8 +254,10 @@ def make_discrete(values, probs) -> ValueDist:
     sorted ascending: a stable sort and an in-order bincount add the masses
     of equal values left to right, and the first of them (0.0 or -0.0) is
     kept. Checked here, as the merge would hide them: each atom's value in
-    [0, 1] and mass not below -MASS_TOL. ValueDist checks the merged atoms,
-    the sum included; a NaN mass survives the merge, to be refused there.
+    [0, 1] and mass not below -MASS_TOL, by two reductions over the sorted
+    atoms; only on failure is the first bad atom in input order looked up.
+    ValueDist checks the merged atoms, the sum included; a NaN mass
+    survives the merge, to be refused there.
     """
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -256,17 +265,19 @@ def make_discrete(values, probs) -> ValueDist:
         raise ValueError(
             f"values {values.shape} and probabilities {probs.shape}: need flat lists of one length"
         )
-    bad = (probs < -MASS_TOL) | ~((values >= 0.0) & (values <= 1.0))
-    if bad.any():  # the first bad atom, its mass checked before its value
-        v, p = float(values[bad][0]), float(probs[bad][0])
-        msg = f"negative probability {p!r}" if p < -MASS_TOL else f"value {v!r} outside [0, 1]"
-        raise ValueError(msg)
     order = values.argsort(kind="stable")
-    values, probs = values[order], probs[order]
-    first = np.concatenate(([True], values[1:] != values[:-1]))[: len(values)]  # [] for no atoms
-    masses = np.bincount(first.cumsum() - 1, weights=probs)
+    atoms, weights = values[order], probs[order]
+    inside = not len(atoms) or (atoms[0] >= 0.0 and atoms[-1] <= 1.0)  # a NaN value sorts last
+    if not inside or (weights < -MASS_TOL).any():
+        bad = (probs < -MASS_TOL) | ~((values >= 0.0) & (values <= 1.0))
+        v, p = float(values[bad][0]), float(probs[bad][0])  # its mass checked before its value
+        raise ValueError(
+            f"negative probability {p!r}" if p < -MASS_TOL else f"value {v!r} outside [0, 1]"
+        )
+    first = np.concatenate(([True], atoms[1:] != atoms[:-1]))[: len(atoms)]  # [] for no atoms
+    masses = np.bincount(first.cumsum() - 1, weights=weights)
     keep = ~(masses <= 0.0)
-    return ValueDist(tuple(values[first][keep].tolist()), tuple(masses[keep].tolist()))
+    return ValueDist(atoms[first][keep], masses[keep])
 
 
 def point_mass(v: float) -> ValueDist:

@@ -375,7 +375,7 @@ def run_lb_family(
     dplus = make_discrete([0.0, 1.0], [base - shift, 1.0 - base + shift])
     dminus = make_discrete([0.0, 1.0], [base + shift, 1.0 - base - shift])
     priors = (dminus, dplus)  # by sign; each has atoms at 0 and at 1
-    phis = [d._slopes for d in priors]  # the ironed virtual values at 0 and at 1
+    phis = [d._slopes.tolist() for d in priors]  # the ironed virtual values at 0 and at 1
     h2 = hellinger_sq(dplus, dminus)
     budget_product = sample_budget * h2
     rng = np.random.default_rng(seed)

@@ -88,7 +88,7 @@ def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
             vals, masses = vals[1:], np.concatenate(([masses[0] + masses[1]], masses[2:]))
         keep = masses > 0.0  # values past the clamp get no mass
         vals = np.concatenate(([0.0], vals))[keep]
-        dists.append(ValueDist(tuple(vals.tolist()), tuple(masses[keep].tolist())))
+        dists.append(ValueDist(vals, masses[keep]))
     return ProductDist(tuple(dists))
 
 

@@ -1,6 +1,7 @@
 """Revenue curves, ironing, virtual values, and monopoly pricing."""
 
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ class TestRevenueCurve:
     @given(value_dists())
     @settings(max_examples=80, deadline=None)
     def test_shape(self, d):
-        for curve in (_revenue_points(d), d._hull):
+        for curve in (_revenue_points(d), tuple(map(tuple, d._hull.tolist()))):
             qs = [q for q, _ in curve]
             assert curve[0] == (0.0, 0.0)
             assert qs[-1] == 1.0
@@ -67,7 +68,7 @@ class TestRevenueCurve:
 
 class TestIron:
     def test_concave_input_unchanged(self):
-        assert TWO_POINT._hull == _revenue_points(TWO_POINT)
+        assert tuple(map(tuple, TWO_POINT._hull.tolist())) == _revenue_points(TWO_POINT)
 
     def test_v_shape_hull(self):
         assert _envelope(((0.0, 0.0), (0.5, 0.1), (1.0, 0.4))) == [(0.0, 0.0), (1.0, 0.4)]
@@ -75,7 +76,7 @@ class TestIron:
     @given(value_dists())
     @settings(max_examples=100, deadline=None)
     def test_envelope_properties(self, d):
-        raw, h = _revenue_points(d), d._hull
+        raw, h = _revenue_points(d), tuple(map(tuple, d._hull.tolist()))
         assert set(h) <= set(raw)
         hq, hr = np.array(h).T
         for q, r in raw:
@@ -163,17 +164,17 @@ class TestOneWalkOracle:
     @given(value_dists(8))
     @settings(max_examples=200, deadline=None)
     def test_random_distributions(self, d):
-        assert virtual_table(d).slopes == oracles.virtual_slopes(d)
+        assert tuple(virtual_table(d).slopes.tolist()) == oracles.virtual_slopes(d)
         assert ironing_intervals(d) == oracles.ironing_intervals(d)
         assert hull_bits(d) == oracle_hull_bits(d)
-        assert d._runs == oracles.run_starts(d)
+        assert tuple(d._runs.tolist()) == oracles.run_starts(d)
 
     def test_learned_prior(self):
         d = learned_prior(0.001, 1726, 0)
         assert len(d.support) > 700
-        assert virtual_table(d).slopes == oracles.virtual_slopes(d)
+        assert tuple(virtual_table(d).slopes.tolist()) == oracles.virtual_slopes(d)
         assert ironing_intervals(d) == oracles.ironing_intervals(d)
-        assert d._runs == oracles.run_starts(d)
+        assert tuple(d._runs.tolist()) == oracles.run_starts(d)
 
 
 def hull_bits(d):
@@ -256,7 +257,24 @@ class TestHullOracle:
         assert [len(p.support) for p in sized] == [m] * len(sized)
         for p in sized + [dominated_empirical(samples, 0.1)[0]]:
             assert hull_bits(p) == oracle_hull_bits(p)
-            assert p._runs == oracles.run_starts(p)
+            assert tuple(p._runs.tolist()) == oracles.run_starts(p)
+            # the sums added left to right and top down, as the docstring says
+            assert p._below.tolist() == list(accumulate(p.probs, initial=0.0))
+            assert p._above.tolist()[1:] == list(accumulate(reversed(p.probs), initial=0.0))[-2::-1]
+            atoms, h, runs = len(p.support), len(p._hull), len(p._runs)
+            assert 2 <= h <= atoms + 1 and 1 <= runs <= atoms
+            derived = {
+                "_support": (float, (atoms,)),
+                "_below": (float, (atoms + 1,)),
+                "_above": (float, (atoms + 1,)),
+                "_hull": (float, (h, 2)),
+                "_slopes": (float, (atoms,)),
+                "_runs": (np.intp, (runs,)),
+            }
+            for name, (dtype, shape) in derived.items():
+                arr = getattr(p, name)
+                assert isinstance(arr, np.ndarray) and not arr.flags.writeable, name
+                assert (arr.dtype, arr.shape) == (np.dtype(dtype), shape), name
 
     @pytest.mark.parametrize(
         "probs, slopes",
@@ -267,8 +285,9 @@ class TestHullOracle:
     )
     def test_tiny_masses_that_repeat_a_quantile(self, probs, slopes):
         for d in (ValueDist((0.1, 0.5, 0.9), probs), make_discrete((0.1, 0.5, 0.9), probs)):
-            assert virtual_table(d).slopes == slopes
+            assert tuple(virtual_table(d).slopes.tolist()) == slopes
             assert hull_bits(d) == oracle_hull_bits(d)
+            assert ironing_intervals(d) == oracles.ironing_intervals(d)
 
     def test_thinning_stops_after_a_pass_that_drops_few(self):
         # a concave curve of 300 breakpoints with every sixth atom's mass
@@ -299,8 +318,8 @@ def test_tables_and_auctions_read_the_slopes_the_prior_derived(monkeypatch):
 
     monkeypatch.setattr("myersonlab.dist._envelope", hull)
     for d, slopes in zip((short, long), derived):
-        assert virtual_table(d).slopes == slopes
-        ironing_intervals(d)  # the curves report's walk reads the kept hull
+        assert virtual_table(d).slopes is slopes
+        ironing_intervals(d)  # the curves report reads the kept hull
         assert ironed_virtual(d, d.support[0]) == slopes[0]
         a = myerson(ProductDist((d, d)), uniform_matroid(2, 1))
         assert a._phis[0, 1] == a._phis[1, 1] == slopes[0]
@@ -309,6 +328,21 @@ def test_tables_and_auctions_read_the_slopes_the_prior_derived(monkeypatch):
         for phis, thresholds in zip(a._phis, a._thresholds):
             assert phis[1 : runs + 1].tolist() == [slopes[j] for j in d._runs]
             assert thresholds[:runs].tolist() == [d.support[j] for j in d._runs]
+
+
+def test_a_long_prior_keeps_its_derived_state_in_arrays():
+    # 1,001 atoms and 864 hull points; as tuples of floats the derived
+    # fields alone took about 150 KB, and the public tuples take about 64 KB
+    discretize_uniform_with_atom(0.55, 0.1, 0.001)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = discretize_uniform_with_atom(0.55, 0.1, 0.001)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (len(d.support), len(d._hull)) == (1001, 864)
+    assert kept < 150 * 1024
 
 
 def test_virtual_tables_of_fresh_priors_leave_memory_flat():

@@ -3,6 +3,7 @@
 import math
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +140,17 @@ class TestMakeDiscrete:
         assert d._above[1] < 1.0 == d._above[0]
 
 
+def past_the_gate(atom=0, value=None, mass=None):
+    """200 evenly spaced atoms of equal mass, with one atom's value or mass replaced."""
+    support, probs = [k / 200 for k in range(200)], [0.005] * 200
+    if value is not None:
+        support[atom] = value
+    if mass is not None:  # the next atom up takes the difference
+        probs[atom + 1] += probs[atom] - mass
+        probs[atom] = mass
+    return tuple(support), tuple(probs)
+
+
 class TestValueDistChecks:
     """A ValueDist built directly is held to what make_discrete would accept."""
 
@@ -157,6 +169,12 @@ class TestValueDistChecks:
             ((0.5, 0.2), (0.3, 0.3), "sum to 0.6"),
             ((0.2, 0.8), (0.5, math.nan), "sum to nan"),
             ((), (), "sum to 0.0"),
+            # past the gate, where the sums and checks run on arrays
+            (*past_the_gate(5, mass=0.0), "nonpositive probability 0.0"),
+            (*past_the_gate(5, mass=math.nan), "sum to nan"),
+            (*past_the_gate(7, value=0.006), "increase strictly"),
+            (*past_the_gate(199, value=1.5), "in \\[0, 1\\]"),
+            (past_the_gate()[0], (1e-20,) + (1 / 199,) * 199, "lost"),
         ],
     )
     def test_rejected(self, support, probs, match):
@@ -165,6 +183,20 @@ class TestValueDistChecks:
 
     def test_mass_within_tolerance_is_accepted(self):
         assert ValueDist((0.2, 0.8), (0.5, 0.5 + 1e-13)).support == (0.2, 0.8)
+
+    @pytest.mark.parametrize(
+        "support, probs",
+        [
+            ((1,), (1,)),
+            (np.array([0.25, 0.75]), np.array([0.5, 0.5])),
+            (np.arange(1, 201) / 200, np.full(200, 0.005)),
+        ],
+    )
+    def test_atoms_are_kept_as_tuples_of_floats(self, support, probs):
+        d = ValueDist(support, probs)
+        assert d.support == tuple(np.asarray(support, dtype=float).tolist())
+        assert d.probs == tuple(np.asarray(probs, dtype=float).tolist())
+        assert {type(x) for x in d.support + d.probs} == {float}
 
 
 def bits(d):
