@@ -58,12 +58,12 @@ class CrossCheckError(RuntimeError):
 class Auction:
     """The optimal auction and the read-only arrays myerson derives from it once.
 
-    The rows of feasible._ranked are the vertices in myerson's tie order. Bidder
+    The rows of feasible.vertices are in myerson's tie order. Bidder
     i has _runs[i] cells above 0, one per run of equal ironed virtual value;
     _phis[i, c] is that value in cell c (0 in cell 0), _thresholds[i, c - 1]
     the value of the run's first atom and _terms[i] bidder i's term table, all
     padded with zeros. The outcome tables, None when the grid does not fit,
-    are indexed by a cell profile: _ranks holds the winner's row of _ranked,
+    are indexed by a cell profile: _ranks holds the winner's row of vertices,
     _outcomes[..., i] bidder i's payment and _outcomes[..., n] the welfare.
     """
 
@@ -81,7 +81,7 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     """Build the optimal auction for the prior over the feasible system.
 
     Welfare ties between vertices are broken by the order of the rows of
-    fs._ranked, a fixed value-independent order: descending total allocation,
+    fs.vertices, a fixed value-independent order: descending total allocation,
     then ascending lexicographic. Any fixed order keeps the per-bidder
     allocation monotone in own value. When the grid of every bidder's cells
     fits a block, one _score call over the kept term tables, each laid along
@@ -94,7 +94,7 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     for i, (d, starts) in enumerate(zip(prior, runs)):
         phis[i, 1 : len(starts) + 1] = d._slopes[starts]
         thresholds[i, : len(starts)] = d._support[starts]
-    terms = _terms(phis, fs._ranked)
+    terms = _terms(phis, fs.vertices)
     for arr in (phis, thresholds, terms):
         arr.setflags(write=False)
     fields = prior, fs, phis, thresholds, terms, tuple(map(len, runs))
@@ -109,7 +109,7 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     outcomes = np.empty(ranks.shape + (n + 1,))
     outcomes[..., n] = welfare
     del welfare  # not held through the payment loop, where the build's memory peaks
-    x = fs._ranked[ranks]
+    x = fs.vertices[ranks]
     for i, (r, th) in enumerate(zip(runs, thresholds)):
         own, pay = x[..., i].swapaxes(0, i), outcomes[..., i].swapaxes(0, i)
         _pay(own, th[: len(r)].reshape(along), pay)
@@ -143,7 +143,7 @@ def _score(terms) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _winners(a: Auction, cells) -> np.ndarray:
-    """Row of feasible._ranked that wins at each point of n per-bidder cell arrays.
+    """Row of feasible.vertices that wins at each point of n per-bidder cell arrays.
 
     cells[i] holds bidder i's cells; the n arrays broadcast to one shape, not
     0-d, which is the shape of the result. _score picks the winner from each
@@ -175,7 +175,7 @@ def _line(a: Auction, i: int, cells: np.ndarray, top: int) -> tuple[np.ndarray, 
     """
     cells = list(cells.T)
     cells[i] = np.arange(top)[:, None]
-    x = a.feasible._ranked[:, i][_winners(a, cells)]
+    x = a.feasible.vertices[:, i][_winners(a, cells)]
     return x, _pay(x, a._thresholds[i, : top - 1, None])
 
 
@@ -198,7 +198,7 @@ def allocate(a: Auction, values) -> tuple[float, ...]:
     """
     cells = _cells(a, values)
     rank = _winners(a, cells[:, None])[0] if a._ranks is None else a._ranks[tuple(cells)]
-    return tuple(a.feasible._ranked[rank].tolist())
+    return tuple(a.feasible.vertices[rank].tolist())
 
 
 def payments(a: Auction, values) -> tuple[float, ...]:

@@ -1,16 +1,14 @@
 """Feasible allocation systems: set systems, the exchange check, fractional vertex sets.
 
-A feasible system is stored by the vertices of its allocation polytope
-and its rank. For linear objectives (virtual welfare) randomization never
-beats a vertex, so the auction optimizes over vertices only. When every
-vertex is 0/1, the system also gets a set-system view as bitmasks,
-derived from the vertices when it is built; explicit families are meant
-for n up to about 20.
+A feasible system is one read-only matrix of the vertices of its allocation
+polytope, and its rank. For linear objectives (virtual welfare) randomization
+never beats a vertex, so the auction optimizes over vertices only. A 0/1 matrix
+is a set system, read as bitmasks by masks; explicit families suit n up to 20.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import comb
 
@@ -19,54 +17,59 @@ import numpy as np
 _MAX_SETS = 2**18  # most sets uniform_matroid lists: (18, 9) has 155,382, (20, 10) 616,666
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibleSet:
     """Vertices of the allocation polytope in [0, 1]^n, and its rank.
 
-    rank is the maximum l1 norm over vertices. It is passed explicitly,
-    because summing a vertex is not exact: the vertices of
-    all_or_nothing(10, 3) sum to 2.9999999999999996. Derived once, when the
-    object is built: n, the common length of the vertices; sets_view, the
-    distinct vertices as ascending bidder bitmasks, present exactly when
-    every coordinate is 0 or 1; and _ranked, the read-only matrix of the
-    vertices in the order of myerson's tie rule.
+    vertices, given as equal-length vectors, is kept as a read-only,
+    F-contiguous (m, n) float matrix in myerson's tie order: descending total
+    summed left to right, then lexicographic, then input position. rank is
+    the largest l1 norm of a vertex, passed because sums are inexact.
     """
 
-    vertices: tuple[tuple[float, ...], ...]
+    vertices: np.ndarray
     rank: float
-    n: int = field(init=False, repr=False, compare=False)
-    sets_view: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
-    _ranked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.vertices:
-            raise ValueError("at least one vertex is required")
-        n = len(self.vertices[0])
-        for v in self.vertices:
-            if len(v) != n:
-                raise ValueError("vertices of mixed dimension")
-            for x in v:
-                if not 0.0 <= x <= 1.0:
-                    raise ValueError(f"allocation coordinate {x!r} outside [0, 1]")
-        view = None
-        if all(v.count(0.0) + v.count(1.0) == n for v in self.vertices):
-            view = tuple(sorted({_mask(i for i, x in enumerate(v) if x) for v in self.vertices}))
-        ranked = np.array(self.vertices, order="F")
-        order = np.lexsort((*ranked.T[::-1], [-sum(v) for v in self.vertices]))  # stable
-        for col in ranked.T:  # in place, so that one matrix is held at a time
+        v = _matrix(self.vertices)
+        totals = reduce(np.subtract, v.T, np.zeros(len(v)))  # negated, each summed left to right
+        order = np.lexsort((*v.T[::-1], totals))  # stable
+        for col in v.T:  # in place, so that one matrix is held at a time
             col[:] = col[order]
-        ranked.setflags(write=False)
-        for name, value in (("n", n), ("sets_view", view), ("_ranked", ranked)):
-            object.__setattr__(self, name, value)
+        v.setflags(write=False)
+        object.__setattr__(self, "vertices", v)
+
+    @property
+    def n(self) -> int:
+        return self.vertices.shape[1]
 
     def to_json(self) -> dict:
-        if self.sets_view is not None:
-            return {
-                "type": "sets",
-                "n": self.n,
-                "sets": [sorted(members(m)) for m in self.sets_view],
-            }
-        return {"type": "vertices", "vectors": [list(v) for v in self.vertices]}
+        sets = masks(self.vertices)
+        if sets is not None:
+            return {"type": "sets", "n": self.n, "sets": [sorted(members(m)) for m in sets]}
+        return {"type": "vertices", "vectors": self.vertices.tolist()}
+
+
+def _matrix(vertices) -> np.ndarray:
+    """A fresh F-order float matrix of the vertices, refused unless every one is in [0, 1]^n."""
+    try:
+        v = np.array(vertices, dtype=float, order="F")
+    except ValueError as exc:
+        raise ValueError(f"vertices of mixed dimension or not numbers ({exc})") from None
+    if v.ndim != 2 or not len(v):
+        raise ValueError("vertices must be a list of at least one vertex, each a list of numbers")
+    bad = v[~((v >= 0.0) & (v <= 1.0))]  # NaN included
+    if bad.size:
+        raise ValueError(f"allocation coordinate {bad[0].item()!r} outside [0, 1]")
+    return v
+
+
+def masks(vertices: np.ndarray) -> list[int] | None:
+    """The distinct 0/1 rows as ascending bitmasks, exact for any n; None if a row is fractional."""
+    if not ((vertices == 0.0) | (vertices == 1.0)).all():
+        return None
+    rows = np.packbits(vertices != 0.0, axis=1, bitorder="little").tolist()
+    return sorted({int.from_bytes(row, "little") for row in rows})
 
 
 def members(mask: int) -> tuple[int, ...]:
@@ -78,35 +81,36 @@ def members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _mask(subset) -> int:
-    m = 0
-    for i in subset:
-        m |= 1 << i
-    return m
+def _from_masks(n: int, family) -> FeasibleSet:
+    """Binary system with one vertex per mask in a collection of distinct masks, in one unpack."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in family), np.uint8)
+    rows = np.unpackbits(packed.reshape(len(family), width), axis=1, count=n, bitorder="little")
+    return FeasibleSet(rows, float(max((m.bit_count() for m in family), default=0)))
 
 
 def from_independent_sets(n: int, sets) -> FeasibleSet:
     """Binary system from an explicit list of allocatable bidder subsets."""
     if n < 0:
         raise ValueError(f"bidder count n={n} is negative")
-    masks = set()
+    family = set()
     for s in sets:
-        s = tuple(s)
-        for i in s:
+        m = 0
+        for i in map(operator.index, s):  # a numpy integer would wrap in the shift
             if not 0 <= i < n:
                 raise ValueError(f"bidder index {i} out of range for n={n}")
-        masks.add(_mask(s))
-    vertices = tuple(tuple(float(m >> i & 1) for i in range(n)) for m in sorted(masks))
-    return FeasibleSet(vertices, float(max((m.bit_count() for m in masks), default=0)))
+            m |= 1 << i
+        family.add(m)
+    return _from_masks(n, family)
 
 
 def from_vertices(vectors) -> FeasibleSet:
     """System from explicit allocation vectors in [0, 1]^n; 0/1 vectors give a set system."""
-    vertices = tuple(tuple(float(x) for x in v) for v in vectors)
-    fs = FeasibleSet(vertices, max((sum(v) for v in vertices), default=0.0))
-    if fs.sets_view is None:
-        return fs
-    return from_independent_sets(fs.n, map(members, fs.sets_view))
+    v = _matrix(vectors)
+    family = masks(v)
+    if family is None:
+        return FeasibleSet(v, max(sum(row) for row in v.tolist()))
+    return _from_masks(v.shape[1], family)
 
 
 def uniform_matroid(n: int, k: int) -> FeasibleSet:
@@ -116,8 +120,8 @@ def uniform_matroid(n: int, k: int) -> FeasibleSet:
     count = sum(comb(n, r) for r in range(k + 1))
     if count > _MAX_SETS:
         raise ValueError(f"uniform matroid n={n} k={k} has {count} sets, more than {_MAX_SETS}")
-    sets = [c for r in range(k + 1) for c in combinations(range(n), r)]
-    return from_independent_sets(n, sets)
+    bits = [1 << i for i in range(n)]
+    return _from_masks(n, [sum(c) for r in range(k + 1) for c in combinations(bits, r)])
 
 
 def minimum_non_matroid() -> FeasibleSet:
@@ -134,14 +138,11 @@ def all_or_nothing(n: int, k: int) -> FeasibleSet:
 
 def is_downward_closed(fs: FeasibleSet) -> bool:
     """Whether every subset of a feasible set is feasible; binary set systems only."""
-    if fs.sets_view is None:
+    sets = masks(fs.vertices)
+    if sets is None:
         raise ValueError("downward-closure check needs a binary set system")
-    have = set(fs.sets_view)
-    for m in fs.sets_view:
-        for i in members(m):
-            if m & ~(1 << i) not in have:
-                return False
-    return True
+    have = set(sets)
+    return all(m & ~(1 << i) in have for m in sets for i in members(m))
 
 
 def _exchange_violation(fs: FeasibleSet) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -155,12 +156,13 @@ def _exchange_violation(fs: FeasibleSet) -> tuple[tuple[int, ...], tuple[int, ..
     ext[S'] holds the bidders x outside S' for which S' + x is feasible, so
     (S, S') violates exchange exactly when S & ext[S'] is empty.
     """
-    ext = dict.fromkeys(fs.sets_view, 0)
+    sets = masks(fs.vertices)
+    ext = dict.fromkeys(sets, 0)
     by_size: dict[int, list[int]] = {}
-    for m in fs.sets_view:
+    for m in sets:
         by_size.setdefault(m.bit_count(), []).append(m)
         for i in members(m):
-            ext[m & ~(1 << i)] |= 1 << i  # in the view, since the system is downward closed
+            ext[m & ~(1 << i)] |= 1 << i  # in the family, since the system is downward closed
     best = None
     best_key = None
     for sz, bigs in by_size.items():

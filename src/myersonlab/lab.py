@@ -31,6 +31,7 @@ from .feasible import (
     _exchange_violation,
     all_or_nothing,
     is_downward_closed,
+    masks,
     minimum_non_matroid,
 )
 from .learn import dominated_empirical, draw_samples, hellinger_sq, required_samples
@@ -162,7 +163,7 @@ def embed_counterexample(fs: FeasibleSet, eps: float = 0.1) -> Report:
     """
     if not 0.0 < eps < 1.0:  # also catches NaN
         raise ValueError(f"eps {eps!r} outside (0, 1)")
-    if fs.sets_view is None:
+    if masks(fs.vertices) is None:
         raise PreconditionError("embedding needs a binary set system")
     if fs.n > EMBED_MAX_N:
         raise PreconditionError(f"embedding limited to n <= {EMBED_MAX_N}")
@@ -316,11 +317,8 @@ def run_sample_complexity(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    setting = (
-        "downward_closed"
-        if fs.sets_view is not None and is_downward_closed(fs)
-        else "general"
-    )
+    closed = masks(fs.vertices) is not None and is_downward_closed(fs)
+    setting = "downward_closed" if closed else "general"
     count = required_samples(setting, fs.n, fs.rank, eps, delta, C)
     opt = opt_revenue(d, fs)
     failures = 0

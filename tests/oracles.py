@@ -11,16 +11,18 @@ of the whole raw curve per segment, the matroid exchange
 property over every pair of set sizes, the exchange violation search
 over member tuples, the disjoint union of set systems
 over the full product of their sets, the tie order by counting the
-vertices ranked ahead of each, and the auction one profile at a
-time: a scalar welfare scan over the vertices, a payment integral that
-re-runs it at each own-value breakpoint, and expectations over the full
-product of supports. The per-atom auction keeps one cell per atom where
-the library keeps one per run of equal ironed virtual value.
-Distributions are built by merging atoms one at a time in a dict,
+vertices ranked ahead of each, the tie-ordered matrix by one lexsort
+over the float tuples that bitmasks expand to, and the auction one
+profile at a time: a scalar welfare scan over the vertices, a payment
+integral that re-runs it at each own-value breakpoint, and expectations
+over the full product of supports. The per-atom auction keeps one cell
+per atom where the library keeps one per run of equal ironed virtual
+value. Distributions are built by merging atoms one at a time in a dict,
 samples drawn column by column with the top index clipped, learned
-priors column by column through np.unique, and set members by a shift
-loop over every bit position. The library must agree with them bit for
-bit, except that payments, revenue and welfare may differ in the last
+priors column by column through np.unique, set members by a shift loop
+over every bit position, and the bitmasks of matrix rows by one shift
+per coordinate. The library must agree with them bit for bit, except
+that payments, revenue and welfare may differ in the last
 bits.
 """
 
@@ -279,9 +281,10 @@ def find_exchange_violation(fs):
     violating pair with the largest intersection, then the lexicographically
     first sorted member tuples.
     """
-    have = set(fs.sets_view)
+    view = row_masks(fs)
+    have = set(view)
     by_size = {}
-    for m in fs.sets_view:
+    for m in view:
         by_size.setdefault(bin(m).count("1"), []).append(m)
     best = None
     best_key = None
@@ -312,13 +315,42 @@ def members(mask):
     return tuple(out)
 
 
+def row_masks(fs):
+    """The distinct rows of a binary system's matrix as ascending bitmasks, one shift per 1."""
+    rows = fs.vertices.tolist()
+    if any(x not in (0.0, 1.0) for row in rows for x in row):
+        raise ValueError("bitmasks need a binary system")
+    return sorted({sum(1 << i for i, x in enumerate(row) if x) for row in rows})
+
+
+def set_vertices(n, sets):
+    """0/1 float tuples of the distinct sets in ascending bitmask order, masks built by shifts."""
+    masks = sorted({sum(1 << i for i in set(s)) for s in sets})
+    return [tuple(float(m >> i & 1) for i in range(n)) for m in masks]
+
+
+def lexsorted(vertices):
+    """The float matrix of the vertices in tie order, by one stable np.lexsort."""
+    rows = np.array(vertices, dtype=float)
+    order = np.lexsort((*rows.T[::-1], [-left_to_right_sum(v) for v in vertices]))
+    return rows[order]
+
+
+def left_to_right_sum(vertex):
+    """A vertex's total summed left to right, uncompensated on every Python version."""
+    out = 0.0
+    for x in vertex:
+        out += x
+    return out
+
+
 def tie_order(vertices):
     """Vertex indices in tie order, each placed by counting the vertices ranked ahead of it.
 
     Vertex i is ahead of j when its total allocation is larger, or equal with
     a lexicographically smaller vector, or the same vector at a lower index.
     """
-    keys = [(-sum(v), v, j) for j, v in enumerate(vertices)]
+    keys = [(-left_to_right_sum(v), v, j) for j, v in enumerate(vertices)]
     order = [None] * len(keys)
     for j, key in enumerate(keys):
         order[sum(other < key for other in keys)] = j
@@ -327,12 +359,10 @@ def tie_order(vertices):
 
 def disjoint_union(parts):
     """Binary systems side by side: one feasible set per choice of a set from each part."""
-    if any(p.sets_view is None for p in parts):
-        raise ValueError("disjoint union needs binary systems")
     offsets = [sum(p.n for p in parts[:j]) for j in range(len(parts))]
     sets = [
         [i + off for m, off in zip(combo, offsets) for i in members(m)]
-        for combo in product(*[p.sets_view for p in parts])
+        for combo in product(*[row_masks(p) for p in parts])
     ]
     return from_independent_sets(sum(p.n for p in parts), sets)
 
@@ -349,7 +379,7 @@ def per_atom_auction(prior, fs):
     phis = np.array([(0.0,) + walk_slopes(d) + z for d, z in zip(prior, pad)])
     thresholds = np.array([d.support + z for d, z in zip(prior, pad)])
     atoms = tuple(len(d.support) for d in prior)
-    terms = _terms(phis, fs._ranked)
+    terms = _terms(phis, fs.vertices)
     return replace(a, _phis=phis, _thresholds=thresholds, _terms=terms, _runs=atoms, _ranks=None,
                    _outcomes=None)
 
@@ -361,7 +391,7 @@ def allocate(a, values):
     allocating to them are excluded while any other is left, and otherwise
     every vertex is ranked by the welfare of its non-sunk part.
     """
-    verts = a.feasible.vertices
+    verts = [tuple(v) for v in a.feasible.vertices.tolist()]
     order = tie_order(verts)
     phis = [virtual_value(d, v) for d, v in zip(a.prior, values)]
     sunk = [i for i, p in enumerate(phis) if p is None]

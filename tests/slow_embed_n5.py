@@ -14,7 +14,7 @@ smallest gap, and exits 1 if any system fails.
 import sys
 import time
 
-from myersonlab.feasible import _exchange_violation, from_independent_sets, members
+from myersonlab.feasible import _exchange_violation, from_independent_sets, masks, members
 from myersonlab.lab import embed_counterexample
 
 from fuzz import downward_closed_families
@@ -36,7 +36,7 @@ def main() -> int:
         gap = report.metrics["gap"]
         worst = gap if worst is None else min(worst, gap)
         if not (report.passed and gap > 0.0):
-            failures.append((sorted(members(m)) for m in fs.sets_view))
+            failures.append([sorted(members(m)) for m in masks(fs.vertices)])
     print(
         f"{len(families)} families, {len(non_matroids)} non-matroids, "
         f"{len(non_matroids) - len(failures)} pass, {len(failures)} fail, "

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from myersonlab.auction import expected_revenue, myerson
-from myersonlab.feasible import _exchange_violation, from_independent_sets, members
+from myersonlab.feasible import _exchange_violation, from_independent_sets, masks, members
 
 from fuzz import dominated_pair, downward_closed_families, gadget_pairs
 
@@ -44,7 +44,7 @@ def main() -> int:
             worst = drop if worst is None else min(worst, drop)
             pairs += 1
             if drop < -1e-9:
-                failures.append([sorted(members(m)) for m in fs.sets_view])
+                failures.append([sorted(members(m)) for m in masks(fs.vertices)])
     print(
         f"{len(matroids)} matroids, {pairs} pairs, {pairs - len(failures)} pass, "
         f"{len(failures)} fail, worst drop {worst!r}, {time.perf_counter() - start:.1f} s"

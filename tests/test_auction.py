@@ -665,10 +665,10 @@ class TestOutcomeTables:
             bids = [(th[0] - 1.0, *th[:m]) for th, m in zip(a._thresholds.tolist(), a._runs)]
             for profile, rank, w in zip(cells.T.tolist(), ranks.tolist(), welfare):
                 values = [b[c] for b, c in zip(bids, profile)]
-                assert allocate(lines, values) == tuple(fs._ranked[rank].tolist()), profile
+                assert allocate(lines, values) == tuple(fs.vertices[rank].tolist()), profile
                 pays = a._outcomes[tuple(profile)][:-1].tolist()
                 assert [p.hex() for p in payments(lines, values)] == [p.hex() for p in pays]
-                terms = [x * phi[c] for x, phi, c in zip(fs._ranked[rank].tolist(), a._phis.tolist(), profile)]
+                terms = [x * phi[c] for x, phi, c in zip(fs.vertices[rank].tolist(), a._phis.tolist(), profile)]
                 total = 0.0
                 for t in terms:
                     total += t

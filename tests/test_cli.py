@@ -406,6 +406,14 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_vectors_that_are_not_a_list_of_lists(self, capsys, tmp_path):
+        # read one character at a time, "01" would be the 1-bidder system {{}, {0}}
+        fs = write_json(tmp_path / "fs.json", {"type": "vertices", "vectors": "01"})
+        dist = write_json(tmp_path / "d.json", [{"support": [0.5], "probs": [1.0]}])
+        code, out, err = run(capsys, ["sample-complexity", "--feasible", fs, "--dist", dist, "--trials", "1"])
+        assert (code, out) == (1, "")
+        assert err == "error: vertices must be a list of at least one vertex, each a list of numbers\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

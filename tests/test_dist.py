@@ -511,7 +511,7 @@ class TestJson:
         for parse, same in (
             (ValueDist.from_json, lambda x, y: x == y),
             (ProductDist.from_json, lambda x, y: x == y),
-            (feasible_from_json, lambda x, y: x.vertices == y.vertices),
+            (feasible_from_json, lambda x, y: np.array_equal(x.vertices, y.vertices)),
         ):
             try:
                 parsed = parse(obj)

@@ -249,7 +249,7 @@ class TestEmbed:
         non_matroids = [fs for fs in systems if _exchange_violation(fs) is not None]
         assert len(non_matroids) == 99
         for fs in non_matroids:
-            assert embed_counterexample(fs).metrics["gap"] > 0.09, fs.sets_view
+            assert embed_counterexample(fs).metrics["gap"] > 0.09, fs.to_json()
 
     @given(random_closures())
     @settings(max_examples=300, deadline=None)
@@ -261,7 +261,7 @@ class TestEmbed:
                 embed_counterexample(fs)
         else:
             r = embed_counterexample(fs)
-            assert r.passed and r.metrics["gap"] > 0.0, fs.sets_view
+            assert r.passed and r.metrics["gap"] > 0.0, fs.to_json()
 
 
 class TestMatroidHalf:
@@ -277,7 +277,7 @@ class TestMatroidHalf:
             for big, design in [dominated_pair(rng, n) for _ in range(random_pairs)] + gadgets:
                 a = myerson(design, fs)
                 drop = expected_revenue(a, big) - expected_revenue(a, design)
-                assert drop >= -1e-9, (fs.sets_view, big, design)
+                assert drop >= -1e-9, (fs.to_json(), big, design)
 
     @given(matroid_instances())
     @settings(max_examples=400, deadline=None)
@@ -286,7 +286,7 @@ class TestMatroidHalf:
         a = myerson(design, fs)
         drop = expected_revenue(a, big) - expected_revenue(a, design)
         target(-drop)  # steer the search toward the largest revenue loss
-        assert drop >= -1e-9, (fs.sets_view, big, design)
+        assert drop >= -1e-9, (fs.to_json(), big, design)
 
 
 class TestApproxMonotone:
