@@ -93,7 +93,7 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     phis, thresholds = np.zeros((2, len(runs), max(map(len, runs)) + 1))
     for i, (d, starts) in enumerate(zip(prior, runs)):
         phis[i, 1 : len(starts) + 1] = d._slopes[starts]
-        thresholds[i, : len(starts)] = d._support[starts]
+        thresholds[i, : len(starts)] = d.support[starts]
     terms = _terms(phis, fs.vertices)
     for arr in (phis, thresholds, terms):
         arr.setflags(write=False)
@@ -232,7 +232,7 @@ def _expectation(a: Auction, dist: ProductDist) -> tuple[float, float]:
     mass = np.zeros(a._phis.shape)
     tops = []
     for i, (th, runs, d) in enumerate(zip(a._thresholds, a._runs, dist)):
-        m = np.bincount(np.searchsorted(th[:runs], d._support, "right"), d.probs)
+        m = np.bincount(np.searchsorted(th[:runs], d.support, "right"), d.probs)
         mass[i, : len(m)] = m
         tops.append(len(m))
     held = mass > 0.0

@@ -13,7 +13,7 @@ import sys
 from contextlib import suppress
 
 from . import lab
-from .dist import ProductDist, ValueDist, _revenue_points, ironing_intervals, monopoly
+from .dist import ProductDist, ValueDist, _curve, ironing_intervals, monopoly
 from .feasible import FeasibleSet, feasible_from_json
 
 
@@ -111,7 +111,7 @@ def _cmd_curves(args) -> int:
     d = ValueDist.from_json(_load_json(args.dist))
     price, revenue = monopoly(d)
     payload = {
-        "revenue_curve": [list(p) for p in _revenue_points(d)],
+        "revenue_curve": _curve(d.support, d._above).T.tolist(),
         "ironed_curve": d._hull.tolist(),
         "ironing_intervals": [list(iv) for iv in ironing_intervals(d)],
         "monopoly": {"price": price, "revenue": revenue},

@@ -6,11 +6,12 @@ predicates below evaluate only there and stay exact. The revenue curve of
 a distribution is piecewise linear in quantile space with one breakpoint
 per atom; ironing replaces it by its upper concave envelope, the hull, and
 the ironed virtual value of a value v is the hull's right derivative at
-the quantile of v. A distribution derives its running sums, its hull and
-each atom's ironed virtual value once, when it is built, and keeps them as
-read-only arrays, so nothing irons it again. _GATE selects the derivation:
-up to _GATE atoms it runs in Python and its results are wrapped in arrays;
-beyond, it runs on arrays end to end (_iron). Both give the same bits.
+the quantile of v. A distribution keeps its atoms as read-only arrays,
+and derives its running sums, its hull and each atom's ironed virtual
+value once, when it is built, as read-only arrays too, so nothing irons
+it again. _GATE selects the derivation: up to _GATE atoms it runs in
+Python and its results are wrapped in arrays; beyond, it runs on arrays
+end to end (_iron). Both give the same bits.
 """
 
 from __future__ import annotations
@@ -26,83 +27,96 @@ MASS_TOL = 1e-12  # tolerance for probability-mass bookkeeping
 CDF_TOL = 1e-12  # slack for CDF comparisons at checkpoints
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueDist:
     """Atoms of a discrete distribution: strictly increasing support, positive masses.
 
     The support lies in [0, 1] and the masses sum to 1 within MASS_TOL;
     anything else is rejected. support and probs may be given as sequences
-    or arrays; they are kept as tuples of floats, which equality, hashing
-    and to_json read. Derived once, when the object is built, as read-only
-    arrays: _support (float, m atoms) holds the support, _below[k] (float,
-    m + 1) is the mass of the k lowest atoms, summed left to right,
+    or arrays; each is copied into a read-only float array of shape (m,),
+    the only copy kept. A distribution compares and hashes by identity.
+    Derived once, when the object is built, as read-only arrays: _below[k]
+    (float, m + 1) is the mass of the k lowest atoms, summed left to right,
     _above[k] (float, m + 1) is the mass of atom k and every atom above it,
     summed top down, _hull (float, (h, 2)) holds the breakpoints (q, r) of
     the ironed revenue curve, _slopes[k] (float, m) is atom k's ironed
     virtual value, and _runs (intp) holds the index of the first atom of
     each run of adjacent atoms with equal _slopes, such as the atoms of one
-    ironed interval. Quantiles and
-    revenue-curve breakpoints must agree bitwise, so every quantile in the
-    package is read from _above, whose full-mass entry _above[0] is snapped
-    to exactly 1. A lowest atom whose mass is lost when the others are
-    summed would get quantile 1 twice, so such a distribution is rejected.
+    ironed interval. Quantiles and revenue-curve breakpoints must agree
+    bitwise, so every quantile in the package is read from _above, whose
+    full-mass entry _above[0] is snapped to exactly 1. A lowest atom whose
+    mass is lost when the others are summed would get quantile 1 twice, so
+    such a distribution is rejected.
     """
 
-    support: tuple[float, ...]
-    probs: tuple[float, ...]
-    _support: np.ndarray = field(init=False, repr=False, compare=False)
-    _below: np.ndarray = field(init=False, repr=False, compare=False)
-    _above: np.ndarray = field(init=False, repr=False, compare=False)
-    _hull: np.ndarray = field(init=False, repr=False, compare=False)
-    _slopes: np.ndarray = field(init=False, repr=False, compare=False)
-    _runs: np.ndarray = field(init=False, repr=False, compare=False)
+    support: np.ndarray
+    probs: np.ndarray
+    _below: np.ndarray = field(init=False, repr=False)
+    _above: np.ndarray = field(init=False, repr=False)
+    _hull: np.ndarray = field(init=False, repr=False)
+    _slopes: np.ndarray = field(init=False, repr=False)
+    _runs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.support) != len(self.probs):
             raise ValueError(f"{len(self.support)} values but {len(self.probs)} probabilities")
         probs = np.array(self.probs, dtype=float)
-        object.__setattr__(self, "probs", tuple(probs.tolist()))
         long = len(probs) > _GATE
         if long:  # cumsum adds left to right, as accumulate does
             below = np.cumsum(np.append(0.0, probs))
             above = np.cumsum(np.append(0.0, probs[::-1]))[::-1]
         else:
-            below = np.fromiter(accumulate(self.probs, initial=0.0), float, len(probs) + 1)
-            above = list(accumulate(reversed(self.probs), initial=0.0))[::-1]
+            masses = probs.tolist()
+            below = np.fromiter(accumulate(masses, initial=0.0), float, len(masses) + 1)
+            above = list(accumulate(reversed(masses), initial=0.0))[::-1]
         total = float(below[-1])
         if not abs(total - 1.0) <= MASS_TOL:  # also catches a NaN or infinite mass
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        if not (probs.min() if long else min(self.probs)) > 0.0:
-            raise ValueError(f"nonpositive probability {min(self.probs)!r}")
+        if not (probs.min() if long else min(masses)) > 0.0:
+            raise ValueError(f"nonpositive probability {min(probs.tolist())!r}")
         support = np.array(self.support, dtype=float)
         rising = (support[1:] > support[:-1]).all()  # False at a NaN
         if not (0.0 <= support[0] and support[-1] <= 1.0 and rising):
             raise ValueError("support values must lie in [0, 1] and increase strictly")
-        object.__setattr__(self, "support", tuple(support.tolist()))
         if len(above) > 2 and above[1] >= 1.0:
             raise ValueError(
-                f"the atoms above {self.support[0]!r} already carry mass {float(above[1])!r}, "
-                f"so its mass {self.probs[0]!r} is lost"
+                f"the atoms above {float(support[0])!r} already carry mass {float(above[1])!r}, "
+                f"so its mass {float(probs[0])!r} is lost"
             )
         above[0] = 1.0
         hull, slopes, runs = _iron(support, above)
         above = np.asarray(above, dtype=float)
-        for name, arr in (("_support", support), ("_below", below), ("_above", above),
-                          ("_hull", hull), ("_slopes", slopes), ("_runs", runs)):
+        for name, arr in (("support", support), ("probs", probs), ("_below", below),
+                          ("_above", above), ("_hull", hull), ("_slopes", slopes), ("_runs", runs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     def to_json(self) -> dict:
-        return {"support": list(self.support), "probs": list(self.probs)}
+        return {"support": self.support.tolist(), "probs": self.probs.tolist()}
 
     @staticmethod
     def from_json(obj: dict) -> "ValueDist":
         try:
-            return make_discrete(obj["support"], obj["probs"])
+            return make_discrete(_numbers(obj["support"], "support"), _numbers(obj["probs"], "probs"))
         except (KeyError, TypeError) as exc:
             raise ValueError(
                 f"a value distribution is an object with 'support' and 'probs' lists ({exc})"
             ) from exc
+
+
+def _numbers(x, name: str):
+    """JSON value x, refused if it is a bool, or a list with an entry, at any depth, that is
+    neither a number (an int or a float, not a bool) nor a list; a tuple counts as a list.
+    Any other value goes on to its reader, which refuses a string or null in its place."""
+    if isinstance(x, (list, tuple)) and not set(map(type, x)) <= {float, int}:
+        for j, y in enumerate(x):
+            if isinstance(y, (list, tuple)):
+                _numbers(y, f"{name}[{j}]")
+            elif type(y) is not float and type(y) is not int:
+                raise ValueError(f"{name}[{j}] is {y!r}, not a number")
+    elif type(x) is bool:
+        raise ValueError(f"{name} is {x!r}, not a number")
+    return x
 
 
 # Most atoms a prior derives in Python; beyond, arrays win (they break even near 100-130 atoms).
@@ -124,16 +138,11 @@ def _envelope(points) -> list[tuple[float, float]]:
     return hull
 
 
-def _curve(support: np.ndarray, above: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The revenue curve's quantiles and revenues: (0, 0), then (Pr[u >= v], v * Pr[u >= v])
-    per atom in descending value order, so quantiles increase to exactly 1."""
+def _curve(support: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """The revenue curve's quantiles over its revenues, a (2, m + 1) array: (0, 0), then
+    (Pr[u >= v], v * Pr[u >= v]) per atom in descending value order, so quantiles rise to 1."""
     q = above[::-1]
-    return q, q * np.append(0.0, support[::-1])
-
-
-def _revenue_points(d: ValueDist) -> tuple[tuple[float, float], ...]:
-    """The revenue curve as (q, r) pairs of floats."""
-    return tuple(zip(*(a.tolist() for a in _curve(d._support, d._above))))
+    return np.stack((q, q * np.append(0.0, support[::-1])))
 
 
 def _iron(support: np.ndarray, above):
@@ -153,7 +162,7 @@ def _iron(support: np.ndarray, above):
     the hull's quantiles finds each atom's segment.
     """
     if len(support) > _GATE:
-        points = np.stack(_curve(support, above))
+        points = _curve(support, above)
         while points.shape[1] > _GATE:
             step, span = points[:, 1:-1] - points[:, :-2], points[:, 2:] - points[:, :-2]
             low = step[0] * span[1] - step[1] * span[0] >= 0.0
@@ -185,7 +194,8 @@ class VirtualTable(NamedTuple):
     """Ironed virtual values as a right-continuous step function of value.
 
     Segment j covers [thresholds[j], thresholds[j+1]); the last segment
-    extends past the top atom. Both are the prior's read-only float arrays.
+    extends past the top atom. thresholds is the prior's support array and
+    slopes its ironed virtual values, both read-only float arrays.
     """
 
     thresholds: np.ndarray
@@ -194,7 +204,7 @@ class VirtualTable(NamedTuple):
 
 def virtual_table(d: ValueDist) -> VirtualTable:
     """The ironed virtual value of each support value, which d derived when it was built."""
-    return VirtualTable(d._support, d._slopes)
+    return VirtualTable(d.support, d._slopes)
 
 
 def ironing_intervals(d: ValueDist) -> list[tuple[float, float]]:
@@ -205,7 +215,7 @@ def ironing_intervals(d: ValueDist) -> list[tuple[float, float]]:
     are raw breakpoints, so one searchsorted of the raw quantiles below 1
     over the hull's gives each raw breakpoint the segment it lies in.
     """
-    q, r = (a[:-1] for a in _curve(d._support, d._above))
+    q, r = _curve(d.support, d._above)[:, :-1]
     hq, hr = d._hull.T
     k = np.searchsorted(hq, q, side="right") - 1
     q0, r0, slope = hq[k], hr[k], (np.diff(hr) / np.diff(hq))[k]
@@ -216,7 +226,7 @@ def ironing_intervals(d: ValueDist) -> list[tuple[float, float]]:
 
 def monopoly(d: ValueDist) -> tuple[float, float]:
     """Best take-it-or-leave-it price over the support, ties toward the larger price."""
-    revenue, price = max((v * q, v) for v, q in zip(d.support, d._above.tolist()))
+    revenue, price = max((v * q, v) for v, q in zip(d.support.tolist(), d._above.tolist()))
     return price, revenue
 
 
@@ -309,7 +319,7 @@ def _cdf_pairs(a: ProductDist, b: ProductDist) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     fa, fb = [], []
     for ai, bi in zip(a, b):
-        sa, sb = ai._support, bi._support
+        sa, sb = ai.support, bi.support
         fa += [ai._below[1:], ai._below[np.searchsorted(sa, sb, "right")]]
         fb += [bi._below[np.searchsorted(sb, sa, "right")], bi._below[1:]]
     return np.concatenate(fa), np.concatenate(fb)
@@ -326,15 +336,11 @@ def dominates(big: ProductDist, small: ProductDist) -> bool:
     return not np.any(fb > fs + CDF_TOL)
 
 
-def _check_nk(n: float, k: float):
-    if not (n >= 1 and k >= 1):  # also catches NaN
-        raise ValueError(f"n and k must be at least 1, got n={n!r} k={k!r}")
-
-
-def _check_close_args(eps: float, n: float, k: float):
+def _check_args(n: float, k: float, eps: float = 1.0):
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps {eps!r} outside (0, 1]")
-    _check_nk(n, k)
+    if not (n >= 1 and k >= 1):  # also catches NaN
+        raise ValueError(f"n and k must be at least 1, got n={n!r} k={k!r}")
 
 
 def is_close(a: ProductDist, b: ProductDist, eps: float, n: int, k: float) -> bool:
@@ -343,7 +349,7 @@ def is_close(a: ProductDist, b: ProductDist, eps: float, n: int, k: float) -> bo
     At every checkpoint the gap must stay within
     sqrt(min-variance * eps^2 / (4nk)) + eps^2 / (2nk).
     """
-    _check_close_args(eps, n, k)
+    _check_args(n, k, eps)
     fa, fb = _cdf_pairs(a, b)
     bound = np.sqrt(_min_variance(fa, fb) * eps * eps / (4.0 * n * k)) + eps * eps / (2.0 * n * k)
     return not np.any(np.abs(fa - fb) > bound + CDF_TOL)
@@ -351,7 +357,7 @@ def is_close(a: ProductDist, b: ProductDist, eps: float, n: int, k: float) -> bo
 
 def is_close_uniform(a: ProductDist, b: ProductDist, eps: float, n: int, k: float) -> bool:
     """Uniform closeness: every CDF gap at most eps / sqrt(nk)."""
-    _check_close_args(eps, n, k)
+    _check_args(n, k, eps)
     fa, fb = _cdf_pairs(a, b)
     return not np.any(np.abs(fa - fb) > eps / sqrt(n * k) + CDF_TOL)
 
@@ -362,7 +368,7 @@ def min_closeness_eps(a: ProductDist, b: ProductDist, n: int, k: float) -> float
     Solved per checkpoint from the closed-form bound (a quadratic in eps)
     and maximized; may exceed 1, in which case no valid eps exists.
     """
-    _check_nk(n, k)
+    _check_args(n, k)
     fa, fb = _cdf_pairs(a, b)
     gap = np.abs(fa - fb)
     far = gap > CDF_TOL

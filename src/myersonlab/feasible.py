@@ -14,6 +14,8 @@ from math import comb
 
 import numpy as np
 
+from .dist import _numbers
+
 _MAX_SETS = 2**18  # most sets uniform_matroid lists: (18, 9) has 155,382, (20, 10) 616,666
 
 
@@ -164,17 +166,16 @@ def _exchange_violation(fs: FeasibleSet) -> tuple[tuple[int, ...], tuple[int, ..
         for i in members(m):
             ext[m & ~(1 << i)] |= 1 << i  # in the family, since the system is downward closed
     best = None
-    best_key = None
     for sz, bigs in by_size.items():
         for s in bigs:
             for sp in by_size.get(sz - 1, []):
                 if not s & ext[sp]:
                     common = -(s & sp).bit_count()
-                    if best_key is None or common <= best_key[0]:  # spare members() otherwise
+                    if best is None or common <= best[0]:  # spare members() otherwise
                         key = (common, members(s), members(sp))
-                        if best_key is None or key < best_key:
-                            best, best_key = key[1:], key
-    return best
+                        if best is None or key < best:
+                            best = key
+    return None if best is None else best[1:]
 
 
 def feasible_from_json(obj: dict) -> FeasibleSet:
@@ -183,13 +184,13 @@ def feasible_from_json(obj: dict) -> FeasibleSet:
     kind = obj.get("type")
     try:
         if kind == "sets":
-            return from_independent_sets(obj["n"], obj["sets"])
+            return from_independent_sets(_numbers(obj["n"], "n"), _numbers(obj["sets"], "sets"))
         if kind == "uniform_matroid":
-            return uniform_matroid(obj["n"], obj["k"])
+            return uniform_matroid(_numbers(obj["n"], "n"), _numbers(obj["k"], "k"))
         if kind == "all_or_nothing":
-            return all_or_nothing(obj["n"], obj["k"])
+            return all_or_nothing(_numbers(obj["n"], "n"), _numbers(obj["k"], "k"))
         if kind == "vertices":
-            return from_vertices(obj["vectors"])
+            return from_vertices(_numbers(obj["vectors"], "vectors"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {kind!r} feasible system ({exc})") from exc
     raise ValueError(f"unknown feasible-set type {kind!r}")

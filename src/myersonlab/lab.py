@@ -18,7 +18,6 @@ import numpy as np
 from .auction import allocate, expected_revenue, myerson, opt_revenue
 from .dist import (
     ProductDist,
-    ValueDist,
     dominates,
     is_close,
     is_close_uniform,
@@ -176,29 +175,24 @@ def embed_counterexample(fs: FeasibleSet, eps: float = 0.1) -> Report:
     inter = set(s_big) & set(s_small)
     side_a = sorted(set(s_small) - set(s_big))
     side_bc = sorted(set(s_big) - set(s_small))
-    a_bidder = side_a[0]
-    b_bidder, c_bidder = side_bc[0], side_bc[1]
     n = fs.n
     scale = 1.0 / n
     bc_tilde = make_discrete([eps * scale, scale], [1.0 - eps, eps])
     outsider = make_discrete([0.0, 0.1 * eps * scale], [0.99, 0.01])
-    tilde_parts: list[ValueDist] = []
-    big_parts: list[ValueDist] = []
+    parts = []  # each bidder's coordinates of the design and the dominating prior
     for i in range(n):
         if i in inter:
             lo = hi = point_mass(1.0)
-        elif i == a_bidder:
+        elif i == side_a[0]:
             lo = hi = point_mass(0.5 * scale)
-        elif i in (b_bidder, c_bidder):
+        elif i in side_bc[:2]:
             lo, hi = bc_tilde, point_mass(scale)
         elif i in side_a or i in side_bc:
             lo = hi = point_mass(scale)
         else:
             lo = hi = outsider
-        tilde_parts.append(lo)
-        big_parts.append(hi)
-    dtilde = ProductDist(tuple(tilde_parts))
-    d = ProductDist(tuple(big_parts))
+        parts.append((lo, hi))
+    dtilde, d = map(ProductDist, zip(*parts))
     on_design, on_dominating = _revenues(dtilde, d, fs)
     return _report(
         "embed",
@@ -374,6 +368,7 @@ def run_lb_family(
     dminus = make_discrete([0.0, 1.0], [base + shift, 1.0 - base - shift])
     priors = (dminus, dplus)  # by sign; each has atoms at 0 and at 1
     phis = [d._slopes.tolist() for d in priors]  # the ironed virtual values at 0 and at 1
+    masses = [d.probs.tolist() for d in priors]  # and the masses there, as floats
     h2 = hellinger_sq(dplus, dminus)
     budget_product = sample_budget * h2
     rng = np.random.default_rng(seed)
@@ -402,7 +397,7 @@ def run_lb_family(
         for i in range(n):
             prob = 1.0
             for j, b in enumerate(sign):
-                prob *= priors[b].probs[j != i]
+                prob *= masses[b][j != i]
             min_profile_prob = min(min_profile_prob, prob)
             member_regret += prob * dif_sums[i] / trials
         total_regret += member_regret

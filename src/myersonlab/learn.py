@@ -44,11 +44,8 @@ def draw_samples(d: ProductDist, count: int, seed) -> SampleMatrix:
     for j, dj in enumerate(d):
         # without the last partial sum, the top atom takes every u past the others' mass
         sums = dj._below[1:-1]
-        if len(dj.support) <= _GATE:
-            values[:, j] = dj._support[sums.searchsorted(u[:, j])]
-        else:
-            order = u[:, j].argsort()
-            values[order, j] = dj._support[sums.searchsorted(u[order, j])]
+        order = slice(None) if len(dj.support) <= _GATE else u[:, j].argsort()
+        values[order, j] = dj.support[sums.searchsorted(u[order, j])]
     values.setflags(write=False)
     return SampleMatrix(values)
 
@@ -113,8 +110,8 @@ def required_samples(
 
 def hellinger_sq(p: ValueDist, q: ValueDist) -> float:
     """Squared Hellinger distance over the merged support; in [0, 1]."""
-    pm = dict(zip(p.support, p.probs))
-    qm = dict(zip(q.support, q.probs))
+    pm = dict(zip(p.support.tolist(), p.probs.tolist()))
+    qm = dict(zip(q.support.tolist(), q.probs.tolist()))
     total = 0.0
     for v in set(pm) | set(qm):
         total += (sqrt(pm.get(v, 0.0)) - sqrt(qm.get(v, 0.0))) ** 2

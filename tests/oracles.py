@@ -73,7 +73,7 @@ def draw_samples(d, count, seed):
     cols = []
     for j, dj in enumerate(d):
         idx = np.minimum(np.searchsorted(dj._below[1:], u[:, j], side="left"), len(dj.support) - 1)
-        cols.append(dj._support[idx])
+        cols.append(dj.support[idx])
     return SampleMatrix(np.stack(cols, axis=1))
 
 
@@ -112,9 +112,10 @@ def revenue_curve(d):
     except at the lowest atom, where it is the full mass 1, not its sum.
     """
     points, tail = [(0.0, 0.0)], 0.0
-    for j in reversed(range(len(d.support))):
-        tail = 1.0 if j == 0 else tail + d.probs[j]
-        points.append((tail, tail * d.support[j]))
+    support, probs = d.support.tolist(), d.probs.tolist()
+    for j in reversed(range(len(support))):
+        tail = 1.0 if j == 0 else tail + probs[j]
+        points.append((tail, tail * support[j]))
     return tuple(points)
 
 
@@ -149,7 +150,7 @@ def walk_slopes(d):
 
 def virtual_value(d, v):
     """The walked slope of the highest atom at most v; None, which sinks, below the lowest atom."""
-    idx = bisect_right(d.support, v) - 1
+    idx = bisect_right(d.support.tolist(), v) - 1
     return None if idx < 0 else walk_slopes(d)[idx]
 
 
@@ -195,7 +196,7 @@ def ironing_intervals(d):
 def scalar_cdf(d, v, left=False):
     """Pr[u <= v], or Pr[u < v] when left is set, summed left to right."""
     total = 0.0
-    for s, p in zip(d.support, d.probs):
+    for s, p in zip(d.support.tolist(), d.probs.tolist()):
         if s < v or (s == v and not left):
             total += p
     return total
@@ -203,14 +204,14 @@ def scalar_cdf(d, v, left=False):
 
 def checkpoint_pairs(a, b):
     """CDF pairs of a and b at each merged support point and at its left limit."""
-    for v in sorted(set(a.support) | set(b.support)):
+    for v in sorted(set(a.support.tolist()) | set(b.support.tolist())):
         yield scalar_cdf(a, v), scalar_cdf(b, v)
         yield scalar_cdf(a, v, left=True), scalar_cdf(b, v, left=True)
 
 
 def dominates(big, small):
     for bi, si in zip(big, small):
-        for v in sorted(set(bi.support) | set(si.support)):
+        for v in sorted(set(bi.support.tolist()) | set(si.support.tolist())):
             if scalar_cdf(bi, v) > scalar_cdf(si, v) + CDF_TOL:
                 return False
     return True
@@ -377,7 +378,7 @@ def per_atom_auction(prior, fs):
     width = max(len(d.support) for d in prior)
     pad = [(0.0,) * (width - len(d.support)) for d in prior]
     phis = np.array([(0.0,) + walk_slopes(d) + z for d, z in zip(prior, pad)])
-    thresholds = np.array([d.support + z for d, z in zip(prior, pad)])
+    thresholds = np.array([tuple(d.support.tolist()) + z for d, z in zip(prior, pad)])
     atoms = tuple(len(d.support) for d in prior)
     terms = _terms(phis, fs.vertices)
     return replace(a, _phis=phis, _thresholds=thresholds, _terms=terms, _runs=atoms, _ranks=None,
@@ -422,7 +423,7 @@ def payments(a, values):
         if xi <= 0.0:
             continue
         vi = values[i]
-        starts = [0.0] + [s for s in a.prior[i].support if 0.0 < s <= vi]
+        starts = [0.0] + [s for s in a.prior[i].support.tolist() if 0.0 < s <= vi]
         integral = 0.0
         for t0, t1 in zip(starts, starts[1:] + [vi]):
             if t1 <= t0:
@@ -436,7 +437,7 @@ def payments(a, values):
 def expected_revenue(a, eval_dist):
     """Probability-weighted revenue over the full product of supports."""
     total = 0.0
-    for combo in product(*[list(zip(d.support, d.probs)) for d in eval_dist]):
+    for combo in product(*[list(zip(d.support.tolist(), d.probs.tolist())) for d in eval_dist]):
         prob = 1.0
         for _, p in combo:
             prob *= p
@@ -450,7 +451,7 @@ def expected_virtual_welfare(a, eval_dist):
     A bidder below its prior's lowest atom counts 0, as in the allocation rule.
     """
     total = 0.0
-    for combo in product(*[list(zip(d.support, d.probs)) for d in eval_dist]):
+    for combo in product(*[list(zip(d.support.tolist(), d.probs.tolist())) for d in eval_dist]):
         prob = 1.0
         for _, p in combo:
             prob *= p

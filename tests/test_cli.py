@@ -415,6 +415,35 @@ class TestErrors:
         assert err == "error: vertices must be a list of at least one vertex, each a list of numbers\n"
 
     @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"support": ["0.5"], "probs": [1]}, "support[0] is '0.5', not a number"),
+            ({"support": [True], "probs": [1]}, "support[0] is True, not a number"),
+            ({"support": [0.2, 0.6], "probs": [0.5, "0.5"]}, "probs[1] is '0.5', not a number"),
+            ({"support": [0.5], "probs": [None]}, "probs[0] is None, not a number"),
+        ],
+    )
+    def test_prior_entries_must_be_numbers(self, capsys, tmp_path, obj, message):
+        dist = write_json(tmp_path / "d.json", obj)
+        assert run(capsys, ["curves", "--dist", dist]) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "obj, n, message",
+        [
+            ({"type": "vertices", "vectors": [["1", "0"]]}, 2, "vectors[0][0] is '1', not a number"),
+            ({"type": "vertices", "vectors": [[True, False]]}, 2, "vectors[0][0] is True, not a number"),
+            ({"type": "sets", "n": 3, "sets": [[True], [2]]}, 3, "sets[0][0] is True, not a number"),
+            ({"type": "all_or_nothing", "n": 2, "k": True}, 2, "k is True, not a number"),
+            ({"type": "uniform_matroid", "n": True, "k": 1}, 1, "n is True, not a number"),
+        ],
+    )
+    def test_system_entries_must_be_numbers(self, capsys, tmp_path, obj, n, message):
+        fs = write_json(tmp_path / "fs.json", obj)
+        dist = write_json(tmp_path / "d.json", [{"support": [0.5, 1.0], "probs": [0.5, 0.5]}] * n)
+        argv = ["sample-complexity", "--feasible", fs, "--dist", dist, "--trials", "1"]
+        assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["lb-family", "--n", "4", "--k", "2", "--eps", "0.01", "--budget", "1",
@@ -621,3 +650,46 @@ def test_every_invocation_exits_cleanly(input_files, data):
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+SMALL_RUNS = {  # each subcommand's flags on small inputs; file flags name an input_files entry
+    "nonmonotone": ["--eps", "0.1"],
+    "copies": ["--k", "4"],
+    "embed": ["--feasible", "fs"],
+    "approx-monotone": ["--dd", "prior", "--dtilde", "prior", "--feasible", "fs", "--eps", "0.2"],
+    "lipschitz-lb": ["--n", "2", "--k", "1", "--eps", "0.01"],
+    "sample-complexity": ["--feasible", "fs", "--dist", "prior", "--constant", "0.5", "--trials", "2"],
+    "lb-family": ["--n", "4", "--k", "2", "--eps", "0.01", "--budget", "1", "--trials", "2"],
+    "curves": ["--dist", "one"],
+}
+
+
+def builtin(x) -> bool:
+    """Whether x holds only built-in values: bool, int, float, str or None, in lists and str-keyed dicts."""
+    if type(x) is list:
+        return all(map(builtin, x))
+    if type(x) is dict:
+        return all(type(k) is str and builtin(v) for k, v in x.items())
+    return type(x) in (bool, int, float, str, type(None))
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_every_report_holds_builtin_values(capsys, monkeypatch, input_files, command):
+    # a numpy scalar prints like a float in JSON, but repr writes it as np.float64(...) in CSV
+    dumped, real = [], json.dumps
+
+    def dumps(obj, **kwargs):
+        dumped.append(obj)
+        return real(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", dumps)
+    argv = [command] + [input_files.get(a, a) for a in SMALL_RUNS[command]]
+    code, out, err = run(capsys, argv)
+    assert code in (0, 2) and err == ""
+    assert len(dumped) == 1 and builtin(dumped[0])
+    if command != "curves":  # curves writes JSON only
+        assert builtin(dumped[0]["params"]) and builtin(dumped[0]["metrics"])
+        code, out, err = run(capsys, argv + ["--format", "csv"])
+        assert code in (0, 2) and err == ""
+        rows = out.splitlines()[1:]
+        assert len(rows) == len(dumped[0]["metrics"]) and not any("np." in row for row in rows)

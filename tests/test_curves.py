@@ -12,8 +12,8 @@ from myersonlab.dist import (
     _GATE,
     ProductDist,
     ValueDist,
+    _curve,
     _envelope,
-    _revenue_points,
     discretize_uniform_with_atom,
     ironing_intervals,
     make_discrete,
@@ -29,6 +29,11 @@ from fuzz import scale_values, uniform_grid
 from test_dist import TWO_POINT, value_dists
 
 
+def revenue_points(d):
+    """d's revenue curve as (q, r) pairs of floats."""
+    return tuple(zip(*(a.tolist() for a in _curve(d.support, d._above))))
+
+
 def ironed_virtual(d, v):
     """d's ironed virtual value at bid v as the auction reads it; None below every atom (cell 0)."""
     a = myerson(ProductDist((d,)), uniform_matroid(1, 1))
@@ -38,13 +43,13 @@ def ironed_virtual(d, v):
 
 class TestRevenueCurve:
     def test_two_point(self):
-        assert _revenue_points(TWO_POINT) == ((0.0, 0.0), (0.1, 0.1), (1.0, 0.1))
+        assert revenue_points(TWO_POINT) == ((0.0, 0.0), (0.1, 0.1), (1.0, 0.1))
 
     def test_point_mass(self):
-        assert _revenue_points(point_mass(0.5)) == ((0.0, 0.0), (1.0, 0.5))
+        assert revenue_points(point_mass(0.5)) == ((0.0, 0.0), (1.0, 0.5))
 
     def test_uniform_thirds(self):
-        c = _revenue_points(make_discrete([1 / 3, 2 / 3, 1.0], [1 / 3, 1 / 3, 1 / 3]))
+        c = revenue_points(make_discrete([1 / 3, 2 / 3, 1.0], [1 / 3, 1 / 3, 1 / 3]))
         qs = [q for q, _ in c]
         rs = [r for _, r in c]
         assert qs == pytest.approx([0.0, 1 / 3, 2 / 3, 1.0], abs=1e-12)
@@ -53,7 +58,7 @@ class TestRevenueCurve:
     @given(value_dists())
     @settings(max_examples=80, deadline=None)
     def test_shape(self, d):
-        for curve in (_revenue_points(d), tuple(map(tuple, d._hull.tolist()))):
+        for curve in (revenue_points(d), tuple(map(tuple, d._hull.tolist()))):
             qs = [q for q, _ in curve]
             assert curve[0] == (0.0, 0.0)
             assert qs[-1] == 1.0
@@ -63,12 +68,12 @@ class TestRevenueCurve:
     @settings(max_examples=80, deadline=None)
     def test_peak_is_monopoly_revenue(self, d):
         _, rev = monopoly(d)
-        assert max(r for _, r in _revenue_points(d)) == pytest.approx(rev, abs=1e-12)
+        assert max(r for _, r in revenue_points(d)) == pytest.approx(rev, abs=1e-12)
 
 
 class TestIron:
     def test_concave_input_unchanged(self):
-        assert tuple(map(tuple, TWO_POINT._hull.tolist())) == _revenue_points(TWO_POINT)
+        assert tuple(map(tuple, TWO_POINT._hull.tolist())) == revenue_points(TWO_POINT)
 
     def test_v_shape_hull(self):
         assert _envelope(((0.0, 0.0), (0.5, 0.1), (1.0, 0.4))) == [(0.0, 0.0), (1.0, 0.4)]
@@ -76,7 +81,7 @@ class TestIron:
     @given(value_dists())
     @settings(max_examples=100, deadline=None)
     def test_envelope_properties(self, d):
-        raw, h = _revenue_points(d), tuple(map(tuple, d._hull.tolist()))
+        raw, h = revenue_points(d), tuple(map(tuple, d._hull.tolist()))
         assert set(h) <= set(raw)
         hq, hr = np.array(h).T
         for q, r in raw:
@@ -201,7 +206,7 @@ def equal_revenue(m):
 
 def first_pass_drops(d):
     """Breakpoints on or below their neighbours' chord, which one thinning pass drops."""
-    bps = _revenue_points(d)
+    bps = revenue_points(d)
     return sum(
         (q1 - q0) * (r2 - r0) - (r1 - r0) * (q2 - q0) >= 0.0
         for (q0, r0), (q1, r1), (q2, r2) in zip(bps, bps[1:], bps[2:])
@@ -264,7 +269,8 @@ class TestHullOracle:
             atoms, h, runs = len(p.support), len(p._hull), len(p._runs)
             assert 2 <= h <= atoms + 1 and 1 <= runs <= atoms
             derived = {
-                "_support": (float, (atoms,)),
+                "support": (float, (atoms,)),
+                "probs": (float, (atoms,)),
                 "_below": (float, (atoms + 1,)),
                 "_above": (float, (atoms + 1,)),
                 "_hull": (float, (h, 2)),
@@ -331,8 +337,8 @@ def test_tables_and_auctions_read_the_slopes_the_prior_derived(monkeypatch):
 
 
 def test_a_long_prior_keeps_its_derived_state_in_arrays():
-    # 1,001 atoms and 864 hull points; as tuples of floats the derived
-    # fields alone took about 150 KB, and the public tuples take about 64 KB
+    # 1,001 atoms and 864 hull points, all in arrays, hold about 63 KB;
+    # as tuples of floats the atoms and derived fields took over 200 KB
     discretize_uniform_with_atom(0.55, 0.1, 0.001)
     tracemalloc.start()
     try:
@@ -342,7 +348,10 @@ def test_a_long_prior_keeps_its_derived_state_in_arrays():
     finally:
         tracemalloc.stop()
     assert (len(d.support), len(d._hull)) == (1001, 864)
-    assert kept < 150 * 1024
+    for atoms in (d.support, d.probs):
+        assert isinstance(atoms, np.ndarray) and not atoms.flags.writeable
+        assert (atoms.dtype, atoms.shape) == (np.dtype(float), (1001,))
+    assert kept < 80 * 1024
 
 
 def test_virtual_tables_of_fresh_priors_leave_memory_flat():

@@ -14,7 +14,7 @@ from myersonlab.auction import expected_revenue, myerson
 from myersonlab.dist import (
     ProductDist,
     ValueDist,
-    _revenue_points,
+    _curve,
     ironing_intervals,
     make_discrete,
     min_closeness_eps,
@@ -342,7 +342,7 @@ def _quantile_segments(d: ValueDist) -> list[tuple[float, float, float]]:
 
 def revenue_at(d: ValueDist, q: float) -> float:
     """d's revenue curve at quantile q, interpolated between its breakpoints."""
-    qs, rs = zip(*_revenue_points(d))
+    qs, rs = _curve(d.support, d._above)
     return float(np.interp(q, qs, rs))
 
 
