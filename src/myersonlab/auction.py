@@ -133,6 +133,7 @@ def _score(terms) -> tuple[np.ndarray, np.ndarray]:
     """
     score = sum(terms, 0.0)
     best = score.argmax(axis=-1)
+    # a gather at best, not score.max(axis=-1): 10 µs against 131 µs on a (56, 42, 3) grid
     welfare = score.reshape(-1)[best + np.arange(0, score.size, score.shape[-1]).reshape(best.shape)]
     forced = welfare == -np.inf
     if forced.any():
@@ -220,15 +221,21 @@ def _expectation(a: Auction, dist: ProductDist) -> tuple[float, float]:
     """Expected revenue and expected ironed virtual welfare under dist.
 
     Atoms of one bidder that fall into the same cell, a run of the prior,
-    are merged, and _CAP bounds the distinct occupied run profiles. An
-    auction with tables contracts its payment and welfare tables with each
-    bidder's cell masses, one axis at a time. Otherwise bidder i runs a
-    _line up to its highest occupied cell, top_i - 1, for each profile of
-    the others' occupied cells, a block of lines per call, and each point
-    is weighted by the mass of its cells.
+    are merged. An auction with tables contracts them directly with each
+    bidder's cell masses, one axis at a time: its grid fits one _BLOCK, so
+    the cap cannot bind. Otherwise _CAP bounds the distinct occupied run
+    profiles, and bidder i runs a _line up to its highest occupied cell,
+    top_i - 1, for each profile of the others' occupied cells, a block of
+    lines per call, and each point is weighted by the mass of its cells.
     """
     if dist.n != a.feasible.n:
         raise ValueError(f"evaluation distribution has {dist.n} bidders, need {a.feasible.n}")
+    if a._outcomes is not None:
+        table = a._outcomes
+        for th, runs, d, t in zip(a._thresholds, a._runs, dist, table.shape):
+            m = np.bincount(th[:runs].searchsorted(d.support, "right"), d.probs, t)
+            table = m @ table.reshape(t, -1)  # contract the leading axis, one bidder's cells
+        return float(table[:-1].sum()), float(table[-1])
     mass = np.zeros(a._phis.shape)
     tops = []
     for i, (th, runs, d) in enumerate(zip(a._thresholds, a._runs, dist)):
@@ -242,11 +249,6 @@ def _expectation(a: Auction, dist: ProductDist) -> tuple[float, float]:
         # a longer count would swamp the message, and past 4,300 digits str() refuses it
         shown = count if count <= 10**18 else "more than 10^18"
         raise EnumerationCapError(f"{shown} cell profiles exceed cap {_CAP}")
-    if a._outcomes is not None:
-        table = a._outcomes
-        for m, t in zip(mass, table.shape):  # contract the leading axis, one bidder's cells
-            table = m[:t] @ table.reshape(t, -1)
-        return float(table[:-1].sum()), float(table[-1])
     n, width = len(tops), len(a.feasible.vertices) + len(tops)
     revenue = welfare = 0.0
     bidders = np.arange(n)

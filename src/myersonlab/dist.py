@@ -60,23 +60,23 @@ class ValueDist:
     def __post_init__(self):
         if len(self.support) != len(self.probs):
             raise ValueError(f"{len(self.support)} values but {len(self.probs)} probabilities")
-        probs = np.array(self.probs, dtype=float)
+        probs, support = np.array(self.probs, dtype=float), np.array(self.support, dtype=float)
         long = len(probs) > _GATE
         if long:  # cumsum adds left to right, as accumulate does
             below = np.cumsum(np.append(0.0, probs))
             above = np.cumsum(np.append(0.0, probs[::-1]))[::-1]
+            values, rising = support, (support[1:] > support[:-1]).all()  # False at a NaN
         else:
-            masses = probs.tolist()
-            below = np.fromiter(accumulate(masses, initial=0.0), float, len(masses) + 1)
+            masses, values = probs.tolist(), support.tolist()
+            below = list(accumulate(masses, initial=0.0))
             above = list(accumulate(reversed(masses), initial=0.0))[::-1]
+            rising = all(map(float.__lt__, values, values[1:]))  # False at a NaN too
         total = float(below[-1])
         if not abs(total - 1.0) <= MASS_TOL:  # also catches a NaN or infinite mass
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         if not (probs.min() if long else min(masses)) > 0.0:
             raise ValueError(f"nonpositive probability {min(probs.tolist())!r}")
-        support = np.array(self.support, dtype=float)
-        rising = (support[1:] > support[:-1]).all()  # False at a NaN
-        if not (0.0 <= support[0] and support[-1] <= 1.0 and rising):
+        if not (0.0 <= values[0] and values[-1] <= 1.0 and rising):
             raise ValueError("support values must lie in [0, 1] and increase strictly")
         if len(above) > 2 and above[1] >= 1.0:
             raise ValueError(
@@ -84,8 +84,8 @@ class ValueDist:
                 f"so its mass {float(probs[0])!r} is lost"
             )
         above[0] = 1.0
-        hull, slopes, runs = _iron(support, above)
-        above = np.asarray(above, dtype=float)
+        hull, slopes, runs = _iron(values, above)
+        below, above = np.asarray(below, dtype=float), np.asarray(above, dtype=float)
         for name, arr in (("support", support), ("probs", probs), ("_below", below),
                           ("_above", above), ("_hull", hull), ("_slopes", slopes), ("_runs", runs)):
             arr.setflags(write=False)
@@ -145,15 +145,15 @@ def _curve(support: np.ndarray, above: np.ndarray) -> np.ndarray:
     return np.stack((q, q * np.append(0.0, support[::-1])))
 
 
-def _iron(support: np.ndarray, above):
+def _iron(support, above):
     """The hull of the revenue curve of the atoms at support with tail sums
     above, the hull's slope to the right of each support value's quantile,
     and the index of the first atom of each run of equal slopes, as arrays.
 
-    Up to _GATE atoms, above is a list and the derivation runs in Python:
-    the chain over every breakpoint, then one pointer down the hull's
-    segments while the atoms are taken in ascending order, as their
-    quantiles fall. Beyond, above is an array and so is every step: the
+    Up to _GATE atoms, support and above are lists and the derivation runs
+    in Python: the chain over every breakpoint, then one pointer down the
+    hull's segments while the atoms are taken in ascending order, as their
+    quantiles fall. Beyond, both are arrays and so is every step: the
     breakpoints, stacked as one (2, m + 1) array, are thinned by passes
     that drop every point on or below the chord of its two current
     neighbours, the chain's own test, until at most _GATE points remain or
@@ -174,7 +174,7 @@ def _iron(support: np.ndarray, above):
         k = np.searchsorted(hq, above[1:], side="right") - 1
         slopes = (np.diff(hr) / np.diff(hq))[k]
         return hull, slopes, np.flatnonzero(np.append(True, slopes[1:] != slopes[:-1]))
-    tails = zip(reversed(support.tolist()), reversed(above[:-1]))
+    tails = zip(reversed(support), reversed(above[:-1]))
     hull = _envelope(((0.0, 0.0),) + tuple((q, q * v) for v, q in tails))
     slopes, starts, last = [], [], None
     k = len(hull) - 2

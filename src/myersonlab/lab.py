@@ -307,10 +307,13 @@ def run_sample_complexity(
     A trial fails when the learned auction's exact revenue on the true
     prior falls more than eps below the optimum. The sample count follows
     the downward-closed formula when the system qualifies, else the general
-    one.
+    one. A system in which every vertex serves some bidder is refused.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    for i in np.flatnonzero((fs.vertices > 0.0).all(axis=0)).tolist():
+        raise PreconditionError(f"every vertex serves bidder {i}, even below its lowest value, where it "
+                                f"pays nothing; sample-complexity needs a system that can leave it out")
     closed = masks(fs.vertices) is not None and is_downward_closed(fs)
     setting = "downward_closed" if closed else "general"
     count = required_samples(setting, fs.n, fs.rank, eps, delta, C)

@@ -15,13 +15,14 @@ vertices ranked ahead of each, the tie-ordered matrix by one lexsort
 over the float tuples that bitmasks expand to, and the auction one
 profile at a time: a scalar welfare scan over the vertices, a payment
 integral that re-runs it at each own-value breakpoint, and expectations
-over the full product of supports. The per-atom auction keeps one cell
-per atom where the library keeps one per run of equal ironed virtual
-value. Distributions are built by merging atoms one at a time in a dict,
-samples drawn column by column with the top index clipped, learned
-priors column by column through np.unique, set members by a shift loop
-over every bit position, and the bitmasks of matrix rows by one shift
-per coordinate. The library must agree with them bit for bit, except
+over the full product of supports; table expectations go through the
+padded (bidders, cells) mass matrix of line auctions. The per-atom
+auction keeps one cell per atom where the library keeps one per run of
+equal ironed virtual value. Distributions are built by merging atoms
+one at a time in a dict, samples drawn column by column with the top
+index clipped, learned priors column by column through np.unique, set
+members by a shift loop over every bit position, and the bitmasks of
+matrix rows by one shift per coordinate. The library must agree with them bit for bit, except
 that payments, revenue and welfare may differ in the last
 bits.
 """
@@ -443,6 +444,23 @@ def expected_revenue(a, eval_dist):
             prob *= p
         total += prob * sum(payments(a, tuple(v for v, _ in combo)))
     return total
+
+
+def table_expectation(a, eval_dist):
+    """Revenue and welfare of an auction with tables, by the padded (bidders, cells) mass matrix.
+
+    Each bidder's cell masses are padded with zeros to the widest bidder's
+    cells and sliced back to its table axis, which is contracted one leading
+    axis at a time in bidder order, as the library does without the padding.
+    """
+    mass = np.zeros(a._phis.shape)
+    for i, (th, runs, d) in enumerate(zip(a._thresholds, a._runs, eval_dist)):
+        m = np.bincount(np.searchsorted(th[:runs], d.support, "right"), d.probs)
+        mass[i, : len(m)] = m
+    table = a._outcomes
+    for m, t in zip(mass, table.shape):
+        table = m[:t] @ table.reshape(t, -1)
+    return float(table[:-1].sum()), float(table[-1])
 
 
 def expected_virtual_welfare(a, eval_dist):

@@ -13,6 +13,7 @@ import myersonlab.auction
 import oracles
 from myersonlab.auction import (
     _BLOCK,
+    _CAP,
     CrossCheckError,
     EnumerationCapError,
     _expectation,
@@ -675,6 +676,45 @@ class TestOutcomeTables:
                 assert w.hex() == total.hex(), (profile, terms)
                 negative_zeros += all(t.hex() == (-0.0).hex() for t in terms)
         assert negative_zeros > 0  # a sum started from the first term would keep -0.0 there
+
+    def test_contraction_matches_the_padded_mass_oracle_bit_for_bit(self):
+        # a table's grid fits one block, below the cap, so its expectation skips the cap
+        assert _BLOCK < _CAP
+
+        def straddling(rng, d):
+            """Some of d's atoms, with one below its lowest (cell 0) and one above its top."""
+            s = d.support.tolist()
+            values = [s[0] / 2, *rng.choice(s, size=int(rng.integers(0, len(s) + 1))), (s[-1] + 1) / 2]
+            weights = rng.integers(1, 10, size=len(values)).astype(float)
+            return make_discrete(values, weights / weights.sum())
+
+        rng = np.random.default_rng(29)
+        cases = []
+        while len(cases) < 200:
+            n = int(rng.integers(1, 5))
+            if rng.random() < 0.5:
+                prior = random_prior(rng, n)
+            else:
+                prior = ProductDist(tuple(ironed_dist(rng, int(rng.integers(2, 9))) for _ in range(n)))
+            a = myerson(prior, random_system(rng, n))
+            if a._outcomes is not None:
+                cases.append(a)
+        at_block = [  # (cells per bidder, system): the product of cells times vertices + n is _BLOCK
+            ((8192,), from_vertices([[1.0]])),
+            ((64, 64), all_or_nothing(2, 1)),
+            ((16, 16, 8), minimum_non_matroid()),
+            ((8, 8, 8, 4), from_vertices(np.eye(4))),
+        ]
+        for cells, fs in at_block:
+            prior = ProductDist(tuple(uniform_grid(np.arange(1, c) / c) for c in cells))
+            a = myerson(prior, fs)
+            assert prod(r + 1 for r in a._runs) * (len(fs.vertices) + fs.n) == _BLOCK
+            cases.append(a)
+        for a in cases:
+            assert a._outcomes is not None
+            for dist in (a.prior, ProductDist(tuple(straddling(rng, d) for d in a.prior))):
+                got, want = _expectation(a, dist), oracles.table_expectation(a, dist)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
 
     def test_tables_are_read_only(self):
         a = myerson(ProductDist((IRONED_TEN,) * 3), uniform_matroid(3, 2))

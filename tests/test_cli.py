@@ -443,6 +443,16 @@ class TestErrors:
         argv = ["sample-complexity", "--feasible", fs, "--dist", dist, "--trials", "1"]
         assert run(capsys, argv) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("vectors, bidder", [([[1, 0]], 0), ([[1, 1], [0, 1]], 1), ([[0.5, 0.5]], 0)])
+    def test_sample_complexity_refuses_a_bidder_every_vertex_serves(self, capsys, tmp_path, vectors, bidder):
+        # the optimum's revenue and ironed virtual welfare would part, which the library flags as a bug
+        fs = write_json(tmp_path / "fs.json", {"type": "vertices", "vectors": vectors})
+        dist = write_json(tmp_path / "d.json", [{"support": [0.5, 1.0], "probs": [0.5, 0.5]}] * 2)
+        argv = ["sample-complexity", "--feasible", fs, "--dist", dist, "--trials", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: every vertex serves bidder {bidder}, even below") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -140,9 +140,9 @@ class TestMakeDiscrete:
         assert d._above[1] < 1.0 == d._above[0]
 
 
-def past_the_gate(atom=0, value=None, mass=None):
-    """200 evenly spaced atoms of equal mass, with one atom's value or mass replaced."""
-    support, probs = [k / 200 for k in range(200)], [0.005] * 200
+def grid_atoms(count, atom=0, value=None, mass=None):
+    """count evenly spaced atoms of equal mass, with one atom's value or mass replaced."""
+    support, probs = [k / count for k in range(count)], [1 / count] * count
     if value is not None:
         support[atom] = value
     if mass is not None:  # the next atom up takes the difference
@@ -170,11 +170,25 @@ class TestValueDistChecks:
             ((0.2, 0.8), (0.5, math.nan), "sum to nan"),
             ((), (), "sum to 0.0"),
             # past the gate, where the sums and checks run on arrays
-            (*past_the_gate(5, mass=0.0), "nonpositive probability 0.0"),
-            (*past_the_gate(5, mass=math.nan), "sum to nan"),
-            (*past_the_gate(7, value=0.006), "increase strictly"),
-            (*past_the_gate(199, value=1.5), "in \\[0, 1\\]"),
-            (past_the_gate()[0], (1e-20,) + (1 / 199,) * 199, "lost"),
+            (*grid_atoms(200, 5, mass=0.0), "nonpositive probability 0.0"),
+            (*grid_atoms(200, 5, mass=math.nan), "sum to nan"),
+            (*grid_atoms(200, 7, value=0.006), "increase strictly"),
+            (*grid_atoms(200, 199, value=1.5), "in \\[0, 1\\]"),
+            (grid_atoms(200)[0], (1e-20,) + (1 / 199,) * 199, "lost"),
+            # two atoms: a NaN value, and a lowest mass that the sum above it loses
+            ((0.2, math.nan), (0.5, 0.5), "in \\[0, 1\\]"),
+            ((0.1, 0.5), (1e-20, 1.0), "lost"),
+            # at the gate, the most atoms whose sums and checks run on lists
+            (grid_atoms(128)[0], grid_atoms(127)[1], "128 values but 127 probabilities"),
+            (grid_atoms(128)[0], (1 / 256,) * 128, "sum to 0.5"),
+            (*grid_atoms(128, 5, mass=0.0), "nonpositive probability 0.0"),
+            (*grid_atoms(128, 5, mass=math.nan), "sum to nan"),
+            (*grid_atoms(128, 7, value=6 / 128), "increase strictly"),
+            (*grid_atoms(128, 7, value=5 / 128), "increase strictly"),
+            (*grid_atoms(128, 127, value=1.5), "in \\[0, 1\\]"),
+            (*grid_atoms(128, 0, value=-0.1), "in \\[0, 1\\]"),
+            (*grid_atoms(128, 64, value=math.nan), "in \\[0, 1\\]"),
+            (grid_atoms(128)[0], (1e-20,) + (1 / 128,) * 126 + (1 / 64,), "lost"),
         ],
     )
     def test_rejected(self, support, probs, match):

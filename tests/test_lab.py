@@ -26,6 +26,7 @@ from myersonlab.feasible import (
     _exchange_violation,
     all_or_nothing,
     from_independent_sets,
+    from_vertices,
     members,
     minimum_non_matroid,
     uniform_matroid,
@@ -543,6 +544,19 @@ class TestSampleComplexity:
         assert r1.params["setting"] == "downward_closed"
         assert r2.params["setting"] == "general"
         assert r2.metrics["samples_per_trial"] > r1.metrics["samples_per_trial"]
+
+    def test_refuses_a_bidder_every_vertex_serves(self, monkeypatch):
+        # refused before any auction is built: opt_revenue would raise CrossCheckError
+        d = product_dist(uniform_grid([0.5, 1.0]), uniform_grid([0.5, 1.0]))
+        monkeypatch.setattr("myersonlab.lab.myerson", None)
+        monkeypatch.setattr("myersonlab.lab.opt_revenue", None)
+        with pytest.raises(PreconditionError, match="^every vertex serves bidder 0, even below"):
+            run_sample_complexity(from_vertices([[1.0, 0.0]]), d, 0.1, 0.1, 1.0, 2, 0)
+
+    def test_a_system_that_can_leave_each_bidder_out_is_taken(self):
+        d = product_dist(uniform_grid([0.5, 1.0]), uniform_grid([0.5, 1.0]))
+        r = run_sample_complexity(from_vertices([[1.0, 0.0], [0.0, 1.0]]), d, 0.1, 0.1, 1.0, 2, 0)
+        assert r.metrics["opt"] == pytest.approx(0.75, abs=1e-12)  # E[max virtual value], 1 at value 1
 
     def test_reports_are_reproducible(self):
         d = ProductDist((uniform_grid([0.2, 0.5, 1.0]),))
