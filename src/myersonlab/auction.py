@@ -6,8 +6,9 @@ maximizing ironed virtual welfare, and charges the threshold payments
 that make the allocation truthful. Both depend on values only through
 each bidder's cell: cell 0 lies below the prior's lowest atom, and cell
 c > 0 is the c-th run of adjacent atoms with equal ironed virtual value,
-such as the atoms of one ironed interval. A value profile maps to cells
-by one searchsorted per bidder over its run thresholds.
+such as the atoms of one ironed interval. A value's cell is the count of
+its bidder's run thresholds at or below it, in a row padded with NaN past
+the last run, which no value reaches.
 
 myerson builds each bidder's term table, which the auction keeps: a row
 per cell and a column per vertex, phi_i[c] * x_vi, but -inf in cell 0
@@ -59,12 +60,13 @@ class Auction:
     """The optimal auction and the read-only arrays myerson derives from it once.
 
     The rows of feasible.vertices are in myerson's tie order. Bidder
-    i has _runs[i] cells above 0, one per run of equal ironed virtual value;
-    _phis[i, c] is that value in cell c (0 in cell 0), _thresholds[i, c - 1]
-    the value of the run's first atom and _terms[i] bidder i's term table, all
-    padded with zeros. The outcome tables, None when the grid does not fit,
-    are indexed by a cell profile: _ranks holds the winner's row of vertices,
-    _outcomes[..., i] bidder i's payment and _outcomes[..., n] the welfare.
+    i has a cell above 0 per run of equal ironed virtual value; _phis[i, c]
+    is that value in cell c (0 in cell 0), _thresholds[i, c - 1] the value of
+    the run's first atom and _terms[i] bidder i's term table, padded past its
+    last run with NaN in _thresholds and zeros elsewhere. The outcome tables,
+    None when the grid does not fit, are indexed by a cell profile: _ranks
+    holds the winner's row of vertices, _outcomes[..., i] bidder i's payment
+    and _outcomes[..., n] the welfare.
     """
 
     prior: ProductDist
@@ -72,7 +74,6 @@ class Auction:
     _phis: np.ndarray = field(repr=False)
     _thresholds: np.ndarray = field(repr=False)
     _terms: np.ndarray = field(repr=False)
-    _runs: tuple[int, ...] = field(repr=False)
     _ranks: np.ndarray | None = field(default=None, repr=False)
     _outcomes: np.ndarray | None = field(default=None, repr=False)
 
@@ -90,17 +91,17 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     if prior.n != fs.n:
         raise ValueError(f"prior has {prior.n} bidders, system has {fs.n}")
     runs = [d._runs for d in prior]  # one cell per run of atoms with equal slopes
-    phis, thresholds = np.zeros((2, len(runs), max(map(len, runs)) + 1))
+    n, width = len(runs), max(map(len, runs)) + 1
+    phis = np.zeros((n, width))
+    thresholds = np.full((n, width), np.nan)  # no value reaches a NaN pad: every comparison is false
     for i, (d, starts) in enumerate(zip(prior, runs)):
         phis[i, 1 : len(starts) + 1] = d._slopes[starts]
         thresholds[i, : len(starts)] = d.support[starts]
     terms = _terms(phis, fs.vertices)
     for arr in (phis, thresholds, terms):
         arr.setflags(write=False)
-    fields = prior, fs, phis, thresholds, terms, tuple(map(len, runs))
-    n = len(runs)
     if prod(len(r) + 1 for r in runs) * (len(fs.vertices) + n) > _BLOCK:
-        return Auction(*fields)
+        return Auction(prior, fs, phis, thresholds, terms)
     along = (-1,) + (1,) * (n - 1)  # bidder i's term rows for cells 0..runs_i along grid axis i
     ranks, welfare = _score([
         t[: len(r) + 1].reshape((1,) * i + along[: n - i] + t.shape[-1:])
@@ -110,12 +111,12 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     outcomes[..., n] = welfare
     del welfare  # not held through the payment loop, where the build's memory peaks
     x = fs.vertices[ranks]
-    for i, (r, th) in enumerate(zip(runs, thresholds)):
+    for i, th in enumerate(thresholds):
         own, pay = x[..., i].swapaxes(0, i), outcomes[..., i].swapaxes(0, i)
-        _pay(own, th[: len(r)].reshape(along), pay)
+        _pay(own, th, pay)
     for arr in (ranks, outcomes):
         arr.setflags(write=False)
-    return Auction(*fields, ranks, outcomes)
+    return Auction(prior, fs, phis, thresholds, terms, ranks, outcomes)
 
 
 def _terms(phis: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -156,14 +157,15 @@ def _winners(a: Auction, cells) -> np.ndarray:
 def _pay(x: np.ndarray, thresholds: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Threshold payments of a bidder whose cell runs from 0 upward along the first axis of x.
 
-    x is its allocation and thresholds[k - 1] the lowest value of its cell
-    k, broadcast against x[k]. By the payment identity a winner in cell c
-    pays sum_k threshold[k-1] * (x[k] - x[k-1]) over k = 1..c, and a bidder
+    x is its allocation and thresholds its row, thresholds[k - 1] the lowest
+    value of its cell k. By the payment identity a winner in cell c pays
+    sum_k threshold[k-1] * (x[k] - x[k-1]) over k = 1..c, and a bidder
     allocated nothing pays nothing. The payments go to out, if given.
     """
     pay = np.empty(x.shape) if out is None else out
+    steps = thresholds[: len(x) - 1].reshape((-1,) + (1,) * (x.ndim - 1))
     pay[0] = 0.0
-    ((x[1:] - x[:-1]) * thresholds).cumsum(axis=0, out=pay[1:])
+    ((x[1:] - x[:-1]) * steps).cumsum(axis=0, out=pay[1:])
     pay[x <= 0.0] = 0.0
     return pay
 
@@ -177,18 +179,17 @@ def _line(a: Auction, i: int, cells: np.ndarray, top: int) -> tuple[np.ndarray, 
     cells = list(cells.T)
     cells[i] = np.arange(top)[:, None]
     x = a.feasible.vertices[:, i][_winners(a, cells)]
-    return x, _pay(x, a._thresholds[i, : top - 1, None])
+    return x, _pay(x, a._thresholds[i])
 
 
 def _cells(a: Auction, values) -> np.ndarray:
     """Each bidder's cell at one value profile, which must have a value per bidder and no NaN."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (len(a._runs),):
-        raise ValueError(f"a value profile of shape {values.shape} for {len(a._runs)} bidders")
+    if values.shape != (len(a._thresholds),):
+        raise ValueError(f"a value profile of shape {values.shape} for {len(a._thresholds)} bidders")
     if np.isnan(values).any():
         raise ValueError("a value profile holds NaN")
-    bidders = zip(a._thresholds, a._runs, values)
-    return np.array([th[:m].searchsorted(v, side="right") for th, m, v in bidders])
+    return (a._thresholds <= values[:, None]).sum(axis=1)
 
 
 def allocate(a: Auction, values) -> tuple[float, ...]:
@@ -230,19 +231,16 @@ def _expectation(a: Auction, dist: ProductDist) -> tuple[float, float]:
     """
     if dist.n != a.feasible.n:
         raise ValueError(f"evaluation distribution has {dist.n} bidders, need {a.feasible.n}")
+    masses = [np.bincount(th.searchsorted(d.support, "right"), d.probs, len(th))
+              for th, d in zip(a._thresholds, dist)]  # each bidder's mass in each of its cells
     if a._outcomes is not None:
         table = a._outcomes
-        for th, runs, d, t in zip(a._thresholds, a._runs, dist, table.shape):
-            m = np.bincount(th[:runs].searchsorted(d.support, "right"), d.probs, t)
-            table = m @ table.reshape(t, -1)  # contract the leading axis, one bidder's cells
+        for m, t in zip(masses, table.shape):
+            table = m[:t] @ table.reshape(t, -1)  # contract the leading axis, one bidder's cells
         return float(table[:-1].sum()), float(table[-1])
-    mass = np.zeros(a._phis.shape)
-    tops = []
-    for i, (th, runs, d) in enumerate(zip(a._thresholds, a._runs, dist)):
-        m = np.bincount(np.searchsorted(th[:runs], d.support, "right"), d.probs)
-        mass[i, : len(m)] = m
-        tops.append(len(m))
-    held = mass > 0.0
+    mass = np.array(masses)
+    held = mass > 0.0  # the cells that hold an atom, each of positive mass
+    tops = (held.shape[1] - held[:, ::-1].argmax(axis=1)).tolist()  # one past each highest held cell
     sizes = held.sum(axis=1).tolist()
     count = prod(sizes)
     if count > _CAP:

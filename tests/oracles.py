@@ -16,21 +16,23 @@ over the float tuples that bitmasks expand to, and the auction one
 profile at a time: a scalar welfare scan over the vertices, a payment
 integral that re-runs it at each own-value breakpoint, and expectations
 over the full product of supports; table expectations go through the
-padded (bidders, cells) mass matrix of line auctions. The per-atom
-auction keeps one cell per atom where the library keeps one per run of
-equal ironed virtual value. Distributions are built by merging atoms
-one at a time in a dict, samples drawn column by column with the top
-index clipped, learned priors column by column through np.unique, set
-members by a shift loop over every bit position, and the bitmasks of
-matrix rows by one shift per coordinate. The library must agree with them bit for bit, except
-that payments, revenue and welfare may differ in the last
-bits.
+padded (bidders, cells) mass matrix of line auctions. For tiny binary
+instances, virtual values and the optimal revenue are also computed in
+exact rational arithmetic. The per-atom auction keeps one cell per atom
+where the library keeps one per run of equal ironed virtual value.
+Distributions are built by merging atoms one at a time in a dict,
+samples drawn column by column with the top index clipped, learned
+priors column by column through np.unique, set members by a shift loop
+over every bit position, and the bitmasks of matrix rows by one shift
+per coordinate. The library must agree with them bit for bit, except
+that payments, revenue and welfare may differ in the last bits.
 """
 
 from bisect import bisect_right
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
-from math import log, sqrt
+from math import log, prod, sqrt
 
 import numpy as np
 
@@ -180,6 +182,38 @@ def run_starts(d):
     """Index of each atom whose ironed virtual value differs from the previous atom's, by a scan."""
     slopes = virtual_slopes(d)
     return tuple(j for j, s in enumerate(slopes) if j == 0 or s != slopes[j - 1])
+
+
+def exact_virtual_values(support, probs):
+    """Each atom's ironed virtual value in exact arithmetic, support and probs given as Fractions.
+
+    The revenue curve is built from tails summed top down, the lowest one
+    exactly 1 when probs sum to 1, its envelope by the same monotone chain
+    as iron, and each atom's value is the envelope's right slope at
+    Pr[u > v], as in virtual_slopes.
+    """
+    points, tail = [(Fraction(0), Fraction(0))], Fraction(0)
+    for v, p in zip(reversed(support), reversed(probs)):
+        tail += p
+        points.append((tail, tail * v))
+    hull = iron(points)
+    return tuple(right_slope_at(hull, q) for q, _ in reversed(points[:-1]))
+
+
+def exact_optimum(atoms, vertices):
+    """Optimal expected revenue in exact arithmetic: the expected maximum of ironed virtual welfare.
+
+    atoms holds one (support, probs) pair of Fraction sequences per bidder
+    and vertices the 0/1 vectors of a binary system. Every profile of atoms
+    is weighted by its probability; a bidder always sits on an atom, so no
+    one is ever below its lowest value.
+    """
+    phis = [exact_virtual_values(s, p) for s, p in atoms]
+    total = Fraction(0)
+    for combo in product(*[range(len(s)) for s, _ in atoms]):
+        prob = prod(p[j] for (_, p), j in zip(atoms, combo))
+        total += prob * max(sum(phi[j] for x, phi, j in zip(v, phis, combo) if x) for v in vertices)
+    return total
 
 
 def ironing_intervals(d):
@@ -377,13 +411,11 @@ def per_atom_auction(prior, fs):
     """
     a = myerson(prior, fs)
     width = max(len(d.support) for d in prior)
-    pad = [(0.0,) * (width - len(d.support)) for d in prior]
-    phis = np.array([(0.0,) + walk_slopes(d) + z for d, z in zip(prior, pad)])
-    thresholds = np.array([tuple(d.support.tolist()) + z for d, z in zip(prior, pad)])
-    atoms = tuple(len(d.support) for d in prior)
+    pad = [width - len(d.support) for d in prior]
+    phis = np.array([(0.0,) + walk_slopes(d) + (0.0,) * z for d, z in zip(prior, pad)])
+    thresholds = np.array([tuple(d.support.tolist()) + (np.nan,) * (z + 1) for d, z in zip(prior, pad)])
     terms = _terms(phis, fs.vertices)
-    return replace(a, _phis=phis, _thresholds=thresholds, _terms=terms, _runs=atoms, _ranks=None,
-                   _outcomes=None)
+    return replace(a, _phis=phis, _thresholds=thresholds, _terms=terms, _ranks=None, _outcomes=None)
 
 
 def allocate(a, values):
@@ -449,13 +481,14 @@ def expected_revenue(a, eval_dist):
 def table_expectation(a, eval_dist):
     """Revenue and welfare of an auction with tables, by the padded (bidders, cells) mass matrix.
 
-    Each bidder's cell masses are padded with zeros to the widest bidder's
-    cells and sliced back to its table axis, which is contracted one leading
-    axis at a time in bidder order, as the library does without the padding.
+    Each bidder's atoms are looked up over its thresholds cut to its prior's
+    run count, not over the NaN-padded row, and its cell masses are padded
+    with zeros to the widest bidder's cells and sliced back to its table
+    axis, which is contracted one leading axis at a time in bidder order.
     """
     mass = np.zeros(a._phis.shape)
-    for i, (th, runs, d) in enumerate(zip(a._thresholds, a._runs, eval_dist)):
-        m = np.bincount(np.searchsorted(th[:runs], d.support, "right"), d.probs)
+    for i, (th, p, d) in enumerate(zip(a._thresholds, a.prior, eval_dist)):
+        m = np.bincount(np.searchsorted(th[: len(p._runs)], d.support, "right"), d.probs)
         mass[i, : len(m)] = m
     table = a._outcomes
     for m, t in zip(mass, table.shape):

@@ -1,0 +1,80 @@
+"""Write what the benchmark's workloads compute, byte for byte, so that two trees can be diffed.
+
+    PYTHONPATH=src:bench python tests/report_bits.py OUT_DIR
+
+Into OUT_DIR it writes the reports of every PaperCli subcommand on the
+inputs of bench/workloads.py at seeds 0-3, op 0: each in JSON and in CSV
+(`<seed>-<name>.json`, `.csv`), except curves, which writes JSON only, and
+each subcommand's exit status in `status.txt`. It then writes the float.hex
+of every output of 50 ExactRevenue ops and of 20 DenseLearn ops at seed 1,
+one line per op (`exact-revenue.txt`, `dense-learn.txt`). The package and
+the workloads are imported from PYTHONPATH, so one copy of this script
+serves any checkout: `diff -r` of the directories written with two
+checkouts' src and bench shows whether they compute the same bits. Inputs
+go to a temporary directory; nothing under bench/ changes. pytest does not
+collect this file.
+"""
+
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from tracing import NullTracer
+from workloads import DenseLearn, ExactRevenue, PaperCli
+
+from myersonlab.cli import main as cli_main
+from myersonlab.dist import ValueDist
+from myersonlab.learn import SampleMatrix
+
+
+def bits(x) -> str:
+    """Every float in x as float.hex, through sequences, arrays, priors and sample matrices."""
+    if isinstance(x, float):  # np.float64 too
+        return float(x).hex()
+    if isinstance(x, np.ndarray):
+        return bits(x.tolist())
+    if isinstance(x, ValueDist):
+        return bits((x.support, x.probs))
+    if isinstance(x, SampleMatrix):
+        return bits(x.values)
+    if isinstance(x, (tuple, list)):
+        return "[" + " ".join(map(bits, x)) + "]"
+    return repr(x)
+
+
+def cli_reports(out: Path) -> None:
+    status = []
+    for seed in range(4):
+        with tempfile.TemporaryDirectory() as tmp:
+            w = PaperCli(seed, 1, Path(tmp), NullTracer())
+            seeds = {"sample-complexity": w.seeds[0][0], "lb-family": w.seeds[0][1]}
+            for name, argv in w.suite:
+                if name in seeds:
+                    argv = argv + ["--seed", str(seeds[name])]
+                for fmt in ("json",) if name == "curves" else ("json", "csv"):
+                    extra = [] if name == "curves" else ["--format", fmt]
+                    code = cli_main(argv + extra + ["--out", str(out / f"{seed}-{name}.{fmt}")])
+                    status.append(f"{seed} {name} {fmt} {code}")
+    (out / "status.txt").write_text("\n".join(status) + "\n", encoding="utf-8")
+
+
+def op_bits(out: Path, name: str, cls, ops: int) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        w = cls(1, ops, Path(tmp), NullTracer())
+        lines = [bits(w.run_op(i)) for i in range(ops)]
+    (out / f"{name}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def main() -> None:
+    if len(sys.argv) != 2:
+        sys.exit("usage: report_bits.py OUT_DIR")
+    out = Path(sys.argv[1])
+    out.mkdir(parents=True, exist_ok=True)
+    cli_reports(out)
+    op_bits(out, "exact-revenue", ExactRevenue, 50)
+    op_bits(out, "dense-learn", DenseLearn, 20)
+
+
+if __name__ == "__main__":
+    main()

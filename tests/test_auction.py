@@ -2,6 +2,8 @@
 
 import re
 import tracemalloc
+from bisect import bisect_right
+from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
 from math import nan, prod, sqrt
@@ -159,6 +161,24 @@ class TestOptRevenue:
             assert rev == pytest.approx(expected_virtual_welfare(a), abs=1e-9)
 
 
+def test_revenue_on_the_design_prior_is_the_exact_optimum():
+    # 3 bidders of 1-4 atoms at j/10 with integer weights 1-4, against the
+    # expected maximum of ironed virtual welfare computed on Fractions
+    rng = np.random.default_rng(20)
+    systems = [uniform_matroid(3, 1), uniform_matroid(3, 2), minimum_non_matroid()]
+    for _ in range(600):
+        atoms = []
+        for _ in range(3):
+            m = int(rng.integers(1, 5))
+            js, ws = np.sort(rng.choice(11, m, replace=False)).tolist(), rng.integers(1, 5, m).tolist()
+            atoms.append(([Fraction(j, 10) for j in js], [Fraction(w, sum(ws)) for w in ws]))
+        prior = ProductDist(tuple(make_discrete(list(map(float, s)), list(map(float, p))) for s, p in atoms))
+        for fs in systems:
+            want = oracles.exact_optimum(atoms, [tuple(map(int, v)) for v in fs.vertices.tolist()])
+            got = expected_revenue(myerson(prior, fs), prior)
+            assert got == pytest.approx(float(want), abs=1e-12, rel=0), (atoms, fs.vertices.tolist())
+
+
 class TestMonteCarlo:
     def test_matches_exact_within_four_stderr(self, gadget_auction):
         exact = expected_revenue(gadget_auction, GADGET_PRIOR)
@@ -275,6 +295,11 @@ def random_system(rng, n):
 
 def random_prior(rng, n):
     return ProductDist(tuple(random_value_dist(rng, 4, ATOMS) for _ in range(n)))
+
+
+def run_counts(a):
+    """Each bidder's count of cells above 0, read off the auction's prior."""
+    return tuple(len(d._runs) for d in a.prior)
 
 
 def probe_values(d):
@@ -543,7 +568,7 @@ class TestRunsAgainstPerAtomCells:
             prior = ProductDist(tuple(ironed_dist(rng, int(rng.integers(3, 13))) for _ in range(n)))
             below = ProductDist(tuple(ironed_dist(rng, 6) for _ in range(n)))  # cell 0 occupied
             a = self.check(prior, random_system(rng, n), (prior, below), rng)
-            atoms, runs = atoms + sum(len(d.support) for d in prior), runs + sum(a._runs)
+            atoms, runs = atoms + sum(len(d.support) for d in prior), runs + sum(run_counts(a))
         assert runs < 0.7 * atoms  # the priors are mostly ironed
 
     @pytest.mark.parametrize(
@@ -582,7 +607,7 @@ class TestRunsAgainstPerAtomCells:
 
     def test_virtual_values_apart_by_an_ulp_are_apart(self):
         a = myerson(product_dist(NEAR_TIE, point_mass(0.5)), uniform_matroid(2, 1))
-        assert a._runs == (2, 1)
+        assert run_counts(a) == (2, 1)
         assert allocate(a, (0.5, 0.5)) == (0.0, 1.0)
         assert allocate(a, (0.5 + 2.0**-53, 0.5)) == (1.0, 0.0)
         assert payments(a, (0.5 + 2.0**-53, 0.5)) == (0.5 + 2.0**-53, 0.0)
@@ -593,7 +618,7 @@ def test_ironed_three_bidder_ten_atom_evaluation_scores_a_grid_of_runs(monkeypat
     prior = ProductDist((IRONED_TEN,) * 3)
     shapes = record_kernel_calls(monkeypatch)
     a = myerson(prior, uniform_matroid(3, 2))
-    assert a._runs == (3, 3, 3)
+    assert run_counts(a) == (3, 3, 3)
     revenue = expected_revenue(a, prior)
     assert shapes == [(4, 4, 4)]
     assert revenue == pytest.approx(oracles.expected_revenue(a, prior), abs=1e-12)
@@ -604,7 +629,7 @@ def test_payments_on_a_learned_prior_score_runs_not_atoms(monkeypatch):
     monkeypatch.setattr("myersonlab.auction._BLOCK", 1 << 12)  # lines, not tables
     a = myerson(prior, uniform_matroid(2, 1))
     assert a._outcomes is None
-    runs = max(a._runs)
+    runs = max(run_counts(a))
     assert min(len(d.support) for d in prior) > 700 and runs < 100
     shapes = record_kernel_calls(monkeypatch)
     for bids in np.random.default_rng(6).random((20, 2)):
@@ -663,7 +688,7 @@ class TestOutcomeTables:
             assert _winners(a, list(cells)).tolist() == ranks.tolist()
             welfare = a._outcomes[..., prior.n].reshape(-1).tolist()
             # cell 0 below the lowest atom, cell c > 0 at its run's first atom
-            bids = [(th[0] - 1.0, *th[:m]) for th, m in zip(a._thresholds.tolist(), a._runs)]
+            bids = [(th[0] - 1.0, *th[:m]) for th, m in zip(a._thresholds.tolist(), run_counts(a))]
             for profile, rank, w in zip(cells.T.tolist(), ranks.tolist(), welfare):
                 values = [b[c] for b, c in zip(bids, profile)]
                 assert allocate(lines, values) == tuple(fs.vertices[rank].tolist()), profile
@@ -708,7 +733,7 @@ class TestOutcomeTables:
         for cells, fs in at_block:
             prior = ProductDist(tuple(uniform_grid(np.arange(1, c) / c) for c in cells))
             a = myerson(prior, fs)
-            assert prod(r + 1 for r in a._runs) * (len(fs.vertices) + fs.n) == _BLOCK
+            assert prod(r + 1 for r in run_counts(a)) * (len(fs.vertices) + fs.n) == _BLOCK
             cases.append(a)
         for a in cases:
             assert a._outcomes is not None
@@ -731,20 +756,79 @@ class TestOutcomeTables:
         for fs in (uniform_matroid(3, 1), uniform_matroid(3, 2), minimum_non_matroid(),
                    all_or_nothing(3, 2)):
             a = myerson(uniform, fs)
-            assert a._runs == (10, 10, 10) and a._outcomes is not None
+            assert run_counts(a) == (10, 10, 10) and a._outcomes is not None
 
     def test_grid_is_the_product_of_each_bidders_cells(self, monkeypatch):
         # 61 x 2 cells fit a block, though a cube over the most cells, 61^2, would not
         prior = ProductDist((uniform_grid(np.linspace(1 / 60, 1.0, 60)), point_mass(0.5)))
         fs = uniform_matroid(2, 1)
         a = myerson(prior, fs)
-        assert a._runs == (60, 1) and 61**2 * (len(fs.vertices) + 2) > _BLOCK
+        assert run_counts(a) == (60, 1) and 61**2 * (len(fs.vertices) + 2) > _BLOCK
         assert a._outcomes.shape == (61, 2, 3)
         monkeypatch.setattr("myersonlab.auction._BLOCK", 1)  # no grid fits
         lines = myerson(prior, fs)
         for values in iproduct(*map(probe_values, prior)):
             assert allocate(a, values) == allocate(lines, values), values
             assert payments(a, values) == payments(lines, values), values
+
+
+class TestValueToCell:
+    """allocate and payments read a bid only through its cell, with tables and on lines.
+
+    Each bid is compared with a finite bid in the same cell, found by a
+    bisection over the run thresholds, at which the scalar reference runs:
+    the lowest atom halved (or -1.0 above an atom at 0) for cell 0 and the
+    run's first atom for every other cell.
+    """
+
+    @pytest.mark.parametrize(
+        "prior,fs",
+        [
+            pytest.param(GADGET_PRIOR, GADGET_FS, id="gadget"),
+            pytest.param(ProductDist((IRONED_TEN,) * 3), uniform_matroid(3, 2), id="ironed-ten"),
+            pytest.param(  # no zero vertex, fractional vertices
+                ProductDist((IRONED_TEN, make_discrete([0.2, 0.3, 0.9], [0.6, 0.1, 0.3]))),
+                from_vertices([[1.0, 0.5], [0.5, 1.0], [0.25, 0.25]]),
+                id="no-zero-vertex",
+            ),
+            pytest.param(  # both vertices serve bidder 1, even in cell 0
+                product_dist(make_discrete([0.125, 1.0], [0.5, 0.5]), make_discrete([0.5, 1.0], [0.5, 0.5])),
+                from_vertices([[1.0, 1.0], [0.0, 1.0]]),
+                id="forced-in-cell-0",
+            ),
+            pytest.param(  # an atom at 0, where -0.0 lands in cell 1
+                product_dist(make_discrete([0.0, 0.5, 1.0], [0.3, 0.3, 0.4]), uniform_grid([0.25, 0.75])),
+                uniform_matroid(2, 1),
+                id="atom-at-zero",
+            ),
+        ],
+    )
+    def test_edge_bids(self, monkeypatch, prior, fs):
+        a = myerson(prior, fs)
+        monkeypatch.setattr("myersonlab.auction._BLOCK", 1)  # no grid fits
+        lines = myerson(prior, fs)
+        assert a._outcomes is not None and lines._outcomes is None
+        bids, cells, reps = [], [], []
+        for d in prior:
+            th = [float(d.support[j]) for j in oracles.run_starts(d)]
+            below = th[0] / 2 if th[0] > 0.0 else -1.0
+            between = [(u + v) / 2 for u, v in zip(th, th[1:])]
+            own = [-np.inf, -0.0, below, *th, *between, (th[-1] + 1.0) / 2, 1.5, np.inf]
+            bids.append(own)
+            cells.append([bisect_right(th, v) for v in own])
+            reps.append([below, *th])
+        rng = np.random.default_rng(30)
+        for i, own in enumerate(bids):
+            for k in range(len(own)):
+                picks = [int(rng.integers(len(b))) for b in bids]
+                picks[i] = k
+                values = [b[j] for b, j in zip(bids, picks)]
+                rep = [r[c[j]] for r, c, j in zip(reps, cells, picks)]
+                x, pay = allocate(a, values), payments(a, values)
+                assert x == allocate(lines, values) == oracles.allocate(a, rep), (values, rep)
+                assert [p.hex() for p in pay] == [p.hex() for p in payments(lines, values)], values
+                assert [p.hex() for p in pay] == [p.hex() for p in payments(a, rep)], (values, rep)
+                assert pay == pytest.approx(oracles.payments(a, rep), abs=1e-12), (values, rep)
 
 
 class TestNanBids:
@@ -795,7 +879,7 @@ def test_line_evaluations_keep_no_second_copy_of_the_term_tables():
     fs = uniform_matroid(12, 6)
     a = myerson(prior, fs)
     assert a._outcomes is None
-    tables = len(a._runs) * (max(a._runs) + 1) * len(fs.vertices) * 8
+    tables = fs.n * (max(run_counts(a)) + 1) * len(fs.vertices) * 8
     assert a._terms.nbytes == tables
     values = (0.9, 0.5, 0.2, 0.1) * 3
     for evaluate in (allocate, payments):

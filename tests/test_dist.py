@@ -189,6 +189,13 @@ class TestValueDistChecks:
             (*grid_atoms(128, 0, value=-0.1), "in \\[0, 1\\]"),
             (*grid_atoms(128, 64, value=math.nan), "in \\[0, 1\\]"),
             (grid_atoms(128)[0], (1e-20,) + (1 / 128,) * 126 + (1 / 64,), "lost"),
+            # not flat, on both sides of the gate: refused before any sum
+            (grid_atoms(200)[0], np.reshape(grid_atoms(200)[1], (200, 1)),
+             "flat, not \\(200,\\) and \\(200, 1\\)"),
+            (np.repeat(grid_atoms(200)[0], 2).reshape(200, 2), grid_atoms(200)[1],
+             "flat, not \\(200, 2\\) and \\(200,\\)"),
+            (((0.1, 0.2), (0.3, 0.4)), (0.5, 0.5), "flat, not \\(2, 2\\) and \\(2,\\)"),
+            ((0.2, 0.8), ((0.5,), (0.5,)), "flat, not \\(2,\\) and \\(2, 1\\)"),
         ],
     )
     def test_rejected(self, support, probs, match):
