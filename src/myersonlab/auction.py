@@ -110,10 +110,9 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     outcomes = np.empty(ranks.shape + (n + 1,))
     outcomes[..., n] = welfare
     del welfare  # not held through the payment loop, where the build's memory peaks
-    x = fs.vertices[ranks]
+    xs = fs.vertices.T.take(ranks, axis=1)  # bidder i's allocations as one contiguous row
     for i, th in enumerate(thresholds):
-        own, pay = x[..., i].swapaxes(0, i), outcomes[..., i].swapaxes(0, i)
-        _pay(own, th, pay)
+        _pay(xs[i].swapaxes(0, i), th, outcomes[..., i].swapaxes(0, i))
     for arr in (ranks, outcomes):
         arr.setflags(write=False)
     return Auction(prior, fs, phis, thresholds, terms, ranks, outcomes)
@@ -151,7 +150,7 @@ def _winners(a: Auction, cells) -> np.ndarray:
     0-d, which is the shape of the result. _score picks the winner from each
     bidder's term rows at its cells. Callers bound the points: a block or a line.
     """
-    return _score([t[c] for t, c in zip(a._terms, cells)])[0]
+    return _score([t.take(c, axis=0) for t, c in zip(a._terms, cells)])[0]
 
 
 def _pay(x: np.ndarray, thresholds: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

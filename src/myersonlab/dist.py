@@ -58,11 +58,11 @@ class ValueDist:
     _runs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.support) != len(self.probs):
-            raise ValueError(f"{len(self.support)} values but {len(self.probs)} probabilities")
         probs, support = np.array(self.probs, dtype=float), np.array(self.support, dtype=float)
         if support.ndim != 1 or probs.ndim != 1:
             raise ValueError(f"support and probs must be flat, not {support.shape} and {probs.shape}")
+        if len(support) != len(probs):
+            raise ValueError(f"{len(support)} values but {len(probs)} probabilities")
         long = len(probs) > _GATE
         if long:  # cumsum adds left to right, as accumulate does
             below = np.cumsum(np.append(0.0, probs))

@@ -1,8 +1,8 @@
 """Experiment harness: counterexample constructions, inequality checks, and
 sample-complexity trials, each emitting a machine-readable report.
 
-Every experiment is deterministic given its inputs and seed; trial-level
-randomness is derived from (seed, trial index) so reports are reproducible.
+Every experiment is deterministic given its inputs and seed. A trial loop seeds one stream, and
+trial t's samples are draw_samples(d, count, g) for a fresh copy g of it advanced by t * count * n.
 """
 
 from __future__ import annotations
@@ -318,10 +318,10 @@ def run_sample_complexity(
     setting = "downward_closed" if closed else "general"
     count = required_samples(setting, fs.n, fs.rank, eps, delta, C)
     opt = opt_revenue(d, fs)
+    rng = np.random.default_rng(seed)
     failures = 0
-    for t in range(trials):
-        ss = np.random.SeedSequence(seed, spawn_key=(t,))
-        samples = draw_samples(d, count, ss)
+    for _ in range(trials):
+        samples = draw_samples(d, count, rng)
         learned = dominated_empirical(samples, delta)
         a = myerson(learned, fs)
         if expected_revenue(a, d) < opt - eps:
@@ -387,9 +387,9 @@ def run_lb_family(
         member = ProductDist(tuple(priors[b] for b in sign))
         vw_all = [(k / n) * sum(phis[b][j != i] for j, b in enumerate(sign)) for i in range(n)]
         dif_sums = [0.0] * n
-        for t in range(trials):
-            ss = np.random.SeedSequence(seed, spawn_key=(mi, t))
-            samples = draw_samples(member, sample_budget, ss)
+        stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(mi,)))
+        for _ in range(trials):
+            samples = draw_samples(member, sample_budget, stream)
             key = np.sort(samples.values, axis=0).tobytes()
             if key not in wins:
                 a = myerson(dominated_empirical(samples, _LEARNER_DELTA), fs)

@@ -32,10 +32,11 @@ class SampleMatrix:
 def draw_samples(d: ProductDist, count: int, seed) -> SampleMatrix:
     """Inverse-CDF sampling per coordinate; deterministic given the seed.
 
-    A column whose prior has more than _GATE atoms searches its uniforms in
-    sorted order and scatters the values back: sorted keys take nearly the
-    same path down a search over so many partial sums, where random keys
-    mispredict at every step. The values are those of a direct search.
+    A Generator seed is consumed: the call reads its next count x n doubles, in row order, so
+    calls on one stream read consecutive blocks of it. A column whose prior has more than _GATE
+    atoms searches its uniforms in sorted order and scatters the values back: sorted keys take
+    nearly the same path down a search over so many partial sums, where random keys mispredict
+    at every step. The values are those of a direct search.
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")

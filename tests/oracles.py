@@ -18,7 +18,8 @@ integral that re-runs it at each own-value breakpoint, and expectations
 over the full product of supports; table expectations go through the
 padded (bidders, cells) mass matrix of line auctions. For tiny binary
 instances, virtual values and the optimal revenue are also computed in
-exact rational arithmetic. The per-atom auction keeps one cell per atom
+exact rational arithmetic. The lb-family regret learns and auctions every
+trial afresh. The per-atom auction keeps one cell per atom
 where the library keeps one per run of equal ironed virtual value.
 Distributions are built by merging atoms one at a time in a dict,
 samples drawn column by column with the top index clipped, learned
@@ -33,12 +34,14 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import log, prod, sqrt
+from types import SimpleNamespace
 
 import numpy as np
 
 from myersonlab.auction import _terms, myerson
 from myersonlab.dist import CDF_TOL, MASS_TOL, ProductDist, ValueDist
-from myersonlab.feasible import from_independent_sets
+from myersonlab.feasible import all_or_nothing, from_independent_sets
+from myersonlab.lab import _LEARNER_DELTA
 from myersonlab.learn import SampleMatrix
 
 
@@ -511,3 +514,39 @@ def expected_virtual_welfare(a, eval_dist):
         x = allocate(a, values)
         total += prob * sum(xi * p for xi, p in zip(x, phis) if p is not None)
     return total
+
+
+def lb_family_regret(n, k, eps, trials, blocks):
+    """lb-family's average regret on n <= 8 bidders, every trial learned and auctioned afresh.
+
+    blocks(mi, t, member) is the sample matrix of trial t of family member
+    mi, whose prior is member. Each trial learns its own dominated empirical
+    prior and allocates at each profile where exactly one bidder bids 0;
+    its regret there is the positive part of the all-serving vertex's
+    virtual welfare, less that welfare where the learned auction serves.
+    """
+    shift = 48.0 * eps / (n * k)
+    dminus = make_discrete([0.0, 1.0], [1.0 / n + shift, 1.0 - 1.0 / n - shift])
+    dplus = make_discrete([0.0, 1.0], [1.0 / n - shift, 1.0 - 1.0 / n + shift])
+    fs = all_or_nothing(n, k)
+    profiles = [tuple(0.0 if j == i else 1.0 for j in range(n)) for i in range(n)]
+    signs = list(product((0, 1), repeat=n))
+    total = 0.0
+    for mi, sign in enumerate(signs):
+        member = ProductDist(tuple((dminus, dplus)[b] for b in sign))
+        welfare = [(k / n) * sum(virtual_value(d, v) for d, v in zip(member, p)) for p in profiles]
+        sums = [0.0] * n
+        for t in range(trials):
+            learned = dominated_empirical(blocks(mi, t, member), _LEARNER_DELTA)
+            auction = SimpleNamespace(prior=learned, feasible=fs)  # all that allocate reads
+            for i, p in enumerate(profiles):
+                served = allocate(auction, p)[i] > 0.0
+                sums[i] += max(0.0, welfare[i]) - (welfare[i] if served else 0.0)
+        regret = 0.0
+        for i, p in enumerate(profiles):
+            prob = 1.0
+            for d, v in zip(member, p):
+                prob *= d.probs.tolist()[d.support.tolist().index(v)]
+            regret += prob * sums[i] / trials
+        total += regret
+    return total / len(signs)

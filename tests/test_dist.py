@@ -196,6 +196,10 @@ class TestValueDistChecks:
              "flat, not \\(200, 2\\) and \\(200,\\)"),
             (((0.1, 0.2), (0.3, 0.4)), (0.5, 0.5), "flat, not \\(2, 2\\) and \\(2,\\)"),
             ((0.2, 0.8), ((0.5,), (0.5,)), "flat, not \\(2,\\) and \\(2, 1\\)"),
+            # scalars have no length: refused as not flat, not by len()
+            (0.5, 1.0, "flat, not \\(\\) and \\(\\)"),
+            ((0.5,), 1.0, "flat, not \\(1,\\) and \\(\\)"),
+            (0.5, (1.0,), "flat, not \\(\\) and \\(1,\\)"),
         ],
     )
     def test_rejected(self, support, probs, match):

@@ -47,6 +47,7 @@ from myersonlab.lab import (
     run_nonmonotone,
     run_sample_complexity,
 )
+from myersonlab.learn import draw_samples
 
 import oracles
 from fuzz import (
@@ -530,6 +531,62 @@ class TestLipschitzUpperFuzz:
             done += 1
 
 
+def advanced(steps, seed, member=None):
+    """A fresh copy of a trial loop's stream, advanced past its first steps doubles.
+
+    sample-complexity seeds default_rng(seed); lb-family gives family member
+    mi the stream of SeedSequence(seed, spawn_key=(mi,)).
+    """
+    g = np.random.default_rng(seed if member is None else np.random.SeedSequence(seed, spawn_key=(member,)))
+    g.bit_generator.advance(steps)
+    return g
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The (prior, count, values) of every draw_samples call in lab, in call order."""
+    calls = []
+
+    def record(d, count, seed):
+        s = draw_samples(d, count, seed)
+        calls.append((d, count, s.values))
+        return s
+
+    monkeypatch.setattr("myersonlab.lab.draw_samples", record)
+    return calls
+
+
+class TestTrialStreams:
+    """Trial t of a trial loop reads the t-th block of count x n doubles of one stream."""
+
+    def test_sample_complexity_reads_consecutive_blocks(self, drawn):
+        d = product_dist(uniform_grid([0.2, 0.5, 1.0]), uniform_grid([0.3, 0.6, 0.9]))
+        fs = uniform_matroid(2, 1)
+        run_sample_complexity(fs, d, 0.5, 0.3, 1.0, 3, 11)
+        run_sample_complexity(fs, d, 0.5, 0.3, 1.0, 5, 11)
+        assert len(drawn) == 8
+        for t, (prior, count, values) in enumerate(drawn[3:]):
+            assert prior is d and count == 21
+            assert np.array_equal(values, draw_samples(d, count, advanced(t * count * d.n, 11)).values)
+        for (_, _, few), (_, _, more) in zip(drawn[:3], drawn[3:]):  # more trials, same first blocks
+            assert np.array_equal(few, more)
+        assert not np.array_equal(drawn[3][2], drawn[4][2])
+
+    def test_lb_family_members_read_their_own_streams(self, drawn):
+        n, budget = 2, 8
+        run_lb_family(n, 1, 0.01, budget, 3, 6)
+        run_lb_family(n, 1, 0.01, budget, 5, 6)
+        assert len(drawn) == 4 * 3 + 4 * 5  # four members each time
+        few, more = drawn[:12], drawn[12:]
+        for mi in range(4):
+            for t, (member, count, values) in enumerate(more[5 * mi : 5 * mi + 5]):
+                assert count == budget
+                want = draw_samples(member, budget, advanced(t * budget * n, 6, mi)).values
+                assert np.array_equal(values, want)
+                if t < 3:  # more trials, same first blocks
+                    assert np.array_equal(values, few[3 * mi + t][2])
+
+
 class TestSampleComplexity:
     def test_point_mass_prior_never_fails(self):
         d = product_dist(point_mass(0.4), point_mass(0.8))
@@ -607,9 +664,19 @@ class TestLbFamily:
         ],
     )
     def test_regret_as_learned_per_trial(self, args, regret):
-        # frozen from learning and auctioning every trial's samples afresh; reusing
-        # an auction for a sample matrix that differs in any column changes it
-        assert run_lb_family(*args).metrics["avg_regret"] == float.fromhex(regret)
+        # the oracle learns and auctions every trial's samples afresh; reusing an
+        # auction for a sample matrix that differs in any column changes the regret
+        n, k, eps, budget, trials, seed = args
+
+        def spawned(mi, t, member):  # one stream per trial, as the regret was first frozen
+            return oracles.draw_samples(member, budget, np.random.SeedSequence(seed, spawn_key=(mi, t)))
+
+        def blocks(mi, t, member):  # block t of member mi's stream
+            return oracles.draw_samples(member, budget, advanced(t * budget * n, seed, mi))
+
+        assert oracles.lb_family_regret(n, k, eps, trials, spawned) == float.fromhex(regret)
+        want = oracles.lb_family_regret(n, k, eps, trials, blocks)
+        assert run_lb_family(*args).metrics["avg_regret"] == want
 
 
 class TestOptRevenueLipschitzFuzz:
