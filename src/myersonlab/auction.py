@@ -28,8 +28,8 @@ the scorer's welfare as the welfare column. allocate and payments look
 outcomes up there, and exact expectations contract the tables with the
 bidders' cell masses. Other auctions run lines: a payment each bidder's
 up to its own cell, an expectation one per profile of the others'
-occupied cells, in blocks. Auctions hold read-only arrays and no other
-state; an evaluation works in one block or one line on top of them.
+occupied cells, in blocks, welfare off bidder 0's lines. An auction holds
+its prior, system, thresholds, term tables and outcome tables if any.
 """
 
 from __future__ import annotations
@@ -57,21 +57,19 @@ class CrossCheckError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Auction:
-    """The optimal auction and the read-only arrays myerson derives from it once.
+    """The optimal auction: its prior, its system and the read-only arrays myerson derives once.
 
-    The rows of feasible.vertices are in myerson's tie order. Bidder
-    i has a cell above 0 per run of equal ironed virtual value; _phis[i, c]
-    is that value in cell c (0 in cell 0), _thresholds[i, c - 1] the value of
-    the run's first atom and _terms[i] bidder i's term table, padded past its
-    last run with NaN in _thresholds and zeros elsewhere. The outcome tables,
-    None when the grid does not fit, are indexed by a cell profile: _ranks
-    holds the winner's row of vertices, _outcomes[..., i] bidder i's payment
-    and _outcomes[..., n] the welfare.
+    The rows of feasible.vertices are in myerson's tie order. Bidder i has a
+    cell above 0 per run of equal ironed virtual value; _thresholds[i, c - 1]
+    is the value of the run's first atom and _terms[i] bidder i's term table,
+    padded past its last run with NaN in _thresholds and zeros in _terms. The
+    outcome tables, None when the grid does not fit, are indexed by a cell
+    profile: _ranks holds the winner's row of vertices, _outcomes[..., i]
+    bidder i's payment and _outcomes[..., n] the welfare.
     """
 
     prior: ProductDist
     feasible: FeasibleSet
-    _phis: np.ndarray = field(repr=False)
     _thresholds: np.ndarray = field(repr=False)
     _terms: np.ndarray = field(repr=False)
     _ranks: np.ndarray | None = field(default=None, repr=False)
@@ -98,10 +96,10 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
         phis[i, 1 : len(starts) + 1] = d._slopes[starts]
         thresholds[i, : len(starts)] = d.support[starts]
     terms = _terms(phis, fs.vertices)
-    for arr in (phis, thresholds, terms):
+    for arr in (thresholds, terms):
         arr.setflags(write=False)
     if prod(len(r) + 1 for r in runs) * (len(fs.vertices) + n) > _BLOCK:
-        return Auction(prior, fs, phis, thresholds, terms)
+        return Auction(prior, fs, thresholds, terms)
     along = (-1,) + (1,) * (n - 1)  # bidder i's term rows for cells 0..runs_i along grid axis i
     ranks, welfare = _score([
         t[: len(r) + 1].reshape((1,) * i + along[: n - i] + t.shape[-1:])
@@ -115,7 +113,7 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
         _pay(xs[i].swapaxes(0, i), th, outcomes[..., i].swapaxes(0, i))
     for arr in (ranks, outcomes):
         arr.setflags(write=False)
-    return Auction(prior, fs, phis, thresholds, terms, ranks, outcomes)
+    return Auction(prior, fs, thresholds, terms, ranks, outcomes)
 
 
 def _terms(phis: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -143,14 +141,14 @@ def _score(terms) -> tuple[np.ndarray, np.ndarray]:
     return best, welfare
 
 
-def _winners(a: Auction, cells) -> np.ndarray:
-    """Row of feasible.vertices that wins at each point of n per-bidder cell arrays.
+def _winners(a: Auction, cells) -> tuple[np.ndarray, np.ndarray]:
+    """Row of feasible.vertices that wins, and its welfare, at each point of n per-bidder cell arrays.
 
     cells[i] holds bidder i's cells; the n arrays broadcast to one shape, not
-    0-d, which is the shape of the result. _score picks the winner from each
-    bidder's term rows at its cells. Callers bound the points: a block or a line.
+    0-d, the shape of both results, which _score computes from each bidder's
+    term rows at its cells. Callers bound the points: a block or a line.
     """
-    return _score([t.take(c, axis=0) for t, c in zip(a._terms, cells)])[0]
+    return _score([t.take(c, axis=0) for t, c in zip(a._terms, cells)])
 
 
 def _pay(x: np.ndarray, thresholds: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -170,15 +168,15 @@ def _pay(x: np.ndarray, thresholds: np.ndarray, out: np.ndarray | None = None) -
 
 
 def _line(a: Auction, i: int, cells: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bidder i's allocation and payments at its cells 0..top-1, on axes (own cell, row).
+    """Bidder i's payments and the kernel's welfare at its cells 0..top-1, on axes (own cell, row).
 
     Each row of the (rows, n) cell matrix fixes the others' cells of one
     line; its entry for bidder i is not read.
     """
     cells = list(cells.T)
     cells[i] = np.arange(top)[:, None]
-    x = a.feasible.vertices[:, i][_winners(a, cells)]
-    return x, _pay(x, a._thresholds[i])
+    rows, welfare = _winners(a, cells)
+    return _pay(a.feasible.vertices[:, i][rows], a._thresholds[i]), welfare
 
 
 def _cells(a: Auction, values) -> np.ndarray:
@@ -198,7 +196,7 @@ def allocate(a: Auction, values) -> tuple[float, ...]:
     lowest atom are excluded while any alternative exists.
     """
     cells = _cells(a, values)
-    rank = _winners(a, cells[:, None])[0] if a._ranks is None else a._ranks[tuple(cells)]
+    rank = _winners(a, cells[:, None])[0][0] if a._ranks is None else a._ranks[tuple(cells)]
     return tuple(a.feasible.vertices[rank].tolist())
 
 
@@ -213,7 +211,7 @@ def payments(a: Auction, values) -> tuple[float, ...]:
     if a._outcomes is not None:
         return tuple(a._outcomes[tuple(cells)][:-1].tolist())
     # a list: tuple() of a generator frees a resized tuple to a free list tracemalloc counts
-    pays = [float(_line(a, i, cells[None], c + 1)[1][-1, 0]) for i, c in enumerate(cells.tolist())]
+    pays = [float(_line(a, i, cells[None], c + 1)[0][-1, 0]) for i, c in enumerate(cells.tolist())]
     return tuple(pays)
 
 
@@ -226,7 +224,8 @@ def _expectation(a: Auction, dist: ProductDist) -> tuple[float, float]:
     the cap cannot bind. Otherwise _CAP bounds the distinct occupied run
     profiles, and bidder i runs a _line up to its highest occupied cell,
     top_i - 1, for each profile of the others' occupied cells, a block of
-    lines per call, and each point is weighted by the mass of its cells.
+    lines per call, each point weighted by its cells' mass. The kernel's
+    welfare is read once per occupied profile, off bidder 0's lines.
     """
     if dist.n != a.feasible.n:
         raise ValueError(f"evaluation distribution has {dist.n} bidders, need {a.feasible.n}")
@@ -259,10 +258,11 @@ def _expectation(a: Auction, dist: ProductDist) -> tuple[float, float]:
             cells = occupied[bidders, np.transpose(digits)]
             weights = mass[bidders, cells]
             weights[:, i] = 1.0  # i's own cell runs along the line
-            x, pay = _line(a, i, cells, t)
+            pay, w = _line(a, i, cells, t)
             weights = weights.prod(axis=1) * mass[i, :t, None]
             revenue += np.vdot(weights, pay)
-            welfare += np.vdot(weights, x * a._phis[i, :t, None])
+            if i == 0:
+                welfare += np.vdot(weights, w)
     return float(revenue), float(welfare)
 
 

@@ -410,7 +410,7 @@ def per_atom_auction(prior, fs):
     """myerson's auction with one cell per atom: cell c > 0 is atom c - 1 of the bidder's table.
 
     It holds no outcome tables, so every evaluation runs the kernel on lines of atoms, over
-    term tables built from its per-atom _phis.
+    term tables built from each atom's ironed virtual value.
     """
     a = myerson(prior, fs)
     width = max(len(d.support) for d in prior)
@@ -418,7 +418,7 @@ def per_atom_auction(prior, fs):
     phis = np.array([(0.0,) + walk_slopes(d) + (0.0,) * z for d, z in zip(prior, pad)])
     thresholds = np.array([tuple(d.support.tolist()) + (np.nan,) * (z + 1) for d, z in zip(prior, pad)])
     terms = _terms(phis, fs.vertices)
-    return replace(a, _phis=phis, _thresholds=thresholds, _terms=terms, _ranks=None, _outcomes=None)
+    return replace(a, _thresholds=thresholds, _terms=terms, _ranks=None, _outcomes=None)
 
 
 def allocate(a, values):
@@ -489,7 +489,7 @@ def table_expectation(a, eval_dist):
     with zeros to the widest bidder's cells and sliced back to its table
     axis, which is contracted one leading axis at a time in bidder order.
     """
-    mass = np.zeros(a._phis.shape)
+    mass = np.zeros(a._thresholds.shape)
     for i, (th, p, d) in enumerate(zip(a._thresholds, a.prior, eval_dist)):
         m = np.bincount(np.searchsorted(th[: len(p._runs)], d.support, "right"), d.probs)
         mass[i, : len(m)] = m

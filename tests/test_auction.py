@@ -160,6 +160,12 @@ class TestOptRevenue:
             a = myerson(d, fs)
             assert rev == pytest.approx(expected_virtual_welfare(a), abs=1e-9)
 
+    def test_identity_divergence_raises(self, monkeypatch):
+        d, _ = lipschitz_pair(2, 1, 0.01)
+        monkeypatch.setattr("myersonlab.auction._expectation", lambda a, dist: (0.5, 0.5 + 1e-8))
+        with pytest.raises(CrossCheckError, match=r"^revenue 0\.5 and ironed virtual welfare 0\.50000001 diverge$"):
+            opt_revenue(d, all_or_nothing(2, 1))
+
 
 def test_revenue_on_the_design_prior_is_the_exact_optimum():
     # 3 bidders of 1-4 atoms at j/10 with integer weights 1-4, against the
@@ -599,8 +605,12 @@ class TestRunsAgainstPerAtomCells:
 
     def test_gadget_cell_1_is_not_cell_0(self, gadget_auction):
         # B's and C's lowest atom has virtual value exactly 0.0, as cell 0 has,
-        # but only a bidder below it is kept from winning
-        assert gadget_auction._phis[1, :2].tolist() == [0.0, 0.0]
+        # but only a bidder below it is kept from winning: at the vertex giving
+        # B 1.0 its cell-1 term is that value and its cell-0 term is -inf
+        b = gadget_auction.prior[1]
+        assert b._slopes[b._runs[:1]].tolist() == [0.0]
+        serves_b = gadget_auction.feasible.vertices[:, 1].argmax()
+        assert gadget_auction._terms[1, :2, serves_b].tolist() == [-np.inf, 0.0]
         assert allocate(gadget_auction, (0.5, 0.1, 0.1)) == (1.0, 0.0, 0.0)
         assert allocate(gadget_auction, (0.5, 1.0, 0.1)) == (0.0, 1.0, 1.0)
         assert allocate(gadget_auction, (0.5, 1.0, 0.05)) == (0.0, 1.0, 0.0)
@@ -685,8 +695,11 @@ class TestOutcomeTables:
             assert a._ranks is not None and lines._ranks is None
             cells = np.indices(a._ranks.shape).reshape(prior.n, -1)
             ranks = a._ranks.reshape(-1)
-            assert _winners(a, list(cells)).tolist() == ranks.tolist()
+            rows, kernel = _winners(a, list(cells))
+            assert rows.tolist() == ranks.tolist()
             welfare = a._outcomes[..., prior.n].reshape(-1).tolist()
+            assert [w.hex() for w in kernel.tolist()] == [w.hex() for w in welfare]
+            phis = [[0.0, *d._slopes[d._runs].tolist()] for d in prior]  # cell 0 counts 0
             # cell 0 below the lowest atom, cell c > 0 at its run's first atom
             bids = [(th[0] - 1.0, *th[:m]) for th, m in zip(a._thresholds.tolist(), run_counts(a))]
             for profile, rank, w in zip(cells.T.tolist(), ranks.tolist(), welfare):
@@ -694,7 +707,7 @@ class TestOutcomeTables:
                 assert allocate(lines, values) == tuple(fs.vertices[rank].tolist()), profile
                 pays = a._outcomes[tuple(profile)][:-1].tolist()
                 assert [p.hex() for p in payments(lines, values)] == [p.hex() for p in pays]
-                terms = [x * phi[c] for x, phi, c in zip(fs.vertices[rank].tolist(), a._phis.tolist(), profile)]
+                terms = [x * phi[c] for x, phi, c in zip(fs.vertices[rank].tolist(), phis, profile)]
                 total = 0.0
                 for t in terms:
                     total += t

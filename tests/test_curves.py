@@ -38,7 +38,7 @@ def ironed_virtual(d, v):
     """d's ironed virtual value at bid v as the auction reads it; None below every atom (cell 0)."""
     a = myerson(ProductDist((d,)), uniform_matroid(1, 1))
     cell = _cells(a, [v])[0]
-    return None if cell == 0 else float(a._phis[0, cell])
+    return None if cell == 0 else float(a._terms[0, cell, 0])  # vertex 0 is (1.0,): the term is the value
 
 
 class TestRevenueCurve:
@@ -328,11 +328,13 @@ def test_tables_and_auctions_read_the_slopes_the_prior_derived(monkeypatch):
         ironing_intervals(d)  # the curves report reads the kept hull
         assert ironed_virtual(d, d.support[0]) == slopes[0]
         a = myerson(ProductDist((d, d)), uniform_matroid(2, 1))
-        assert a._phis[0, 1] == a._phis[1, 1] == slopes[0]
+        # at the vertex giving bidder i 1.0, its terms are its run values
+        phis = [a._terms[i, :, v] for i, v in enumerate(a.feasible.vertices.argmax(axis=0))]
+        assert phis[0][1] == phis[1][1] == slopes[0]
         runs = len(d._runs)
         assert np.isnan(a._thresholds[:, runs:]).all()  # padded past the last run
-        for phis, thresholds in zip(a._phis, a._thresholds):
-            assert phis[1 : runs + 1].tolist() == [slopes[j] for j in d._runs]
+        for row, thresholds in zip(phis, a._thresholds):
+            assert row[1 : runs + 1].tolist() == [slopes[j] for j in d._runs]
             assert thresholds[:runs].tolist() == [d.support[j] for j in d._runs]
 
 

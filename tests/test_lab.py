@@ -224,6 +224,11 @@ class TestEmbed:
         with pytest.raises(PreconditionError, match="binary"):
             embed_counterexample(all_or_nothing(2, 1))
 
+    def test_more_bidders_than_the_limit_rejected(self):
+        # the library refuses on its own, not only behind the CLI's check
+        with pytest.raises(PreconditionError, match=r"^embedding limited to n <= 10$"):
+            embed_counterexample(uniform_matroid(11, 2))
+
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
     def test_stable_across_eps(self, eps):
         assert embed_counterexample(minimum_non_matroid(), eps).passed
@@ -306,6 +311,11 @@ class TestApproxMonotone:
         dtilde, d, fs = nonmonotone_gadget(0.1)
         with pytest.raises(PreconditionError, match="dominance"):
             check_approx_monotone(dtilde, d, 0.1, fs)
+
+    def test_dimension_mismatch(self):
+        d = product_dist(uniform_grid([0.2, 0.6, 1.0]), point_mass(0.5))
+        with pytest.raises(ValueError, match="^distribution and system dimensions disagree$"):
+            check_approx_monotone(d, d, 0.3, minimum_non_matroid())
 
     def _fuzz(self, uniform, count, seed):
         rng = np.random.default_rng(seed)
@@ -650,6 +660,10 @@ class TestLbFamily:
 
     def test_zero_eps_gives_one_prior(self):
         assert run_lb_family(3, 1, 0.0, 1, 2, 0).metrics["hellinger_sq"] == 0.0
+
+    def test_one_bidder_rejected(self):
+        with pytest.raises(ValueError, match="^at least two bidders required$"):
+            run_lb_family(1, 1, 0.01, 1, 2, 0)
 
     def test_large_n_subsamples_family(self, monkeypatch):
         monkeypatch.setattr("myersonlab.lab._FAMILY_CAP", 8)

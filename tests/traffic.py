@@ -39,8 +39,21 @@ def unexecuted(path: Path) -> list[int]:
     return sorted(missed)
 
 
-def main() -> None:
+def trace() -> None:
+    """Start recording line events in src/myersonlab, before the package is imported."""
     sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename.startswith(PKG) else None)
+
+
+def report() -> None:
+    """Stop recording and print, per module of src/myersonlab, the statements nothing executed."""
+    sys.settrace(None)
+    for path in sorted(Path(PKG).glob("*.py")):
+        missed = unexecuted(path)
+        print(f"{path.name}: {len(missed)} unexecuted:", " ".join(map(str, missed)) or "-")
+
+
+def main() -> None:
+    trace()
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from tracing import NullTracer
     from workloads import WORKLOADS
@@ -50,10 +63,7 @@ def main() -> None:
             workload = cls(0, 3, Path(tmp), NullTracer())
             for i in range(3):
                 workload.check(i, workload.run_op(i))
-    sys.settrace(None)
-    for path in sorted(Path(PKG).glob("*.py")):
-        missed = unexecuted(path)
-        print(f"{path.name}: {len(missed)} unexecuted:", " ".join(map(str, missed)) or "-")
+    report()
 
 
 if __name__ == "__main__":
