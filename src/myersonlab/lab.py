@@ -1,8 +1,9 @@
 """Experiment harness: counterexample constructions, inequality checks, and
 sample-complexity trials, each emitting a machine-readable report.
 
-Every experiment is deterministic given its inputs and seed. A trial loop seeds one stream, and
-trial t's samples are draw_samples(d, count, g) for a fresh copy g of it advanced by t * count * n.
+Every experiment is deterministic given its inputs and seed. A trial loop draws and learns its
+trials a block at a time from the stream of SeedSequence(seed, spawn_key=key), and trial t's
+samples are draw_samples(d, count, g) for a fresh copy g of that stream advanced by t * count * n.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ import csv
 import io
 from dataclasses import asdict, dataclass
 from itertools import product as iproduct
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
-from .auction import allocate, expected_revenue, myerson, opt_revenue
+from .auction import _BLOCK, allocate, expected_revenue, myerson, opt_revenue
 from .dist import (
     ProductDist,
     dominates,
@@ -33,7 +34,7 @@ from .feasible import (
     masks,
     minimum_non_matroid,
 )
-from .learn import dominated_empirical, draw_samples, hellinger_sq, required_samples
+from .learn import _learn, draw_samples, hellinger_sq, required_samples
 
 VERDICT_TOL = 1e-9
 _LEARNER_DELTA = 0.1  # delta of the dominated-empirical learner in lb-family
@@ -293,6 +294,14 @@ def run_lipschitz_lb(n: int, k: int, eps: float) -> Report:
 # sample-complexity experiments
 
 
+def _trial_blocks(d: ProductDist, count: int, trials: int, seed, *key):
+    """Consecutive trials' samples as (trials, count, n) stacks of at most _BLOCK numbers, or one trial."""
+    stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    block = max(1, _BLOCK // (count * d.n))
+    for start in range(0, trials, block):
+        yield draw_samples(d, count * min(block, trials - start), stream).values.reshape(-1, count, d.n)
+
+
 def run_sample_complexity(
     fs: FeasibleSet,
     d: ProductDist,
@@ -318,14 +327,8 @@ def run_sample_complexity(
     setting = "downward_closed" if closed else "general"
     count = required_samples(setting, fs.n, fs.rank, eps, delta, C)
     opt = opt_revenue(d, fs)
-    rng = np.random.default_rng(seed)
-    failures = 0
-    for _ in range(trials):
-        samples = draw_samples(d, count, rng)
-        learned = dominated_empirical(samples, delta)
-        a = myerson(learned, fs)
-        if expected_revenue(a, d) < opt - eps:
-            failures += 1
+    learned = (prior for block in _trial_blocks(d, count, trials, seed) for prior in _learn(block, delta))
+    failures = sum(expected_revenue(myerson(prior, fs), d) < opt - eps for prior in learned)
     freq = failures / trials
     sigma = sqrt(delta * (1.0 - delta) / trials)
     return _report(
@@ -364,6 +367,8 @@ def run_lb_family(
         raise ValueError("trials must be at least 1")
     if n < 2:
         raise ValueError("at least two bidders required")
+    if sample_budget < 1:
+        raise ValueError("sample count must be at least 1")
     fs = all_or_nothing(n, k)
     shift = 48.0 * eps / (n * k)
     base = 1.0 / n
@@ -380,27 +385,25 @@ def run_lb_family(
     else:
         signs = [tuple(int(b) for b in rng.integers(0, 2, size=n)) for _ in range(_FAMILY_CAP)]
     profiles = [tuple(0.0 if j == i else 1.0 for j in range(n)) for i in range(n)]
-    wins: dict[bytes, list[bool]] = {}  # sorted sample columns -> bidder i wins at profiles[i]
+    wins: dict[bytes, list[bool]] = {}  # counts of 0.0 per bidder -> bidder i wins at profiles[i]
     total_regret = 0.0
     min_profile_prob = 1.0
     for mi, sign in enumerate(signs):
         member = ProductDist(tuple(priors[b] for b in sign))
         vw_all = [(k / n) * sum(phis[b][j != i] for j, b in enumerate(sign)) for i in range(n)]
         dif_sums = [0.0] * n
-        stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(mi,)))
-        for _ in range(trials):
-            samples = draw_samples(member, sample_budget, stream)
-            key = np.sort(samples.values, axis=0).tobytes()
-            if key not in wins:
-                a = myerson(dominated_empirical(samples, _LEARNER_DELTA), fs)
+        for samples in _trial_blocks(member, sample_budget, trials, seed, mi):
+            keys = [c.tobytes() for c in (samples == 0.0).sum(axis=1)]
+            new = {key: t for t, key in enumerate(keys) if key not in wins}  # a trial per new key
+            for key, learned in zip(new, _learn(samples[list(new.values())], _LEARNER_DELTA)):
+                a = myerson(learned, fs)
                 wins[key] = [allocate(a, p)[i] > 0.0 for i, p in enumerate(profiles)]
-            for i in range(n):
-                dif_sums[i] += max(0.0, vw_all[i]) - (vw_all[i] if wins[key][i] else 0.0)
+            for key in keys:
+                for i in range(n):
+                    dif_sums[i] += max(0.0, vw_all[i]) - (vw_all[i] if wins[key][i] else 0.0)
         member_regret = 0.0
         for i in range(n):
-            prob = 1.0
-            for j, b in enumerate(sign):
-                prob *= masses[b][j != i]
+            prob = prod(masses[b][j != i] for j, b in enumerate(sign))
             min_profile_prob = min(min_profile_prob, prob)
             member_regret += prob * dif_sums[i] / trials
         total_regret += member_regret

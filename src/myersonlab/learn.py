@@ -1,5 +1,5 @@
-"""Sampling and the learned prior: the dominated empirical distribution,
-sample-count formulas, and the Hellinger distance.
+"""Sampling and the learned prior: the dominated empirical distribution, of one sample matrix
+or of a stack of trials in one pass, sample-count formulas, and the Hellinger distance.
 
 Natural logarithms throughout the sample-count and inflation formulas.
 """
@@ -54,40 +54,46 @@ def draw_samples(d: ProductDist, count: int, seed) -> SampleMatrix:
 def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
     """Empirical distribution inflated so the true prior dominates it w.h.p.
 
-    Per coordinate the empirical CDF e is inflated by a Bernstein-style
-    radius at each support point and clamped to 1. The result is
-    nondecreasing: f(e) = e + sqrt(2e(1-e)c/N) + 4c/N is concave with
-    f(1) > 1, so it falls only where it is already clamped. The inflated
-    CDF is positive below the lowest sample, so that mass is realized as
-    an atom at value 0; pushing it to the bottom is what keeps dominance
-    implied by the CDF inequality alone. The inflation depends only on how
-    many samples are at most a value.
+    Per coordinate the empirical CDF e is inflated by a Bernstein-style radius at each support
+    point and clamped to 1. The result is nondecreasing: f(e) = e + sqrt(2e(1-e)c/N) + 4c/N is
+    concave with f(1) > 1, so it falls only where it is already clamped. The inflated CDF is
+    positive below the lowest sample, so that mass is realized as an atom at value 0; pushing it
+    to the bottom is what keeps dominance implied by the CDF inequality alone. The inflation
+    depends only on how many samples are at most a value.
     """
+    return _learn(s.values[None], delta)[0]
+
+
+def _learn(stack: np.ndarray, delta: float) -> list[ProductDist]:
+    """dominated_empirical of each trial's count x n block of a (trials, count, n) stack: each
+    trial's bidder is a row of one flat array, and all rows are sorted and learned in one pass."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta {delta!r} outside (0, 1)")
-    srt = np.sort(s.values, axis=0)
-    if not (srt[0].min() >= 0.0 and srt[-1].max() <= 1.0):  # NaN sorts last
-        raise ValueError("sample values must lie in [0, 1]")
-    n, count = s.n, s.count
-    coef = log(2.0 * n * count / delta)
-    bottom = min(1.0, 4.0 * coef / count)
-    ends = srt[1:] != srt[:-1]  # row r ends a run when the next row differs
-    dists = []
-    for j in range(n):
-        at_most = np.append(np.flatnonzero(ends[:, j]) + 1, count)
-        vals = srt[at_most - 1, j]
-        emp = at_most / count
-        inflated = emp + np.sqrt(2.0 * emp * (1.0 - emp) * coef / count) + 4.0 * coef / count
-        cum = np.concatenate(([0.0, bottom], np.minimum(1.0, inflated)))
-        masses = cum[1:] - cum[:-1]
-        # samples at 0, a run of 0.0 and -0.0 in whatever order the sort left
-        # them, join the bottom atom, which takes the value 0.0
-        if vals[0] == 0.0:
-            vals, masses = vals[1:], np.concatenate(([masses[0] + masses[1]], masses[2:]))
-        keep = masses > 0.0  # values past the clamp get no mass
-        vals = np.concatenate(([0.0], vals))[keep]
-        dists.append(ValueDist(vals, masses[keep]))
-    return ProductDist(tuple(dists))
+    trials, count, n = stack.shape
+    flat = np.full(trials * n * (count + 1) + 1, -1.0)  # unlike any sample: each row's slot, and one past
+    rows = flat[:-1].reshape(trials, n, count + 1)  # row t * n + j: a slot, then trial t's bidder j
+    rows[..., 1:] = stack.transpose(0, 2, 1)
+    rows[..., 1:].sort()
+    if not (rows[..., 1].min(initial=0.0) >= 0.0 and rows[..., -1].max(initial=1.0) <= 1.0):
+        raise ValueError("sample values must lie in [0, 1]")  # NaN sorts last
+    last = np.flatnonzero(flat[1:] != flat[:-1])  # run ends: a slot ends one of its own and the one before
+    at_most = last % (count + 1)  # samples of the row at most the run's value; 0 at its slot
+    emp, coef = at_most / count, log(2.0 * n * count / delta)
+    cum = np.minimum(1.0, emp + np.sqrt(2.0 * emp * (1.0 - emp) * coef / count) + 4.0 * coef / count)
+    head, vals = np.flatnonzero(at_most == 0), flat[last]
+    masses = np.empty_like(cum)
+    masses[1:] = cum[1:] - cum[:-1]
+    masses[head], vals[head] = cum[head], 0.0  # the bottom atom's mass is min(1, 4c/N)
+    # samples at 0, a run of 0.0 and -0.0 in whatever order the sort left
+    # them, join the bottom atom, which takes the value 0.0
+    zero = head[vals[head + 1] == 0.0]
+    masses[zero] += masses[zero + 1]
+    masses[zero + 1] = 0.0
+    keep = masses > 0.0  # values past the clamp get no mass
+    vals, masses = vals[keep], masses[keep]
+    bounds = np.flatnonzero(vals == 0.0).tolist() + [len(vals)]  # each prior has one atom at 0.0
+    dists = [ValueDist(vals[lo:hi], masses[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return [ProductDist(dists[t * n : t * n + n]) for t in range(trials)]
 
 
 def required_samples(

@@ -23,9 +23,9 @@ trial afresh. The per-atom auction keeps one cell per atom
 where the library keeps one per run of equal ironed virtual value.
 Distributions are built by merging atoms one at a time in a dict,
 samples drawn column by column with the top index clipped, learned
-priors column by column through np.unique, set members by a shift loop
-over every bit position, and the bitmasks of matrix rows by one shift
-per coordinate. The library must agree with them bit for bit, except
+priors column by column through np.unique or from per-atom sample
+counts, set members by a shift loop over every bit position, and the
+bitmasks of matrix rows by one shift per coordinate. The library must agree with them bit for bit, except
 that payments, revenue and welfare may differ in the last bits.
 """
 
@@ -108,6 +108,27 @@ def dominated_empirical(s, delta):
         bottom = min(1.0, 4.0 * coef / count)
         masses = np.diff(inflated, prepend=bottom)
         dists.append(make_discrete([0.0] + list(vals), [bottom] + list(masses)))
+    return ProductDist(tuple(dists))
+
+
+def counted_empirical(d, counts, delta):
+    """The dominated empirical prior of samples given as per-atom counts: counts[j][a] of bidder j's
+    samples sit at d[j].support[a]. Each atom's inflated CDF is computed in scalars from a running count."""
+    n, count = d.n, int(sum(counts[0]))
+    coef = log(2.0 * n * count / delta)
+    bottom = min(1.0, 4.0 * coef / count)
+    dists = []
+    for dj, cj in zip(d, counts):
+        values, masses, below, at_most = [0.0], [bottom], bottom, 0
+        for v, c in zip(dj.support.tolist(), cj):
+            if c:
+                at_most += int(c)
+                emp = at_most / count
+                cdf = min(1.0, emp + sqrt(2.0 * emp * (1.0 - emp) * coef / count) + 4.0 * coef / count)
+                values.append(v)
+                masses.append(cdf - below)
+                below = cdf
+        dists.append(make_discrete(values, masses))
     return ProductDist(tuple(dists))
 
 

@@ -7,7 +7,10 @@ inputs of bench/workloads.py at seeds 0-3, op 0: each in JSON and in CSV
 (`<seed>-<name>.json`, `.csv`), except curves, which writes JSON only, and
 each subcommand's exit status in `status.txt`. It then writes the float.hex
 of every output of 50 ExactRevenue ops and of 20 DenseLearn ops at seed 1,
-one line per op (`exact-revenue.txt`, `dense-learn.txt`). The package and
+one line per op (`exact-revenue.txt`, `dense-learn.txt`), and two trial
+loops whose trials span several blocks of samples and whose outcomes vary
+(`trial-loops.txt`): sample-complexity at 1, 50, 51, 52 and 120 trials,
+and lb-family at 40 trials of 300 samples. The package and
 the workloads are imported from PYTHONPATH, so one copy of this script
 serves any checkout: `diff -r` of the directories written with two
 checkouts' src and bench shows whether they compute the same bits. Inputs
@@ -24,7 +27,9 @@ from tracing import NullTracer
 from workloads import DenseLearn, ExactRevenue, PaperCli
 
 from myersonlab.cli import main as cli_main
-from myersonlab.dist import ValueDist
+from myersonlab.dist import ValueDist, make_discrete, product_dist
+from myersonlab.feasible import uniform_matroid
+from myersonlab.lab import run_lb_family, run_sample_complexity
 from myersonlab.learn import SampleMatrix
 
 
@@ -66,6 +71,16 @@ def op_bits(out: Path, name: str, cls, ops: int) -> None:
     (out / f"{name}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def trial_loops(out: Path) -> None:
+    d = product_dist(make_discrete([0.2, 0.5, 0.9], [0.3, 0.4, 0.3]),
+                     make_discrete([0.1, 0.6, 0.8], [0.5, 0.2, 0.3]))
+    fs = uniform_matroid(2, 1)
+    reports = [run_sample_complexity(fs, d, 0.1, 0.1, 0.15, t, 3) for t in (1, 50, 51, 52, 120)]
+    reports.append(run_lb_family(3, 1, 0.01, 300, 40, 5))
+    lines = [bits([r.verdict, sorted(r.metrics.items())]) for r in reports]
+    (out / "trial-loops.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def main() -> None:
     if len(sys.argv) != 2:
         sys.exit("usage: report_bits.py OUT_DIR")
@@ -74,6 +89,7 @@ def main() -> None:
     cli_reports(out)
     op_bits(out, "exact-revenue", ExactRevenue, 50)
     op_bits(out, "dense-learn", DenseLearn, 20)
+    trial_loops(out)
 
 
 if __name__ == "__main__":

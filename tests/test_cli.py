@@ -215,6 +215,11 @@ class TestLbFamily:
         obj = json.loads(out)
         assert obj["metrics"]["hellinger_sq"] <= obj["metrics"]["hellinger_sq_bound"]
 
+    @pytest.mark.parametrize("budget", ["0", "-2"])
+    def test_budget_below_one_refused(self, capsys, budget):
+        argv = ["lb-family", "--n", "2", "--k", "1", "--eps", "0.01", "--budget", budget, "--trials", "3"]
+        assert run(capsys, argv) == (1, "", "error: sample count must be at least 1\n")
+
 
 # the curves report of make_discrete([0.4, 0.5, 1.0], [0.8, 0.1, 0.1]), byte for byte
 IRONED_THREE_ATOMS = """\

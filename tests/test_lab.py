@@ -1,6 +1,7 @@
 """Experiment harness: reports, counterexamples, inequality checks, trials."""
 
 import json
+import tracemalloc
 from bisect import bisect_right
 from itertools import combinations
 from math import log, nan, sqrt
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import event, given, settings, target
 from hypothesis import strategies as st
 
-from myersonlab.auction import expected_revenue, myerson
+from myersonlab.auction import _BLOCK, expected_revenue, myerson, opt_revenue
 from myersonlab.dist import (
     ProductDist,
     ValueDist,
@@ -552,6 +553,11 @@ def advanced(steps, seed, member=None):
     return g
 
 
+def three_atom_pair():
+    return product_dist(make_discrete([0.2, 0.5, 0.9], [0.3, 0.4, 0.3]),
+                        make_discrete([0.1, 0.6, 0.8], [0.5, 0.2, 0.3]))
+
+
 @pytest.fixture
 def drawn(monkeypatch):
     """The (prior, count, values) of every draw_samples call in lab, in call order."""
@@ -569,32 +575,102 @@ def drawn(monkeypatch):
 class TestTrialStreams:
     """Trial t of a trial loop reads the t-th block of count x n doubles of one stream."""
 
+    @staticmethod
+    def rows(calls, count, n):
+        """The rows that consecutive calls on one prior drew, each call a whole number of trials
+        of at most _BLOCK numbers, or one trial if that is more."""
+        for _, rows, _ in calls:
+            assert rows % count == 0 and rows * n <= max(count * n, _BLOCK)
+        return np.concatenate([values for _, _, values in calls])
+
     def test_sample_complexity_reads_consecutive_blocks(self, drawn):
         d = product_dist(uniform_grid([0.2, 0.5, 1.0]), uniform_grid([0.3, 0.6, 0.9]))
         fs = uniform_matroid(2, 1)
-        run_sample_complexity(fs, d, 0.5, 0.3, 1.0, 3, 11)
+        count = run_sample_complexity(fs, d, 0.5, 0.3, 1.0, 3, 11).metrics["samples_per_trial"]
+        calls = len(drawn)
         run_sample_complexity(fs, d, 0.5, 0.3, 1.0, 5, 11)
-        assert len(drawn) == 8
-        for t, (prior, count, values) in enumerate(drawn[3:]):
-            assert prior is d and count == 21
-            assert np.array_equal(values, draw_samples(d, count, advanced(t * count * d.n, 11)).values)
-        for (_, _, few), (_, _, more) in zip(drawn[:3], drawn[3:]):  # more trials, same first blocks
-            assert np.array_equal(few, more)
-        assert not np.array_equal(drawn[3][2], drawn[4][2])
+        assert count == 21 and all(prior is d for prior, _, _ in drawn)
+        few, more = self.rows(drawn[:calls], count, d.n), self.rows(drawn[calls:], count, d.n)
+        assert (len(few), len(more)) == (3 * count, 5 * count)
+        for t in range(5):
+            want = draw_samples(d, count, advanced(t * count * d.n, 11)).values
+            assert np.array_equal(more[t * count : (t + 1) * count], want)
+        assert np.array_equal(few, more[: len(few)])  # more trials, same first blocks
+        assert not np.array_equal(more[:count], more[count : 2 * count])
 
     def test_lb_family_members_read_their_own_streams(self, drawn):
         n, budget = 2, 8
         run_lb_family(n, 1, 0.01, budget, 3, 6)
+        calls = len(drawn)
         run_lb_family(n, 1, 0.01, budget, 5, 6)
-        assert len(drawn) == 4 * 3 + 4 * 5  # four members each time
-        few, more = drawn[:12], drawn[12:]
-        for mi in range(4):
-            for t, (member, count, values) in enumerate(more[5 * mi : 5 * mi + 5]):
-                assert count == budget
-                want = draw_samples(member, budget, advanced(t * budget * n, 6, mi)).values
-                assert np.array_equal(values, want)
-                if t < 3:  # more trials, same first blocks
-                    assert np.array_equal(values, few[3 * mi + t][2])
+        for trials, part in ((3, drawn[:calls]), (5, drawn[calls:])):
+            members = list({id(member): member for member, _, _ in part}.values())  # in call order
+            assert len(members) == 4
+            for mi, member in enumerate(members):
+                rows = self.rows([c for c in part if c[0] is member], budget, n)
+                assert len(rows) == trials * budget
+                for t in range(trials):  # with 5 trials, the first 3 blocks are those of 3 trials
+                    want = draw_samples(member, budget, advanced(t * budget * n, 6, mi)).values
+                    assert np.array_equal(rows[t * budget : (t + 1) * budget], want)
+
+
+class TestTrialLoopsAcrossBlocks:
+    """Loops of several blocks report what per-trial loops of the oracle learner report."""
+
+    def test_sample_complexity(self):
+        d = three_atom_pair()
+        fs = uniform_matroid(2, 1)
+        count, opt = 159, opt_revenue(d, fs)
+        assert _BLOCK // (count * d.n) == 51  # trials per block
+        failed = []
+        for t in range(120):
+            s = oracles.draw_samples(d, count, advanced(t * count * d.n, 3))
+            failed.append(expected_revenue(myerson(oracles.dominated_empirical(s, 0.1), fs), d) < opt - 0.1)
+        for trials, freq in [(1, 0.0), (50, 0.82), (51, 0.8235294117647058), (52, 0.8269230769230769),
+                             (120, 0.8166666666666667)]:
+            r = run_sample_complexity(fs, d, 0.1, 0.1, 0.15, trials, 3)
+            assert r.metrics["samples_per_trial"] == count
+            assert r.metrics["failure_frequency"] == sum(failed[:trials]) / trials == freq
+
+    def test_lb_family(self):
+        n, k, eps, budget, trials, seed = 3, 1, 0.01, 300, 40, 5
+        assert _BLOCK // (budget * n) == 18  # blocks of 18, 18 and 4 trials
+
+        def blocks(mi, t, member):
+            return oracles.draw_samples(member, budget, advanced(t * budget * n, seed, mi))
+
+        want = oracles.lb_family_regret(n, k, eps, trials, blocks)
+        assert want == float.fromhex("0x1.b2aa536cd6345p-4")
+        assert run_lb_family(n, k, eps, budget, trials, seed).metrics["avg_regret"] == want
+
+
+class TestTrialLoopMemory:
+    """A trial loop holds one block of samples at a time, so its peak does not grow with trials."""
+
+    BOUND = 12 * _BLOCK * 8  # bytes: a block drawn and learned takes about four times _BLOCK doubles
+
+    @staticmethod
+    def peak(run, trials):
+        run(1)  # once-only allocations stay out of the measurement
+        tracemalloc.start()
+        try:
+            run(trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("trials", [20, 400])
+    def test_sample_complexity(self, trials):
+        d = three_atom_pair()
+        fs = uniform_matroid(2, 1)
+        assert run_sample_complexity(fs, d, 0.1, 0.1, 1.5, 1, 3).metrics["samples_per_trial"] * d.n == 3180
+        assert self.peak(lambda t: run_sample_complexity(fs, d, 0.1, 0.1, 1.5, t, 3), trials) < self.BOUND
+
+    @pytest.mark.parametrize("trials", [20, 400])
+    def test_lb_family(self, trials):
+        # wins keeps an entry per distinct count of 0.0 per bidder, hundreds of them at 400 trials of
+        # four members; keyed by the sorted samples, each entry would hold 1,500 x 2 doubles
+        assert self.peak(lambda t: run_lb_family(2, 1, 0.01, 1500, t, 3), trials) < self.BOUND
 
 
 class TestSampleComplexity:

@@ -22,13 +22,14 @@ from myersonlab.dist import (
 )
 from myersonlab.learn import (
     SampleMatrix,
+    _learn,
     dominated_empirical,
     draw_samples,
     hellinger_sq,
     required_samples,
 )
 
-from fuzz import uniform_grid
+from fuzz import random_product, uniform_grid
 
 GRID10 = [round(0.1 * j, 10) for j in range(1, 11)]
 cdf = oracles.scalar_cdf  # Pr[u <= v], summed left to right
@@ -326,6 +327,66 @@ class TestLearnerOracle:
         for seed in range(20):
             s = draw_samples(d, 150, seed)
             assert bits(dominated_empirical(s, 0.1)) == bits(oracles.dominated_empirical(s, 0.1))
+
+
+class TestBlockLearner:
+    """A stack of trials is learned trial by trial as the np.unique learner learns each block alone."""
+
+    @staticmethod
+    def stacks(seed, count):
+        """Random (trials, samples, bidders) stacks of values that include both zeros, with a delta each."""
+        rng = np.random.default_rng(seed)
+        pool = np.array([0.0, -0.0, 0.1, 0.5, 1.0])
+        for _ in range(count):
+            shape = (int(rng.integers(1, 6)), int(rng.integers(1, 41)), int(rng.integers(1, 4)))
+            yield pool[rng.integers(0, len(pool), size=shape)], float(rng.choice([0.01, 0.1, 0.5, 0.9]))
+
+    def test_random_stacks(self):
+        for stack, delta in self.stacks(34, 1000):
+            learned = _learn(stack, delta)
+            assert len(learned) == len(stack)
+            for block, prior in zip(stack, learned):
+                assert bits(prior) == bits(oracles.dominated_empirical(SampleMatrix(block), delta))
+
+    def test_no_trials_give_no_priors(self):
+        assert _learn(np.zeros((0, 4, 2)), 0.1) == []
+
+    @pytest.mark.parametrize("bad", [1.5, -0.2, nan])
+    @pytest.mark.parametrize("trial", [0, 2])
+    def test_a_bad_sample_in_any_trial_gives_no_priors(self, bad, trial):
+        stack = np.full((3, 4, 2), 0.5)
+        stack[trial, 1, 1] = bad
+        with pytest.raises(ValueError, match="^sample values must lie in \\[0, 1\\]$"):
+            _learn(stack, 0.1)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, nan])
+    def test_delta_outside_the_unit_interval(self, delta):
+        with pytest.raises(ValueError, match=f"^delta {delta!r} outside \\(0, 1\\)$"):
+            _learn(np.full((2, 3, 1), 0.5), delta)
+
+
+class TestCountedLearner:
+    """The per-atom-count learner of the oracles gives the sample learner's prior bit for bit."""
+
+    @staticmethod
+    def counts(d, s):
+        return [[int((s.values[:, j] == v).sum()) for v in dj.support] for j, dj in enumerate(d)]
+
+    def test_random_priors(self):
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            d = random_product(rng, int(rng.integers(1, 4)))  # the grid holds 0.0
+            count, delta = int(rng.integers(1, 300)), float(rng.choice([0.01, 0.1, 0.5, 0.9]))
+            s = draw_samples(d, count, rng)
+            want = bits(dominated_empirical(s, delta))
+            assert bits(oracles.counted_empirical(d, self.counts(d, s), delta)) == want
+
+    @pytest.mark.parametrize("count", [1, 60, 4239])
+    def test_grid_and_binary_priors(self, count):
+        for d in (grid_prior(), product_dist(make_discrete([0.0, 1.0], [0.3, 0.7]), point_mass(0.0))):
+            s = draw_samples(d, count, count)
+            want = bits(dominated_empirical(s, 0.1))
+            assert bits(oracles.counted_empirical(d, self.counts(d, s), 0.1)) == want
 
 
 class TestBernsteinRadius:
