@@ -1,7 +1,9 @@
 """Command-line harness around the experiment suite.
 
 Each subcommand runs one experiment and writes its report as JSON (default)
-or CSV rows (curves: JSON only). Exit status: 0 for a pass verdict, 2 for
+or CSV rows (curves: JSON only). Every JSON report is the bytes of
+json.dumps(report, sort_keys=True, indent=2); curves writes them without
+json's pure-Python indenting encoder. Exit status: 0 for a pass verdict, 2 for
 fail, 1 for input errors including usage errors and precondition violations.
 """
 
@@ -107,16 +109,30 @@ def _cmd_lb_family(args) -> int:
     )
 
 
+_CURVES = '{\n  "ironed_curve": %s,\n  "ironing_intervals": %s,\n  "monopoly": %s,\n  "revenue_curve": %s\n}'
+
+
+def _pairs(rows) -> str:
+    """A list of [x, y] float pairs one level deep, as json.dumps(..., indent=2) writes it: each
+    float by its repr, as json writes every finite float."""
+    if not rows:
+        return "[]"
+    return "[%s\n  ]" % ",".join(["\n    [\n      %r,\n      %r\n    ]" % (x, y) for x, y in rows])
+
+
 def _cmd_curves(args) -> int:
+    """The bytes of json.dumps(report, sort_keys=True, indent=2), for the report with keys
+    ironed_curve, ironing_intervals, monopoly and revenue_curve. json's indenting encoder runs in
+    Python, so the three pair lists are written by _pairs, and only the monopoly dict is dumped."""
     d = ValueDist.from_json(_load_json(args.dist))
     price, revenue = monopoly(d)
-    payload = {
-        "revenue_curve": _curve(d.support, d._above).T.tolist(),
-        "ironed_curve": d._hull.tolist(),
-        "ironing_intervals": [list(iv) for iv in ironing_intervals(d)],
-        "monopoly": {"price": price, "revenue": revenue},
-    }
-    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+    text = _CURVES % (
+        _pairs(d._hull.tolist()),
+        _pairs(ironing_intervals(d)),
+        json.dumps({"price": price, "revenue": revenue}, sort_keys=True, indent=2).replace("\n", "\n  "),
+        _pairs(_curve(d.support, d._above).T.tolist()),
+    )
+    _emit(text, args.out)
     return 0
 
 

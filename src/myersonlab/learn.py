@@ -33,20 +33,20 @@ def draw_samples(d: ProductDist, count: int, seed) -> SampleMatrix:
     """Inverse-CDF sampling per coordinate; deterministic given the seed.
 
     A Generator seed is consumed: the call reads its next count x n doubles, in row order, so
-    calls on one stream read consecutive blocks of it. A column whose prior has more than _GATE
-    atoms searches its uniforms in sorted order and scatters the values back: sorted keys take
-    nearly the same path down a search over so many partial sums, where random keys mispredict
-    at every step. The values are those of a direct search.
+    calls on one stream read consecutive blocks of it. Each column's values overwrite its own
+    uniforms, so the call holds one block and a column's scratch, and returns that block
+    read-only. A column whose prior has more than _GATE atoms searches its uniforms in sorted
+    order and scatters the values back: sorted keys take nearly the same path down a search over
+    so many partial sums, where random keys mispredict at every step. The values are those of a
+    direct search.
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")
-    u = np.random.default_rng(seed).random((count, d.n))
-    values = np.empty_like(u)
-    for j, dj in enumerate(d):
+    values = np.random.default_rng(seed).random((count, d.n))
+    for col, dj in zip(values.T, d):
         # without the last partial sum, the top atom takes every u past the others' mass
-        sums = dj._below[1:-1]
-        order = slice(None) if len(dj.support) <= _GATE else u[:, j].argsort()
-        values[order, j] = dj.support[sums.searchsorted(u[order, j])]
+        order = slice(None) if len(dj.support) <= _GATE else col.argsort()
+        col[order] = dj.support[dj._below[1:-1].searchsorted(col[order])]
     values.setflags(write=False)
     return SampleMatrix(values)
 

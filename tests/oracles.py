@@ -7,7 +7,8 @@ masses from the top atom down, the envelope by the monotone chain over
 every breakpoint with no thinning, virtual tables by a pointer walk down
 that envelope, virtual values by one envelope lookup per atom, the starts of
 runs of equal virtual values by a scan of them, ironed segments by a scan
-of the whole raw curve per segment, the matroid exchange
+of the whole raw curve per segment, the curves report through json's
+pure-Python indenting encoder, the matroid exchange
 property over every pair of set sizes, the exchange violation search
 over member tuples, the disjoint union of set systems
 over the full product of their sets, the tie order by counting the
@@ -29,6 +30,7 @@ bitmasks of matrix rows by one shift per coordinate. The library must agree with
 that payments, revenue and welfare may differ in the last bits.
 """
 
+import json
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
@@ -38,6 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from myersonlab import dist
 from myersonlab.auction import _terms, myerson
 from myersonlab.dist import CDF_TOL, MASS_TOL, ProductDist, ValueDist
 from myersonlab.feasible import all_or_nothing, from_independent_sets
@@ -250,6 +253,19 @@ def ironing_intervals(d):
         if any(q0 < q < q1 and r0 + slope * (q - q0) - r > 1e-12 for q, r in raw):
             out.append((q0, q1))
     return out
+
+
+def curves_report(d):
+    """The curves report of d through json's pure-Python indenting encoder: json.dumps with sorted
+    keys and indent 2 of the library's curves, ironing intervals and monopoly price."""
+    price, revenue = dist.monopoly(d)
+    payload = {
+        "revenue_curve": dist._curve(d.support, d._above).T.tolist(),
+        "ironed_curve": d._hull.tolist(),
+        "ironing_intervals": [list(iv) for iv in dist.ironing_intervals(d)],
+        "monopoly": {"price": price, "revenue": revenue},
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def scalar_cdf(d, v, left=False):

@@ -10,7 +10,10 @@ of every output of 50 ExactRevenue ops and of 20 DenseLearn ops at seed 1,
 one line per op (`exact-revenue.txt`, `dense-learn.txt`), and two trial
 loops whose trials span several blocks of samples and whose outcomes vary
 (`trial-loops.txt`): sample-complexity at 1, 50, 51, 52 and 120 trials,
-and lb-family at 40 trials of 300 samples. The package and
+and lb-family at 40 trials of 300 samples. Last come the curves reports
+of five edge priors (`curves-<name>.json`): one atom, an atom at 0.0, a
+prior ironed from its top atom down, 2,000 atoms, and values and masses
+whose repr has an exponent. The package and
 the workloads are imported from PYTHONPATH, so one copy of this script
 serves any checkout: `diff -r` of the directories written with two
 checkouts' src and bench shows whether they compute the same bits. Inputs
@@ -18,6 +21,7 @@ go to a temporary directory; nothing under bench/ changes. pytest does not
 collect this file.
 """
 
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -81,6 +85,24 @@ def trial_loops(out: Path) -> None:
     (out / "trial-loops.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def curves_edges(out: Path) -> None:
+    rng = np.random.default_rng(0)
+    values = np.sort(rng.choice(np.arange(1, 100_000), size=2000, replace=False)) / 100_000
+    weights = rng.integers(1, 10, size=2000)
+    priors = {
+        "one-atom": ([0.5], [1.0]),
+        "atom-at-zero": ([0.0, 0.3, 1.0], [0.5, 0.3, 0.2]),
+        "fully-ironed": ([0.1, 0.2, 0.3, 0.4, 1.0], [0.71, 0.03, 0.03, 0.03, 0.2]),
+        "2000-atoms": (values.tolist(), (weights / weights.sum()).tolist()),
+        "exponent-form": ([5e-324, 2.5e-07, 1e-05, 0.5], [0.5, 1e-05, 0.25, 0.24999]),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (support, probs) in priors.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps({"support": support, "probs": probs}), encoding="utf-8")
+            cli_main(["curves", "--dist", str(path), "--out", str(out / f"curves-{name}.json")])
+
+
 def main() -> None:
     if len(sys.argv) != 2:
         sys.exit("usage: report_bits.py OUT_DIR")
@@ -90,6 +112,7 @@ def main() -> None:
     op_bits(out, "exact-revenue", ExactRevenue, 50)
     op_bits(out, "dense-learn", DenseLearn, 20)
     trial_loops(out)
+    curves_edges(out)
 
 
 if __name__ == "__main__":

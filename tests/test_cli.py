@@ -8,13 +8,13 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from myersonlab import cli
 from myersonlab.cli import build_parser, main
-from myersonlab.dist import make_discrete
+from myersonlab.dist import _GATE, make_discrete
 
 
 def write_json(path, obj):
@@ -270,6 +270,17 @@ IRONED_THREE_ATOMS = """\
 """
 
 
+@st.composite
+def curve_priors(draw):
+    """Priors of 1-3 atoms or of more than _GATE, values from 0.0 and 1.0, values whose repr has an
+    exponent, and five-digit values; masses from weights 1 to 100,000, so some are 1e-05 or less."""
+    m = draw(st.integers(1, 3) | st.integers(_GATE + 1, 300))
+    value = st.sampled_from([0.0, 1.0, 5e-324, 1e-05, 2.5e-07]) | st.integers(1, 99_999).map(lambda v: v / 100_000)
+    values = draw(st.lists(value, min_size=m, max_size=m, unique=True))
+    weights = draw(st.lists(st.integers(1, 100_000), min_size=m, max_size=m))
+    return make_discrete(values, [w / sum(weights) for w in weights])
+
+
 class TestCurves:
     def test_report_bytes(self, capsys, tmp_path):
         # sorted keys, indent 2 and each float's shortest repr; the breakpoint
@@ -319,6 +330,20 @@ class TestCurves:
         assert obj["ironed_curve"] == [list(p) for p in hull]
         assert obj["ironing_intervals"] == [list(iv) for iv in oracles.ironing_intervals(d)]
         assert obj["ironing_intervals"]
+        assert out == oracles.curves_report(d) + "\n"
+
+    @given(d=curve_priors())
+    @example(d=make_discrete([0.4, 0.5, 1.0], [0.8, 0.1, 0.1]))  # ironed
+    @example(d=make_discrete([0.1, 0.2, 0.3, 0.4, 1.0], [0.71, 0.03, 0.03, 0.03, 0.2]))  # all ironed
+    @example(d=make_discrete([0.0, 1.0], [0.5, 0.5]))  # no ironing interval: "[]"
+    @example(d=make_discrete([5e-324], [1.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_report_is_the_bytes_of_json_dumps(self, tmp_path_factory, d):
+        path = tmp_path_factory.getbasetemp() / "curves-prior.json"
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["curves", "--dist", write_json(path, d.to_json())]) == 0
+        assert out.getvalue() == oracles.curves_report(d) + "\n"
 
 
 def parser_state(parser):

@@ -672,6 +672,12 @@ class TestTrialLoopMemory:
         # four members; keyed by the sorted samples, each entry would hold 1,500 x 2 doubles
         assert self.peak(lambda t: run_lb_family(2, 1, 0.01, 1500, t, 3), trials) < self.BOUND
 
+    def test_draw_samples_writes_values_over_its_uniforms(self):
+        # the sample-complexity loop's block above: as many trials of 1,590 x 2 samples as fit in _BLOCK
+        d, rows = three_atom_pair(), _BLOCK // 3180 * 1590
+        assert rows == 7950
+        assert self.peak(lambda count: draw_samples(d, count, 3), rows) < 2.5 * rows * d.n * 8
+
 
 class TestSampleComplexity:
     def test_point_mass_prior_never_fails(self):
