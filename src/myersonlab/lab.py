@@ -1,9 +1,9 @@
 """Experiment harness: counterexample constructions, inequality checks, and
 sample-complexity trials, each emitting a machine-readable report.
 
-Every experiment is deterministic given its inputs and seed. A trial loop draws and learns its
-trials a block at a time from the stream of SeedSequence(seed, spawn_key=key), and trial t's
-samples are draw_samples(d, count, g) for a fresh copy g of that stream advanced by t * count * n.
+Every experiment is deterministic given its inputs and seed. Trial t of a trial loop learns from
+row t of g.multinomial(count, P, size=(trials, n)), g the stream of SeedSequence(seed, spawn_key=key)
+and P each bidder's masses left-padded with zeros to the widest support; it draws a block at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .feasible import (
     masks,
     minimum_non_matroid,
 )
-from .learn import _learn, draw_samples, hellinger_sq, required_samples
+from .learn import _learn_counts, hellinger_sq, required_samples
 
 VERDICT_TOL = 1e-9
 _LEARNER_DELTA = 0.1  # delta of the dominated-empirical learner in lb-family
@@ -294,12 +294,17 @@ def run_lipschitz_lb(n: int, k: int, eps: float) -> Report:
 # sample-complexity experiments
 
 
-def _trial_blocks(d: ProductDist, count: int, trials: int, seed, *key):
-    """Consecutive trials' samples as (trials, count, n) stacks of at most _BLOCK numbers, or one trial."""
+def _trial_counts(d: ProductDist, count: int, trials: int, seed, *key):
+    """Consecutive trials' per-atom counts, drawn as read, in (trials, n, width) blocks of at most _BLOCK
+    numbers or one trial: row j of a trial counts bidder j's samples at each atom of d[j], after zeros."""
+    if count > 2**63 - 1:
+        raise ValueError(f"sample count {count} exceeds 2**63 - 1, the most a draw can take")
+    width = max(len(dj.probs) for dj in d)  # zeros on the left: a draw's last column takes the rest
+    masses = np.array([np.concatenate((np.zeros(width - len(dj.probs)), dj.probs)) for dj in d])
     stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-    block = max(1, _BLOCK // (count * d.n))
-    for start in range(0, trials, block):
-        yield draw_samples(d, count * min(block, trials - start), stream).values.reshape(-1, count, d.n)
+    block = max(1, _BLOCK // masses.size)
+    sizes = ((min(block, trials - start), d.n) for start in range(0, trials, block))
+    return (stream.multinomial(count, masses, size=size) for size in sizes)
 
 
 def run_sample_complexity(
@@ -326,8 +331,8 @@ def run_sample_complexity(
     closed = masks(fs.vertices) is not None and is_downward_closed(fs)
     setting = "downward_closed" if closed else "general"
     count = required_samples(setting, fs.n, fs.rank, eps, delta, C)
+    learned = (p for block in _trial_counts(d, count, trials, seed) for p in _learn_counts(d, block, delta))
     opt = opt_revenue(d, fs)
-    learned = (prior for block in _trial_blocks(d, count, trials, seed) for prior in _learn(block, delta))
     failures = sum(expected_revenue(myerson(prior, fs), d) < opt - eps for prior in learned)
     freq = failures / trials
     sigma = sqrt(delta * (1.0 - delta) / trials)
@@ -392,10 +397,10 @@ def run_lb_family(
         member = ProductDist(tuple(priors[b] for b in sign))
         vw_all = [(k / n) * sum(phis[b][j != i] for j, b in enumerate(sign)) for i in range(n)]
         dif_sums = [0.0] * n
-        for samples in _trial_blocks(member, sample_budget, trials, seed, mi):
-            keys = [c.tobytes() for c in (samples == 0.0).sum(axis=1)]
+        for counts in _trial_counts(member, sample_budget, trials, seed, mi):
+            keys = [c.tobytes() for c in counts[..., 0]]  # each bidder's count of 0.0
             new = {key: t for t, key in enumerate(keys) if key not in wins}  # a trial per new key
-            for key, learned in zip(new, _learn(samples[list(new.values())], _LEARNER_DELTA)):
+            for key, learned in zip(new, _learn_counts(member, counts[list(new.values())], _LEARNER_DELTA)):
                 a = myerson(learned, fs)
                 wins[key] = [allocate(a, p)[i] > 0.0 for i, p in enumerate(profiles)]
             for key in keys:

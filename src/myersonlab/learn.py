@@ -1,5 +1,5 @@
 """Sampling and the learned prior: the dominated empirical distribution, of one sample matrix
-or of a stack of trials in one pass, sample-count formulas, and the Hellinger distance.
+or of trials' per-atom counts through one core, sample-count formulas, and the Hellinger distance.
 
 Natural logarithms throughout the sample-count and inflation formulas.
 """
@@ -59,41 +59,50 @@ def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
     concave with f(1) > 1, so it falls only where it is already clamped. The inflated CDF is
     positive below the lowest sample, so that mass is realized as an atom at value 0; pushing it
     to the bottom is what keeps dominance implied by the CDF inequality alone. The inflation
-    depends only on how many samples are at most a value.
+    depends only on how many samples are at most a value, which one sort of the matrix counts.
     """
-    return _learn(s.values[None], delta)[0]
+    count, n = s.values.shape
+    rows = np.zeros((n, count + 1))  # row j: a slot at 0.0, then column j in increasing order
+    rows[:, 1:] = s.values.T
+    rows[:, 1:].sort()
+    if not (rows[:, 1].min(initial=0.0) >= 0.0 and rows[:, -1].max(initial=1.0) <= 1.0):
+        raise ValueError("sample values must lie in [0, 1]")  # NaN sorts last
+    at_most = np.arange(count + 1)[None].repeat(n, axis=0)  # c of a row's samples are at most its entry c
+    return _learn_rows(rows, at_most, count, n, delta)[0]
 
 
-def _learn(stack: np.ndarray, delta: float) -> list[ProductDist]:
-    """dominated_empirical of each trial's count x n block of a (trials, count, n) stack: each
-    trial's bidder is a row of one flat array, and all rows are sorted and learned in one pass."""
+def _learn_counts(d: ProductDist, counts: np.ndarray, delta: float) -> list[ProductDist]:
+    """dominated_empirical of each trial of a (trials, n, width) stack of per-atom counts: row j of a
+    trial counts bidder j's samples at each atom of d[j], after zeros up to the stack's width."""
+    trials, n, width = counts.shape
+    at_most = np.zeros((trials * n, width + 1), np.int64)  # a slot, then the samples at most each atom
+    np.cumsum(counts.reshape(-1, width), axis=1, out=at_most[:, 1:])
+    values = [np.concatenate((np.zeros(width + 1 - len(dj.support)), dj.support)) for dj in d]
+    return _learn_rows(np.tile(values, (trials, 1)), at_most, int(at_most[:, -1].max(initial=1)), n, delta)
+
+
+def _learn_rows(vals: np.ndarray, at_most: np.ndarray, count: int, n: int, delta: float) -> list[ProductDist]:
+    """The learner core: the dominated empirical priors of rows of values in increasing order, n rows a
+    trial, where at_most[i, c] of row i's count samples are at most vals[i, c]. Each row opens with a
+    slot at 0.0, and a run of equal values is read at its last entry."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta {delta!r} outside (0, 1)")
-    trials, count, n = stack.shape
-    flat = np.full(trials * n * (count + 1) + 1, -1.0)  # unlike any sample: each row's slot, and one past
-    rows = flat[:-1].reshape(trials, n, count + 1)  # row t * n + j: a slot, then trial t's bidder j
-    rows[..., 1:] = stack.transpose(0, 2, 1)
-    rows[..., 1:].sort()
-    if not (rows[..., 1].min(initial=0.0) >= 0.0 and rows[..., -1].max(initial=1.0) <= 1.0):
-        raise ValueError("sample values must lie in [0, 1]")  # NaN sorts last
-    last = np.flatnonzero(flat[1:] != flat[:-1])  # run ends: a slot ends one of its own and the one before
-    at_most = last % (count + 1)  # samples of the row at most the run's value; 0 at its slot
+    ends = np.ones(vals.shape, bool)
+    np.not_equal(vals[:, 1:], vals[:, :-1], out=ends[:, :-1])
+    runs = np.flatnonzero(ends)
+    vals, at_most = vals.ravel()[runs], at_most.ravel()[runs]
     emp, coef = at_most / count, log(2.0 * n * count / delta)
     cum = np.minimum(1.0, emp + np.sqrt(2.0 * emp * (1.0 - emp) * coef / count) + 4.0 * coef / count)
-    head, vals = np.flatnonzero(at_most == 0), flat[last]
+    bottom = min(1.0, 4.0 * coef / count)  # the inflated CDF below every sample
+    head = np.flatnonzero(vals == 0.0)  # each row's slot, with its samples at 0.0 or -0.0
     masses = np.empty_like(cum)
     masses[1:] = cum[1:] - cum[:-1]
-    masses[head], vals[head] = cum[head], 0.0  # the bottom atom's mass is min(1, 4c/N)
-    # samples at 0, a run of 0.0 and -0.0 in whatever order the sort left
-    # them, join the bottom atom, which takes the value 0.0
-    zero = head[vals[head + 1] == 0.0]
-    masses[zero] += masses[zero + 1]
-    masses[zero + 1] = 0.0
+    masses[head], vals[head] = bottom + (cum[head] - bottom), 0.0  # bottom, then the samples at 0, added
     keep = masses > 0.0  # values past the clamp get no mass
     vals, masses = vals[keep], masses[keep]
     bounds = np.flatnonzero(vals == 0.0).tolist() + [len(vals)]  # each prior has one atom at 0.0
     dists = [ValueDist(vals[lo:hi], masses[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    return [ProductDist(dists[t * n : t * n + n]) for t in range(trials)]
+    return [ProductDist(dists[t : t + n]) for t in range(0, len(dists), n)]
 
 
 def required_samples(

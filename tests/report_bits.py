@@ -8,8 +8,8 @@ inputs of bench/workloads.py at seeds 0-3, op 0: each in JSON and in CSV
 each subcommand's exit status in `status.txt`. It then writes the float.hex
 of every output of 50 ExactRevenue ops and of 20 DenseLearn ops at seed 1,
 one line per op (`exact-revenue.txt`, `dense-learn.txt`), and two trial
-loops whose trials span several blocks of samples and whose outcomes vary
-(`trial-loops.txt`): sample-complexity at 1, 50, 51, 52 and 120 trials,
+loops whose outcomes vary (`trial-loops.txt`): sample-complexity at 1, 50,
+51, 52 and 120 trials,
 and lb-family at 40 trials of 300 samples. Last come the curves reports
 of five edge priors (`curves-<name>.json`): one atom, an atom at 0.0, a
 prior ironed from its top atom down, 2,000 atoms, and values and masses

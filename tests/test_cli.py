@@ -584,15 +584,24 @@ class TestErrors:
         monkeypatch.setattr("myersonlab.lab.run_nonmonotone", exhausted)
         assert run(capsys, ["nonmonotone"]) == (1, "", "error: MemoryError\n")
 
-    def test_sample_matrix_too_large_to_allocate(self, capsys, tmp_path):
-        # the sample count asks numpy for 15.1 PiB, more than any address space can map
+    def test_sample_count_too_large_to_draw(self, capsys, tmp_path, monkeypatch):
+        # trials draw per-atom counts, so 1.06e15 samples a trial are cheap; a count
+        # past 2**63 - 1 does not fit the draw's integers and is refused by name
         d = {"support": [0.2, 0.5, 0.9], "probs": [0.3, 0.3, 0.4]}
         dist = write_json(tmp_path / "d.json", [d, d])
         fs = write_json(tmp_path / "item.json", {"type": "uniform_matroid", "n": 2, "k": 1})
         argv = ["sample-complexity", "--feasible", fs, "--dist", dist, "--trials", "2"]
         code, out, err = run(capsys, argv + ["--constant", "1e12"])
-        assert (code, out) == (1, "")
-        assert err.startswith("error: Unable to allocate")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["metrics"]["samples_per_trial"] == 1059663473309608
+        too_many = "exceeds 2**63 - 1, the most a draw can take\n"
+        monkeypatch.setattr("myersonlab.lab.opt_revenue", None)  # refused before the optimum is computed
+        code, out, err = run(capsys, argv + ["--constant", "1e16"])
+        assert (code, out, err) == (1, "", f"error: sample count 10596634733096071168 {too_many}")
+        argv = ["lb-family", "--n", "2", "--k", "1", "--eps", "0.01", "--budget", str(10**20)]
+        assert run(capsys, argv) == (1, "", f"error: sample count {10**20} {too_many}")
+        argv[-1] = str(2**63 - 1)  # the largest count a draw takes
+        assert run(capsys, argv + ["--trials", "1"])[0] == 0
 
     def test_uniform_matroid_too_large_to_list(self, capsys, tmp_path):
         # the prior's 24 bidders match the system's, so the system itself refuses;

@@ -38,6 +38,7 @@ from myersonlab.lab import (
     Report,
     _report,
     _require_dominated_close,
+    _trial_counts,
     check_approx_monotone,
     embed_counterexample,
     lipschitz_pair,
@@ -48,7 +49,7 @@ from myersonlab.lab import (
     run_nonmonotone,
     run_sample_complexity,
 )
-from myersonlab.learn import draw_samples
+from myersonlab.learn import SampleMatrix, draw_samples
 
 import oracles
 from fuzz import (
@@ -546,11 +547,29 @@ def advanced(steps, seed, member=None):
     """A fresh copy of a trial loop's stream, advanced past its first steps doubles.
 
     sample-complexity seeds default_rng(seed); lb-family gives family member
-    mi the stream of SeedSequence(seed, spawn_key=(mi,)).
+    mi the stream of SeedSequence(seed, spawn_key=(mi,)). The loops once drew
+    trial t's samples from the t-th block of count x n doubles, and the values
+    frozen on those sample streams are kept on the oracle below.
     """
     g = np.random.default_rng(seed if member is None else np.random.SeedSequence(seed, spawn_key=(member,)))
     g.bit_generator.advance(steps)
     return g
+
+
+def count_rows(d, count, trials, seed, *key):
+    """Trials' per-atom counts in one draw from a fresh copy of a trial loop's stream: row j of trial t
+    counts bidder j's samples at each atom of d[j], after zeros up to the widest support."""
+    width = max(len(dj.support) for dj in d)
+    masses = [[0.0] * (width - len(dj.probs)) + dj.probs.tolist() for dj in d]
+    stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return stream.multinomial(count, masses, size=(trials, d.n))
+
+
+def as_samples(d, counts):
+    """A sample matrix with a trial's per-atom counts, each column in increasing order: the learner
+    reads only how many samples are at most each value, so it learns what the counts give."""
+    columns = [np.repeat(dj.support, c[len(c) - len(dj.support) :]) for dj, c in zip(d, counts)]
+    return SampleMatrix(np.stack(columns, axis=1))
 
 
 def three_atom_pair():
@@ -560,92 +579,92 @@ def three_atom_pair():
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """The (prior, count, values) of every draw_samples call in lab, in call order."""
+    """The (prior, count, counts) of every block of counts a trial loop in lab drew, in draw order."""
     calls = []
 
-    def record(d, count, seed):
-        s = draw_samples(d, count, seed)
-        calls.append((d, count, s.values))
-        return s
+    def record(d, count, trials, seed, *key):
+        for block in _trial_counts(d, count, trials, seed, *key):
+            calls.append((d, count, block))
+            yield block
 
-    monkeypatch.setattr("myersonlab.lab.draw_samples", record)
+    monkeypatch.setattr("myersonlab.lab._trial_counts", record)
     return calls
 
 
 class TestTrialStreams:
-    """Trial t of a trial loop reads the t-th block of count x n doubles of one stream."""
+    """Trial t of a trial loop is row t of one multinomial draw of per-atom counts from one stream,
+    whatever the number of trials, drawn in blocks of at most _BLOCK numbers, or one trial."""
 
-    @staticmethod
-    def rows(calls, count, n):
-        """The rows that consecutive calls on one prior drew, each call a whole number of trials
-        of at most _BLOCK numbers, or one trial if that is more."""
-        for _, rows, _ in calls:
-            assert rows % count == 0 and rows * n <= max(count * n, _BLOCK)
-        return np.concatenate([values for _, _, values in calls])
-
-    def test_sample_complexity_reads_consecutive_blocks(self, drawn):
-        d = product_dist(uniform_grid([0.2, 0.5, 1.0]), uniform_grid([0.3, 0.6, 0.9]))
+    def test_sample_complexity_reads_consecutive_blocks(self, drawn, monkeypatch):
+        d = product_dist(uniform_grid([0.2, 0.5, 1.0]), uniform_grid([0.3, 0.9]))  # 2 x 3 counts a trial
         fs = uniform_matroid(2, 1)
-        count = run_sample_complexity(fs, d, 0.5, 0.3, 1.0, 3, 11).metrics["samples_per_trial"]
-        calls = len(drawn)
-        run_sample_complexity(fs, d, 0.5, 0.3, 1.0, 5, 11)
-        assert count == 21 and all(prior is d for prior, _, _ in drawn)
-        few, more = self.rows(drawn[:calls], count, d.n), self.rows(drawn[calls:], count, d.n)
-        assert (len(few), len(more)) == (3 * count, 5 * count)
-        for t in range(5):
-            want = draw_samples(d, count, advanced(t * count * d.n, 11)).values
-            assert np.array_equal(more[t * count : (t + 1) * count], want)
-        assert np.array_equal(few, more[: len(few)])  # more trials, same first blocks
-        assert not np.array_equal(more[:count], more[count : 2 * count])
+        want = count_rows(d, 21, 5, 11)
+        assert (want[:, 1, 0] == 0).all() and (want.sum(axis=2) == 21).all()  # the second bidder's pad
+        assert not np.array_equal(want[0], want[1])
+        for block, trials, sizes in [(12, 3, [2, 1]), (12, 5, [2, 2, 1]), (4, 5, [1] * 5), (1 << 14, 5, [5])]:
+            monkeypatch.setattr("myersonlab.lab._BLOCK", block)
+            drawn.clear()
+            assert run_sample_complexity(fs, d, 0.5, 0.3, 1.0, trials, 11).metrics["samples_per_trial"] == 21
+            assert all(prior is d and count == 21 for prior, count, _ in drawn)
+            assert [len(counts) for _, _, counts in drawn] == sizes
+            assert all(counts.size <= max(6, block) for _, _, counts in drawn)
+            assert np.array_equal(np.concatenate([counts for _, _, counts in drawn]), want[:trials])
 
-    def test_lb_family_members_read_their_own_streams(self, drawn):
+    def test_lb_family_members_read_their_own_streams(self, drawn, monkeypatch):
         n, budget = 2, 8
-        run_lb_family(n, 1, 0.01, budget, 3, 6)
-        calls = len(drawn)
-        run_lb_family(n, 1, 0.01, budget, 5, 6)
-        for trials, part in ((3, drawn[:calls]), (5, drawn[calls:])):
-            members = list({id(member): member for member, _, _ in part}.values())  # in call order
+        monkeypatch.setattr("myersonlab.lab._BLOCK", 8)  # two trials of 2 x 2 counts a block
+        for trials, sizes in ((3, [2, 1]), (5, [2, 2, 1])):
+            drawn.clear()
+            run_lb_family(n, 1, 0.01, budget, trials, 6)
+            members = list({id(member): member for member, _, _ in drawn}.values())  # in draw order
             assert len(members) == 4
             for mi, member in enumerate(members):
-                rows = self.rows([c for c in part if c[0] is member], budget, n)
-                assert len(rows) == trials * budget
-                for t in range(trials):  # with 5 trials, the first 3 blocks are those of 3 trials
-                    want = draw_samples(member, budget, advanced(t * budget * n, 6, mi)).values
-                    assert np.array_equal(rows[t * budget : (t + 1) * budget], want)
+                blocks = [counts for prior, _, counts in drawn if prior is member]
+                assert [len(counts) for counts in blocks] == sizes
+                # with 5 trials, the first 3 rows are those of 3 trials
+                assert np.array_equal(np.concatenate(blocks), count_rows(member, budget, 5, 6, mi)[:trials])
 
 
 class TestTrialLoopsAcrossBlocks:
     """Loops of several blocks report what per-trial loops of the oracle learner report."""
 
-    def test_sample_complexity(self):
+    def test_sample_complexity(self, monkeypatch):
         d = three_atom_pair()
         fs = uniform_matroid(2, 1)
         count, opt = 159, opt_revenue(d, fs)
-        assert _BLOCK // (count * d.n) == 51  # trials per block
-        failed = []
-        for t in range(120):
-            s = oracles.draw_samples(d, count, advanced(t * count * d.n, 3))
-            failed.append(expected_revenue(myerson(oracles.dominated_empirical(s, 0.1), fs), d) < opt - 0.1)
+
+        def failed(samples):
+            learned = (oracles.dominated_empirical(s, 0.1) for s in samples)
+            return [expected_revenue(myerson(prior, fs), d) < opt - 0.1 for prior in learned]
+
+        old = failed(oracles.draw_samples(d, count, advanced(t * count * d.n, 3)) for t in range(120))
+        new = failed(as_samples(d, counts) for counts in count_rows(d, count, 120, 3))
+        monkeypatch.setattr("myersonlab.lab._BLOCK", 51 * 6)  # 51 trials of 2 x 3 counts a block
         for trials, freq in [(1, 0.0), (50, 0.82), (51, 0.8235294117647058), (52, 0.8269230769230769),
                              (120, 0.8166666666666667)]:
+            assert sum(old[:trials]) / trials == freq  # as frozen on the sample streams
             r = run_sample_complexity(fs, d, 0.1, 0.1, 0.15, trials, 3)
             assert r.metrics["samples_per_trial"] == count
-            assert r.metrics["failure_frequency"] == sum(failed[:trials]) / trials == freq
+            assert r.metrics["failure_frequency"] == sum(new[:trials]) / trials
 
-    def test_lb_family(self):
+    def test_lb_family(self, monkeypatch):
         n, k, eps, budget, trials, seed = 3, 1, 0.01, 300, 40, 5
-        assert _BLOCK // (budget * n) == 18  # blocks of 18, 18 and 4 trials
 
-        def blocks(mi, t, member):
+        def blocks(mi, t, member):  # block t of member mi's stream of doubles
             return oracles.draw_samples(member, budget, advanced(t * budget * n, seed, mi))
 
-        want = oracles.lb_family_regret(n, k, eps, trials, blocks)
-        assert want == float.fromhex("0x1.b2aa536cd6345p-4")
+        def rows(mi, t, member):  # row t of member mi's stream of counts
+            return as_samples(member, count_rows(member, budget, t + 1, seed, mi)[t])
+
+        assert oracles.lb_family_regret(n, k, eps, trials, blocks) == float.fromhex("0x1.b2aa536cd6345p-4")
+        monkeypatch.setattr("myersonlab.lab._BLOCK", 18 * n * 2)  # blocks of 18, 18 and 4 trials
+        want = oracles.lb_family_regret(n, k, eps, trials, rows)
         assert run_lb_family(n, k, eps, budget, trials, seed).metrics["avg_regret"] == want
 
 
 class TestTrialLoopMemory:
-    """A trial loop holds one block of samples at a time, so its peak does not grow with trials."""
+    """A trial loop holds one block of counts at a time, so its peak grows neither with the trials
+    nor with the samples per trial."""
 
     BOUND = 12 * _BLOCK * 8  # bytes: a block drawn and learned takes about four times _BLOCK doubles
 
@@ -666,6 +685,14 @@ class TestTrialLoopMemory:
         assert run_sample_complexity(fs, d, 0.1, 0.1, 1.5, 1, 3).metrics["samples_per_trial"] * d.n == 3180
         assert self.peak(lambda t: run_sample_complexity(fs, d, 0.1, 0.1, 1.5, t, 3), trials) < self.BOUND
 
+    def test_sample_count_at_the_closeness_constant(self):
+        # one trial of the ten-atom grid prior at C = 40 draws 213,908 samples per bidder, which as
+        # values would take 6.8 MB; as counts a trial is 4 x 10 integers
+        d = ProductDist((uniform_grid([round(0.1 * j, 10) for j in range(1, 11)]),) * 4)
+        fs = uniform_matroid(4, 2)
+        assert run_sample_complexity(fs, d, 0.1, 0.1, 40, 1, 3).metrics["samples_per_trial"] == 213908
+        assert self.peak(lambda t: run_sample_complexity(fs, d, 0.1, 0.1, 40, t, 3), 1) < self.BOUND
+
     @pytest.mark.parametrize("trials", [20, 400])
     def test_lb_family(self, trials):
         # wins keeps an entry per distinct count of 0.0 per bidder, hundreds of them at 400 trials of
@@ -673,7 +700,7 @@ class TestTrialLoopMemory:
         assert self.peak(lambda t: run_lb_family(2, 1, 0.01, 1500, t, 3), trials) < self.BOUND
 
     def test_draw_samples_writes_values_over_its_uniforms(self):
-        # the sample-complexity loop's block above: as many trials of 1,590 x 2 samples as fit in _BLOCK
+        # 7,950 rows of the three-atom pair: five trials of 1,590 x 2 samples, 25,440 doubles
         d, rows = three_atom_pair(), _BLOCK // 3180 * 1590
         assert rows == 7950
         assert self.peak(lambda count: draw_samples(d, count, 3), rows) < 2.5 * rows * d.n * 8
@@ -761,17 +788,17 @@ class TestLbFamily:
     )
     def test_regret_as_learned_per_trial(self, args, regret):
         # the oracle learns and auctions every trial's samples afresh; reusing an
-        # auction for a sample matrix that differs in any column changes the regret
+        # auction for a trial whose counts differ in any bidder changes the regret
         n, k, eps, budget, trials, seed = args
 
         def spawned(mi, t, member):  # one stream per trial, as the regret was first frozen
             return oracles.draw_samples(member, budget, np.random.SeedSequence(seed, spawn_key=(mi, t)))
 
-        def blocks(mi, t, member):  # block t of member mi's stream
-            return oracles.draw_samples(member, budget, advanced(t * budget * n, seed, mi))
+        def rows(mi, t, member):  # row t of member mi's stream of counts
+            return as_samples(member, count_rows(member, budget, t + 1, seed, mi)[t])
 
         assert oracles.lb_family_regret(n, k, eps, trials, spawned) == float.fromhex(regret)
-        want = oracles.lb_family_regret(n, k, eps, trials, blocks)
+        want = oracles.lb_family_regret(n, k, eps, trials, rows)
         assert run_lb_family(*args).metrics["avg_regret"] == want
 
 

@@ -20,9 +20,10 @@ from myersonlab.dist import (
     point_mass,
     product_dist,
 )
+from myersonlab.lab import _trial_counts
 from myersonlab.learn import (
     SampleMatrix,
-    _learn,
+    _learn_counts,
     dominated_empirical,
     draw_samples,
     hellinger_sq,
@@ -270,6 +271,16 @@ class TestDominatedEmpirical:
         sigma = sqrt(delta * (1 - delta) / runs)
         assert hits / runs >= 1 - delta - 3 * sigma
 
+    @pytest.mark.parametrize("n, k, eps", [(2, 1, 0.2), (2, 1, 0.1), (4, 2, 0.1)])
+    def test_closeness_event_at_one_constant_across_scales(self, n, k, eps):
+        # the constant above, at three scales, on priors learned from the trial loops' count rows
+        d, delta, runs = grid_prior(n), 0.1, 300
+        count = required_samples("downward_closed", n, k, eps, delta, 64)
+        learned = [et for block in _trial_counts(d, count, runs, 7) for et in _learn_counts(d, block, delta)]
+        hits = sum(dominates(d, et) and is_close(d, et, eps, n, k) for et in learned)
+        sigma = sqrt(delta * (1 - delta) / runs)
+        assert hits / runs >= 1 - delta - 3 * sigma
+
 
 def bits(p):
     """Exact bit patterns of every coordinate's atoms."""
@@ -330,39 +341,52 @@ class TestLearnerOracle:
 
 
 class TestBlockLearner:
-    """A stack of trials is learned trial by trial as the np.unique learner learns each block alone."""
+    """A stack of trials' per-atom counts is learned trial by trial as the counted learner learns each
+    trial alone; a trial's sample matrix is learned by dominated_empirical, one matrix at a time."""
 
     @staticmethod
     def stacks(seed, count):
-        """Random (trials, samples, bidders) stacks of values that include both zeros, with a delta each."""
+        """Random priors, (trials, bidders, width) stacks of their per-atom counts after zeros up to the
+        widest support, many of them 0, and a delta each."""
         rng = np.random.default_rng(seed)
-        pool = np.array([0.0, -0.0, 0.1, 0.5, 1.0])
         for _ in range(count):
-            shape = (int(rng.integers(1, 6)), int(rng.integers(1, 41)), int(rng.integers(1, 4)))
-            yield pool[rng.integers(0, len(pool), size=shape)], float(rng.choice([0.01, 0.1, 0.5, 0.9]))
+            d = random_product(rng, int(rng.integers(1, 4)))  # the grid holds 0.0
+            width = max(len(dj.support) for dj in d)
+            trials, total = int(rng.integers(1, 6)), int(rng.integers(1, 41))
+            stack = np.zeros((trials, d.n, width), np.int64)
+            for j, dj in enumerate(d):
+                masses = rng.dirichlet(np.full(len(dj.support), 0.5), size=trials)
+                stack[:, j, width - len(dj.support) :] = [rng.multinomial(total, m) for m in masses]
+            yield d, stack, float(rng.choice([0.01, 0.1, 0.5, 0.9]))
 
     def test_random_stacks(self):
-        for stack, delta in self.stacks(34, 1000):
-            learned = _learn(stack, delta)
+        for d, stack, delta in self.stacks(34, 1000):
+            learned = _learn_counts(d, stack, delta)
             assert len(learned) == len(stack)
-            for block, prior in zip(stack, learned):
-                assert bits(prior) == bits(oracles.dominated_empirical(SampleMatrix(block), delta))
+            for counts, prior in zip(stack, learned):
+                unpadded = [c[len(c) - len(dj.support) :].tolist() for dj, c in zip(d, counts)]
+                assert bits(prior) == bits(oracles.counted_empirical(d, unpadded, delta))
 
     def test_no_trials_give_no_priors(self):
-        assert _learn(np.zeros((0, 4, 2)), 0.1) == []
+        assert _learn_counts(grid_prior(), np.zeros((0, 2, 10), np.int64), 0.1) == []
 
     @pytest.mark.parametrize("bad", [1.5, -0.2, nan])
     @pytest.mark.parametrize("trial", [0, 2])
     def test_a_bad_sample_in_any_trial_gives_no_priors(self, bad, trial):
-        stack = np.full((3, 4, 2), 0.5)
+        stack = np.full((3, 40, 2), 0.5)  # enough samples that the bottom atom leaves mass at 0.5
         stack[trial, 1, 1] = bad
-        with pytest.raises(ValueError, match="^sample values must lie in \\[0, 1\\]$"):
-            _learn(stack, 0.1)
+        for t, block in enumerate(stack):
+            if t == trial:
+                with pytest.raises(ValueError, match="^sample values must lie in \\[0, 1\\]$"):
+                    dominated_empirical(SampleMatrix(block), 0.1)
+            else:
+                learned = dominated_empirical(SampleMatrix(block), 0.1)
+                assert [d.support.tolist() for d in learned] == [[0.0, 0.5]] * 2
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, nan])
     def test_delta_outside_the_unit_interval(self, delta):
         with pytest.raises(ValueError, match=f"^delta {delta!r} outside \\(0, 1\\)$"):
-            _learn(np.full((2, 3, 1), 0.5), delta)
+            _learn_counts(ProductDist((point_mass(0.5),)), np.full((2, 1, 1), 3), delta)
 
 
 class TestCountedLearner:
