@@ -10,6 +10,8 @@ fail, 1 for input errors including usage errors and precondition violations.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from contextlib import suppress
@@ -50,11 +52,19 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+def _csv(report: lab.Report) -> str:
+    """A header, then one CSV line per metric: experiment, params, metric, value, verdict."""
+    par = ";".join(f"{k}={v}" for k, v in sorted(report.params.items()))
+    text = io.StringIO()
+    out = csv.writer(text, lineterminator="\n")
+    out.writerow(["experiment", "params", "metric", "value", "verdict"])
+    out.writerows([report.experiment, par, name, repr(value), report.verdict]
+                  for name, value in sorted(report.metrics.items()))
+    return text.getvalue()[:-1]  # _emit ends the last line
+
+
 def _finish(report: lab.Report, args) -> int:
-    if args.format == "csv":
-        text = "\n".join(["experiment,params,metric,value,verdict"] + report.csv_rows())
-    else:
-        text = json.dumps(report.to_json(), sort_keys=True, indent=2)
+    text = _csv(report) if args.format == "csv" else json.dumps(report.to_json(), sort_keys=True, indent=2)
     _emit(text, args.out)
     return 0 if report.passed else 2
 

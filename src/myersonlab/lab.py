@@ -2,21 +2,19 @@
 sample-complexity trials, each emitting a machine-readable report.
 
 Every experiment is deterministic given its inputs and seed. Trial t of a trial loop learns from
-row t of g.multinomial(count, P, size=(trials, n)), g the stream of SeedSequence(seed, spawn_key=key)
-and P each bidder's masses left-padded with zeros to the widest support; it draws a block at a time.
+row t of its count stream, learn._trial_counts(d, count, trials, seed, *key), whatever the number of
+trials, so any trial is replayed from its seed, key and t.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import asdict, dataclass
 from itertools import product as iproduct
 from math import prod, sqrt
 
 import numpy as np
 
-from .auction import _BLOCK, allocate, expected_revenue, myerson, opt_revenue
+from .auction import allocate, expected_revenue, myerson, opt_revenue
 from .dist import (
     ProductDist,
     dominates,
@@ -34,7 +32,7 @@ from .feasible import (
     masks,
     minimum_non_matroid,
 )
-from .learn import _learn_counts, hellinger_sq, required_samples
+from .learn import _learn_counts, _trial_counts, hellinger_sq, required_samples
 
 VERDICT_TOL = 1e-9
 _LEARNER_DELTA = 0.1  # delta of the dominated-empirical learner in lb-family
@@ -65,18 +63,6 @@ class Report:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    def csv_rows(self) -> list[str]:
-        """One CSV line per metric: experiment, params, metric, value, verdict."""
-        par = ";".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        rows = []
-        for name, value in sorted(self.metrics.items()):
-            line = io.StringIO()
-            csv.writer(line, lineterminator="").writerow(
-                [self.experiment, par, name, repr(value), self.verdict]
-            )
-            rows.append(line.getvalue())
-        return rows
 
 
 def _report(experiment, params, metrics, ok, seed=None) -> Report:
@@ -130,25 +116,18 @@ def run_copies(k: int) -> Report:
     splits by part when every part holds the zero vertex: welfare, the tie
     order (descending total, then lexicographic) and the cell-0 rule all
     split, and each threshold payment depends only on its own part. The
-    gadget's system holds the empty set, so each revenue is copies times
-    that of the one gadget auction, exactly, at every k.
+    gadget's system holds the empty set, so each metric is copies times
+    that of the one gadget's report, exactly, at every k.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     copies = k // 2
-    eps = 0.1
-    on_design, on_dominating = _revenues(*nonmonotone_gadget(eps))
-    gap = on_design - on_dominating
+    gadget = run_nonmonotone(0.1).metrics
     return _report(
         "copies",
-        {"k": k, "eps": eps},
-        {
-            "copies": copies,
-            "revenue_on_design_prior": copies * on_design,
-            "revenue_on_dominating": copies * on_dominating,
-            "gap": copies * gap,
-        },
-        gap >= 0.405 - VERDICT_TOL,
+        {"k": k, "eps": 0.1},
+        {"copies": copies, **{name: copies * value for name, value in gadget.items()}},
+        gadget["gap"] >= 0.405 - VERDICT_TOL,
     )
 
 
@@ -294,19 +273,6 @@ def run_lipschitz_lb(n: int, k: int, eps: float) -> Report:
 # sample-complexity experiments
 
 
-def _trial_counts(d: ProductDist, count: int, trials: int, seed, *key):
-    """Consecutive trials' per-atom counts, drawn as read, in (trials, n, width) blocks of at most _BLOCK
-    numbers or one trial: row j of a trial counts bidder j's samples at each atom of d[j], after zeros."""
-    if count > 2**63 - 1:
-        raise ValueError(f"sample count {count} exceeds 2**63 - 1, the most a draw can take")
-    width = max(len(dj.probs) for dj in d)  # zeros on the left: a draw's last column takes the rest
-    masses = np.array([np.concatenate((np.zeros(width - len(dj.probs)), dj.probs)) for dj in d])
-    stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-    block = max(1, _BLOCK // masses.size)
-    sizes = ((min(block, trials - start), d.n) for start in range(0, trials, block))
-    return (stream.multinomial(count, masses, size=size) for size in sizes)
-
-
 def run_sample_complexity(
     fs: FeasibleSet,
     d: ProductDist,
@@ -372,8 +338,6 @@ def run_lb_family(
         raise ValueError("trials must be at least 1")
     if n < 2:
         raise ValueError("at least two bidders required")
-    if sample_budget < 1:
-        raise ValueError("sample count must be at least 1")
     fs = all_or_nothing(n, k)
     shift = 48.0 * eps / (n * k)
     base = 1.0 / n
@@ -390,7 +354,7 @@ def run_lb_family(
     else:
         signs = [tuple(int(b) for b in rng.integers(0, 2, size=n)) for _ in range(_FAMILY_CAP)]
     profiles = [tuple(0.0 if j == i else 1.0 for j in range(n)) for i in range(n)]
-    wins: dict[bytes, list[bool]] = {}  # counts of 0.0 per bidder -> bidder i wins at profiles[i]
+    wins: dict[bytes, list[bool]] = {}  # a trial's counts at 0 and 1 -> bidder i wins at profiles[i]
     total_regret = 0.0
     min_profile_prob = 1.0
     for mi, sign in enumerate(signs):
@@ -398,7 +362,7 @@ def run_lb_family(
         vw_all = [(k / n) * sum(phis[b][j != i] for j, b in enumerate(sign)) for i in range(n)]
         dif_sums = [0.0] * n
         for counts in _trial_counts(member, sample_budget, trials, seed, mi):
-            keys = [c.tobytes() for c in counts[..., 0]]  # each bidder's count of 0.0
+            keys = [c.tobytes() for c in counts]
             new = {key: t for t, key in enumerate(keys) if key not in wins}  # a trial per new key
             for key, learned in zip(new, _learn_counts(member, counts[list(new.values())], _LEARNER_DELTA)):
                 a = myerson(learned, fs)

@@ -1,6 +1,8 @@
 """Sampling and the learned prior: the dominated empirical distribution, of one sample matrix
 or of trials' per-atom counts through one core, sample-count formulas, and the Hellinger distance.
 
+A trial loop's count stream, drawn by _trial_counts, is g.multinomial(count, P, size=(trials, n)), g the
+stream of SeedSequence(seed, spawn_key=key) and P each bidder's masses left-padded with zeros to one width.
 Natural logarithms throughout the sample-count and inflation formulas.
 """
 
@@ -11,6 +13,7 @@ from math import ceil, inf, log, sqrt
 
 import numpy as np
 
+from .auction import _BLOCK
 from .dist import _GATE, ProductDist, ValueDist
 
 
@@ -71,6 +74,21 @@ def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
     return _learn_rows(rows, at_most, count, n, delta)[0]
 
 
+def _trial_counts(d: ProductDist, count: int, trials: int, seed, *key):
+    """Consecutive trials' per-atom counts, drawn as read, in (trials, n, width) blocks of at most _BLOCK
+    numbers or one trial: row j of a trial counts bidder j's samples at each atom of d[j], after zeros."""
+    if count < 1:
+        raise ValueError("sample count must be at least 1")
+    if count > 2**63 - 1:
+        raise ValueError(f"sample count {count} exceeds 2**63 - 1, the most a draw can take")
+    width = max(len(dj.probs) for dj in d)  # zeros on the left: a draw's last column takes the rest
+    masses = np.array([np.concatenate((np.zeros(width - len(dj.probs)), dj.probs)) for dj in d])
+    stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    block = max(1, _BLOCK // masses.size)
+    sizes = ((min(block, trials - start), d.n) for start in range(0, trials, block))
+    return (stream.multinomial(count, masses, size=size) for size in sizes)
+
+
 def _learn_counts(d: ProductDist, counts: np.ndarray, delta: float) -> list[ProductDist]:
     """dominated_empirical of each trial of a (trials, n, width) stack of per-atom counts: row j of a
     trial counts bidder j's samples at each atom of d[j], after zeros up to the stack's width."""
@@ -112,15 +130,22 @@ def required_samples(
 
     downward_closed: C (nk / eps^2) ln(nk / (eps delta))
     general:         C (nk^2 / eps^2) ln(nk / eps) ln(nk / (eps delta))
+    A count past the float range, or at most 0 (ln(nk / eps) < 0 < ln(nk / (eps delta))), is refused.
     """
     if not (0 < eps < 1 and 0 < delta < 1 and all(0 < x < inf for x in (n, k, C))):
         raise ValueError("n, k and C positive and finite, eps and delta in (0, 1)")
-    if setting == "downward_closed":
-        raw = C * (n * k / eps**2) * log(n * k / (eps * delta))
-    elif setting == "general":
-        raw = C * (n * k**2 / eps**2) * log(n * k / eps) * log(n * k / (eps * delta))
-    else:
-        raise ValueError(f"unknown setting {setting!r}")
+    try:
+        if setting == "downward_closed":
+            raw = C * (n * k / eps**2) * log(n * k / (eps * delta))
+        elif setting == "general":
+            raw = C * (n * k**2 / eps**2) * log(n * k / eps) * log(n * k / (eps * delta))
+        else:
+            raise ValueError(f"unknown setting {setting!r}")
+    except ZeroDivisionError:  # eps**2 or eps * delta underflows to 0.0
+        raw = inf
+    if not 0 < raw < inf:  # also catches NaN
+        raise ValueError(f"{setting} sample count at n={n}, k={k}, eps={eps}, delta={delta}, C={C} is {raw}, "
+                         "not a positive finite number")
     return ceil(raw)
 
 

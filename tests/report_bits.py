@@ -13,7 +13,10 @@ loops whose outcomes vary (`trial-loops.txt`): sample-complexity at 1, 50,
 and lb-family at 40 trials of 300 samples. Last come the curves reports
 of five edge priors (`curves-<name>.json`): one atom, an atom at 0.0, a
 prior ironed from its top atom down, 2,000 atoms, and values and masses
-whose repr has an exponent. The package and
+whose repr has an exponent. Last, `refusals.txt` holds the exit status and
+stderr of each input of REFUSED, one line each; an exception that escapes
+main, which the command line would print as a traceback, is written as
+its type and message. The package and
 the workloads are imported from PYTHONPATH, so one copy of this script
 serves any checkout: `diff -r` of the directories written with two
 checkouts' src and bench shows whether they compute the same bits. Inputs
@@ -21,9 +24,11 @@ go to a temporary directory; nothing under bench/ changes. pytest does not
 collect this file.
 """
 
+import io
 import json
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +108,44 @@ def curves_edges(out: Path) -> None:
             cli_main(["curves", "--dist", str(path), "--out", str(out / f"curves-{name}.json")])
 
 
+SYSTEMS = {
+    "matroid": {"type": "uniform_matroid", "n": 2, "k": 1},
+    "eighths": {"type": "vertices", "vectors": [[0, 0], [0.125, 0.125]]},  # rank 1/4
+}
+REFUSED = {  # name -> (system, argv) of sample-complexity on a two-bidder prior, or (None, argv)
+    "eps-1e-300": ("matroid", ["--eps", "1e-300"]),
+    "eps-1e-10-delta-1e-320": ("matroid", ["--eps", "1e-10", "--delta", "1e-320"]),
+    "constant-1e307": ("matroid", ["--constant", "1e307"]),
+    "eps-1e-160": ("matroid", ["--eps", "1e-160"]),
+    "delta-1e-320": ("matroid", ["--delta", "1e-320"]),
+    "constant-1e16": ("matroid", ["--constant", "1e16"]),
+    "log-factors-part": ("eighths", ["--eps", "0.9", "--delta", "0.5"]),
+    "log-factors-part-constant-1000": ("eighths", ["--eps", "0.9", "--delta", "0.5", "--constant", "1000"]),
+    "lb-family-budget-0": (None, ["lb-family", "--n", "2", "--k", "1", "--eps", "0.01", "--budget", "0"]),
+}
+
+
+def refusals(out: Path) -> None:
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        prior = Path(tmp) / "prior.json"
+        prior.write_text(json.dumps([{"support": [0.2, 0.5, 0.9], "probs": [0.3, 0.4, 0.3]}] * 2), encoding="utf-8")
+        for system, obj in SYSTEMS.items():
+            (Path(tmp) / f"{system}.json").write_text(json.dumps(obj), encoding="utf-8")
+        for name, (system, argv) in REFUSED.items():
+            if system is not None:
+                argv = ["sample-complexity", "--feasible", str(Path(tmp) / f"{system}.json"),
+                        "--dist", str(prior)] + argv
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                try:
+                    status = cli_main(argv)
+                except Exception as exc:  # a traceback on the command line
+                    status = f"raised {type(exc).__name__}: {exc}"
+            lines.append(f"{name} {status} {err.getvalue()!r}")
+    (out / "refusals.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def main() -> None:
     if len(sys.argv) != 2:
         sys.exit("usage: report_bits.py OUT_DIR")
@@ -113,6 +156,7 @@ def main() -> None:
     op_bits(out, "dense-learn", DenseLearn, 20)
     trial_loops(out)
     curves_edges(out)
+    refusals(out)
 
 
 if __name__ == "__main__":

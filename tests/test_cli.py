@@ -530,6 +530,28 @@ class TestErrors:
         code, out, err = run(capsys, argv + ["--trials", "2"])
         assert (code, out, err) == (1, "", "error: rank k=0 outside 1..4\n")
 
+    @pytest.mark.parametrize(
+        "vectors, flags",
+        [
+            ([[1, 0], [0, 1]], ["--eps", "1e-300"]),
+            ([[1, 0], [0, 1]], ["--eps", "1e-10", "--delta", "1e-320"]),
+            ([[1, 0], [0, 1]], ["--constant", "1e307"]),
+            ([[1, 0], [0, 1]], ["--eps", "1e-160"]),
+            ([[1, 0], [0, 1]], ["--delta", "1e-320"]),
+            # rank 1/4: ln(nk / eps) < 0 < ln(nk / (eps delta)), so the count is at most 0
+            ([[0, 0], [0.125, 0.125]], ["--eps", "0.9", "--delta", "0.5"]),
+            ([[0, 0], [0.125, 0.125]], ["--eps", "0.9", "--delta", "0.5", "--constant", "1000"]),
+        ],
+    )
+    def test_sample_count_that_is_not_positive_and_finite(self, capsys, tmp_path, vectors, flags):
+        fs = write_json(tmp_path / "fs.json", {"type": "vertices", "vectors": vectors})
+        dist = write_json(tmp_path / "d.json", [{"support": [0.2, 0.5, 0.9], "probs": [0.3, 0.4, 0.3]}] * 2)
+        code, out, err = run(capsys, ["sample-complexity", "--feasible", fs, "--dist", dist, *flags])
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: ") and " sample count at n=2, k=" in err
+        assert err.endswith(", not a positive finite number\n")
+
     @pytest.mark.parametrize("flag", [["--constant", "inf"], ["--eps", "nan"]])
     def test_non_finite_sample_parameters(self, capsys, tmp_path, minnon_file, flag):
         d = {"support": [0.5], "probs": [1.0]}
@@ -640,7 +662,7 @@ def ints(lo, hi):
 
 def floats(*in_range):
     """A few in-range values and the out-of-range and non-finite ones every flag must survive."""
-    return st.sampled_from([*in_range, "0", "-0.5", "nan", "inf", "-inf"])
+    return st.sampled_from([*in_range, "0", "-0.5", "nan", "inf", "-inf", "5e-324", "1e-300", "1e307"])
 
 
 # in-range values and integer ranges small enough that no example builds a

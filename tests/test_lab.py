@@ -12,6 +12,7 @@ from hypothesis import event, given, settings, target
 from hypothesis import strategies as st
 
 from myersonlab.auction import _BLOCK, expected_revenue, myerson, opt_revenue
+from myersonlab.cli import _csv
 from myersonlab.dist import (
     ProductDist,
     ValueDist,
@@ -38,7 +39,6 @@ from myersonlab.lab import (
     Report,
     _report,
     _require_dominated_close,
-    _trial_counts,
     check_approx_monotone,
     embed_counterexample,
     lipschitz_pair,
@@ -49,7 +49,7 @@ from myersonlab.lab import (
     run_nonmonotone,
     run_sample_complexity,
 )
-from myersonlab.learn import SampleMatrix, draw_samples
+from myersonlab.learn import SampleMatrix, _trial_counts, draw_samples
 
 import oracles
 from fuzz import (
@@ -124,7 +124,8 @@ class TestReport:
 
     def test_csv_rows(self):
         r = run_nonmonotone(0.1)
-        rows = r.csv_rows()
+        header, *rows = _csv(r).split("\n")
+        assert header == "experiment,params,metric,value,verdict"
         assert len(rows) == len(r.metrics)
         assert rows[0].startswith("nonmonotone,eps=0.1,")
         assert rows[0].endswith(",pass")
@@ -602,7 +603,7 @@ class TestTrialStreams:
         assert (want[:, 1, 0] == 0).all() and (want.sum(axis=2) == 21).all()  # the second bidder's pad
         assert not np.array_equal(want[0], want[1])
         for block, trials, sizes in [(12, 3, [2, 1]), (12, 5, [2, 2, 1]), (4, 5, [1] * 5), (1 << 14, 5, [5])]:
-            monkeypatch.setattr("myersonlab.lab._BLOCK", block)
+            monkeypatch.setattr("myersonlab.learn._BLOCK", block)
             drawn.clear()
             assert run_sample_complexity(fs, d, 0.5, 0.3, 1.0, trials, 11).metrics["samples_per_trial"] == 21
             assert all(prior is d and count == 21 for prior, count, _ in drawn)
@@ -612,7 +613,7 @@ class TestTrialStreams:
 
     def test_lb_family_members_read_their_own_streams(self, drawn, monkeypatch):
         n, budget = 2, 8
-        monkeypatch.setattr("myersonlab.lab._BLOCK", 8)  # two trials of 2 x 2 counts a block
+        monkeypatch.setattr("myersonlab.learn._BLOCK", 8)  # two trials of 2 x 2 counts a block
         for trials, sizes in ((3, [2, 1]), (5, [2, 2, 1])):
             drawn.clear()
             run_lb_family(n, 1, 0.01, budget, trials, 6)
@@ -639,7 +640,7 @@ class TestTrialLoopsAcrossBlocks:
 
         old = failed(oracles.draw_samples(d, count, advanced(t * count * d.n, 3)) for t in range(120))
         new = failed(as_samples(d, counts) for counts in count_rows(d, count, 120, 3))
-        monkeypatch.setattr("myersonlab.lab._BLOCK", 51 * 6)  # 51 trials of 2 x 3 counts a block
+        monkeypatch.setattr("myersonlab.learn._BLOCK", 51 * 6)  # 51 trials of 2 x 3 counts a block
         for trials, freq in [(1, 0.0), (50, 0.82), (51, 0.8235294117647058), (52, 0.8269230769230769),
                              (120, 0.8166666666666667)]:
             assert sum(old[:trials]) / trials == freq  # as frozen on the sample streams
@@ -657,7 +658,7 @@ class TestTrialLoopsAcrossBlocks:
             return as_samples(member, count_rows(member, budget, t + 1, seed, mi)[t])
 
         assert oracles.lb_family_regret(n, k, eps, trials, blocks) == float.fromhex("0x1.b2aa536cd6345p-4")
-        monkeypatch.setattr("myersonlab.lab._BLOCK", 18 * n * 2)  # blocks of 18, 18 and 4 trials
+        monkeypatch.setattr("myersonlab.learn._BLOCK", 18 * n * 2)  # blocks of 18, 18 and 4 trials
         want = oracles.lb_family_regret(n, k, eps, trials, rows)
         assert run_lb_family(n, k, eps, budget, trials, seed).metrics["avg_regret"] == want
 

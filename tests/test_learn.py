@@ -20,10 +20,10 @@ from myersonlab.dist import (
     point_mass,
     product_dist,
 )
-from myersonlab.lab import _trial_counts
 from myersonlab.learn import (
     SampleMatrix,
     _learn_counts,
+    _trial_counts,
     dominated_empirical,
     draw_samples,
     hellinger_sq,
@@ -477,6 +477,25 @@ class TestRequiredSamples:
     def test_rejects_non_finite_and_non_positive(self, args):
         with pytest.raises(ValueError, match="finite"):
             required_samples("downward_closed", *args)
+
+    @pytest.mark.parametrize(
+        "setting, args",
+        [
+            ("downward_closed", (2, 1, 1e-300, 0.1, 2)),  # eps**2 underflows to 0.0
+            ("downward_closed", (2, 1, 1e-10, 1e-320, 2)),  # eps * delta underflows to 0.0
+            ("downward_closed", (2, 1, 0.1, 0.1, 1e307)),  # past the float range
+            ("downward_closed", (2, 1, 1e-160, 0.1, 2)),
+            ("downward_closed", (2, 1, 0.1, 1e-320, 2)),
+            ("general", (2, 0.25, 0.9, 0.5, 2)),  # ln(nk / eps) < 0 < ln(nk / (eps delta))
+            ("general", (2, 0.25, 0.9, 0.5, 1000)),
+        ],
+    )
+    def test_refuses_a_count_that_is_not_positive_and_finite(self, setting, args):
+        n, k, eps, delta, C = args
+        with pytest.raises(ValueError) as exc:
+            required_samples(setting, *args)
+        named = f"{setting} sample count at n={n}, k={k}, eps={eps}, delta={delta}, C={C} is "
+        assert str(exc.value).startswith(named) and str(exc.value).endswith(", not a positive finite number")
 
     def test_demand_reduction_rescaling(self):
         # scaling allocations by 1/d maps (k, eps) to (k/d, eps/d); the
