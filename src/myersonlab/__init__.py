@@ -24,7 +24,6 @@ from .dist import (
     make_discrete,
     monopoly,
     point_mass,
-    product_dist,
     virtual_table,
 )
 from .feasible import (

@@ -12,24 +12,27 @@ the last run, which no value reaches.
 
 myerson builds each bidder's term table, which the auction keeps: a row
 per cell and a column per vertex, phi_i[c] * x_vi, but -inf in cell 0
-wherever the vertex gives bidder i anything. With the terms summed over
-bidders left to right from +0.0, the first argmax over the vertices,
-which are in tie order, reproduces the rule: a vertex giving nothing to
-bidders in cell 0 first, then ironed virtual welfare, ties to the
-earlier row. A point with every vertex at -inf, possible only without a
-zero vertex, is decided again on plain welfare, cell 0 counting as 0.
-Along a line one bidder's cell runs up from 0, the others' stay fixed,
-and a running sum of threshold steps gives its payment at every point.
-When the grid of every bidder's cells fits one block (the product over
-bidders of runs_i + 1 cells, times vertices + bidders, at most _BLOCK),
-myerson scores it once and keeps outcome tables over its cell profiles,
-64 of them for three bidders whose ten atoms form three runs each, with
-the scorer's welfare as the welfare column. allocate and payments look
-outcomes up there, and exact expectations contract the tables with the
-bidders' cell masses. Other auctions run lines: a payment each bidder's
-up to its own cell, an expectation one per profile of the others'
-occupied cells, in blocks, welfare off bidder 0's lines. An auction holds
-its prior, system, thresholds, term tables and outcome tables if any.
+wherever the vertex gives bidder i anything. One scorer, _winners, reads
+the tables at a cell array per bidder, the arrays broadcasting together:
+a grid axis each, a line (the bidder's own cells on one axis, the others'
+rows on the other) or one point. With the terms summed over bidders left
+to right from +0.0, the first argmax over the vertices, which are in tie
+order, reproduces the rule: a vertex giving nothing to bidders in cell 0
+first, then ironed virtual welfare, ties to the earlier row. A point with
+every vertex at -inf, possible only without a zero vertex, is decided
+again on plain welfare, cell 0 counting as 0. Along a line one bidder's
+cell runs up from 0, the others' stay fixed, and a running sum of
+threshold steps gives its payment at every point. When the grid of every
+bidder's cells fits one block (the product over bidders of runs_i + 1
+cells, times vertices + bidders, at most _BLOCK), myerson scores it once
+and keeps outcome tables over its cell profiles, 64 of them for three
+bidders whose ten atoms form three runs each, with the scorer's welfare
+as the welfare column. allocate and payments look outcomes up there, and
+exact expectations contract the tables with the bidders' cell masses.
+Other auctions run lines: a payment each bidder's up to its own cell, an
+expectation one per profile of the others' occupied cells, in blocks,
+welfare off bidder 0's lines. An auction holds its prior, system,
+thresholds, term tables and outcome tables if any.
 """
 
 from __future__ import annotations
@@ -62,10 +65,11 @@ class Auction:
     The rows of feasible.vertices are in myerson's tie order. Bidder i has a
     cell above 0 per run of equal ironed virtual value; _thresholds[i, c - 1]
     is the value of the run's first atom and _terms[i] bidder i's term table,
-    padded past its last run with NaN in _thresholds and zeros in _terms. The
-    outcome tables, None when the grid does not fit, are indexed by a cell
-    profile: _ranks holds the winner's row of vertices, _outcomes[..., i]
-    bidder i's payment and _outcomes[..., n] the welfare.
+    which _winners reads at an array of its cells, padded past its last run
+    with NaN in _thresholds and zeros in _terms. The outcome tables, None
+    when the grid does not fit, are indexed by a cell profile: _ranks holds
+    the winner's row of vertices, _outcomes[..., i] bidder i's payment and
+    _outcomes[..., n] the welfare.
     """
 
     prior: ProductDist
@@ -83,8 +87,8 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     fs.vertices, a fixed value-independent order: descending total allocation,
     then ascending lexicographic. Any fixed order keeps the per-bidder
     allocation monotone in own value. When the grid of every bidder's cells
-    fits a block, one _score call over the kept term tables, each laid along
-    its bidder's own axis, fills the outcome tables' ranks and welfare column.
+    fits a block, one _winners call, with bidder i's cells 0..runs_i laid
+    along grid axis i, fills the outcome tables' ranks and welfare column.
     """
     if prior.n != fs.n:
         raise ValueError(f"prior has {prior.n} bidders, system has {fs.n}")
@@ -100,11 +104,8 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
         arr.setflags(write=False)
     if prod(len(r) + 1 for r in runs) * (len(fs.vertices) + n) > _BLOCK:
         return Auction(prior, fs, thresholds, terms)
-    along = (-1,) + (1,) * (n - 1)  # bidder i's term rows for cells 0..runs_i along grid axis i
-    ranks, welfare = _score([
-        t[: len(r) + 1].reshape((1,) * i + along[: n - i] + t.shape[-1:])
-        for i, (t, r) in enumerate(zip(terms, runs))
-    ])
+    ranks, welfare = _winners(terms, [np.arange(len(r) + 1).reshape((-1,) + (1,) * (n - 1 - i))
+                                      for i, r in enumerate(runs)])
     outcomes = np.empty(ranks.shape + (n + 1,))
     outcomes[..., n] = welfare
     del welfare  # not held through the payment loop, where the build's memory peaks
@@ -123,32 +124,25 @@ def _terms(phis: np.ndarray, verts: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _score(terms) -> tuple[np.ndarray, np.ndarray]:
-    """Winning row of the tie order and its welfare at each point of n term arrays.
+def _winners(terms: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
+    """Row of the tie order that wins, and its welfare, at each point of n per-bidder cell arrays.
 
-    terms[i] holds bidder i's term rows, vertices last; the arrays broadcast
-    to one shape. Where every vertex sums to -inf, the -inf terms count as 0.
+    terms[i] is bidder i's term table and cells[i] its cells; the n arrays
+    broadcast to one shape, not 0-d, the shape of both results. Where every
+    vertex sums to -inf, the -inf terms count as 0. Callers bound the points:
+    a grid that fits a block, a block of lines, or one profile.
     """
-    score = sum(terms, 0.0)
+    rows = [t.take(c, axis=0) for t, c in zip(terms, cells)]  # vertices last
+    score = sum(rows, 0.0)
     best = score.argmax(axis=-1)
     # a gather at best, not score.max(axis=-1): 10 µs against 131 µs on a (56, 42, 3) grid
     welfare = score.reshape(-1)[best + np.arange(0, score.size, score.shape[-1]).reshape(best.shape)]
     forced = welfare == -np.inf
     if forced.any():
-        plain = sum((np.where(t == -np.inf, 0.0, t) for t in terms), 0.0)[forced]
+        plain = sum((np.where(r == -np.inf, 0.0, r) for r in rows), 0.0)[forced]
         best[forced] = plain.argmax(axis=-1)
         welfare[forced] = plain.max(axis=-1)
     return best, welfare
-
-
-def _winners(a: Auction, cells) -> tuple[np.ndarray, np.ndarray]:
-    """Row of feasible.vertices that wins, and its welfare, at each point of n per-bidder cell arrays.
-
-    cells[i] holds bidder i's cells; the n arrays broadcast to one shape, not
-    0-d, the shape of both results, which _score computes from each bidder's
-    term rows at its cells. Callers bound the points: a block or a line.
-    """
-    return _score([t.take(c, axis=0) for t, c in zip(a._terms, cells)])
 
 
 def _pay(x: np.ndarray, thresholds: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -175,7 +169,7 @@ def _line(a: Auction, i: int, cells: np.ndarray, top: int) -> tuple[np.ndarray, 
     """
     cells = list(cells.T)
     cells[i] = np.arange(top)[:, None]
-    rows, welfare = _winners(a, cells)
+    rows, welfare = _winners(a._terms, cells)
     return _pay(a.feasible.vertices[:, i][rows], a._thresholds[i]), welfare
 
 
@@ -196,7 +190,7 @@ def allocate(a: Auction, values) -> tuple[float, ...]:
     lowest atom are excluded while any alternative exists.
     """
     cells = _cells(a, values)
-    rank = _winners(a, cells[:, None])[0][0] if a._ranks is None else a._ranks[tuple(cells)]
+    rank = _winners(a._terms, cells[:, None])[0][0] if a._ranks is None else a._ranks[tuple(cells)]
     return tuple(a.feasible.vertices[rank].tolist())
 
 

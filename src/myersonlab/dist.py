@@ -255,10 +255,6 @@ class ProductDist(tuple):
         return ProductDist(ValueDist.from_json(o) for o in obj)
 
 
-def product_dist(*dists: ValueDist) -> ProductDist:
-    return ProductDist(dists)
-
-
 def make_discrete(values, probs) -> ValueDist:
     """Build a ValueDist from raw atoms.
 

@@ -22,7 +22,6 @@ from .dist import (
     is_close_uniform,
     make_discrete,
     point_mass,
-    product_dist,
 )
 from .feasible import (
     FeasibleSet,
@@ -89,8 +88,8 @@ def nonmonotone_gadget(eps: float) -> tuple[ProductDist, ProductDist, FeasibleSe
     if not 0.0 < eps < 0.5:
         raise ValueError(f"gadget parameter {eps!r} outside (0, 0.5)")
     bc = make_discrete([eps, 1.0], [1.0 - eps, eps])
-    dtilde = product_dist(point_mass(0.5), bc, bc)
-    d = product_dist(point_mass(0.5), point_mass(1.0), point_mass(1.0))
+    dtilde = ProductDist((point_mass(0.5), bc, bc))
+    d = ProductDist((point_mass(0.5), point_mass(1.0), point_mass(1.0)))
     return dtilde, d, minimum_non_matroid()
 
 
@@ -289,8 +288,6 @@ def run_sample_complexity(
     the downward-closed formula when the system qualifies, else the general
     one. A system in which every vertex serves some bidder is refused.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     for i in np.flatnonzero((fs.vertices > 0.0).all(axis=0)).tolist():
         raise PreconditionError(f"every vertex serves bidder {i}, even below its lowest value, where it "
                                 f"pays nothing; sample-complexity needs a system that can leave it out")
@@ -334,8 +331,6 @@ def run_lb_family(
     """
     if not 0.0 <= eps <= 0.01:  # also catches NaN
         raise ValueError(f"eps {eps!r} outside [0, 1/100]")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     if n < 2:
         raise ValueError("at least two bidders required")
     fs = all_or_nothing(n, k)

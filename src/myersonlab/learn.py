@@ -77,6 +77,8 @@ def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
 def _trial_counts(d: ProductDist, count: int, trials: int, seed, *key):
     """Consecutive trials' per-atom counts, drawn as read, in (trials, n, width) blocks of at most _BLOCK
     numbers or one trial: row j of a trial counts bidder j's samples at each atom of d[j], after zeros."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if count < 1:
         raise ValueError("sample count must be at least 1")
     if count > 2**63 - 1:

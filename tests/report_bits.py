@@ -36,7 +36,7 @@ from tracing import NullTracer
 from workloads import DenseLearn, ExactRevenue, PaperCli
 
 from myersonlab.cli import main as cli_main
-from myersonlab.dist import ValueDist, make_discrete, product_dist
+from myersonlab.dist import ProductDist, ValueDist, make_discrete
 from myersonlab.feasible import uniform_matroid
 from myersonlab.lab import run_lb_family, run_sample_complexity
 from myersonlab.learn import SampleMatrix
@@ -81,8 +81,8 @@ def op_bits(out: Path, name: str, cls, ops: int) -> None:
 
 
 def trial_loops(out: Path) -> None:
-    d = product_dist(make_discrete([0.2, 0.5, 0.9], [0.3, 0.4, 0.3]),
-                     make_discrete([0.1, 0.6, 0.8], [0.5, 0.2, 0.3]))
+    d = ProductDist((make_discrete([0.2, 0.5, 0.9], [0.3, 0.4, 0.3]),
+                     make_discrete([0.1, 0.6, 0.8], [0.5, 0.2, 0.3])))
     fs = uniform_matroid(2, 1)
     reports = [run_sample_complexity(fs, d, 0.1, 0.1, 0.15, t, 3) for t in (1, 50, 51, 52, 120)]
     reports.append(run_lb_family(3, 1, 0.01, 300, 40, 5))

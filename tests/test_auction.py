@@ -32,7 +32,6 @@ from myersonlab.dist import (
     discretize_uniform_with_atom,
     make_discrete,
     point_mass,
-    product_dist,
 )
 from myersonlab.feasible import (
     _exchange_violation,
@@ -105,15 +104,15 @@ class TestExpectedRevenue:
         assert expected_revenue(a, GADGET_BIG) == pytest.approx(2 * EPS, abs=1e-12)
 
     def test_single_bidder_point_mass(self):
-        d = product_dist(point_mass(0.5))
+        d = ProductDist((point_mass(0.5),))
         assert opt_revenue(d, uniform_matroid(1, 1)) == pytest.approx(0.5)
 
     def test_dimension_mismatch(self):
         a = myerson(GADGET_PRIOR, GADGET_FS)
         with pytest.raises(ValueError):
-            expected_revenue(a, product_dist(point_mass(0.5)))
+            expected_revenue(a, ProductDist((point_mass(0.5),)))
         with pytest.raises(ValueError):
-            myerson(product_dist(point_mass(0.5)), GADGET_FS)
+            myerson(ProductDist((point_mass(0.5),)), GADGET_FS)
 
     def test_enumeration_cap(self):
         # eight bidders whose eight atoms are eight runs: 8^8 = 16,777,216 cell
@@ -130,7 +129,7 @@ class TestExpectedRevenue:
                 evaluate()
 
     def test_point_mass_prior_constant_allocation(self):
-        prior = product_dist(point_mass(0.3), point_mass(0.7))
+        prior = ProductDist((point_mass(0.3), point_mass(0.7)))
         a = myerson(prior, uniform_matroid(2, 1))
         assert allocate(a, (0.3, 0.7)) == (0.0, 1.0)
 
@@ -192,7 +191,7 @@ class TestMonteCarlo:
         assert abs(mean - exact) <= 4 * stderr
 
     def test_zero_variance_prior(self):
-        prior = product_dist(point_mass(0.5))
+        prior = ProductDist((point_mass(0.5),))
         a = myerson(prior, uniform_matroid(1, 1))
         mean, stderr = expected_revenue_mc(a, prior, 1000, 1)
         assert stderr == 0.0
@@ -276,7 +275,7 @@ class TestForcedAllocation:
     def test_all_vertices_touch_sentinel_bidder(self):
         # no zero vector: allocation is forced even below the lowest atom
         fs = from_vertices([[1.0]])
-        prior = product_dist(make_discrete([0.5, 1.0], [0.5, 0.5]))
+        prior = ProductDist((make_discrete([0.5, 1.0], [0.5, 0.5]),))
         a = myerson(prior, fs)
         assert allocate(a, (0.1,)) == (1.0,)
         # the forced winner pays nothing: it never stops winning
@@ -320,13 +319,13 @@ def record_kernel_calls(monkeypatch):
     A line payment is one scorer call per bidder, over (own cell + 1, 1) points.
     """
     shapes = []
-    kernel = myersonlab.auction._score
+    kernel = myersonlab.auction._winners
 
-    def spy(terms):
-        shapes.append(np.broadcast_shapes(*(np.shape(t) for t in terms))[:-1])
-        return kernel(terms)
+    def spy(terms, cells):
+        shapes.append(np.broadcast_shapes(*(np.shape(c) for c in cells)))
+        return kernel(terms, cells)
 
-    monkeypatch.setattr(myersonlab.auction, "_score", spy)
+    monkeypatch.setattr(myersonlab.auction, "_winners", spy)
     return shapes
 
 
@@ -372,9 +371,9 @@ class TestAgainstScalarReference:
         "prior,dist,fs",
         [
             pytest.param(  # atoms below the prior's lowest one fall in cell 0
-                product_dist(make_discrete([0.5, 1.0], [0.5, 0.5]), uniform_grid([0.25, 0.75])),
-                product_dist(make_discrete([0.125, 0.5, 1.0], [0.25, 0.25, 0.5]),
-                             make_discrete([0.0, 0.5], [0.5, 0.5])),
+                ProductDist((make_discrete([0.5, 1.0], [0.5, 0.5]), uniform_grid([0.25, 0.75]))),
+                ProductDist((make_discrete([0.125, 0.5, 1.0], [0.25, 0.25, 0.5]),
+                             make_discrete([0.0, 0.5], [0.5, 0.5]))),
                 uniform_matroid(2, 1),
                 id="cell-0-occupied",
             ),
@@ -385,8 +384,8 @@ class TestAgainstScalarReference:
                 id="interior-cells-empty",
             ),
             pytest.param(
-                product_dist(make_discrete([0.25, 0.5, 1.0], [0.5, 0.25, 0.25])),
-                product_dist(make_discrete([0.125, 0.375, 1.0], [0.25, 0.25, 0.5])),
+                ProductDist((make_discrete([0.25, 0.5, 1.0], [0.5, 0.25, 0.25]),)),
+                ProductDist((make_discrete([0.125, 0.375, 1.0], [0.25, 0.25, 0.5]),)),
                 uniform_matroid(1, 1),
                 id="single-bidder",
             ),
@@ -402,26 +401,26 @@ class TestAgainstScalarReference:
         "prior,dist,fs",
         [
             pytest.param(  # no zero vertex: a point with a bidder in cell 0 falls back to welfare
-                product_dist(make_discrete([0.25, 1.0], [0.5, 0.5]),
-                             make_discrete([0.5, 0.75], [0.5, 0.5])),
-                product_dist(make_discrete([0.125, 0.25, 1.0], [0.25, 0.25, 0.5]),
-                             make_discrete([0.25, 0.5, 0.75], [0.5, 0.25, 0.25])),
+                ProductDist((make_discrete([0.25, 1.0], [0.5, 0.5]),
+                             make_discrete([0.5, 0.75], [0.5, 0.5]))),
+                ProductDist((make_discrete([0.125, 0.25, 1.0], [0.25, 0.25, 0.5]),
+                             make_discrete([0.25, 0.5, 0.75], [0.5, 0.25, 0.25]))),
                 from_vertices([[1.0, 0.5], [0.5, 1.0], [0.25, 0.25]]),
                 id="forced-fallback",
             ),
             pytest.param(  # atoms below each prior's lowest one fall in cell 0
-                product_dist(make_discrete([0.5, 1.0], [0.5, 0.5]), uniform_grid([0.25, 0.75]),
-                             uniform_grid([0.25, 0.5, 1.0])),
-                product_dist(make_discrete([0.0, 0.5, 1.0], [0.25, 0.25, 0.5]),
+                ProductDist((make_discrete([0.5, 1.0], [0.5, 0.5]), uniform_grid([0.25, 0.75]),
+                             uniform_grid([0.25, 0.5, 1.0]))),
+                ProductDist((make_discrete([0.0, 0.5, 1.0], [0.25, 0.25, 0.5]),
                              make_discrete([0.125, 0.25, 0.75], [0.5, 0.25, 0.25]),
-                             uniform_grid([0.0, 0.25, 0.5, 1.0])),
+                             uniform_grid([0.0, 0.25, 0.5, 1.0]))),
                 uniform_matroid(3, 2),
                 id="cell-0-occupied",
             ),
             pytest.param(  # bidder 0's cells 2 and 3 carry no mass
-                product_dist(uniform_grid([0.25, 0.5, 0.75, 1.0]), uniform_grid([0.25, 0.5, 1.0])),
-                product_dist(make_discrete([0.25, 1.0], [0.5, 0.5]),
-                             uniform_grid([0.25, 0.5, 1.0])),
+                ProductDist((uniform_grid([0.25, 0.5, 0.75, 1.0]), uniform_grid([0.25, 0.5, 1.0]))),
+                ProductDist((make_discrete([0.25, 1.0], [0.5, 0.5]),
+                             uniform_grid([0.25, 0.5, 1.0]))),
                 uniform_matroid(2, 1),
                 id="interior-cells-empty",
             ),
@@ -482,15 +481,15 @@ class TestAgainstScalarReference:
         # at this block size each block holds one line, so some blocks hold
         # only a line of bidder 1, whose highest occupied cell lies below bidder 0's
         monkeypatch.setattr("myersonlab.auction._BLOCK", 12)
-        prior = product_dist(uniform_grid([0.2, 0.4, 0.6, 0.8, 1.0]), uniform_grid([0.5, 1.0]))
+        prior = ProductDist((uniform_grid([0.2, 0.4, 0.6, 0.8, 1.0]), uniform_grid([0.5, 1.0])))
         a = myerson(prior, uniform_matroid(2, 1))
         self.check_expectations(a, prior)
 
     def test_every_vertex_touches_a_cell_zero_bidder(self):
         fs = from_vertices([[1.0, 0.5], [0.5, 1.0], [0.25, 0.25]])
-        prior = product_dist(
+        prior = ProductDist((
             make_discrete([0.25, 1.0], [0.5, 0.5]), make_discrete([0.5, 0.75], [0.5, 0.5])
-        )
+        ))
         a = myerson(prior, fs)
         for values in iproduct([0.0, 0.125, 0.25, 1.0], [0.0, 0.25, 0.5, 0.75]):
             self.check_profile(a, values)
@@ -500,9 +499,9 @@ class TestAgainstScalarReference:
         # it; bidder 0 wins in cell 0 (welfare 0 ties, first in tie order)
         # and loses in cell 1, where its virtual value is -0.75
         fs = from_vertices([[1.0, 1.0], [0.0, 1.0]])
-        prior = product_dist(
+        prior = ProductDist((
             make_discrete([0.125, 1.0], [0.5, 0.5]), make_discrete([0.5, 1.0], [0.5, 0.5])
-        )
+        ))
         a = myerson(prior, fs)
         assert allocate(a, (0.05, 0.25)) == (1.0, 1.0)
         assert allocate(a, (0.125, 0.25)) == (0.0, 1.0)
@@ -587,7 +586,7 @@ class TestRunsAgainstPerAtomCells:
                 from_vertices([[1.0, 0.5], [0.5, 1.0], [0.25, 0.25]]),
                 id="no-zero-vertex",
             ),
-            pytest.param(product_dist(NEAR_TIE, point_mass(0.5)), uniform_matroid(2, 1),
+            pytest.param(ProductDist((NEAR_TIE, point_mass(0.5))), uniform_matroid(2, 1),
                          id="near-tie"),
         ],
     )
@@ -616,7 +615,7 @@ class TestRunsAgainstPerAtomCells:
         assert allocate(gadget_auction, (0.5, 1.0, 0.05)) == (0.0, 1.0, 0.0)
 
     def test_virtual_values_apart_by_an_ulp_are_apart(self):
-        a = myerson(product_dist(NEAR_TIE, point_mass(0.5)), uniform_matroid(2, 1))
+        a = myerson(ProductDist((NEAR_TIE, point_mass(0.5))), uniform_matroid(2, 1))
         assert run_counts(a) == (2, 1)
         assert allocate(a, (0.5, 0.5)) == (0.0, 1.0)
         assert allocate(a, (0.5 + 2.0**-53, 0.5)) == (1.0, 0.0)
@@ -676,14 +675,15 @@ class TestOutcomeTables:
                 assert mc == expected_revenue_mc(lines, dist, 300, 5)
 
     def test_grid_scorer_and_kernel_agree_bit_for_bit(self, monkeypatch):
-        # myerson scores its grid in one call and _winners gathers term rows
-        # per profile; the welfare column sums x_i * phi_i[c_i] from +0.0, so
-        # the -0.0 terms of losers with negative phi leave no -0.0 behind.
+        # myerson scores its grid in one _winners call, here _winners scores the
+        # same profiles as a flat list of points; the welfare column sums
+        # x_i * phi_i[c_i] from +0.0, so the -0.0 terms of losers with
+        # negative phi leave no -0.0 behind.
         # A twin without tables runs lines at a value in each cell profile.
         rng = np.random.default_rng(23)
         cases = [(random_prior(rng, n), random_system(rng, n)) for n in rng.integers(1, 4, size=80)]
         cases.append((  # no zero vertex: a bidder in cell 0 forces the plain-welfare fallback
-            product_dist(make_discrete([0.25, 1.0], [0.5, 0.5]), make_discrete([0.5, 0.75], [0.5, 0.5])),
+            ProductDist((make_discrete([0.25, 1.0], [0.5, 0.5]), make_discrete([0.5, 0.75], [0.5, 0.5]))),
             from_vertices([[1.0, 0.5], [0.5, 1.0], [0.25, 0.25]]),
         ))
         negative_zeros = 0
@@ -695,7 +695,7 @@ class TestOutcomeTables:
             assert a._ranks is not None and lines._ranks is None
             cells = np.indices(a._ranks.shape).reshape(prior.n, -1)
             ranks = a._ranks.reshape(-1)
-            rows, kernel = _winners(a, list(cells))
+            rows, kernel = _winners(a._terms, list(cells))
             assert rows.tolist() == ranks.tolist()
             welfare = a._outcomes[..., prior.n].reshape(-1).tolist()
             assert [w.hex() for w in kernel.tolist()] == [w.hex() for w in welfare]
@@ -805,12 +805,12 @@ class TestValueToCell:
                 id="no-zero-vertex",
             ),
             pytest.param(  # both vertices serve bidder 1, even in cell 0
-                product_dist(make_discrete([0.125, 1.0], [0.5, 0.5]), make_discrete([0.5, 1.0], [0.5, 0.5])),
+                ProductDist((make_discrete([0.125, 1.0], [0.5, 0.5]), make_discrete([0.5, 1.0], [0.5, 0.5]))),
                 from_vertices([[1.0, 1.0], [0.0, 1.0]]),
                 id="forced-in-cell-0",
             ),
             pytest.param(  # an atom at 0, where -0.0 lands in cell 1
-                product_dist(make_discrete([0.0, 0.5, 1.0], [0.3, 0.3, 0.4]), uniform_grid([0.25, 0.75])),
+                ProductDist((make_discrete([0.0, 0.5, 1.0], [0.3, 0.3, 0.4]), uniform_grid([0.25, 0.75]))),
                 uniform_matroid(2, 1),
                 id="atom-at-zero",
             ),

@@ -20,7 +20,6 @@ from myersonlab.dist import (
     make_discrete,
     min_closeness_eps,
     point_mass,
-    product_dist,
 )
 from myersonlab.feasible import feasible_from_json
 from myersonlab.learn import dominated_empirical, draw_samples
@@ -384,22 +383,22 @@ class TestCdfAndQuantiles:
 
 class TestDominates:
     def test_gadget_pair(self):
-        big = product_dist(point_mass(1.0), point_mass(1.0))
-        small = product_dist(TWO_POINT, TWO_POINT)
+        big = ProductDist((point_mass(1.0), point_mass(1.0)))
+        small = ProductDist((TWO_POINT, TWO_POINT))
         assert dominates(big, small)
         assert not dominates(small, big)
 
     def test_reflexive(self):
-        p = product_dist(TWO_POINT)
+        p = ProductDist((TWO_POINT,))
         assert dominates(p, p)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            dominates(product_dist(TWO_POINT), product_dist(TWO_POINT, TWO_POINT))
+            dominates(ProductDist((TWO_POINT,)), ProductDist((TWO_POINT, TWO_POINT)))
 
     def test_mutual_dominance_means_equality(self):
-        a = product_dist(make_discrete([0.2, 0.8], [0.5, 0.5]))
-        b = product_dist(make_discrete([0.2, 0.8, 0.8], [0.5, 0.25, 0.25]))
+        a = ProductDist((make_discrete([0.2, 0.8], [0.5, 0.5]),))
+        b = ProductDist((make_discrete([0.2, 0.8, 0.8], [0.5, 0.25, 0.25]),))
         assert dominates(a, b) and dominates(b, a)
         assert a[0].support.tolist() == b[0].support.tolist()
         assert a[0].probs.tolist() == pytest.approx(b[0].probs.tolist(), abs=1e-12)
@@ -407,7 +406,7 @@ class TestDominates:
     @given(value_dists(), value_dists())
     @settings(max_examples=80, deadline=None)
     def test_mutual_dominance_property(self, x, y):
-        a, b = product_dist(x), product_dist(y)
+        a, b = ProductDist((x,)), ProductDist((y,))
         if dominates(a, b) and dominates(b, a):
             assert x.support.tolist() == y.support.tolist()
             assert all(abs(p - q) <= 1e-9 for p, q in zip(x.probs, y.probs))
@@ -425,7 +424,7 @@ def lipschitz_close_pair(n, k, eps):
 
 class TestCloseness:
     def test_identical_is_close(self):
-        p = product_dist(TWO_POINT, TWO_POINT)
+        p = ProductDist((TWO_POINT, TWO_POINT))
         assert is_close(p, p, 0.01, 2, 1)
         assert is_close_uniform(p, p, 0.01, 2, 1)
 
@@ -435,19 +434,19 @@ class TestCloseness:
         assert is_close(d, dt, 0.01, 2, 1)
 
     def test_point_masses_far_apart(self):
-        a = product_dist(point_mass(0.0))
-        b = product_dist(point_mass(1.0))
+        a = ProductDist((point_mass(0.0),))
+        b = ProductDist((point_mass(1.0),))
         assert not is_close(a, b, 0.1, 1, 1)
 
     def test_uniform_boundary_gap(self):
-        a = product_dist(point_mass(0.5), point_mass(0.5))
-        b = product_dist(make_discrete([0.0, 0.5], [0.05, 0.95]), point_mass(0.5))
+        a = ProductDist((point_mass(0.5), point_mass(0.5)))
+        b = ProductDist((make_discrete([0.0, 0.5], [0.05, 0.95]), point_mass(0.5)))
         # gap 0.05 against bound eps / sqrt(nk) = 0.1 / 2
         assert is_close_uniform(a, b, 0.1, 2, 2)
         assert not is_close_uniform(a, b, 0.09, 2, 2)
 
     def test_eps_range_errors(self):
-        p = product_dist(TWO_POINT)
+        p = ProductDist((TWO_POINT,))
         with pytest.raises(ValueError):
             is_close(p, p, 0.0, 1, 1)
         with pytest.raises(ValueError):
@@ -456,7 +455,7 @@ class TestCloseness:
             for n, k in ((math.nan, 1), (2, math.nan), (0, 1), (-1, 1), (1, 0)):
                 with pytest.raises(ValueError, match="at least 1"):
                     close(p, p, 0.1, n, k)
-        q = product_dist(point_mass(0.3))
+        q = ProductDist((point_mass(0.3),))
         for n, k in ((0, 1), (-1, 1), (math.nan, 1), (1, 0)):
             with pytest.raises(ValueError, match="at least 1"):
                 min_closeness_eps(p, q, n, k)
@@ -464,14 +463,14 @@ class TestCloseness:
     @given(value_dists(), value_dists(), st.floats(0.01, 1.0), st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
     def test_close_implies_uniformly_close(self, x, y, eps, n, k):
-        a, b = product_dist(x), product_dist(y)
+        a, b = ProductDist((x,)), ProductDist((y,))
         if is_close(a, b, eps, n, k):
             assert is_close_uniform(a, b, eps, n, k)
 
     @given(value_dists(), value_dists(), st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=100, deadline=None)
     def test_min_closeness_eps_is_tight(self, x, y, n, k):
-        a, b = product_dist(x), product_dist(y)
+        a, b = ProductDist((x,)), ProductDist((y,))
         eps = min_closeness_eps(a, b, n, k)
         if 0.0 < eps <= 1.0:
             assert is_close(a, b, min(1.0, eps * (1 + 1e-9) + 1e-12), n, k)
@@ -512,7 +511,7 @@ class TestJson:
         assert bits(d) == bits(TWO_POINT)
 
     def test_product_round_trip(self):
-        p = product_dist(TWO_POINT, point_mass(0.5))
+        p = ProductDist((TWO_POINT, point_mass(0.5)))
         assert p.to_json() == [TWO_POINT.to_json(), {"support": [0.5], "probs": [1.0]}]
         q = ProductDist.from_json(p.to_json())
         assert type(q) is ProductDist and list(map(bits, q)) == list(map(bits, p))
@@ -560,12 +559,12 @@ class TestProductDist:
 
     def test_slices_are_the_coordinates(self):
         half, one = point_mass(0.5), point_mass(1.0)
-        p = product_dist(TWO_POINT, half, one)
+        p = ProductDist((TWO_POINT, half, one))
         assert p[1:] == (half, one)
         assert list(p) == [TWO_POINT, half, one]
 
     def test_priors_compare_by_identity(self):
-        a = product_dist(TWO_POINT, point_mass(0.5))
+        a = ProductDist((TWO_POINT, point_mass(0.5)))
         b = ProductDist.from_json(a.to_json())
         assert list(map(bits, a)) == list(map(bits, b))
         assert a != b and a == ProductDist(tuple(a)) and a[1] != point_mass(0.5)
@@ -615,8 +614,8 @@ class TestCheckpointOracle:
         a = make_discrete([0.1, 0.2, 0.3], [0.1, 0.2, 0.7])
         b = make_discrete([0.1, 0.2, 0.3], [0.1 + 1e-13, 0.2 - 1e-13, 0.7])
         for x, y in ((a, b), (b, a)):
-            self.assert_agrees(product_dist(x), product_dist(y), 2, 1)
-            assert min_closeness_eps(product_dist(x), product_dist(y), 2, 1) == 0.0
+            self.assert_agrees(ProductDist((x,)), ProductDist((y,)), 2, 1)
+            assert min_closeness_eps(ProductDist((x,)), ProductDist((y,)), 2, 1) == 0.0
 
     def test_learned_prior(self):
         prior = ProductDist(tuple(discretize_uniform_with_atom(v, 0.1, 0.01) for v in (0.55, 0.8)))

@@ -21,7 +21,6 @@ from myersonlab.dist import (
     make_discrete,
     min_closeness_eps,
     point_mass,
-    product_dist,
     virtual_table,
 )
 from myersonlab.feasible import (
@@ -301,7 +300,7 @@ class TestMatroidHalf:
 
 class TestApproxMonotone:
     def test_identical_pair_trivially_passes(self):
-        d = product_dist(uniform_grid([0.2, 0.6, 1.0]), point_mass(0.5))
+        d = ProductDist((uniform_grid([0.2, 0.6, 1.0]), point_mass(0.5)))
         r = check_approx_monotone(d, d, 0.3, uniform_matroid(2, 1))
         assert r.passed
 
@@ -316,7 +315,7 @@ class TestApproxMonotone:
             check_approx_monotone(dtilde, d, 0.1, fs)
 
     def test_dimension_mismatch(self):
-        d = product_dist(uniform_grid([0.2, 0.6, 1.0]), point_mass(0.5))
+        d = ProductDist((uniform_grid([0.2, 0.6, 1.0]), point_mass(0.5)))
         with pytest.raises(ValueError, match="^distribution and system dimensions disagree$"):
             check_approx_monotone(d, d, 0.3, minimum_non_matroid())
 
@@ -415,21 +414,21 @@ def check_single_bidder_bound(
 
 class TestSingleBidderBound:
     def test_theta_zero(self):
-        d = product_dist(point_mass(0.5))
+        d = ProductDist((point_mass(0.5),))
         r = check_single_bidder_bound(d, d, 0.5, 1, 1, 0, 0.0)
         assert r.metrics["lhs"] == 0.0
         assert r.passed
 
     def test_identity_on_concave_pair(self):
         d0 = make_discrete([0.25, 0.75], [0.5, 0.5])
-        p = product_dist(d0)
+        p = ProductDist((d0,))
         r = check_single_bidder_bound(p, p, 0.5, 1, 1, 0, 0.4)
         assert r.metrics["lhs"] == pytest.approx(revenue_at(d0, 0.4), abs=1e-12)
         assert r.passed
 
     def test_irregular_design_prior_rejected(self):
         irregular = make_discrete([0.4, 0.5, 1.0], [0.8, 0.1, 0.1])
-        p = product_dist(irregular)
+        p = ProductDist((irregular,))
         with pytest.raises(PreconditionError, match="regular"):
             check_single_bidder_bound(p, p, 0.5, 1, 1, 0, 0.4)
 
@@ -574,8 +573,8 @@ def as_samples(d, counts):
 
 
 def three_atom_pair():
-    return product_dist(make_discrete([0.2, 0.5, 0.9], [0.3, 0.4, 0.3]),
-                        make_discrete([0.1, 0.6, 0.8], [0.5, 0.2, 0.3]))
+    return ProductDist((make_discrete([0.2, 0.5, 0.9], [0.3, 0.4, 0.3]),
+                        make_discrete([0.1, 0.6, 0.8], [0.5, 0.2, 0.3])))
 
 
 @pytest.fixture
@@ -597,7 +596,7 @@ class TestTrialStreams:
     whatever the number of trials, drawn in blocks of at most _BLOCK numbers, or one trial."""
 
     def test_sample_complexity_reads_consecutive_blocks(self, drawn, monkeypatch):
-        d = product_dist(uniform_grid([0.2, 0.5, 1.0]), uniform_grid([0.3, 0.9]))  # 2 x 3 counts a trial
+        d = ProductDist((uniform_grid([0.2, 0.5, 1.0]), uniform_grid([0.3, 0.9])))  # 2 x 3 counts a trial
         fs = uniform_matroid(2, 1)
         want = count_rows(d, 21, 5, 11)
         assert (want[:, 1, 0] == 0).all() and (want.sum(axis=2) == 21).all()  # the second bidder's pad
@@ -624,6 +623,22 @@ class TestTrialStreams:
                 assert [len(counts) for counts in blocks] == sizes
                 # with 5 trials, the first 3 rows are those of 3 trials
                 assert np.array_equal(np.concatenate(blocks), count_rows(member, budget, 5, 6, mi)[:trials])
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: _trial_counts(three_atom_pair(), 5, 0, 0),
+            lambda: run_sample_complexity(uniform_matroid(2, 1), three_atom_pair(), 0.1, 0.1, 1.0, 0, 0),
+            lambda: run_lb_family(2, 1, 0.01, 5, 0, 0),
+        ],
+        ids=["draw", "sample-complexity", "lb-family"],
+    )
+    def test_zero_trials_are_refused_by_the_count_draw(self, run, monkeypatch):
+        # _trial_counts checks the trial count when called, before any auction is built
+        monkeypatch.setattr("myersonlab.lab.myerson", None)
+        monkeypatch.setattr("myersonlab.lab.opt_revenue", None)
+        with pytest.raises(ValueError, match="^trials must be at least 1$"):
+            run()
 
 
 class TestTrialLoopsAcrossBlocks:
@@ -709,13 +724,13 @@ class TestTrialLoopMemory:
 
 class TestSampleComplexity:
     def test_point_mass_prior_never_fails(self):
-        d = product_dist(point_mass(0.4), point_mass(0.8))
+        d = ProductDist((point_mass(0.4), point_mass(0.8)))
         r = run_sample_complexity(uniform_matroid(2, 1), d, 0.1, 0.1, 1.0, 20, 0)
         assert r.metrics["failure_frequency"] == 0.0
         assert r.passed
 
     def test_setting_detection(self):
-        d = product_dist(point_mass(0.4), point_mass(0.8))
+        d = ProductDist((point_mass(0.4), point_mass(0.8)))
         r1 = run_sample_complexity(uniform_matroid(2, 1), d, 0.1, 0.1, 1.0, 5, 0)
         r2 = run_sample_complexity(all_or_nothing(2, 1), d, 0.1, 0.1, 1.0, 5, 0)
         assert r1.params["setting"] == "downward_closed"
@@ -724,14 +739,14 @@ class TestSampleComplexity:
 
     def test_refuses_a_bidder_every_vertex_serves(self, monkeypatch):
         # refused before any auction is built: opt_revenue would raise CrossCheckError
-        d = product_dist(uniform_grid([0.5, 1.0]), uniform_grid([0.5, 1.0]))
+        d = ProductDist((uniform_grid([0.5, 1.0]), uniform_grid([0.5, 1.0])))
         monkeypatch.setattr("myersonlab.lab.myerson", None)
         monkeypatch.setattr("myersonlab.lab.opt_revenue", None)
         with pytest.raises(PreconditionError, match="^every vertex serves bidder 0, even below"):
             run_sample_complexity(from_vertices([[1.0, 0.0]]), d, 0.1, 0.1, 1.0, 2, 0)
 
     def test_a_system_that_can_leave_each_bidder_out_is_taken(self):
-        d = product_dist(uniform_grid([0.5, 1.0]), uniform_grid([0.5, 1.0]))
+        d = ProductDist((uniform_grid([0.5, 1.0]), uniform_grid([0.5, 1.0])))
         r = run_sample_complexity(from_vertices([[1.0, 0.0], [0.0, 1.0]]), d, 0.1, 0.1, 1.0, 2, 0)
         assert r.metrics["opt"] == pytest.approx(0.75, abs=1e-12)  # E[max virtual value], 1 at value 1
 

@@ -18,7 +18,6 @@ from myersonlab.dist import (
     is_close,
     make_discrete,
     point_mass,
-    product_dist,
 )
 from myersonlab.learn import (
     SampleMatrix,
@@ -71,7 +70,7 @@ def grid_prior(n=2):
 
 class TestDrawSamples:
     def test_point_mass_prior_constant(self):
-        s = draw_samples(product_dist(point_mass(0.3), point_mass(0.7)), 50, 0)
+        s = draw_samples(ProductDist((point_mass(0.3), point_mass(0.7))), 50, 0)
         assert np.all(s.values[:, 0] == 0.3)
         assert np.all(s.values[:, 1] == 0.7)
 
@@ -119,7 +118,7 @@ class TestDrawSamples:
             weights = rng.integers(1, 1000, size=m)
             return make_discrete(rng.choice(1000, size=m, replace=False) / 999, weights / weights.sum())
 
-        d = product_dist(
+        d = ProductDist((
             point_mass(0.3),
             make_discrete([0.2, 0.9], [0.6, 0.4]),
             make_discrete([0.1, 0.5, 0.8], [0.7, 0.2, 0.1]),
@@ -127,7 +126,7 @@ class TestDrawSamples:
             spread(_GATE),
             spread(_GATE + 1),
             discretize_uniform_with_atom(0.55, 0.1, 0.001),
-        )
+        ))
         assert [len(dj.support) for dj in d] == [1, 2, 3, 40, 128, 129, 1001]
         seeds = [0, 7, 2**40] + [np.random.SeedSequence(909, spawn_key=(t,)) for t in range(3)]
         for seed in seeds:
@@ -407,7 +406,7 @@ class TestCountedLearner:
 
     @pytest.mark.parametrize("count", [1, 60, 4239])
     def test_grid_and_binary_priors(self, count):
-        for d in (grid_prior(), product_dist(make_discrete([0.0, 1.0], [0.3, 0.7]), point_mass(0.0))):
+        for d in (grid_prior(), ProductDist((make_discrete([0.0, 1.0], [0.3, 0.7]), point_mass(0.0)))):
             s = draw_samples(d, count, count)
             want = bits(dominated_empirical(s, 0.1))
             assert bits(oracles.counted_empirical(d, self.counts(d, s), 0.1)) == want
@@ -530,7 +529,7 @@ class TestHellinger:
         assert h2 <= 2 * 0.01**2 * 4
 
     def test_product_of_identical_is_zero(self):
-        p = product_dist(D_PLUS, D_PLUS)
+        p = ProductDist((D_PLUS, D_PLUS))
         assert hellinger_sq_product(p, p) == 0.0
 
     def test_product_form_below_coordinate_sum(self):
@@ -542,8 +541,8 @@ class TestHellinger:
         assert exact <= sum(hellinger_sq(D_PLUS, D_MINUS) for _ in range(n)) + 1e-15
 
     def test_one_disjoint_coordinate_saturates(self):
-        p = product_dist(D_PLUS, point_mass(0.2))
-        q = product_dist(D_PLUS, point_mass(0.9))
+        p = ProductDist((D_PLUS, point_mass(0.2)))
+        q = ProductDist((D_PLUS, point_mass(0.9)))
         assert hellinger_sq_product(p, q) == pytest.approx(1.0)
 
     def test_subadditivity_random_products(self):
