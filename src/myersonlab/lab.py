@@ -1,5 +1,6 @@
-"""Experiment harness: counterexample constructions, inequality checks, and
-sample-complexity trials, each emitting a machine-readable report.
+"""Experiment harness: counterexample constructions, inequality checks, and sample-complexity
+trials, each emitting a machine-readable report. The monotonicity reports share two revenue metrics
+(_revenues); the constructions add their gap and strict-drop verdict (_drop), approx-monotone its slack.
 
 Every experiment is deterministic given its inputs and seed. Trial t of a trial loop learns from
 row t of its count stream, learn._trial_counts(d, count, trials, seed, *key), whatever the number of
@@ -68,10 +69,21 @@ def _report(experiment, params, metrics, ok, seed=None) -> Report:
     return Report(experiment, params, metrics, "pass" if ok else "fail", seed)
 
 
-def _revenues(dtilde: ProductDist, d: ProductDist, fs: FeasibleSet) -> tuple[float, float]:
-    """Exact revenue of the design-prior auction on the design prior and on d."""
+def _revenues(dtilde: ProductDist, d: ProductDist, fs: FeasibleSet) -> dict:
+    """The revenue metrics, in this order: the design-prior auction's exact revenue on dtilde and on d."""
     a = myerson(dtilde, fs)
-    return expected_revenue(a, dtilde), expected_revenue(a, d)
+    return {
+        "revenue_on_design_prior": expected_revenue(a, dtilde),
+        "revenue_on_dominating": expected_revenue(a, d),
+    }
+
+
+def _drop(experiment: str, params: dict, dtilde, d, fs, **metrics) -> Report:
+    """A construction's report: its metrics, the revenues and their gap; it passes if revenue drops."""
+    revenues = _revenues(dtilde, d, fs)
+    on_design, on_dominating = revenues.values()
+    metrics.update(revenues, gap=on_design - on_dominating)
+    return _report(experiment, params, metrics, on_dominating < on_design)
 
 
 # ---------------------------------------------------------------------------
@@ -94,18 +106,8 @@ def nonmonotone_gadget(eps: float) -> tuple[ProductDist, ProductDist, FeasibleSe
 
 
 def run_nonmonotone(eps: float = 0.1) -> Report:
-    """Exact revenues of the design-prior auction on both priors."""
-    on_design, on_dominating = _revenues(*nonmonotone_gadget(eps))
-    return _report(
-        "nonmonotone",
-        {"eps": eps},
-        {
-            "revenue_on_design_prior": on_design,
-            "revenue_on_dominating": on_dominating,
-            "gap": on_design - on_dominating,
-        },
-        on_dominating < on_design,
-    )
+    """Exact revenues of the design-prior auction on both priors, and their gap."""
+    return _drop("nonmonotone", {"eps": eps}, *nonmonotone_gadget(eps))
 
 
 def run_copies(k: int) -> Report:
@@ -137,7 +139,9 @@ def embed_counterexample(fs: FeasibleSet, eps: float = 0.1) -> Report:
     intersection bidders sit at value 1, bystanders inside the pair at 1/n,
     and the gadget itself is scaled by 1/n. Everyone else is at 0 but for a
     1% atom at eps/(10n), which makes their ironed virtual value at 0
-    negative, so they never tie with the low values of B and C.
+    negative, so they never tie with the low values of B and C. The
+    report adds the witness pair and its intersection size to the
+    revenues and their gap.
     """
     if not 0.0 < eps < 1.0:  # also catches NaN
         raise ValueError(f"eps {eps!r} outside (0, 1)")
@@ -172,19 +176,15 @@ def embed_counterexample(fs: FeasibleSet, eps: float = 0.1) -> Report:
             lo = hi = outsider
         parts.append((lo, hi))
     dtilde, d = map(ProductDist, zip(*parts))
-    on_design, on_dominating = _revenues(dtilde, d, fs)
-    return _report(
+    return _drop(
         "embed",
         {"eps": eps, "n": n},
-        {
-            "violating_set": list(s_big),
-            "violating_smaller_set": list(s_small),
-            "intersection_size": len(inter),
-            "revenue_on_design_prior": on_design,
-            "revenue_on_dominating": on_dominating,
-            "gap": on_design - on_dominating,
-        },
-        on_dominating < on_design,
+        dtilde,
+        d,
+        fs,
+        violating_set=list(s_big),
+        violating_smaller_set=list(s_small),
+        intersection_size=len(inter),
     )
 
 
@@ -209,21 +209,18 @@ def check_approx_monotone(
     fs: FeasibleSet,
     uniform: bool = False,
 ) -> Report:
-    """Dominating prior loses at most the closeness slack against the design prior."""
+    """Dominating prior loses at most the closeness slack; the report holds both revenues and the slack."""
     if dd.n != fs.n or dtilde.n != fs.n:
         raise ValueError("distribution and system dimensions disagree")
     n, k = fs.n, fs.rank
     _require_dominated_close(dd, dtilde, eps, n, k, uniform)
     slack = sqrt(n / k) * eps if uniform else eps
-    on_design, on_dominating = _revenues(dtilde, dd, fs)
+    revenues = _revenues(dtilde, dd, fs)
+    on_design, on_dominating = revenues.values()
     return _report(
         "approx-monotone",
         {"eps": eps, "n": n, "k": k, "uniform": uniform},
-        {
-            "revenue_on_design_prior": on_design,
-            "revenue_on_dominating": on_dominating,
-            "slack": slack,
-        },
+        {**revenues, "slack": slack},
         on_dominating >= on_design - slack - VERDICT_TOL,
     )
 

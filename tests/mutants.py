@@ -1,4 +1,4 @@
-"""Run the auction kernel's mutants against the tests, one at a time, and say which the tests kill.
+"""Run mutants of src/ against the tests, one at a time, and say which the tests kill.
 
     python tests/mutants.py
 
@@ -27,7 +27,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT = 600  # seconds for one mutant's test run
 AUCTION = "src/myersonlab/auction.py"
+DIST = "src/myersonlab/dist.py"
+LEARN = "src/myersonlab/learn.py"
+LAB = "src/myersonlab/lab.py"
+CLI = "src/myersonlab/cli.py"
 TESTS = ["tests/test_auction.py"]
+LOOP_TESTS = ["tests/test_lab.py", "tests/test_learn.py", "tests/test_cli.py"]
 
 MUTANTS = [
     {
@@ -105,6 +110,170 @@ MUTANTS = [
         "tests": TESTS,
         "reason": "bidder i's cells lie on grid axis n - 1 - i, so the outcome tables are transposed",
     },
+    {
+        "name": "contraction-in-reversed-order",
+        "file": AUCTION,
+        "snippet": "        for m, t in zip(masses, table.shape):\n"
+                   "            table = m[:t] @ table.reshape(t, -1)",
+        "replacement": "        for m, t in reversed(list(zip(masses, table.shape))):\n"
+                       "            table = np.tensordot(m[:t], table, axes=(0, table.ndim - 2))",
+        "tests": TESTS,
+        "reason": "the outcome tables are contracted last bidder first, so expectations round another way",
+    },
+    {
+        "name": "cells-below-strictly",
+        "file": AUCTION,
+        "snippet": "    return (a._thresholds <= values[:, None]).sum(axis=1)\n",
+        "replacement": "    return (a._thresholds < values[:, None]).sum(axis=1)\n",
+        "tests": TESTS,
+        "reason": "a value equal to a run's first atom falls in the cell below it",
+    },
+    {
+        "name": "zero-threshold-pads",
+        "file": AUCTION,
+        "snippet": "    thresholds = np.full((n, width), np.nan)",
+        "replacement": "    thresholds = np.zeros((n, width))",
+        "tests": TESTS,
+        "reason": "every value reaches a bidder's pads past its last run, so it lands in a cell beyond them",
+    },
+    {
+        "name": "intervals-from-their-own-start",
+        "file": DIST,
+        "snippet": "(q0 < q)",
+        "replacement": "(q0 <= q)",
+        "tests": ["tests/test_curves.py"],
+        "reason": "a raw breakpoint at a hull segment's left end can mark the segment ironed",
+    },
+    {
+        "name": "below-summed-right-to-left",
+        "file": DIST,
+        "snippet": "            below = list(accumulate(masses, initial=0.0))\n",
+        "replacement": "            below = [0.0] + [sum(masses[j::-1]) for j in range(len(masses))]\n",
+        "tests": ["tests/test_curves.py"],
+        "reason": "a short prior's running sums of its lowest atoms are added top down, so they round another way",
+    },
+    {
+        "name": "sampler-searches-right",
+        "file": LEARN,
+        "snippet": "dj._below[1:-1].searchsorted(col[order])",
+        "replacement": "dj._below[1:-1].searchsorted(col[order], side=\"right\")",
+        "tests": ["tests/test_learn.py"],
+        "reason": "a uniform equal to a partial sum takes the atom above it",
+    },
+    {
+        "name": "no-sample-count-guard",
+        "file": LEARN,
+        "snippet": "        raise ValueError(\"trials must be at least 1\")\n"
+                   "    if count < 1:\n"
+                   "        raise ValueError(\"sample count must be at least 1\")\n",
+        "replacement": "        raise ValueError(\"trials must be at least 1\")\n",
+        "tests": LOOP_TESTS,
+        "reason": "a trial loop of 0 samples a trial learns from nothing, where it should be refused",
+    },
+    {
+        "name": "full-last-block",
+        "file": LEARN,
+        "snippet": "sizes = ((min(block, trials - start), d.n)",
+        "replacement": "sizes = ((block, d.n)",
+        "tests": LOOP_TESTS,
+        "reason": "the last block draws a whole block of trials, past the trials asked for",
+    },
+    {
+        "name": "four-times-larger-blocks",
+        "file": LEARN,
+        "snippet": "    block = max(1, _BLOCK // masses.size)\n",
+        "replacement": "    block = max(1, 4 * _BLOCK // masses.size)\n",
+        "tests": LOOP_TESTS,
+        "reason": "a block of counts holds four times _BLOCK numbers",
+    },
+    {
+        "name": "one-block-per-loop",
+        "file": LEARN,
+        "snippet": "    block = max(1, _BLOCK // masses.size)\n",
+        "replacement": "    block = trials\n",
+        "tests": LOOP_TESTS,
+        "reason": "a loop draws every trial's counts at once, so its memory grows with the trials",
+    },
+    {
+        "name": "masses-padded-on-the-right",
+        "file": LEARN,
+        "snippet": "np.concatenate((np.zeros(width - len(dj.probs)), dj.probs))",
+        "replacement": "np.concatenate((dj.probs, np.zeros(width - len(dj.probs))))",
+        "tests": LOOP_TESTS,
+        "reason": "a narrower prior's counts sit under the wrong atoms, and its last pad takes the rest",
+    },
+    {
+        "name": "sampled-zeros-not-merged",
+        "file": LEARN,
+        "snippet": "masses[head], vals[head] = bottom + (cum[head] - bottom), 0.0",
+        "replacement": "masses[head], vals[head] = bottom, 0.0",
+        "tests": LOOP_TESTS,
+        "reason": "the samples at 0.0 add no mass to the learned prior's bottom atom",
+    },
+    {
+        "name": "members-share-one-stream",
+        "file": LAB,
+        "snippet": "_trial_counts(member, sample_budget, trials, seed, mi)",
+        "replacement": "_trial_counts(member, sample_budget, trials, seed)",
+        "tests": ["tests/test_lab.py"],
+        "reason": "every lb-family member learns from the same stream, so the members' trials are not independent",
+    },
+    {
+        "name": "curves-floats-by-16g",
+        "file": CLI,
+        "snippet": "\"\\n    [\\n      %r,\\n      %r\\n    ]\"",
+        "replacement": "\"\\n    [\\n      %.16g,\\n      %.16g\\n    ]\"",
+        "tests": ["tests/test_cli.py"],
+        "reason": "a float of 17 significant digits loses its last, and 1.0 is written as 1",
+    },
+    {
+        "name": "curves-empty-list-indented",
+        "file": CLI,
+        "snippet": "        return \"[]\"\n",
+        "replacement": "        return \"[\\n  ]\"\n",
+        "tests": ["tests/test_cli.py"],
+        "reason": "an empty pair list is written as json writes a non-empty one",
+    },
+    {
+        "name": "curves-monopoly-one-space",
+        "file": CLI,
+        "snippet": ".replace(\"\\n\", \"\\n  \")",
+        "replacement": ".replace(\"\\n\", \"\\n \")",
+        "tests": ["tests/test_cli.py"],
+        "reason": "the monopoly dict is indented one space less than json's",
+    },
+    {
+        "name": "gap-sign-flipped",
+        "file": LAB,
+        "snippet": "gap=on_design - on_dominating",
+        "replacement": "gap=on_dominating - on_design",
+        "tests": ["tests/test_lab.py"],
+        "reason": "a construction reports its revenue drop as a negative gap",
+    },
+    {
+        "name": "drop-verdict-non-strict",
+        "file": LAB,
+        "snippet": "on_dominating < on_design)",
+        "replacement": "on_dominating <= on_design)",
+        "tests": ["tests/test_lab.py"],
+        "reason": "a construction whose revenue does not drop at all passes",
+    },
+    {
+        "name": "approx-slack-added",
+        "file": LAB,
+        "snippet": "on_dominating >= on_design - slack - VERDICT_TOL",
+        "replacement": "on_dominating >= on_design + slack - VERDICT_TOL",
+        "tests": ["tests/test_lab.py"],
+        "reason": "approx-monotone asks revenue to rise by the slack, where it may fall by as much",
+    },
+    {
+        "name": "approx-without-tolerance",
+        "file": LAB,
+        "snippet": "on_dominating >= on_design - slack - VERDICT_TOL",
+        "replacement": "on_dominating >= on_design - slack",
+        "tests": ["tests/test_lab.py"],
+        "reason": "a drop of exactly the slack, rounded a few ulps past it, fails approx-monotone",
+    },
 ]
 
 
@@ -150,14 +319,14 @@ def main() -> int:
     bad, start = 0, time.perf_counter()
     for m in MUTANTS:
         if m.get("status") == "inapplicable":
-            print(f"{m['name']:28} inapplicable  {m['reason']}")
+            print(f"{m['name']:32} inapplicable  {m['reason']}")
             continue
         t0 = time.perf_counter()
         outcome, test = run(m)
         equivalent = m.get("status") == "equivalent"
         bad += (outcome == "survived") != equivalent
         mark = " (marked equivalent)" if equivalent else ""
-        print(f"{m['name']:28} {outcome:9} {time.perf_counter() - t0:6.1f} s  {test}{mark}", flush=True)
+        print(f"{m['name']:32} {outcome:9} {time.perf_counter() - t0:6.1f} s  {test}{mark}", flush=True)
     print(f"{bad} mutants not as expected, {time.perf_counter() - start:.1f} s in all")
     return 1 if bad else 0
 

@@ -36,6 +36,7 @@ from myersonlab.lab import (
     VERDICT_TOL,
     PreconditionError,
     Report,
+    _drop,
     _report,
     _require_dominated_close,
     check_approx_monotone,
@@ -342,6 +343,46 @@ class TestApproxMonotone:
 
     def test_fuzz_uniform_variant(self):
         self._fuzz(uniform=True, count=80, seed=102)
+
+
+REVENUES = {"revenue_on_design_prior", "revenue_on_dominating"}
+
+
+class TestRevenueReports:
+    """The three monotonicity experiments report the same two revenue metrics: the constructions
+    with their gap and a strict-drop verdict, approx-monotone with its slack."""
+
+    def test_nonmonotone_keys(self):
+        assert set(run_nonmonotone(0.1).metrics) == REVENUES | {"gap"}
+
+    def test_embed_keys(self):
+        r = embed_counterexample(minimum_non_matroid())
+        witness = {"violating_set", "violating_smaller_set", "intersection_size"}
+        assert set(r.metrics) == witness | REVENUES | {"gap"}
+
+    def test_approx_monotone_keys(self):
+        d = ProductDist((uniform_grid([0.2, 0.6, 1.0]), point_mass(0.5)))
+        r = check_approx_monotone(d, d, 0.3, uniform_matroid(2, 1))
+        assert set(r.metrics) == REVENUES | {"slack"}
+
+    def test_a_gap_of_zero_fails(self):
+        # no public input reaches it: the gadget takes eps in (0, 1/2) and embed eps in (0, 1),
+        # where both drop; the design prior scored against itself gives exactly 0.0
+        dtilde, _, fs = nonmonotone_gadget(0.1)
+        r = _drop("nonmonotone", {"eps": 0.1}, dtilde, dtilde, fs)
+        assert r.metrics["gap"] == 0.0 and r.verdict == "fail"
+
+    @pytest.mark.parametrize(
+        "past, verdict", [(-0.1, "pass"), (0.0, "pass"), (1e-12, "pass"), (0.5 * VERDICT_TOL, "pass"),
+                          (2 * VERDICT_TOL, "fail"), (0.1, "fail")]
+    )
+    def test_approx_verdict_at_the_slack(self, monkeypatch, past, verdict):
+        # a drop of the slack plus rounding passes; a drop past the slack by more than VERDICT_TOL fails
+        revenues = {"revenue_on_design_prior": 1.0, "revenue_on_dominating": 0.75 - past}
+        monkeypatch.setattr("myersonlab.lab._revenues", lambda dtilde, d, fs: dict(revenues))
+        d = ProductDist((uniform_grid([0.2, 0.6, 1.0]), point_mass(0.5)))
+        r = check_approx_monotone(d, d, 0.25, uniform_matroid(2, 1))
+        assert r.metrics == {**revenues, "slack": 0.25} and r.verdict == verdict
 
 
 # The paper's single-bidder lemma, checked exactly on finite priors. Only

@@ -107,6 +107,26 @@ class TestDrawSamples:
             idx = np.minimum(idx, len(dj.support) - 1)
             assert np.array_equal(s.values[:, 0], np.asarray(dj.support)[idx])
 
+    def test_a_uniform_equal_to_a_partial_sum_takes_the_atom_it_completes(self):
+        # the generalized inverse, inf{v : F(v) >= u}; a Generator draws such a u with probability
+        # about 2**-53 per draw, so a Generator whose uniforms are given feeds them in. Dyadic masses
+        # make the partial sums exact, in a 3-atom column and in a column past the sampling gate.
+
+        class Given(np.random.Generator):
+            def __init__(self, u):
+                super().__init__(np.random.PCG64(0))
+                self.u = u
+
+            def random(self, size=None):
+                return self.u.reshape(size).copy()
+
+        wide = 2 * _GATE
+        d = ProductDist((make_discrete([0.1, 0.2, 0.3], [0.25, 0.25, 0.5]),
+                         make_discrete(np.arange(1, wide + 1) / wide, np.full(wide, 1 / wide))))
+        u = np.array([[0.0, 0.0], [0.25, 1 / wide], [0.5, 0.5], [0.75, 1 - 1 / wide]])
+        expected = [[0.1, 1 / wide], [0.1, 1 / wide], [0.2, 0.5], [0.3, 1 - 1 / wide]]
+        assert draw_samples(d, 4, Given(u)).values.tolist() == expected
+
     @pytest.mark.parametrize("count", [1, 2, 1060, 1726])
     def test_one_pass_matches_the_clipped_column_oracle(self, count):
         # a 1-atom, a binary, a 3-atom, a 40-atom, a 128-atom, a 129-atom and the
