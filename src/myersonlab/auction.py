@@ -33,10 +33,22 @@ Other auctions run lines: a payment each bidder's up to its own cell, an
 expectation one per profile of the others' occupied cells, in blocks,
 welfare off bidder 0's lines. An auction holds its prior, system,
 thresholds, term tables and outcome tables if any.
+
+Trial loops build many small auctions, where numpy's fixed cost per call
+dominates, so _auctions takes a stream of priors and fills the tables of
+a run of consecutive ones at once: a block, at most _PRIORS priors whose
+tables, over the most cells each bidder has in any of them, fit _BLOCK.
+Every array carries a prior axis just before the vertices, and one
+_winners call and a _pay per bidder fill all of them, with the same sums
+in the same order as myerson's. Each auction holds read-only views of its
+own slices, which end before the pad cells of the priors with fewer runs.
+myerson stays the driver for one prior: a block of one, a prior whose
+grid fits no block, and every call outside the trial loops.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from math import prod
 
@@ -47,6 +59,7 @@ from .feasible import FeasibleSet
 
 IDENTITY_TOL = 1e-9
 _BLOCK = 1 << 14  # most numbers a block of cell profiles holds at once
+_PRIORS = 64  # most priors a block of auctions holds: a learned prior of a few atoms takes ~2.7 KB
 _CAP = 10_000_000  # most distinct cell profiles an exact expectation enumerates
 
 
@@ -69,7 +82,8 @@ class Auction:
     with NaN in _thresholds and zeros in _terms. The outcome tables, None
     when the grid does not fit, are indexed by a cell profile: _ranks holds
     the winner's row of vertices, _outcomes[..., i] bidder i's payment and
-    _outcomes[..., n] the welfare.
+    _outcomes[..., n] the welfare. An auction built in a block holds views
+    of the block's arrays, equal to myerson's in shape and bytes.
     """
 
     prior: ProductDist
@@ -102,25 +116,93 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     terms = _terms(phis, fs.vertices)
     for arr in (thresholds, terms):
         arr.setflags(write=False)
-    if prod(len(r) + 1 for r in runs) * (len(fs.vertices) + n) > _BLOCK:
+    grid = [len(r) + 1 for r in runs]
+    if prod(grid) * (len(fs.vertices) + n) > _BLOCK:
         return Auction(prior, fs, thresholds, terms)
-    ranks, welfare = _winners(terms, [np.arange(len(r) + 1).reshape((-1,) + (1,) * (n - 1 - i))
-                                      for i, r in enumerate(runs)])
+    return Auction(prior, fs, thresholds, terms, *_tables(terms, thresholds, grid, fs.vertices))
+
+
+def _auctions(priors: Iterable[ProductDist], fs: FeasibleSet) -> Iterator[Auction]:
+    """myerson of each prior in turn, read as needed; consecutive priors whose grids fit share a block.
+
+    A block holds at most _PRIORS priors, and its grid, the most cells each bidder has in any of
+    them, times the block's priors and vertices + n, at most _BLOCK numbers. A prior with another
+    bidder count or a grid too large on its own, and a block of one, go to myerson.
+    """
+    size = len(fs.vertices) + fs.n
+    block, grid = [], []
+    for prior in priors:
+        cells = [len(d._runs) + 1 for d in prior]
+        fits = prior.n == fs.n and prod(cells) * size <= _BLOCK  # else myerson refuses it or runs lines
+        grown = list(map(max, grid, cells)) if block else cells
+        if block and not (fits and len(block) < _PRIORS and prod(grown) * size * (len(block) + 1) <= _BLOCK):
+            yield from _block(block, grid, fs)
+            block, grown = [], cells
+        if fits:
+            block.append(prior)
+            grid = grown
+        else:
+            yield myerson(prior, fs)
+    yield from _block(block, grid, fs)
+
+
+def _block(priors: list[ProductDist], grid: list[int], fs: FeasibleSet) -> Iterator[Auction]:
+    """The auctions of priors whose cells fit grid, their tables filled for all of them at once.
+
+    Thresholds [i, c, t] and term tables [i, c, t, v] carry prior t's axis just before the
+    vertices, as do the outcome tables, past the grid axes; cells past a prior's last run are
+    pads no value or slice reaches. Each auction holds read-only views of its own slices.
+    """
+    if len(priors) < 2:
+        yield from (myerson(prior, fs) for prior in priors)
+        return
+    n, width = fs.n, max(grid)
+    phis = np.zeros((n, width, len(priors)))
+    thresholds = np.full((n, width, len(priors)), np.nan)
+    for t, prior in enumerate(priors):
+        for i, d in enumerate(prior):
+            phis[i, 1 : len(d._runs) + 1, t] = d._slopes[d._runs]
+            thresholds[i, : len(d._runs), t] = d.support[d._runs]
+    terms = _terms(phis, fs.vertices)
+    for arr in (thresholds, terms):
+        arr.setflags(write=False)
+    ranks, outcomes = _tables(terms, thresholds, grid, fs.vertices)
+    for t, prior in enumerate(priors):
+        own = tuple(slice(len(d._runs) + 1) for d in prior) + (t,)
+        w = max(len(d._runs) for d in prior) + 1
+        yield Auction(prior, fs, thresholds[:, :w, t], terms[:, :w, t], ranks[own], outcomes[own])
+
+
+def _tables(terms: np.ndarray, thresholds: np.ndarray, grid: list[int],
+            verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only outcome tables, ranks and outcomes, over grid[i] cells of bidder i on grid axis i.
+
+    One _winners call, with bidder i's cells 0..grid[i] - 1 laid along axis i, fills the ranks
+    and the welfare column, and a _pay per bidder its payments. A block's tables end in its
+    prior axis, as its terms and thresholds do.
+    """
+    n = len(grid)
+    ranks, welfare = _winners(terms, [np.arange(c).reshape((-1,) + (1,) * (n - 1 - i))
+                                      for i, c in enumerate(grid)])
     outcomes = np.empty(ranks.shape + (n + 1,))
     outcomes[..., n] = welfare
     del welfare  # not held through the payment loop, where the build's memory peaks
-    xs = fs.vertices.T.take(ranks, axis=1)  # bidder i's allocations as one contiguous row
+    xs = verts.T.take(ranks, axis=1)  # bidder i's allocations as one contiguous row
     for i, th in enumerate(thresholds):
         _pay(xs[i].swapaxes(0, i), th, outcomes[..., i].swapaxes(0, i))
     for arr in (ranks, outcomes):
         arr.setflags(write=False)
-    return Auction(prior, fs, thresholds, terms, ranks, outcomes)
+    return ranks, outcomes
 
 
 def _terms(phis: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Each bidder's term table: [i, c, v] is phis[i, c] * verts[v, i], -inf in cell 0 if verts[v, i] > 0."""
-    terms = phis[:, :, None] * verts.T[:, None, :]
-    terms[:, 0][verts.T > 0.0] = -np.inf
+    """Each bidder's term table: [i, c, v] is phis[i, c] * verts[v, i], -inf in cell 0 if verts[v, i] > 0.
+
+    A block's phis carry a trailing prior axis, [i, c, t], and its tables [i, c, t, v].
+    """
+    x = verts.T.reshape((len(phis),) + (1,) * (phis.ndim - 1) + (-1,))  # bidder, then vertices
+    terms = phis[..., None] * x
+    np.copyto(terms[:, 0], -np.inf, where=x[:, 0] > 0.0)
     return terms
 
 
@@ -149,12 +231,14 @@ def _pay(x: np.ndarray, thresholds: np.ndarray, out: np.ndarray | None = None) -
     """Threshold payments of a bidder whose cell runs from 0 upward along the first axis of x.
 
     x is its allocation and thresholds its row, thresholds[k - 1] the lowest
-    value of its cell k. By the payment identity a winner in cell c pays
+    value of its cell k; in a block, row and x end in the same prior axis.
+    By the payment identity a winner in cell c pays
     sum_k threshold[k-1] * (x[k] - x[k-1]) over k = 1..c, and a bidder
     allocated nothing pays nothing. The payments go to out, if given.
     """
     pay = np.empty(x.shape) if out is None else out
-    steps = thresholds[: len(x) - 1].reshape((-1,) + (1,) * (x.ndim - 1))
+    steps = thresholds[: len(x) - 1]  # a block's row ends in a prior axis, as x does
+    steps = steps.reshape(steps.shape[:1] + (1,) * (x.ndim - steps.ndim) + steps.shape[1:])
     pay[0] = 0.0
     ((x[1:] - x[:-1]) * steps).cumsum(axis=0, out=pay[1:])
     pay[x <= 0.0] = 0.0

@@ -228,8 +228,9 @@ def ironing_intervals(d: ValueDist) -> list[tuple[float, float]]:
 
 def monopoly(d: ValueDist) -> tuple[float, float]:
     """Best take-it-or-leave-it price over the support, ties toward the larger price."""
-    revenue, price = max((v * q, v) for v, q in zip(d.support.tolist(), d._above.tolist()))
-    return price, revenue
+    revenues = d.support * d._above[:-1]
+    k = len(revenues) - 1 - int(revenues[::-1].argmax())  # the last maximum: the larger price
+    return float(d.support[k]), float(revenues[k])
 
 
 class ProductDist(tuple):

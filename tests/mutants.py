@@ -79,7 +79,7 @@ MUTANTS = [
     {
         "name": "no-cell-0-rule",
         "file": AUCTION,
-        "snippet": "    terms[:, 0][verts.T > 0.0] = -np.inf\n",
+        "snippet": "    np.copyto(terms[:, 0], -np.inf, where=x[:, 0] > 0.0)\n",
         "replacement": "",
         "tests": TESTS,
         "reason": "a bidder below its prior's lowest atom can win, at virtual value 0",
@@ -105,8 +105,8 @@ MUTANTS = [
     {
         "name": "grid-on-reversed-axes",
         "file": AUCTION,
-        "snippet": "np.arange(len(r) + 1).reshape((-1,) + (1,) * (n - 1 - i))",
-        "replacement": "np.arange(len(r) + 1).reshape((-1,) + (1,) * i)",
+        "snippet": "np.arange(c).reshape((-1,) + (1,) * (n - 1 - i))",
+        "replacement": "np.arange(c).reshape((-1,) + (1,) * i)",
         "tests": TESTS,
         "reason": "bidder i's cells lie on grid axis n - 1 - i, so the outcome tables are transposed",
     },
@@ -135,6 +135,30 @@ MUTANTS = [
         "replacement": "    thresholds = np.zeros((n, width))",
         "tests": TESTS,
         "reason": "every value reaches a bidder's pads past its last run, so it lands in a cell beyond them",
+    },
+    {
+        "name": "block-reads-its-neighbours-slice",
+        "file": AUCTION,
+        "snippet": "for d in prior) + (t,)\n",
+        "replacement": "for d in prior) + ((t + 1) % len(priors),)\n",
+        "tests": TESTS,
+        "reason": "each auction of a block reads the ranks and outcomes of the prior after it",
+    },
+    {
+        "name": "pay-steps-without-the-block-axis",
+        "file": AUCTION,
+        "snippet": "    steps = steps.reshape(steps.shape[:1] + (1,) * (x.ndim - steps.ndim) + steps.shape[1:])\n",
+        "replacement": "    steps = steps.reshape((-1,) + (1,) * (x.ndim - 1))\n",
+        "tests": TESTS,
+        "reason": "a block's threshold steps are flattened over its priors, so they no longer line up with x",
+    },
+    {
+        "name": "block-one-prior-past-the-cap",
+        "file": AUCTION,
+        "snippet": "len(block) < _PRIORS",
+        "replacement": "len(block) <= _PRIORS",
+        "tests": TESTS,
+        "reason": "a block of auctions holds _PRIORS + 1 priors",
     },
     {
         "name": "intervals-from-their-own-start",

@@ -149,6 +149,12 @@ def revenue_curve(d):
     return tuple(points)
 
 
+def monopoly(d):
+    """Best price over the support by Python's max over (revenue, price): ties go to the larger price."""
+    revenue, price = max((v * q, v) for v, q in zip(d.support.tolist(), d._above.tolist()))
+    return price, revenue
+
+
 def iron(breakpoints):
     """Upper concave envelope by one monotone-chain sweep over every breakpoint."""
     hull = []

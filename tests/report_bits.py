@@ -10,7 +10,11 @@ of every output of 50 ExactRevenue ops and of 20 DenseLearn ops at seed 1,
 one line per op (`exact-revenue.txt`, `dense-learn.txt`), and two trial
 loops whose outcomes vary (`trial-loops.txt`): sample-complexity at 1, 50,
 51, 52 and 120 trials,
-and lb-family at 40 trials of 300 samples. Last come the curves reports
+and lb-family at 40 trials of 300 samples. The same two loops straddle the
+edges of the auction blocks in `block-edges.txt`: sample-complexity at
+63, 64, 65 and 400 trials, next to blocks of 64 priors, and lb-family at
+400 trials of 1,500 samples, where each member meets hundreds of new
+counts. Next come the curves reports
 of five edge priors (`curves-<name>.json`): one atom, an atom at 0.0, a
 prior ironed from its top atom down, 2,000 atoms, and values and masses
 whose repr has an exponent. Then come the revenue-drop reports on inputs
@@ -96,6 +100,16 @@ def trial_loops(out: Path) -> None:
     reports.append(run_lb_family(3, 1, 0.01, 300, 40, 5))
     lines = [bits([r.verdict, sorted(r.metrics.items())]) for r in reports]
     (out / "trial-loops.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def block_edges(out: Path) -> None:
+    d = ProductDist((make_discrete([0.2, 0.5, 0.9], [0.3, 0.4, 0.3]),
+                     make_discrete([0.1, 0.6, 0.8], [0.5, 0.2, 0.3])))
+    fs = uniform_matroid(2, 1)
+    reports = [run_sample_complexity(fs, d, 0.1, 0.1, 0.15, t, 3) for t in (63, 64, 65, 400)]
+    reports.append(run_lb_family(2, 1, 0.01, 1500, 400, 3))
+    lines = [bits([r.verdict, sorted(r.metrics.items())]) for r in reports]
+    (out / "block-edges.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def curves_edges(out: Path) -> None:
@@ -227,6 +241,7 @@ def main() -> None:
     op_bits(out, "exact-revenue", ExactRevenue, 50)
     op_bits(out, "dense-learn", DenseLearn, 20)
     trial_loops(out)
+    block_edges(out)
     curves_edges(out)
     lab_reports(out)
     refusals(out)

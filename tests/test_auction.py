@@ -16,7 +16,9 @@ import oracles
 from myersonlab.auction import (
     _BLOCK,
     _CAP,
+    _PRIORS,
     CrossCheckError,
+    _auctions,
     EnumerationCapError,
     _expectation,
     _winners,
@@ -783,6 +785,91 @@ class TestOutcomeTables:
         for values in iproduct(*map(probe_values, prior)):
             assert allocate(a, values) == allocate(lines, values), values
             assert payments(a, values) == payments(lines, values), values
+
+
+def block_sizes(auctions):
+    """The sizes of the runs of consecutive auctions that share one block's tables, in order."""
+    sizes, last = [], None
+    for a in auctions:
+        base = None if a._ranks is None else a._ranks.base  # myerson's own tables are no views
+        if base is None or base is not last:
+            sizes.append(0)
+        sizes[-1] += 1
+        last = base
+    return sizes
+
+
+class TestAuctionBlocks:
+    """_auctions scores runs of priors in blocks, and each auction equals myerson's, bit for bit."""
+
+    @pytest.mark.parametrize("fs", [uniform_matroid(2, 1), minimum_non_matroid()], ids=["matroid", "non-matroid"])
+    def test_mixed_priors_match_myerson(self, fs, monkeypatch):
+        # at a block of 120 cells some random priors fit several together, some only alone, and some
+        # need lines; long needs lines, and wide fits alone but not beside tall, so it is a block of one
+        monkeypatch.setattr("myersonlab.auction._BLOCK", 120 * (len(fs.vertices) + fs.n))
+        rng = np.random.default_rng(7)
+        ten, one = uniform_grid(np.linspace(0.1, 1.0, 10)), point_mass(0.5)
+        long, wide = ProductDist((ten,) * fs.n), ProductDist((ten,) + (one,) * (fs.n - 1))
+        tall = ProductDist((one, ten) + (one,) * (fs.n - 2))
+        priors = [random_prior(rng, fs.n) for _ in range(30)]
+        priors[12:12] = [long, wide, tall]
+        auctions = list(_auctions(iter(priors), fs))
+        assert len(auctions) == len(priors)
+        sizes = block_sizes(auctions)
+        assert max(sizes) > 2 and sizes.count(1) > 2
+        assert auctions[12]._ranks is None and auctions[13]._ranks.base is None  # lines, a block of one
+        for prior, a in zip(priors, auctions):
+            b = myerson(prior, fs)
+            assert a.prior is prior and a.feasible is fs
+            for name in ("_thresholds", "_terms", "_ranks", "_outcomes"):
+                got, want = getattr(a, name), getattr(b, name)
+                if want is None:
+                    assert got is None, name
+                    continue
+                assert got.shape == want.shape and got.dtype == want.dtype, name
+                assert got.tobytes() == want.tobytes(), name
+                assert not got.flags.writeable, name
+            assert expected_revenue(a, prior).hex() == expected_revenue(b, prior).hex()
+            assert expected_virtual_welfare(a).hex() == expected_virtual_welfare(b).hex()
+            probes = [probe_values(d) for d in prior]
+            for _ in range(20):
+                values = [float(rng.choice(p)) for p in probes]
+                assert allocate(a, values) == allocate(b, values), values
+                assert payments(a, values) == payments(b, values), values
+
+    def test_a_block_holds_at_most_the_prior_cap(self):
+        prior, fs = ProductDist((uniform_grid([0.5, 1.0]),) * 2), uniform_matroid(2, 1)
+        assert 9 * 5 * (2 * _PRIORS + 1) <= _BLOCK  # the tables alone would take them all
+        auctions = list(_auctions([prior] * (2 * _PRIORS + 1), fs))
+        assert block_sizes(auctions) == [_PRIORS, _PRIORS, 1]
+
+    def test_a_block_holds_at_most_the_tables_that_fit(self):
+        # 11 x 11 cells of 3 vertices + 2 bidders: 27 priors take 16,335 numbers, 28 would take 16,940
+        prior, fs = ProductDist((uniform_grid(np.linspace(0.1, 1.0, 10)),) * 2), uniform_matroid(2, 1)
+        assert 27 * 605 <= _BLOCK < 28 * 605 and 27 < _PRIORS
+        for count, sizes in [(26, [26]), (27, [27]), (28, [27, 1]), (55, [27, 27, 1])]:
+            assert block_sizes(_auctions([prior] * count, fs)) == sizes
+
+    def test_priors_are_read_one_block_ahead(self):
+        prior, fs = ProductDist((uniform_grid([0.5, 1.0]),) * 2), uniform_matroid(2, 1)
+        read = []
+
+        def feed():
+            for t in range(3 * _PRIORS):
+                read.append(t)
+                yield prior
+
+        auctions = _auctions(feed(), fs)
+        next(auctions)
+        assert len(read) == _PRIORS + 1  # a block, and the prior that did not join it
+        assert len(list(auctions)) == 3 * _PRIORS - 1
+
+    def test_a_prior_of_another_bidder_count_is_refused_after_the_block_before_it(self):
+        prior, fs = ProductDist((uniform_grid([0.5, 1.0]),) * 2), uniform_matroid(2, 1)
+        auctions = _auctions([prior, prior, ProductDist((point_mass(0.5),))], fs)
+        assert [a.prior for a in (next(auctions), next(auctions))] == [prior, prior]
+        with pytest.raises(ValueError, match="^prior has 1 bidders, system has 2$"):
+            next(auctions)
 
 
 class TestValueToCell:

@@ -157,6 +157,16 @@ class TestMonopoly:
         assert price == pytest.approx(2 / 3)
         assert rev == pytest.approx(4 / 9)
 
+    def test_exact_tie_goes_to_the_larger_price(self):
+        # 0.25 * 1.0 and 0.5 * 0.5 are both exactly 0.25
+        assert monopoly(make_discrete([0.25, 0.5], [0.5, 0.5])) == (0.5, 0.25)
+
+    @given(value_dists())
+    def test_matches_the_python_max(self, d):
+        price, revenue = monopoly(d)
+        assert type(price) is float and type(revenue) is float
+        assert (price, revenue) == oracles.monopoly(d)
+
 
 def learned_prior(step, count, seed):
     prior = ProductDist((discretize_uniform_with_atom(0.55, 0.1, step),))

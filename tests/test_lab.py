@@ -49,7 +49,7 @@ from myersonlab.lab import (
     run_nonmonotone,
     run_sample_complexity,
 )
-from myersonlab.learn import SampleMatrix, _trial_counts, draw_samples
+from myersonlab.learn import SampleMatrix, _learn_counts, _trial_counts, draw_samples
 
 import oracles
 from fuzz import (
@@ -677,6 +677,7 @@ class TestTrialStreams:
     def test_zero_trials_are_refused_by_the_count_draw(self, run, monkeypatch):
         # _trial_counts checks the trial count when called, before any auction is built
         monkeypatch.setattr("myersonlab.lab.myerson", None)
+        monkeypatch.setattr("myersonlab.lab._auctions", None)
         monkeypatch.setattr("myersonlab.lab.opt_revenue", None)
         with pytest.raises(ValueError, match="^trials must be at least 1$"):
             run()
@@ -717,6 +718,41 @@ class TestTrialLoopsAcrossBlocks:
         monkeypatch.setattr("myersonlab.learn._BLOCK", 18 * n * 2)  # blocks of 18, 18 and 4 trials
         want = oracles.lb_family_regret(n, k, eps, trials, rows)
         assert run_lb_family(n, k, eps, budget, trials, seed).metrics["avg_regret"] == want
+
+
+class TestTrialLoopsAcrossAuctionBlocks:
+    """Auction blocks and learner calls split anywhere give the reports of the default split."""
+
+    @pytest.mark.parametrize("priors, rows", [(2, 1), (3, 5), (7, 2), (64, 64)])
+    def test_sample_complexity(self, priors, rows, monkeypatch):
+        d = three_atom_pair()
+        fs = uniform_matroid(2, 1)
+        want = [run_sample_complexity(fs, d, 0.1, 0.1, 0.15, t, 3).metrics for t in (1, 13, 120)]
+        monkeypatch.setattr("myersonlab.auction._PRIORS", priors)
+        monkeypatch.setattr("myersonlab.lab._PRIORS", rows)
+        monkeypatch.setattr("myersonlab.learn._BLOCK", 51 * 6)  # 51 trials of 2 x 3 counts a block
+        assert [run_sample_complexity(fs, d, 0.1, 0.1, 0.15, t, 3).metrics for t in (1, 13, 120)] == want
+
+    @pytest.mark.parametrize("priors, rows", [(2, 1), (3, 5), (64, 64)])
+    def test_lb_family(self, priors, rows, monkeypatch):
+        want = run_lb_family(3, 1, 0.01, 300, 40, 5).metrics
+        monkeypatch.setattr("myersonlab.auction._PRIORS", priors)
+        monkeypatch.setattr("myersonlab.lab._PRIORS", rows)
+        assert run_lb_family(3, 1, 0.01, 300, 40, 5).metrics == want
+
+    def test_lb_family_learns_no_empty_stack(self, monkeypatch):
+        # at one sample a trial the 16 members of n = 4 meet few distinct counts, most of them
+        # in an earlier block, so most blocks hold no new key
+        stacks = []
+
+        def spy(d, counts, delta):
+            stacks.append(len(counts))
+            return _learn_counts(d, counts, delta)
+
+        monkeypatch.setattr("myersonlab.lab._learn_counts", spy)
+        run_lb_family(4, 2, 0.01, 1, 16, 5)
+        assert stacks and 0 not in stacks
+        assert len(stacks) < 16  # some members meet no new key at all
 
 
 class TestTrialLoopMemory:
@@ -782,6 +818,7 @@ class TestSampleComplexity:
         # refused before any auction is built: opt_revenue would raise CrossCheckError
         d = ProductDist((uniform_grid([0.5, 1.0]), uniform_grid([0.5, 1.0])))
         monkeypatch.setattr("myersonlab.lab.myerson", None)
+        monkeypatch.setattr("myersonlab.lab._auctions", None)
         monkeypatch.setattr("myersonlab.lab.opt_revenue", None)
         with pytest.raises(PreconditionError, match="^every vertex serves bidder 0, even below"):
             run_sample_complexity(from_vertices([[1.0, 0.0]]), d, 0.1, 0.1, 1.0, 2, 0)
