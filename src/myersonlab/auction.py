@@ -34,21 +34,20 @@ expectation one per profile of the others' occupied cells, in blocks,
 welfare off bidder 0's lines. An auction holds its prior, system,
 thresholds, term tables and outcome tables if any.
 
-Trial loops build many small auctions, where numpy's fixed cost per call
-dominates, so _auctions takes a stream of priors and fills the tables of
-a run of consecutive ones at once: a block, at most _PRIORS priors whose
-tables, over the most cells each bidder has in any of them, fit _BLOCK.
-Every array carries a prior axis just before the vertices, and one
-_winners call and a _pay per bidder fill all of them, with the same sums
-in the same order as myerson's. Each auction holds read-only views of its
-own slices, which end before the pad cells of the priors with fewer runs.
-myerson stays the driver for one prior: a block of one, a prior whose
-grid fits no block, and every call outside the trial loops.
+Auctions are built in blocks, since a trial loop builds many small ones,
+where numpy's fixed cost per call dominates: _auctions takes a list of
+priors and fills the arrays of a run of consecutive ones at once, while
+their tables, over the most cells each bidder has in any of them, fit
+_BLOCK. Every array carries a prior axis just before the vertices, and
+one _winners call and a _pay per bidder fill all of them, with the same
+sums in the same order whatever the block. Each auction holds read-only
+views of its own slices, which end before the pad cells of the priors
+with fewer runs. myerson builds a block of one prior.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import prod
 
@@ -59,7 +58,6 @@ from .feasible import FeasibleSet
 
 IDENTITY_TOL = 1e-9
 _BLOCK = 1 << 14  # most numbers a block of cell profiles holds at once
-_PRIORS = 64  # most priors a block of auctions holds: a learned prior of a few atoms takes ~2.7 KB
 _CAP = 10_000_000  # most distinct cell profiles an exact expectation enumerates
 
 
@@ -82,8 +80,8 @@ class Auction:
     with NaN in _thresholds and zeros in _terms. The outcome tables, None
     when the grid does not fit, are indexed by a cell profile: _ranks holds
     the winner's row of vertices, _outcomes[..., i] bidder i's payment and
-    _outcomes[..., n] the welfare. An auction built in a block holds views
-    of the block's arrays, equal to myerson's in shape and bytes.
+    _outcomes[..., n] the welfare. Each is a view of its block's array, the
+    same in shape and bytes whatever the block.
     """
 
     prior: ProductDist
@@ -100,77 +98,58 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     Welfare ties between vertices are broken by the order of the rows of
     fs.vertices, a fixed value-independent order: descending total allocation,
     then ascending lexicographic. Any fixed order keeps the per-bidder
-    allocation monotone in own value. When the grid of every bidder's cells
-    fits a block, one _winners call, with bidder i's cells 0..runs_i laid
-    along grid axis i, fills the outcome tables' ranks and welfare column.
+    allocation monotone in own value. It is a block of one prior.
     """
-    if prior.n != fs.n:
-        raise ValueError(f"prior has {prior.n} bidders, system has {fs.n}")
-    runs = [d._runs for d in prior]  # one cell per run of atoms with equal slopes
-    n, width = len(runs), max(map(len, runs)) + 1
-    phis = np.zeros((n, width))
-    thresholds = np.full((n, width), np.nan)  # no value reaches a NaN pad: every comparison is false
-    for i, (d, starts) in enumerate(zip(prior, runs)):
-        phis[i, 1 : len(starts) + 1] = d._slopes[starts]
-        thresholds[i, : len(starts)] = d.support[starts]
-    terms = _terms(phis, fs.vertices)
-    for arr in (thresholds, terms):
-        arr.setflags(write=False)
-    grid = [len(r) + 1 for r in runs]
-    if prod(grid) * (len(fs.vertices) + n) > _BLOCK:
-        return Auction(prior, fs, thresholds, terms)
-    return Auction(prior, fs, thresholds, terms, *_tables(terms, thresholds, grid, fs.vertices))
+    return next(_block([prior], [len(d._runs) + 1 for d in prior], fs))
 
 
-def _auctions(priors: Iterable[ProductDist], fs: FeasibleSet) -> Iterator[Auction]:
-    """myerson of each prior in turn, read as needed; consecutive priors whose grids fit share a block.
+def _auctions(priors: list[ProductDist], fs: FeasibleSet) -> Iterator[Auction]:
+    """myerson of each prior in turn, consecutive priors sharing a block while their tables fit.
 
-    A block holds at most _PRIORS priors, and its grid, the most cells each bidder has in any of
-    them, times the block's priors and vertices + n, at most _BLOCK numbers. A prior with another
-    bidder count or a grid too large on its own, and a block of one, go to myerson.
+    A block's grid is the most cells each bidder has in any of its priors; it grows while that
+    grid, times the block's priors and vertices + n, stays within _BLOCK numbers. A prior whose
+    grid is too large on its own is a block of one, and runs lines. The caller bounds the list.
     """
-    size = len(fs.vertices) + fs.n
-    block, grid = [], []
-    for prior in priors:
+    size, start, grid = len(fs.vertices) + fs.n, 0, []
+    for t, prior in enumerate(priors):
         cells = [len(d._runs) + 1 for d in prior]
-        fits = prior.n == fs.n and prod(cells) * size <= _BLOCK  # else myerson refuses it or runs lines
-        grown = list(map(max, grid, cells)) if block else cells
-        if block and not (fits and len(block) < _PRIORS and prod(grown) * size * (len(block) + 1) <= _BLOCK):
-            yield from _block(block, grid, fs)
-            block, grown = [], cells
-        if fits:
-            block.append(prior)
-            grid = grown
-        else:
-            yield myerson(prior, fs)
-    yield from _block(block, grid, fs)
+        grown = list(map(max, grid, cells)) if t > start else cells
+        if t > start and prod(grown) * size * (t + 1 - start) > _BLOCK:
+            yield from _block(priors[start:t], grid, fs)
+            start, grown = t, cells
+        grid = grown
+    if priors:
+        yield from _block(priors[start:], grid, fs)
 
 
 def _block(priors: list[ProductDist], grid: list[int], fs: FeasibleSet) -> Iterator[Auction]:
-    """The auctions of priors whose cells fit grid, their tables filled for all of them at once.
+    """The auctions of priors whose cells fit grid, their arrays filled for all of them at once.
 
     Thresholds [i, c, t] and term tables [i, c, t, v] carry prior t's axis just before the
-    vertices, as do the outcome tables, past the grid axes; cells past a prior's last run are
-    pads no value or slice reaches. Each auction holds read-only views of its own slices.
+    vertices, as do the outcome tables past the grid axes, built when the grid times the priors
+    and vertices + n fits _BLOCK; cells past a prior's last run are pads no value or slice reaches.
+    Each auction holds read-only views of its own slices.
     """
-    if len(priors) < 2:
-        yield from (myerson(prior, fs) for prior in priors)
-        return
-    n, width = fs.n, max(grid)
-    phis = np.zeros((n, width, len(priors)))
-    thresholds = np.full((n, width, len(priors)), np.nan)
+    n = fs.n
+    phis = np.zeros((n, max(grid), len(priors)))
+    thresholds = np.full(phis.shape, np.nan)  # no value reaches a NaN pad: every comparison is false
     for t, prior in enumerate(priors):
-        for i, d in enumerate(prior):
+        if prior.n != n:
+            raise ValueError(f"prior has {prior.n} bidders, system has {n}")
+        for i, d in enumerate(prior):  # one cell per run of atoms with equal slopes
             phis[i, 1 : len(d._runs) + 1, t] = d._slopes[d._runs]
             thresholds[i, : len(d._runs), t] = d.support[d._runs]
     terms = _terms(phis, fs.vertices)
     for arr in (thresholds, terms):
         arr.setflags(write=False)
-    ranks, outcomes = _tables(terms, thresholds, grid, fs.vertices)
+    tables = prod(grid) * (len(fs.vertices) + n) * len(priors) <= _BLOCK
+    if tables:
+        ranks, outcomes = _tables(terms, thresholds, grid, fs.vertices)
     for t, prior in enumerate(priors):
-        own = tuple(slice(len(d._runs) + 1) for d in prior) + (t,)
-        w = max(len(d._runs) for d in prior) + 1
-        yield Auction(prior, fs, thresholds[:, :w, t], terms[:, :w, t], ranks[own], outcomes[own])
+        cells = [len(d._runs) + 1 for d in prior]
+        own = tuple(map(slice, cells)) + (t,)
+        views = (ranks[own], outcomes[own]) if tables else ()
+        yield Auction(prior, fs, thresholds[:, : max(cells), t], terms[:, : max(cells), t], *views)
 
 
 def _tables(terms: np.ndarray, thresholds: np.ndarray, grid: list[int],
@@ -178,7 +157,7 @@ def _tables(terms: np.ndarray, thresholds: np.ndarray, grid: list[int],
     """The read-only outcome tables, ranks and outcomes, over grid[i] cells of bidder i on grid axis i.
 
     One _winners call, with bidder i's cells 0..grid[i] - 1 laid along axis i, fills the ranks
-    and the welfare column, and a _pay per bidder its payments. A block's tables end in its
+    and the welfare column, and a _pay per bidder its payments. The tables end in the block's
     prior axis, as its terms and thresholds do.
     """
     n = len(grid)
@@ -196,11 +175,8 @@ def _tables(terms: np.ndarray, thresholds: np.ndarray, grid: list[int],
 
 
 def _terms(phis: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Each bidder's term table: [i, c, v] is phis[i, c] * verts[v, i], -inf in cell 0 if verts[v, i] > 0.
-
-    A block's phis carry a trailing prior axis, [i, c, t], and its tables [i, c, t, v].
-    """
-    x = verts.T.reshape((len(phis),) + (1,) * (phis.ndim - 1) + (-1,))  # bidder, then vertices
+    """Each bidder's term tables: [i, c, t, v] is phis[i, c, t] * verts[v, i], -inf in cell 0 if verts[v, i] > 0."""
+    x = verts.T[:, None, None]  # bidder, then vertices
     terms = phis[..., None] * x
     np.copyto(terms[:, 0], -np.inf, where=x[:, 0] > 0.0)
     return terms

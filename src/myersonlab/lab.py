@@ -4,8 +4,8 @@ trials, each emitting a machine-readable report. The monotonicity reports share 
 
 Every experiment is deterministic given its inputs and seed. Trial t of a trial loop learns from
 row t of its count stream, learn._trial_counts(d, count, trials, seed, *key), whatever the number of
-trials, so any trial is replayed from its seed, key and t. The loops learn _PRIORS rows at a time and
-build the learned auctions in blocks (auction._auctions); the other experiments call myerson.
+trials, so any trial is replayed from its seed, key and t. The loops build the auctions of a block of
+counts' learned priors in blocks (auction._auctions); the other experiments call myerson.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import prod, sqrt
 
 import numpy as np
 
-from .auction import _PRIORS, _auctions, allocate, expected_revenue, myerson, opt_revenue
+from .auction import _auctions, allocate, expected_revenue, myerson, opt_revenue
 from .dist import (
     ProductDist,
     dominates,
@@ -270,13 +270,6 @@ def run_lipschitz_lb(n: int, k: int, eps: float) -> Report:
 # sample-complexity experiments
 
 
-def _learned(d: ProductDist, counts: np.ndarray, delta: float):
-    """The priors learned from a stack of count rows, learned _PRIORS rows at a time as they are read:
-    _auctions reads a block of them, and no more are alive than a block and one learner call hold."""
-    for lo in range(0, len(counts), _PRIORS):
-        yield from _learn_counts(d, counts[lo : lo + _PRIORS], delta)
-
-
 def run_sample_complexity(
     fs: FeasibleSet,
     d: ProductDist,
@@ -299,9 +292,9 @@ def run_sample_complexity(
     closed = masks(fs.vertices) is not None and is_downward_closed(fs)
     setting = "downward_closed" if closed else "general"
     count = required_samples(setting, fs.n, fs.rank, eps, delta, C)
-    learned = (p for counts in _trial_counts(d, count, trials, seed) for p in _learned(d, counts, delta))
+    learned = (_learn_counts(d, counts, delta) for counts in _trial_counts(d, count, trials, seed))
     opt = opt_revenue(d, fs)
-    failures = sum(expected_revenue(a, d) < opt - eps for a in _auctions(learned, fs))
+    failures = sum(expected_revenue(a, d) < opt - eps for priors in learned for a in _auctions(priors, fs))
     freq = failures / trials
     sigma = sqrt(delta * (1.0 - delta) / trials)
     return _report(
@@ -364,9 +357,10 @@ def run_lb_family(
         for counts in _trial_counts(member, sample_budget, trials, seed, mi):
             keys = [c.tobytes() for c in counts]
             new = {key: t for t, key in enumerate(keys) if key not in wins}  # a trial per new key
-            learned = _learned(member, counts[list(new.values())], _LEARNER_DELTA)
-            for key, a in zip(new, _auctions(learned, fs)):
-                wins[key] = [allocate(a, p)[i] > 0.0 for i, p in enumerate(profiles)]
+            if new:  # no learner call for a block of counts already met
+                learned = _learn_counts(member, counts[list(new.values())], _LEARNER_DELTA)
+                for key, a in zip(new, _auctions(learned, fs)):
+                    wins[key] = [allocate(a, p)[i] > 0.0 for i, p in enumerate(profiles)]
             for key in keys:
                 for i in range(n):
                     dif_sums[i] += max(0.0, vw_all[i]) - (vw_all[i] if wins[key][i] else 0.0)

@@ -16,6 +16,8 @@ import numpy as np
 from .auction import _BLOCK
 from .dist import _GATE, ProductDist, ValueDist
 
+_TRIALS = 64  # most trials a block of counts holds: each learned prior of a few atoms takes ~2.7 KB
+
 
 @dataclass(frozen=True, eq=False)
 class SampleMatrix:
@@ -77,8 +79,9 @@ def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
 
 
 def _trial_counts(d: ProductDist, count: int, trials: int, seed, *key):
-    """Consecutive trials' per-atom counts, drawn as read, in (trials, n, width) blocks of at most _BLOCK
-    numbers or one trial: row j of a trial counts bidder j's samples at each atom of d[j], after zeros."""
+    """Consecutive trials' per-atom counts, drawn as read, in (trials, n, width) blocks of at most _TRIALS
+    trials and _BLOCK numbers, or one trial: row j of a trial counts bidder j's samples at each atom of
+    d[j], after zeros."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if count < 1:
@@ -88,7 +91,7 @@ def _trial_counts(d: ProductDist, count: int, trials: int, seed, *key):
     width = max(len(dj.probs) for dj in d)  # zeros on the left: a draw's last column takes the rest
     masses = np.array([np.concatenate((np.zeros(width - len(dj.probs)), dj.probs)) for dj in d])
     stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-    block = max(1, _BLOCK // masses.size)
+    block = max(1, min(_TRIALS, _BLOCK // masses.size))
     sizes = ((min(block, trials - start), d.n) for start in range(0, trials, block))
     return (stream.multinomial(count, masses, size=size) for size in sizes)
 

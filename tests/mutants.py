@@ -87,18 +87,18 @@ MUTANTS = [
     {
         "name": "raw-virtual-values",
         "file": AUCTION,
-        "snippet": "        phis[i, 1 : len(starts) + 1] = d._slopes[starts]\n",
-        "replacement": "        phis[i, 1 : len(starts) + 1] = ((d.support * d._above[:-1]"
-                       " - np.append(d.support[1:], 0.0) * d._above[1:]) / d.probs)[starts]\n",
+        "snippet": "            phis[i, 1 : len(d._runs) + 1, t] = d._slopes[d._runs]\n",
+        "replacement": "            phis[i, 1 : len(d._runs) + 1, t] = ((d.support * d._above[:-1]"
+                       " - np.append(d.support[1:], 0.0) * d._above[1:]) / d.probs)[d._runs]\n",
         "tests": TESTS,
         "reason": "each run scores the unironed virtual value of its first atom",
     },
     {
         "name": "threshold-from-last-atom",
         "file": AUCTION,
-        "snippet": "        thresholds[i, : len(starts)] = d.support[starts]\n",
-        "replacement": "        thresholds[i, : len(starts)] = "
-                       "d.support[np.append(starts[1:], len(d.support)) - 1]\n",
+        "snippet": "            thresholds[i, : len(d._runs), t] = d.support[d._runs]\n",
+        "replacement": "            thresholds[i, : len(d._runs), t] = "
+                       "d.support[np.append(d._runs[1:], len(d.support)) - 1]\n",
         "tests": TESTS,
         "reason": "a run's threshold is its last atom's value, so values inside a run change cell",
     },
@@ -131,16 +131,16 @@ MUTANTS = [
     {
         "name": "zero-threshold-pads",
         "file": AUCTION,
-        "snippet": "    thresholds = np.full((n, width), np.nan)",
-        "replacement": "    thresholds = np.zeros((n, width))",
+        "snippet": "    thresholds = np.full(phis.shape, np.nan)",
+        "replacement": "    thresholds = np.zeros(phis.shape)",
         "tests": TESTS,
         "reason": "every value reaches a bidder's pads past its last run, so it lands in a cell beyond them",
     },
     {
         "name": "block-reads-its-neighbours-slice",
         "file": AUCTION,
-        "snippet": "for d in prior) + (t,)\n",
-        "replacement": "for d in prior) + ((t + 1) % len(priors),)\n",
+        "snippet": "own = tuple(map(slice, cells)) + (t,)\n",
+        "replacement": "own = tuple(map(slice, cells)) + ((t + 1) % len(priors),)\n",
         "tests": TESTS,
         "reason": "each auction of a block reads the ranks and outcomes of the prior after it",
     },
@@ -151,14 +151,6 @@ MUTANTS = [
         "replacement": "    steps = steps.reshape((-1,) + (1,) * (x.ndim - 1))\n",
         "tests": TESTS,
         "reason": "a block's threshold steps are flattened over its priors, so they no longer line up with x",
-    },
-    {
-        "name": "block-one-prior-past-the-cap",
-        "file": AUCTION,
-        "snippet": "len(block) < _PRIORS",
-        "replacement": "len(block) <= _PRIORS",
-        "tests": TESTS,
-        "reason": "a block of auctions holds _PRIORS + 1 priors",
     },
     {
         "name": "intervals-from-their-own-start",
@@ -205,18 +197,26 @@ MUTANTS = [
     {
         "name": "four-times-larger-blocks",
         "file": LEARN,
-        "snippet": "    block = max(1, _BLOCK // masses.size)\n",
-        "replacement": "    block = max(1, 4 * _BLOCK // masses.size)\n",
+        "snippet": "    block = max(1, min(_TRIALS, _BLOCK // masses.size))\n",
+        "replacement": "    block = max(1, min(_TRIALS, 4 * _BLOCK // masses.size))\n",
         "tests": LOOP_TESTS,
         "reason": "a block of counts holds four times _BLOCK numbers",
     },
     {
         "name": "one-block-per-loop",
         "file": LEARN,
-        "snippet": "    block = max(1, _BLOCK // masses.size)\n",
+        "snippet": "    block = max(1, min(_TRIALS, _BLOCK // masses.size))\n",
         "replacement": "    block = trials\n",
         "tests": LOOP_TESTS,
         "reason": "a loop draws every trial's counts at once, so its memory grows with the trials",
+    },
+    {
+        "name": "block-one-trial-past-the-cap",
+        "file": LEARN,
+        "snippet": "min(_TRIALS, _BLOCK",
+        "replacement": "min(_TRIALS + 1, _BLOCK",
+        "tests": LOOP_TESTS,
+        "reason": "a block of counts, and so of learned priors and auctions, holds _TRIALS + 1 trials",
     },
     {
         "name": "masses-padded-on-the-right",

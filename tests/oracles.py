@@ -460,7 +460,7 @@ def per_atom_auction(prior, fs):
     pad = [width - len(d.support) for d in prior]
     phis = np.array([(0.0,) + walk_slopes(d) + (0.0,) * z for d, z in zip(prior, pad)])
     thresholds = np.array([tuple(d.support.tolist()) + (np.nan,) * (z + 1) for d, z in zip(prior, pad)])
-    terms = _terms(phis, fs.vertices)
+    terms = _terms(phis[:, :, None], fs.vertices)[:, :, 0]  # a block of one prior
     return replace(a, _thresholds=thresholds, _terms=terms, _ranks=None, _outcomes=None)
 
 

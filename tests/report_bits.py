@@ -11,8 +11,9 @@ one line per op (`exact-revenue.txt`, `dense-learn.txt`), and two trial
 loops whose outcomes vary (`trial-loops.txt`): sample-complexity at 1, 50,
 51, 52 and 120 trials,
 and lb-family at 40 trials of 300 samples. The same two loops straddle the
-edges of the auction blocks in `block-edges.txt`: sample-complexity at
-63, 64, 65 and 400 trials, next to blocks of 64 priors, and lb-family at
+edges of the blocks of counts and of auctions in `block-edges.txt`:
+sample-complexity at 63, 64, 65 and 400 trials, next to blocks of 64
+trials, and lb-family at
 400 trials of 1,500 samples, where each member meets hundreds of new
 counts. Next come the curves reports
 of five edge priors (`curves-<name>.json`): one atom, an atom at 0.0, a

@@ -16,7 +16,6 @@ import oracles
 from myersonlab.auction import (
     _BLOCK,
     _CAP,
-    _PRIORS,
     CrossCheckError,
     _auctions,
     EnumerationCapError,
@@ -788,14 +787,13 @@ class TestOutcomeTables:
 
 
 def block_sizes(auctions):
-    """The sizes of the runs of consecutive auctions that share one block's tables, in order."""
+    """The sizes of the runs of consecutive auctions that share one block's arrays, in order."""
     sizes, last = [], None
     for a in auctions:
-        base = None if a._ranks is None else a._ranks.base  # myerson's own tables are no views
-        if base is None or base is not last:
+        if a._terms.base is not last:
             sizes.append(0)
         sizes[-1] += 1
-        last = base
+        last = a._terms.base
     return sizes
 
 
@@ -813,11 +811,12 @@ class TestAuctionBlocks:
         tall = ProductDist((one, ten) + (one,) * (fs.n - 2))
         priors = [random_prior(rng, fs.n) for _ in range(30)]
         priors[12:12] = [long, wide, tall]
-        auctions = list(_auctions(iter(priors), fs))
+        auctions = list(_auctions(priors, fs))
         assert len(auctions) == len(priors)
         sizes = block_sizes(auctions)
         assert max(sizes) > 2 and sizes.count(1) > 2
-        assert auctions[12]._ranks is None and auctions[13]._ranks.base is None  # lines, a block of one
+        assert auctions[12]._ranks is None and auctions[13]._ranks is not None  # lines, tables
+        assert block_sizes(auctions[11:15])[1:3] == [1, 1]  # long and wide are blocks of one
         for prior, a in zip(priors, auctions):
             b = myerson(prior, fs)
             assert a.prior is prior and a.feasible is fs
@@ -837,39 +836,24 @@ class TestAuctionBlocks:
                 assert allocate(a, values) == allocate(b, values), values
                 assert payments(a, values) == payments(b, values), values
 
-    def test_a_block_holds_at_most_the_prior_cap(self):
-        prior, fs = ProductDist((uniform_grid([0.5, 1.0]),) * 2), uniform_matroid(2, 1)
-        assert 9 * 5 * (2 * _PRIORS + 1) <= _BLOCK  # the tables alone would take them all
-        auctions = list(_auctions([prior] * (2 * _PRIORS + 1), fs))
-        assert block_sizes(auctions) == [_PRIORS, _PRIORS, 1]
+    def test_myerson_holds_contiguous_views_of_a_block_of_one(self):
+        prior, fs = random_prior(np.random.default_rng(3), 3), uniform_matroid(3, 2)
+        a = myerson(prior, fs)
+        for arr in (a._thresholds, a._terms, a._ranks, a._outcomes):
+            assert arr.base is not None and arr.flags.c_contiguous and not arr.flags.writeable
+        assert block_sizes([a, myerson(prior, fs)]) == [1, 1]
 
     def test_a_block_holds_at_most_the_tables_that_fit(self):
         # 11 x 11 cells of 3 vertices + 2 bidders: 27 priors take 16,335 numbers, 28 would take 16,940
         prior, fs = ProductDist((uniform_grid(np.linspace(0.1, 1.0, 10)),) * 2), uniform_matroid(2, 1)
-        assert 27 * 605 <= _BLOCK < 28 * 605 and 27 < _PRIORS
-        for count, sizes in [(26, [26]), (27, [27]), (28, [27, 1]), (55, [27, 27, 1])]:
+        assert 27 * 605 <= _BLOCK < 28 * 605
+        for count, sizes in [(0, []), (1, [1]), (26, [26]), (27, [27]), (28, [27, 1]), (55, [27, 27, 1])]:
             assert block_sizes(_auctions([prior] * count, fs)) == sizes
 
-    def test_priors_are_read_one_block_ahead(self):
+    def test_a_prior_of_another_bidder_count_is_refused(self):
         prior, fs = ProductDist((uniform_grid([0.5, 1.0]),) * 2), uniform_matroid(2, 1)
-        read = []
-
-        def feed():
-            for t in range(3 * _PRIORS):
-                read.append(t)
-                yield prior
-
-        auctions = _auctions(feed(), fs)
-        next(auctions)
-        assert len(read) == _PRIORS + 1  # a block, and the prior that did not join it
-        assert len(list(auctions)) == 3 * _PRIORS - 1
-
-    def test_a_prior_of_another_bidder_count_is_refused_after_the_block_before_it(self):
-        prior, fs = ProductDist((uniform_grid([0.5, 1.0]),) * 2), uniform_matroid(2, 1)
-        auctions = _auctions([prior, prior, ProductDist((point_mass(0.5),))], fs)
-        assert [a.prior for a in (next(auctions), next(auctions))] == [prior, prior]
         with pytest.raises(ValueError, match="^prior has 1 bidders, system has 2$"):
-            next(auctions)
+            list(_auctions([prior, prior, ProductDist((point_mass(0.5),))], fs))
 
 
 class TestValueToCell:

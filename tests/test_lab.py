@@ -49,7 +49,7 @@ from myersonlab.lab import (
     run_nonmonotone,
     run_sample_complexity,
 )
-from myersonlab.learn import SampleMatrix, _learn_counts, _trial_counts, draw_samples
+from myersonlab.learn import _TRIALS, SampleMatrix, _learn_counts, _trial_counts, draw_samples
 
 import oracles
 from fuzz import (
@@ -634,7 +634,8 @@ def drawn(monkeypatch):
 
 class TestTrialStreams:
     """Trial t of a trial loop is row t of one multinomial draw of per-atom counts from one stream,
-    whatever the number of trials, drawn in blocks of at most _BLOCK numbers, or one trial."""
+    whatever the number of trials, drawn in blocks of at most _TRIALS trials and _BLOCK numbers, or one
+    trial."""
 
     def test_sample_complexity_reads_consecutive_blocks(self, drawn, monkeypatch):
         d = ProductDist((uniform_grid([0.2, 0.5, 1.0]), uniform_grid([0.3, 0.9])))  # 2 x 3 counts a trial
@@ -664,6 +665,14 @@ class TestTrialStreams:
                 assert [len(counts) for counts in blocks] == sizes
                 # with 5 trials, the first 3 rows are those of 3 trials
                 assert np.array_equal(np.concatenate(blocks), count_rows(member, budget, 5, 6, mi)[:trials])
+
+    def test_a_block_holds_at_most_the_trial_cap(self, drawn):
+        d, fs = three_atom_pair(), uniform_matroid(2, 1)
+        assert (2 * _TRIALS + 1) * 6 <= _BLOCK  # the numbers alone would fit them all
+        run_sample_complexity(fs, d, 0.5, 0.3, 1.0, 2 * _TRIALS + 1, 11)
+        assert [len(counts) for _, _, counts in drawn] == [_TRIALS, _TRIALS, 1]
+        count = drawn[0][1]
+        assert np.array_equal(np.concatenate([c for _, _, c in drawn]), count_rows(d, count, 2 * _TRIALS + 1, 11))
 
     @pytest.mark.parametrize(
         "run",
@@ -721,23 +730,21 @@ class TestTrialLoopsAcrossBlocks:
 
 
 class TestTrialLoopsAcrossAuctionBlocks:
-    """Auction blocks and learner calls split anywhere give the reports of the default split."""
+    """Blocks of counts, and so learner calls and auction blocks, split anywhere give the reports of
+    the default split."""
 
-    @pytest.mark.parametrize("priors, rows", [(2, 1), (3, 5), (7, 2), (64, 64)])
-    def test_sample_complexity(self, priors, rows, monkeypatch):
+    @pytest.mark.parametrize("cap", [1, 2, 3, 7, 64])
+    def test_sample_complexity(self, cap, monkeypatch):
         d = three_atom_pair()
         fs = uniform_matroid(2, 1)
         want = [run_sample_complexity(fs, d, 0.1, 0.1, 0.15, t, 3).metrics for t in (1, 13, 120)]
-        monkeypatch.setattr("myersonlab.auction._PRIORS", priors)
-        monkeypatch.setattr("myersonlab.lab._PRIORS", rows)
-        monkeypatch.setattr("myersonlab.learn._BLOCK", 51 * 6)  # 51 trials of 2 x 3 counts a block
+        monkeypatch.setattr("myersonlab.learn._TRIALS", cap)
         assert [run_sample_complexity(fs, d, 0.1, 0.1, 0.15, t, 3).metrics for t in (1, 13, 120)] == want
 
-    @pytest.mark.parametrize("priors, rows", [(2, 1), (3, 5), (64, 64)])
-    def test_lb_family(self, priors, rows, monkeypatch):
+    @pytest.mark.parametrize("cap", [1, 3, 64])
+    def test_lb_family(self, cap, monkeypatch):
         want = run_lb_family(3, 1, 0.01, 300, 40, 5).metrics
-        monkeypatch.setattr("myersonlab.auction._PRIORS", priors)
-        monkeypatch.setattr("myersonlab.lab._PRIORS", rows)
+        monkeypatch.setattr("myersonlab.learn._TRIALS", cap)
         assert run_lb_family(3, 1, 0.01, 300, 40, 5).metrics == want
 
     def test_lb_family_learns_no_empty_stack(self, monkeypatch):
