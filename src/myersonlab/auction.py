@@ -42,7 +42,11 @@ _BLOCK. Every array carries a prior axis just before the vertices, and
 one _winners call and a _pay per bidder fill all of them, with the same
 sums in the same order whatever the block. Each auction holds read-only
 views of its own slices, which end before the pad cells of the priors
-with fewer runs. myerson builds a block of one prior.
+with fewer runs. myerson builds a block of one prior. A block with tables
+is also read at once: _expected_revenues finds every auction's cell
+masses under a distribution with one comparison and one bincount per
+bidder, and _allocations every auction's winners at given profiles with
+one gather of the block's ranks.
 """
 
 from __future__ import annotations
@@ -100,11 +104,11 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     then ascending lexicographic. Any fixed order keeps the per-bidder
     allocation monotone in own value. It is a block of one prior.
     """
-    return next(_block([prior], [len(d._runs) + 1 for d in prior], fs))
+    return _block([prior], [len(d._runs) + 1 for d in prior], fs)[0]
 
 
-def _auctions(priors: list[ProductDist], fs: FeasibleSet) -> Iterator[Auction]:
-    """myerson of each prior in turn, consecutive priors sharing a block while their tables fit.
+def _auctions(priors: list[ProductDist], fs: FeasibleSet) -> Iterator[list[Auction]]:
+    """myerson of each prior in turn, in blocks of consecutive priors that share one fill while their tables fit.
 
     A block's grid is the most cells each bidder has in any of its priors; it grows while that
     grid, times the block's priors and vertices + n, stays within _BLOCK numbers. A prior whose
@@ -115,20 +119,20 @@ def _auctions(priors: list[ProductDist], fs: FeasibleSet) -> Iterator[Auction]:
         cells = [len(d._runs) + 1 for d in prior]
         grown = list(map(max, grid, cells)) if t > start else cells
         if t > start and prod(grown) * size * (t + 1 - start) > _BLOCK:
-            yield from _block(priors[start:t], grid, fs)
+            yield _block(priors[start:t], grid, fs)
             start, grown = t, cells
         grid = grown
     if priors:
-        yield from _block(priors[start:], grid, fs)
+        yield _block(priors[start:], grid, fs)
 
 
-def _block(priors: list[ProductDist], grid: list[int], fs: FeasibleSet) -> Iterator[Auction]:
+def _block(priors: list[ProductDist], grid: list[int], fs: FeasibleSet) -> list[Auction]:
     """The auctions of priors whose cells fit grid, their arrays filled for all of them at once.
 
     Thresholds [i, c, t] and term tables [i, c, t, v] carry prior t's axis just before the
     vertices, as do the outcome tables past the grid axes, built when the grid times the priors
     and vertices + n fits _BLOCK; cells past a prior's last run are pads no value or slice reaches.
-    Each auction holds read-only views of its own slices.
+    Each auction holds read-only views of its own slices, whose base is the block's array.
     """
     n = fs.n
     phis = np.zeros((n, max(grid), len(priors)))
@@ -145,11 +149,13 @@ def _block(priors: list[ProductDist], grid: list[int], fs: FeasibleSet) -> Itera
     tables = prod(grid) * (len(fs.vertices) + n) * len(priors) <= _BLOCK
     if tables:
         ranks, outcomes = _tables(terms, thresholds, grid, fs.vertices)
+    auctions = []
     for t, prior in enumerate(priors):
         cells = [len(d._runs) + 1 for d in prior]
         own = tuple(map(slice, cells)) + (t,)
         views = (ranks[own], outcomes[own]) if tables else ()
-        yield Auction(prior, fs, thresholds[:, : max(cells), t], terms[:, : max(cells), t], *views)
+        auctions.append(Auction(prior, fs, thresholds[:, : max(cells), t], terms[:, : max(cells), t], *views))
+    return auctions
 
 
 def _tables(terms: np.ndarray, thresholds: np.ndarray, grid: list[int],
@@ -286,9 +292,7 @@ def _expectation(a: Auction, dist: ProductDist) -> tuple[float, float]:
     masses = [np.bincount(th.searchsorted(d.support, "right"), d.probs, len(th))
               for th, d in zip(a._thresholds, dist)]  # each bidder's mass in each of its cells
     if a._outcomes is not None:
-        table = a._outcomes
-        for m, t in zip(masses, table.shape):
-            table = m[:t] @ table.reshape(t, -1)  # contract the leading axis, one bidder's cells
+        table = _contract(a._outcomes, masses)
         return float(table[:-1].sum()), float(table[-1])
     mass = np.array(masses)
     held = mass > 0.0  # the cells that hold an atom, each of positive mass
@@ -318,6 +322,47 @@ def _expectation(a: Auction, dist: ProductDist) -> tuple[float, float]:
             if i == 0:
                 welfare += np.vdot(weights, w)
     return float(revenue), float(welfare)
+
+
+def _contract(table: np.ndarray, masses) -> np.ndarray:
+    """The expected outcomes, (n + 1,), of an auction's outcome tables under bidder i's cell masses masses[i]."""
+    for m, c in zip(masses, table.shape):
+        table = m[:c] @ table.reshape(c, -1)  # contract the leading axis, one bidder's cells
+    return table
+
+
+def _expected_revenues(block: list[Auction], dist: ProductDist) -> list[float]:
+    """expected_revenue(a, dist) of each auction a of one block of _auctions, bit for bit.
+
+    With tables, bidder i's cell under every auction of the block, at each of dist[i]'s atoms, is
+    one comparison with the block's (n, width, T) thresholds, whose NaN pads compare false, and
+    its cell masses under all of them one bincount over t * width + cell, which adds each
+    auction's atoms in order from 0.0, as _expectation's bincount does; each auction then
+    contracts its own outcome tables. A block without tables runs lines, an auction at a time.
+    """
+    if block[0]._outcomes is None:
+        return [expected_revenue(a, dist) for a in block]
+    thresholds = block[0]._thresholds.base
+    n, width, count = thresholds.shape
+    masses = np.empty((count, n, width))
+    for i, d in enumerate(dist):
+        cells = (thresholds[i, :, :, None] <= d.support).sum(axis=0)  # (T, atoms)
+        cells += width * np.arange(count)[:, None]
+        masses[:, i] = np.bincount(cells.ravel(), np.tile(d.probs, count), count * width).reshape(count, width)
+    return [float(_contract(a._outcomes, m)[:-1].sum()) for a, m in zip(block, masses)]
+
+
+def _allocations(block: list[Auction], profiles: np.ndarray) -> np.ndarray:
+    """allocate(a, p) of each auction a of one block of _auctions at each row p of a (P, n) array of
+    value profiles without NaN, as a (T, P, n) array. With tables, each bidder's cells under every
+    auction at every profile are one comparison with the block's thresholds, and the winners one
+    gather of the block's ranks; a block without tables calls allocate.
+    """
+    a = block[0]
+    if a._ranks is None:
+        return np.array([[allocate(b, p) for p in profiles] for b in block])
+    cells = (a._thresholds.base[..., None] <= profiles.T[:, None, None]).sum(axis=1)  # (n, T, P)
+    return a.feasible.vertices[a._ranks.base[tuple(cells) + (np.arange(len(block))[:, None],)]]
 
 
 def expected_revenue(a: Auction, eval_dist: ProductDist) -> float:

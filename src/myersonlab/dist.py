@@ -9,15 +9,21 @@ the ironed virtual value of a value v is the hull's right derivative at
 the quantile of v. A distribution keeps its atoms as read-only arrays,
 and derives its running sums, its hull and each atom's ironed virtual
 value once, when it is built, as read-only arrays too, so nothing irons
-it again. _GATE selects the derivation: up to _GATE atoms it runs in
-Python and its results are wrapped in arrays; beyond, it runs on arrays
-end to end (_iron). Both give the same bits.
+it again. There are three derivations, and all three give the same bits:
+- the constructor up to _GATE atoms runs in Python and wraps its results
+  in arrays; every single prior of at most _GATE atoms takes it, as built
+  by make_discrete, from JSON or by point_mass;
+- the constructor past _GATE atoms runs on arrays end to end (_iron);
+- the block fill (_fill) derives the priors of many rows of at most _GATE
+  atoms at once, as the learner's rows come, with the chain run per row
+  but every sum, check, slope and run start one array pass for the block.
+  A block holding a longer row builds each prior through the constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import sqrt
 from typing import NamedTuple
 
@@ -138,6 +144,76 @@ def _envelope(points) -> list[tuple[float, float]]:
                 break
         hull.append((q, r))
     return hull
+
+
+def _fill(support: np.ndarray, probs: np.ndarray, starts: np.ndarray) -> list[ValueDist]:
+    """ValueDist(support[lo:hi], probs[lo:hi]) of each row of atoms laid end to end, row j from
+    starts[j] to starts[j + 1], the first at 0 and the last at len(support), bit for bit, derived
+    for all rows at once.
+
+    The rows are padded on the right with +0.0, which leaves a running sum from the left and a tail
+    sum from the top down as they are, so one cumsum each gives every row's _below and _above, whose
+    full-mass entries are then snapped to 1. ValueDist's checks run as reductions over the block; if
+    one fails, _each builds the priors one at a time, and refuses the first bad row by its index
+    with ValueDist's message. Each row's hull is _envelope's. Each atom's segment is the count of
+    its row's hull quantiles at or below its tail mass, less one, as searchsorted(side="right")
+    finds it, and one nonzero finds every run start. Each prior holds read-only views of its row of
+    the block's arrays, which it keeps alive. A block with a row past _GATE atoms, or with no atom,
+    goes to _each.
+    """
+    lens = starts[1:] - starts[:-1]
+    width = int(lens.max(initial=0))
+    if not 0 < width <= _GATE:
+        return _each(support, probs, starts)
+    rows = len(lens)
+    values, masses, below, above = np.zeros((4, rows, width + 1))  # values and masses end in a 0.0 column
+    at = np.arange(len(support)) + np.repeat(np.arange(0, rows * (width + 1), width + 1) - starts[:-1], lens)
+    values.ravel()[at], masses.ravel()[at] = support, probs
+    np.add.accumulate(masses[:, :-1], axis=1, out=below[:, 1:])
+    np.add.accumulate(masses[:, -2::-1], axis=1, out=above[:, -2::-1])
+    atoms = np.arange(width) < lens[:, None]  # the entries that hold an atom, not a pad
+    rising = (values[:, 1:-1] > values[:, :-2]) | ~atoms[:, 1:]
+    if not (probs.min() > 0.0 and support.min() >= 0.0 and support.max() <= 1.0 and rising.all()
+            and np.abs(below[:, -1] - 1.0).max() <= MASS_TOL and above[:, 1].max() < 1.0):  # False at NaN
+        return _each(support, probs, starts)  # which refuses the first row that fails
+    above[:, 0] = 1.0
+    # row j's revenue curve runs from its entry lens[j], (0.0, 0.0), back to its lowest atom
+    qs, rs, ms = above.tolist(), (above * values).tolist(), lens.tolist()
+    hulls = [_envelope(zip(q[m::-1], r[m::-1])) for q, r, m in zip(qs, rs, ms)]
+    hull = np.fromiter(chain.from_iterable(chain.from_iterable(hulls)), float).reshape(-1, 2)
+    sizes = np.array([len(h) for h in hulls])
+    del qs, rs, hulls  # not held while the priors are built, where the fill's memory peaks
+    firsts = sizes.cumsum() - sizes
+    hq = np.full((rows, sizes.max()), np.nan)  # a NaN pad compares false
+    hq.ravel()[np.arange(len(hull)) + np.repeat(np.arange(0, hq.size, hq.shape[1]) - firsts, sizes)] = hull[:, 0]
+    step = hull[1:] - hull[:-1]
+    segment = (hq[:, None] <= above[:, 1:, None]).sum(axis=2) + (firsts - 1)[:, None]
+    slopes = (step[:, 1] / step[:, 0])[segment]
+    first = atoms.copy()
+    first[:, 1:] &= slopes[:, 1:] != slopes[:, :-1]
+    runs, counts = np.nonzero(first)[1], first.sum(axis=1)
+    for arr in (values, masses, below, above, hull, slopes, runs):
+        arr.setflags(write=False)
+    cuts = counts.cumsum()
+    spans = zip(ms, firsts.tolist(), (firsts + sizes).tolist(), (cuts - counts).tolist(), cuts.tolist())
+    dists = []
+    for j, (m, h0, h1, r0, r1) in enumerate(spans):
+        d = object.__new__(ValueDist)  # built as ValueDist builds it, less the derivation
+        d.__dict__.update(support=values[j, :m], probs=masses[j, :m], _below=below[j, : m + 1],
+                          _above=above[j, : m + 1], _hull=hull[h0:h1], _slopes=slopes[j, :m], _runs=runs[r0:r1])
+        dists.append(d)
+    return dists
+
+
+def _each(support: np.ndarray, probs: np.ndarray, starts: np.ndarray) -> list[ValueDist]:
+    """_fill's priors built one at a time by ValueDist, whose refusal of a row is raised after its index."""
+    dists = []
+    for j, (lo, hi) in enumerate(zip(starts.tolist(), starts[1:].tolist())):
+        try:
+            dists.append(ValueDist(support[lo:hi], probs[lo:hi]))
+        except ValueError as exc:
+            raise ValueError(f"row {j}: {exc}") from None
+    return dists
 
 
 def _curve(support: np.ndarray, above: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ trials, each emitting a machine-readable report. The monotonicity reports share 
 Every experiment is deterministic given its inputs and seed. Trial t of a trial loop learns from
 row t of its count stream, learn._trial_counts(d, count, trials, seed, *key), whatever the number of
 trials, so any trial is replayed from its seed, key and t. The loops build the auctions of a block of
-counts' learned priors in blocks (auction._auctions); the other experiments call myerson.
+counts' learned priors in blocks (auction._auctions), and read each block at once: sample-complexity its
+revenues under the true prior (auction._expected_revenues), lb-family its allocations at the family's
+profiles (auction._allocations). The other experiments call myerson.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import prod, sqrt
 
 import numpy as np
 
-from .auction import _auctions, allocate, expected_revenue, myerson, opt_revenue
+from .auction import _allocations, _auctions, _expected_revenues, expected_revenue, myerson, opt_revenue
 from .dist import (
     ProductDist,
     dominates,
@@ -292,9 +294,12 @@ def run_sample_complexity(
     closed = masks(fs.vertices) is not None and is_downward_closed(fs)
     setting = "downward_closed" if closed else "general"
     count = required_samples(setting, fs.n, fs.rank, eps, delta, C)
-    learned = (_learn_counts(d, counts, delta) for counts in _trial_counts(d, count, trials, seed))
+    stream = _trial_counts(d, count, trials, seed)  # which refuses a trial count before any auction is built
     opt = opt_revenue(d, fs)
-    failures = sum(expected_revenue(a, d) < opt - eps for priors in learned for a in _auctions(priors, fs))
+    failures = 0
+    for counts in stream:  # a block's priors and auctions go before the next block is learned
+        blocks = _auctions(_learn_counts(d, counts, delta), fs)
+        failures += sum(r < opt - eps for block in blocks for r in _expected_revenues(block, d))
     freq = failures / trials
     sigma = sqrt(delta * (1.0 - delta) / trials)
     return _report(
@@ -346,7 +351,7 @@ def run_lb_family(
         signs = list(iproduct((0, 1), repeat=n))
     else:
         signs = [tuple(int(b) for b in rng.integers(0, 2, size=n)) for _ in range(_FAMILY_CAP)]
-    profiles = [tuple(0.0 if j == i else 1.0 for j in range(n)) for i in range(n)]
+    profiles = 1.0 - np.eye(n)  # bidder i bids 0.0 at profile i, the others 1.0
     wins: dict[bytes, list[bool]] = {}  # a trial's counts at 0 and 1 -> bidder i wins at profiles[i]
     total_regret = 0.0
     min_profile_prob = 1.0
@@ -358,9 +363,9 @@ def run_lb_family(
             keys = [c.tobytes() for c in counts]
             new = {key: t for t, key in enumerate(keys) if key not in wins}  # a trial per new key
             if new:  # no learner call for a block of counts already met
-                learned = _learn_counts(member, counts[list(new.values())], _LEARNER_DELTA)
-                for key, a in zip(new, _auctions(learned, fs)):
-                    wins[key] = [allocate(a, p)[i] > 0.0 for i, p in enumerate(profiles)]
+                blocks = _auctions(_learn_counts(member, counts[list(new.values())], _LEARNER_DELTA), fs)
+                x = np.concatenate([_allocations(block, profiles) for block in blocks])  # (keys, profiles, n)
+                wins.update(zip(new, (x.diagonal(axis1=1, axis2=2) > 0.0).tolist()))  # bidder i at profile i
             for key in keys:
                 for i in range(n):
                     dif_sums[i] += max(0.0, vw_all[i]) - (vw_all[i] if wins[key][i] else 0.0)

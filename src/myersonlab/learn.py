@@ -3,6 +3,8 @@ or of trials' per-atom counts through one core, sample-count formulas, and the H
 
 A trial loop's count stream, drawn by _trial_counts, is g.multinomial(count, P, size=(trials, n)), g the
 stream of SeedSequence(seed, spawn_key=key) and P each bidder's masses left-padded with zeros to one width.
+The learner core derives a block's learned priors in one call of the block fill, dist._fill, so each prior
+holds views of the block's arrays.
 Natural logarithms throughout the sample-count and inflation formulas.
 """
 
@@ -14,9 +16,9 @@ from math import ceil, inf, log, sqrt
 import numpy as np
 
 from .auction import _BLOCK
-from .dist import _GATE, ProductDist, ValueDist
+from .dist import _GATE, ProductDist, ValueDist, _fill
 
-_TRIALS = 64  # most trials a block of counts holds: each learned prior of a few atoms takes ~2.7 KB
+_TRIALS = 64  # most trials a block of counts holds: a learned two-bidder prior of a few atoms takes ~3 KB
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +127,7 @@ def _learn_rows(vals: np.ndarray, at_most: np.ndarray, count: int, n: int, delta
     masses[head], vals[head] = bottom + (cum[head] - bottom), 0.0  # bottom, then the samples at 0, added
     keep = masses > 0.0  # values past the clamp get no mass
     vals, masses = vals[keep], masses[keep]
-    bounds = np.flatnonzero(vals == 0.0).tolist() + [len(vals)]  # each prior has one atom at 0.0
-    dists = [ValueDist(vals[lo:hi], masses[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    dists = _fill(vals, masses, np.append(np.flatnonzero(vals == 0.0), len(vals)))  # one atom at 0.0 a prior
     return [ProductDist(dists[t : t + n]) for t in range(0, len(dists), n)]
 
 

@@ -113,10 +113,10 @@ MUTANTS = [
     {
         "name": "contraction-in-reversed-order",
         "file": AUCTION,
-        "snippet": "        for m, t in zip(masses, table.shape):\n"
-                   "            table = m[:t] @ table.reshape(t, -1)",
-        "replacement": "        for m, t in reversed(list(zip(masses, table.shape))):\n"
-                       "            table = np.tensordot(m[:t], table, axes=(0, table.ndim - 2))",
+        "snippet": "    for m, c in zip(masses, table.shape):\n"
+                   "        table = m[:c] @ table.reshape(c, -1)",
+        "replacement": "    for m, c in reversed(list(zip(masses, table.shape))):\n"
+                       "        table = np.tensordot(m[:c], table, axes=(0, table.ndim - 2))",
         "tests": TESTS,
         "reason": "the outcome tables are contracted last bidder first, so expectations round another way",
     },
@@ -145,12 +145,44 @@ MUTANTS = [
         "reason": "each auction of a block reads the ranks and outcomes of the prior after it",
     },
     {
+        "name": "block-masses-from-the-next-prior",
+        "file": AUCTION,
+        "snippet": "        cells += width * np.arange(count)[:, None]\n",
+        "replacement": "        cells += width * ((np.arange(count) + 1) % count)[:, None]\n",
+        "tests": TESTS,
+        "reason": "each auction of a block contracts its tables with the cell masses of the prior after it",
+    },
+    {
+        "name": "wins-at-the-next-priors-slice",
+        "file": AUCTION,
+        "snippet": "(np.arange(len(block))[:, None],)",
+        "replacement": "(((np.arange(len(block)) + 1) % len(block))[:, None],)",
+        "tests": TESTS,
+        "reason": "each auction of a block allocates, and so each lb-family key wins, as the prior after it",
+    },
+    {
         "name": "pay-steps-without-the-block-axis",
         "file": AUCTION,
         "snippet": "    steps = steps.reshape(steps.shape[:1] + (1,) * (x.ndim - steps.ndim) + steps.shape[1:])\n",
         "replacement": "    steps = steps.reshape((-1,) + (1,) * (x.ndim - 1))\n",
         "tests": TESTS,
         "reason": "a block's threshold steps are flattened over its priors, so they no longer line up with x",
+    },
+    {
+        "name": "hull-keeps-points-on-a-chord",
+        "file": DIST,
+        "snippet": "            if (q1 - q0) * (r - r0) - (r1 - r0) * (q - q0) >= 0.0:\n",
+        "replacement": "            if (q1 - q0) * (r - r0) - (r1 - r0) * (q - q0) > 0.0:\n",
+        "tests": ["tests/test_dist.py"],
+        "reason": "a revenue point on the chord of its neighbours stays a hull vertex",
+    },
+    {
+        "name": "fill-without-the-full-mass-snap",
+        "file": DIST,
+        "snippet": "    above[:, 0] = 1.0\n",
+        "replacement": "",
+        "tests": ["tests/test_dist.py"],
+        "reason": "a block prior's full mass is its tails summed top down, not 1, so its curve ends elsewhere",
     },
     {
         "name": "intervals-from-their-own-start",

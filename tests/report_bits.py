@@ -9,7 +9,8 @@ each subcommand's exit status in `status.txt`. It then writes the float.hex
 of every output of 50 ExactRevenue ops and of 20 DenseLearn ops at seed 1,
 one line per op (`exact-revenue.txt`, `dense-learn.txt`), and two trial
 loops whose outcomes vary (`trial-loops.txt`): sample-complexity at 1, 50,
-51, 52 and 120 trials,
+51, 52 and 120 trials, at C = 0.15, where atoms past the clamp get no mass,
+so some learner blocks hold rows of mixed widths (2 of its 6 blocks),
 and lb-family at 40 trials of 300 samples. The same two loops straddle the
 edges of the blocks of counts and of auctions in `block-edges.txt`:
 sample-complexity at 63, 64, 65 and 400 trials, next to blocks of 64

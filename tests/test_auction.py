@@ -17,9 +17,11 @@ from myersonlab.auction import (
     _BLOCK,
     _CAP,
     CrossCheckError,
+    _allocations,
     _auctions,
     EnumerationCapError,
     _expectation,
+    _expected_revenues,
     _winners,
     allocate,
     expected_revenue,
@@ -811,7 +813,7 @@ class TestAuctionBlocks:
         tall = ProductDist((one, ten) + (one,) * (fs.n - 2))
         priors = [random_prior(rng, fs.n) for _ in range(30)]
         priors[12:12] = [long, wide, tall]
-        auctions = list(_auctions(priors, fs))
+        auctions = [a for block in _auctions(priors, fs) for a in block]
         assert len(auctions) == len(priors)
         sizes = block_sizes(auctions)
         assert max(sizes) > 2 and sizes.count(1) > 2
@@ -848,12 +850,43 @@ class TestAuctionBlocks:
         prior, fs = ProductDist((uniform_grid(np.linspace(0.1, 1.0, 10)),) * 2), uniform_matroid(2, 1)
         assert 27 * 605 <= _BLOCK < 28 * 605
         for count, sizes in [(0, []), (1, [1]), (26, [26]), (27, [27]), (28, [27, 1]), (55, [27, 27, 1])]:
-            assert block_sizes(_auctions([prior] * count, fs)) == sizes
+            assert [len(block) for block in _auctions([prior] * count, fs)] == sizes
 
     def test_a_prior_of_another_bidder_count_is_refused(self):
         prior, fs = ProductDist((uniform_grid([0.5, 1.0]),) * 2), uniform_matroid(2, 1)
         with pytest.raises(ValueError, match="^prior has 1 bidders, system has 2$"):
             list(_auctions([prior, prior, ProductDist((point_mass(0.5),))], fs))
+
+
+class TestBlockEvaluation:
+    """_expected_revenues and _allocations read a block's arrays once, and give each of its auctions'
+    expected_revenue and allocate, bit for bit."""
+
+    @pytest.mark.parametrize("small", [False, True], ids=["default-block", "small-block"])
+    @pytest.mark.parametrize("fs", [uniform_matroid(2, 1), minimum_non_matroid()], ids=["matroid", "non-matroid"])
+    def test_each_auction_of_a_block(self, fs, small, monkeypatch):
+        if small:  # some blocks of one prior run lines, as in TestAuctionBlocks
+            monkeypatch.setattr("myersonlab.auction._BLOCK", 120 * (len(fs.vertices) + fs.n))
+        rng = np.random.default_rng(41)
+        priors = [random_prior(rng, fs.n) for _ in range(40)]  # their lowest atoms are at 1/8 or above
+        priors[5:5] = [ProductDist((uniform_grid(np.linspace(0.1, 1.0, 10)),) * fs.n)] * 2
+        blocks = list(_auctions(priors, fs))
+        assert max(map(len, blocks)) > 2
+        assert any(len({len(a.prior[0]._runs) for a in b}) > 1 for b in blocks)  # pad cells
+        assert any(b[0]._outcomes is None for b in blocks) == small
+        # atoms at 0 and 1/16, below every auction's lowest threshold, fall in cell 0
+        low = make_discrete([0.0, 1 / 16, 0.3, 0.5, 0.8], [0.1, 0.15, 0.25, 0.3, 0.2])
+        dists = [ProductDist((low,) * fs.n), random_prior(rng, fs.n)]
+        values = [0.0, 1 / 16, *ATOMS, *(a + 1 / 16 for a in ATOMS[:-1])]
+        profiles = np.array([[float(rng.choice(values)) for _ in range(fs.n)] for _ in range(30)])
+        for block in blocks:
+            for dist in dists:
+                want = [expected_revenue(a, dist).hex() for a in block]
+                assert [r.hex() for r in _expected_revenues(block, dist)] == want
+            got = _allocations(block, profiles)
+            assert got.shape == (len(block), len(profiles), fs.n)
+            for a, x in zip(block, got.tolist()):
+                assert list(map(tuple, x)) == [allocate(a, p) for p in profiles]
 
 
 class TestValueToCell:

@@ -5,16 +5,19 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from myersonlab.dist import (
+    _GATE,
     MASS_TOL,
     ProductDist,
     ValueDist,
+    _fill,
     discretize_uniform_with_atom,
     dominates,
+    ironing_intervals,
     is_close,
     is_close_uniform,
     make_discrete,
@@ -295,6 +298,121 @@ class TestMakeDiscreteOracle:
         assert bits(got) == bits(oracles.make_discrete(values, probs))
         first_zero = next(v for v in values if v == 0.0)
         assert math.copysign(1.0, got.support[0]) == math.copysign(1.0, first_zero)
+
+
+FIELDS = ("support", "probs", "_below", "_above", "_hull", "_slopes", "_runs")
+# rows ironed over some of their atoms
+IRONED_ROWS = [
+    ((0.1, 0.2, 0.3, 0.4, 1.0), (0.71, 0.03, 0.03, 0.03, 0.2)),
+    ((0.1, 0.3, 0.4, 0.9), (0.2, 0.3, 0.3, 0.2)),
+    ((0.0, 0.1, 0.5, 0.55, 1.0), (0.4, 0.1, 0.2, 0.1, 0.2)),
+]
+# rows that ValueDist refuses, each for one of its checks; () is a row of no atoms
+BAD_ROWS = [
+    ((0.2, 0.8), (0.5, 0.4)),
+    ((0.2, 0.8), (0.5, math.nan)),
+    ((0.2, 0.5, 0.8), (0.6, 0.0, 0.4)),
+    ((0.2, 0.8), (1.2, -0.2)),
+    ((0.5, 0.2), (0.5, 0.5)),
+    ((0.5, 0.5), (0.5, 0.5)),
+    ((0.2, 1.5), (0.5, 0.5)),
+    ((-0.1, 0.5), (0.5, 0.5)),
+    ((0.2, math.nan, 0.8), (0.25, 0.25, 0.5)),
+    ((math.nan,), (1.0,)),
+    ((0.1, 0.5), (1e-20, 1.0)),
+    ((), ()),
+]
+
+
+def equal_revenue_row(m, scale):
+    """m atoms whose revenue points all lie on one level line, in floats: atom k is worth scale * 2**(k + 1 - m)
+    and it and the atoms above it carry 2**-k, so each point's revenue is scale * 2**(1 - m)."""
+    return (tuple(scale * 2.0 ** (k + 1 - m) for k in range(m)),
+            tuple(2.0 ** -(k + 1) for k in range(m - 1)) + (2.0 ** (1 - m),))
+
+
+@st.composite
+def fill_rows(draw):
+    """A row of atoms: random grid atoms, an ironed row, an equal-revenue row or one atom."""
+    kind = draw(st.sampled_from(["random", "ironed", "equal-revenue", "one-atom"]))
+    if kind == "random":
+        m = draw(st.integers(2, 8))
+        values = sorted(draw(st.lists(st.integers(0, 1000), min_size=m, max_size=m, unique=True)))
+        weights = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+        return tuple(v / 1000 for v in values), tuple(w / sum(weights) for w in weights)
+    if kind == "ironed":
+        return draw(st.sampled_from(IRONED_ROWS))
+    if kind == "equal-revenue":
+        return equal_revenue_row(draw(st.integers(3, 6)), draw(st.sampled_from([1.0, 0.5, 0.125])))
+    return (draw(st.integers(0, 8)) / 8,), (1.0,)
+
+
+def fill(rows):
+    """_fill of rows of (support, probs), laid end to end."""
+    support = np.array([v for s, _ in rows for v in s], dtype=float)
+    probs = np.array([p for _, ps in rows for p in ps], dtype=float)
+    return _fill(support, probs, np.cumsum([0] + [len(s) for s, _ in rows]))
+
+
+def assert_built_as_value_dist(d, support, probs):
+    """Every field of d equals ValueDist(support, probs)'s in dtype, shape and bytes, and is read-only."""
+    want = ValueDist(support, probs)
+    for name in FIELDS:
+        got, kept = getattr(d, name), getattr(want, name)
+        assert (got.dtype, got.shape) == (kept.dtype, kept.shape), name
+        assert got.tobytes() == kept.tobytes(), name
+        assert not got.flags.writeable, name
+
+
+class TestBlockFill:
+    """_fill derives a block of rows' priors at once, each field as ValueDist derives it, bit for bit."""
+
+    @given(st.lists(fill_rows(), min_size=1, max_size=12))
+    @example([((0.2, 0.5, 0.9), (0.1, 0.2, 0.7))] * 2)  # tails sum top down to 0.9999999999999999
+    @settings(max_examples=300, deadline=None)
+    def test_every_field_is_value_dists(self, rows):
+        got = fill(rows)
+        assert len(got) == len(rows)
+        for d, (support, probs) in zip(got, rows):
+            assert_built_as_value_dist(d, support, probs)
+            assert d.support.base is not None  # a view of the block's arrays, not a ValueDist of its own
+            assert tuple(map(tuple, d._hull.tolist())) == oracles.iron(oracles.revenue_curve(d))
+
+    def test_rows_of_each_kind(self):
+        rows = [*IRONED_ROWS, equal_revenue_row(4, 0.5), equal_revenue_row(6, 1.0), ((0.25,), (1.0,))]
+        priors = fill(rows)
+        assert all(ironing_intervals(d) for d in priors[:3])
+        assert sorted({len(s) for s, _ in rows}) == [1, 4, 5, 6]  # one block of mixed widths
+        for d, (support, probs) in zip(priors, rows):
+            assert_built_as_value_dist(d, support, probs)
+
+    @pytest.mark.parametrize("m, scale", [(3, 1.0), (4, 0.5), (6, 0.125)])
+    def test_hulls_keep_no_point_on_a_chord(self, m, scale):
+        # every revenue point of an equal-revenue row but the origin lies on one level line, so the
+        # hull keeps only the origin, the top atom's point and the point at quantile 1
+        d = fill([equal_revenue_row(m, scale)] * 2)[1]
+        level = scale * 2.0 ** (1 - m)
+        assert d._hull.tolist() == [[0.0, 0.0], [2.0 ** (1 - m), level], [1.0, level]]
+        assert d._slopes.tolist() == [0.0] * (m - 1) + [scale] and d._runs.tolist() == [0, m - 1]
+
+    def test_no_rows_give_no_priors(self):
+        assert fill([]) == []
+
+    def test_a_block_with_a_long_row_builds_each_prior_alone(self):
+        rows = [grid_atoms(_GATE + 1), ((0.5,), (1.0,)), grid_atoms(_GATE)]
+        for d, (support, probs) in zip(fill(rows), rows):
+            assert_built_as_value_dist(d, support, probs)
+
+    @given(st.lists(fill_rows(), max_size=6), st.sampled_from(BAD_ROWS), st.sampled_from(BAD_ROWS), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_the_first_bad_row_is_refused_by_name(self, rows, bad, later, data):
+        j = data.draw(st.integers(0, len(rows)), label="bad row")
+        rows = rows[:j] + [bad] + rows[j:] + [later]
+        with pytest.raises(ValueError) as refused:
+            ValueDist(*bad)
+        with pytest.raises(ValueError) as got:
+            fill(rows)
+        assert str(got.value) == f"row {j}: {refused.value}"
 
 
 def _rank(support, v: float) -> int:

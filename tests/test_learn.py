@@ -30,6 +30,7 @@ from myersonlab.learn import (
 )
 
 from fuzz import random_product, uniform_grid
+from test_dist import assert_built_as_value_dist
 
 GRID10 = [round(0.1 * j, 10) for j in range(1, 11)]
 cdf = oracles.scalar_cdf  # Pr[u <= v], summed left to right
@@ -385,6 +386,13 @@ class TestBlockLearner:
             for counts, prior in zip(stack, learned):
                 unpadded = [c[len(c) - len(dj.support) :].tolist() for dj, c in zip(d, counts)]
                 assert bits(prior) == bits(oracles.counted_empirical(d, unpadded, delta))
+
+    def test_learned_priors_derive_what_value_dist_derives(self):
+        # through the block fill, each prior's hull, slopes and runs included
+        for d, stack, delta in self.stacks(35, 300):
+            for prior in _learn_counts(d, stack, delta):
+                for dj in prior:
+                    assert_built_as_value_dist(dj, dj.support.copy(), dj.probs.copy())
 
     def test_no_trials_give_no_priors(self):
         assert _learn_counts(grid_prior(), np.zeros((0, 2, 10), np.int64), 0.1) == []
