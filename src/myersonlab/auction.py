@@ -34,26 +34,28 @@ expectation one per profile of the others' occupied cells, in blocks,
 welfare off bidder 0's lines. An auction holds its prior, system,
 thresholds, term tables and outcome tables if any.
 
-Auctions are built in blocks, since a trial loop builds many small ones,
-where numpy's fixed cost per call dominates: _auctions takes a list of
-priors and fills the arrays of a run of consecutive ones at once, while
+A trial loop scores its trials' auctions in blocks, where numpy's fixed
+cost per call dominates, and builds no object for a trial that fits one:
+the learner hands _auctions a block of trials as arrays (Priors), their
+virtual values and thresholds with a trial axis just before the
+vertices. _auctions fills one run of consecutive trials at a time while
 their tables, over the most cells each bidder has in any of them, fit
-_BLOCK. Every array carries a prior axis just before the vertices, and
-one _winners call and a _pay per bidder fill all of them, with the same
-sums in the same order whatever the block. Each auction holds read-only
-views of its own slices, which end before the pad cells of the priors
-with fewer runs. myerson builds a block of one prior. A block with tables
-is also read at once: _expected_revenues finds every auction's cell
-masses under a distribution with one comparison and one bincount per
-bidder, and _allocations every auction's winners at given profiles with
-one gather of the block's ranks.
+_BLOCK, with one _winners call and a _pay per bidder, the same sums in
+the same order whatever the block, and yields the run as arrays
+(Tables). _expected_revenues then reads every trial's cell masses off
+one comparison and one bincount per bidder, and contracts each trial's
+own slice of the tables; _allocations gathers the block's ranks. Only a
+trial whose grid does not fit on its own gets its prior and Auction
+built, by myerson, and runs lines. myerson is a block of one prior, and
+its auction holds read-only views of the block's arrays.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +98,27 @@ class Auction:
     _outcomes: np.ndarray | None = field(default=None, repr=False)
 
 
+class Priors(NamedTuple):
+    """A block of trials' priors: bidder i's in trial t has cells[t, i] cells, run c its ironed virtual value at
+    phis[i, c + 1, t] and first atom at thresholds[i, c, t] (0.0, NaN past its last run); prior(t) builds trial t's."""
+
+    phis: np.ndarray
+    thresholds: np.ndarray
+    cells: np.ndarray
+    prior: Callable[[int], ProductDist]
+
+
+class Tables(NamedTuple):
+    """A block of trials' auctions: trial t's has cells[t, i] cells of bidder i, thresholds[:, :, t], and its outcome
+    tables at its own cells of each grid axis and t on the trial axis that follows them."""
+
+    cells: np.ndarray
+    thresholds: np.ndarray
+    ranks: np.ndarray
+    outcomes: np.ndarray
+    vertices: np.ndarray
+
+
 def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     """Build the optimal auction for the prior over the feasible system.
 
@@ -104,58 +127,45 @@ def myerson(prior: ProductDist, fs: FeasibleSet) -> Auction:
     then ascending lexicographic. Any fixed order keeps the per-bidder
     allocation monotone in own value. It is a block of one prior.
     """
-    return _block([prior], [len(d._runs) + 1 for d in prior], fs)[0]
-
-
-def _auctions(priors: list[ProductDist], fs: FeasibleSet) -> Iterator[list[Auction]]:
-    """myerson of each prior in turn, in blocks of consecutive priors that share one fill while their tables fit.
-
-    A block's grid is the most cells each bidder has in any of its priors; it grows while that
-    grid, times the block's priors and vertices + n, stays within _BLOCK numbers. A prior whose
-    grid is too large on its own is a block of one, and runs lines. The caller bounds the list.
-    """
-    size, start, grid = len(fs.vertices) + fs.n, 0, []
-    for t, prior in enumerate(priors):
-        cells = [len(d._runs) + 1 for d in prior]
-        grown = list(map(max, grid, cells)) if t > start else cells
-        if t > start and prod(grown) * size * (t + 1 - start) > _BLOCK:
-            yield _block(priors[start:t], grid, fs)
-            start, grown = t, cells
-        grid = grown
-    if priors:
-        yield _block(priors[start:], grid, fs)
-
-
-def _block(priors: list[ProductDist], grid: list[int], fs: FeasibleSet) -> list[Auction]:
-    """The auctions of priors whose cells fit grid, their arrays filled for all of them at once.
-
-    Thresholds [i, c, t] and term tables [i, c, t, v] carry prior t's axis just before the
-    vertices, as do the outcome tables past the grid axes, built when the grid times the priors
-    and vertices + n fits _BLOCK; cells past a prior's last run are pads no value or slice reaches.
-    Each auction holds read-only views of its own slices, whose base is the block's array.
-    """
-    n = fs.n
-    phis = np.zeros((n, max(grid), len(priors)))
+    cells = [len(d._runs) + 1 for d in prior]
+    phis = np.zeros((prior.n, max(cells), 1))
     thresholds = np.full(phis.shape, np.nan)  # no value reaches a NaN pad: every comparison is false
-    for t, prior in enumerate(priors):
-        if prior.n != n:
-            raise ValueError(f"prior has {prior.n} bidders, system has {n}")
-        for i, d in enumerate(prior):  # one cell per run of atoms with equal slopes
-            phis[i, 1 : len(d._runs) + 1, t] = d._slopes[d._runs]
-            thresholds[i, : len(d._runs), t] = d.support[d._runs]
+    for i, d in enumerate(prior):  # one cell per run of atoms with equal slopes
+        phis[i, 1 : cells[i], 0] = d._slopes[d._runs]
+        thresholds[i, : cells[i] - 1, 0] = d.support[d._runs]
+    terms, tables = _block(phis, thresholds, cells, fs)
+    return Auction(prior, fs, thresholds[..., 0], terms[:, :, 0], *(t[(slice(None),) * fs.n + (0,)] for t in tables))
+
+
+def _auctions(priors: Priors, fs: FeasibleSet) -> Iterator[Tables | Auction]:
+    """The auctions of a block of trials, as Tables of consecutive trials whose grid, the most cells each bidder has
+    in any of them, times the trials and vertices + n, fits _BLOCK, or as myerson's Auction of a trial that does
+    not fit alone, which runs lines."""
+    phis, thresholds, cells, prior = priors
+    size, start = len(fs.vertices) + fs.n, 0
+    while start < len(cells):
+        grid = np.maximum.accumulate(cells[start:], axis=0)  # a float product cannot wrap
+        count = np.count_nonzero(grid.prod(axis=1, dtype=float) * size * np.arange(1, len(grid) + 1) <= _BLOCK)
+        if count:
+            trials, width = slice(start, start + count), int(grid[count - 1].max())
+            own = thresholds[:, :width, trials]
+            _, tables = _block(phis[:, :width, trials], own, grid[count - 1].tolist(), fs)
+            yield Tables(cells[trials], own, *tables, fs.vertices)
+        else:
+            yield myerson(prior(start), fs)
+        start += max(count, 1)
+
+
+def _block(phis: np.ndarray, thresholds: np.ndarray, grid: list[int], fs: FeasibleSet) -> tuple[np.ndarray, tuple]:
+    """The read-only term tables [i, c, t, v] of virtual values phis [i, c, t] of priors whose cells fit grid, and
+    their outcome tables (ranks, outcomes) if the grid times the priors and vertices + n fits _BLOCK, else ()."""
+    if len(phis) != fs.n:
+        raise ValueError(f"prior has {len(phis)} bidders, system has {fs.n}")
     terms = _terms(phis, fs.vertices)
     for arr in (thresholds, terms):
         arr.setflags(write=False)
-    tables = prod(grid) * (len(fs.vertices) + n) * len(priors) <= _BLOCK
-    if tables:
-        ranks, outcomes = _tables(terms, thresholds, grid, fs.vertices)
-    auctions = []
-    for t, prior in enumerate(priors):
-        cells = [len(d._runs) + 1 for d in prior]
-        own = tuple(map(slice, cells)) + (t,)
-        views = (ranks[own], outcomes[own]) if tables else ()
-        auctions.append(Auction(prior, fs, thresholds[:, : max(cells), t], terms[:, : max(cells), t], *views))
-    return auctions
+    fits = prod(grid) * (len(fs.vertices) + fs.n) * phis.shape[2] <= _BLOCK
+    return terms, _tables(terms, thresholds, grid, fs.vertices) if fits else ()
 
 
 def _tables(terms: np.ndarray, thresholds: np.ndarray, grid: list[int],
@@ -331,38 +341,31 @@ def _contract(table: np.ndarray, masses) -> np.ndarray:
     return table
 
 
-def _expected_revenues(block: list[Auction], dist: ProductDist) -> list[float]:
-    """expected_revenue(a, dist) of each auction a of one block of _auctions, bit for bit.
-
-    With tables, bidder i's cell under every auction of the block, at each of dist[i]'s atoms, is
-    one comparison with the block's (n, width, T) thresholds, whose NaN pads compare false, and
-    its cell masses under all of them one bincount over t * width + cell, which adds each
-    auction's atoms in order from 0.0, as _expectation's bincount does; each auction then
-    contracts its own outcome tables. A block without tables runs lines, an auction at a time.
-    """
-    if block[0]._outcomes is None:
-        return [expected_revenue(a, dist) for a in block]
-    thresholds = block[0]._thresholds.base
-    n, width, count = thresholds.shape
+def _expected_revenues(block: Tables | Auction, dist: ProductDist) -> list[float]:
+    """expected_revenue under dist of each auction of one block of _auctions, bit for bit: bidder i's cells under
+    every trial, at each of dist[i]'s atoms, are one comparison with the thresholds (NaN pads compare false), and its
+    cell masses one bincount over t * width + cell, which adds each trial's atoms in order from 0.0, as _expectation
+    does; each trial contracts a contiguous copy of its own slice of the tables, since a product over a strided
+    slice can round otherwise. An Auction, which runs lines, is asked itself."""
+    if isinstance(block, Auction):
+        return [expected_revenue(block, dist)]
+    n, width, count = block.thresholds.shape
     masses = np.empty((count, n, width))
     for i, d in enumerate(dist):
-        cells = (thresholds[i, :, :, None] <= d.support).sum(axis=0)  # (T, atoms)
+        cells = (block.thresholds[i, :, :, None] <= d.support).sum(axis=0)  # (T, atoms)
         cells += width * np.arange(count)[:, None]
         masses[:, i] = np.bincount(cells.ravel(), np.tile(d.probs, count), count * width).reshape(count, width)
-    return [float(_contract(a._outcomes, m)[:-1].sum()) for a, m in zip(block, masses)]
+    own = (tuple(map(slice, c)) + (t,) for t, c in enumerate(block.cells.tolist()))
+    return [float(_contract(np.ascontiguousarray(block.outcomes[o]), m)[:-1].sum()) for o, m in zip(own, masses)]
 
 
-def _allocations(block: list[Auction], profiles: np.ndarray) -> np.ndarray:
-    """allocate(a, p) of each auction a of one block of _auctions at each row p of a (P, n) array of
-    value profiles without NaN, as a (T, P, n) array. With tables, each bidder's cells under every
-    auction at every profile are one comparison with the block's thresholds, and the winners one
-    gather of the block's ranks; a block without tables calls allocate.
-    """
-    a = block[0]
-    if a._ranks is None:
-        return np.array([[allocate(b, p) for p in profiles] for b in block])
-    cells = (a._thresholds.base[..., None] <= profiles.T[:, None, None]).sum(axis=1)  # (n, T, P)
-    return a.feasible.vertices[a._ranks.base[tuple(cells) + (np.arange(len(block))[:, None],)]]
+def _allocations(block: Tables | Auction, profiles: np.ndarray) -> np.ndarray:
+    """allocate(a, p) of each auction a of one block of _auctions at each row p of a (P, n) array of value profiles
+    without NaN, as a (T, P, n) array: one comparison with the thresholds and one gather of the ranks."""
+    if isinstance(block, Auction):
+        return np.array([[allocate(block, p) for p in profiles]])
+    cells = (block.thresholds[..., None] <= profiles.T[:, None, None]).sum(axis=1)  # (n, T, P)
+    return block.vertices[block.ranks[tuple(cells) + (np.arange(len(block.cells))[:, None],)]]
 
 
 def expected_revenue(a: Auction, eval_dist: ProductDist) -> float:

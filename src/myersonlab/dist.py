@@ -14,16 +14,16 @@ it again. There are three derivations, and all three give the same bits:
   in arrays; every single prior of at most _GATE atoms takes it, as built
   by make_discrete, from JSON or by point_mass;
 - the constructor past _GATE atoms runs on arrays end to end (_iron);
-- the block fill (_fill) derives the priors of many rows of at most _GATE
-  atoms at once, as the learner's rows come, with the chain run per row
-  but every sum, check, slope and run start one array pass for the block.
-  A block holding a longer row builds each prior through the constructor.
+- the block fill (_derive) takes a trial loop's rows of at most _GATE
+  atoms at once, in array passes, every row's hull included; the loops
+  read each row's run starts off it (_runs) and build no prior. A block
+  with a longer row, and dominated_empirical's rows, take the constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import sqrt
 from typing import NamedTuple
 
@@ -146,67 +146,87 @@ def _envelope(points) -> list[tuple[float, float]]:
     return hull
 
 
-def _fill(support: np.ndarray, probs: np.ndarray, starts: np.ndarray) -> list[ValueDist]:
-    """ValueDist(support[lo:hi], probs[lo:hi]) of each row of atoms laid end to end, row j from
-    starts[j] to starts[j + 1], the first at 0 and the last at len(support), bit for bit, derived
-    for all rows at once.
+def _thin(points: np.ndarray, least: int, patience: int) -> tuple[np.ndarray, int]:
+    """Points (2, k) in increasing q thinned by passes, and the last pass's drop count: each drops every point on or
+    below the chord of its two current neighbours, the chain's test, while over least points remain, until one drops
+    none or, from pass patience on, under a quarter. A dropped point is never a hull vertex: the chain on what is left
+    gives the whole chain's hull, and pops nothing after a pass that drops nothing. No chord through a NaN is tested."""
+    dropped = passes = 0
+    while points.shape[1] > least:
+        step, span = points[:, 1:-1] - points[:, :-2], points[:, 2:] - points[:, :-2]
+        low = step[0] * span[1] - step[1] * span[0] >= 0.0
+        dropped, passes = np.count_nonzero(low), passes + 1
+        points = points.compress(np.concatenate(([True], ~low, [True])), axis=1)
+        if not dropped or passes >= patience and 4 * dropped < len(low) + 2:
+            break
+    return points, dropped
 
-    The rows are padded on the right with +0.0, which leaves a running sum from the left and a tail
-    sum from the top down as they are, so one cumsum each gives every row's _below and _above, whose
-    full-mass entries are then snapped to 1. ValueDist's checks run as reductions over the block; if
-    one fails, _each builds the priors one at a time, and refuses the first bad row by its index
-    with ValueDist's message. Each row's hull is _envelope's. Each atom's segment is the count of
-    its row's hull quantiles at or below its tail mass, less one, as searchsorted(side="right")
-    finds it, and one nonzero finds every run start. Each prior holds read-only views of its row of
-    the block's arrays, which it keeps alive. A block with a row past _GATE atoms, or with no atom,
-    goes to _each.
+
+def _derive(support: np.ndarray, probs: np.ndarray, starts: np.ndarray) -> tuple | None:
+    """The block fill: the arrays ValueDist derives, bit for bit, of rows of atoms laid end to end, row j from
+    starts[j] to starts[j + 1]; None for a block that fails a check, holds a row past _GATE atoms or has none.
+
+    Rows padded with +0.0 to width + 2 entries keep their running and tail sums, one cumsum each. Every revenue
+    curve is laid end to end after a NaN revenue, so _thin tests no chord across two rows; a thinning that stalls
+    past 8 passes leaves one chain sweep for all rows, which a NaN stops too. An atom's segment is the count of its
+    row's hull quantiles at or below its tail mass, less one. Returns (values, masses, below, above) as (rows,
+    width + 2), the hulls end to end with each row's first index, and slopes and a run-start mask as (rows, width).
     """
     lens = starts[1:] - starts[:-1]
     width = int(lens.max(initial=0))
     if not 0 < width <= _GATE:
-        return _each(support, probs, starts)
+        return None
     rows = len(lens)
-    values, masses, below, above = np.zeros((4, rows, width + 1))  # values and masses end in a 0.0 column
-    at = np.arange(len(support)) + np.repeat(np.arange(0, rows * (width + 1), width + 1) - starts[:-1], lens)
-    values.ravel()[at], masses.ravel()[at] = support, probs
+    block = np.zeros((5, rows, width + 2))  # every row ends in at least two 0.0 pads
+    values, masses, below, above, revenue = block
+    entry = np.arange(width + 2)
+    atoms = entry < lens[:, None]  # the entries that hold an atom, not a pad
+    values[atoms], masses[atoms] = support, probs
     np.add.accumulate(masses[:, :-1], axis=1, out=below[:, 1:])
     np.add.accumulate(masses[:, -2::-1], axis=1, out=above[:, -2::-1])
-    atoms = np.arange(width) < lens[:, None]  # the entries that hold an atom, not a pad
-    rising = (values[:, 1:-1] > values[:, :-2]) | ~atoms[:, 1:]
+    rising = (values[:, 1:width] > values[:, : width - 1]) | ~atoms[:, 1:width]
     if not (probs.min() > 0.0 and support.min() >= 0.0 and support.max() <= 1.0 and rising.all()
             and np.abs(below[:, -1] - 1.0).max() <= MASS_TOL and above[:, 1].max() < 1.0):  # False at NaN
-        return _each(support, probs, starts)  # which refuses the first row that fails
+        return None  # _each refuses the first row that fails
     above[:, 0] = 1.0
-    # row j's revenue curve runs from its entry lens[j], (0.0, 0.0), back to its lowest atom
-    qs, rs, ms = above.tolist(), (above * values).tolist(), lens.tolist()
-    hulls = [_envelope(zip(q[m::-1], r[m::-1])) for q, r, m in zip(qs, rs, ms)]
-    hull = np.fromiter(chain.from_iterable(chain.from_iterable(hulls)), float).reshape(-1, 2)
-    sizes = np.array([len(h) for h in hulls])
-    del qs, rs, hulls  # not held while the priors are built, where the fill's memory peaks
-    firsts = sizes.cumsum() - sizes
+    np.multiply(above, values, out=revenue)
+    revenue[np.arange(rows), lens + 1] = np.nan
+    # row j from its NaN at entry lens[j] + 1 and its (0.0, 0.0) at entry lens[j] back to its lowest atom
+    curve = block[3:, :, ::-1].reshape(2, -1).compress((entry[::-1] <= lens[:, None] + 1).ravel(), axis=1)
+    points, dropped = _thin(curve, 0, 8)  # a pass costs about a sixteenth of the chain, which most blocks never run
+    if dropped:
+        points = np.array(_envelope(zip(*points.tolist()))).T
+    nan = np.isnan(points[1])
+    firsts = np.flatnonzero(nan) - np.arange(rows)  # each row's first hull point
+    hull = points.compress(~nan, axis=1).T.copy()
+    sizes = np.append(firsts[1:], len(hull)) - firsts
     hq = np.full((rows, sizes.max()), np.nan)  # a NaN pad compares false
-    hq.ravel()[np.arange(len(hull)) + np.repeat(np.arange(0, hq.size, hq.shape[1]) - firsts, sizes)] = hull[:, 0]
+    hq[np.arange(hq.shape[1]) < sizes[:, None]] = hull[:, 0]
     step = hull[1:] - hull[:-1]
-    segment = (hq[:, None] <= above[:, 1:, None]).sum(axis=2) + (firsts - 1)[:, None]
+    segment = (hq[:, None] <= above[:, 1 : width + 1, None]).sum(axis=2) + (firsts - 1)[:, None]
     slopes = (step[:, 1] / step[:, 0])[segment]
-    first = atoms.copy()
+    first = atoms[:, :width].copy()
     first[:, 1:] &= slopes[:, 1:] != slopes[:, :-1]
-    runs, counts = np.nonzero(first)[1], first.sum(axis=1)
-    for arr in (values, masses, below, above, hull, slopes, runs):
-        arr.setflags(write=False)
-    cuts = counts.cumsum()
-    spans = zip(ms, firsts.tolist(), (firsts + sizes).tolist(), (cuts - counts).tolist(), cuts.tolist())
-    dists = []
-    for j, (m, h0, h1, r0, r1) in enumerate(spans):
-        d = object.__new__(ValueDist)  # built as ValueDist builds it, less the derivation
-        d.__dict__.update(support=values[j, :m], probs=masses[j, :m], _below=below[j, : m + 1],
-                          _above=above[j, : m + 1], _hull=hull[h0:h1], _slopes=slopes[j, :m], _runs=runs[r0:r1])
-        dists.append(d)
-    return dists
+    return values, masses, below, above, hull, firsts, slopes, first
+
+
+def _runs(support: np.ndarray, probs: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ironed virtual value and first atom of every run of equal slopes of each row of atoms laid end to end,
+    row by row, and each row's count of runs, bit for bit as ValueDist derives them, with no prior built unless
+    _derive declines the block."""
+    derived = _derive(support, probs, starts)
+    if derived is None:
+        dists = _each(support, probs, starts)
+        return (np.concatenate([np.empty(0), *(d._slopes[d._runs] for d in dists)]),
+                np.concatenate([np.empty(0), *(d.support[d._runs] for d in dists)]),
+                np.array([len(d._runs) for d in dists], dtype=np.intp))
+    values, *_, slopes, first = derived
+    return slopes[first], values[:, :-2][first], first.sum(axis=1)
 
 
 def _each(support: np.ndarray, probs: np.ndarray, starts: np.ndarray) -> list[ValueDist]:
-    """_fill's priors built one at a time by ValueDist, whose refusal of a row is raised after its index."""
+    """ValueDist(support[lo:hi], probs[lo:hi]) of each row of atoms laid end to end, row j from starts[j] to
+    starts[j + 1], whose refusal of a row is raised after its index."""
     dists = []
     for j, (lo, hi) in enumerate(zip(starts.tolist(), starts[1:].tolist())):
         try:
@@ -232,21 +252,12 @@ def _iron(support, above):
     in Python: the chain over every breakpoint, then one pointer down the
     hull's segments while the atoms are taken in ascending order, as their
     quantiles fall. Beyond, both are arrays and so is every step: the
-    breakpoints, stacked as one (2, m + 1) array, are thinned by passes
-    that drop every point on or below the chord of its two current
-    neighbours, the chain's own test, until at most _GATE points remain or
-    a pass drops fewer than a quarter of them; a dropped point is never a
-    hull vertex. The chain runs on what remains, and one searchsorted over
-    the hull's quantiles finds each atom's segment.
+    breakpoints, stacked as one (2, m + 1) array, are thinned (_thin) until
+    at most _GATE points remain, the chain runs on what remains, and one
+    searchsorted over the hull's quantiles finds each atom's segment.
     """
     if len(support) > _GATE:
-        points = _curve(support, above)
-        while points.shape[1] > _GATE:
-            step, span = points[:, 1:-1] - points[:, :-2], points[:, 2:] - points[:, :-2]
-            low = step[0] * span[1] - step[1] * span[0] >= 0.0
-            points = points[:, np.concatenate(([True], ~low, [True]))]
-            if 4 * np.count_nonzero(low) < len(low) + 2:
-                break
+        points, _ = _thin(_curve(support, above), _GATE, 1)
         hull = np.array(_envelope(zip(*points.tolist())))
         hq, hr = hull.T
         k = np.searchsorted(hq, above[1:], side="right") - 1

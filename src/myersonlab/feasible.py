@@ -143,11 +143,16 @@ def is_downward_closed(fs: FeasibleSet) -> bool:
     sets = masks(fs.vertices)
     if sets is None:
         raise ValueError("downward-closure check needs a binary set system")
+    return _closed(sets)
+
+
+def _closed(sets: list[int]) -> bool:
+    """Whether a family of bitmasks holds every set one member short of each of its sets."""
     have = set(sets)
     return all(m & ~(1 << i) in have for m in sets for i in members(m))
 
 
-def _exchange_violation(fs: FeasibleSet) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+def _exchange_violation(fs: FeasibleSet, sets=None) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Witness (S, S') of a failed exchange with |S| = |S'| + 1, or None.
 
     fs must be a binary system already known to be downward closed. Among
@@ -156,9 +161,9 @@ def _exchange_violation(fs: FeasibleSet) -> tuple[tuple[int, ...], tuple[int, ..
     between any two sizes shrinks to one between sizes one apart, so a
     family that holds the empty set is a matroid exactly when this is None.
     ext[S'] holds the bidders x outside S' for which S' + x is feasible, so
-    (S, S') violates exchange exactly when S & ext[S'] is empty.
+    (S, S') violates exchange exactly when S & ext[S'] is empty. sets, if given, is masks(fs.vertices).
     """
-    sets = masks(fs.vertices)
+    sets = masks(fs.vertices) if sets is None else sets
     ext = dict.fromkeys(sets, 0)
     by_size: dict[int, list[int]] = {}
     for m in sets:

@@ -4,10 +4,11 @@ trials, each emitting a machine-readable report. The monotonicity reports share 
 
 Every experiment is deterministic given its inputs and seed. Trial t of a trial loop learns from
 row t of its count stream, learn._trial_counts(d, count, trials, seed, *key), whatever the number of
-trials, so any trial is replayed from its seed, key and t. The loops build the auctions of a block of
-counts' learned priors in blocks (auction._auctions), and read each block at once: sample-complexity its
-revenues under the true prior (auction._expected_revenues), lb-family its allocations at the family's
-profiles (auction._allocations). The other experiments call myerson.
+trials, so any trial is replayed from its seed, key and t. A block of counts is learned as arrays
+(learn._learn_counts), scored in blocks of auctions held as arrays (auction._auctions), and each block read
+at once: sample-complexity its revenues under the true prior (auction._expected_revenues), lb-family its
+allocations at the family's profiles (auction._allocations). Only a trial whose auction runs lines gets a
+prior and an Auction built. The other experiments call myerson.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .dist import (
 )
 from .feasible import (
     FeasibleSet,
+    _closed,
     _exchange_violation,
     all_or_nothing,
     is_downward_closed,
@@ -148,13 +150,14 @@ def embed_counterexample(fs: FeasibleSet, eps: float = 0.1) -> Report:
     """
     if not 0.0 < eps < 1.0:  # also catches NaN
         raise ValueError(f"eps {eps!r} outside (0, 1)")
-    if masks(fs.vertices) is None:
+    sets = masks(fs.vertices)  # read once, for both checks
+    if sets is None:
         raise PreconditionError("embedding needs a binary set system")
     if fs.n > EMBED_MAX_N:
         raise PreconditionError(f"embedding limited to n <= {EMBED_MAX_N}")
-    if not is_downward_closed(fs):
+    if not _closed(sets):
         raise PreconditionError("embedding needs a downward-closed system")
-    witness = _exchange_violation(fs)
+    witness = _exchange_violation(fs, sets)
     if witness is None:
         raise PreconditionError("system is a matroid; nothing to embed")
     s_big, s_small = witness
@@ -358,7 +361,9 @@ def run_lb_family(
     for mi, sign in enumerate(signs):
         member = ProductDist(tuple(priors[b] for b in sign))
         vw_all = [(k / n) * sum(phis[b][j != i] for j, b in enumerate(sign)) for i in range(n)]
-        dif_sums = [0.0] * n
+        lose = np.array([max(0.0, vw) for vw in vw_all])  # bidder i's regret in a trial where it loses,
+        win = lose - vw_all  # and where it wins
+        dif_sums = np.zeros(n)
         for counts in _trial_counts(member, sample_budget, trials, seed, mi):
             keys = [c.tobytes() for c in counts]
             new = {key: t for t, key in enumerate(keys) if key not in wins}  # a trial per new key
@@ -366,14 +371,13 @@ def run_lb_family(
                 blocks = _auctions(_learn_counts(member, counts[list(new.values())], _LEARNER_DELTA), fs)
                 x = np.concatenate([_allocations(block, profiles) for block in blocks])  # (keys, profiles, n)
                 wins.update(zip(new, (x.diagonal(axis1=1, axis2=2) > 0.0).tolist()))  # bidder i at profile i
-            for key in keys:
-                for i in range(n):
-                    dif_sums[i] += max(0.0, vw_all[i]) - (vw_all[i] if wins[key][i] else 0.0)
+            won = np.array([wins[key] for key in keys])  # each trial's regrets, added in trial order as a loop adds
+            dif_sums = np.vstack((dif_sums, np.where(won, win, lose))).cumsum(axis=0)[-1]
         member_regret = 0.0
-        for i in range(n):
+        for i, dif in enumerate(dif_sums.tolist()):
             prob = prod(masses[b][j != i] for j, b in enumerate(sign))
             min_profile_prob = min(min_profile_prob, prob)
-            member_regret += prob * dif_sums[i] / trials
+            member_regret += prob * dif / trials
         total_regret += member_regret
     avg_regret = total_regret / len(signs)
     informative = budget_product <= 0.01

@@ -3,8 +3,8 @@ or of trials' per-atom counts through one core, sample-count formulas, and the H
 
 A trial loop's count stream, drawn by _trial_counts, is g.multinomial(count, P, size=(trials, n)), g the
 stream of SeedSequence(seed, spawn_key=key) and P each bidder's masses left-padded with zeros to one width.
-The learner core derives a block's learned priors in one call of the block fill, dist._fill, so each prior
-holds views of the block's arrays.
+The learner core lays a block's learned atoms end to end; a trial loop reads their run starts off the block fill
+(dist._runs), and builds a trial's prior only if its auction runs lines. dominated_empirical builds its priors.
 Natural logarithms throughout the sample-count and inflation formulas.
 """
 
@@ -15,10 +15,10 @@ from math import ceil, inf, log, sqrt
 
 import numpy as np
 
-from .auction import _BLOCK
-from .dist import _GATE, ProductDist, ValueDist, _fill
+from .auction import _BLOCK, Priors
+from .dist import _GATE, ProductDist, ValueDist, _each, _runs
 
-_TRIALS = 64  # most trials a block of counts holds: a learned two-bidder prior of a few atoms takes ~3 KB
+_TRIALS = 64  # most trials a block holds: a few-atom two-bidder trial keeps ~1.2 KB of arrays, at peak ~3 KB
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +77,7 @@ def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
     if not (rows[:, 1].min(initial=0.0) >= 0.0 and rows[:, -1].max(initial=1.0) <= 1.0):
         raise ValueError("sample values must lie in [0, 1]")  # NaN sorts last
     at_most = np.arange(count + 1)[None].repeat(n, axis=0)  # c of a row's samples are at most its entry c
-    return _learn_rows(rows, at_most, count, n, delta)[0]
+    return ProductDist(_each(*_learn_rows(rows, at_most, count, n, delta)))
 
 
 def _trial_counts(d: ProductDist, count: int, trials: int, seed, *key):
@@ -98,20 +98,31 @@ def _trial_counts(d: ProductDist, count: int, trials: int, seed, *key):
     return (stream.multinomial(count, masses, size=size) for size in sizes)
 
 
-def _learn_counts(d: ProductDist, counts: np.ndarray, delta: float) -> list[ProductDist]:
-    """dominated_empirical of each trial of a (trials, n, width) stack of per-atom counts: row j of a
-    trial counts bidder j's samples at each atom of d[j], after zeros up to the stack's width."""
+def _learn_counts(d: ProductDist, counts: np.ndarray, delta: float) -> Priors:
+    """dominated_empirical of each trial of a (trials, n, width) stack of per-atom counts, as _auctions reads it: row j
+    of a trial counts bidder j's samples at each atom of d[j], after zeros up to the stack's width. Every run start of
+    the learned rows is scattered into the (bidder, cell, trial) tables; a trial's prior is built only when asked."""
     trials, n, width = counts.shape
     at_most = np.zeros((trials * n, width + 1), np.int64)  # a slot, then the samples at most each atom
     np.cumsum(counts.reshape(-1, width), axis=1, out=at_most[:, 1:])
     values = [np.concatenate((np.zeros(width + 1 - len(dj.support)), dj.support)) for dj in d]
-    return _learn_rows(np.tile(values, (trials, 1)), at_most, int(at_most[:, -1].max(initial=1)), n, delta)
+    support, probs, starts = _learn_rows(np.tile(values, (trials, 1)), at_most, int(at_most[:, -1].max(initial=1)),
+                                         n, delta)
+    slopes, lows, runs = _runs(support, probs, starts)
+    slots = np.arange(runs.max(initial=0)) < runs[:, None]  # each row's runs; trial t's bidder i is row t * n + i
+    width = slots.shape[1] + 1
+    phis, thresholds = np.zeros((len(runs), width)), np.full((len(runs), width), np.nan)
+    phis[:, 1:][slots], thresholds[:, :-1][slots] = slopes, lows  # run c is cell c + 1
+    phis, thresholds = (a.reshape(trials, n, width).transpose(1, 2, 0) for a in (phis, thresholds))
+    return Priors(phis, thresholds, (runs + 1).reshape(trials, n),
+                  lambda t: ProductDist(_each(support, probs, starts[t * n : t * n + n + 1])))
 
 
-def _learn_rows(vals: np.ndarray, at_most: np.ndarray, count: int, n: int, delta: float) -> list[ProductDist]:
-    """The learner core: the dominated empirical priors of rows of values in increasing order, n rows a
-    trial, where at_most[i, c] of row i's count samples are at most vals[i, c]. Each row opens with a
-    slot at 0.0, and a run of equal values is read at its last entry."""
+def _learn_rows(vals: np.ndarray, at_most: np.ndarray, count: int, n: int, delta: float):
+    """The learner core: the atoms of the dominated empirical priors of rows of values in increasing order, n rows a
+    trial, where at_most[i, c] of row i's count samples are at most vals[i, c]. Each row opens with a slot at 0.0,
+    and a run of equal values is read at its last entry. Returns the learned atoms laid end to end, row by row, as
+    (support, probs, starts), row j from starts[j] to starts[j + 1]."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta {delta!r} outside (0, 1)")
     ends = np.ones(vals.shape, bool)
@@ -127,8 +138,7 @@ def _learn_rows(vals: np.ndarray, at_most: np.ndarray, count: int, n: int, delta
     masses[head], vals[head] = bottom + (cum[head] - bottom), 0.0  # bottom, then the samples at 0, added
     keep = masses > 0.0  # values past the clamp get no mass
     vals, masses = vals[keep], masses[keep]
-    dists = _fill(vals, masses, np.append(np.flatnonzero(vals == 0.0), len(vals)))  # one atom at 0.0 a prior
-    return [ProductDist(dists[t : t + n]) for t in range(0, len(dists), n)]
+    return vals, masses, np.append(np.flatnonzero(vals == 0.0), len(vals))  # one atom at 0.0 a prior
 
 
 def required_samples(

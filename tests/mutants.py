@@ -87,8 +87,8 @@ MUTANTS = [
     {
         "name": "raw-virtual-values",
         "file": AUCTION,
-        "snippet": "            phis[i, 1 : len(d._runs) + 1, t] = d._slopes[d._runs]\n",
-        "replacement": "            phis[i, 1 : len(d._runs) + 1, t] = ((d.support * d._above[:-1]"
+        "snippet": "        phis[i, 1 : cells[i], 0] = d._slopes[d._runs]\n",
+        "replacement": "        phis[i, 1 : cells[i], 0] = ((d.support * d._above[:-1]"
                        " - np.append(d.support[1:], 0.0) * d._above[1:]) / d.probs)[d._runs]\n",
         "tests": TESTS,
         "reason": "each run scores the unironed virtual value of its first atom",
@@ -96,8 +96,8 @@ MUTANTS = [
     {
         "name": "threshold-from-last-atom",
         "file": AUCTION,
-        "snippet": "            thresholds[i, : len(d._runs), t] = d.support[d._runs]\n",
-        "replacement": "            thresholds[i, : len(d._runs), t] = "
+        "snippet": "        thresholds[i, : cells[i] - 1, 0] = d.support[d._runs]\n",
+        "replacement": "        thresholds[i, : cells[i] - 1, 0] = "
                        "d.support[np.append(d._runs[1:], len(d.support)) - 1]\n",
         "tests": TESTS,
         "reason": "a run's threshold is its last atom's value, so values inside a run change cell",
@@ -139,10 +139,34 @@ MUTANTS = [
     {
         "name": "block-reads-its-neighbours-slice",
         "file": AUCTION,
-        "snippet": "own = tuple(map(slice, cells)) + (t,)\n",
-        "replacement": "own = tuple(map(slice, cells)) + ((t + 1) % len(priors),)\n",
+        "snippet": "own = (tuple(map(slice, c)) + (t,) for",
+        "replacement": "own = (tuple(map(slice, c)) + ((t + 1) % len(block.cells),) for",
         "tests": TESTS,
-        "reason": "each auction of a block reads the ranks and outcomes of the prior after it",
+        "reason": "each trial of a block contracts the outcome tables of the trial after it",
+    },
+    {
+        "name": "own-cell-slice-one-short",
+        "file": AUCTION,
+        "snippet": "own = (tuple(map(slice, c)) + (t,) for",
+        "replacement": "own = (tuple(slice(x - 1) for x in c) + (t,) for",
+        "tests": TESTS,
+        "reason": "each trial contracts its tables without its top cell of each bidder, where its highest atoms lie",
+    },
+    {
+        "name": "contraction-over-a-strided-slice",
+        "file": AUCTION,
+        "snippet": "_contract(np.ascontiguousarray(block.outcomes[o]), m)",
+        "replacement": "_contract(block.outcomes[o], m)",
+        "tests": ["tests/test_lab.py"],
+        "reason": "a one-bidder trial's product runs over its strided slice of the block's tables and rounds another way",
+    },
+    {
+        "name": "block-cut-one-trial-late",
+        "file": AUCTION,
+        "snippet": "* np.arange(1, len(grid) + 1) <= _BLOCK)",
+        "replacement": "* np.arange(0, len(grid)) <= _BLOCK)",
+        "tests": TESTS,
+        "reason": "a run of trials takes one trial more than its tables fit, and a trial too large alone gets tables",
     },
     {
         "name": "block-masses-from-the-next-prior",
@@ -155,8 +179,8 @@ MUTANTS = [
     {
         "name": "wins-at-the-next-priors-slice",
         "file": AUCTION,
-        "snippet": "(np.arange(len(block))[:, None],)",
-        "replacement": "(((np.arange(len(block)) + 1) % len(block))[:, None],)",
+        "snippet": "(np.arange(len(block.cells))[:, None],)",
+        "replacement": "(((np.arange(len(block.cells)) + 1) % len(block.cells))[:, None],)",
         "tests": TESTS,
         "reason": "each auction of a block allocates, and so each lb-family key wins, as the prior after it",
     },
@@ -175,6 +199,38 @@ MUTANTS = [
         "replacement": "            if (q1 - q0) * (r - r0) - (r1 - r0) * (q - q0) > 0.0:\n",
         "tests": ["tests/test_dist.py"],
         "reason": "a revenue point on the chord of its neighbours stays a hull vertex",
+    },
+    {
+        "name": "thinning-keeps-points-on-a-chord",
+        "file": DIST,
+        "snippet": "        low = step[0] * span[1] - step[1] * span[0] >= 0.0\n",
+        "replacement": "        low = step[0] * span[1] - step[1] * span[0] > 0.0\n",
+        "tests": ["tests/test_dist.py"],
+        "reason": "a revenue point on the chord of its current neighbours survives thinning and stays a hull vertex",
+    },
+    {
+        "name": "thinning-tests-a-rows-edge-point",
+        "file": DIST,
+        "snippet": "(entry[::-1] <= lens[:, None] + 1)",
+        "replacement": "(entry[::-1] <= lens[:, None] + 2)",
+        "tests": ["tests/test_dist.py"],
+        "reason": "a pad point before each row's NaN puts the row above's last point in a tested chord",
+    },
+    {
+        "name": "fill-stops-thinning-without-the-chain",
+        "file": DIST,
+        "snippet": "    if dropped:\n        points = np.array(_envelope(",
+        "replacement": "    if False:\n        points = np.array(_envelope(",
+        "tests": ["tests/test_dist.py"],
+        "reason": "a stalled thinning leaves points the chain would pop in the hulls",
+    },
+    {
+        "name": "thinning-gives-up-from-the-first-pass",
+        "file": DIST,
+        "snippet": "_thin(curve, 0, 8)",
+        "replacement": "_thin(curve, 0, 1)",
+        "tests": ["tests/test_dist.py"],
+        "reason": "a block whose passes drop under a quarter of its points runs the chain over every row at once",
     },
     {
         "name": "fill-without-the-full-mass-snap",
@@ -249,6 +305,22 @@ MUTANTS = [
         "replacement": "min(_TRIALS + 1, _BLOCK",
         "tests": LOOP_TESTS,
         "reason": "a block of counts, and so of learned priors and auctions, holds _TRIALS + 1 trials",
+    },
+    {
+        "name": "runs-scattered-into-the-next-trial",
+        "file": LEARN,
+        "snippet": "(a.reshape(trials, n, width).transpose(1, 2, 0) for",
+        "replacement": "(np.roll(a.reshape(trials, n, width), 1, axis=0).transpose(1, 2, 0) for",
+        "tests": LOOP_TESTS,
+        "reason": "each trial's learned run starts land in the next trial's slot of the block's tables",
+    },
+    {
+        "name": "learned-run-in-its-own-threshold-cell",
+        "file": LEARN,
+        "snippet": "phis[:, 1:][slots], thresholds[:, :-1][slots] = slopes, lows",
+        "replacement": "phis[:, :-1][slots], thresholds[:, :-1][slots] = slopes, lows",
+        "tests": LOOP_TESTS,
+        "reason": "run c's virtual value lands in cell c, not c + 1, so cell 0 scores a run and the top run scores 0",
     },
     {
         "name": "masses-padded-on-the-right",

@@ -20,7 +20,7 @@ over the full product of supports; table expectations go through the
 padded (bidders, cells) mass matrix of line auctions. For tiny binary
 instances, virtual values and the optimal revenue are also computed in
 exact rational arithmetic. The lb-family regret learns and auctions every
-trial afresh. The per-atom auction keeps one cell per atom
+trial afresh, and a block of trials' run tables is filled prior by prior. The per-atom auction keeps one cell per atom
 where the library keeps one per run of equal ironed virtual value.
 Distributions are built by merging atoms one at a time in a dict,
 samples drawn column by column with the top index clipped, learned
@@ -41,7 +41,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from myersonlab import dist
-from myersonlab.auction import _terms, myerson
+from myersonlab.auction import Priors, _terms, myerson
 from myersonlab.dist import CDF_TOL, MASS_TOL, ProductDist, ValueDist
 from myersonlab.feasible import all_or_nothing, from_independent_sets
 from myersonlab.lab import _LEARNER_DELTA
@@ -462,6 +462,20 @@ def per_atom_auction(prior, fs):
     thresholds = np.array([tuple(d.support.tolist()) + (np.nan,) * (z + 1) for d, z in zip(prior, pad)])
     terms = _terms(phis[:, :, None], fs.vertices)[:, :, 0]  # a block of one prior
     return replace(a, _thresholds=thresholds, _terms=terms, _ranks=None, _outcomes=None)
+
+
+def block_of(priors, n):
+    """The Priors block that the learner scatters for a list of priors of n bidders, filled prior by prior and
+    bidder by bidder from each prior's own slopes and run starts."""
+    width = max((len(d._runs) for prior in priors for d in prior), default=0) + 1
+    phis = np.zeros((n, width, len(priors)))
+    thresholds = np.full(phis.shape, np.nan)
+    for t, prior in enumerate(priors):
+        for i, d in enumerate(prior):
+            phis[i, 1 : len(d._runs) + 1, t] = [d._slopes[j] for j in d._runs.tolist()]
+            thresholds[i, : len(d._runs), t] = [d.support[j] for j in d._runs.tolist()]
+    cells = np.array([[len(d._runs) + 1 for d in prior] for prior in priors], dtype=np.intp).reshape(-1, n)
+    return Priors(phis, thresholds, cells, priors.__getitem__)
 
 
 def allocate(a, values):

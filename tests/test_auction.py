@@ -16,6 +16,7 @@ import oracles
 from myersonlab.auction import (
     _BLOCK,
     _CAP,
+    Auction,
     CrossCheckError,
     _allocations,
     _auctions,
@@ -29,6 +30,7 @@ from myersonlab.auction import (
     myerson,
     opt_revenue,
     payments,
+    Tables,
 )
 from myersonlab.dist import (
     ProductDist,
@@ -799,8 +801,29 @@ def block_sizes(auctions):
     return sizes
 
 
+def trials_of(block):
+    """How many trials a block of _auctions holds: an Auction runs lines for one trial."""
+    return 1 if isinstance(block, Auction) else len(block.cells)
+
+
+def trial_auctions(blocks, priors, fs):
+    """Each trial's auction of the blocks of _auctions, in trial order: a block's Auction itself, and for Tables an
+    Auction of views of trial t's slices (its thresholds up to its most cells, its outcome tables at its own cells),
+    with no term tables, which a block with tables does not keep."""
+    t = 0
+    for block in blocks:
+        if isinstance(block, Auction):
+            yield block
+        else:
+            for j, cells in enumerate(block.cells.tolist()):
+                own = tuple(map(slice, cells)) + (j,)
+                yield Auction(priors[t + j], fs, block.thresholds[:, : max(cells), j], None,
+                              block.ranks[own], block.outcomes[own])
+        t += trials_of(block)
+
+
 class TestAuctionBlocks:
-    """_auctions scores runs of priors in blocks, and each auction equals myerson's, bit for bit."""
+    """_auctions scores runs of trials in blocks, and each trial's auction equals myerson's, bit for bit."""
 
     @pytest.mark.parametrize("fs", [uniform_matroid(2, 1), minimum_non_matroid()], ids=["matroid", "non-matroid"])
     def test_mixed_priors_match_myerson(self, fs, monkeypatch):
@@ -813,18 +836,22 @@ class TestAuctionBlocks:
         tall = ProductDist((one, ten) + (one,) * (fs.n - 2))
         priors = [random_prior(rng, fs.n) for _ in range(30)]
         priors[12:12] = [long, wide, tall]
-        auctions = [a for block in _auctions(priors, fs) for a in block]
-        assert len(auctions) == len(priors)
-        sizes = block_sizes(auctions)
+        blocks = list(_auctions(oracles.block_of(priors, fs.n), fs))
+        sizes = [trials_of(block) for block in blocks]
+        assert sum(sizes) == len(priors)
         assert max(sizes) > 2 and sizes.count(1) > 2
-        assert auctions[12]._ranks is None and auctions[13]._ranks is not None  # lines, tables
-        assert block_sizes(auctions[11:15])[1:3] == [1, 1]  # long and wide are blocks of one
+        first = np.cumsum([0] + sizes)  # each block's first trial
+        assert 12 in first and 13 in first and 14 in first  # long and wide are blocks of one
+        assert isinstance(blocks[list(first).index(12)], Auction)  # long runs lines
+        assert isinstance(blocks[list(first).index(13)], Tables)  # wide fits alone
+        auctions = list(trial_auctions(blocks, priors, fs))
+        assert len(auctions) == len(priors)
         for prior, a in zip(priors, auctions):
             b = myerson(prior, fs)
             assert a.prior is prior and a.feasible is fs
             for name in ("_thresholds", "_terms", "_ranks", "_outcomes"):
                 got, want = getattr(a, name), getattr(b, name)
-                if want is None:
+                if want is None or (got is None and name == "_terms"):  # a block with tables keeps no terms
                     assert got is None, name
                     continue
                 assert got.shape == want.shape and got.dtype == want.dtype, name
@@ -850,43 +877,51 @@ class TestAuctionBlocks:
         prior, fs = ProductDist((uniform_grid(np.linspace(0.1, 1.0, 10)),) * 2), uniform_matroid(2, 1)
         assert 27 * 605 <= _BLOCK < 28 * 605
         for count, sizes in [(0, []), (1, [1]), (26, [26]), (27, [27]), (28, [27, 1]), (55, [27, 27, 1])]:
-            assert [len(block) for block in _auctions([prior] * count, fs)] == sizes
+            blocks = list(_auctions(oracles.block_of([prior] * count, 2), fs))
+            assert [trials_of(block) for block in blocks] == sizes
+            assert all(isinstance(block, Tables) for block in blocks)
 
-    def test_a_prior_of_another_bidder_count_is_refused(self):
-        prior, fs = ProductDist((uniform_grid([0.5, 1.0]),) * 2), uniform_matroid(2, 1)
-        with pytest.raises(ValueError, match="^prior has 1 bidders, system has 2$"):
-            list(_auctions([prior, prior, ProductDist((point_mass(0.5),))], fs))
+    def test_a_prior_of_another_bidder_count_is_refused(self, monkeypatch):
+        prior, fs = ProductDist((uniform_grid([0.5, 1.0]),)), uniform_matroid(2, 1)
+        for block in (1 << 14, 1):  # with tables, and on lines
+            monkeypatch.setattr("myersonlab.auction._BLOCK", block)
+            with pytest.raises(ValueError, match="^prior has 1 bidders, system has 2$"):
+                list(_auctions(oracles.block_of([prior, prior], 1), fs))
 
 
 class TestBlockEvaluation:
-    """_expected_revenues and _allocations read a block's arrays once, and give each of its auctions'
-    expected_revenue and allocate, bit for bit."""
+    """_expected_revenues and _allocations read a block's arrays once, and give each of its trials' myerson
+    auctions' expected_revenue and allocate, bit for bit."""
 
     @pytest.mark.parametrize("small", [False, True], ids=["default-block", "small-block"])
     @pytest.mark.parametrize("fs", [uniform_matroid(2, 1), minimum_non_matroid()], ids=["matroid", "non-matroid"])
     def test_each_auction_of_a_block(self, fs, small, monkeypatch):
-        if small:  # some blocks of one prior run lines, as in TestAuctionBlocks
+        if small:  # some trials run lines, as in TestAuctionBlocks
             monkeypatch.setattr("myersonlab.auction._BLOCK", 120 * (len(fs.vertices) + fs.n))
         rng = np.random.default_rng(41)
         priors = [random_prior(rng, fs.n) for _ in range(40)]  # their lowest atoms are at 1/8 or above
         priors[5:5] = [ProductDist((uniform_grid(np.linspace(0.1, 1.0, 10)),) * fs.n)] * 2
-        blocks = list(_auctions(priors, fs))
-        assert max(map(len, blocks)) > 2
-        assert any(len({len(a.prior[0]._runs) for a in b}) > 1 for b in blocks)  # pad cells
-        assert any(b[0]._outcomes is None for b in blocks) == small
+        blocks = list(_auctions(oracles.block_of(priors, fs.n), fs))
+        assert max(map(trials_of, blocks)) > 2
+        assert any(len(set(b.cells[:, 0].tolist())) > 1 for b in blocks if isinstance(b, Tables))  # pad cells
+        assert any(isinstance(b, Auction) for b in blocks) == small
         # atoms at 0 and 1/16, below every auction's lowest threshold, fall in cell 0
         low = make_discrete([0.0, 1 / 16, 0.3, 0.5, 0.8], [0.1, 0.15, 0.25, 0.3, 0.2])
         dists = [ProductDist((low,) * fs.n), random_prior(rng, fs.n)]
         values = [0.0, 1 / 16, *ATOMS, *(a + 1 / 16 for a in ATOMS[:-1])]
         profiles = np.array([[float(rng.choice(values)) for _ in range(fs.n)] for _ in range(30)])
+        first = 0
         for block in blocks:
+            auctions = [myerson(prior, fs) for prior in priors[first : first + trials_of(block)]]
+            first += trials_of(block)
             for dist in dists:
-                want = [expected_revenue(a, dist).hex() for a in block]
+                want = [expected_revenue(a, dist).hex() for a in auctions]
                 assert [r.hex() for r in _expected_revenues(block, dist)] == want
             got = _allocations(block, profiles)
-            assert got.shape == (len(block), len(profiles), fs.n)
-            for a, x in zip(block, got.tolist()):
+            assert got.shape == (len(auctions), len(profiles), fs.n)
+            for a, x in zip(auctions, got.tolist()):
                 assert list(map(tuple, x)) == [allocate(a, p) for p in profiles]
+        assert first == len(priors)
 
 
 class TestValueToCell:

@@ -8,13 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import myersonlab.dist as dist_module
 import oracles
 from myersonlab.dist import (
     _GATE,
     MASS_TOL,
     ProductDist,
     ValueDist,
-    _fill,
+    _curve,
+    _derive,
+    _each,
+    _runs,
     discretize_uniform_with_atom,
     dominates,
     ironing_intervals,
@@ -331,10 +335,45 @@ def equal_revenue_row(m, scale):
             tuple(2.0 ** -(k + 1) for k in range(m - 1)) + (2.0 ** (1 - m),))
 
 
+def collinear_row(m, scale):
+    """m atoms whose revenue points all lie on one sloped line, in floats: atom k is worth scale * (1/4 + 2**(k - m - 1))
+    and it and the atoms above it carry 2**-k, so each point's revenue is scale * (2**-(m + 1) + q / 4)."""
+    return (tuple(scale * (0.25 + 2.0 ** (k - m - 1)) for k in range(m)),
+            tuple(2.0 ** -(k + 1) for k in range(m - 1)) + (2.0 ** (1 - m),))
+
+
+def on_32(values, weights):
+    return tuple(v / 32 for v in values), tuple(w / sum(weights) for w in weights)
+
+
+# rows whose thinning drops one point a pass, four passes in a row
+ONE_DROP_ROWS = [
+    on_32((7, 8, 9, 10, 11, 19), (8, 6, 4, 8, 1, 8)),
+    on_32((4, 5, 7, 11, 16, 28, 30), (2, 8, 1, 1, 2, 1, 4)),
+    on_32((1, 7, 9, 11, 13, 16, 28, 32), (7, 7, 5, 6, 1, 3, 2, 7)),
+]
+
+
+def cascade_row():
+    """120 atoms whose thinning drops one point a pass, ten passes in a row: their revenue points lie on the concave
+    arc q / 2 - q**2 / 10**4 at q = k / 120, but for the lowest atom's, raised as far as the atom above it allows."""
+    q = np.arange(1, 121) / 120
+    r = 0.5 * q - 1e-4 * q * q
+    r[-1] = np.nextafter(r[-2] / q[-2], 0.0)
+    return tuple((r / q)[::-1].tolist()), tuple((q - np.append(0.0, q[:-1]))[::-1].tolist())
+
+
+def concave_row(m):
+    """m evenly spaced atoms of equal mass: a concave revenue curve, from which thinning drops nothing."""
+    return tuple((k + 1) / (m + 1) for k in range(m)), (1 / m,) * m
+
+
 @st.composite
 def fill_rows(draw):
-    """A row of atoms: random grid atoms, an ironed row, an equal-revenue row or one atom."""
-    kind = draw(st.sampled_from(["random", "ironed", "equal-revenue", "one-atom"]))
+    """A row of atoms: random grid atoms, an ironed row, an equal-revenue or collinear row, a row whose thinning
+    drops one point a pass, a concave row or one atom."""
+    kinds = ["random", "ironed", "equal-revenue", "collinear", "one-drop", "concave", "one-atom"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "random":
         m = draw(st.integers(2, 8))
         values = sorted(draw(st.lists(st.integers(0, 1000), min_size=m, max_size=m, unique=True)))
@@ -344,14 +383,43 @@ def fill_rows(draw):
         return draw(st.sampled_from(IRONED_ROWS))
     if kind == "equal-revenue":
         return equal_revenue_row(draw(st.integers(3, 6)), draw(st.sampled_from([1.0, 0.5, 0.125])))
+    if kind == "collinear":
+        return collinear_row(draw(st.integers(3, 6)), draw(st.sampled_from([1.0, 0.5, 0.125])))
+    if kind == "one-drop":
+        return draw(st.sampled_from(ONE_DROP_ROWS))
+    if kind == "concave":
+        return concave_row(draw(st.integers(2, 8)))
     return (draw(st.integers(0, 8)) / 8,), (1.0,)
 
 
-def fill(rows):
-    """_fill of rows of (support, probs), laid end to end."""
+def laid(rows):
+    """Rows of (support, probs) laid end to end: the arrays of atoms and each row's start."""
     support = np.array([v for s, _ in rows for v in s], dtype=float)
     probs = np.array([p for _, ps in rows for p in ps], dtype=float)
-    return _fill(support, probs, np.cumsum([0] + [len(s) for s, _ in rows]))
+    return support, probs, np.cumsum([0] + [len(s) for s, _ in rows])
+
+
+def fill(rows):
+    """The priors of rows of (support, probs) laid end to end, each holding views of its row of the block fill's
+    arrays, or built by _each where the fill declines the block."""
+    support, probs, starts = laid(rows)
+    derived = _derive(support, probs, starts)
+    if derived is None:
+        return _each(support, probs, starts)
+    values, masses, below, above, hull, firsts, slopes, first = derived
+    runs, counts = np.nonzero(first)[1], first.sum(axis=1)
+    for arr in (values, masses, below, above, hull, slopes, runs):
+        arr.setflags(write=False)
+    cuts = counts.cumsum()
+    spans = zip(np.diff(starts).tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(hull)],
+                (cuts - counts).tolist(), cuts.tolist())
+    dists = []
+    for j, (m, h0, h1, r0, r1) in enumerate(spans):
+        d = object.__new__(ValueDist)  # as ValueDist builds it, less the derivation
+        d.__dict__.update(support=values[j, :m], probs=masses[j, :m], _below=below[j, : m + 1],
+                          _above=above[j, : m + 1], _hull=hull[h0:h1], _slopes=slopes[j, :m], _runs=runs[r0:r1])
+        dists.append(d)
+    return dists
 
 
 def assert_built_as_value_dist(d, support, probs):
@@ -365,7 +433,7 @@ def assert_built_as_value_dist(d, support, probs):
 
 
 class TestBlockFill:
-    """_fill derives a block of rows' priors at once, each field as ValueDist derives it, bit for bit."""
+    """The block fill derives a block of rows' priors at once, each field as ValueDist derives it, bit for bit."""
 
     @given(st.lists(fill_rows(), min_size=1, max_size=12))
     @example([((0.2, 0.5, 0.9), (0.1, 0.2, 0.7))] * 2)  # tails sum top down to 0.9999999999999999
@@ -413,6 +481,73 @@ class TestBlockFill:
         with pytest.raises(ValueError) as got:
             fill(rows)
         assert str(got.value) == f"row {j}: {refused.value}"
+
+
+def passes(support, probs):
+    """The drop count of each thinning pass over one row's revenue curve, to the pass that drops nothing."""
+    d = ValueDist(support, probs)
+    points, drops = _curve(d.support, d._above), []
+    while not drops or drops[-1]:
+        step, span = points[:, 1:-1] - points[:, :-2], points[:, 2:] - points[:, :-2]
+        low = step[0] * span[1] - step[1] * span[0] >= 0.0
+        drops.append(int(low.sum()))
+        points = points[:, np.concatenate(([True], ~low, [True]))]
+    return drops
+
+
+class TestFlatHull:
+    """The block fill thins every row's revenue curve at once, and each row's hull, slopes and runs are
+    ValueDist's, bit for bit, whichever way the thinning ends."""
+
+    def test_the_rows_drop_as_named(self):
+        assert all(passes(*row) == [1, 1, 1, 1, 0] for row in ONE_DROP_ROWS)
+        assert all(passes(*concave_row(m)) == [0] for m in range(2, 9))
+        assert all(passes(*collinear_row(m, 0.5)) == [m - 2, 0] for m in range(3, 7))
+        assert passes(*cascade_row()) == [1] * 10 + [0]
+
+    @staticmethod
+    def assert_run_starts_are_value_dists(rows):
+        slopes, lows, runs = _runs(*laid(rows))
+        want = [ValueDist(*row) for row in rows]
+        assert runs.tolist() == [len(d._runs) for d in want]
+        assert slopes.tobytes() == np.concatenate([np.empty(0)] + [d._slopes[d._runs] for d in want]).tobytes()
+        assert lows.tobytes() == np.concatenate([np.empty(0)] + [d.support[d._runs] for d in want]).tobytes()
+
+    @given(st.lists(fill_rows(), min_size=1, max_size=16))
+    @settings(max_examples=300, deadline=None)
+    def test_run_starts_are_value_dists(self, rows):
+        self.assert_run_starts_are_value_dists(rows)
+
+    @pytest.mark.parametrize(
+        "rows, chains",
+        [
+            ([concave_row(m) for m in range(2, 9)] * 3, 0),  # the first pass drops nothing
+            ([collinear_row(m, 1.0) for m in range(3, 7)] * 3, 0),  # the second pass drops nothing
+            (ONE_DROP_ROWS * 4, 0),  # under a quarter of the points drop at each of four passes, then none
+            (ONE_DROP_ROWS + [concave_row(8)] * 12, 0),
+            ([*ONE_DROP_ROWS, *IRONED_ROWS, equal_revenue_row(5, 0.5), ((0.5,), (1.0,))] * 2, 0),
+            ([cascade_row(), *ONE_DROP_ROWS, concave_row(8)], 1),  # past 8 passes the chain finishes every row
+            ([cascade_row()] * 2 + [((0.5,), (1.0,))], 1),
+        ],
+        ids=["concave", "collinear", "one-drop", "one-drop-among-concave", "mixed", "cascade", "cascades"],
+    )
+    def test_every_row_as_value_dist_whichever_way_thinning_ends(self, rows, chains, monkeypatch):
+        calls = []
+
+        def envelope(points):
+            calls.append(None)
+            return chain_sweep(points)
+
+        chain_sweep = dist_module._envelope
+        monkeypatch.setattr("myersonlab.dist._envelope", envelope)
+        priors = fill(rows)
+        assert len(calls) == chains  # one chain sweep for the whole block, or none
+        for d, (support, probs) in zip(priors, rows):
+            assert_built_as_value_dist(d, support, probs)
+
+    def test_no_rows_and_long_rows_give_their_priors_run_starts(self):
+        self.assert_run_starts_are_value_dists([])
+        self.assert_run_starts_are_value_dists([grid_atoms(_GATE + 1), ((0.5,), (1.0,)), ONE_DROP_ROWS[0]])
 
 
 def _rank(support, v: float) -> int:

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import event, given, settings, target
 from hypothesis import strategies as st
 
-from myersonlab.auction import _BLOCK, expected_revenue, myerson, opt_revenue
+from myersonlab.auction import (
+    _BLOCK,
+    Auction,
+    _allocations,
+    _expected_revenues,
+    expected_revenue,
+    myerson,
+    opt_revenue,
+)
 from myersonlab.cli import _csv
 from myersonlab.dist import (
     ProductDist,
@@ -760,6 +768,104 @@ class TestTrialLoopsAcrossAuctionBlocks:
         run_lb_family(4, 2, 0.01, 1, 16, 5)
         assert stacks and 0 not in stacks
         assert len(stacks) < 16  # some members meet no new key at all
+
+
+def kinds_of(blocks):
+    """Each block of _auctions as the trial loops read it: 0 for an Auction on lines, else its trials."""
+    return [0 if isinstance(block, Auction) else len(block.cells) for block in blocks]
+
+
+class TestTrialLoopsAgainstPerTrialAuctions:
+    """With blocks of counts and auction blocks cut small, so that blocks split and some trials run lines, each
+    loop reads every trial as myerson of the trial's own learned prior reads it, bit for bit."""
+
+    @staticmethod
+    def revenues(monkeypatch, d, fs, delta, C, trials, seed):
+        """Each trial's revenue as sample-complexity reads it and as myerson of the oracle learner's prior reads
+        it, in trial order, and the trials of each block read (0 for a trial on lines)."""
+        got, kinds = [], []
+
+        def spy(block, dist):
+            kinds.extend(kinds_of([block]))
+            got.extend(revenues := _expected_revenues(block, dist))
+            return revenues
+
+        monkeypatch.setattr("myersonlab.lab._expected_revenues", spy)
+        count = run_sample_complexity(fs, d, 0.1, delta, C, trials, seed).metrics["samples_per_trial"]
+        want = []
+        for counts in count_rows(d, count, trials, seed):
+            unpadded = [c[len(c) - len(dj.support) :].tolist() for dj, c in zip(d, counts)]
+            want.append(expected_revenue(myerson(oracles.counted_empirical(d, unpadded, delta), fs), d).hex())
+        return [r.hex() for r in got], want, kinds
+
+    def test_sample_complexity_revenues(self, monkeypatch):
+        # 84 samples a trial: some of the rarer atoms are not drawn, so the learned grids take 9 to 25 cells
+        d = ProductDist((make_discrete([0.1, 0.3, 0.5, 0.7, 0.9], [0.45, 0.05, 0.35, 0.05, 0.1]),
+                         make_discrete([0.2, 0.4, 0.6, 0.8], [0.4, 0.1, 0.2, 0.3])))
+        monkeypatch.setattr("myersonlab.learn._TRIALS", 7)
+        monkeypatch.setattr("myersonlab.auction._BLOCK", 120)  # 25 cells run lines, 12 fit two at a time
+        got, want, kinds = self.revenues(monkeypatch, d, uniform_matroid(2, 1), 0.3, 0.1, 60, 11)
+        assert 0 in kinds and max(kinds) > 1 and sum(kinds) + kinds.count(0) == 60
+        assert got == want
+
+    def test_sample_complexity_on_rows_past_the_gate(self, monkeypatch):
+        # 1,752 samples of 150 atoms learn rows past _GATE atoms, which the block fill leaves to ValueDist
+        d = ProductDist((uniform_grid(np.linspace(0.005, 0.75, 150)),))
+        monkeypatch.setattr("myersonlab.learn._TRIALS", 3)
+        got, want, kinds = self.revenues(monkeypatch, d, uniform_matroid(1, 1), 0.3, 5.0, 7, 4)
+        assert kinds == [3, 3, 1]
+        assert got == want
+
+    def test_lb_family_wins(self, monkeypatch):
+        # at 60 samples a trial the learned grids take 8 to 27 cells
+        n, k, eps, budget, trials, seed = 3, 1, 0.01, 60, 30, 2
+        monkeypatch.setattr("myersonlab.learn._TRIALS", 5)
+        monkeypatch.setattr("myersonlab.auction._BLOCK", 130)  # 27 cells run lines, 12 fit two at a time
+        kinds = []
+
+        def spy(block, profiles):
+            kinds.extend(kinds_of([block]))
+            return _allocations(block, profiles)
+
+        monkeypatch.setattr("myersonlab.lab._allocations", spy)
+
+        def rows(mi, t, member):  # row t of member mi's stream of counts
+            return as_samples(member, count_rows(member, budget, t + 1, seed, mi)[t])
+
+        got = run_lb_family(n, k, eps, budget, trials, seed).metrics["avg_regret"]
+        assert 0 in kinds and max(kinds) > 1
+        assert got == oracles.lb_family_regret(n, k, eps, trials, rows)
+
+
+class TestTrialLoopObjects:
+    """A trial loop builds no prior or auction object for a trial whose auction fits a block's tables, so the
+    objects a loop call builds do not grow with its trials."""
+
+    @staticmethod
+    def built(monkeypatch, run):
+        counts = {"ValueDist": 0, "Auction": 0}
+
+        def counted(name, real):
+            def call(*args):
+                counts[name] += 1
+                return real(*args)
+            return call
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ValueDist, "__post_init__", counted("ValueDist", ValueDist.__post_init__))
+            patch.setattr(Auction, "__init__", counted("Auction", Auction.__init__))
+            run()
+        return counts
+
+    def test_sample_complexity(self, monkeypatch):
+        d, fs = three_atom_pair(), uniform_matroid(2, 1)
+        few, many = (self.built(monkeypatch, lambda t=t: run_sample_complexity(fs, d, 0.1, 0.1, 1.5, t, 3))
+                     for t in (20, 400))
+        assert few == many and few["Auction"] == 1  # opt_revenue's auction of the true prior
+
+    def test_lb_family(self, monkeypatch):
+        few, many = (self.built(monkeypatch, lambda t=t: run_lb_family(2, 1, 0.01, 1500, t, 3)) for t in (20, 400))
+        assert few == many and few["Auction"] == 0
 
 
 class TestTrialLoopMemory:

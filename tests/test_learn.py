@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+from myersonlab.auction import _auctions
 from myersonlab.dist import (
     _GATE,
     ProductDist,
@@ -19,6 +20,7 @@ from myersonlab.dist import (
     make_discrete,
     point_mass,
 )
+from myersonlab.feasible import uniform_matroid
 from myersonlab.learn import (
     SampleMatrix,
     _learn_counts,
@@ -30,7 +32,6 @@ from myersonlab.learn import (
 )
 
 from fuzz import random_product, uniform_grid
-from test_dist import assert_built_as_value_dist
 
 GRID10 = [round(0.1 * j, 10) for j in range(1, 11)]
 cdf = oracles.scalar_cdf  # Pr[u <= v], summed left to right
@@ -296,7 +297,8 @@ class TestDominatedEmpirical:
         # the constant above, at three scales, on priors learned from the trial loops' count rows
         d, delta, runs = grid_prior(n), 0.1, 300
         count = required_samples("downward_closed", n, k, eps, delta, 64)
-        learned = [et for block in _trial_counts(d, count, runs, 7) for et in _learn_counts(d, block, delta)]
+        blocks = [(_learn_counts(d, block, delta), len(block)) for block in _trial_counts(d, count, runs, 7)]
+        learned = [priors.prior(t) for priors, trials in blocks for t in range(trials)]
         hits = sum(dominates(d, et) and is_close(d, et, eps, n, k) for et in learned)
         sigma = sqrt(delta * (1 - delta) / runs)
         assert hits / runs >= 1 - delta - 3 * sigma
@@ -382,20 +384,26 @@ class TestBlockLearner:
     def test_random_stacks(self):
         for d, stack, delta in self.stacks(34, 1000):
             learned = _learn_counts(d, stack, delta)
-            assert len(learned) == len(stack)
-            for counts, prior in zip(stack, learned):
+            assert learned.cells.shape == (len(stack), d.n)
+            for t, counts in enumerate(stack):
                 unpadded = [c[len(c) - len(dj.support) :].tolist() for dj, c in zip(d, counts)]
-                assert bits(prior) == bits(oracles.counted_empirical(d, unpadded, delta))
+                assert bits(learned.prior(t)) == bits(oracles.counted_empirical(d, unpadded, delta))
 
     def test_learned_priors_derive_what_value_dist_derives(self):
-        # through the block fill, each prior's hull, slopes and runs included
+        # the run tables the block fill scatters hold, trial by trial, what each learned ValueDist derives,
+        # bit for bit, past the widest prior of a block too: 0.0 and NaN pads
         for d, stack, delta in self.stacks(35, 300):
-            for prior in _learn_counts(d, stack, delta):
-                for dj in prior:
-                    assert_built_as_value_dist(dj, dj.support.copy(), dj.probs.copy())
+            learned = _learn_counts(d, stack, delta)
+            want = oracles.block_of([learned.prior(t) for t in range(len(stack))], d.n)  # each built by ValueDist
+            assert learned.cells.tolist() == want.cells.tolist()
+            for got, kept in zip(learned[:2], want[:2]):
+                assert (got.shape, got.dtype) == (kept.shape, kept.dtype)
+                assert got.tobytes() == kept.tobytes()
 
     def test_no_trials_give_no_priors(self):
-        assert _learn_counts(grid_prior(), np.zeros((0, 2, 10), np.int64), 0.1) == []
+        learned = _learn_counts(grid_prior(), np.zeros((0, 2, 10), np.int64), 0.1)
+        assert learned.cells.shape == (0, 2)
+        assert list(_auctions(learned, uniform_matroid(2, 1))) == []
 
     @pytest.mark.parametrize("bad", [1.5, -0.2, nan])
     @pytest.mark.parametrize("trial", [0, 2])
