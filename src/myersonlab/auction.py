@@ -1,53 +1,26 @@
 """Myerson's optimal auction for a design prior over a feasible system.
 
-The auction reads each bidder's ironed virtual values and run starts off
-the prior, which derived them when it was built, picks the vertex
-maximizing ironed virtual welfare, and charges the threshold payments
-that make the allocation truthful. Both depend on values only through
-each bidder's cell: cell 0 lies below the prior's lowest atom, and cell
-c > 0 is the c-th run of adjacent atoms with equal ironed virtual value,
-such as the atoms of one ironed interval. A value's cell is the count of
-its bidder's run thresholds at or below it, in a row padded with NaN past
-the last run, which no value reaches.
+The auction picks the vertex maximizing ironed virtual welfare and charges
+the threshold payments that make the allocation truthful. Both depend on
+values only through each bidder's cell: cell 0 lies below its prior's
+lowest atom, and cell c > 0 is the c-th run of adjacent atoms with equal
+ironed virtual value, such as the atoms of one ironed interval.
 
-myerson builds each bidder's term table, which the auction keeps: a row
-per cell and a column per vertex, phi_i[c] * x_vi, but -inf in cell 0
-wherever the vertex gives bidder i anything. One scorer, _winners, reads
-the tables at a cell array per bidder, the arrays broadcasting together:
-a grid axis each, a line (the bidder's own cells on one axis, the others'
-rows on the other) or one point. With the terms summed over bidders left
-to right from +0.0, the first argmax over the vertices, which are in tie
-order, reproduces the rule: a vertex giving nothing to bidders in cell 0
-first, then ironed virtual welfare, ties to the earlier row. A point with
-every vertex at -inf, possible only without a zero vertex, is decided
-again on plain welfare, cell 0 counting as 0. Along a line one bidder's
-cell runs up from 0, the others' stay fixed, and a running sum of
-threshold steps gives its payment at every point. When the grid of every
-bidder's cells fits one block (the product over bidders of runs_i + 1
-cells, times vertices + bidders, at most _BLOCK), myerson scores it once
-and keeps outcome tables over its cell profiles, 64 of them for three
-bidders whose ten atoms form three runs each, with the scorer's welfare
-as the welfare column. allocate and payments look outcomes up there, and
-exact expectations contract the tables with the bidders' cell masses.
-Other auctions run lines: a payment each bidder's up to its own cell, an
-expectation one per profile of the others' occupied cells, in blocks,
-welfare off bidder 0's lines. An auction holds its prior, system,
-thresholds, term tables and outcome tables if any.
+- myerson builds an Auction, a block of one prior: each bidder's term
+  table (_terms) and, when its grid of cells fits _BLOCK, outcome tables
+  (_tables) that allocate, payments and _expectation look up. Other
+  auctions run lines (_line). _winners scores both, _pay pays both.
+- A trial loop hands _auctions a block of trials as arrays (Priors) and
+  reads each run of trials whose tables fit as arrays too (Tables), with
+  _expected_revenues and _allocations: numpy's fixed cost per call
+  dominates tables this small, so such a trial builds no object.
 
-A trial loop scores its trials' auctions in blocks, where numpy's fixed
-cost per call dominates, and builds no object for a trial that fits one:
-the learner hands _auctions a block of trials as arrays (Priors), their
-virtual values and thresholds with a trial axis just before the
-vertices. _auctions fills one run of consecutive trials at a time while
-their tables, over the most cells each bidder has in any of them, fit
-_BLOCK, with one _winners call and a _pay per bidder, the same sums in
-the same order whatever the block, and yields the run as arrays
-(Tables). _expected_revenues then reads every trial's cell masses off
-one comparison and one bincount per bidder, and contracts each trial's
-own slice of the tables; _allocations gathers the block's ranks. Only a
-trial whose grid does not fit on its own gets its prior and Auction
-built, by myerson, and runs lines. myerson is a block of one prior, and
-its auction holds read-only views of the block's arrays.
+_winners sums the terms over bidders left to right from +0.0, so its first
+argmax over the vertices, which are in tie order, reproduces the rule: a
+vertex giving nothing to bidders in cell 0 first, then ironed virtual
+welfare, ties to the earlier row. Every vertex can sum to -inf only
+without a zero vertex. A run of trials takes the same sums in the same
+order as each of its trials alone.
 """
 
 from __future__ import annotations
@@ -86,8 +59,8 @@ class Auction:
     with NaN in _thresholds and zeros in _terms. The outcome tables, None
     when the grid does not fit, are indexed by a cell profile: _ranks holds
     the winner's row of vertices, _outcomes[..., i] bidder i's payment and
-    _outcomes[..., n] the welfare. Each is a view of its block's array, the
-    same in shape and bytes whatever the block.
+    _outcomes[..., n] the welfare. Each is a view of myerson's block of
+    one prior.
     """
 
     prior: ProductDist

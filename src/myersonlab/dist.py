@@ -14,10 +14,10 @@ it again. There are three derivations, and all three give the same bits:
   in arrays; every single prior of at most _GATE atoms takes it, as built
   by make_discrete, from JSON or by point_mass;
 - the constructor past _GATE atoms runs on arrays end to end (_iron);
-- the block fill (_derive) takes a trial loop's rows of at most _GATE
-  atoms at once, in array passes, every row's hull included; the loops
-  read each row's run starts off it (_runs) and build no prior. A block
-  with a longer row, and dominated_empirical's rows, take the constructor.
+- the block fill (_derive) takes a trial loop's rows, of any width, at
+  once, in array passes, every row's hull included; the loops read each
+  row's run starts off it (_runs) and build no prior. dominated_empirical's
+  rows take the constructor.
 """
 
 from __future__ import annotations
@@ -163,20 +163,18 @@ def _thin(points: np.ndarray, least: int, patience: int) -> tuple[np.ndarray, in
 
 
 def _derive(support: np.ndarray, probs: np.ndarray, starts: np.ndarray) -> tuple | None:
-    """The block fill: the arrays ValueDist derives, bit for bit, of rows of atoms laid end to end, row j from
-    starts[j] to starts[j + 1]; None for a block that fails a check, holds a row past _GATE atoms or has none.
+    """The block fill: the arrays ValueDist derives, bit for bit, of rows of atoms of any width laid end to end, row j
+    from starts[j] to starts[j + 1]; None for a block with a row that ValueDist refuses.
 
     Rows padded with +0.0 to width + 2 entries keep their running and tail sums, one cumsum each. Every revenue
     curve is laid end to end after a NaN revenue, so _thin tests no chord across two rows; a thinning that stalls
-    past 8 passes leaves one chain sweep for all rows, which a NaN stops too. An atom's segment is the count of its
-    row's hull quantiles at or below its tail mass, less one. Returns (values, masses, below, above) as (rows,
-    width + 2), the hulls end to end with each row's first index, and slopes and a run-start mask as (rows, width).
+    past 8 passes leaves one chain sweep for all rows, which a NaN stops too. An atom's segment is found by one
+    search of its (row, tail mass) key among the hull points' (row, quantile) keys, complex numbers, which sort by
+    real part first. Returns (values, masses, below, above) as (rows, width + 2), the hulls end to end with each
+    row's first index, and slopes and a run-start mask as (rows, width).
     """
     lens = starts[1:] - starts[:-1]
-    width = int(lens.max(initial=0))
-    if not 0 < width <= _GATE:
-        return None
-    rows = len(lens)
+    width, rows = int(lens.max(initial=0)), len(lens)
     block = np.zeros((5, rows, width + 2))  # every row ends in at least two 0.0 pads
     values, masses, below, above, revenue = block
     entry = np.arange(width + 2)
@@ -185,8 +183,8 @@ def _derive(support: np.ndarray, probs: np.ndarray, starts: np.ndarray) -> tuple
     np.add.accumulate(masses[:, :-1], axis=1, out=below[:, 1:])
     np.add.accumulate(masses[:, -2::-1], axis=1, out=above[:, -2::-1])
     rising = (values[:, 1:width] > values[:, : width - 1]) | ~atoms[:, 1:width]
-    if not (probs.min() > 0.0 and support.min() >= 0.0 and support.max() <= 1.0 and rising.all()
-            and np.abs(below[:, -1] - 1.0).max() <= MASS_TOL and above[:, 1].max() < 1.0):  # False at NaN
+    if not ((probs > 0.0).all() and ((support >= 0.0) & (support <= 1.0)).all() and rising.all()
+            and (np.abs(below[:, -1] - 1.0) <= MASS_TOL).all() and (above[:, 1] < 1.0).all()):  # False at NaN
         return None  # _each refuses the first row that fails
     above[:, 0] = 1.0
     np.multiply(above, values, out=revenue)
@@ -198,12 +196,10 @@ def _derive(support: np.ndarray, probs: np.ndarray, starts: np.ndarray) -> tuple
         points = np.array(_envelope(zip(*points.tolist()))).T
     nan = np.isnan(points[1])
     firsts = np.flatnonzero(nan) - np.arange(rows)  # each row's first hull point
+    keys = (np.cumsum(nan) - 1 + 1j * points[0])[~nan]
     hull = points.compress(~nan, axis=1).T.copy()
-    sizes = np.append(firsts[1:], len(hull)) - firsts
-    hq = np.full((rows, sizes.max()), np.nan)  # a NaN pad compares false
-    hq[np.arange(hq.shape[1]) < sizes[:, None]] = hull[:, 0]
     step = hull[1:] - hull[:-1]
-    segment = (hq[:, None] <= above[:, 1 : width + 1, None]).sum(axis=2) + (firsts - 1)[:, None]
+    segment = keys.searchsorted(np.arange(rows)[:, None] + 1j * above[:, 1 : width + 1], "right") - 1
     slopes = (step[:, 1] / step[:, 0])[segment]
     first = atoms[:, :width].copy()
     first[:, 1:] &= slopes[:, 1:] != slopes[:, :-1]
@@ -212,14 +208,10 @@ def _derive(support: np.ndarray, probs: np.ndarray, starts: np.ndarray) -> tuple
 
 def _runs(support: np.ndarray, probs: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ironed virtual value and first atom of every run of equal slopes of each row of atoms laid end to end,
-    row by row, and each row's count of runs, bit for bit as ValueDist derives them, with no prior built unless
-    _derive declines the block."""
+    row by row, and each row's count of runs, bit for bit as ValueDist derives them, with no prior built."""
     derived = _derive(support, probs, starts)
     if derived is None:
-        dists = _each(support, probs, starts)
-        return (np.concatenate([np.empty(0), *(d._slopes[d._runs] for d in dists)]),
-                np.concatenate([np.empty(0), *(d.support[d._runs] for d in dists)]),
-                np.array([len(d._runs) for d in dists], dtype=np.intp))
+        _each(support, probs, starts)  # raises the first refused row's refusal, after its index
     values, *_, slopes, first = derived
     return slopes[first], values[:, :-2][first], first.sum(axis=1)
 

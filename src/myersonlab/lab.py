@@ -294,8 +294,10 @@ def run_sample_complexity(
     for i in np.flatnonzero((fs.vertices > 0.0).all(axis=0)).tolist():
         raise PreconditionError(f"every vertex serves bidder {i}, even below its lowest value, where it "
                                 f"pays nothing; sample-complexity needs a system that can leave it out")
-    closed = masks(fs.vertices) is not None and is_downward_closed(fs)
-    setting = "downward_closed" if closed else "general"
+    try:
+        setting = "downward_closed" if is_downward_closed(fs) else "general"  # which reads the masks once
+    except ValueError:  # a fractional system
+        setting = "general"
     count = required_samples(setting, fs.n, fs.rank, eps, delta, C)
     stream = _trial_counts(d, count, trials, seed)  # which refuses a trial count before any auction is built
     opt = opt_revenue(d, fs)

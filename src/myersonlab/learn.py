@@ -45,9 +45,9 @@ def draw_samples(d: ProductDist, count: int, seed) -> SampleMatrix:
     read-only. A column whose prior has more than _GATE atoms searches its uniforms in sorted
     order and scatters the values back, with the same values: sorted keys take nearly the same
     path down a search over so many partial sums, where random keys mispredict at every step.
-    A shorter prior's column is searched directly, for memory as well as speed: the sort's index
-    is scratch too, and sorting every column raised the peak of 7,950 x 2 draws by a quarter,
-    past the trial-loop memory test's bound, and more than doubled the time of 1,726 draws.
+    A shorter prior's column is searched directly, since the sort costs more than it saves on
+    few atoms: a column of 1,726 draws took 11 µs direct against 31 µs sorted at 3 atoms, and
+    111 against 54 µs at 1,001 atoms.
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")
@@ -82,8 +82,9 @@ def dominated_empirical(s: SampleMatrix, delta: float) -> ProductDist:
 
 def _trial_counts(d: ProductDist, count: int, trials: int, seed, *key):
     """Consecutive trials' per-atom counts, drawn as read, in (trials, n, width) blocks of at most _TRIALS
-    trials and _BLOCK numbers, or one trial: row j of a trial counts bidder j's samples at each atom of
-    d[j], after zeros."""
+    trials and _BLOCK // 5 numbers, or one trial: row j of a trial counts bidder j's samples at each atom of
+    d[j], after zeros. A count's learned atom takes about 20 doubles at the block fill's peak, so a block
+    learns in about four times _BLOCK doubles."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if count < 1:
@@ -93,7 +94,7 @@ def _trial_counts(d: ProductDist, count: int, trials: int, seed, *key):
     width = max(len(dj.probs) for dj in d)  # zeros on the left: a draw's last column takes the rest
     masses = np.array([np.concatenate((np.zeros(width - len(dj.probs)), dj.probs)) for dj in d])
     stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-    block = max(1, min(_TRIALS, _BLOCK // masses.size))
+    block = max(1, min(_TRIALS, _BLOCK // (5 * masses.size)))
     sizes = ((min(block, trials - start), d.n) for start in range(0, trials, block))
     return (stream.multinomial(count, masses, size=size) for size in sizes)
 

@@ -241,6 +241,22 @@ MUTANTS = [
         "reason": "a block prior's full mass is its tails summed top down, not 1, so its curve ends elsewhere",
     },
     {
+        "name": "keyed-search-left-side",
+        "file": DIST,
+        "snippet": '1 : width + 1], "right")',
+        "replacement": '1 : width + 1], "left")',
+        "tests": ["tests/test_dist.py"],
+        "reason": "an atom whose tail mass is a hull quantile takes the segment that ends there, not the one it opens",
+    },
+    {
+        "name": "hull-rows-keyed-one-row-late",
+        "file": DIST,
+        "snippet": "(np.cumsum(nan) - 1 + 1j * points[0])",
+        "replacement": "(np.cumsum(nan) + 1j * points[0])",
+        "tests": ["tests/test_dist.py"],
+        "reason": "each hull point is keyed to the row after its own, so an atom finds its segment in the row above's hull",
+    },
+    {
         "name": "intervals-from-their-own-start",
         "file": DIST,
         "snippet": "(q0 < q)",
@@ -285,15 +301,23 @@ MUTANTS = [
     {
         "name": "four-times-larger-blocks",
         "file": LEARN,
-        "snippet": "    block = max(1, min(_TRIALS, _BLOCK // masses.size))\n",
-        "replacement": "    block = max(1, min(_TRIALS, 4 * _BLOCK // masses.size))\n",
+        "snippet": "    block = max(1, min(_TRIALS, _BLOCK // (5 * masses.size)))\n",
+        "replacement": "    block = max(1, min(_TRIALS, 4 * _BLOCK // (5 * masses.size)))\n",
         "tests": LOOP_TESTS,
-        "reason": "a block of counts holds four times _BLOCK numbers",
+        "reason": "a block of counts holds four times _BLOCK // 5 numbers",
+    },
+    {
+        "name": "blocks-sized-by-their-counts-alone",
+        "file": LEARN,
+        "snippet": "_BLOCK // (5 * masses.size)",
+        "replacement": "_BLOCK // masses.size",
+        "tests": LOOP_TESTS,
+        "reason": "a block holds _BLOCK counts, whose learned atoms take about 20 doubles each in the block fill",
     },
     {
         "name": "one-block-per-loop",
         "file": LEARN,
-        "snippet": "    block = max(1, min(_TRIALS, _BLOCK // masses.size))\n",
+        "snippet": "    block = max(1, min(_TRIALS, _BLOCK // (5 * masses.size)))\n",
         "replacement": "    block = trials\n",
         "tests": LOOP_TESTS,
         "reason": "a loop draws every trial's counts at once, so its memory grows with the trials",

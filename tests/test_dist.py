@@ -1,6 +1,7 @@
 """Distribution construction, quantile transforms, dominance, and closeness."""
 
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -368,11 +369,16 @@ def concave_row(m):
     return tuple((k + 1) / (m + 1) for k in range(m)), (1 / m,) * m
 
 
+def repeated_row(m, atom):
+    """m evenly spaced atoms, atom's mass too small to move a tail sum: it shares its quantile with the atom above."""
+    return grid_atoms(m, atom, mass=1e-20)
+
+
 @st.composite
 def fill_rows(draw):
     """A row of atoms: random grid atoms, an ironed row, an equal-revenue or collinear row, a row whose thinning
-    drops one point a pass, a concave row or one atom."""
-    kinds = ["random", "ironed", "equal-revenue", "collinear", "one-drop", "concave", "one-atom"]
+    drops one point a pass, a concave row, a row with a repeated quantile or one atom."""
+    kinds = ["random", "ironed", "equal-revenue", "collinear", "one-drop", "concave", "repeated", "one-atom"]
     kind = draw(st.sampled_from(kinds))
     if kind == "random":
         m = draw(st.integers(2, 8))
@@ -389,7 +395,24 @@ def fill_rows(draw):
         return draw(st.sampled_from(ONE_DROP_ROWS))
     if kind == "concave":
         return concave_row(draw(st.integers(2, 8)))
+    if kind == "repeated":
+        m = draw(st.integers(3, 8))
+        return repeated_row(m, draw(st.integers(1, m - 2)))
     return (draw(st.integers(0, 8)) / 8,), (1.0,)
+
+
+@st.composite
+def wide_rows(draw):
+    """A row of _GATE + 1 to 300 atoms: random grid atoms, a concave row or a row with a repeated quantile."""
+    m = draw(st.integers(_GATE + 1, 300))
+    kind = draw(st.sampled_from(["random", "concave", "repeated"]))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        weights = rng.integers(1, 10, m)
+        return tuple(np.sort(rng.choice(10_000, m, replace=False)) / 10_000), tuple(weights / weights.sum())
+    if kind == "concave":
+        return concave_row(m)
+    return repeated_row(m, draw(st.integers(1, m - 2)))
 
 
 def laid(rows):
@@ -401,7 +424,7 @@ def laid(rows):
 
 def fill(rows):
     """The priors of rows of (support, probs) laid end to end, each holding views of its row of the block fill's
-    arrays, or built by _each where the fill declines the block."""
+    arrays; where the fill declines the block, _each refuses its first bad row."""
     support, probs, starts = laid(rows)
     derived = _derive(support, probs, starts)
     if derived is None:
@@ -466,10 +489,26 @@ class TestBlockFill:
     def test_no_rows_give_no_priors(self):
         assert fill([]) == []
 
-    def test_a_block_with_a_long_row_builds_each_prior_alone(self):
+    def test_a_block_with_a_long_row_is_filled(self):
         rows = [grid_atoms(_GATE + 1), ((0.5,), (1.0,)), grid_atoms(_GATE)]
         for d, (support, probs) in zip(fill(rows), rows):
             assert_built_as_value_dist(d, support, probs)
+            assert d.support.base is not None
+
+    @given(st.lists(st.one_of(fill_rows(), wide_rows()), max_size=6), st.sampled_from(BAD_ROWS), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_declines_a_block_exactly_when_a_row_is_refused(self, rows, bad, data):
+        # so a block the fill declines has a row that _each refuses, and _runs builds no prior to fall back on
+        if data.draw(st.booleans(), label="with a bad row"):
+            rows.insert(data.draw(st.integers(0, len(rows)), label="bad row"), bad)
+        def refused(row):
+            try:
+                ValueDist(*row)
+            except ValueError:
+                return True
+            return False
+
+        assert (_derive(*laid(rows)) is None) == any(map(refused, rows))
 
     @given(st.lists(fill_rows(), max_size=6), st.sampled_from(BAD_ROWS), st.sampled_from(BAD_ROWS), st.data())
     @settings(max_examples=150, deadline=None)
@@ -548,6 +587,39 @@ class TestFlatHull:
     def test_no_rows_and_long_rows_give_their_priors_run_starts(self):
         self.assert_run_starts_are_value_dists([])
         self.assert_run_starts_are_value_dists([grid_atoms(_GATE + 1), ((0.5,), (1.0,)), ONE_DROP_ROWS[0]])
+
+    @given(st.lists(wide_rows(), min_size=1, max_size=3),
+           st.lists(st.one_of(fill_rows(), st.just(cascade_row())), max_size=8), st.randoms())
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_with_wide_rows_are_value_dists(self, wide, short, random):
+        rows = wide + short
+        random.shuffle(rows)
+        for d, (support, probs) in zip(fill(rows), rows):
+            assert_built_as_value_dist(d, support, probs)
+        self.assert_run_starts_are_value_dists(rows)
+
+    def test_runs_of_a_block_with_a_long_row_build_no_prior(self, monkeypatch):
+        rows = [grid_atoms(_GATE + 1), ((0.5,), (1.0,)), ONE_DROP_ROWS[0], concave_row(300)]
+        want = [ValueDist(*row) for row in rows]
+        built = []
+        monkeypatch.setattr(ValueDist, "__post_init__", lambda d: built.append(d))
+        slopes, _, runs = _runs(*laid(rows))
+        assert not built
+        assert runs.tolist() == [len(d._runs) for d in want]
+        assert slopes.tobytes() == np.concatenate([d._slopes[d._runs] for d in want]).tobytes()
+
+    def test_a_block_of_wide_rows_peaks_at_its_arrays(self):
+        # 128 concave rows of 128 atoms, 129 hull points each: 2.6 MB at peak, where comparing every tail mass
+        # with a padded table of each row's hull quantiles took 4.1 MB
+        support, probs, starts = laid([concave_row(128)] * 128)
+        _runs(support, probs, starts)
+        tracemalloc.start()
+        try:
+            _runs(support, probs, starts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 def _rank(support, v: float) -> int:

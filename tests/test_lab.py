@@ -642,7 +642,7 @@ def drawn(monkeypatch):
 
 class TestTrialStreams:
     """Trial t of a trial loop is row t of one multinomial draw of per-atom counts from one stream,
-    whatever the number of trials, drawn in blocks of at most _TRIALS trials and _BLOCK numbers, or one
+    whatever the number of trials, drawn in blocks of at most _TRIALS trials and _BLOCK // 5 numbers, or one
     trial."""
 
     def test_sample_complexity_reads_consecutive_blocks(self, drawn, monkeypatch):
@@ -651,18 +651,18 @@ class TestTrialStreams:
         want = count_rows(d, 21, 5, 11)
         assert (want[:, 1, 0] == 0).all() and (want.sum(axis=2) == 21).all()  # the second bidder's pad
         assert not np.array_equal(want[0], want[1])
-        for block, trials, sizes in [(12, 3, [2, 1]), (12, 5, [2, 2, 1]), (4, 5, [1] * 5), (1 << 14, 5, [5])]:
+        for block, trials, sizes in [(60, 3, [2, 1]), (60, 5, [2, 2, 1]), (20, 5, [1] * 5), (1 << 14, 5, [5])]:
             monkeypatch.setattr("myersonlab.learn._BLOCK", block)
             drawn.clear()
             assert run_sample_complexity(fs, d, 0.5, 0.3, 1.0, trials, 11).metrics["samples_per_trial"] == 21
             assert all(prior is d and count == 21 for prior, count, _ in drawn)
             assert [len(counts) for _, _, counts in drawn] == sizes
-            assert all(counts.size <= max(6, block) for _, _, counts in drawn)
+            assert all(counts.size <= max(6, block // 5) for _, _, counts in drawn)
             assert np.array_equal(np.concatenate([counts for _, _, counts in drawn]), want[:trials])
 
     def test_lb_family_members_read_their_own_streams(self, drawn, monkeypatch):
         n, budget = 2, 8
-        monkeypatch.setattr("myersonlab.learn._BLOCK", 8)  # two trials of 2 x 2 counts a block
+        monkeypatch.setattr("myersonlab.learn._BLOCK", 40)  # two trials of 2 x 2 counts a block
         for trials, sizes in ((3, [2, 1]), (5, [2, 2, 1])):
             drawn.clear()
             run_lb_family(n, 1, 0.01, budget, trials, 6)
@@ -714,7 +714,7 @@ class TestTrialLoopsAcrossBlocks:
 
         old = failed(oracles.draw_samples(d, count, advanced(t * count * d.n, 3)) for t in range(120))
         new = failed(as_samples(d, counts) for counts in count_rows(d, count, 120, 3))
-        monkeypatch.setattr("myersonlab.learn._BLOCK", 51 * 6)  # 51 trials of 2 x 3 counts a block
+        monkeypatch.setattr("myersonlab.learn._BLOCK", 5 * 51 * 6)  # 51 trials of 2 x 3 counts a block
         for trials, freq in [(1, 0.0), (50, 0.82), (51, 0.8235294117647058), (52, 0.8269230769230769),
                              (120, 0.8166666666666667)]:
             assert sum(old[:trials]) / trials == freq  # as frozen on the sample streams
@@ -732,7 +732,7 @@ class TestTrialLoopsAcrossBlocks:
             return as_samples(member, count_rows(member, budget, t + 1, seed, mi)[t])
 
         assert oracles.lb_family_regret(n, k, eps, trials, blocks) == float.fromhex("0x1.b2aa536cd6345p-4")
-        monkeypatch.setattr("myersonlab.learn._BLOCK", 18 * n * 2)  # blocks of 18, 18 and 4 trials
+        monkeypatch.setattr("myersonlab.learn._BLOCK", 5 * 18 * n * 2)  # blocks of 18, 18 and 4 trials
         want = oracles.lb_family_regret(n, k, eps, trials, rows)
         assert run_lb_family(n, k, eps, budget, trials, seed).metrics["avg_regret"] == want
 
@@ -890,6 +890,14 @@ class TestTrialLoopMemory:
         fs = uniform_matroid(2, 1)
         assert run_sample_complexity(fs, d, 0.1, 0.1, 1.5, 1, 3).metrics["samples_per_trial"] * d.n == 3180
         assert self.peak(lambda t: run_sample_complexity(fs, d, 0.1, 0.1, 1.5, t, 3), trials) < self.BOUND
+
+    @pytest.mark.parametrize("C, count", [(1, 1060), (19, 20134)])
+    def test_wide_prior(self, C, count):
+        # 127 atoms a bidder: a block of 64 trials learned up to 16,256 atoms, peaking at 2.6-3.5 MB
+        u = uniform_grid([(k + 1) / 128 for k in range(127)])
+        d, fs = ProductDist((u, u)), uniform_matroid(2, 1)
+        assert run_sample_complexity(fs, d, 0.1, 0.1, C, 1, 3).metrics["samples_per_trial"] == count
+        assert self.peak(lambda t: run_sample_complexity(fs, d, 0.1, 0.1, C, t, 3), 64) < self.BOUND
 
     def test_sample_count_at_the_closeness_constant(self):
         # one trial of the ten-atom grid prior at C = 40 draws 213,908 samples per bidder, which as
